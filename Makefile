@@ -50,7 +50,7 @@ STORE_BENCHTIME ?= 1s
 STORE_BENCH_DURATION ?= 8s
 STORE_BENCH_RATE ?= 500
 
-.PHONY: all build vet test race bench bench-ssim bench-report bench-index bench-watch bench-stat bench-gateway bench-store report fuzz fuzz-smoke serve-smoke serve-bench cluster-smoke cluster-bench index-smoke watch-smoke stat-smoke store-smoke clean
+.PHONY: all build vet test race bench-check bench bench-ssim bench-report bench-index bench-watch bench-stat bench-gateway bench-store report fuzz fuzz-smoke serve-smoke serve-bench cluster-smoke cluster-bench index-smoke watch-smoke stat-smoke store-smoke clean
 
 all: build vet test
 
@@ -65,6 +65,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is a nested module (own go.mod, `replace idnlab => ../`), so
+# build/vet/test above never compile it and an exported-API break there
+# is silent. This vets and tests it against the root module as it is and
+# runs every BENCHMARK.json workload at 1/50 size (prints `smoke ok`).
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+	$(GO) run -C bench ./e2e -smoke
 
 # One benchmark per paper table/figure plus ablations; -v includes rows.
 bench:

@@ -130,15 +130,6 @@ func NewType2Detector(dict map[string][]string) *Type2Detector {
 	return core.NewType2Detector(dict)
 }
 
-// DetectParallel scans a corpus for homographic IDNs with a worker pool,
-// producing the same result as a sequential Detect.
-//
-// Deprecated: use ScanHomograph, which honors context cancellation and
-// reports per-stage metrics.
-func DetectParallel(cfg DetectorConfig, domains []string, workers int) []HomographMatch {
-	return core.DetectParallel(cfg, domains, workers)
-}
-
 // ScanHomograph scans a corpus for homographic IDNs through the
 // streaming pipeline engine: one detector per worker, order-preserving
 // fan-in, clean cancellation via ctx. The matches are identical to a

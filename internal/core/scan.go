@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 
+	"idnlab/internal/candidx"
+	"idnlab/internal/feat"
 	"idnlab/internal/pipeline"
 )
 
@@ -18,9 +20,53 @@ import (
 // The output contract is identical to the sequential Detect methods:
 // matches sorted by brand then domain, byte for byte. The equivalence is
 // pinned by property tests in scan_test.go across randomized corpora.
+//
+// The engine hands items out one at a time from a bounded queue, so
+// every worker gets work whatever len(domains) and the worker count are
+// (a pool that precomputed ceil(len/workers) shards once left workers
+// idle — 8 domains across 6 workers made only 4 shards);
+// TestScanWorkerCountEdge pins that.
+
+// DetectorConfig captures how to build identical detector instances for a
+// worker pool.
+type DetectorConfig struct {
+	// TopK is the brand-list depth.
+	TopK int
+	// Options apply to every instance.
+	Options []HomographOption
+	// Index, when set, attaches a precomputed candidate index to every
+	// instance (equivalent to appending WithIndex to Options). Carrying
+	// it as a first-class field means every construction path built on
+	// DetectorConfig — the classifier and the scan engines — routes
+	// through the index identically instead of silently falling back to
+	// the sweep.
+	Index *candidx.Index
+	// Stat, when set, attaches the statistical model to every instance
+	// (equivalent to appending WithStatModel to Options): the model
+	// becomes the learned prefilter ahead of the SSIM path and the
+	// third detector in ensemble verdicts.
+	Stat *feat.Model
+}
+
+// detectorOptions resolves the config into the option list detector
+// construction actually applies.
+func (cfg DetectorConfig) detectorOptions() []HomographOption {
+	if cfg.Index == nil && cfg.Stat == nil {
+		return cfg.Options
+	}
+	opts := make([]HomographOption, 0, len(cfg.Options)+2)
+	opts = append(opts, cfg.Options...)
+	if cfg.Index != nil {
+		opts = append(opts, WithIndex(cfg.Index))
+	}
+	if cfg.Stat != nil {
+		opts = append(opts, WithStatModel(cfg.Stat))
+	}
+	return opts
+}
 
 // sortHomographMatches applies the canonical output ordering shared by
-// Detect, DetectParallel and ScanHomograph.
+// Detect and ScanHomograph.
 func sortHomographMatches(out []HomographMatch) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Brand != out[j].Brand {

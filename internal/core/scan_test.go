@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"idnlab/internal/brands"
+	"idnlab/internal/candidx"
 	"idnlab/internal/zonefile"
 )
 
@@ -107,8 +109,8 @@ func TestScanSemanticEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestScanWorkerCountEdge is the regression for the deprecated chunked
-// DetectParallel, whose shard math (chunk = ceil(len/workers)) could
+// TestScanWorkerCountEdge is the regression for the chunked pool the
+// engine replaced, whose shard math (chunk = ceil(len/workers)) could
 // leave workers without a shard and degraded silently when
 // workers > len(domains). The streaming engine hands out items one at a
 // time, so every (len, workers) shape must agree with the sequential
@@ -122,6 +124,7 @@ func TestScanWorkerCountEdge(t *testing.T) {
 		{1, 8},  // workers > len
 		{3, 16}, // workers >> len
 		{0, 4},  // empty corpus
+		{3, 0},  // workers <= 0 selects GOMAXPROCS
 	}
 	seq := NewHomographDetector(cfg.TopK)
 	for _, sh := range shapes {
@@ -133,10 +136,6 @@ func TestScanWorkerCountEdge(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("size=%d workers=%d: scan diverges", sh.size, sh.workers)
-		}
-		// The deprecated wrapper must keep its exact output contract.
-		if legacy := DetectParallel(cfg, corpus, sh.workers); !reflect.DeepEqual(legacy, want) {
-			t.Errorf("size=%d workers=%d: DetectParallel diverges", sh.size, sh.workers)
 		}
 	}
 }
@@ -253,4 +252,52 @@ func assertNoLeakedGoroutines(t *testing.T, before int) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after settle", before, now)
+}
+
+// TestDetectParallelWithOptions pins that DetectorConfig.Options reach
+// every worker's detector. (This and the next test keep the ids they
+// had when they ran through the deleted DetectParallel shim.)
+func TestDetectParallelWithOptions(t *testing.T) {
+	cfg := DetectorConfig{TopK: 1000, Options: []HomographOption{WithThreshold(0.999)}}
+	par, _, err := ScanHomograph(context.Background(), cfg, testDS.IDNs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range par {
+		if m.SSIM < 0.999 {
+			t.Errorf("threshold not applied: %v", m)
+		}
+	}
+}
+
+// TestDetectParallelUsesIndex pins the DetectorConfig.Index routing: the
+// scan must produce the same matches as a sequential indexed detector
+// AND actually consult the index (an earlier wiring bug dropped the
+// field on the floor, silently falling back to the sweep on every
+// worker — correct output, none of the index's speedup, and no test
+// noticed).
+func TestDetectParallelUsesIndex(t *testing.T) {
+	list := brands.TopK(1000)
+	ix, err := candidx.Build(list, candidx.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := testDS.IDNs
+	seq := NewHomographDetector(0, WithIndex(ix)).Detect(corpus)
+	before, _ := ix.Stats()
+	cfg := DetectorConfig{Index: ix}
+	for _, workers := range []int{1, 4} {
+		par, _, err := ScanHomograph(context.Background(), cfg, corpus, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("workers=%d: indexed scan result differs (%d vs %d matches)",
+				workers, len(par), len(seq))
+		}
+	}
+	after, _ := ix.Stats()
+	if after == before {
+		t.Fatalf("ScanHomograph never consulted the index (lookups stuck at %d)", before)
+	}
 }

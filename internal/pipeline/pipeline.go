@@ -11,8 +11,8 @@
 // parallel but was previously sequential, fully in-memory, and
 // unobservable. Items are distributed one at a time, never in precomputed
 // shards, so workers stay busy regardless of corpus size versus worker
-// count (the failure mode of the deprecated core.DetectParallel chunking,
-// where workers > len(corpus)/chunk left workers idle).
+// count (the failure mode of ceil(len/workers) chunking, where
+// workers > len(corpus)/chunk leaves workers idle).
 //
 // Ordering guarantee: results are delivered to the sink in input order,
 // regardless of which worker produced them or how long it took. A scan

@@ -54,8 +54,8 @@ func TestCollectPreservesOrder(t *testing.T) {
 }
 
 func TestCollectEdgeSizes(t *testing.T) {
-	// Sizes 0, 1 and len < workers — the shapes that broke the old
-	// chunked DetectParallel sharding.
+	// Sizes 0, 1 and len < workers — the shapes that break chunked
+	// sharding.
 	for _, n := range []int{0, 1, 2, 3} {
 		out, err := double().Collect(context.Background(), FromSlice(ints(n)))
 		if err != nil {

@@ -309,6 +309,35 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestSingleDetectCountsOneLookup: a single detect is one cache lookup.
+// N distinct cold singles then the same N warm must read misses == N,
+// hits == N, hitRate 0.5 at /metrics (a Get pre-check ahead of Do once
+// counted every cold single as two misses).
+func TestSingleDetectCountsOneLookup(t *testing.T) {
+	_, ts := testServer(t, Config{TopK: 100})
+	const n = 7
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			resp, body := postJSON(t, ts.URL+"/v1/detect", fmt.Sprintf(`{"domain":"single-%d.example"}`, i))
+			if resp.StatusCode != 200 || strings.Contains(body, `"cached":true`) != (pass == 1) {
+				t.Fatalf("pass %d domain %d: %d %q", pass, i, resp.StatusCode, body)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap MetricsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if c := snap.Cache; c.Misses != n || c.Hits != n || c.HitRate != 0.5 {
+		t.Fatalf("cache after %d cold + %d warm singles: misses=%d hits=%d hitRate=%v", n, n, c.Misses, c.Hits, c.HitRate)
+	}
+}
+
 // TestConcurrentHammer drives a shared server from many goroutines
 // mixing cached singles, cold singles, batches and malformed bodies —
 // run under -race this is the serving layer's data-race gate.

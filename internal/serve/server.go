@@ -208,8 +208,8 @@ type Server struct {
 	ringMu       sync.Mutex
 	ring         *cluster.Ring
 	ringEpoch    uint64
-	peekMu       sync.Mutex
-	peekState    map[string]peekBreaker
+	repairBrk    sync.Map         // peer id → *cluster.Breaker for read-repair probes
+	repairNow    func() time.Time // breaker clock; nil means time.Now (tests inject)
 }
 
 // batchEntry is one batch item's response, produced inside the engine.
@@ -239,7 +239,6 @@ func NewServer(cfg Config) *Server {
 		warmed:  make(chan struct{}),
 
 		repairClient: &http.Client{Timeout: 5 * time.Second},
-		peekState:    make(map[string]peekBreaker),
 	}
 	s.attachStore()
 	// Batch fan-out reuses the streaming engine: per-worker clones of
@@ -319,11 +318,9 @@ func (s *Server) giveBack(c *core.Classifier) {
 // admission → detector. The ctx carries the request deadline; admission
 // never waits past it.
 func (s *Server) verdict(ctx context.Context, n core.NormalizedDomain) (core.Verdict, bool, error) {
-	// Fast path: warm verdicts skip admission entirely — a cache hit is
-	// a couple of map operations and must stay cheap at 10k+ req/s.
-	if v, ok := s.cache.Get(n.ACE); ok {
-		return v, true, nil
-	}
+	// Warm verdicts return from Do's hit branch without ever reaching
+	// admission — a cache hit is a couple of map operations and must stay
+	// cheap at 10k+ req/s.
 	return s.cache.Do(n.ACE, func() (core.Verdict, error) {
 		// Read-repair before recomputing: when this node is serving
 		// failover traffic or just rebooted, a peer likely holds the

@@ -16,6 +16,7 @@ import (
 	"idnlab/internal/api"
 	"idnlab/internal/cluster"
 	"idnlab/internal/core"
+	"idnlab/internal/framelog"
 	"idnlab/internal/vstore"
 )
 
@@ -422,17 +423,21 @@ func (s *Server) repairFetch(ace string) (core.Verdict, bool) {
 	}
 	probed := false
 	for _, c := range cands {
-		if c.ID == self || s.peekOnCooldown(c.ID) {
+		if c.ID == self {
+			continue
+		}
+		brk := s.repairBreaker(c.ID)
+		if !brk.Allow() {
 			continue
 		}
 		probed = true
 		s.storeMx.repairPeeks.Add(1)
 		v, ok, err := s.peekPeer(c.Addr, ace)
 		if err != nil {
-			s.peekFailure(c.ID)
+			brk.Failure()
 			continue
 		}
-		s.peekSuccess(c.ID)
+		brk.Success()
 		if ok {
 			s.storeMx.repairHits.Add(1)
 			return v, true
@@ -482,39 +487,17 @@ func (s *Server) peekPeer(addr, ace string) (core.Verdict, bool, error) {
 	return dr.Verdict, true, nil
 }
 
-// peekBreaker is the per-peer probe breaker state.
-type peekBreaker struct {
-	fails int
-	until time.Time
-}
-
-// peekOnCooldown / peekFailure / peekSuccess implement the tiny
-// per-peer breaker: two consecutive probe failures silence a peer for
-// two seconds (it is most likely the dead node the view has not yet
-// demoted).
-func (s *Server) peekOnCooldown(id string) bool {
-	s.peekMu.Lock()
-	defer s.peekMu.Unlock()
-	st, ok := s.peekState[id]
-	return ok && st.fails >= 2 && time.Now().Before(st.until)
-}
-
-func (s *Server) peekFailure(id string) {
-	s.peekMu.Lock()
-	defer s.peekMu.Unlock()
-	st := s.peekState[id]
-	st.fails++
-	if st.fails >= 2 {
-		st.until = time.Now().Add(2 * time.Second)
-		st.fails = 2
+// repairBreaker returns the peer's probe breaker: two consecutive probe
+// failures silence a peer for two seconds (it is most likely the dead
+// node the view has not yet demoted), then one probe is let through.
+func (s *Server) repairBreaker(id string) *cluster.Breaker {
+	if b, ok := s.repairBrk.Load(id); ok {
+		return b.(*cluster.Breaker)
 	}
-	s.peekState[id] = st
-}
-
-func (s *Server) peekSuccess(id string) {
-	s.peekMu.Lock()
-	defer s.peekMu.Unlock()
-	delete(s.peekState, id)
+	b, _ := s.repairBrk.LoadOrStore(id, cluster.NewBreaker(cluster.BreakerConfig{
+		FailThreshold: 2, Cooldown: 2 * time.Second, Now: s.repairNow,
+	}))
+	return b.(*cluster.Breaker)
 }
 
 // --- Anti-entropy (log-suffix streaming on rejoin) --------------------
@@ -627,7 +610,11 @@ func (s *Server) syncRound(ctx context.Context, wm map[string]uint64) bool {
 		}
 	}
 	s.storeMx.syncRounds.Add(1)
-	s.saveWatermarks(wm)
+	if err := s.saveWatermarks(wm); err != nil {
+		// Not fatal: the next round re-streams from the old watermarks
+		// and ingest dedup absorbs the replay.
+		s.storeMx.syncErrors.Add(1)
+	}
 	return clean
 }
 
@@ -710,8 +697,8 @@ func (s *Server) candidateFor(ring *cluster.Ring, key, self string) bool {
 	return false
 }
 
-// Watermarks persist per-peer sync cursors across restarts (same
-// atomic temp+rename discipline as the snapshot cutover). Losing the
+// Watermarks persist per-peer sync cursors across restarts, replaced
+// atomically like the snapshot (framelog.ReplaceFile). Losing the
 // file is safe — the next round re-streams from zero and ingest dedup
 // absorbs the replay.
 func (s *Server) watermarkPath() string {
@@ -733,30 +720,16 @@ func (s *Server) loadWatermarks() map[string]uint64 {
 	return wm
 }
 
-func (s *Server) saveWatermarks(wm map[string]uint64) {
+func (s *Server) saveWatermarks(wm map[string]uint64) error {
 	if s.store == nil {
-		return
+		return nil
 	}
 	buf, err := json.Marshal(wm)
 	if err != nil {
-		return
+		return err
 	}
-	path := s.watermarkPath()
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return
-	}
-	_, werr := f.Write(buf)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return
-	}
-	os.Rename(tmp, path)
+	return framelog.ReplaceFile(s.watermarkPath(), framelog.Options{}, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"idnlab/internal/api"
+	"idnlab/internal/cluster"
 	"idnlab/internal/core"
 	"idnlab/internal/vstore"
 )
@@ -354,5 +356,81 @@ func TestStoreHandlersWithoutStore(t *testing.T) {
 	}
 	if resp, body := postJSON(t, ts.URL+"/v1/store/peek", `{"domain":"mem-only.example"}`); resp.StatusCode != 200 || !strings.Contains(body, `"cached":true`) {
 		t.Fatalf("cache-only replica not warm: %d %q", resp.StatusCode, body)
+	}
+}
+
+// TestRepairFetchBreaker drives read-repair probes at a failing peer
+// under an injected clock: two failed peeks silence the peer, the
+// cooldown admits exactly one probe, and its success closes the breaker.
+func TestRepairFetchBreaker(t *testing.T) {
+	var (
+		hits    atomic.Int64
+		healthy atomic.Bool
+		entered = make(chan struct{}, 1)
+		release = make(chan struct{})
+	)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		if !healthy.Load() {
+			http.Error(w, "boom", http.StatusInternalServerError)
+			return
+		}
+		select {
+		case entered <- struct{}{}:
+			<-release // hold the half-open probe in flight
+		default:
+		}
+		http.Error(w, "not cached", http.StatusNotFound)
+	}))
+	defer peer.Close()
+
+	st, err := vstore.Open(vstore.Config{Dir: t.TempDir(), NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Config{NodeID: "self", TopK: 100, Workers: 1, Store: st, RepairTimeout: 5 * time.Second})
+	t.Cleanup(func() { srv.CloseStore() })
+	var now atomic.Int64 // fake clock, nanoseconds
+	srv.repairNow = func() time.Time { return time.Unix(0, now.Load()) }
+	p := NewPeer("gateway.invalid", "self", "self.invalid:1")
+	p.view = cluster.ClusterView{Epoch: 1, Nodes: []cluster.NodeInfo{
+		{ID: "self", Addr: "self.invalid:1", State: cluster.StateAlive},
+		{ID: "other", Addr: strings.TrimPrefix(peer.URL, "http://"), State: cluster.StateAlive},
+	}}
+	srv.AttachPeer(p)
+
+	probe := func(key string, wantHits int64, why string) {
+		t.Helper()
+		if _, ok := srv.repairFetch(key); ok {
+			t.Fatalf("%s: repairFetch(%s) returned a verdict", why, key)
+		}
+		if got := hits.Load(); got != wantHits {
+			t.Fatalf("%s: peer saw %d peeks, want %d", why, got, wantHits)
+		}
+	}
+	probe("a.example", 1, "first failure")
+	probe("b.example", 2, "second failure opens the breaker")
+	probe("c.example", 2, "open breaker")
+	now.Add(int64(2*time.Second) - 1)
+	probe("d.example", 2, "cooldown not over")
+
+	// Cooldown over: one probe goes out; while it is in flight nobody
+	// else may probe.
+	now.Add(1)
+	healthy.Store(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.repairFetch("e.example")
+	}()
+	<-entered
+	probe("f.example", 3, "half-open probe in flight")
+	close(release)
+	<-done
+
+	probe("g.example", 4, "closed after the probe succeeded")
+	probe("h.example", 5, "closed")
+	if m := srv.storeMx.repairPeeks.Load(); m != 5 {
+		t.Fatalf("repairPeeks = %d, want 5 (skipped probes must not count)", m)
 	}
 }

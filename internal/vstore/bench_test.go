@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"idnlab/internal/core"
+	"idnlab/internal/framelog"
 )
 
 // Benchmarks feed scripts/store_bench.sh (via cmd/benchjson):
@@ -45,7 +46,7 @@ func recordBytes(b *testing.B) int64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return int64(len(appendFrame(nil, payload)))
+	return int64(len(framelog.AppendFrame(nil, payload)))
 }
 
 func BenchmarkVstoreAppend(b *testing.B) {

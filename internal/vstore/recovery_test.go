@@ -5,7 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"idnlab/internal/framelog"
 )
+
+const frameHeader = framelog.FrameHeader // u32le len + u32le crc
 
 // Crash-recovery tests, mirroring watch/recovery_test.go's discipline:
 // build a store, cut its files at every interesting byte, reopen, and

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"idnlab/internal/core"
+	"idnlab/internal/framelog"
 )
 
 // Snapshot compaction. When the active log outgrows CompactBytes the
@@ -28,17 +29,10 @@ import (
 // of the cache, not an unbounded history — which is what bounds disk to
 // O(cache capacity + CompactBytes).
 
-// compact runs one compaction cycle on its own goroutine.
+// compact runs one size-triggered compaction cycle on its own goroutine.
 func (s *Store) compact() {
 	defer s.compactorDone.Done()
-	if err := s.compactOnce(); err != nil {
-		s.mu.Lock()
-		s.compactErrors++
-		s.mu.Unlock()
-	}
-	s.mu.Lock()
-	s.compacting = false
-	s.mu.Unlock()
+	s.runCompaction()
 }
 
 // Compact forces a compaction cycle synchronously (tests and benches;
@@ -46,12 +40,17 @@ func (s *Store) compact() {
 // walker.
 func (s *Store) Compact() error {
 	s.mu.Lock()
-	if s.walker == nil || s.compacting || s.closing || s.err != nil {
+	if s.walker == nil || s.compacting || s.closing || s.log.Err() != nil {
 		s.mu.Unlock()
 		return nil
 	}
 	s.compacting = true
 	s.mu.Unlock()
+	return s.runCompaction()
+}
+
+// runCompaction runs one cycle for whoever set s.compacting.
+func (s *Store) runCompaction() error {
 	err := s.compactOnce()
 	s.mu.Lock()
 	if err != nil {
@@ -63,30 +62,26 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactOnce() error {
-	// Rotate: swap in a fresh log so appends continue while we dump.
-	// One commit write may be in flight; wait it out (never long — one
-	// batch) so the old file is complete when we close it.
+	// Rotate: close the active log — which commits and fsyncs whatever is
+	// pending, so the old file is complete — and open the next one.
+	// Appenders wait on mu for that one commit; the dump below runs with
+	// the new log already taking appends. An active log no record has
+	// reached needs no successor (which would have the same name).
 	s.mu.Lock()
-	for s.writing && s.err == nil && !s.closing {
-		s.cond.Wait()
-	}
-	if s.closing || s.err != nil {
+	if s.closing || s.log.Err() != nil {
 		s.mu.Unlock()
 		return nil
 	}
 	watermark := s.seq
 	walker := s.walker
-	oldFile, oldPath := s.f, s.logPath
-	path, f, err := s.newLogFile(watermark)
-	if err != nil {
-		s.mu.Unlock()
-		return err
+	if next := filepath.Join(s.cfg.Dir, logName(s.seq)); next != s.logPath {
+		if err := s.rotateLocked(next); err != nil {
+			s.mu.Unlock()
+			return err
+		}
 	}
-	s.f, s.logPath, s.logSize = f, path, logHeaderSize
-	s.oldLogs = append(s.oldLogs, oldPath)
 	covered := append([]string(nil), s.oldLogs...)
 	s.mu.Unlock()
-	oldFile.Close()
 
 	// Dump the live cache. Records above the watermark belong to the new
 	// log; records with seq 0 never hit this store (ingested while the
@@ -117,74 +112,49 @@ func (s *Store) compactOnce() error {
 	return nil
 }
 
-// writeSnapshot writes records to snapshot.vsnap.tmp and atomically
-// renames it into place: temp write + fsync + rename is the same
-// cutover discipline as the watch daemon's cursor file.
-func (s *Store) writeSnapshot(recs []Record, watermark uint64) error {
-	tmp := filepath.Join(s.cfg.Dir, snapName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// rotateLocked closes the active log and opens its successor at path,
+// whose header records the current sequence number. If the close fails
+// the dead log stays active and keeps refusing appends.
+func (s *Store) rotateLocked(path string) error {
+	if err := s.log.Close(); err != nil {
+		return err
+	}
+	next, err := s.openLog(path, s.seq, nil)
 	if err != nil {
 		return err
 	}
-	hdr := make([]byte, snapHeaderSize)
-	copy(hdr, snapMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], watermark)
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(recs)))
-	buf := hdr
-	var scratch []byte
-	for i := range recs {
-		payload, err := appendRecord(scratch[:0], recs[i].Seq, recs[i].Verdict)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		scratch = payload
-		buf = appendFrame(buf, payload)
-		if len(buf) >= 1<<20 {
-			if _, err := f.Write(buf); err != nil {
-				f.Close()
-				os.Remove(tmp)
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := s.syncFile(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.cfg.Dir, snapName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return s.syncDir()
+	old := s.log.Stats()
+	s.commits += old.Commits
+	s.maxBatch = max(s.maxBatch, old.MaxBatch)
+	s.oldLogs = append(s.oldLogs, s.logPath)
+	s.log, s.logPath, s.logStart = next, path, s.seq
+	return nil
 }
 
-// syncDir makes the snapshot rename itself durable.
-func (s *Store) syncDir() error {
-	if s.cfg.NoFsync {
-		return nil
-	}
-	d, err := os.Open(s.cfg.Dir)
-	if err != nil {
+// writeSnapshot atomically replaces the snapshot file with recs.
+func (s *Store) writeSnapshot(recs []Record, watermark uint64) error {
+	return framelog.ReplaceFile(filepath.Join(s.cfg.Dir, snapName), s.opt, func(w io.Writer) error {
+		buf := make([]byte, snapHeaderSize, 1<<20)
+		copy(buf, snapMagic)
+		binary.LittleEndian.PutUint64(buf[8:], watermark)
+		binary.LittleEndian.PutUint32(buf[16:], uint32(len(recs)))
+		var payload []byte
+		for i := range recs {
+			var err error
+			if payload, err = appendRecord(payload[:0], recs[i].Seq, recs[i].Verdict); err != nil {
+				return err
+			}
+			buf = framelog.AppendFrame(buf, payload)
+			if len(buf) >= 1<<20 {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+		}
+		_, err := w.Write(buf)
 		return err
-	}
-	err = d.Sync()
-	d.Close()
-	return err
+	})
 }
 
 // loadSnapshot reads a snapshot file. A missing file is an empty store;
@@ -192,33 +162,29 @@ func (s *Store) syncDir() error {
 // torn snapshot cannot be left by a crash, only by real corruption,
 // and serving silently from half a snapshot would be data loss.
 func loadSnapshot(path string) ([]Record, uint64, error) {
-	buf, err := os.ReadFile(path)
+	var recs []Record
+	hdr, err := scanRecords(path, snapMagic, snapHeaderSize, -1, func(r Record) { recs = append(recs, r) })
 	if os.IsNotExist(err) {
 		return nil, 0, nil
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(buf) < snapHeaderSize || string(buf[:8]) != snapMagic {
-		return nil, 0, fmt.Errorf("vstore: %s is not a verdict snapshot (bad magic)", path)
-	}
-	watermark := binary.LittleEndian.Uint64(buf[8:])
-	count := binary.LittleEndian.Uint32(buf[16:])
-	recs := make([]Record, 0, count)
-	if _, err := scanFrames(buf[snapHeaderSize:], func(payload []byte) error {
-		r, err := decodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, r)
-		return nil
-	}); err != nil {
-		return nil, 0, fmt.Errorf("vstore: %s: %w", path, err)
-	}
+	watermark := binary.LittleEndian.Uint64(hdr[8:])
+	count := binary.LittleEndian.Uint32(hdr[16:])
 	if len(recs) != int(count) {
 		return nil, 0, fmt.Errorf("vstore: %s: %d records, header says %d (truncated snapshot)", path, len(recs), count)
 	}
 	return recs, watermark, nil
+}
+
+// scanRecords reads the records of a snapshot or log file, bounded to
+// limit bytes when limit >= 0 (the active log's durable size — bytes
+// past it may be a commit in flight), and returns the file's header.
+// Torn tails stop the scan cleanly.
+func scanRecords(path, magic string, headerSize int, limit int64, fn func(Record)) ([]byte, error) {
+	hdr, _, err := framelog.Replay(path, magic, headerSize, 0, limit, eachRecord(path, fn))
+	return hdr, err
 }
 
 // Since returns up to max records with sequence numbers in
@@ -232,9 +198,10 @@ func (s *Store) Since(after uint64, max int) (recs []Record, durable uint64, mor
 		max = 1024
 	}
 	s.mu.Lock()
-	durable = s.durable
+	active := s.log.Stats()
+	durable = s.logStart + active.Durable
 	snapSeq := s.snapSeq
-	activePath, activeSize := s.logPath, s.logSize
+	activePath := s.logPath
 	old := append([]string(nil), s.oldLogs...)
 	s.mu.Unlock()
 	if after >= durable {
@@ -256,11 +223,11 @@ func (s *Store) Since(after uint64, max int) (recs []Record, durable uint64, mor
 		}
 	}
 	for _, p := range old {
-		if err := scanLogRecords(p, -1, collect); err != nil {
+		if _, err := scanRecords(p, logMagic, logHeaderSize, -1, collect); err != nil {
 			return nil, durable, false, err
 		}
 	}
-	if err := scanLogRecords(activePath, activeSize, collect); err != nil {
+	if _, err := scanRecords(activePath, logMagic, logHeaderSize, active.Size, collect); err != nil {
 		return nil, durable, false, err
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
@@ -268,35 +235,4 @@ func (s *Store) Since(after uint64, max int) (recs []Record, durable uint64, mor
 		recs, more = recs[:max], true
 	}
 	return recs, durable, more, nil
-}
-
-// scanLogRecords reads a log file's records, bounded to limit bytes
-// when limit >= 0 (the active log's durable size — bytes past it may be
-// a commit in flight). Torn tails stop the scan cleanly.
-func scanLogRecords(path string, limit int64, fn func(Record)) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var rd io.Reader = f
-	if limit >= 0 {
-		rd = io.LimitReader(f, limit)
-	}
-	buf, err := io.ReadAll(rd)
-	if err != nil {
-		return err
-	}
-	if len(buf) < logHeaderSize || string(buf[:8]) != logMagic {
-		return fmt.Errorf("vstore: %s is not a verdict log (bad magic)", path)
-	}
-	_, err = scanFrames(buf[logHeaderSize:], func(payload []byte) error {
-		r, err := decodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		fn(r)
-		return nil
-	})
-	return err
 }

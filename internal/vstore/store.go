@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"idnlab/internal/core"
+	"idnlab/internal/framelog"
 )
 
 // Store is a durable, replication-ready warm store for one cache
@@ -17,26 +18,24 @@ import (
 // Build with Open; Append/Sync/Since/Stats are safe for concurrent use.
 type Store struct {
 	cfg Config
+	opt framelog.Options
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
-	f       *os.File // active log
-	logPath string
-	logSize int64 // durable byte size of the active log
-	oldLogs []string
+	// The active log. Every Append assigns seq+1 and enqueues exactly one
+	// frame under mu, so the log's frame counters map onto sequence
+	// numbers: the n-th frame appended since the log was opened carries
+	// seq logStart+n.
+	log      *framelog.Log
+	logPath  string
+	logStart uint64 // seq when the active log was opened
+	oldLogs  []string
 
-	seq         uint64 // last assigned sequence number
-	durable     uint64 // last sequence number on stable storage
-	pending     []byte // encoded frames awaiting commit
-	pendingN    int
-	pendingLast uint64 // seq of the newest pending frame
-	spare       []byte
-	writing     bool // a commit write is in flight (file must not rotate)
+	seq      uint64 // last assigned sequence number
+	appends  uint64
+	commits  uint64 // commits and largest batch of the logs rotated out
+	maxBatch int
 
-	appends   uint64
-	commits   uint64
-	maxBatch  int
 	snapshots uint64
 	snapSeq   uint64 // watermark of the current snapshot
 	snapCount int
@@ -48,9 +47,7 @@ type Store struct {
 
 	recovered     []Record // warm-boot records, handed out once
 	warmBoot      int
-	err           error // sticky I/O error; the store is dead once set
 	closing       bool
-	done          chan struct{}
 	compactorDone sync.WaitGroup
 }
 
@@ -70,8 +67,7 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{cfg: cfg, done: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
+	s := &Store{cfg: cfg, opt: framelog.Options{NoFsync: cfg.NoFsync}}
 
 	// A crash mid-snapshot leaves only a temp file; the rename never
 	// happened, so the old snapshot (if any) is still the truth.
@@ -96,46 +92,34 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	for i, path := range logs {
-		base, recs, size, err := s.recoverLogFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if base > maxSeq {
-			maxSeq = base
-		}
-		for _, r := range recs {
+		l, err := s.openLog(path, 0, eachRecord(path, func(r Record) {
 			if prev, ok := byKey[r.Verdict.Domain]; !ok || r.Seq > prev.Seq {
 				byKey[r.Verdict.Domain] = r
 			}
 			if r.Seq > maxSeq {
 				maxSeq = r.Seq
 			}
+		}))
+		if err != nil {
+			return nil, err
+		}
+		if base := binary.LittleEndian.Uint64(l.Header()[8:]); base > maxSeq {
+			maxSeq = base
 		}
 		if i < len(logs)-1 {
+			l.Close()
 			s.oldLogs = append(s.oldLogs, path)
 		} else {
-			s.logPath, s.logSize = path, size
+			s.log, s.logPath = l, path
 		}
 	}
-	s.seq, s.durable = maxSeq, maxSeq
-
-	if s.logPath == "" {
-		path, f, err := s.newLogFile(maxSeq)
-		if err != nil {
+	if s.log == nil {
+		s.logPath = filepath.Join(cfg.Dir, logName(maxSeq))
+		if s.log, err = s.openLog(s.logPath, maxSeq, nil); err != nil {
 			return nil, err
 		}
-		s.logPath, s.f, s.logSize = path, f, logHeaderSize
-	} else {
-		f, err := os.OpenFile(s.logPath, os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := f.Seek(s.logSize, 0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		s.f = f
 	}
+	s.seq, s.logStart = maxSeq, maxSeq
 
 	s.recovered = make([]Record, 0, len(byKey))
 	for _, r := range byKey {
@@ -143,8 +127,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	sort.Slice(s.recovered, func(i, j int) bool { return s.recovered[i].Seq < s.recovered[j].Seq })
 	s.warmBoot = len(s.recovered)
-
-	go s.commitLoop()
 	return s, nil
 }
 
@@ -164,71 +146,29 @@ func listLogs(dir string) ([]string, error) {
 	return all, nil
 }
 
-// newLogFile creates an empty log whose header records baseSeq (the
-// last sequence number preceding this file).
-func (s *Store) newLogFile(baseSeq uint64) (string, *os.File, error) {
-	path := filepath.Join(s.cfg.Dir, logName(baseSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", nil, err
-	}
+// openLog opens the log file at path, creating it with baseSeq (the
+// last sequence number preceding the file) in its header if it does not
+// exist; fn sees the payload of every frame already in it.
+func (s *Store) openLog(path string, baseSeq uint64, fn func(int64, []byte) error) (*framelog.Log, error) {
 	hdr := make([]byte, logHeaderSize)
 	copy(hdr, logMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], baseSeq)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return "", nil, err
-	}
-	if err := s.syncFile(f); err != nil {
-		f.Close()
-		return "", nil, err
-	}
-	return path, f, nil
+	return framelog.Open(path, hdr, s.opt, fn)
 }
 
-// recoverLogFile validates the header, scans frames, and truncates the
-// file at the first incomplete or corrupt one — a crash between write
-// and fsync leaves a torn tail, and a torn frame was by definition
-// never acknowledged durable.
-func (s *Store) recoverLogFile(path string) (baseSeq uint64, recs []Record, size int64, err error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	if len(buf) < logHeaderSize || string(buf[:8]) != logMagic {
-		return 0, nil, 0, fmt.Errorf("vstore: %s is not a verdict log (bad magic)", path)
-	}
-	baseSeq = binary.LittleEndian.Uint64(buf[8:])
-	off, err := scanFrames(buf[logHeaderSize:], func(payload []byte) error {
+// eachRecord adapts fn to a framelog payload callback. A payload that
+// passes its CRC but is not a record is corruption beyond a torn tail:
+// the error names the file, and the caller refuses to serve from it
+// rather than guess.
+func eachRecord(path string, fn func(Record)) func(int64, []byte) error {
+	return func(_ int64, payload []byte) error {
 		r, err := decodeRecord(payload)
 		if err != nil {
-			return err
+			return fmt.Errorf("vstore: %s: %w", path, err)
 		}
-		recs = append(recs, r)
+		fn(r)
 		return nil
-	})
-	if err != nil {
-		// CRC passed but the payload is not a record: corruption beyond a
-		// torn tail. Refuse to serve from it rather than guess.
-		return 0, nil, 0, fmt.Errorf("vstore: %s: %w", path, err)
 	}
-	size = logHeaderSize + off
-	if size < int64(len(buf)) {
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
-			return 0, nil, 0, err
-		}
-		if err := f.Truncate(size); err != nil {
-			f.Close()
-			return 0, nil, 0, err
-		}
-		err = s.syncFile(f)
-		f.Close()
-		if err != nil {
-			return 0, nil, 0, err
-		}
-	}
-	return baseSeq, recs, size, nil
 }
 
 // TakeRecovered returns the warm-boot records (latest verdict per key,
@@ -254,46 +194,44 @@ func (s *Store) SetWalker(w Walker) {
 // for the next group commit. It returns the assigned sequence (0 if the
 // store is dead or closing) without waiting for durability — Sync() is
 // the barrier. Encoding failures (non-finite floats cannot occur in
-// real verdicts) are counted, not fatal.
+// real verdicts) are counted, not fatal. An append that takes the
+// active log past CompactBytes kicks the compactor.
 func (s *Store) Append(v core.Verdict) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.err != nil || s.closing {
+	if s.closing {
 		return 0
 	}
-	if s.pending == nil && s.spare != nil {
-		s.pending, s.spare = s.spare[:0], nil
-	}
-	seq := s.seq + 1
-	mark := len(s.pending)
-	payload, err := appendRecord(nil, seq, v)
+	payload, err := appendRecord(nil, s.seq+1, v)
 	if err != nil {
 		s.encodeErrors++
 		return 0
 	}
-	if len(payload) > maxFrame {
-		s.encodeErrors++
+	end, err := s.log.Append(payload)
+	if err != nil {
+		if errors.Is(err, framelog.ErrFrameSize) {
+			s.encodeErrors++
+		}
 		return 0
 	}
-	s.pending = appendFrame(s.pending[:mark], payload)
-	s.seq = seq
-	s.pendingN++
-	s.pendingLast = seq
+	s.seq++
 	s.appends++
-	s.cond.Broadcast() // wake the committer
-	return seq
+	if s.cfg.CompactBytes > 0 && end > s.cfg.CompactBytes && s.walker != nil && !s.compacting {
+		s.compacting = true
+		s.compactorDone.Add(1)
+		go s.compact()
+	}
+	return s.seq
 }
 
 // Sync blocks until every record appended before the call is on stable
-// storage (or the store has failed).
+// storage (or the store has failed). Records appended to a log that has
+// since been rotated out were made durable by the rotation.
 func (s *Store) Sync() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	target := s.seq
-	for s.durable < target && s.err == nil {
-		s.cond.Wait()
-	}
-	return s.err
+	l := s.log
+	s.mu.Unlock()
+	return l.Sync()
 }
 
 // Seq reports the last assigned sequence number.
@@ -307,22 +245,23 @@ func (s *Store) Seq() uint64 {
 func (s *Store) DurableSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.durable
+	return s.logStart + s.log.Stats().Durable
 }
 
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ls := s.log.Stats()
 	st := Stats{
 		Loaded:          true,
 		Dir:             s.cfg.Dir,
 		Seq:             s.seq,
-		DurableSeq:      s.durable,
+		DurableSeq:      s.logStart + ls.Durable,
 		Appends:         s.appends,
-		Commits:         s.commits,
-		MaxBatch:        s.maxBatch,
-		LogBytes:        s.logSize,
+		Commits:         s.commits + ls.Commits,
+		MaxBatch:        max(s.maxBatch, ls.MaxBatch),
+		LogBytes:        ls.Size,
 		WarmBootEntries: s.warmBoot,
 		Snapshots:       s.snapshots,
 		SnapshotSeq:     s.snapSeq,
@@ -330,92 +269,20 @@ func (s *Store) Stats() Stats {
 		CompactErrors:   s.compactErrors,
 		EncodeErrors:    s.encodeErrors,
 	}
-	if s.err != nil {
-		st.LastError = s.err.Error()
+	if err := s.log.Err(); err != nil {
+		st.LastError = err.Error()
 	}
 	return st
 }
 
-// Close drains pending frames, stops the committer, waits out any
-// in-flight compaction and closes the active log.
+// Close waits out any in-flight compaction, then drains pending frames
+// and closes the active log.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		<-s.done
-		s.compactorDone.Wait()
-		return s.closeErr()
-	}
 	s.closing = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	<-s.done
 	s.compactorDone.Wait()
 	s.mu.Lock()
-	err := s.err
-	f := s.f
-	s.f = nil
-	s.mu.Unlock()
-	if f != nil {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-func (s *Store) closeErr() error {
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.err
-}
-
-// commitLoop is the single committer: it swaps out whatever frames have
-// accumulated, writes them in one syscall, fsyncs, and publishes the
-// new durable watermark — one fsync per batch, which is the entire
-// point of group commit. After each commit it checks whether the active
-// log has outgrown CompactBytes and kicks the compactor.
-func (s *Store) commitLoop() {
-	defer close(s.done)
-	s.mu.Lock()
-	for {
-		for s.pendingN == 0 && !s.closing && s.err == nil {
-			s.cond.Wait()
-		}
-		if s.err != nil || (s.closing && s.pendingN == 0) {
-			s.mu.Unlock()
-			return
-		}
-		buf, n, last := s.pending, s.pendingN, s.pendingLast
-		s.pending, s.pendingN = nil, 0
-		s.writing = true
-		f := s.f
-		s.mu.Unlock()
-
-		_, werr := f.Write(buf)
-		if werr == nil {
-			werr = s.syncFile(f)
-		}
-
-		s.mu.Lock()
-		s.writing = false
-		if werr != nil {
-			s.err = werr
-		} else {
-			s.logSize += int64(len(buf))
-			s.durable = last
-			s.commits++
-			if n > s.maxBatch {
-				s.maxBatch = n
-			}
-			s.spare = buf[:0]
-			if s.cfg.CompactBytes > 0 && s.logSize > s.cfg.CompactBytes &&
-				s.walker != nil && !s.compacting && !s.closing {
-				s.compacting = true
-				s.compactorDone.Add(1)
-				go s.compact()
-			}
-		}
-		s.cond.Broadcast()
-	}
+	return s.log.Close()
 }

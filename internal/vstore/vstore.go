@@ -9,14 +9,13 @@
 //	wlog-<hex>.vlog   magic "IDNVLOG1" | u64le baseSeq | frame*
 //	*.tmp             in-flight snapshot writes, deleted on open
 //
-// Every frame is the alert log's proven discipline (watch.AlertLog):
-//
-//	u32le payloadLen | u32le crc32c(payload) | payload
-//
-// with the payload being a u64le sequence number followed by the
-// verdict encoded as an api.DetectResponse via the zero-alloc append
-// codec — byte-identical to the wire form the worker serves, so one
-// codec covers serving, replication and durability.
+// Frames, group commit, the Sync barrier, torn-tail truncation and the
+// atomic snapshot replace are internal/framelog's (DESIGN.md "Durable
+// files"); this package owns what the bytes mean. A frame payload is a
+// u64le sequence number followed by the verdict encoded as an
+// api.DetectResponse via the zero-alloc append codec — byte-identical
+// to the wire form the worker serves, so one codec covers serving,
+// replication and durability.
 //
 // Sequence numbers are per-store, monotone, and assigned at Append.
 // They order recovery (latest seq per key wins) and key the
@@ -24,21 +23,15 @@
 // since seq N" and N is meaningful because each store's log is a total
 // order of its own commits.
 //
-// Appends are group-committed exactly like the alert log: Append
-// enqueues and returns, a single committer drains whatever accumulated
-// into one write+fsync, and Sync() is the durability barrier. A crash
-// can leave a torn tail; reopening truncates it (a torn frame was never
-// acknowledged durable to anyone). Snapshots are written to a temp file
-// and fsync-renamed into place, so a crash mid-cutover leaves the old
-// snapshot intact — the crash-recovery tests cut files at every
-// interesting byte to prove both properties.
+// Append assigns a sequence number and enqueues; Sync() is the
+// durability barrier. The crash-recovery tests cut the files at every
+// interesting byte: a torn log tail is truncated on reopen, and a crash
+// mid-snapshot leaves the old snapshot intact.
 package vstore
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
 
 	"idnlab/internal/api"
 	"idnlab/internal/core"
@@ -47,16 +40,10 @@ import (
 const (
 	logMagic  = "IDNVLOG1"
 	snapMagic = "IDNVSNP1"
-	// maxFrame bounds one verdict payload; anything larger in a file is
-	// corruption, not data, and recovery stops there.
-	maxFrame = 1 << 20
 
 	logHeaderSize  = 8 + 8 // magic + u64le baseSeq
 	snapHeaderSize = 8 + 8 + 4
-	frameHeader    = 8 // u32le len + u32le crc
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one committed verdict with its store-local sequence number.
 // The verdict's Domain (normalized ACE) is the cache/partition key.
@@ -124,48 +111,4 @@ func decodeRecord(payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("vstore: record seq %d: %w", seq, err)
 	}
 	return Record{Seq: seq, Verdict: resp.Verdict}, nil
-}
-
-// appendFrame wraps payload in the u32len+CRC32C frame header.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// scanFrames walks frames in buf, calling fn with each valid payload.
-// It returns the byte offset just past the last valid frame — the
-// torn-tail truncation point when scanning a log tail.
-func scanFrames(buf []byte, fn func(payload []byte) error) (int64, error) {
-	off := 0
-	for {
-		if len(buf)-off < frameHeader {
-			return int64(off), nil // clean EOF or torn header
-		}
-		n := binary.LittleEndian.Uint32(buf[off:])
-		sum := binary.LittleEndian.Uint32(buf[off+4:])
-		if n == 0 || n > maxFrame {
-			return int64(off), nil
-		}
-		if len(buf)-off-frameHeader < int(n) {
-			return int64(off), nil // torn payload
-		}
-		payload := buf[off+frameHeader : off+frameHeader+int(n)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return int64(off), nil
-		}
-		if err := fn(payload); err != nil {
-			return int64(off), err
-		}
-		off += frameHeader + int(n)
-	}
-}
-
-func (s *Store) syncFile(f *os.File) error {
-	if s.cfg.NoFsync {
-		return nil
-	}
-	return f.Sync()
 }

@@ -1,14 +1,10 @@
 package watch
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"sync"
+
+	"idnlab/internal/framelog"
 )
 
 // Alert is one confirmed finding pushed to subscribers: a changed name
@@ -29,151 +25,33 @@ type Alert struct {
 // Key returns the at-least-once dedup key.
 func (a Alert) Key() string { return fmt.Sprintf("%d/%s", a.Serial, a.Domain) }
 
-// Alert log file format:
-//
-//	magic "IDNALOG1" (8 bytes)
-//	frame*: u32le payloadLen | u32le crc32c(payload) | payload (JSON Alert)
-//
-// Appends are group-committed: Append enqueues a frame and returns; a
-// single committer goroutine drains whatever has accumulated into one
-// write+fsync. Under concurrent load batches form naturally — while one
-// fsync is in flight the next batch builds up — so throughput scales
-// with writers while every alert still hits stable storage before
-// Sync() releases its caller. Cursors are plain byte offsets: a frame
-// is replayable iff its last byte is below the durable size.
-const (
-	logMagic = "IDNALOG1"
-	// maxFrame bounds a single alert payload; anything larger in a file
-	// is corruption, not data, and replay stops there.
-	maxFrame = 1 << 20
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// fsyncDisabled turns every fsync into a no-op. Test-only (the replay
-// fuzzer churns through thousands of throwaway logs where durability
-// is irrelevant); production code never sets it.
-var fsyncDisabled = false
-
-func syncFile(f *os.File) error {
-	if fsyncDisabled {
-		return nil
-	}
-	return f.Sync()
-}
+// The alert log is a framelog file (see that package for the frame
+// layout, group commit, Sync barrier and torn-tail recovery) whose
+// header is the bare magic and whose payloads are JSON Alerts. Cursors
+// are plain byte offsets: a frame is replayable iff its last byte is
+// below the durable size.
+const logMagic = "IDNALOG1"
 
 // AlertLogStats is a point-in-time snapshot of the log's counters.
-type AlertLogStats struct {
-	Appended uint64 `json:"appended"` // frames enqueued
-	Durable  uint64 `json:"durable"`  // frames on stable storage
-	Commits  uint64 `json:"commits"`  // write+fsync batches issued
-	MaxBatch int    `json:"maxBatch"` // largest frames-per-commit seen
-	Size     int64  `json:"size"`     // durable file size in bytes
-}
-
-// AvgBatch reports the mean frames per commit.
-func (s AlertLogStats) AvgBatch() float64 {
-	if s.Commits == 0 {
-		return 0
-	}
-	return float64(s.Durable) / float64(s.Commits)
-}
+type AlertLogStats = framelog.Stats
 
 // AlertLog is a durable append-only alert sink with group commit.
-type AlertLog struct {
-	f    *os.File
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	pending  []byte // encoded frames awaiting commit
-	pendingN int    // frame count in pending
-	spare    []byte // recycled buffer for the next batch
-
-	enqueued uint64
-	durable  uint64
-	size     int64 // durable file size (= replay cursor bound)
-	commits  uint64
-	maxBatch int
-
-	err     error // sticky I/O error; the log is dead once set
-	closing bool
-	done    chan struct{}
-}
+type AlertLog struct{ log *framelog.Log }
 
 // OpenAlertLog opens (or creates) the log at path, verifies the magic,
 // truncates any torn tail frame left by a crash mid-commit, and starts
 // the committer. The returned log's Size() is the recovered durable
 // offset.
 func OpenAlertLog(path string) (*AlertLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	size, err := recoverLog(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	l := &AlertLog{f: f, size: size, done: make(chan struct{})}
-	l.cond = sync.NewCond(&l.mu)
-	go l.commitLoop()
-	return l, nil
+	return openAlertLog(path, framelog.Options{})
 }
 
-// recoverLog validates the magic (writing it into an empty file),
-// scans frames, and truncates the file at the first incomplete or
-// corrupt one — a crash between write and fsync can leave a torn tail,
-// and a torn frame was by definition never acknowledged to anyone.
-func recoverLog(f *os.File) (int64, error) {
-	info, err := f.Stat()
+func openAlertLog(path string, opt framelog.Options) (*AlertLog, error) {
+	log, err := framelog.Open(path, []byte(logMagic), opt, nil)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("watch: alert log: %w", err)
 	}
-	if info.Size() == 0 {
-		if _, err := f.Write([]byte(logMagic)); err != nil {
-			return 0, err
-		}
-		if err := syncFile(f); err != nil {
-			return 0, err
-		}
-		return int64(len(logMagic)), nil
-	}
-	var magic [len(logMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != logMagic {
-		return 0, fmt.Errorf("watch: %s is not an alert log (bad magic)", f.Name())
-	}
-	off := int64(len(logMagic))
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			break // clean EOF or torn header: truncate here
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if n == 0 || n > maxFrame {
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			break
-		}
-		off += 8 + int64(n)
-	}
-	if off < info.Size() {
-		if err := f.Truncate(off); err != nil {
-			return 0, err
-		}
-		if err := syncFile(f); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return 0, err
-	}
-	return off, nil
+	return &AlertLog{log: log}, nil
 }
 
 // Append encodes a and enqueues it for the next group commit. It
@@ -185,186 +63,41 @@ func (l *AlertLog) Append(a Alert) error {
 	if err != nil {
 		return err
 	}
-	if len(payload) > maxFrame {
-		return fmt.Errorf("watch: alert frame %d bytes exceeds limit", len(payload))
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	if l.closing {
-		return errors.New("watch: alert log closed")
-	}
-	if l.pending == nil && l.spare != nil {
-		l.pending, l.spare = l.spare[:0], nil
-	}
-	l.pending = append(l.pending, hdr[:]...)
-	l.pending = append(l.pending, payload...)
-	l.pendingN++
-	l.enqueued++
-	l.cond.Broadcast() // wake the committer
-	return nil
+	_, err = l.log.Append(payload)
+	return err
 }
 
 // Sync blocks until every frame enqueued before the call is on stable
 // storage (or the log has failed). This is the durability barrier the
 // daemon issues before advancing its input cursor: alerts first, cursor
 // second, which is exactly what makes delivery at-least-once.
-func (l *AlertLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	target := l.enqueued
-	for l.durable < target && l.err == nil {
-		l.cond.Wait()
-	}
-	return l.err
-}
+func (l *AlertLog) Sync() error { return l.log.Sync() }
 
 // Size returns the durable byte size — the replay cursor covering every
 // acknowledged alert.
-func (l *AlertLog) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
+func (l *AlertLog) Size() int64 { return l.log.Size() }
 
 // Stats snapshots the log's counters.
-func (l *AlertLog) Stats() AlertLogStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return AlertLogStats{
-		Appended: l.enqueued,
-		Durable:  l.durable,
-		Commits:  l.commits,
-		MaxBatch: l.maxBatch,
-		Size:     l.size,
-	}
-}
+func (l *AlertLog) Stats() AlertLogStats { return l.log.Stats() }
 
 // Close drains pending frames, stops the committer and closes the file.
-func (l *AlertLog) Close() error {
-	l.mu.Lock()
-	if l.closing {
-		l.mu.Unlock()
-		<-l.done
-		return l.err
-	}
-	l.closing = true
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	<-l.done
-	l.mu.Lock()
-	err := l.err
-	l.mu.Unlock()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// commitLoop is the single committer: it swaps out whatever frames have
-// accumulated, writes them in one syscall, fsyncs, and publishes the
-// new durable watermark. One fsync covers every frame in the batch —
-// that amortization is the entire point of group commit.
-func (l *AlertLog) commitLoop() {
-	defer close(l.done)
-	l.mu.Lock()
-	for {
-		for l.pendingN == 0 && !l.closing && l.err == nil {
-			l.cond.Wait()
-		}
-		if l.err != nil || (l.closing && l.pendingN == 0) {
-			l.mu.Unlock()
-			return
-		}
-		buf, n := l.pending, l.pendingN
-		l.pending, l.pendingN = nil, 0
-		l.mu.Unlock()
-
-		_, werr := l.f.Write(buf)
-		if werr == nil {
-			werr = syncFile(l.f)
-		}
-
-		l.mu.Lock()
-		if werr != nil {
-			l.err = werr
-		} else {
-			l.size += int64(len(buf))
-			l.durable += uint64(n)
-			l.commits++
-			if n > l.maxBatch {
-				l.maxBatch = n
-			}
-			l.spare = buf[:0]
-		}
-		l.cond.Broadcast()
-	}
-}
+func (l *AlertLog) Close() error { return l.log.Close() }
 
 // ReplayAlertLog reads alerts from path starting at byte offset from
 // (offsets below the magic are clamped to the first frame) and calls fn
 // with each alert and the offset just past its frame — the cursor to
 // persist for resuming after that alert. Scanning stops without error
 // at the first torn or corrupt frame (an unacknowledged tail); I/O
-// failures and a bad magic are errors. Returns the offset scanning
-// stopped at.
+// failures, a bad magic and a cursor past the end of the file (which
+// means acknowledged alerts are gone) are errors. Returns the offset
+// scanning stopped at.
 func ReplayAlertLog(path string, from int64, fn func(off int64, a Alert) error) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var magic [len(logMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != logMagic {
-		return 0, fmt.Errorf("watch: %s is not an alert log (bad magic)", path)
-	}
-	off := int64(len(logMagic))
-	if from > off {
-		info, err := f.Stat()
-		if err != nil {
-			return 0, err
-		}
-		if from > info.Size() {
-			// A cursor past the end means acknowledged alerts are gone
-			// (wrong file, or a log truncated below the cursor) — that
-			// is data loss, not a clean resume.
-			return 0, fmt.Errorf("watch: replay cursor %d past log size %d", from, info.Size())
-		}
-		if _, err := f.Seek(from, io.SeekStart); err != nil {
-			return 0, err
-		}
-		off = from
-	}
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return off, nil // clean EOF or torn header
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if n == 0 || n > maxFrame {
-			return off, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return off, nil
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, nil
-		}
+	_, end, err := framelog.Replay(path, logMagic, len(logMagic), from, -1, func(end int64, payload []byte) error {
 		var a Alert
 		if err := json.Unmarshal(payload, &a); err != nil {
-			return off, fmt.Errorf("watch: frame at %d: checksum ok but payload invalid: %w", off, err)
+			return fmt.Errorf("watch: frame ending at %d: checksum ok but payload invalid: %w", end, err)
 		}
-		off += 8 + int64(n)
-		if err := fn(off, a); err != nil {
-			return off, err
-		}
-	}
+		return fn(end, a)
+	})
+	return end, err
 }

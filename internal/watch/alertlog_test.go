@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"idnlab/internal/framelog"
 )
 
 func testAlert(i int) Alert {
@@ -232,8 +234,7 @@ func FuzzAlertLogReplay(f *testing.F) {
 	f.Add([]byte{}, int64(0))
 	f.Add(append([]byte(logMagic), bytes.Repeat([]byte{0xFF}, 64)...), int64(9))
 
-	fsyncDisabled = true
-	defer func() { fsyncDisabled = false }()
+	noFsync := framelog.Options{NoFsync: true} // throwaway logs: durability is irrelevant
 	f.Fuzz(func(t *testing.T, data []byte, from int64) {
 		p := filepath.Join(t.TempDir(), "fuzz.log")
 		if err := os.WriteFile(p, data, 0o644); err != nil {
@@ -255,7 +256,7 @@ func FuzzAlertLogReplay(f *testing.F) {
 		}
 		// Recovery must also never panic, and a recovered file must
 		// replay cleanly end to end.
-		if rl, err := OpenAlertLog(p); err == nil {
+		if rl, err := openAlertLog(p, noFsync); err == nil {
 			size := rl.Size()
 			rl.Close()
 			if fin, err := ReplayAlertLog(p, 0, func(int64, Alert) error { return nil }); err != nil || fin != size {

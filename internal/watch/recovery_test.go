@@ -221,3 +221,34 @@ func cursorOffsetAfterSerial(t *testing.T, path string, serial uint32) int64 {
 	}
 	return off
 }
+
+// TestSaveCursorFailedWrite: when the write itself fails — the temp
+// file is pointed at /dev/full, so the kernel answers ENOSPC like a
+// full disk would — SaveCursor reports it, leaves no *.tmp behind and
+// the previous cursor stays readable.
+func TestSaveCursorFailedWrite(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	path := filepath.Join(t.TempDir(), "cursor.json")
+	old := Cursor{Serial: 2017080102, LogOffset: 4096}
+	if err := SaveCursor(path, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveCursor(path, Cursor{Serial: 2017080103, LogOffset: 8192}); err == nil {
+		t.Fatal("SaveCursor succeeded writing to a full device")
+	}
+	if tmps, _ := filepath.Glob(path + "*.tmp"); len(tmps) != 0 {
+		t.Fatalf("failed save left %v behind", tmps)
+	}
+	if got, err := LoadCursor(path); err != nil || got != old {
+		t.Fatalf("after the failed save: cursor %+v err %v, want the old %+v", got, err, old)
+	}
+	// And the next save goes through.
+	if err := SaveCursor(path, Cursor{Serial: 2017080103, LogOffset: 8192}); err != nil {
+		t.Fatal(err)
+	}
+}

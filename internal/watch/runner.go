@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"idnlab/internal/framelog"
 )
 
 // Cursor is the daemon's durable progress marker: the highest delta
@@ -42,30 +45,17 @@ func LoadCursor(path string) (Cursor, error) {
 	return c, nil
 }
 
-// SaveCursor writes the cursor atomically (temp file + rename + fsync)
-// so a crash mid-save leaves the previous cursor intact.
+// SaveCursor writes the cursor atomically (framelog.ReplaceFile) so a
+// crash or a failed write mid-save leaves the previous cursor intact.
 func SaveCursor(path string, c Cursor) error {
 	data, err := json.Marshal(c)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	return framelog.ReplaceFile(path, framelog.Options{}, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // ParseDeltaFileName extracts the serial from a delta file name of the
