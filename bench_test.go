@@ -282,9 +282,9 @@ func BenchmarkAblationWindowSize(b *testing.B) {
 }
 
 // --- SSIM hot-path benchmarks (PR 2): the integral-image kernel, the
-// brand-raster cache and the zero-alloc render path. `make bench-ssim`
-// runs these and writes BENCH_ssim.json with old-vs-new numbers against
-// the committed pre-PR baseline (BENCH_baseline_ssim.txt). ---
+// brand-raster cache and the zero-alloc render path, each next to the
+// naive reference it replaced. The zero-alloc contracts are pinned by
+// AllocsPerRun tests in internal/core, internal/ssim and internal/glyph. ---
 
 // BenchmarkScore times one detector Score call (single pair, steady
 // state): candidate rendered into the reusable scratch, brand raster from

@@ -434,11 +434,37 @@ func TestWriteHelpersMatchWriteJSON(t *testing.T) {
 	}
 }
 
-// --- benchmarks gated by make bench-gateway ---
+// --- encoder allocation contract and benchmarks ---
 //
-// The Stdlib variants exist to record the old-path baseline
-// (BENCH_baseline_gateway.txt maps them onto the codec names); the
-// codec variants run under benchjson's -require-zero-allocs gate.
+// The Stdlib benchmark variants measure the encoding/json path the
+// append codec replaced.
+
+// TestAppendEncodersZeroAlloc: the four append encoders write into the
+// caller's buffer and nothing else, at batch 64 as well as for singles.
+func TestAppendEncodersZeroAlloc(t *testing.T) {
+	detResp := ensembleResponse()
+	batchResp := benchBatch(64)
+	detReq := DetectRequest{Domain: "xn--pple-43d.com"}
+	batchReq := BatchRequest{}
+	for i := 0; i < 64; i++ {
+		batchReq.Domains = append(batchReq.Domains, "xn--pple-43d.com")
+	}
+	var buf []byte
+	for name, encode := range map[string]func(){
+		"AppendDetectRequest":  func() { buf = AppendDetectRequest(buf[:0], &detReq) },
+		"AppendBatchRequest":   func() { buf = AppendBatchRequest(buf[:0], &batchReq) },
+		"AppendDetectResponse": func() { buf, _ = AppendDetectResponse(buf[:0], &detResp) },
+		"AppendBatchResponse":  func() { buf, _ = AppendBatchResponse(buf[:0], &batchResp) },
+	} {
+		encode() // grow the buffer once
+		if len(buf) == 0 {
+			t.Fatalf("%s encoded nothing", name)
+		}
+		if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+			t.Errorf("%s allocates %v per call into a reused buffer, want 0", name, allocs)
+		}
+	}
+}
 
 func benchBatch(n int) BatchResponse {
 	ens := ensembleResponse()

@@ -1,7 +1,7 @@
 // Package api is the detection service's wire format: the JSON request
 // and response bodies spoken by the single-node server (internal/serve),
-// the cluster gateway (internal/cluster), and the load/smoke client
-// (cmd/idnload). Factoring the types out of the server means the
+// the cluster gateway (internal/cluster), and the benchmark's load
+// generator (bench/e2e). Factoring the types out of the server means the
 // gateway can split, forward and reassemble bodies without importing the
 // serving layer (which imports the cluster layer — the dependency only
 // works one way), and guarantees the gateway is wire-compatible with the

@@ -49,26 +49,49 @@ func benchLabels(list []brands.Brand, n int) []string {
 	return out
 }
 
-// BenchmarkIndexLookup measures steady-state Candidates over a 10k-brand
-// index with a mixed probe corpus. Gated in CI (`make bench-index`) at
-// 0 allocs/op and >= 100k lookups/s.
-func BenchmarkIndexLookup(b *testing.B) {
-	ix, err := Build(benchBrands(10000), BuildOptions{})
+// warmLookup builds an index over n generated brands and a mixed probe
+// corpus, with the reused Probe already grown to its high-water size.
+func warmLookup(tb testing.TB, n int) (*Index, []string, *Probe) {
+	tb.Helper()
+	ix, err := Build(benchBrands(n), BuildOptions{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	labels := benchLabels(ix.Brands(), 512)
-	var p Probe
+	p := &Probe{}
+	for _, l := range labels {
+		ix.Candidates(l, p)
+	}
+	return ix, labels, p
+}
+
+// TestCandidatesZeroAlloc pins the lookup's allocation contract: with a
+// reused Probe, Candidates allocates nothing for any probe class.
+func TestCandidatesZeroAlloc(t *testing.T) {
+	ix, labels, p := warmLookup(t, 1000)
+	i := 0
+	if allocs := testing.AllocsPerRun(len(labels), func() {
+		ix.Candidates(labels[i%len(labels)], p)
+		i++
+	}); allocs != 0 {
+		t.Fatalf("Candidates with a reused Probe allocates %v per lookup, want 0", allocs)
+	}
+}
+
+// BenchmarkIndexLookup measures steady-state Candidates over a 10k-brand
+// index with a mixed probe corpus. `make bench-gates` holds it to
+// >= 100k lookups/s.
+func BenchmarkIndexLookup(b *testing.B) {
+	ix, labels, p := warmLookup(b, 10000)
 	var bytes int64
-	for _, l := range labels { // warm the probe scratch to its high-water size
-		ix.Candidates(l, &p)
+	for _, l := range labels {
 		bytes += int64(len(l))
 	}
 	b.SetBytes(bytes / int64(len(labels)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Candidates(labels[i%len(labels)], &p)
+		ix.Candidates(labels[i%len(labels)], p)
 	}
 }
 

@@ -85,12 +85,15 @@ func extendBrandCache(re *glyph.Renderer, refs map[string]*ssim.RefTable,
 // Index returns the attached candidate index, if any.
 func (d *HomographDetector) Index() *candidx.Index { return d.index }
 
-// detectIndexed is the index-backed DetectNormalized path: probe the
-// index for the label's candidate brands (plus the always-rescore hard
-// list), rescore them in brand-catalog order with the same Score and
-// strict-greater tracking as the sweep, and apply the same threshold
-// decision. Candidates arrive sorted ascending, so the first-at-max
-// tie-break is preserved.
+// BestIndexed is the one index-backed match loop, shared by
+// DetectNormalized and the watch tier's Matcher: probe the index for the
+// label's candidate brands (plus the always-rescore hard list), rescore
+// them in brand-catalog order with strict-greater tracking, and apply
+// the threshold. It returns the winning brand's position in the index's
+// catalog and its exact SSIM, by value; after the first call it
+// allocates nothing. Candidates arrive sorted ascending, so the sweep's
+// first-at-max tie-break is preserved. The detector must have an index
+// attached (Index() != nil).
 //
 // Rescoring runs through ScoreBounded with the floor max(threshold,
 // best): a candidate can only change the verdict by scoring at least the
@@ -100,12 +103,11 @@ func (d *HomographDetector) Index() *candidx.Index { return d.index }
 // bit-identical to Score, so the returned match — brand, SSIM and
 // first-at-max tie-break — is unchanged from the full-rescore path (the
 // sweep-equivalence property tests pin this).
-func (d *HomographDetector) detectIndexed(n NormalizedDomain) (HomographMatch, bool) {
-	label := n.Label
+func (d *HomographDetector) BestIndexed(label string) (brand int, score float64, ok bool) {
 	if d.probe == nil {
 		d.probe = &candidx.Probe{}
 	}
-	best := HomographMatch{Domain: n.ACE, Unicode: n.Unicode, SSIM: -1}
+	score = -1
 	floor := d.threshold
 	labelLen := utf8.RuneCountInString(label)
 	for _, id := range d.index.Candidates(label, d.probe) {
@@ -113,15 +115,18 @@ func (d *HomographDetector) detectIndexed(n NormalizedDomain) (HomographMatch, b
 		if diff := labelLen - d.brandLens[i]; diff > 1 || diff < -1 {
 			continue
 		}
-		score, ok := d.ScoreBounded(label, d.brandList[i].Label(), floor)
-		if ok && score > best.SSIM {
-			best.SSIM = score
-			best.Brand = d.brandList[i].Domain
-			floor = score
+		if s, reached := d.ScoreBounded(label, d.brandList[i].Label(), floor); reached && s > score {
+			brand, score, floor = i, s, s
 		}
 	}
-	if best.SSIM >= d.threshold {
-		return best, true
+	return brand, score, score >= d.threshold
+}
+
+// detectIndexed is the index-backed DetectNormalized path.
+func (d *HomographDetector) detectIndexed(n NormalizedDomain) (HomographMatch, bool) {
+	i, score, ok := d.BestIndexed(n.Label)
+	if !ok {
+		return HomographMatch{}, false
 	}
-	return HomographMatch{}, false
+	return HomographMatch{Domain: n.ACE, Unicode: n.Unicode, Brand: d.brandList[i].Domain, SSIM: score}, true
 }

@@ -9,8 +9,7 @@ import (
 
 // studyBenchWorkerCounts is {1, 4, GOMAXPROCS} with duplicates removed:
 // workers=1 is the sequential reference, workers=4 shows scheduler
-// overhead when oversubscribed, and GOMAXPROCS is the headline number the
-// BENCH_report.json acceptance gate reads.
+// overhead when oversubscribed, and GOMAXPROCS is the headline number.
 func studyBenchWorkerCounts() []int {
 	counts := []int{1, 4}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {

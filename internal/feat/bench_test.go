@@ -2,13 +2,12 @@ package feat
 
 import "testing"
 
-// BenchmarkStatClassify is the `make bench-stat` headline: one label
-// scored through the zero-copy model under serving conditions, cycling
-// through the held-out corpus so the branch mix matches real traffic.
-// Gates (cmd/benchjson): 0 allocs/op and ≥1M classifications/s. The
+// BenchmarkStatClassify scores one label through the zero-copy model
+// under serving conditions, cycling through the held-out corpus so the
+// branch mix matches real traffic. `make bench-gates` holds it to ≥1M
+// classifications/s; TestScoreLabelAllocs pins 0 allocs/op. The
 // measured prefilter pass rate over the cycled set is reported as a
-// custom metric so BENCH_stat.json records the shed capacity alongside
-// the latency.
+// custom metric, so the shed capacity shows alongside the latency.
 func BenchmarkStatClassify(b *testing.B) {
 	m, _, exs := trainedModel(b)
 	_, eval := Split(exs)
@@ -30,9 +29,9 @@ func BenchmarkStatClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkStatClassifyNaive is the recorded pre-optimization baseline
-// (BENCH_baseline_stat.txt): the same features scored through the
-// obvious map-based bigram table instead of the in-place binary search.
+// BenchmarkStatClassifyNaive is the pre-optimization reference: the
+// same features scored through the obvious map-based bigram table
+// instead of the in-place binary search.
 // The map path allocates nothing either, but pays hash + pointer-chase
 // per bigram; the delta is the zero-copy table's win.
 func BenchmarkStatClassifyNaive(b *testing.B) {

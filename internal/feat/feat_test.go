@@ -256,10 +256,15 @@ func TestEvalGates(t *testing.T) {
 }
 
 func TestScoreLabelAllocs(t *testing.T) {
+	// The serving loop's call, cycled over the held-out set so every
+	// feature branch (scripts, bigram hits and misses, TLD classes) runs.
 	m, _, exs := trainedModel(t)
-	e := exs[0]
-	allocs := testing.AllocsPerRun(100, func() {
-		m.ScoreLabel(e.Label, e.ACELabel, e.TLD)
+	_, eval := Split(exs)
+	i := 0
+	allocs := testing.AllocsPerRun(len(eval), func() {
+		e := &eval[i%len(eval)]
+		m.PrefilterPass(m.ScoreLabel(e.Label, e.ACELabel, e.TLD))
+		i++
 	})
 	if allocs != 0 {
 		t.Fatalf("ScoreLabel allocates %.1f times per call, want 0", allocs)

@@ -101,7 +101,7 @@ type MetricsSnapshot struct {
 	Detector core.DetectorStats `json:"detector"`
 	// Store is the durable-store block: warm-log/snapshot counters plus
 	// the replication, read-repair and anti-entropy counters the
-	// store-smoke cold-miss budget is asserted against. Loaded=false on
+	// store drill's cold-miss budget is asserted against. Loaded=false on
 	// memory-only nodes.
 	Store StoreStats `json:"store"`
 }

@@ -11,8 +11,7 @@ import (
 // — but a node still has an SLA-sized share of downstream resources
 // (sockets, memory bandwidth, the hardware it was provisioned for). The
 // cap is what makes horizontal scaling observable: N rate-capped
-// workers behind the gateway sustain ~N× one worker's ceiling, which is
-// exactly what BENCH_cluster.json measures.
+// workers behind the gateway sustain ~N× one worker's ceiling.
 //
 // The bucket holds up to one second of rate (burst == rps): idle
 // seconds bank capacity for bursts without letting the long-run rate

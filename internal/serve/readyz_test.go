@@ -105,7 +105,7 @@ func TestRateCap(t *testing.T) {
 }
 
 // TestHealthBodiesCarryIdentity pins node + version presence across the
-// three health surfaces (the cluster smoke script greps for these).
+// three health surfaces (operators and the cluster drill read these).
 func TestHealthBodiesCarryIdentity(t *testing.T) {
 	_, ts := testServer(t, Config{NodeID: "idn-w1", TopK: 100})
 	for _, path := range []string{"/healthz", "/metrics"} {

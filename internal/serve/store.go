@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,8 +64,8 @@ type storeMetrics struct {
 
 // StoreStats is the /metrics wire form: the embedded vstore counters
 // plus the cluster-facing replication, read-repair and anti-entropy
-// counters. The store-smoke budget assertions scrape exactly this
-// block, never log lines.
+// counters. The store drill's budget assertions (internal/smoke) read
+// exactly this block, never log lines.
 type StoreStats struct {
 	vstore.Stats
 	ReplicationIn      uint64 `json:"replicationIn"`
@@ -532,17 +533,26 @@ func (s *Server) handleStoreSince(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no durable store on this node"})
 		return
 	}
+	// Both parameters come from outside the process: anything that is not
+	// a whole decimal number is refused, never read as its numeric prefix.
 	var after uint64
 	if v := r.URL.Query().Get("seq"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &after); err != nil {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad seq"})
 			return
 		}
+		after = n
 	}
 	max := syncPageSize
 	if v := r.URL.Query().Get("max"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &max); err != nil || max <= 0 || max > syncPageSize {
-			max = syncPageSize
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad max"})
+			return
+		}
+		if n > 0 && n < syncPageSize { // out of range: serve the full page size
+			max = n
 		}
 	}
 	recs, durable, more, err := s.store.Since(after, max)
@@ -714,7 +724,9 @@ func (s *Server) loadWatermarks() map[string]uint64 {
 	if err != nil {
 		return wm
 	}
-	if json.Unmarshal(buf, &wm) != nil {
+	// A JSON null decodes without error and leaves the map nil; the
+	// sync loop writes to what this returns.
+	if json.Unmarshal(buf, &wm) != nil || wm == nil {
 		return make(map[string]uint64)
 	}
 	return wm

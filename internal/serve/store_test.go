@@ -359,6 +359,67 @@ func TestStoreHandlersWithoutStore(t *testing.T) {
 	}
 }
 
+// TestStoreSinceQueryValidation: ?seq= and ?max= arrive from other hosts,
+// so a value that is not a whole decimal number is a 400 — never its
+// numeric prefix — while a well-formed max outside 1..syncPageSize falls
+// back to the full page.
+func TestStoreSinceQueryValidation(t *testing.T) {
+	st, err := vstore.Open(vstore.Config{Dir: t.TempDir(), NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if st.Append(vd(fmt.Sprintf("since-%d.example", i))) == 0 {
+			t.Fatal("seed append failed")
+		}
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := testServer(t, Config{NodeID: "n1", TopK: 50, Workers: 1, Store: st})
+	t.Cleanup(func() { srv.CloseStore() })
+
+	for _, tc := range []struct {
+		query   string
+		status  int
+		records int // on 200
+	}{
+		{"", 200, 3},
+		{"seq=", 200, 3},
+		{"seq=1", 200, 2},
+		{"seq=12abc", 400, 0},
+		{"seq=-1", 400, 0},
+		{"seq=1.5", 400, 0},
+		{"seq=%2B1", 400, 0},
+		{"seq=99999999999999999999", 400, 0},
+		{"max=", 200, 3},
+		{"max=2", 200, 2},
+		{"max=2abc", 400, 0},
+		{"max=abc", 400, 0},
+		{"max=0", 200, 3},
+		{"max=-1", 200, 3},
+		{"max=999999", 200, 3},
+		{"seq=1&max=1", 200, 1},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/store/since?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr struct {
+			Records []json.RawMessage `json:"records"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("since?%s: status %d, want %d", tc.query, resp.StatusCode, tc.status)
+			continue
+		}
+		if tc.status == 200 && (err != nil || len(sr.Records) != tc.records) {
+			t.Errorf("since?%s: %d records (decode err %v), want %d", tc.query, len(sr.Records), err, tc.records)
+		}
+	}
+}
+
 // TestRepairFetchBreaker drives read-repair probes at a failing peer
 // under an injected clock: two failed peeks silence the peer, the
 // cooldown admits exactly one probe, and its success closes the breaker.

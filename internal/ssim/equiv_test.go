@@ -251,16 +251,19 @@ func TestIndexZeroAllocSteadyState(t *testing.T) {
 	if _, err := c.Index(x, y); err != nil { // size the scratch
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
+	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := c.Index(x, y); err != nil {
 			t.Fatal(err)
 		}
+	}); allocs != 0 {
+		t.Errorf("steady-state Index allocates %v per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := c.MSE(x, y); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Index+MSE allocates %v per run, want 0", allocs)
+	}); allocs != 0 {
+		t.Errorf("Comparator.MSE allocates %v per run, want 0", allocs)
 	}
 }
 

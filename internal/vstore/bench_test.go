@@ -4,32 +4,26 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
 	"idnlab/internal/core"
 	"idnlab/internal/framelog"
 )
 
-// Benchmarks feed scripts/store_bench.sh (via cmd/benchjson):
+// Benchmarks:
 //
 //	BenchmarkVstoreAppend    append+group-commit throughput (MB/s)
 //	BenchmarkVstoreRecovery  reopen/replay throughput (MB/s) and
-//	                         warm-boot entries/s at VSTORE_BENCH_RECORDS
+//	                         warm-boot entries/s; `make bench-gates`
+//	                         holds it to >= 100k entries/s
 //	BenchmarkVstoreSince     anti-entropy suffix streaming (records/s)
 //
 // NoFsync is set: these measure the encode/frame/replay paths, not the
-// disk. VSTORE_BENCH_RECORDS scales the recovery corpus (default 50k;
-// the bench script drives it to 1M for the warm-boot budget).
+// disk.
 
-func benchRecords() int {
-	if v := os.Getenv("VSTORE_BENCH_RECORDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 50_000
-}
+// recoveryRecords is the size of the store BenchmarkVstoreRecovery
+// replays per iteration. The gate is a rate, so it holds at any size.
+const recoveryRecords = 50_000
 
 func benchVerdict(i int) core.Verdict {
 	return core.Verdict{
@@ -68,7 +62,7 @@ func BenchmarkVstoreAppend(b *testing.B) {
 }
 
 func BenchmarkVstoreRecovery(b *testing.B) {
-	n := benchRecords()
+	const n = recoveryRecords
 	dir := b.TempDir()
 	s, err := Open(Config{Dir: dir, CompactBytes: -1, NoFsync: true})
 	if err != nil {

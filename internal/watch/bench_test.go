@@ -3,7 +3,6 @@ package watch
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -103,10 +102,8 @@ func benchSubs(nBrands, subs int) *SubTable {
 // BenchmarkWatchMatch1M is the tentpole gate: one op = one delta event
 // through the match stage (index probe + candidate rescore + CSR
 // subscriber lookup) against a 10k-brand catalog with 1,000,000
-// standing subscriptions. Gates: 0 allocs/op steady-state and a
-// -min-throughput floor of 500k events/s (see Makefile bench-watch).
-// The committed BENCH_baseline_watch.txt records the same benchmark
-// with WATCH_NAIVE=1 — the O(brands) sweep the index replaces.
+// standing subscriptions. `make bench-gates` holds it to 500k events/s;
+// TestMatchZeroAlloc pins 0 allocs/op.
 func BenchmarkWatchMatch1M(b *testing.B) {
 	const nBrands = 10_000
 	catalog := benchCatalog(nBrands)
@@ -116,51 +113,19 @@ func BenchmarkWatchMatch1M(b *testing.B) {
 	if snap.Total() != 1_000_000 {
 		b.Fatalf("subscriptions = %d, want 1M", snap.Total())
 	}
-
-	naive := os.Getenv("WATCH_NAIVE") != ""
-	var (
-		m      *Matcher
-		oracle *core.HomographDetector
-		norms  []core.NormalizedDomain
-	)
-	if naive {
-		// The pre-index architecture: every event swept against the
-		// whole catalog via the sweep detector.
-		oracle = core.NewHomographDetector(0, core.WithoutPrefilter(), core.WithBrands(catalog))
-		for _, ev := range events {
-			if !ev.idn {
-				norms = append(norms, core.NormalizedDomain{ASCII: true})
-				continue
-			}
-			n, err := core.Normalize(ev.label + ".com")
-			if err != nil {
-				norms = append(norms, core.NormalizedDomain{ASCII: true})
-				continue
-			}
-			norms = append(norms, n)
-		}
-	} else {
-		ix, err := candidx.Build(catalog, candidx.BuildOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		det := core.NewHomographDetector(0, core.WithIndex(ix))
-		m, err = NewMatcher(det)
-		if err != nil {
-			b.Fatal(err)
-		}
+	ix, err := candidx.Build(catalog, candidx.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewMatcher(core.NewHomographDetector(0, core.WithIndex(ix)))
+	if err != nil {
+		b.Fatal(err)
 	}
 
 	// Warm caches and scratch, and count the hit rate once.
 	hits, watched := 0, 0
-	for i, ev := range events {
+	for _, ev := range events {
 		if !ev.idn {
-			continue
-		}
-		if naive {
-			if _, ok := oracle.DetectNormalized(norms[i]); ok {
-				hits++
-			}
 			continue
 		}
 		if match, ok := m.Match(ev.label); ok {
@@ -177,16 +142,6 @@ func BenchmarkWatchMatch1M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := events[i%len(events)]
-		if naive {
-			n := norms[i%len(norms)]
-			if n.ASCII {
-				continue
-			}
-			if match, ok := oracle.DetectNormalized(n); ok {
-				sink += uint64(len(match.Brand))
-			}
-			continue
-		}
 		if !ev.idn {
 			continue
 		}

@@ -2,31 +2,21 @@ package watch
 
 import (
 	"fmt"
-	"unicode/utf8"
 
 	"idnlab/internal/brands"
-	"idnlab/internal/candidx"
 	"idnlab/internal/core"
 )
 
 // Matcher decides whether one changed label imitates a watched brand.
-// It is the watch tier's hot loop, deliberately built from the same
-// pieces as core's index-backed detection so its verdicts are
-// bit-identical to DetectNormalized on the same label: probe the
-// candidate index (a handful of O(1) hash probes), length-filter the
-// candidates, rescore the survivors with the detector's own SSIM Score,
-// keep the strict-greater best, apply the compiled threshold.
+// It is the watch tier's hot loop and runs core's own index-backed match
+// loop (HomographDetector.BestIndexed), so its verdicts are bit-identical
+// to DetectNormalized on the same label.
 //
-// A Matcher is not safe for concurrent use (the probe scratch and the
-// detector's glyph caches are private state); each pipeline worker owns
-// a Clone. After warmup, Match allocates nothing.
+// A Matcher is not safe for concurrent use (the detector's probe scratch
+// and glyph caches are private state); each pipeline worker owns a
+// Clone. After warmup, Match allocates nothing.
 type Matcher struct {
-	det       *core.HomographDetector
-	ix        *candidx.Index
-	brandList []brands.Brand
-	brandLens []int
-	threshold float64
-	probe     candidx.Probe
+	det *core.HomographDetector
 }
 
 // Match is one confirmed imitation: the best-scoring watched brand for
@@ -43,66 +33,27 @@ type Match struct {
 // of subscriptions the sweep silently turns a streaming tier into a
 // batch one.
 func NewMatcher(det *core.HomographDetector) (*Matcher, error) {
-	ix := det.Index()
-	if ix == nil {
+	if det.Index() == nil {
 		return nil, fmt.Errorf("watch: detector has no candidate index (or index threshold mismatch); the watch hot path requires one")
 	}
-	list := ix.Brands()
-	lens := make([]int, len(list))
-	for i, b := range list {
-		lens[i] = utf8.RuneCountInString(b.Label())
-	}
-	return &Matcher{
-		det:       det,
-		ix:        ix,
-		brandList: list,
-		brandLens: lens,
-		threshold: det.Threshold(),
-	}, nil
+	return &Matcher{det: det}, nil
 }
 
 // Clone returns a Matcher for another worker: shares the immutable
 // index, catalog and the detector's precomputed reference tables, with
 // private scratch.
-func (m *Matcher) Clone() *Matcher {
-	return &Matcher{
-		det:       m.det.Clone(),
-		ix:        m.ix,
-		brandList: m.brandList,
-		brandLens: m.brandLens,
-		threshold: m.threshold,
-	}
-}
+func (m *Matcher) Clone() *Matcher { return &Matcher{det: m.det.Clone()} }
 
 // Match scores label (the Unicode form of a changed name's SLD) against
-// the watched catalog. Zero allocations steady-state: the index probe
-// reuses m's scratch, Score runs on precomputed tables with an
-// early-exit floor (see core.ScoreBounded — a candidate only matters if
-// it reaches the threshold and beats the best exact score so far), and
-// the result is returned by value.
+// the watched catalog and returns the result by value.
 func (m *Matcher) Match(label string) (Match, bool) {
-	best := Match{SSIM: -1}
-	floor := m.threshold
-	labelLen := utf8.RuneCountInString(label)
-	for _, id := range m.ix.Candidates(label, &m.probe) {
-		i := int(id)
-		if diff := labelLen - m.brandLens[i]; diff > 1 || diff < -1 {
-			continue
-		}
-		score, ok := m.det.ScoreBounded(label, m.brandList[i].Label(), floor)
-		if ok && score > best.SSIM {
-			best.SSIM = score
-			best.BrandID = id
-			floor = score
-		}
+	id, score, ok := m.det.BestIndexed(label)
+	if !ok {
+		return Match{}, false
 	}
-	if best.SSIM >= m.threshold {
-		best.Brand = m.brandList[best.BrandID].Domain
-		return best, true
-	}
-	return Match{}, false
+	return Match{BrandID: uint32(id), Brand: m.Brands()[id].Domain, SSIM: score}, true
 }
 
 // Brands exposes the matcher's catalog (the index's embedded catalog);
 // brand IDs in Match results index into it.
-func (m *Matcher) Brands() []brands.Brand { return m.brandList }
+func (m *Matcher) Brands() []brands.Brand { return m.det.Index().Brands() }
