@@ -62,8 +62,6 @@ func run() error {
 		drain        = flag.Duration("drain", 5*time.Second, "graceful shutdown budget")
 		coalesce     = flag.Duration("coalesce", 0, "single-detect coalescing window, e.g. 500us (0 = off)")
 		coalesceMax  = flag.Int("coalesce-max", 64, "max singles merged into one upstream batch")
-		idleConns    = flag.Int("upstream-idle-conns", 256, "upstream transport: total idle connections kept")
-		idlePerHost  = flag.Int("upstream-idle-conns-per-host", 64, "upstream transport: idle connections kept per worker")
 	)
 	flag.Parse()
 
@@ -86,10 +84,8 @@ func run() error {
 			DeadAfter:         *deadAfter,
 		},
 		Router: cluster.RouterConfig{
-			MaxAttempts:         *attempts,
-			Hedge:               *hedge,
-			MaxIdleConns:        *idleConns,
-			MaxIdleConnsPerHost: *idlePerHost,
+			MaxAttempts: *attempts,
+			Hedge:       *hedge,
 		},
 		MaxBatch:       *maxBatch,
 		RequestTimeout: *reqTimeout,

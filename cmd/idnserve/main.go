@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"idnlab/internal/candidx"
+	"idnlab/internal/cluster"
 	"idnlab/internal/feat"
 	"idnlab/internal/serve"
 	"idnlab/internal/vstore"
@@ -128,7 +129,7 @@ func run() error {
 		Index:          ix,
 		Stat:           stat,
 		Store:          store,
-		SyncInterval:   *syncEvery,
+		Replica:        cluster.ReplicaConfig{SyncInterval: *syncEvery},
 	})
 
 	ready := make(chan net.Addr, 1)
@@ -155,13 +156,13 @@ func run() error {
 			if id == "" {
 				id = adv // a worker's reachable address is a fine identity
 			}
-			p := serve.NewPeer(*join, id, adv)
+			p := cluster.NewPeer(*join, id, adv)
 			srv.AttachPeer(p)
 			go p.Run(ctx)
 			if store != nil {
 				// Replication + anti-entropy only make sense with peers to
 				// talk to; a standalone durable node is just warm-boot.
-				go srv.RunStoreSync(ctx)
+				go srv.Replica().Run(ctx)
 			}
 			fmt.Printf("idnserve: joining cluster at %s as %s (%s)\n", *join, id, adv)
 		}

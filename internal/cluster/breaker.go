@@ -126,3 +126,18 @@ func (b *Breaker) Opens() uint64 {
 	defer b.mu.Unlock()
 	return b.opens
 }
+
+// breakerSet is a lazily filled set of per-node breakers that share one
+// configuration.
+type breakerSet struct {
+	cfg BreakerConfig
+	m   sync.Map // node id → *Breaker
+}
+
+func (s *breakerSet) get(id string) *Breaker {
+	if b, ok := s.m.Load(id); ok {
+		return b.(*Breaker)
+	}
+	b, _ := s.m.LoadOrStore(id, NewBreaker(s.cfg))
+	return b.(*Breaker)
+}

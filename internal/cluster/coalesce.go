@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -140,51 +138,25 @@ func (c *coalescer) flush(w *cwindow) {
 	defer cancel()
 
 	if len(w.calls) == 1 {
-		// A window of one takes the exact uncoalesced path: hedged,
+		// A window of one is the uncoalesced request: hedged,
 		// breaker-aware, Retry-After passed through raw.
-		call := w.calls[0]
-		body := api.AppendDetectRequest(nil, &api.DetectRequest{Domain: call.ace})
-		rep, err := c.g.router.DoHedged(ctx, call.ace, http.MethodPost, "/v1/detect", body)
-		call.done <- ccallResult{rep: rep, direct: true, err: err}
+		rep, err := c.g.forwardSingle(ctx, w.calls[0].ace)
+		w.calls[0].done <- ccallResult{rep: rep, direct: true, err: err}
 		return
 	}
 
+	// A merged window is one owner's sub-batch.
 	c.g.metrics.coalBatched.Add(uint64(len(w.calls)))
 	domains := make([]string, len(w.calls))
 	for i, call := range w.calls {
 		domains[i] = call.ace
 	}
-	body := api.AppendBatchRequest(nil, &api.BatchRequest{Domains: domains})
-	rep, err := c.g.router.Do(ctx, w.key, http.MethodPost, "/v1/detect/batch", body)
+	res, err := c.g.forwardSubBatch(subBatch{key: w.key, domains: domains, ctx: ctx})
 	if err != nil {
 		w.fail(err)
 		return
 	}
-	switch rep.Status {
-	case http.StatusOK:
-	case http.StatusTooManyRequests:
-		retryAfter := rep.RetryAfter
-		rep.Release()
-		w.fail(&shedError{retryAfter: retryAfter})
-		return
-	default:
-		status, node := rep.Status, rep.NodeID
-		rep.Release()
-		w.fail(fmt.Errorf("node %s: unexpected status %d", node, status))
-		return
-	}
-	br, err := api.DecodeBatchResponseBytes(rep.Body)
-	node := rep.NodeID
-	rep.Release() // decoder copied every string out; buffer is free to reuse
-	if err != nil {
-		w.fail(fmt.Errorf("node %s: bad batch reply: %v", node, err))
-		return
-	}
-	if len(br.Results) != len(w.calls) {
-		w.fail(fmt.Errorf("node %s: %d results for %d coalesced requests", node, len(br.Results), len(w.calls)))
-		return
-	}
 	for i, call := range w.calls {
-		call.done <- ccallResult{resp: br.Results[i]}
+		call.done <- ccallResult{resp: res.results[i]}
 	}
 }

@@ -80,10 +80,10 @@ type testWorker struct {
 	id       string
 	srv      *serve.Server
 	ts       *httptest.Server
-	peer     *serve.Peer
+	peer     *cluster.Peer
 	peerStop context.CancelFunc
 	peerDone chan struct{}
-	syncDone chan struct{} // non-nil when RunStoreSync is running
+	syncDone chan struct{} // non-nil when the replica is running
 }
 
 // startCluster boots a gateway (fast failure-detection windows) and n
@@ -165,14 +165,16 @@ func (tc *testCluster) addWorker(id string) *testWorker {
 		cfg.Store = st
 		// Fast cluster-sync cadences: the churn test needs anti-entropy
 		// to converge inside the test window, not the production 15s.
-		cfg.SyncInterval = 250 * time.Millisecond
-		cfg.ReplicateInterval = 10 * time.Millisecond
-		cfg.RepairTimeout = 150 * time.Millisecond
+		cfg.Replica = cluster.ReplicaConfig{
+			SyncInterval:      250 * time.Millisecond,
+			ReplicateInterval: 10 * time.Millisecond,
+			RepairTimeout:     150 * time.Millisecond,
+		}
 	}
 	srv := serve.NewServer(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	addr := strings.TrimPrefix(ts.URL, "http://")
-	p := serve.NewPeer(tc.gwURL, id, addr)
+	p := cluster.NewPeer(tc.gwURL, id, addr)
 	srv.AttachPeer(p)
 	ctx, stop := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -180,7 +182,7 @@ func (tc *testCluster) addWorker(id string) *testWorker {
 	w := &testWorker{id: id, srv: srv, ts: ts, peer: p, peerStop: stop, peerDone: done}
 	if cfg.Store != nil {
 		w.syncDone = make(chan struct{})
-		go func() { defer close(w.syncDone); srv.RunStoreSync(ctx) }()
+		go func() { defer close(w.syncDone); srv.Replica().Run(ctx) }()
 	}
 	tc.workers = append(tc.workers, w)
 	return w

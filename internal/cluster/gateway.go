@@ -103,33 +103,14 @@ type gwMetrics struct {
 	coalBatched  atomic.Uint64
 	coalTimeouts atomic.Uint64
 
-	// Read-repair counters (repair.go): failover replies forwarded to
-	// the key's ring owner, drops from a full queue, send failures —
-	// plus rejoins observed by membership (dead node resurrected).
+	// Failover replies queued for the key's ring owner (forwardSingle;
+	// drops and send failures are the shipper's counters), and rejoins
+	// observed by membership (dead node resurrected).
 	repairForwards atomic.Uint64
-	repairDropped  atomic.Uint64
-	repairErrors   atomic.Uint64
 	rejoins        atomic.Uint64
 
-	status2xx atomic.Uint64
-	status4xx atomic.Uint64
-	status429 atomic.Uint64
-	status5xx atomic.Uint64
-
+	status  StatusCounts
 	latency metricsutil.Histogram
-}
-
-func (m *gwMetrics) observeStatus(code int) {
-	switch {
-	case code == 429:
-		m.status429.Add(1)
-	case code >= 500:
-		m.status5xx.Add(1)
-	case code >= 400:
-		m.status4xx.Add(1)
-	case code >= 200 && code < 300:
-		m.status2xx.Add(1)
-	}
 }
 
 // subBatch is one owner's slice of a batch request: the original
@@ -142,16 +123,9 @@ type subBatch struct {
 	key     string
 	indices []int
 	domains []string
-	// reqCtx carries the originating request's deadline into the engine
+	// ctx carries the originating request's deadline into the engine
 	// Func (which has no ctx parameter of its own).
-	reqCtx context.Context
-}
-
-func (sb subBatch) ctx() context.Context {
-	if sb.reqCtx != nil {
-		return sb.reqCtx
-	}
-	return context.Background()
+	ctx context.Context
 }
 
 // subResult is one sub-batch's merged outcome.
@@ -177,7 +151,7 @@ type Gateway struct {
 	scatter  *pipeline.Engine[subBatch, subResult, struct{}]
 	coal     *coalescer // nil unless CoalesceWindow > 0
 	metrics  *gwMetrics
-	repairCh chan repairItem
+	repairs  *shipper // failover verdicts bound for their ring owner
 	draining atomic.Bool
 }
 
@@ -186,11 +160,11 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	cfg = cfg.withDefaults()
 	mem := NewMembership(cfg.Membership)
 	g := &Gateway{
-		cfg:      cfg,
-		mem:      mem,
-		router:   NewRouter(mem, cfg.Router),
-		metrics:  &gwMetrics{start: time.Now()},
-		repairCh: make(chan repairItem, repairQueueSize),
+		cfg:     cfg,
+		mem:     mem,
+		router:  NewRouter(mem, cfg.Router),
+		metrics: &gwMetrics{start: time.Now()},
+		repairs: newShipper(0),
 	}
 	mem.OnRejoin(func(string) { g.metrics.rejoins.Add(1) })
 	// Sub-batch fan-out reuses the streaming engine (PR 1): Batch=1
@@ -200,7 +174,9 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		pipeline.Config{Stage: "gateway.scatter", Workers: cfg.ScatterWorkers, Batch: 1},
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, sb subBatch) (subResult, bool, error) {
-			return g.forwardSubBatch(sb)
+			g.metrics.subBatches.Add(1)
+			res, err := g.forwardSubBatch(sb)
+			return res, err == nil, err
 		})
 	if cfg.CoalesceWindow > 0 {
 		g.coal = newCoalescer(g)
@@ -217,38 +193,33 @@ func (g *Gateway) Router() *Router { return g.router }
 // Draining reports whether graceful shutdown has begun.
 func (g *Gateway) Draining() bool { return g.draining.Load() }
 
-// forwardSubBatch sends one owner's sub-batch through the router and
+// forwardSubBatch sends one owner's sub-batch — a slice of a client
+// batch, or a coalesced window of singles — through the router and
 // parses the worker's reply. Infrastructure failures and sheds surface
-// as engine errors, aborting the whole batch with one taxonomy-mapped
+// as errors that fail the whole sub-batch with one taxonomy-mapped
 // status.
-func (g *Gateway) forwardSubBatch(sb subBatch) (subResult, bool, error) {
-	g.metrics.subBatches.Add(1)
-	// The append codec is infallible for requests (no floats on the
-	// request side), which is also why the old ignored-json.Marshal-error
-	// hazard no longer exists on the forward path.
+func (g *Gateway) forwardSubBatch(sb subBatch) (subResult, error) {
 	body := api.AppendBatchRequest(nil, &api.BatchRequest{Domains: sb.domains})
-	// The engine's Func has no ctx parameter; the request deadline rides
-	// in on the subBatch (set by handleBatch before dispatch).
-	rep, err := g.router.Do(sb.ctx(), sb.key, http.MethodPost, "/v1/detect/batch", body)
+	rep, err := g.router.Do(sb.ctx, sb.key, http.MethodPost, "/v1/detect/batch", body)
 	if err != nil {
-		return subResult{}, false, err
+		return subResult{}, err
 	}
 	defer rep.Release() // the decoder copies every string out of Body
 	switch rep.Status {
 	case http.StatusOK:
 	case http.StatusTooManyRequests:
-		return subResult{}, false, &shedError{retryAfter: rep.RetryAfter}
+		return subResult{}, &shedError{retryAfter: rep.RetryAfter}
 	default:
-		return subResult{}, false, fmt.Errorf("node %s: unexpected status %d", rep.NodeID, rep.Status)
+		return subResult{}, fmt.Errorf("node %s: unexpected status %d", rep.NodeID, rep.Status)
 	}
 	br, err := api.DecodeBatchResponseBytes(rep.Body)
 	if err != nil {
-		return subResult{}, false, fmt.Errorf("node %s: bad batch reply: %v", rep.NodeID, err)
+		return subResult{}, fmt.Errorf("node %s: bad batch reply: %v", rep.NodeID, err)
 	}
 	if len(br.Results) != len(sb.domains) {
-		return subResult{}, false, fmt.Errorf("node %s: %d results for %d domains", rep.NodeID, len(br.Results), len(sb.domains))
+		return subResult{}, fmt.Errorf("node %s: %d results for %d domains", rep.NodeID, len(br.Results), len(sb.domains))
 	}
-	return subResult{indices: sb.indices, results: br.Results}, true, nil
+	return subResult{indices: sb.indices, results: br.Results}, nil
 }
 
 // Handler returns the gateway's HTTP mux:
@@ -272,33 +243,22 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// statusWriter captures the response code for the status counters.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
 func (g *Gateway) instrument(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 		defer cancel()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &StatusWriter{ResponseWriter: w, Code: http.StatusOK}
 		h(sw, r.WithContext(ctx))
-		g.metrics.observeStatus(sw.code)
+		g.metrics.status.Observe(sw.Code)
 		g.metrics.latency.Observe(time.Since(start))
 	}
 }
 
-// writeError maps the gateway error taxonomy to statuses: decode errors
+// writeError maps the tier's error taxonomy to statuses: decode errors
 // 400/413, sheds 429 with the worker's Retry-After, exhausted rings and
 // deadlines 503.
-func (g *Gateway) writeError(w http.ResponseWriter, err error) {
+func writeError(w http.ResponseWriter, err error) {
 	var shed *shedError
 	switch {
 	case errors.Is(err, api.ErrBatchTooLarge), errors.Is(err, api.ErrTooLarge):
@@ -325,7 +285,7 @@ func (g *Gateway) handleDetect(w http.ResponseWriter, r *http.Request) {
 	g.metrics.single.Add(1)
 	req, err := api.DecodeDetect(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {
-		g.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	n, err := core.Normalize(req.Domain)
@@ -339,28 +299,36 @@ func (g *Gateway) handleDetect(w http.ResponseWriter, r *http.Request) {
 		g.detectCoalesced(w, r, n.ACE)
 		return
 	}
-	// Forward the ACE form: it is the partition key, the worker's cache
-	// key, and re-normalizes in the worker for free. The append codec is
-	// infallible here (string-only body), so the former silent
-	// json.Marshal-error path — which forwarded an empty body — is gone
-	// by construction.
-	body := api.AppendDetectRequest(nil, &api.DetectRequest{Domain: n.ACE})
-	rep, err := g.router.DoHedged(r.Context(), n.ACE, http.MethodPost, "/v1/detect", body)
+	rep, err := g.forwardSingle(r.Context(), n.ACE)
 	if err != nil {
-		g.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	g.metrics.labels.Add(1)
-	// Failover read-repair: a 200 served by a non-owner means the owner
-	// is cold for this key (rebooted, or its replica was promoted) —
-	// forward the verdict to it asynchronously (repair.go). Copied
-	// before passthrough releases the pooled body.
-	if rep.Status == http.StatusOK {
-		if owner, ok := g.router.Owner(n.ACE); ok && owner.ID != rep.NodeID {
-			g.offerRepair(owner.Addr, rep.Body)
+	g.passthrough(w, rep)
+}
+
+// forwardSingle routes one normalized single to its ring owner (hedged,
+// breaker-aware) and returns the raw reply for passthrough. The ACE form
+// is what travels: it is the partition key, the worker's cache key, and
+// re-normalizes in the worker for free.
+//
+// A 200 served by a non-owner means the owner is cold for this key
+// (rebooted, or its replica was promoted) and the gateway holds exactly
+// the verdict it is missing, so it is queued for the owner — best-effort
+// like all replication. Only this failover path pays the decode.
+func (g *Gateway) forwardSingle(ctx context.Context, ace string) (Reply, error) {
+	body := api.AppendDetectRequest(nil, &api.DetectRequest{Domain: ace})
+	rep, err := g.router.DoHedged(ctx, ace, http.MethodPost, "/v1/detect", body)
+	if err != nil || rep.Status != http.StatusOK {
+		return rep, err
+	}
+	if owner, ok := g.router.Owner(ace); ok && owner.ID != rep.NodeID {
+		if dr, err := api.DecodeDetectResponseBytes(rep.Body); err == nil && g.repairs.offer(owner.Addr, dr.Verdict) {
+			g.metrics.repairForwards.Add(1)
 		}
 	}
-	g.passthrough(w, rep)
+	return rep, nil
 }
 
 // passthrough relays a routed Reply verbatim — status, Retry-After and
@@ -382,13 +350,13 @@ func (g *Gateway) passthrough(w http.ResponseWriter, rep Reply) {
 func (g *Gateway) detectCoalesced(w http.ResponseWriter, r *http.Request, ace string) {
 	call, err := g.coal.submit(ace)
 	if err != nil {
-		g.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	select {
 	case res := <-call.done:
 		if res.err != nil {
-			g.writeError(w, res.err)
+			writeError(w, res.err)
 			return
 		}
 		g.metrics.labels.Add(1)
@@ -398,7 +366,7 @@ func (g *Gateway) detectCoalesced(w http.ResponseWriter, r *http.Request, ace st
 		}
 		api.WriteDetect(w, http.StatusOK, &res.resp)
 	case <-r.Context().Done():
-		g.writeError(w, r.Context().Err())
+		writeError(w, r.Context().Err())
 	}
 }
 
@@ -406,7 +374,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.metrics.batch.Add(1)
 	req, err := api.DecodeBatch(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes), g.cfg.MaxBatch)
 	if err != nil {
-		g.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	results := make([]api.DetectResponse, len(req.Domains))
@@ -424,7 +392,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		owner, ok := g.router.Owner(n.ACE)
 		if !ok {
-			g.writeError(w, ErrNoNodes)
+			writeError(w, ErrNoNodes)
 			return
 		}
 		sb, seen := groups[owner.ID]
@@ -439,7 +407,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(order) > 0 {
 		subs := make([]subBatch, len(order))
 		for i, sb := range order {
-			sb.reqCtx = r.Context()
+			sb.ctx = r.Context()
 			subs[i] = *sb
 		}
 		err = g.scatter.Stream(r.Context(), pipeline.FromSlice(subs), func(res subResult) error {
@@ -449,7 +417,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return nil
 		})
 		if err != nil {
-			g.writeError(w, err)
+			writeError(w, err)
 			return
 		}
 	}
@@ -598,18 +566,18 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"labels":      m.labels.Load(),
 			"subBatches":  m.subBatches.Load(),
 			"localErrors": m.localErrors.Load(),
-			"status2xx":   m.status2xx.Load(),
-			"status4xx":   m.status4xx.Load(),
-			"status429":   m.status429.Load(),
-			"status5xx":   m.status5xx.Load(),
+			"status2xx":   m.status.S2xx.Load(),
+			"status4xx":   m.status.S4xx.Load(),
+			"status429":   m.status.S429.Load(),
+			"status5xx":   m.status.S5xx.Load(),
 			// Always present (zero when coalescing is off) so scrapers
 			// need no feature detection.
 			"coalesce_windows":       m.coalWindows.Load(),
 			"coalesce_batched":       m.coalBatched.Load(),
 			"coalesce_flush_timeout": m.coalTimeouts.Load(),
 			"repair_forwards":        m.repairForwards.Load(),
-			"repair_dropped":         m.repairDropped.Load(),
-			"repair_errors":          m.repairErrors.Load(),
+			"repair_dropped":         g.repairs.dropped.Load(),
+			"repair_errors":          g.repairs.errs.Load(),
 			"rejoins":                m.rejoins.Load(),
 		},
 		"latency": m.latency.Stats(),
@@ -643,41 +611,12 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // Run serves on addr until ctx is cancelled, then drains gracefully
-// exactly like the worker's serve.Server.Run: /healthz flips to 503,
-// in-flight requests get DrainTimeout, then the listener closes. The
-// membership sweeper runs for the lifetime of the listener.
+// (ListenAndDrain). The membership sweeper and the repair shipper run
+// for the lifetime of the listener.
 func (g *Gateway) Run(ctx context.Context, addr string, ready chan<- net.Addr) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	sweepCtx, stopSweep := context.WithCancel(context.Background())
-	defer stopSweep()
-	go g.mem.Run(sweepCtx)
-	go g.drainRepairs(sweepCtx)
-	httpSrv := &http.Server{
-		Handler:           g.Handler(),
-		ReadTimeout:       5 * time.Second,
-		ReadHeaderTimeout: 2 * time.Second,
-		WriteTimeout:      10 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	g.draining.Store(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), g.cfg.DrainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		httpSrv.Close()
-		return err
-	}
-	return nil
+	bg, stop := context.WithCancel(context.Background())
+	defer stop()
+	go g.mem.Run(bg)
+	go g.repairs.run(bg)
+	return ListenAndDrain(ctx, addr, ready, g.Handler(), &g.draining, g.cfg.DrainTimeout)
 }

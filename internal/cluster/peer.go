@@ -1,7 +1,6 @@
-package serve
+package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"idnlab/internal/cluster"
 )
 
 // Peer is a worker's lightweight cluster membership client: it
@@ -24,31 +21,27 @@ import (
 // The gateway drives the cadence (JoinResponse.HeartbeatMs): retuning
 // one gateway flag retunes every worker's heartbeat on its next beat.
 type Peer struct {
-	gatewayURL string // http://host:port, no trailing slash
-	nodeID     string
-	advertise  string // host:port the gateway should route to
-	client     *http.Client
+	gateway   string // host:port
+	nodeID    string
+	advertise string // host:port the gateway should route to
+	ring      ringCache
 
 	mu       sync.Mutex
-	view     cluster.ClusterView
+	view     ClusterView
 	joined   bool
 	interval time.Duration
 	lastBeat time.Time
 	lastErr  error
 }
 
-// NewPeer builds a membership client. gateway accepts "host:port" or a
-// full http URL; advertise is this worker's reachable host:port.
+// NewPeer builds a membership client. gateway accepts "host:port" or an
+// http URL; advertise is this worker's reachable host:port.
 func NewPeer(gateway, nodeID, advertise string) *Peer {
-	if !strings.Contains(gateway, "://") {
-		gateway = "http://" + gateway
-	}
 	return &Peer{
-		gatewayURL: strings.TrimRight(gateway, "/"),
-		nodeID:     nodeID,
-		advertise:  advertise,
-		client:     &http.Client{Timeout: 2 * time.Second},
-		interval:   time.Second, // until the gateway advertises its own
+		gateway:   strings.TrimRight(strings.TrimPrefix(gateway, "http://"), "/"),
+		nodeID:    nodeID,
+		advertise: advertise,
+		interval:  time.Second, // until the gateway advertises its own
 	}
 }
 
@@ -57,25 +50,20 @@ func (p *Peer) NodeID() string { return p.nodeID }
 
 // join performs one registration/heartbeat exchange.
 func (p *Peer) join(ctx context.Context) error {
-	body, err := json.Marshal(cluster.JoinRequest{ID: p.nodeID, Addr: p.advertise})
+	body, err := json.Marshal(JoinRequest{ID: p.nodeID, Addr: p.advertise})
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.gatewayURL+"/v1/join", bytes.NewReader(body))
+	rep, err := callWithin(ctx, 2*time.Second, http.MethodPost, p.gateway, "/v1/join", body)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return err
+	defer rep.Release()
+	if rep.Status != http.StatusOK {
+		return fmt.Errorf("join: gateway status %d", rep.Status)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("join: gateway status %d", resp.StatusCode)
-	}
-	var jr cluster.JoinResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+	var jr JoinResponse
+	if err := json.Unmarshal(rep.Body, &jr); err != nil {
 		return fmt.Errorf("join: bad response: %v", err)
 	}
 	p.mu.Lock()
@@ -120,13 +108,13 @@ func (p *Peer) Run(ctx context.Context) {
 
 // PeerStatus is the worker-side /clusterz body.
 type PeerStatus struct {
-	Mode          string              `json:"mode"`
-	Gateway       string              `json:"gateway"`
-	NodeID        string              `json:"nodeId"`
-	Joined        bool                `json:"joined"`
-	LastBeatAgoMs int64               `json:"lastBeatAgoMs"`
-	LastError     string              `json:"lastError,omitempty"`
-	View          cluster.ClusterView `json:"view"`
+	Mode          string      `json:"mode"`
+	Gateway       string      `json:"gateway"`
+	NodeID        string      `json:"nodeId"`
+	Joined        bool        `json:"joined"`
+	LastBeatAgoMs int64       `json:"lastBeatAgoMs"`
+	LastError     string      `json:"lastError,omitempty"`
+	View          ClusterView `json:"view"`
 }
 
 // Status snapshots the peer's state.
@@ -135,7 +123,7 @@ func (p *Peer) Status() PeerStatus {
 	defer p.mu.Unlock()
 	st := PeerStatus{
 		Mode:    "peer",
-		Gateway: p.gatewayURL,
+		Gateway: "http://" + p.gateway,
 		NodeID:  p.nodeID,
 		Joined:  p.joined,
 		View:    p.view,
@@ -147,4 +135,46 @@ func (p *Peer) Status() PeerStatus {
 		st.LastError = p.lastErr.Error()
 	}
 	return st
+}
+
+// Ring returns the rendezvous ring over the peer's current membership
+// view (non-dead nodes) — the same hash the gateway routes with, so
+// placement agrees across the tier without coordination. Cached by view
+// epoch; nil until the first join brings a non-empty view.
+func (p *Peer) Ring() *Ring {
+	p.mu.Lock()
+	view := p.view
+	p.mu.Unlock()
+	if ring := p.ring.load(view.Epoch); ring != nil {
+		return ring
+	}
+	nodes := make([]NodeInfo, 0, len(view.Nodes))
+	for _, n := range view.Nodes {
+		if n.State != StateDead {
+			nodes = append(nodes, n)
+		}
+	}
+	if len(nodes) == 0 {
+		return nil
+	}
+	return p.ring.store(view.Epoch, NewRing(nodes))
+}
+
+// others returns key's R=2 candidates other than this node and whether
+// this node is the key's owner. ok is false while there is no view yet
+// or nobody else in the ring.
+func (p *Peer) others(key string) (others []NodeInfo, owner, ok bool) {
+	ring := p.Ring()
+	if ring == nil || ring.Len() < 2 {
+		return nil, false, false
+	}
+	cands := ring.Candidates(key, 2)
+	owner = cands[0].ID == p.nodeID
+	others = cands[:0]
+	for _, c := range cands {
+		if c.ID != p.nodeID {
+			others = append(others, c)
+		}
+	}
+	return others, owner, true
 }

@@ -1,5 +1,7 @@
 package cluster
 
+import "sync/atomic"
+
 // Rendezvous (highest-random-weight) hashing over normalized ACE keys.
 // Rendezvous beats a token ring here for three reasons that match the
 // verdict-cache workload exactly:
@@ -39,6 +41,31 @@ func NewRing(nodes []NodeInfo) *Ring {
 		r.nodes[i] = ringNode{info: n, h: hash64(n.ID)}
 	}
 	return r
+}
+
+// ringCache holds the ring compiled for one membership epoch, so the
+// gateway's router and a worker's peer rebuild it only when the epoch
+// moves (steady state is one atomic load).
+type ringCache struct {
+	cur atomic.Pointer[epochRing]
+}
+
+type epochRing struct {
+	epoch uint64
+	ring  *Ring
+}
+
+// load returns the cached ring if it was compiled for epoch, else nil.
+func (c *ringCache) load(epoch uint64) *Ring {
+	if er := c.cur.Load(); er != nil && er.epoch == epoch {
+		return er.ring
+	}
+	return nil
+}
+
+func (c *ringCache) store(epoch uint64, ring *Ring) *Ring {
+	c.cur.Store(&epochRing{epoch: epoch, ring: ring})
+	return ring
 }
 
 // Len reports the number of nodes in the ring.

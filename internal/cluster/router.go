@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -17,12 +15,6 @@ var ErrNoNodes = errors.New("cluster: no routable nodes")
 
 // ErrUnavailable reports that every attempted candidate failed.
 var ErrUnavailable = errors.New("cluster: all candidates failed")
-
-// Doer is the router's HTTP client surface (satisfied by *http.Client);
-// tests substitute failure-injecting fakes.
-type Doer interface {
-	Do(*http.Request) (*http.Response, error)
-}
 
 // RouterConfig parameterizes the routing client.
 type RouterConfig struct {
@@ -41,19 +33,9 @@ type RouterConfig struct {
 	Hedge time.Duration
 	// Breaker parameterizes the per-node circuit breakers.
 	Breaker BreakerConfig
-	// Client overrides the HTTP client (default: pooled transport with
-	// sane limits).
+	// Client overrides the HTTP client (default: the package's shared
+	// pooled client).
 	Client Doer
-	// MaxIdleConns / MaxIdleConnsPerHost tune the default transport's
-	// connection pool (defaults 256 / 64). Ignored when Client is set:
-	// a custom Doer owns its own pooling.
-	MaxIdleConns        int
-	MaxIdleConnsPerHost int
-	// MaxReplyBytes bounds how much of a node's reply body is read
-	// (default 8MiB).
-	MaxReplyBytes int64
-	// Seed seeds the jitter PRNG (default 1).
-	Seed uint64
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -66,94 +48,10 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 100 * time.Millisecond
 	}
-	if c.MaxIdleConns <= 0 {
-		c.MaxIdleConns = 256
-	}
-	if c.MaxIdleConnsPerHost <= 0 {
-		c.MaxIdleConnsPerHost = 64
-	}
 	if c.Client == nil {
-		c.Client = &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        c.MaxIdleConns,
-				MaxIdleConnsPerHost: c.MaxIdleConnsPerHost,
-				IdleConnTimeout:     60 * time.Second,
-			},
-		}
-	}
-	if c.MaxReplyBytes <= 0 {
-		c.MaxReplyBytes = 8 << 20
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
+		c.Client = sharedClient
 	}
 	return c
-}
-
-// Reply is one node's answer as seen by the router. Any HTTP status
-// below 500 counts as an answer (a 429 is the worker telling the client
-// to back off — it must pass through untouched, Retry-After and all);
-// transport errors and 5xx are failures that advance to the next
-// candidate.
-//
-// Ownership: Body may be backed by a pooled buffer. The consumer that
-// receives a Reply owns it and must call Release once Body is no longer
-// referenced (copy out anything that outlives the call, or use Detach).
-// Never releasing is safe — the buffer just falls to the GC instead of
-// the pool — but referencing Body after Release is a data race with the
-// next request that draws the buffer.
-type Reply struct {
-	NodeID     string
-	Status     int
-	Body       []byte
-	RetryAfter string // Retry-After header, when present
-	Attempts   int
-	Hedged     bool // answered by a hedge, not the primary
-
-	pooled *[]byte // pool token; nil once released or detached
-}
-
-// replyBufPool recycles reply-body buffers across upstream exchanges —
-// on the proxied-singles hot path this removes the largest per-request
-// allocation the gateway makes (the worker's response body).
-var replyBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 16<<10); return &b },
-}
-
-// maxPooledReply caps what Release returns to the pool so one oversized
-// batch reply cannot pin megabytes per pool shard.
-const maxPooledReply = 1 << 20
-
-// Release returns the reply's body buffer to the pool. Idempotent.
-func (r *Reply) Release() {
-	p := r.pooled
-	if p == nil {
-		return
-	}
-	r.pooled, r.Body = nil, nil
-	if cap(*p) > maxPooledReply {
-		return
-	}
-	*p = (*p)[:0]
-	replyBufPool.Put(p)
-}
-
-// Detach unhooks Body from the pool: the buffer goes back for reuse and
-// Body becomes a private copy the caller may retain indefinitely. Used
-// by consumers that store bodies past the request (merged /metrics).
-func (r *Reply) Detach() {
-	if r.pooled == nil {
-		return
-	}
-	body := append([]byte(nil), r.Body...)
-	r.Release()
-	r.Body = body
-}
-
-// ringCache is the epoch-tagged compiled ring.
-type ringCache struct {
-	epoch uint64
-	ring  *Ring
 }
 
 // RouterStats is the router's /clusterz contribution.
@@ -174,10 +72,8 @@ type Router struct {
 	cfg RouterConfig
 	mem *Membership
 
-	ring atomic.Pointer[ringCache]
-
-	mu       sync.Mutex
-	breakers map[string]*Breaker
+	ring     ringCache
+	breakers breakerSet
 
 	rng       atomic.Uint64
 	retries   atomic.Uint64
@@ -187,8 +83,9 @@ type Router struct {
 
 // NewRouter builds a router over mem.
 func NewRouter(mem *Membership, cfg RouterConfig) *Router {
-	r := &Router{cfg: cfg.withDefaults(), mem: mem, breakers: make(map[string]*Breaker)}
-	r.rng.Store(r.cfg.Seed)
+	r := &Router{cfg: cfg.withDefaults(), mem: mem}
+	r.breakers.cfg = r.cfg.Breaker
+	r.rng.Store(1) // xorshift state must be non-zero
 	return r
 }
 
@@ -197,28 +94,14 @@ func NewRouter(mem *Membership, cfg RouterConfig) *Router {
 // load plus one membership epoch read).
 func (r *Router) Ring() *Ring {
 	epoch, nodes := r.mem.Routable()
-	if c := r.ring.Load(); c != nil && c.epoch == epoch {
-		return c.ring
+	if ring := r.ring.load(epoch); ring != nil {
+		return ring
 	}
-	c := &ringCache{epoch: epoch, ring: NewRing(nodes)}
-	r.ring.Store(c)
-	return c.ring
+	return r.ring.store(epoch, NewRing(nodes))
 }
 
 // Owner resolves key's current owner.
 func (r *Router) Owner(key string) (NodeInfo, bool) { return r.Ring().Owner(key) }
-
-// breaker returns (creating on first use) the breaker for node id.
-func (r *Router) breaker(id string) *Breaker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.breakers[id]
-	if !ok {
-		b = NewBreaker(r.cfg.Breaker)
-		r.breakers[id] = b
-	}
-	return b
-}
 
 // Stats snapshots the router counters and breaker states.
 func (r *Router) Stats() RouterStats {
@@ -228,11 +111,10 @@ func (r *Router) Stats() RouterStats {
 		HedgeWins: r.hedgeWins.Load(),
 		Breakers:  make(map[string]string),
 	}
-	r.mu.Lock()
-	for id, b := range r.breakers {
-		st.Breakers[id] = b.State()
-	}
-	r.mu.Unlock()
+	r.breakers.m.Range(func(id, b any) bool {
+		st.Breakers[id.(string)] = b.(*Breaker).State()
+		return true
+	})
 	return st
 }
 
@@ -252,65 +134,17 @@ func (r *Router) jitter(d time.Duration) time.Duration {
 	}
 }
 
-// try performs one HTTP exchange with node nd.
+// try performs one exchange with node nd.
 func (r *Router) try(ctx context.Context, nd NodeInfo, method, path string, body []byte) (Reply, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+nd.Addr+path, rd)
-	if err != nil {
-		return Reply{}, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		return Reply{}, err
-	}
-	defer resp.Body.Close()
-	// Read the body into a pooled buffer (grow-in-place, truncating at
-	// MaxReplyBytes exactly like the previous io.ReadAll/LimitReader
-	// pair). The buffer travels with the Reply; see Reply's ownership
-	// contract.
-	pooled := replyBufPool.Get().(*[]byte)
-	b := (*pooled)[:0]
-	lr := io.LimitReader(resp.Body, r.cfg.MaxReplyBytes)
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, rerr := lr.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			*pooled = b[:0]
-			replyBufPool.Put(pooled)
-			return Reply{}, rerr
-		}
-	}
-	*pooled = b
-	if resp.StatusCode >= 500 {
-		*pooled = b[:0]
-		replyBufPool.Put(pooled)
-		return Reply{}, fmt.Errorf("node %s: status %d", nd.ID, resp.StatusCode)
-	}
-	return Reply{
-		NodeID:     nd.ID,
-		Status:     resp.StatusCode,
-		Body:       b,
-		RetryAfter: resp.Header.Get("Retry-After"),
-		pooled:     pooled,
-	}, nil
+	rep, err := call(ctx, r.cfg.Client, method, nd.Addr, path, body)
+	rep.NodeID = nd.ID
+	return rep, err
 }
 
 // attempt runs try with breaker + membership bookkeeping.
 func (r *Router) attempt(ctx context.Context, nd NodeInfo, method, path string, body []byte) (Reply, error) {
 	rep, err := r.try(ctx, nd, method, path, body)
-	br := r.breaker(nd.ID)
+	br := r.breakers.get(nd.ID)
 	if err != nil {
 		// Do not punish a node for the caller's own cancellation: a
 		// context deadline is not evidence the node is down.
@@ -347,7 +181,7 @@ func (r *Router) walk(ctx context.Context, cands []NodeInfo, attemptsUsed int, m
 		if attempts >= r.cfg.MaxAttempts {
 			break
 		}
-		if !r.breaker(nd.ID).Allow() {
+		if !r.breakers.get(nd.ID).Allow() {
 			continue // fail fast past an open breaker; no attempt consumed
 		}
 		if attempts > attemptsUsed {
@@ -406,7 +240,7 @@ func (r *Router) DoHedged(ctx context.Context, key, method, path string, body []
 		return r.walk(ctx, cands, 0, method, path, body)
 	}
 	primary, secondary := cands[0], cands[1]
-	if !r.breaker(primary.ID).Allow() {
+	if !r.breakers.get(primary.ID).Allow() {
 		// Owner is circuit-broken: no point hedging around it, just
 		// walk the remainder of the list.
 		return r.walk(ctx, cands[1:], 0, method, path, body)
@@ -448,7 +282,7 @@ func (r *Router) DoHedged(ctx context.Context, key, method, path string, body []
 			if !hedgeFired && outstanding == 0 {
 				// Primary failed before the hedge timer: promote the
 				// hedge to an immediate retry.
-				if r.breaker(secondary.ID).Allow() {
+				if r.breakers.get(secondary.ID).Allow() {
 					hedgeFired = true
 					r.hedges.Add(1)
 					launch(secondary, true)
@@ -456,7 +290,7 @@ func (r *Router) DoHedged(ctx context.Context, key, method, path string, body []
 				}
 			}
 		case <-hedgeTimer.C:
-			if !hedgeFired && r.breaker(secondary.ID).Allow() {
+			if !hedgeFired && r.breakers.get(secondary.ID).Allow() {
 				hedgeFired = true
 				r.hedges.Add(1)
 				launch(secondary, true)

@@ -1,16 +1,19 @@
 // Package cluster is the distribution tier over the online detection
-// service (internal/serve): a heartbeat-based node registry with
-// alive → suspect → dead health states, a rendezvous-hash ring that
-// partitions the verdict keyspace so each domain's verdict is cached on
-// exactly one owner (aggregate cache capacity grows with node count
-// instead of being cloned per replica), and a routing client with
-// per-node circuit breakers, bounded retries with jittered backoff to
-// the next ring candidate, and optional hedged requests for tail
-// latency. The Gateway ties them together in front of N idnserve
-// workers: it splits batch bodies by ring owner, scatter/gathers
-// sub-batches through an internal/pipeline engine with order-preserving
-// reassembly, merges per-node metrics into a cluster view, and exposes
-// membership at /clusterz.
+// service (internal/serve), and the only package in which one node
+// talks to another. A heartbeat-based registry (Membership, and the
+// worker-side Peer that joins it) keeps alive → suspect → dead health
+// states; a rendezvous-hash Ring partitions the verdict keyspace so each
+// domain's verdict is cached on exactly one owner (aggregate cache
+// capacity grows with node count instead of being cloned per replica);
+// the Router adds per-node circuit breakers, bounded retries with
+// jittered backoff to the next ring candidate, and optional hedging.
+// The Gateway ties them together in front of N idnserve workers: it
+// forwards singles to their owner, splits batch bodies by owner and
+// scatter/gathers the sub-batches with order-preserving reassembly,
+// merges per-node metrics into a cluster view, and exposes membership
+// at /clusterz. A durable worker's Replica keeps its partition alive
+// across churn (replication, read-repair, anti-entropy). Every exchange
+// any of them makes is one function, call.
 //
 // The paper's workload (per-IDN verdicts over ~1.6M names, §VI–§VII) is
 // embarrassingly partitionable by domain — the same observation that
@@ -18,7 +21,7 @@
 // cluster layer applies it to serving: the normalized ACE form is both
 // the cache key and the partition key, so two spellings of one name
 // always land on the same owner and the owner's LRU is the only place
-// that verdict is ever computed or stored.
+// that verdict is ever computed.
 package cluster
 
 // NodeState is a member's health state. Transitions: a node joins (or

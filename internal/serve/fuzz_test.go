@@ -2,12 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"os"
-	"reflect"
 	"testing"
 
 	"idnlab/internal/core"
-	"idnlab/internal/vstore"
 )
 
 // FuzzDecodeDetect drives the /v1/detect request decoder and the
@@ -72,49 +69,6 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		if len(req.Domains) == 0 || len(req.Domains) > 2 {
 			t.Fatalf("decoded batch violates bounds: %d items", len(req.Domains))
-		}
-	})
-}
-
-// FuzzLoadWatermarks writes arbitrary bytes as the store directory's
-// peers.json. loadWatermarks must never panic and must always hand the
-// anti-entropy loop a map it can write to (a corrupt file means "sync
-// from zero", not a crash); whatever it returns must survive a
-// save/load round trip unchanged.
-func FuzzLoadWatermarks(f *testing.F) {
-	f.Add([]byte(`{"w1":12,"w2":0}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(``))
-	f.Add([]byte(`{"w1":-1}`))
-	f.Add([]byte(`{"w1":18446744073709551616}`))
-	f.Add([]byte(`{"w1":1.5}`))
-	f.Add([]byte(`{"w1":"12"}`))
-	f.Add([]byte(`{"w1":12`))
-	f.Add([]byte(`[1,2]`))
-	f.Add([]byte("{\"\xff\":1}"))
-
-	st, err := vstore.Open(vstore.Config{Dir: f.TempDir(), NoFsync: true})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { st.Close() })
-	s := &Server{store: st}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(s.watermarkPath(), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		wm := s.loadWatermarks()
-		if wm == nil {
-			t.Fatalf("loadWatermarks(%q) returned a nil map", data)
-		}
-		wm["probe"] = 7 // what syncRound does with it
-		if err := s.saveWatermarks(wm); err != nil {
-			t.Fatalf("saveWatermarks(%v): %v", wm, err)
-		}
-		if back := s.loadWatermarks(); !reflect.DeepEqual(back, wm) {
-			t.Fatalf("watermarks changed across save/load: %v vs %v", back, wm)
 		}
 	})
 }

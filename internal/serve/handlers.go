@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"idnlab/internal/api"
+	"idnlab/internal/cluster"
 	"idnlab/internal/core"
 	"idnlab/internal/pipeline"
 	"idnlab/internal/version"
@@ -61,24 +62,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /clusterz", s.handleClusterz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// Store/cluster-internal endpoints (store.go), deliberately outside
-	// instrument(): peer probes and replication frames must not pollute
-	// the client-facing latency histogram, status counters or rate cap.
-	mux.HandleFunc("POST /v1/store/replicate", s.handleReplicate)
-	mux.HandleFunc("POST /v1/store/peek", s.handlePeek)
-	mux.HandleFunc("GET /v1/store/since", s.handleStoreSince)
+	s.replica.Register(mux) // the peer endpoints, outside instrument()
 	return mux
-}
-
-// statusWriter captures the response code for the status counters.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
 }
 
 // instrument wraps a handler with the latency histogram, status
@@ -88,7 +73,7 @@ func (w *statusWriter) WriteHeader(code int) {
 func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &cluster.StatusWriter{ResponseWriter: w, Code: http.StatusOK}
 		if s.limiter != nil && !s.limiter.Allow() {
 			s.metrics.rateLimited.Add(1)
 			sw.Header().Set("Retry-After", "1")
@@ -98,7 +83,7 @@ func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 			h(sw, r.WithContext(ctx))
 			cancel()
 		}
-		s.metrics.observeStatus(sw.code)
+		s.metrics.status.Observe(sw.Code)
 		s.metrics.latency.Observe(time.Since(start))
 	}
 }

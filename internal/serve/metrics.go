@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"idnlab/internal/cluster"
 	"idnlab/internal/core"
 	"idnlab/internal/metricsutil"
 	"idnlab/internal/pipeline"
@@ -30,30 +31,14 @@ type serverMetrics struct {
 	labels  atomic.Uint64 // labels classified (batch items + singles)
 	flagged atomic.Uint64 // verdicts with at least one detector match
 
-	status2xx   atomic.Uint64
-	status4xx   atomic.Uint64
-	status429   atomic.Uint64
-	status5xx   atomic.Uint64
-	rateLimited atomic.Uint64 // 429s issued by the rate cap (subset of status429)
+	status      cluster.StatusCounts
+	rateLimited atomic.Uint64 // 429s issued by the rate cap (subset of status.S429)
 
 	latency metricsutil.Histogram
 }
 
 func newServerMetrics() *serverMetrics {
 	return &serverMetrics{start: time.Now()}
-}
-
-func (m *serverMetrics) observeStatus(code int) {
-	switch {
-	case code == 429:
-		m.status429.Add(1)
-	case code >= 500:
-		m.status5xx.Add(1)
-	case code >= 400:
-		m.status4xx.Add(1)
-	case code >= 200 && code < 300:
-		m.status2xx.Add(1)
-	}
 }
 
 // RequestStats is the request-counter wire form.

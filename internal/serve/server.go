@@ -28,10 +28,8 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -102,17 +100,8 @@ type Config struct {
 	// the cluster paths (replication, read-repair, anti-entropy) turn on
 	// when a Peer is attached. Store stats surface at /metrics.
 	Store *vstore.Store
-	// ReplicateInterval is the async replicator's flush cadence (default
-	// 25ms); ReplicateQueue bounds verdicts queued between flushes
-	// (default 4096 — overflow drops, anti-entropy repairs the gap).
-	ReplicateInterval time.Duration
-	ReplicateQueue    int
-	// SyncInterval is the anti-entropy re-sync cadence after the initial
-	// rejoin round (default 15s).
-	SyncInterval time.Duration
-	// RepairTimeout bounds one read-repair peek at a peer (default 75ms
-	// — a probe must stay well under the detector pass it tries to save).
-	RepairTimeout time.Duration
+	// Replica sets the cadences of those cluster paths.
+	Replica cluster.ReplicaConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -155,18 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
-	if c.ReplicateInterval <= 0 {
-		c.ReplicateInterval = 25 * time.Millisecond
-	}
-	if c.ReplicateQueue <= 0 {
-		c.ReplicateQueue = 4096
-	}
-	if c.SyncInterval <= 0 {
-		c.SyncInterval = 15 * time.Second
-	}
-	if c.RepairTimeout <= 0 {
-		c.RepairTimeout = 75 * time.Millisecond
-	}
 	return c
 }
 
@@ -194,22 +171,14 @@ type Server struct {
 	pool     chan *core.Classifier
 	batchEng *pipeline.Engine[string, batchEntry, *core.Classifier]
 	limiter  *rateLimiter
-	peer     atomic.Pointer[Peer]
+	peer     atomic.Pointer[cluster.Peer]
 	warmed   chan struct{} // closed when detector warm-up completes
 	draining atomic.Bool
 
 	// Durable-store integration (store.go). store is nil on nodes
-	// running memory-only; everything below is inert then.
-	store        *vstore.Store
-	storeMx      storeMetrics
-	repl         *replicator
-	repairClient *http.Client
-	syncedOnce   atomic.Bool // first anti-entropy round completed
-	ringMu       sync.Mutex
-	ring         *cluster.Ring
-	ringEpoch    uint64
-	repairBrk    sync.Map         // peer id → *cluster.Breaker for read-repair probes
-	repairNow    func() time.Time // breaker clock; nil means time.Now (tests inject)
+	// running memory-only; the replica is then cache-only.
+	store   *vstore.Store
+	replica *cluster.Replica
 }
 
 // batchEntry is one batch item's response, produced inside the engine.
@@ -237,8 +206,6 @@ func NewServer(cfg Config) *Server {
 		pool:    make(chan *core.Classifier, cfg.MaxInflight),
 		limiter: newRateLimiter(cfg.MaxRPS),
 		warmed:  make(chan struct{}),
-
-		repairClient: &http.Client{Timeout: 5 * time.Second},
 	}
 	s.attachStore()
 	// Batch fan-out reuses the streaming engine: per-worker clones of
@@ -292,8 +259,16 @@ func (s *Server) WaitWarm(ctx context.Context) error {
 }
 
 // AttachPeer wires a cluster membership client into the server's
-// /readyz and /clusterz views. Safe to call while serving.
-func (s *Server) AttachPeer(p *Peer) { s.peer.Store(p) }
+// /readyz and /clusterz views and its replica. Safe to call while
+// serving.
+func (s *Server) AttachPeer(p *cluster.Peer) {
+	s.peer.Store(p)
+	s.replica.Attach(p)
+}
+
+// Replica exposes the node-to-node side of the store; run it
+// (Replica().Run) alongside Peer.Run on a durable worker in peer mode.
+func (s *Server) Replica() *cluster.Replica { return s.replica }
 
 // borrow takes a classifier clone from the pool, cloning a fresh one
 // when the pool is momentarily empty (bounded by admission, so the pool
@@ -325,8 +300,8 @@ func (s *Server) verdict(ctx context.Context, n core.NormalizedDomain) (core.Ver
 		// Read-repair before recomputing: when this node is serving
 		// failover traffic or just rebooted, a peer likely holds the
 		// warm verdict and a bounded peek is far cheaper than a
-		// detector pass (store.go).
-		if v, ok := s.repairFetch(n.ACE); ok {
+		// detector pass.
+		if v, ok := s.replica.Fetch(n.ACE); ok {
 			return v, nil
 		}
 		release, err := s.adm.Admit(ctx)
@@ -350,7 +325,7 @@ func (s *Server) classifyRaw(c *core.Classifier, raw string) detectResponse {
 		return detectResponse{Input: raw, Error: err.Error()}
 	}
 	v, cached, err := s.cache.Do(n.ACE, func() (core.Verdict, error) {
-		if rv, ok := s.repairFetch(n.ACE); ok {
+		if rv, ok := s.replica.Fetch(n.ACE); ok {
 			return rv, nil
 		}
 		return c.Verdict(n), nil
@@ -380,10 +355,10 @@ func (s *Server) Snapshot() MetricsSnapshot {
 			Batch:       m.batch.Load(),
 			Labels:      m.labels.Load(),
 			Flagged:     m.flagged.Load(),
-			Status2xx:   m.status2xx.Load(),
-			Status4xx:   m.status4xx.Load(),
-			Status429:   m.status429.Load(),
-			Status5xx:   m.status5xx.Load(),
+			Status2xx:   m.status.S2xx.Load(),
+			Status4xx:   m.status.S4xx.Load(),
+			Status429:   m.status.S429.Load(),
+			Status5xx:   m.status.S5xx.Load(),
 			RateLimited: m.rateLimited.Load(),
 		},
 		Latency:     m.latency.Stats(),
@@ -418,38 +393,8 @@ func indexStats(ix *candidx.Index) IndexStats {
 	return st
 }
 
-// Run serves on addr until ctx is cancelled, then drains gracefully:
-// /healthz flips to 503, in-flight requests get up to DrainTimeout to
-// finish, and the listener closes. The returned listener address is
-// reported through ready (useful with ":0"); pass nil if not needed.
+// Run serves on addr until ctx is cancelled, then drains gracefully
+// within DrainTimeout (cluster.ListenAndDrain).
 func (s *Server) Run(ctx context.Context, addr string, ready chan<- net.Addr) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	httpSrv := &http.Server{
-		Handler:           s.Handler(),
-		ReadTimeout:       5 * time.Second,
-		ReadHeaderTimeout: 2 * time.Second,
-		WriteTimeout:      10 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	s.draining.Store(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		httpSrv.Close()
-		return err
-	}
-	return nil
+	return cluster.ListenAndDrain(ctx, addr, ready, s.Handler(), &s.draining, s.cfg.DrainTimeout)
 }

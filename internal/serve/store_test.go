@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"idnlab/internal/api"
-	"idnlab/internal/cluster"
 	"idnlab/internal/core"
 	"idnlab/internal/vstore"
 )
@@ -187,7 +185,9 @@ func TestCacheWalkHoldsNoLocksDuringEmit(t *testing.T) {
 	<-walked
 }
 
-// --- Server integration: warm boot, write-through, store endpoints ----
+// --- Server integration: warm boot, write-through, and the replica's
+// endpoints mounted on the worker's mux (their behaviour is tested in
+// internal/cluster; this is the wiring test) ---------------------------
 
 func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 	dir := t.TempDir()
@@ -328,170 +328,5 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 	}
 	if m.Store.Appends == 0 {
 		t.Fatal("metrics store block missing vstore counters")
-	}
-}
-
-// TestStoreHandlersWithoutStore: a memory-only node refuses the
-// anti-entropy feed (404, so peers treat it as storeless) but still
-// accepts replication frames into its cache — a cache-only replica.
-func TestStoreHandlersWithoutStore(t *testing.T) {
-	_, ts := testServer(t, Config{NodeID: "n0", TopK: 50, Workers: 1})
-
-	resp, err := http.Get(ts.URL + "/v1/store/since?seq=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("since without store: %d, want 404", resp.StatusCode)
-	}
-
-	br := api.BatchResponse{Count: 1, Results: []api.DetectResponse{{Verdict: vd("mem-only.example")}}}
-	frame, err := api.AppendBatchResponse(nil, &br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, body := postJSON(t, ts.URL+"/v1/store/replicate", string(frame)); resp.StatusCode != 200 || !strings.Contains(body, `"accepted":1`) {
-		t.Fatalf("replicate without store: %d %q", resp.StatusCode, body)
-	}
-	if resp, body := postJSON(t, ts.URL+"/v1/store/peek", `{"domain":"mem-only.example"}`); resp.StatusCode != 200 || !strings.Contains(body, `"cached":true`) {
-		t.Fatalf("cache-only replica not warm: %d %q", resp.StatusCode, body)
-	}
-}
-
-// TestStoreSinceQueryValidation: ?seq= and ?max= arrive from other hosts,
-// so a value that is not a whole decimal number is a 400 — never its
-// numeric prefix — while a well-formed max outside 1..syncPageSize falls
-// back to the full page.
-func TestStoreSinceQueryValidation(t *testing.T) {
-	st, err := vstore.Open(vstore.Config{Dir: t.TempDir(), NoFsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if st.Append(vd(fmt.Sprintf("since-%d.example", i))) == 0 {
-			t.Fatal("seed append failed")
-		}
-	}
-	if err := st.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	srv, ts := testServer(t, Config{NodeID: "n1", TopK: 50, Workers: 1, Store: st})
-	t.Cleanup(func() { srv.CloseStore() })
-
-	for _, tc := range []struct {
-		query   string
-		status  int
-		records int // on 200
-	}{
-		{"", 200, 3},
-		{"seq=", 200, 3},
-		{"seq=1", 200, 2},
-		{"seq=12abc", 400, 0},
-		{"seq=-1", 400, 0},
-		{"seq=1.5", 400, 0},
-		{"seq=%2B1", 400, 0},
-		{"seq=99999999999999999999", 400, 0},
-		{"max=", 200, 3},
-		{"max=2", 200, 2},
-		{"max=2abc", 400, 0},
-		{"max=abc", 400, 0},
-		{"max=0", 200, 3},
-		{"max=-1", 200, 3},
-		{"max=999999", 200, 3},
-		{"seq=1&max=1", 200, 1},
-	} {
-		resp, err := http.Get(ts.URL + "/v1/store/since?" + tc.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sr struct {
-			Records []json.RawMessage `json:"records"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&sr)
-		resp.Body.Close()
-		if resp.StatusCode != tc.status {
-			t.Errorf("since?%s: status %d, want %d", tc.query, resp.StatusCode, tc.status)
-			continue
-		}
-		if tc.status == 200 && (err != nil || len(sr.Records) != tc.records) {
-			t.Errorf("since?%s: %d records (decode err %v), want %d", tc.query, len(sr.Records), err, tc.records)
-		}
-	}
-}
-
-// TestRepairFetchBreaker drives read-repair probes at a failing peer
-// under an injected clock: two failed peeks silence the peer, the
-// cooldown admits exactly one probe, and its success closes the breaker.
-func TestRepairFetchBreaker(t *testing.T) {
-	var (
-		hits    atomic.Int64
-		healthy atomic.Bool
-		entered = make(chan struct{}, 1)
-		release = make(chan struct{})
-	)
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		if !healthy.Load() {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
-		}
-		select {
-		case entered <- struct{}{}:
-			<-release // hold the half-open probe in flight
-		default:
-		}
-		http.Error(w, "not cached", http.StatusNotFound)
-	}))
-	defer peer.Close()
-
-	st, err := vstore.Open(vstore.Config{Dir: t.TempDir(), NoFsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(Config{NodeID: "self", TopK: 100, Workers: 1, Store: st, RepairTimeout: 5 * time.Second})
-	t.Cleanup(func() { srv.CloseStore() })
-	var now atomic.Int64 // fake clock, nanoseconds
-	srv.repairNow = func() time.Time { return time.Unix(0, now.Load()) }
-	p := NewPeer("gateway.invalid", "self", "self.invalid:1")
-	p.view = cluster.ClusterView{Epoch: 1, Nodes: []cluster.NodeInfo{
-		{ID: "self", Addr: "self.invalid:1", State: cluster.StateAlive},
-		{ID: "other", Addr: strings.TrimPrefix(peer.URL, "http://"), State: cluster.StateAlive},
-	}}
-	srv.AttachPeer(p)
-
-	probe := func(key string, wantHits int64, why string) {
-		t.Helper()
-		if _, ok := srv.repairFetch(key); ok {
-			t.Fatalf("%s: repairFetch(%s) returned a verdict", why, key)
-		}
-		if got := hits.Load(); got != wantHits {
-			t.Fatalf("%s: peer saw %d peeks, want %d", why, got, wantHits)
-		}
-	}
-	probe("a.example", 1, "first failure")
-	probe("b.example", 2, "second failure opens the breaker")
-	probe("c.example", 2, "open breaker")
-	now.Add(int64(2*time.Second) - 1)
-	probe("d.example", 2, "cooldown not over")
-
-	// Cooldown over: one probe goes out; while it is in flight nobody
-	// else may probe.
-	now.Add(1)
-	healthy.Store(true)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.repairFetch("e.example")
-	}()
-	<-entered
-	probe("f.example", 3, "half-open probe in flight")
-	close(release)
-	<-done
-
-	probe("g.example", 4, "closed after the probe succeeded")
-	probe("h.example", 5, "closed")
-	if m := srv.storeMx.repairPeeks.Load(); m != 5 {
-		t.Fatalf("repairPeeks = %d, want 5 (skipped probes must not count)", m)
 	}
 }
