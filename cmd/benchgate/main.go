@@ -9,12 +9,16 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"strconv"
 	"strings"
+
+	"idnlab/internal/cli"
 )
 
 // gates is the one table of floors. unit "ops/s" is 1e9 / ns-per-op;
@@ -30,10 +34,11 @@ var gates = []struct {
 	{"./internal/vstore", "BenchmarkVstoreRecovery", "entries/s", 100_000, "warm-boot entries/s (a 1M-verdict partition boots in <= 10 s)"},
 }
 
-func main() {
+func main() { cli.Main("benchgate", run) }
+
+func run(ctx context.Context) error {
 	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate <benchtime>")
-		os.Exit(2)
+		return errors.New("usage: benchgate <benchtime>")
 	}
 	var names []string
 	args := []string{"test", "-run=^$", "-benchtime=" + os.Args[1]}
@@ -43,21 +48,21 @@ func main() {
 	}
 	args = append(args, "-bench=^("+strings.Join(names, "|")+")$")
 
-	cmd := exec.Command("go", args...)
+	cmd := exec.CommandContext(ctx, "go", args...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
 	if err == nil {
 		err = cmd.Start()
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	measured, err := parse(io.TeeReader(out, os.Stdout))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := cmd.Wait(); err != nil {
-		fatal(fmt.Errorf("go test: %w", err))
+		return fmt.Errorf("go test: %w", err)
 	}
 
 	failed := false
@@ -75,8 +80,9 @@ func main() {
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return errors.New("a floor was missed")
 	}
+	return nil
 }
 
 // parse reads `go test -bench` output into benchmark → unit → value,
@@ -108,9 +114,4 @@ func parse(r io.Reader) (map[string]map[string]float64, error) {
 		out[name] = m
 	}
 	return out, sc.Err()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchgate:", err)
-	os.Exit(1)
 }

@@ -8,6 +8,11 @@
 // order-preserving fan-in keeps output in input order, so results are
 // byte-identical to a sequential run. Ctrl-C cancels cleanly.
 //
+// A name is normalized once (core.Normalize, the same door idnserve's
+// requests come through) and the three detectors run on that form, so a
+// name this tool calls INVALID is one the service rejects, and the
+// HOMOGRAPH and SEMANTIC lines are the service's verdict fields.
+//
 // Usage:
 //
 //	idndetect xn--pple-43d.com apple邮箱.com example.com
@@ -20,19 +25,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 
+	"idnlab/internal/cli"
 	"idnlab/internal/core"
-	"idnlab/internal/idna"
 	"idnlab/internal/pipeline"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "idndetect:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("idndetect", run) }
 
 // detectors is the per-worker state: one instance of each detector.
 type detectors struct {
@@ -47,18 +46,14 @@ type verdict struct {
 	flagged bool
 }
 
-func run() error {
+func run(ctx context.Context) error {
 	var (
 		threshold = flag.Float64("threshold", core.DefaultSSIMThreshold, "SSIM detection threshold")
 		topK      = flag.Int("brands", 1000, "number of top brands to defend")
 		quiet     = flag.Bool("q", false, "print only matching domains")
-		workers   = flag.Int("workers", 0, "detection fan-out (0 = GOMAXPROCS)")
-		metrics   = flag.Bool("metrics", false, "print pipeline metrics to stderr after the run")
 	)
+	workers, metrics := cli.PipelineFlags("detection fan-out")
 	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	domains := flag.Args()
 	if len(domains) == 0 {
@@ -107,24 +102,22 @@ func run() error {
 	return nil
 }
 
-// classify runs the detector cascade on one domain. ok=false drops the
-// domain from the output (clean domains under -q).
+// classify normalizes one domain and runs the detector cascade on the
+// normalized form. ok=false drops the domain from the output (clean and
+// invalid domains under -q).
 func classify(d detectors, domain string, quiet bool) (verdict, bool, error) {
-	if m, ok := d.homo.DetectOne(domain); ok {
+	n, err := core.Normalize(domain)
+	if err != nil {
+		return verdict{line: fmt.Sprintf("INVALID   %s (%v)", domain, err)}, !quiet, nil
+	}
+	if m, ok := d.homo.DetectNormalized(n); ok {
 		return verdict{line: fmt.Sprintf("HOMOGRAPH %s", m), flagged: true}, true, nil
 	}
-	if m, ok := d.sem.DetectOne(domain); ok {
+	if m, ok := d.sem.DetectNormalized(n); ok {
 		return verdict{line: fmt.Sprintf("SEMANTIC  %s", m), flagged: true}, true, nil
 	}
-	if m, ok := d.type2.DetectOne(domain); ok {
+	if m, ok := d.type2.DetectNormalized(n); ok {
 		return verdict{line: fmt.Sprintf("TYPE2     %s", m), flagged: true}, true, nil
 	}
-	if quiet {
-		return verdict{}, false, nil
-	}
-	uni, err := idna.ToUnicode(domain)
-	if err != nil {
-		return verdict{line: fmt.Sprintf("INVALID   %s (%v)", domain, err)}, true, nil
-	}
-	return verdict{line: fmt.Sprintf("clean     %s (%s)", domain, uni)}, true, nil
+	return verdict{line: fmt.Sprintf("clean     %s (%s)", domain, n.Unicode)}, !quiet, nil
 }

@@ -32,41 +32,24 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"idnlab/internal/cli"
 	"idnlab/internal/cluster"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "idngateway:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("idngateway", run) }
 
-func run() error {
+func run(ctx context.Context) error {
 	var (
-		listen       = flag.String("listen", "127.0.0.1:8180", "HTTP listen address (use :0 for an ephemeral port)")
-		nodeID       = flag.String("node", "", "gateway node ID (default generated)")
-		heartbeat    = flag.Duration("heartbeat", time.Second, "worker heartbeat cadence advertised on join")
-		suspectAfter = flag.Duration("suspect-after", 0, "silence before a worker is suspect (0 = 3x heartbeat)")
-		deadAfter    = flag.Duration("dead-after", 0, "silence before a worker is dead (0 = 10x heartbeat)")
-		attempts     = flag.Int("attempts", 3, "max ring candidates tried per request")
-		hedge        = flag.Duration("hedge", 0, "hedged-request delay for single detects (0 = off)")
-		maxBatch     = flag.Int("max-batch", 256, "max labels per batch request (must match workers)")
-		reqTimeout   = flag.Duration("timeout", 2*time.Second, "per-request deadline including retries")
-		scatter      = flag.Int("scatter-workers", 16, "concurrent sub-batch fan-out bound")
-		minReady     = flag.Int("min-ready", 1, "alive workers required for /readyz")
-		drain        = flag.Duration("drain", 5*time.Second, "graceful shutdown budget")
-		coalesce     = flag.Duration("coalesce", 0, "single-detect coalescing window, e.g. 500us (0 = off)")
-		coalesceMax  = flag.Int("coalesce-max", 64, "max singles merged into one upstream batch")
+		listen    = flag.String("listen", "127.0.0.1:8180", "HTTP listen address (use :0 for an ephemeral port)")
+		nodeID    = flag.String("node", "", "gateway node ID (default generated)")
+		heartbeat = flag.Duration("heartbeat", time.Second, "worker heartbeat cadence advertised on join; a worker silent for 3x is suspect, for 10x dead")
+		hedge     = flag.Duration("hedge", 0, "hedged-request delay for single detects (0 = off)")
+		minReady  = flag.Int("min-ready", 1, "alive workers required for /readyz")
+		coalesce  = flag.Duration("coalesce", 0, "single-detect coalescing window, e.g. 500us (0 = off)")
 	)
 	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	id := *nodeID
 	if id == "" {
@@ -77,42 +60,18 @@ func run() error {
 		id = fmt.Sprintf("gw-%s-%d", host, os.Getpid())
 	}
 	gw := cluster.NewGateway(cluster.GatewayConfig{
-		NodeID: id,
-		Membership: cluster.MembershipConfig{
-			HeartbeatInterval: *heartbeat,
-			SuspectAfter:      *suspectAfter,
-			DeadAfter:         *deadAfter,
-		},
-		Router: cluster.RouterConfig{
-			MaxAttempts: *attempts,
-			Hedge:       *hedge,
-		},
-		MaxBatch:       *maxBatch,
-		RequestTimeout: *reqTimeout,
-		ScatterWorkers: *scatter,
+		NodeID:         id,
+		Membership:     cluster.MembershipConfig{HeartbeatInterval: *heartbeat},
+		Router:         cluster.RouterConfig{Hedge: *hedge},
 		MinReady:       *minReady,
-		DrainTimeout:   *drain,
 		CoalesceWindow: *coalesce,
-		CoalesceMax:    *coalesceMax,
 	})
-
-	ready := make(chan net.Addr, 1)
-	errc := make(chan error, 1)
-	go func() { errc <- gw.Run(ctx, *listen, ready) }()
-	select {
-	case addr := <-ready:
+	return cli.ServeUntilDrained(ctx, "idngateway", *listen, gw.Run, func(addr net.Addr) {
 		// The exact "listening on" line is the smoke harness's readiness
 		// signal; keep it stable.
 		fmt.Printf("idngateway: listening on %s (min-ready=%d, SIGTERM to drain)\n", addr, *minReady)
 		go announceQuorum(ctx, gw, *minReady)
-	case err := <-errc:
-		return err
-	}
-	err := <-errc
-	if err == nil {
-		fmt.Println("idngateway: drained cleanly")
-	}
-	return err
+	})
 }
 
 // announceQuorum prints a stable line once min-ready workers are alive

@@ -20,25 +20,22 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"idnlab/internal/brands"
 	"idnlab/internal/candidx"
+	"idnlab/internal/cli"
 	"idnlab/internal/core"
 	"idnlab/internal/simchar"
 	"idnlab/internal/simrand"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "idnindex:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("idnindex", run) }
 
-func run() error {
+func run(context.Context) error {
 	if len(os.Args) < 2 {
 		return fmt.Errorf("usage: idnindex build|inspect|verify [flags]")
 	}

@@ -15,51 +15,34 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
-	"strings"
 
+	"idnlab/internal/cli"
 	"idnlab/internal/core"
-	"idnlab/internal/profiling"
 	"idnlab/internal/zonegen"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "idnreport:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("idnreport", run) }
 
-func run() error {
+// run renders the report; cancelling ctx (Ctrl-C) stops it cleanly: the
+// section scheduler and any in-flight corpus scan drain their
+// goroutines before it returns.
+func run(ctx context.Context) error {
 	var (
 		seed     = flag.Uint64("seed", 1, "generation seed")
 		scale    = flag.Int("scale", zonegen.DefaultScale, "down-scaling divisor (1 = paper scale)")
 		only     = flag.String("only", "", "run a single experiment, e.g. table2, figure7")
 		jsonMode = flag.Bool("json", false, "emit machine-readable JSON instead of the text report")
-		workers  = flag.Int("workers", 0, "corpus-scan fan-out (0 = GOMAXPROCS, 1 = sequential)")
-		metrics  = flag.Bool("metrics", false, "print per-scan pipeline metrics to stderr")
 		timings  = flag.Bool("timings", false, "print per-section render timings to stderr")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
+	workers, metrics := cli.PipelineFlags("corpus-scan fan-out")
+	prof := cli.ProfileFlags()
 	flag.Parse()
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
+	if err := prof.Start(); err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProf(); perr != nil {
-			fmt.Fprintln(os.Stderr, "idnreport:", perr)
-		}
-	}()
-
-	// Ctrl-C cancels the report cleanly: the section scheduler and any
-	// in-flight corpus scan drain their goroutines before run returns.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	defer prof.Stop()
 
 	fmt.Fprintf(os.Stderr, "generating universe (seed %d, scale 1/%d)...\n", *seed, *scale)
 	ds, err := core.NewDefaultDataset(*seed, *scale)
@@ -88,40 +71,9 @@ func run() error {
 	if *only == "" {
 		return st.RunContext(ctx, os.Stdout)
 	}
-	sections := map[string]func(io.Writer) error{
-		"findings": st.ReportFindings,
-		"table1":   st.ReportTable1,
-		"table2":   st.ReportTable2,
-		"table3":   st.ReportTable3,
-		"table4":   st.ReportTable4,
-		"table5":   st.ReportTable5,
-		"table6":   st.ReportTable6,
-		"table7":   st.ReportTable7,
-		"table8":   st.ReportTable8,
-		"table9":   st.ReportTable9,
-		"table10":  st.ReportTable10,
-		"table11":  st.ReportTable11,
-		"table11b": st.ReportTable11b,
-		"table12":  st.ReportTable12,
-		"table13":  st.ReportTable13,
-		"table14":  st.ReportTable14,
-		"figure1":  st.ReportFigure1,
-		"figure2":  st.ReportFigure2,
-		"figure3":  st.ReportFigure3,
-		"figure4":  st.ReportFigure4,
-		"figure5":  st.ReportFigure5,
-		"figure6":  st.ReportFigure6,
-		"figure7":  st.ReportFigure7,
-		"figure7b": st.ReportFigure7b,
-		"figure8":  st.ReportFigure8,
-	}
-	section, ok := sections[strings.ToLower(*only)]
-	if !ok {
-		names := make([]string, 0, len(sections))
-		for n := range sections {
-			names = append(names, n)
-		}
-		return fmt.Errorf("unknown experiment %q (available: %s)", *only, strings.Join(names, ", "))
+	section, err := st.Section(*only)
+	if err != nil {
+		return err
 	}
 	return section(os.Stdout)
 }

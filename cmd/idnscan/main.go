@@ -19,46 +19,30 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"sort"
 
+	"idnlab/internal/cli"
 	"idnlab/internal/idna"
 	"idnlab/internal/pipeline"
-	"idnlab/internal/profiling"
 	"idnlab/internal/zonefile"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "idnscan:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("idnscan", run) }
 
-func run() error {
+func run(ctx context.Context) error {
 	var (
 		dir     = flag.String("dir", "", "scan every *.zone file in this directory")
 		verbose = flag.Bool("v", false, "print each discovered IDN with its Unicode form")
-		workers = flag.Int("workers", 0, "zone files scanned concurrently (0 = GOMAXPROCS)")
-		metrics = flag.Bool("metrics", false, "print pipeline metrics to stderr after the scan")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
+	workers, metrics := cli.PipelineFlags("zone files scanned concurrently")
+	prof := cli.ProfileFlags()
 	flag.Parse()
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
+	if err := prof.Start(); err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProf(); perr != nil {
-			fmt.Fprintln(os.Stderr, "idnscan:", perr)
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	defer prof.Stop()
 
 	paths := flag.Args()
 	if *dir != "" {
@@ -96,7 +80,7 @@ func run() error {
 		})
 
 	var totalSLD, totalIDN int
-	err = eng.Stream(ctx, pipeline.FromSlice(paths), func(st zonefile.ScanStats) error {
+	err := eng.Stream(ctx, pipeline.FromSlice(paths), func(st zonefile.ScanStats) error {
 		totalSLD += st.SLDCount
 		totalIDN += len(st.IDNs)
 		fmt.Printf("%-24s %8d SLDs %8d IDNs\n", st.Origin, st.SLDCount, len(st.IDNs))

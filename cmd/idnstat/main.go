@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
@@ -32,18 +33,15 @@ import (
 	"os"
 	"sort"
 
+	"idnlab/internal/cli"
 	"idnlab/internal/feat"
 	"idnlab/internal/zonegen"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "idnstat:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("idnstat", run) }
 
-func run(args []string) error {
+func run(context.Context) error {
+	args := os.Args[1:]
 	if len(args) == 0 {
 		return fmt.Errorf("usage: idnstat <train|eval|inspect> [flags]")
 	}

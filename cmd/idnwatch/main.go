@@ -33,34 +33,25 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"idnlab/internal/brands"
 	"idnlab/internal/candidx"
+	"idnlab/internal/cli"
 	"idnlab/internal/core"
-	"idnlab/internal/feat"
 	"idnlab/internal/watch"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "idnwatch:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("idnwatch", run) }
 
-func run() error {
+func run(ctx context.Context) error {
 	var (
 		deltaDir  = flag.String("deltas", "", "delta directory to tail (required unless -replay)")
 		alertPath = flag.String("alerts", "alerts.log", "durable alert log path")
 		cursor    = flag.String("cursor", "", "cursor file (default <alerts>.cursor)")
 		indexPath = flag.String("index", "", "precomputed candidate index (built by idnindex); default builds one in-process")
 		topK      = flag.Int("brands", 1000, "brands to build the in-process index from (ignored with -index)")
-		threshold = flag.Float64("threshold", 0, "SSIM detection threshold (0 = default)")
 		workers   = flag.Int("workers", 0, "match fan-out width (0 = GOMAXPROCS)")
-		batch     = flag.Int("batch", 0, "events per dispatch batch (0 = pipeline default)")
 		subsN     = flag.Int("subs", 0, "synthetic standing subscriptions to install (0 = one per brand)")
 		interval  = flag.Duration("interval", time.Second, "poll interval for new delta files")
 		once      = flag.Bool("once", false, "process pending deltas once, then exit")
@@ -84,32 +75,18 @@ func run() error {
 	// Detector: load a prebuilt index or compile one for the top-K
 	// catalog. The watch tier refuses to run without an index — see
 	// watch.NewMatcher.
-	var ix *candidx.Index
-	if *indexPath != "" {
-		loaded, err := candidx.LoadFile(*indexPath)
-		if err != nil {
-			return fmt.Errorf("load index: %w", err)
-		}
-		ix = loaded
-	} else {
-		built, err := candidx.Build(brands.TopK(*topK), candidx.BuildOptions{Threshold: *threshold})
-		if err != nil {
+	ix, stat, err := cli.LoadDetector("idnwatch", *indexPath, *statPath)
+	if err != nil {
+		return err
+	}
+	if ix == nil {
+		if ix, err = candidx.Build(brands.TopK(*topK), candidx.BuildOptions{}); err != nil {
 			return fmt.Errorf("build index: %w", err)
 		}
-		ix = built
 	}
 	opts := []core.HomographOption{core.WithIndex(ix)}
-	if *threshold > 0 {
-		opts = append(opts, core.WithThreshold(*threshold))
-	}
-	if *statPath != "" {
-		stat, err := feat.LoadFile(*statPath)
-		if err != nil {
-			return fmt.Errorf("load stat model: %w", err)
-		}
+	if stat != nil {
 		opts = append(opts, core.WithStatModel(stat))
-		fmt.Printf("idnwatch: stat model %s: seed %d, %d bigrams, prefilter %.3f\n",
-			*statPath, stat.Seed(), stat.BigramCount(), stat.PrefilterRaw())
 	}
 	det := core.NewHomographDetector(0, opts...)
 
@@ -127,7 +104,7 @@ func run() error {
 	}
 	snap := subs.Compile()
 
-	eng, err := watch.NewEngine(det, subs, watch.EngineConfig{Workers: *workers, Batch: *batch})
+	eng, err := watch.NewEngine(det, subs, watch.EngineConfig{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -136,9 +113,6 @@ func run() error {
 		return err
 	}
 	runner := &watch.Runner{Engine: eng, Log: log, Dir: *deltaDir, CursorPath: *cursor}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	if *listen != "" {
 		ln, err := net.Listen("tcp", *listen)

@@ -19,22 +19,19 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"idnlab/internal/cli"
 	"idnlab/internal/zonegen"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "idnzonegen:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("idnzonegen", run) }
 
-func run() error {
+func run(context.Context) error {
 	var (
 		out         = flag.String("out", "zones", "output directory for zone files")
 		seed        = flag.Uint64("seed", 1, "generation seed")

@@ -157,13 +157,6 @@ func AppendBatchRequest(dst []byte, req *BatchRequest) []byte {
 	return append(dst, ']', '}')
 }
 
-// AppendErrorResponse appends e's JSON encoding to dst. Infallible.
-func AppendErrorResponse(dst []byte, e *ErrorResponse) []byte {
-	dst = append(dst, `{"error":`...)
-	dst = appendString(dst, e.Error)
-	return append(dst, '}')
-}
-
 func appendHomograph(dst []byte, m *core.HomographMatch) ([]byte, error) {
 	dst = append(dst, `{"domain":`...)
 	dst = appendString(dst, m.Domain)

@@ -246,10 +246,6 @@ func TestRequestEncodersMatchStdlib(t *testing.T) {
 		if got, want := AppendBatchRequest(nil, &br), mustMarshal(t, br); !bytes.Equal(got, want) {
 			t.Fatalf("batch request diverged:\n got %s\nwant %s", got, want)
 		}
-		er := ErrorResponse{Error: randomString(rng)}
-		if got, want := AppendErrorResponse(nil, &er), mustMarshal(t, er); !bytes.Equal(got, want) {
-			t.Fatalf("error response diverged:\n got %s\nwant %s", got, want)
-		}
 	}
 }
 

@@ -57,6 +57,16 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
+// The request-size limits of the wire contract. Worker and gateway
+// share them, so the gateway never forwards a body or a sub-batch its
+// workers would refuse.
+const (
+	// MaxBatch bounds the labels of one batch request.
+	MaxBatch = 256
+	// MaxBodyBytes bounds a request body.
+	MaxBodyBytes = 1 << 20
+)
+
 // Decode errors, distinguished so handlers map them to status codes:
 // ErrMalformed → 400, ErrTooLarge / ErrBatchTooLarge → 413.
 var (

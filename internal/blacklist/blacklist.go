@@ -86,42 +86,3 @@ func (a *Aggregate) IsMalicious(domain string) bool {
 	}
 	return false
 }
-
-// FlaggedBy returns the names of the feeds flagging the domain.
-func (a *Aggregate) FlaggedBy(domain string) []string {
-	var out []string
-	for _, f := range a.feeds {
-		if f.Contains(domain) {
-			out = append(out, f.name)
-		}
-	}
-	return out
-}
-
-// Union returns the distinct flagged domains across all feeds, sorted —
-// the paper's Total column of Table I.
-func (a *Aggregate) Union() []string {
-	set := make(map[string]struct{})
-	for _, f := range a.feeds {
-		for d := range f.domains {
-			set[d] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// UnionLen returns the size of the union without materializing it.
-func (a *Aggregate) UnionLen() int {
-	set := make(map[string]struct{})
-	for _, f := range a.feeds {
-		for d := range f.domains {
-			set[d] = struct{}{}
-		}
-	}
-	return len(set)
-}

@@ -2,7 +2,6 @@ package blacklist
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestFeedBasics(t *testing.T) {
@@ -44,58 +43,6 @@ func TestAggregateUnion(t *testing.T) {
 	}
 	if agg.IsMalicious("clean.com") {
 		t.Error("clean domain flagged")
-	}
-	union := agg.Union()
-	if len(union) != 4 {
-		t.Errorf("union = %v", union)
-	}
-	if agg.UnionLen() != 4 {
-		t.Errorf("UnionLen = %d", agg.UnionLen())
-	}
-	for i := 1; i < len(union); i++ {
-		if union[i-1] >= union[i] {
-			t.Fatal("union not sorted")
-		}
-	}
-}
-
-func TestFlaggedBy(t *testing.T) {
-	vt := NewFeed(FeedVirusTotal)
-	q := NewFeed(Feed360)
-	vt.Add("both.com")
-	q.Add("both.com")
-	q.Add("only360.com")
-	agg := NewAggregate(vt, q)
-	if got := agg.FlaggedBy("both.com"); len(got) != 2 || got[0] != "VirusTotal" || got[1] != "360" {
-		t.Errorf("FlaggedBy(both.com) = %v", got)
-	}
-	if got := agg.FlaggedBy("only360.com"); len(got) != 1 || got[0] != "360" {
-		t.Errorf("FlaggedBy(only360.com) = %v", got)
-	}
-	if got := agg.FlaggedBy("clean.com"); got != nil {
-		t.Errorf("FlaggedBy(clean.com) = %v", got)
-	}
-}
-
-func TestUnionNeverSmallerThanLargestFeed(t *testing.T) {
-	f := func(as, bs []uint16) bool {
-		fa, fb := NewFeed("a"), NewFeed("b")
-		for _, v := range as {
-			fa.Add("d" + string(rune('a'+v%26)) + ".com")
-		}
-		for _, v := range bs {
-			fb.Add("d" + string(rune('a'+v%26)) + ".com")
-		}
-		agg := NewAggregate(fa, fb)
-		u := agg.UnionLen()
-		max := fa.Len()
-		if fb.Len() > max {
-			max = fb.Len()
-		}
-		return u >= max && u <= fa.Len()+fb.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -12,7 +12,6 @@ package brands
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -158,21 +157,6 @@ func Labels(k int) []string {
 	out := make([]string, len(top))
 	for i, b := range top {
 		out[i] = b.Label()
-	}
-	return out
-}
-
-// ByLength groups the top-k brands by the rune length of their SLD label —
-// the index the homograph detector's prefilter uses to avoid the full
-// pair-wise SSIM sweep.
-func ByLength(k int) map[int][]Brand {
-	out := make(map[int][]Brand)
-	for _, b := range TopK(k) {
-		n := len([]rune(b.Label()))
-		out[n] = append(out[n], b)
-	}
-	for _, bs := range out {
-		sort.Slice(bs, func(i, j int) bool { return bs[i].Rank < bs[j].Rank })
 	}
 	return out
 }

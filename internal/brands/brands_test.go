@@ -115,32 +115,6 @@ func TestLabels(t *testing.T) {
 	}
 }
 
-func TestByLength(t *testing.T) {
-	groups := ByLength(1000)
-	total := 0
-	for n, bs := range groups {
-		for _, b := range bs {
-			if len([]rune(b.Label())) != n {
-				t.Fatalf("brand %s in wrong length bucket %d", b.Domain, n)
-			}
-			total++
-		}
-	}
-	if total != 1000 {
-		t.Fatalf("ByLength covers %d brands", total)
-	}
-	// 58.com and qq.com should be in bucket 2.
-	found := false
-	for _, b := range groups[2] {
-		if b.Domain == "58.com" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("58.com missing from length-2 bucket")
-	}
-}
-
 func TestDeterministicAcrossCalls(t *testing.T) {
 	a := List()
 	b := List()

@@ -140,47 +140,6 @@ func TestSurveyShape(t *testing.T) {
 	}
 }
 
-func TestVulnerableCounts(t *testing.T) {
-	// Paper: "five browsers on PC and one on Android are vulnerable"
-	// (displaying certain homographic IDNs in Unicode).
-	if got := VulnerableCount(PlatformPC); got != 5 {
-		t.Errorf("PC vulnerable = %d, want 5", got)
-	}
-	if got := VulnerableCount(PlatformAndroid); got != 1 {
-		t.Errorf("Android vulnerable = %d, want 1", got)
-	}
-	if got := VulnerableCount(PlatformIOS); got != 0 {
-		t.Errorf("iOS vulnerable = %d, want 0", got)
-	}
-}
-
-func TestNavigateITLD(t *testing.T) {
-	cases := []struct {
-		support    ITLDSupport
-		unicodeTLD bool
-		withPrefix bool
-		want       bool
-	}{
-		{ITLDFull, true, false, true},
-		{ITLDFull, false, false, true},
-		{ITLDNeedPrefix, true, false, false},
-		{ITLDNeedPrefix, true, true, true},
-		{ITLDUnicodeOnly, true, false, true},
-		{ITLDUnicodeOnly, false, false, false},
-		{ITLDPunycodeOnly, false, false, true},
-		{ITLDPunycodeOnly, true, false, false},
-		{ITLDNone, true, true, false},
-		{ITLDNone, false, true, false},
-	}
-	for _, tc := range cases {
-		p := Profile{ITLD: tc.support}
-		if got := NavigateITLD(p, tc.unicodeTLD, tc.withPrefix); got != tc.want {
-			t.Errorf("NavigateITLD(%v, uni=%v, prefix=%v) = %v, want %v",
-				tc.support, tc.unicodeTLD, tc.withPrefix, got, tc.want)
-		}
-	}
-}
-
 func TestRunSurveyRowsComplete(t *testing.T) {
 	rows := RunSurvey()
 	if len(rows) != 27 {
@@ -190,17 +149,6 @@ func TestRunSurveyRowsComplete(t *testing.T) {
 		if r.Browser == "" || r.Version == "" {
 			t.Errorf("incomplete row %+v", r)
 		}
-	}
-}
-
-func TestACEForDisplay(t *testing.T) {
-	chrome := Profile{Policy: PolicyRestricted}
-	if got := ACEForDisplay(chrome, "http://xn--pple-43d.com"); got != "xn--pple-43d.com" {
-		t.Errorf("chrome shows %q", got)
-	}
-	sogou := Profile{Policy: PolicyAlwaysUnicode}
-	if got := ACEForDisplay(sogou, "xn--pple-43d.com"); got != "аpple.com" {
-		t.Errorf("sogou shows %q", got)
 	}
 }
 

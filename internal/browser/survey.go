@@ -1,11 +1,5 @@
 package browser
 
-import (
-	"strings"
-
-	"idnlab/internal/idna"
-)
-
 // Platform is an operating-system family in the survey.
 type Platform string
 
@@ -130,26 +124,6 @@ func Evaluate(p Profile) Outcome {
 	}
 }
 
-// NavigateITLD reports whether the profile accepts a domain under an iTLD,
-// given the input form the user typed. unicodeTLD reports whether the TLD
-// was typed in Unicode (vs Punycode); withPrefix whether a protocol prefix
-// was present.
-func NavigateITLD(p Profile, unicodeTLD, withPrefix bool) bool {
-	switch p.ITLD {
-	case ITLDFull:
-		return true
-	case ITLDNeedPrefix:
-		return withPrefix
-	case ITLDUnicodeOnly:
-		return unicodeTLD
-	case ITLDPunycodeOnly:
-		return !unicodeTLD
-	case ITLDNone:
-		return false
-	}
-	return false
-}
-
 // Survey returns the ten-browser, three-platform matrix of Table XI.
 // Policies are assigned so that Evaluate reproduces each published cell.
 func Survey() []Profile {
@@ -210,32 +184,4 @@ func RunSurvey() []SurveyRow {
 		})
 	}
 	return rows
-}
-
-// VulnerableCount counts profiles whose attack outcome displays Unicode
-// for at least some homograph (Vulnerable or Bypassed), per platform.
-func VulnerableCount(platform Platform) int {
-	n := 0
-	for _, p := range Survey() {
-		if p.Platform != platform {
-			continue
-		}
-		switch Evaluate(p) {
-		case OutcomeVulnerable, OutcomeBypassed:
-			n++
-		}
-	}
-	return n
-}
-
-// ACEForDisplay is a convenience that returns what the address bar shows
-// for a raw user input under the profile's policy, converting through
-// IDNA as a real browser would.
-func ACEForDisplay(p Profile, input string) string {
-	uni, err := idna.ToUnicode(strings.TrimPrefix(input, "http://"))
-	if err != nil {
-		return input
-	}
-	shown, _ := DisplayDomain(p.Policy, uni)
-	return shown
 }

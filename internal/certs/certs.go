@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sort"
 	"strings"
 	"time"
 
@@ -279,36 +278,4 @@ func (s *Store) Classify(now time.Time, roots *x509.CertPool) Census {
 		}
 	}
 	return census
-}
-
-// SharedCN is a Table VII row: a certificate common name deployed for
-// domains it is not valid for.
-type SharedCN struct {
-	CommonName string
-	Count      int
-}
-
-// TopSharedCNs ranks the common names of certificates deployed on domains
-// whose name does not match, by deployment count descending.
-func (s *Store) TopSharedCNs(k int) []SharedCN {
-	counts := make(map[string]int)
-	for domain, cert := range s.byDomain {
-		if cert.VerifyHostname(domain) != nil {
-			counts[cert.Subject.CommonName]++
-		}
-	}
-	out := make([]SharedCN, 0, len(counts))
-	for cn, n := range counts {
-		out = append(out, SharedCN{CommonName: cn, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].CommonName < out[j].CommonName
-	})
-	if k >= 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out
 }

@@ -120,37 +120,6 @@ func TestStoreCensus(t *testing.T) {
 	}
 }
 
-func TestTopSharedCNs(t *testing.T) {
-	a := newTestAuthority(t)
-	s := NewStore()
-	sedo, err := a.Issue("sedoparking.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cafe, err := a.Issue("cafe24.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		s.Deploy("parked"+string(rune('a'+i))+".com", sedo)
-	}
-	for i := 0; i < 2; i++ {
-		s.Deploy("hosted"+string(rune('a'+i))+".com", cafe)
-	}
-	s.Deploy("cafe24.com", cafe) // own domain: not shared
-
-	top := s.TopSharedCNs(10)
-	if len(top) != 2 {
-		t.Fatalf("top = %+v", top)
-	}
-	if top[0].CommonName != "sedoparking.com" || top[0].Count != 5 {
-		t.Errorf("top[0] = %+v", top[0])
-	}
-	if top[1].CommonName != "cafe24.com" || top[1].Count != 2 {
-		t.Errorf("top[1] = %+v", top[1])
-	}
-}
-
 func TestDeterministicIssuance(t *testing.T) {
 	a1, err := NewAuthority(7, testNow)
 	if err != nil {

@@ -25,19 +25,10 @@ type GatewayConfig struct {
 	// Membership and Router parameterize the cluster plumbing.
 	Membership MembershipConfig
 	Router     RouterConfig
-	// MaxBatch bounds labels per batch request and MUST match the
-	// workers' cap — the gateway enforces it at the edge so a worker
-	// never sees an oversized sub-batch (default 256). MaxBodyBytes
-	// bounds request bodies (default 1MiB).
-	MaxBatch     int
-	MaxBodyBytes int64
 	// RequestTimeout is the per-request deadline, covering all retries
 	// and hedges (default 2s — deliberately above the workers' 1s so a
 	// failover retry still fits).
 	RequestTimeout time.Duration
-	// ScatterWorkers bounds concurrent sub-batch fan-out (default 16;
-	// the work is I/O-bound, so this exceeds GOMAXPROCS deliberately).
-	ScatterWorkers int
 	// MinReady is the alive-node count below which /readyz reports 503
 	// (default 1).
 	MinReady int
@@ -50,25 +41,20 @@ type GatewayConfig struct {
 	CoalesceWindow time.Duration
 	// CoalesceMax bounds how many singles one window may merge; a full
 	// window flushes immediately without waiting out CoalesceWindow
-	// (default 64; must not exceed MaxBatch).
+	// (default 64; must not exceed api.MaxBatch).
 	CoalesceMax int
 }
+
+// scatterWorkers bounds concurrent sub-batch fan-out; the work is
+// I/O-bound, so it exceeds GOMAXPROCS deliberately.
+const scatterWorkers = 16
 
 func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.NodeID == "" {
 		c.NodeID = "gateway"
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 2 * time.Second
-	}
-	if c.ScatterWorkers <= 0 {
-		c.ScatterWorkers = 16
 	}
 	if c.MinReady <= 0 {
 		c.MinReady = 1
@@ -79,8 +65,8 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.CoalesceMax <= 0 {
 		c.CoalesceMax = 64
 	}
-	if c.CoalesceMax > c.MaxBatch {
-		c.CoalesceMax = c.MaxBatch
+	if c.CoalesceMax > api.MaxBatch {
+		c.CoalesceMax = api.MaxBatch
 	}
 	return c
 }
@@ -171,7 +157,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	// because each item is itself a network round-trip, order-preserving
 	// fan-in for free, per-stage metrics surfaced at /metrics.
 	g.scatter = pipeline.New(
-		pipeline.Config{Stage: "gateway.scatter", Workers: cfg.ScatterWorkers, Batch: 1},
+		pipeline.Config{Stage: "gateway.scatter", Workers: scatterWorkers, Batch: 1},
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, sb subBatch) (subResult, bool, error) {
 			g.metrics.subBatches.Add(1)
@@ -283,7 +269,7 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (g *Gateway) handleDetect(w http.ResponseWriter, r *http.Request) {
 	g.metrics.single.Add(1)
-	req, err := api.DecodeDetect(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	req, err := api.DecodeDetect(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -372,7 +358,7 @@ func (g *Gateway) detectCoalesced(w http.ResponseWriter, r *http.Request, ace st
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.metrics.batch.Add(1)
-	req, err := api.DecodeBatch(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes), g.cfg.MaxBatch)
+	req, err := api.DecodeBatch(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), api.MaxBatch)
 	if err != nil {
 		writeError(w, err)
 		return

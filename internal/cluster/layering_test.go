@@ -20,7 +20,6 @@ func TestOneNodeToNodeModule(t *testing.T) {
 	// Outbound HTTP that is not node-to-node traffic.
 	allowed := map[string]string{
 		"internal/proctest/proctest.go": "test launcher scraping /metrics of the processes it started",
-		"internal/core/webserver.go":    "the study's crawler (paper §V), pointed at the simulated web",
 	}
 	outbound := map[string]bool{
 		"Client": true, "NewRequest": true, "NewRequestWithContext": true,
@@ -78,5 +77,58 @@ func TestOneNodeToNodeModule(t *testing.T) {
 	}
 	if requestsHere != 1 {
 		t.Errorf("internal/cluster builds requests in %d places, want exactly 1 (call)", requestsHere)
+	}
+}
+
+// TestEveryPackageAnswersToAGate keeps the inventory cut: every package
+// under internal/ is reached, through non-test imports, from a binary
+// in cmd/, from the benchmark harness (bench/e2e) or from the smoke
+// drills (internal/smoke, whose files are the one place test imports
+// count). A package only its own tests import is unused code.
+func TestEveryPackageAnswersToAGate(t *testing.T) {
+	const prefix = "idnlab/internal/"
+	fset := token.NewFileSet()
+	reached := map[string]bool{"smoke": true}
+	var queue []string
+	// visit records the internal packages the matching files import.
+	visit := func(glob string, withTests bool) {
+		files, err := filepath.Glob(glob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") && !withTests {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range file.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				if pkg, ok := strings.CutPrefix(p, prefix); ok && !reached[pkg] {
+					reached[pkg] = true
+					queue = append(queue, pkg)
+				}
+			}
+		}
+	}
+	visit("../../cmd/*/*.go", false)
+	visit("../../bench/e2e/*.go", false)
+	visit("../../internal/smoke/*.go", true)
+	for len(queue) > 0 {
+		pkg := queue[0]
+		queue = queue[1:]
+		visit("../../internal/"+pkg+"/*.go", false)
+	}
+	sources, err := filepath.Glob("../../internal/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range sources {
+		if pkg := filepath.Base(filepath.Dir(path)); !reached[pkg] {
+			reached[pkg] = true // report once
+			t.Errorf("internal/%s: no cmd/ binary, bench/e2e or smoke drill reaches it", pkg)
+		}
 	}
 }

@@ -222,16 +222,6 @@ func (t *Table) Variants(label string) []string {
 	return out
 }
 
-// VariantCount returns the number of single-substitution candidates
-// Variants would generate, without materializing them.
-func (t *Table) VariantCount(label string) int {
-	n := 0
-	for _, r := range label {
-		n += len(t.Homoglyphs(r))
-	}
-	return n
-}
-
 // VariantsMulti generates homographic candidates with up to maxSubs
 // character substitutions, capped at limit results (0 = no cap). The
 // paper's availability study replaced one character at a time "to reduce

@@ -166,15 +166,6 @@ func TestVariantsGenerateValidIDNs(t *testing.T) {
 	}
 }
 
-func TestVariantCountMatchesVariants(t *testing.T) {
-	tab := Default()
-	for _, label := range []string{"google", "facebook", "58", "ea", "x"} {
-		if got, want := tab.VariantCount(label), len(tab.Variants(label)); got != want {
-			t.Errorf("VariantCount(%q) = %d, Variants len = %d", label, got, want)
-		}
-	}
-}
-
 func TestVariantsEmptyForCJK(t *testing.T) {
 	tab := Default()
 	if vars := tab.Variants("中国"); len(vars) != 0 {

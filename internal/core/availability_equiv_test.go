@@ -48,7 +48,7 @@ func availabilityReference(d *HomographDetector, topK int, registered []string) 
 // is pixel-identical to a full render and IndexRefSub is bit-identical to
 // IndexRef.
 func TestAvailabilityStudyEquivalence(t *testing.T) {
-	got := NewHomographDetector(50).AvailabilityStudy(50, testDS.IDNs)
+	got := NewHomographDetector(50).AvailabilityStudyReg(50, testDS.Index().AvailabilityReg())
 	want := availabilityReference(NewHomographDetector(50), 50, testDS.IDNs)
 	if len(got) != len(want) {
 		t.Fatalf("result length %d, want %d", len(got), len(want))
@@ -65,12 +65,12 @@ func TestAvailabilityStudyEquivalence(t *testing.T) {
 // scratch (no shared Comparator buffer) and produce identical results.
 func TestAvailabilityStudyCloneIsolation(t *testing.T) {
 	d := NewHomographDetector(20)
-	orig := d.AvailabilityStudy(20, testDS.IDNs)
+	orig := d.AvailabilityStudyReg(20, testDS.Index().AvailabilityReg())
 	c := d.Clone()
 	if c.cmp == d.cmp {
 		t.Fatal("Clone shares the SSIM comparator scratch")
 	}
-	cloned := c.AvailabilityStudy(20, testDS.IDNs)
+	cloned := c.AvailabilityStudyReg(20, testDS.Index().AvailabilityReg())
 	for i := range orig {
 		if orig[i] != cloned[i] {
 			t.Fatalf("clone diverges at %q: %+v vs %+v", orig[i].Brand, cloned[i], orig[i])

@@ -444,7 +444,7 @@ func TestSemanticDetectorIgnoresPlainAndHomograph(t *testing.T) {
 
 func TestAvailabilityStudy(t *testing.T) {
 	det := NewHomographDetector(1000)
-	results := det.AvailabilityStudy(20, testDS.IDNs)
+	results := det.AvailabilityStudyReg(20, testDS.Index().AvailabilityReg())
 	if len(results) != 20 {
 		t.Fatalf("results = %d", len(results))
 	}

@@ -179,13 +179,6 @@ func countFlaggedITLD(agg *blacklist.Aggregate, domains []string) int {
 	return n
 }
 
-// MaliciousIDNs returns the blacklisted subset of the corpus, sorted.
-// The filter is computed once by the corpus index and shared; callers
-// must treat the slice as read-only.
-func (ds *Dataset) MaliciousIDNs() []string {
-	return ds.Index().Malicious()
-}
-
 // Probe crawls one domain of the dataset: it resolves the name through
 // the DNS substrate first (observing REFUSED/NXDOMAIN exactly as the
 // paper's crawler did) and fetches the homepage only on success.
@@ -199,14 +192,4 @@ func (ds *Dataset) Probe(domain string) webprobe.Response {
 		return webprobe.Response{}
 	}
 	return ds.Registry.Serve(d)
-}
-
-// ResolveRCode reports the DNS response code for a domain — REFUSED for
-// the misconfigured population, NXDOMAIN for unregistered names.
-func (ds *Dataset) ResolveRCode(domain string) (dnssim.RCode, error) {
-	res, err := ds.Resolver.LookupA(domain)
-	if err != nil {
-		return 0, err
-	}
-	return res.RCode, nil
 }

@@ -336,10 +336,12 @@ func (d *HomographDetector) DetectNormalized(n NormalizedDomain) (HomographMatch
 	if n.ASCII {
 		return HomographMatch{}, false // homographs need non-ASCII content
 	}
-	if d.stat != nil && !d.AdmitStat(d.stat.ScoreLabel(n.Label, idna.SLDLabel(n.ACE), idna.TLD(n.ACE))) {
-		return HomographMatch{}, false // shed by the learned prefilter
+	var raw float64
+	if d.stat != nil {
+		raw = d.stat.ScoreLabel(n.Label, idna.SLDLabel(n.ACE), idna.TLD(n.ACE))
 	}
-	return d.detectFull(n)
+	m, _, ok := d.detect(n, raw)
+	return m, ok
 }
 
 // AdmitStat applies the statistical prefilter decision to a raw margin
@@ -356,48 +358,49 @@ func (d *HomographDetector) AdmitStat(raw float64) bool {
 	return true
 }
 
-// detectFull is DetectNormalized past the gates: the index-backed path
-// when an index is attached, the skeleton-prefilter or brute-force
-// sweep otherwise. Callers guarantee a non-ASCII label.
-func (d *HomographDetector) detectFull(n NormalizedDomain) (HomographMatch, bool) {
-	if d.index != nil {
-		// Index first: O(1) candidate probes plus a rescore of the few
-		// hits, bit-identical to the sweep below by construction.
-		return d.detectIndexed(n)
+// detect is the one homograph match path, for a non-ASCII label. With
+// a statistical model attached, raw is the model's margin for the label
+// (scored once by the caller) and the learned prefilter gates first;
+// admitted reports its decision. Then the index, when one is attached —
+// O(1) candidate probes plus a rescore of the few hits, bit-identical to
+// the sweeps by construction — else the skeleton-prefilter or
+// brute-force sweep.
+func (d *HomographDetector) detect(n NormalizedDomain, raw float64) (m HomographMatch, admitted, ok bool) {
+	if d.stat != nil && !d.AdmitStat(raw) {
+		return HomographMatch{}, false, false // shed by the learned prefilter
 	}
 	label := n.Label
 	best := HomographMatch{Domain: n.ACE, Unicode: n.Unicode, SSIM: -1}
-	if d.prefilter {
+	switch {
+	case d.index != nil:
+		if i, score, found := d.BestIndexed(label); found {
+			best.Brand, best.SSIM = d.brandList[i].Domain, score
+		}
+	case d.prefilter:
 		skel := d.table.Skeleton(label)
-		b, ok := d.brandsByLabel[skel]
-		if !ok || !isASCII(skel) {
-			return HomographMatch{}, false
+		if b, found := d.brandsByLabel[skel]; found && isASCII(skel) {
+			best.Brand, best.SSIM = b.Domain, d.Score(label, b.Label())
 		}
-		if score := d.Score(label, b.Label()); score >= d.threshold {
-			best.Brand = b.Domain
-			best.SSIM = score
-			return best, true
-		}
-		return HomographMatch{}, false
-	}
-	labelLen := utf8.RuneCountInString(label)
-	for i, b := range d.brandList {
-		// Pair-wise over all brands, skipping only wildly different
-		// lengths (SSIM over padded images cannot reach the threshold
-		// with more than one cell of length difference). Rune counts come
-		// from the construction-time cache.
-		if diff := labelLen - d.brandLens[i]; diff > 1 || diff < -1 {
-			continue
-		}
-		if score := d.Score(label, b.Label()); score > best.SSIM {
-			best.SSIM = score
-			best.Brand = b.Domain
+	default:
+		labelLen := utf8.RuneCountInString(label)
+		for i, b := range d.brandList {
+			// Pair-wise over all brands, skipping only wildly different
+			// lengths (SSIM over padded images cannot reach the threshold
+			// with more than one cell of length difference). Rune counts
+			// come from the construction-time cache.
+			if diff := labelLen - d.brandLens[i]; diff > 1 || diff < -1 {
+				continue
+			}
+			if score := d.Score(label, b.Label()); score > best.SSIM {
+				best.SSIM = score
+				best.Brand = b.Domain
+			}
 		}
 	}
 	if best.SSIM >= d.threshold {
-		return best, true
+		return best, true, true
 	}
-	return HomographMatch{}, false
+	return HomographMatch{}, true, false
 }
 
 // Detect scans a domain corpus and returns all homographic matches, sorted
@@ -554,33 +557,10 @@ func availabilityTLDBit(tld string) uint8 {
 	return 0
 }
 
-// AvailabilityStudy generates the single-substitution candidate space for
-// the top-k brands, scores it with SSIM, and checks registration against
-// the corpus — Figures 6 and 7. registered must be the sorted IDN corpus.
-// It decodes the corpus into the Unicode-label registration map and runs
-// AvailabilityStudyReg; callers that hold a corpus Index should pass
-// Index.AvailabilityReg directly and skip the decoding.
-func (d *HomographDetector) AvailabilityStudy(topK int, registered []string) []AvailabilityResult {
-	regUni := make(map[string]uint8)
-	for _, r := range registered {
-		bit := availabilityTLDBit(idna.TLD(r))
-		if bit == 0 {
-			continue
-		}
-		uni, err := idna.ToUnicode(r)
-		if err != nil {
-			// An entry that does not decode cannot be the encoding of any
-			// variant, so it could never have matched.
-			continue
-		}
-		regUni[idna.SLDLabel(uni)] |= bit
-	}
-	return d.AvailabilityStudyReg(topK, regUni)
-}
-
-// AvailabilityStudyReg is AvailabilityStudy against a prebuilt
-// registration map (Unicode SLD label → study-TLD bitmask, as built by
-// Index.AvailabilityReg).
+// AvailabilityStudyReg generates the single-substitution candidate space
+// for the top-k brands, scores it with SSIM, and checks registration
+// against regUni (Unicode SLD label → study-TLD bitmask, as built by
+// Index.AvailabilityReg) — Figures 6 and 7.
 //
 // The sweep exploits the single-substitution structure: no candidate is
 // ever rendered. For each position × homoglyph pair, the diff bounding box

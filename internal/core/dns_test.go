@@ -17,10 +17,11 @@ func TestDNSConsistentWithProbe(t *testing.T) {
 			break
 		}
 		checked++
-		rcode, err := testDS.ResolveRCode(d)
+		res, err := testDS.Resolver.LookupA(d)
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
 		}
+		rcode := res.RCode
 		resp := testDS.Probe(d)
 		switch {
 		case resp.Resolved && rcode != dnssim.RCodeNoError:
@@ -32,12 +33,12 @@ func TestDNSConsistentWithProbe(t *testing.T) {
 }
 
 func TestDNSUnregisteredNXDomain(t *testing.T) {
-	rcode, err := testDS.ResolveRCode("definitely-not-registered-here.com")
+	res, err := testDS.Resolver.LookupA("definitely-not-registered-here.com")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rcode != dnssim.RCodeNXDomain {
-		t.Errorf("rcode = %v, want NXDOMAIN", rcode)
+	if res.RCode != dnssim.RCodeNXDomain {
+		t.Errorf("rcode = %v, want NXDOMAIN", res.RCode)
 	}
 }
 

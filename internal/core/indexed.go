@@ -121,12 +121,3 @@ func (d *HomographDetector) BestIndexed(label string) (brand int, score float64,
 	}
 	return brand, score, score >= d.threshold
 }
-
-// detectIndexed is the index-backed DetectNormalized path.
-func (d *HomographDetector) detectIndexed(n NormalizedDomain) (HomographMatch, bool) {
-	i, score, ok := d.BestIndexed(n.Label)
-	if !ok {
-		return HomographMatch{}, false
-	}
-	return HomographMatch{Domain: n.ACE, Unicode: n.Unicode, Brand: d.brandList[i].Domain, SSIM: score}, true
-}

@@ -1,4 +1,4 @@
-package idnlab
+package core_test
 
 // The benchmark harness regenerates every table and figure in the paper's
 // evaluation. Each benchmark times one experiment end-to-end over the
@@ -6,8 +6,8 @@ package idnlab
 // rows so the output can be compared against the paper (see
 // EXPERIMENTS.md for the side-by-side).
 //
-//	go test -bench=. -benchmem
-//	go test -bench=BenchmarkTable13 -v   # rows included
+//	go test -bench=. -benchmem ./internal/core/
+//	go test -bench=BenchmarkTable13 -v ./internal/core/   # rows included
 
 import (
 	"context"

@@ -179,31 +179,55 @@ func (st *Study) SectionTimings() []SectionTiming {
 	return out
 }
 
-// reportSection pairs a section renderer with its display name (used in
-// error messages and timing output).
+// reportSection is one experiment of the report: the key that selects
+// it (`idnreport -only`), its display name (error messages and timing
+// output) and its renderer.
 type reportSection struct {
+	Key  string
 	Name string
 	Fn   func(io.Writer) error
 }
 
-// sections returns the report's section list in its fixed output order.
+// sections is the one registry of experiments, in the report's fixed
+// output order.
 func (st *Study) sections() []reportSection {
 	return []reportSection{
-		{"Findings", st.ReportFindings},
-		{"Table I", st.ReportTable1}, {"Table II", st.ReportTable2},
-		{"Figure 1", st.ReportFigure1}, {"Table III", st.ReportTable3},
-		{"Table IV", st.ReportTable4}, {"Figure 2", st.ReportFigure2},
-		{"Figure 3", st.ReportFigure3}, {"Figure 4", st.ReportFigure4},
-		{"Table V", st.ReportTable5}, {"Table VI", st.ReportTable6},
-		{"Table VII", st.ReportTable7}, {"Table VIII", st.ReportTable8},
-		{"Table IX", st.ReportTable9}, {"Table X", st.ReportTable10},
-		{"Table XI", st.ReportTable11}, {"Table XI-b", st.ReportTable11b},
-		{"Table XII", st.ReportTable12}, {"Table XIII", st.ReportTable13},
-		{"Figure 5", st.ReportFigure5}, {"Figure 6", st.ReportFigure6},
-		{"Figure 7", st.ReportFigure7}, {"Figure 7b", st.ReportFigure7b},
-		{"Table XIV", st.ReportTable14}, {"Figure 8", st.ReportFigure8},
-		{"Taxonomy", st.ReportTaxonomy},
+		{"findings", "Findings", st.ReportFindings},
+		{"table1", "Table I", st.ReportTable1}, {"table2", "Table II", st.ReportTable2},
+		{"figure1", "Figure 1", st.ReportFigure1}, {"table3", "Table III", st.ReportTable3},
+		{"table4", "Table IV", st.ReportTable4}, {"figure2", "Figure 2", st.ReportFigure2},
+		{"figure3", "Figure 3", st.ReportFigure3}, {"figure4", "Figure 4", st.ReportFigure4},
+		{"table5", "Table V", st.ReportTable5}, {"table6", "Table VI", st.ReportTable6},
+		{"table7", "Table VII", st.ReportTable7}, {"table8", "Table VIII", st.ReportTable8},
+		{"table9", "Table IX", st.ReportTable9}, {"table10", "Table X", st.ReportTable10},
+		{"table11", "Table XI", st.ReportTable11}, {"table11b", "Table XI-b", st.ReportTable11b},
+		{"table12", "Table XII", st.ReportTable12}, {"table13", "Table XIII", st.ReportTable13},
+		{"figure5", "Figure 5", st.ReportFigure5}, {"figure6", "Figure 6", st.ReportFigure6},
+		{"figure7", "Figure 7", st.ReportFigure7}, {"figure7b", "Figure 7b", st.ReportFigure7b},
+		{"table14", "Table XIV", st.ReportTable14}, {"figure8", "Figure 8", st.ReportFigure8},
+		{"taxonomy", "Taxonomy", st.ReportTaxonomy},
 	}
+}
+
+// SectionKeys lists the keys Section accepts, in report order.
+func (st *Study) SectionKeys() []string {
+	secs := st.sections()
+	keys := make([]string, len(secs))
+	for i, sec := range secs {
+		keys[i] = sec.Key
+	}
+	return keys
+}
+
+// Section returns the renderer of the one experiment key selects
+// (case-insensitive): every section RunContext renders is selectable.
+func (st *Study) Section(key string) (func(io.Writer) error, error) {
+	for _, sec := range st.sections() {
+		if strings.EqualFold(sec.Key, key) {
+			return sec.Fn, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (available: %s)", key, strings.Join(st.SectionKeys(), ", "))
 }
 
 // Run executes every experiment and writes the full report to w.

@@ -174,3 +174,41 @@ func TestIndexMemoization(t *testing.T) {
 		t.Error("UsageSample not deterministic across memoized calls")
 	}
 }
+
+// TestEverySectionSelectable pins the one registry: what RunContext
+// renders is, section for section and in order, what Section(key)
+// renders for the keys SectionKeys lists — so `idnreport -only` can
+// select every experiment of the report (the command's own name map
+// used to miss Taxonomy) — and the unknown-key error is the same bytes
+// every time, keys in report order.
+func TestEverySectionSelectable(t *testing.T) {
+	st := NewStudy(freshStudyDS(t))
+	var full strings.Builder
+	if err := st.Run(&full); err != nil {
+		t.Fatal(err)
+	}
+	keys := st.SectionKeys()
+	if n := len(st.SectionTimings()); n != len(keys) {
+		t.Fatalf("report rendered %d sections, %d are selectable", n, len(keys))
+	}
+	var joined strings.Builder
+	for _, key := range keys {
+		section, err := st.Section(strings.ToUpper(key)) // selection is case-insensitive
+		if err != nil {
+			t.Fatalf("section %q of the report is not selectable: %v", key, err)
+		}
+		if err := section(&joined); err != nil {
+			t.Fatalf("section %q: %v", key, err)
+		}
+		joined.WriteByte('\n')
+	}
+	if joined.String() != full.String() {
+		t.Fatal("the selectable sections, in order, are not the full report")
+	}
+
+	_, err := st.Section("table99")
+	want := `unknown experiment "table99" (available: ` + strings.Join(keys, ", ") + ")"
+	if err == nil || err.Error() != want {
+		t.Fatalf("unknown key error = %v, want %s", err, want)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"idnlab/internal/brands"
-	"idnlab/internal/idna"
 )
 
 // Type-2 semantic attack detection — the extension the paper scopes out
@@ -63,25 +62,26 @@ func NewType2Detector(dict map[string][]string) *Type2Detector {
 	return d
 }
 
-// DetectOne checks a single domain for Type-2 abuse: the decoded label
-// must exactly equal a dictionary translation.
+// DetectOne checks a single domain (ACE or Unicode form) for Type-2
+// abuse.
 func (d *Type2Detector) DetectOne(domain string) (Type2Match, bool) {
-	uni, err := idna.ToUnicode(domain)
+	n, err := Normalize(domain)
 	if err != nil {
 		return Type2Match{}, false
 	}
-	label := idna.SLDLabel(uni)
-	entry, ok := d.byTranslation[label]
+	return d.DetectNormalized(n)
+}
+
+// DetectNormalized is DetectOne over an already-normalized domain: the
+// label must exactly equal a dictionary translation.
+func (d *Type2Detector) DetectNormalized(n NormalizedDomain) (Type2Match, bool) {
+	entry, ok := d.byTranslation[n.Label]
 	if !ok {
 		return Type2Match{}, false
 	}
-	ace, err := idna.ToASCII(uni)
-	if err != nil {
-		return Type2Match{}, false
-	}
 	return Type2Match{
-		Domain:      ace,
-		Unicode:     uni,
+		Domain:      n.ACE,
+		Unicode:     n.Unicode,
 		Brand:       entry.brand,
 		Translation: entry.translation,
 	}, true
@@ -103,9 +103,6 @@ func (d *Type2Detector) Detect(domains []string) []Type2Match {
 	})
 	return out
 }
-
-// DictionarySize returns the number of translation entries.
-func (d *Type2Detector) DictionarySize() int { return len(d.byTranslation) }
 
 // ReportTable10 renders the Type-2 reproduction of the paper's Table X.
 func (st *Study) ReportTable10(w io.Writer) error {

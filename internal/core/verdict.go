@@ -5,14 +5,11 @@ import (
 	"idnlab/internal/idna"
 )
 
-// Single-domain verdict entry points shared by the batch scanners
-// (cmd/idnscan, cmd/idndetect) and the online serving layer
-// (internal/serve). The batch path normalizes inside each detector's
-// DetectOne; the serving path normalizes exactly once at the request
-// boundary and hands the same NormalizedDomain to the cache key, the
-// homograph detector and the semantic detector — the per-detector
-// ToUnicode/ToASCII round-trips were the request path's dominant
-// allocation before this split.
+// Single-domain verdict entry points shared by the corpus scans, the
+// CLI (cmd/idndetect) and the online serving layer (internal/serve).
+// Normalize is the one door: a caller normalizes exactly once and hands
+// the same NormalizedDomain to the cache key and to every detector's
+// DetectNormalized; DetectOne is the wrapper that normalizes first.
 
 // NormalizedDomain is a domain normalized once: folded, validated, and
 // converted to both its ACE wire form and Unicode display form, with the
@@ -182,11 +179,10 @@ func (c *Classifier) Verdict(n NormalizedDomain) Verdict {
 	}
 	aceLabel, tld := idna.SLDLabel(n.ACE), idna.TLD(n.ACE)
 	raw := stat.ScoreLabel(n.Label, aceLabel, tld)
-	passed := c.homo.AdmitStat(raw)
-	if passed {
-		if m, ok := c.homo.detectFull(n); ok {
-			v.Homograph = &m
-		}
+	m, passed, ok := c.homo.detect(n, raw)
+	if ok {
+		hm := m // only a match is moved to the heap
+		v.Homograph = &hm
 	}
 	if m, ok := c.sem.DetectNormalized(n); ok {
 		v.Semantic = &m

@@ -235,37 +235,6 @@ func TestServerMultiQuestionFormErr(t *testing.T) {
 	}
 }
 
-func TestServeUDPEndToEnd(t *testing.T) {
-	s := newTestServer()
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no UDP available: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ServeUDP(conn) }()
-
-	r := NewUDPResolver(conn.LocalAddr().String())
-	res, err := r.LookupA("good.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Resolved() {
-		t.Errorf("UDP lookup: %+v", res)
-	}
-	res, err = r.LookupA("refused.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RCode != RCodeRefused {
-		t.Errorf("UDP refused: %+v", res)
-	}
-
-	conn.Close()
-	if err := <-done; err != nil {
-		t.Errorf("server exit: %v", err)
-	}
-}
-
 func TestTransactionIDMismatchDetected(t *testing.T) {
 	s := newTestServer()
 	r := &Resolver{Exchange: func(query []byte) ([]byte, error) {

@@ -1,9 +1,7 @@
 package dnssim
 
 import (
-	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 )
@@ -109,31 +107,6 @@ func (s *Server) HandleWire(wire []byte) ([]byte, error) {
 	return s.Handle(query).Encode()
 }
 
-// ServeUDP answers queries on the given packet connection until the
-// connection is closed. Run it in a goroutine; Close the conn to stop.
-func (s *Server) ServeUDP(conn net.PacketConn) error {
-	buf := make([]byte, 4096)
-	for {
-		n, addr, err := conn.ReadFrom(buf)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("dnssim: read: %w", err)
-		}
-		resp, err := s.HandleWire(buf[:n])
-		if err != nil {
-			continue // drop malformed queries, as real servers do
-		}
-		if _, err := conn.WriteTo(resp, addr); err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("dnssim: write: %w", err)
-		}
-	}
-}
-
 // Result is a resolver's view of one lookup.
 type Result struct {
 	// RCode is the final response code.
@@ -148,7 +121,7 @@ func (r Result) Resolved() bool { return r.RCode == RCodeNoError && len(r.IPs) >
 // Resolver is a stub resolver over a query transport.
 type Resolver struct {
 	// Exchange sends one wire-format query and returns the wire-format
-	// response. InMemory and UDP transports are provided.
+	// response.
 	Exchange func(query []byte) ([]byte, error)
 	nextID   uint16
 	mu       sync.Mutex
@@ -158,26 +131,6 @@ type Resolver struct {
 // sockets — the fast path the crawler uses.
 func NewInMemoryResolver(s *Server) *Resolver {
 	return &Resolver{Exchange: s.HandleWire}
-}
-
-// NewUDPResolver wires a resolver to a UDP server address.
-func NewUDPResolver(addr string) *Resolver {
-	return &Resolver{Exchange: func(query []byte) ([]byte, error) {
-		conn, err := net.Dial("udp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("dnssim: dial: %w", err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write(query); err != nil {
-			return nil, fmt.Errorf("dnssim: send: %w", err)
-		}
-		buf := make([]byte, 4096)
-		n, err := conn.Read(buf)
-		if err != nil {
-			return nil, fmt.Errorf("dnssim: receive: %w", err)
-		}
-		return buf[:n], nil
-	}}
 }
 
 // LookupA resolves a domain's A records through the transport.

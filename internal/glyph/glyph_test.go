@@ -272,19 +272,6 @@ func TestInkOverlapSymmetric(t *testing.T) {
 	}
 }
 
-func TestSupported(t *testing.T) {
-	for _, r := range []rune{'a', 'Z', '0', 'а', 'á', 'ạ', 'ｑ'} {
-		if !Supported(r) {
-			t.Errorf("Supported(%q) = false", r)
-		}
-	}
-	for _, r := range []rune{'中', 'の', '한', '€'} {
-		if Supported(r) {
-			t.Errorf("Supported(%q) = true", r)
-		}
-	}
-}
-
 func TestArt(t *testing.T) {
 	re := NewRenderer()
 	art := re.Art("a")

@@ -283,17 +283,6 @@ func (re *Renderer) PaintCell(img *image.Gray, cell int, r rune) (x0, x1 int) {
 	return x0, x1
 }
 
-// CellDiff returns the bounding box of pixels that differ between the
-// rendered cells of a and b: column offsets [dx0, dx1) within the cell and
-// row range [dy0, dy1). Pixel-identical cells (e.g. Cyrillic а vs Latin a)
-// return an all-zero empty box. Combined with PaintCell, the box tells a
-// caller exactly which pixels a single-character substitution can change —
-// often just a two-row mark band — which the SSIM changed-rect kernel
-// turns into a proportional cost reduction.
-func (re *Renderer) CellDiff(a, b rune) (dx0, dx1, dy0, dy1 int) {
-	return DiffBox(re.CellBits(a), re.CellBits(b))
-}
-
 // CellBits returns the rasterized cell of r as CellHeight rows of column
 // bitmasks (bit i set = column i inked; only the low baseWidth bits are
 // used). This is the raw form behind Render: substitution sweeps fetch it
@@ -348,19 +337,6 @@ func AppendPatch(cell [CellHeight]uint8, dx0, dx1, dy0, dy1 int, dst []byte) []b
 		}
 	}
 	return dst
-}
-
-// Supported reports whether r has a designed glyph (base font or composed),
-// as opposed to a hash glyph.
-func Supported(r rune) bool {
-	if r >= 'A' && r <= 'Z' {
-		r += 'a' - 'A'
-	}
-	if _, ok := baseFont[r]; ok {
-		return true
-	}
-	_, ok := composed[r]
-	return ok
 }
 
 // InkOverlap computes |A∩B| / max(|A|,|B|) of inked pixels between the

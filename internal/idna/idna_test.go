@@ -265,51 +265,3 @@ func BenchmarkIsIDNScan(b *testing.B) {
 		_ = IsIDN(domains[i%len(domains)])
 	}
 }
-
-func TestNameprep(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-	}{
-		{"google", "google"},
-		{"GOOGLE", "google"},
-		{"ｇｏｏｇｌｅ", "google"},  // fullwidth folds to ASCII
-		{"ＧＯＯＧＬＥ", "google"},  // fullwidth uppercase
-		{"goo​gle", "google"}, // zero width space stripped
-		{"go‍ogle", "google"}, // zero width joiner stripped
-		{"中国", "中国"},          // CJK unchanged
-		{"５８", "58"},          // fullwidth digits
-	}
-	for _, tc := range cases {
-		got, err := Nameprep(tc.in)
-		if err != nil {
-			t.Errorf("Nameprep(%q): %v", tc.in, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("Nameprep(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestNameprepEmptyAfterStrip(t *testing.T) {
-	if _, err := Nameprep("​‍"); err == nil {
-		t.Error("all-invisible label should be rejected")
-	}
-}
-
-func TestNameprepIdempotent(t *testing.T) {
-	for _, in := range []string{"google", "ｇｏｏｇｌｅ", "中国", "bücher"} {
-		once, err := Nameprep(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		twice, err := Nameprep(once)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if once != twice {
-			t.Errorf("Nameprep not idempotent on %q: %q vs %q", in, once, twice)
-		}
-	}
-}

@@ -29,13 +29,3 @@ func BenchmarkLangIDClassify(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkLangIDClassifyDomain times the domain entry point (SLD-label
-// extraction plus Classify).
-func BenchmarkLangIDClassifyDomain(b *testing.B) {
-	c := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = c.ClassifyDomain("bücher-münchen.de")
-	}
-}

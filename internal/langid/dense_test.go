@@ -28,11 +28,6 @@ func TestClassifyZeroAlloc(t *testing.T) {
 			t.Errorf("%s: Classify(%q) allocates %.1f/op, want 0", name, label, allocs)
 		}
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		_ = c.ClassifyDomain("bücher-münchen.de")
-	}); allocs != 0 {
-		t.Errorf("ClassifyDomain allocates %.1f/op, want 0", allocs)
-	}
 }
 
 // denseAlphabets mix the scripts and boundary characters the corpus
@@ -77,28 +72,6 @@ func TestClassifyDenseMatchesReference(t *testing.T) {
 		}
 		if got := c.Classify(label); got != wantLang {
 			t.Fatalf("Classify(%q) = %v, reference pipeline = %v", label, got, wantLang)
-		}
-	}
-}
-
-// TestClassifyDomainMatchesSplit pins the zero-alloc SLD extraction to the
-// original strings.Split semantics.
-func TestClassifyDomainMatchesSplit(t *testing.T) {
-	c := New()
-	refSLD := func(domain string) string {
-		domain = strings.TrimSuffix(domain, ".")
-		labels := strings.Split(domain, ".")
-		if len(labels) >= 2 {
-			return labels[len(labels)-2]
-		}
-		return labels[0]
-	}
-	for _, domain := range []string{
-		"bücher.de", "bücher.de.", "a", "a.", "", ".", ".com", "x.y.z",
-		"shop.bücher.example.com", "中国.cn", "..", "a..b",
-	} {
-		if got, want := c.ClassifyDomain(domain), c.Classify(refSLD(domain)); got != want {
-			t.Errorf("ClassifyDomain(%q) = %v, want %v (SLD %q)", domain, got, want, refSLD(domain))
 		}
 	}
 }

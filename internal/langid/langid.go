@@ -356,15 +356,3 @@ func (c *Classifier) classifyLatinRef(label string) Language {
 	}
 	return best
 }
-
-// ClassifyDomain classifies the second-level label of a Unicode-form
-// domain ("bücher" for "bücher.de"). Like Classify, it allocates nothing.
-func (c *Classifier) ClassifyDomain(domain string) Language {
-	domain = strings.TrimSuffix(domain, ".")
-	last := strings.LastIndexByte(domain, '.')
-	if last < 0 {
-		return c.Classify(domain)
-	}
-	prev := strings.LastIndexByte(domain[:last], '.')
-	return c.Classify(domain[prev+1 : last])
-}

@@ -124,25 +124,6 @@ func TestDigitsAndEmpty(t *testing.T) {
 	}
 }
 
-func TestClassifyDomain(t *testing.T) {
-	c := New()
-	cases := []struct {
-		domain string
-		want   Language
-	}{
-		{"波色.com", Chinese},
-		{"bücher.de", German},
-		{"пример.com", Russian},
-		{"example.com", English},
-		{"中国", Chinese}, // bare iTLD
-	}
-	for _, tc := range cases {
-		if got := c.ClassifyDomain(tc.domain); got != tc.want {
-			t.Errorf("ClassifyDomain(%q) = %v, want %v", tc.domain, got, tc.want)
-		}
-	}
-}
-
 func TestLanguageString(t *testing.T) {
 	if Chinese.String() != "Chinese" || Persian.String() != "Persian" {
 		t.Error("String() wrong")

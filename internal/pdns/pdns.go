@@ -8,8 +8,6 @@
 package pdns
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -36,20 +34,6 @@ func (e Entry) ActiveDays() float64 {
 		return 0
 	}
 	return e.LastSeen.Sub(e.FirstSeen).Hours() / 24
-}
-
-// Validate checks the entry invariants.
-func (e Entry) Validate() error {
-	if e.Domain == "" {
-		return errors.New("pdns: entry without domain")
-	}
-	if e.Queries < 0 {
-		return fmt.Errorf("pdns: %s has negative query count", e.Domain)
-	}
-	if !e.FirstSeen.IsZero() && !e.LastSeen.IsZero() && e.LastSeen.Before(e.FirstSeen) {
-		return fmt.Errorf("pdns: %s last seen before first seen", e.Domain)
-	}
-	return nil
 }
 
 // Store is an in-memory passive-DNS database. Build once, read many; not
@@ -162,90 +146,3 @@ type SegmentStat struct {
 	// IPs is the number of distinct addresses observed in the segment.
 	IPs int
 }
-
-// SegmentsByDomains aggregates all observed response IPs into /24 segments
-// and ranks them by hosted-domain count, descending (ties by segment).
-func (s *Store) SegmentsByDomains() []SegmentStat {
-	domainsPer := make(map[string]map[string]struct{})
-	ipsPer := make(map[string]map[string]struct{})
-	for d, e := range s.entries {
-		for _, ip := range e.IPs {
-			seg := Slash24(ip)
-			if domainsPer[seg] == nil {
-				domainsPer[seg] = make(map[string]struct{})
-				ipsPer[seg] = make(map[string]struct{})
-			}
-			domainsPer[seg][d] = struct{}{}
-			ipsPer[seg][ip] = struct{}{}
-		}
-	}
-	out := make([]SegmentStat, 0, len(domainsPer))
-	for seg, ds := range domainsPer {
-		out = append(out, SegmentStat{Segment: seg, Domains: len(ds), IPs: len(ipsPer[seg])})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Domains != out[j].Domains {
-			return out[i].Domains > out[j].Domains
-		}
-		return out[i].Segment < out[j].Segment
-	})
-	return out
-}
-
-// ErrQuotaExceeded reports that a rate-limited client used up its daily
-// query budget.
-var ErrQuotaExceeded = errors.New("pdns: daily query quota exceeded")
-
-// LimitedClient wraps a Store behind a per-day query quota, mirroring the
-// Farsight access model ("a query limit of only a thousand domains per
-// day") that forced the paper to restrict Farsight look-ups to the abusive
-// IDN subsets.
-type LimitedClient struct {
-	store    *Store
-	quota    int
-	used     int
-	day      time.Time
-	nowFunc  func() time.Time
-	queryLog int
-}
-
-// NewLimitedClient wraps store with a daily quota. now is injected for
-// testability; pass time.Now in production.
-func NewLimitedClient(store *Store, quota int, now func() time.Time) *LimitedClient {
-	if now == nil {
-		now = time.Now
-	}
-	return &LimitedClient{store: store, quota: quota, nowFunc: now}
-}
-
-// Lookup queries one domain, consuming quota. Unobserved domains still
-// consume quota (the provider charges per query, not per hit).
-func (c *LimitedClient) Lookup(domain string) (Entry, bool, error) {
-	today := c.nowFunc().UTC().Truncate(24 * time.Hour)
-	if !today.Equal(c.day) {
-		c.day = today
-		c.used = 0
-	}
-	if c.used >= c.quota {
-		return Entry{}, false, ErrQuotaExceeded
-	}
-	c.used++
-	c.queryLog++
-	e, ok := c.store.Get(domain)
-	return e, ok, nil
-}
-
-// Remaining returns the quota left for the current day.
-func (c *LimitedClient) Remaining() int {
-	today := c.nowFunc().UTC().Truncate(24 * time.Hour)
-	if !today.Equal(c.day) {
-		return c.quota
-	}
-	if c.quota < c.used {
-		return 0
-	}
-	return c.quota - c.used
-}
-
-// TotalQueries returns the lifetime query count through this client.
-func (c *LimitedClient) TotalQueries() int { return c.queryLog }

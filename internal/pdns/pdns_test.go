@@ -1,7 +1,6 @@
 package pdns
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -19,23 +18,6 @@ func TestEntryActiveDays(t *testing.T) {
 	}
 	if (Entry{Domain: "b.com"}).ActiveDays() != 0 {
 		t.Error("zero times should be 0 active days")
-	}
-}
-
-func TestEntryValidate(t *testing.T) {
-	good := Entry{Domain: "a.com", FirstSeen: day(2017, 1, 1), LastSeen: day(2017, 2, 1), Queries: 5}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid entry rejected: %v", err)
-	}
-	bad := []Entry{
-		{},
-		{Domain: "a.com", Queries: -1},
-		{Domain: "a.com", FirstSeen: day(2017, 2, 1), LastSeen: day(2017, 1, 1)},
-	}
-	for i, e := range bad {
-		if err := e.Validate(); err == nil {
-			t.Errorf("bad entry %d accepted", i)
-		}
 	}
 }
 
@@ -88,7 +70,7 @@ func TestMergeQuickInvariants(t *testing.T) {
 		s.Merge(Entry{Domain: "q.com", FirstSeen: day(2015, 1, 1+int(d1%20)), LastSeen: day(2016, 1, 1+int(d1%20)), Queries: int64(q1)})
 		s.Merge(Entry{Domain: "q.com", FirstSeen: day(2015, 1, 1+int(d2%20)), LastSeen: day(2016, 1, 1+int(d2%20)), Queries: int64(q2)})
 		e, ok := s.Get("q.com")
-		return ok && e.Queries == int64(q1)+int64(q2) && !e.LastSeen.Before(e.FirstSeen) && e.Validate() == nil
+		return ok && e.Queries == int64(q1)+int64(q2) && !e.LastSeen.Before(e.FirstSeen)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -123,63 +105,6 @@ func TestSlash24(t *testing.T) {
 	}
 }
 
-func TestSegmentsByDomains(t *testing.T) {
-	s := NewStore()
-	// Three domains in 192.0.2.0/24, one in 10.0.0.0/24.
-	s.Merge(Entry{Domain: "a.com", Queries: 1, IPs: []string{"192.0.2.1"}})
-	s.Merge(Entry{Domain: "b.com", Queries: 1, IPs: []string{"192.0.2.2"}})
-	s.Merge(Entry{Domain: "c.com", Queries: 1, IPs: []string{"192.0.2.1", "10.0.0.5"}})
-	s.Merge(Entry{Domain: "d.com", Queries: 1, IPs: []string{"10.0.0.5"}})
-	segs := s.SegmentsByDomains()
-	if len(segs) != 2 {
-		t.Fatalf("segments = %+v", segs)
-	}
-	if segs[0].Segment != "192.0.2.0/24" || segs[0].Domains != 3 || segs[0].IPs != 2 {
-		t.Errorf("top segment = %+v", segs[0])
-	}
-	if segs[1].Segment != "10.0.0.0/24" || segs[1].Domains != 2 || segs[1].IPs != 1 {
-		t.Errorf("second segment = %+v", segs[1])
-	}
-}
-
-func TestLimitedClientQuota(t *testing.T) {
-	s := NewStore()
-	s.Merge(Entry{Domain: "hit.com", Queries: 42, FirstSeen: day(2017, 1, 1), LastSeen: day(2017, 2, 1)})
-	now := day(2017, 9, 1)
-	clock := func() time.Time { return now }
-	c := NewLimitedClient(s, 3, clock)
-
-	if c.Remaining() != 3 {
-		t.Fatalf("Remaining = %d", c.Remaining())
-	}
-	if _, ok, err := c.Lookup("hit.com"); err != nil || !ok {
-		t.Fatalf("first lookup: ok=%v err=%v", ok, err)
-	}
-	if _, ok, err := c.Lookup("miss.com"); err != nil || ok {
-		t.Fatalf("miss lookup: ok=%v err=%v", ok, err)
-	}
-	if _, _, err := c.Lookup("hit.com"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Lookup("hit.com"); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("err = %v, want quota exceeded", err)
-	}
-	if c.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", c.Remaining())
-	}
-	// Next day the quota resets.
-	now = day(2017, 9, 2)
-	if c.Remaining() != 3 {
-		t.Errorf("Remaining after reset = %d", c.Remaining())
-	}
-	if _, _, err := c.Lookup("hit.com"); err != nil {
-		t.Fatalf("lookup after reset: %v", err)
-	}
-	if c.TotalQueries() != 4 {
-		t.Errorf("TotalQueries = %d, want 4", c.TotalQueries())
-	}
-}
-
 func TestDomainsSorted(t *testing.T) {
 	s := NewStore()
 	for _, d := range []string{"z.com", "a.com", "m.com"} {
@@ -200,17 +125,5 @@ func BenchmarkMerge(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Merge(e)
-	}
-}
-
-func BenchmarkSegmentsByDomains(b *testing.B) {
-	s := NewStore()
-	for i := 0; i < 2000; i++ {
-		ip := "10." + string(rune('0'+i%10)) + ".0." + string(rune('1'+i%9))
-		s.Merge(Entry{Domain: "d" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + ".com", Queries: 1, IPs: []string{ip}})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.SegmentsByDomains()
 	}
 }

@@ -79,26 +79,6 @@ func FromSlice[T any](items []T) Source[T] {
 	}
 }
 
-// FromChan adapts a channel to a Source. The stream ends when the
-// channel closes.
-func FromChan[T any](ch <-chan T) Source[T] {
-	return func(ctx context.Context, emit func(T) error) error {
-		for {
-			select {
-			case item, ok := <-ch:
-				if !ok {
-					return nil
-				}
-				if err := emit(item); err != nil {
-					return err
-				}
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-	}
-}
-
 // Func processes one item with per-worker state W. Returning ok=false
 // drops the item from the output stream (a filter); returning a non-nil
 // error aborts the whole run with that error.

@@ -187,46 +187,6 @@ func TestCancellationMidScanDrains(t *testing.T) {
 	assertNoLeakedGoroutines(t, before)
 }
 
-// TestFromChanCancellation covers the streaming-input path: a channel
-// source that never closes must still unblock on cancellation.
-func TestFromChanCancellation(t *testing.T) {
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := make(chan int) // never closed, never written
-	done := make(chan error, 1)
-	go func() {
-		_, err := double().Collect(ctx, FromChan(ch))
-		done <- err
-	}()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pipeline did not unblock on cancellation")
-	}
-	assertNoLeakedGoroutines(t, before)
-}
-
-func TestFromChanDelivers(t *testing.T) {
-	ch := make(chan int, 8)
-	go func() {
-		for i := 0; i < 50; i++ {
-			ch <- i
-		}
-		close(ch)
-	}()
-	out, err := double().Collect(context.Background(), FromChan(ch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 50 || out[49] != 98 {
-		t.Fatalf("out = %d items, last %d", len(out), out[len(out)-1])
-	}
-}
-
 func TestMetricsCounters(t *testing.T) {
 	eng := New(Config{Stage: "m", Workers: 3},
 		func() struct{} { return struct{}{} },

@@ -67,22 +67,14 @@ func (s *Server) Handler() http.Handler {
 }
 
 // instrument wraps a handler with the latency histogram, status
-// counters, the per-request deadline, and — when a rate cap is
-// configured — the per-node token bucket. The cap sheds before any
-// decoding work: a capped node's 429 must be its cheapest response.
+// counters and the per-request deadline.
 func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &cluster.StatusWriter{ResponseWriter: w, Code: http.StatusOK}
-		if s.limiter != nil && !s.limiter.Allow() {
-			s.metrics.rateLimited.Add(1)
-			sw.Header().Set("Retry-After", "1")
-			api.WriteJSON(sw, http.StatusTooManyRequests, errorResponse{Error: "rate cap exceeded"})
-		} else {
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			h(sw, r.WithContext(ctx))
-			cancel()
-		}
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		h(sw, r.WithContext(ctx))
+		cancel()
 		s.metrics.status.Observe(sw.Code)
 		s.metrics.latency.Observe(time.Since(start))
 	}
@@ -111,7 +103,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	s.metrics.single.Add(1)
-	req, err := decodeDetectRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	req, err := decodeDetectRequest(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -141,7 +133,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batch.Add(1)
-	req, err := decodeBatchRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.MaxBatch)
+	req, err := decodeBatchRequest(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), s.cfg.MaxBatch)
 	if err != nil {
 		s.writeError(w, err)
 		return

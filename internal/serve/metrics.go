@@ -31,8 +31,7 @@ type serverMetrics struct {
 	labels  atomic.Uint64 // labels classified (batch items + singles)
 	flagged atomic.Uint64 // verdicts with at least one detector match
 
-	status      cluster.StatusCounts
-	rateLimited atomic.Uint64 // 429s issued by the rate cap (subset of status.S429)
+	status cluster.StatusCounts
 
 	latency metricsutil.Histogram
 }
@@ -43,15 +42,14 @@ func newServerMetrics() *serverMetrics {
 
 // RequestStats is the request-counter wire form.
 type RequestStats struct {
-	Single      uint64 `json:"single"`
-	Batch       uint64 `json:"batch"`
-	Labels      uint64 `json:"labels"`
-	Flagged     uint64 `json:"flagged"`
-	Status2xx   uint64 `json:"status2xx"`
-	Status4xx   uint64 `json:"status4xx"`
-	Status429   uint64 `json:"status429"`
-	Status5xx   uint64 `json:"status5xx"`
-	RateLimited uint64 `json:"rateLimited"`
+	Single    uint64 `json:"single"`
+	Batch     uint64 `json:"batch"`
+	Labels    uint64 `json:"labels"`
+	Flagged   uint64 `json:"flagged"`
+	Status2xx uint64 `json:"status2xx"`
+	Status4xx uint64 `json:"status4xx"`
+	Status429 uint64 `json:"status429"`
+	Status5xx uint64 `json:"status5xx"`
 }
 
 // IndexStats is the candidate-index wire form: which index (if any) the

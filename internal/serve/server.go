@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"idnlab/internal/api"
 	"idnlab/internal/candidx"
 	"idnlab/internal/cluster"
 	"idnlab/internal/core"
@@ -50,9 +51,6 @@ type Config struct {
 	NodeID string
 	// TopK is the brand-list depth defended (default 1000).
 	TopK int
-	// Threshold overrides the homograph SSIM threshold; 0 selects
-	// core.DefaultSSIMThreshold.
-	Threshold float64
 	// Workers is the batch fan-out width and the size of the
 	// single-request clone pool; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -70,19 +68,11 @@ type Config struct {
 	// RequestTimeout is the per-request deadline applied at the handler
 	// boundary (default 1s).
 	RequestTimeout time.Duration
-	// MaxBatch bounds labels per batch request (default 256; larger
-	// requests get 413). MaxBodyBytes bounds request bodies (default
-	// 1MiB).
-	MaxBatch     int
-	MaxBodyBytes int64
+	// MaxBatch bounds labels per batch request (default api.MaxBatch;
+	// larger requests get 413).
+	MaxBatch int
 	// DrainTimeout bounds graceful shutdown (default 5s).
 	DrainTimeout time.Duration
-	// MaxRPS caps the node's admitted request rate with a token bucket
-	// (0 = unlimited). Unlike admission control — which bounds detector
-	// *work* and lets warm cache hits through for free — the rate cap
-	// models fixed per-node capacity, which is what makes horizontal
-	// scaling measurable: N capped workers sustain ~N× one worker.
-	MaxRPS int
 	// Index, when set, is a precomputed homograph candidate index (built
 	// offline by idnindex, loaded with candidx.LoadFile): every detector
 	// instance routes through its O(1) candidate probes instead of the
@@ -136,10 +126,7 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = time.Second
 	}
 	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
+		c.MaxBatch = api.MaxBatch
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
@@ -170,7 +157,6 @@ type Server struct {
 	proto    *core.Classifier
 	pool     chan *core.Classifier
 	batchEng *pipeline.Engine[string, batchEntry, *core.Classifier]
-	limiter  *rateLimiter
 	peer     atomic.Pointer[cluster.Peer]
 	warmed   chan struct{} // closed when detector warm-up completes
 	draining atomic.Bool
@@ -192,11 +178,7 @@ type batchEntry struct {
 // single requests, and a shared pipeline engine for batch fan-out.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	var opts []core.HomographOption
-	if cfg.Threshold > 0 {
-		opts = append(opts, core.WithThreshold(cfg.Threshold))
-	}
-	dcfg := core.DetectorConfig{TopK: cfg.TopK, Options: opts, Index: cfg.Index, Stat: cfg.Stat}
+	dcfg := core.DetectorConfig{TopK: cfg.TopK, Index: cfg.Index, Stat: cfg.Stat}
 	s := &Server{
 		cfg:     cfg,
 		cache:   NewVerdictCache(cfg.CacheSize, cfg.CacheShards),
@@ -204,7 +186,6 @@ func NewServer(cfg Config) *Server {
 		metrics: newServerMetrics(),
 		proto:   core.NewClassifier(dcfg),
 		pool:    make(chan *core.Classifier, cfg.MaxInflight),
-		limiter: newRateLimiter(cfg.MaxRPS),
 		warmed:  make(chan struct{}),
 	}
 	s.attachStore()
@@ -351,15 +332,14 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		Version:       version.Version,
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Requests: RequestStats{
-			Single:      m.single.Load(),
-			Batch:       m.batch.Load(),
-			Labels:      m.labels.Load(),
-			Flagged:     m.flagged.Load(),
-			Status2xx:   m.status.S2xx.Load(),
-			Status4xx:   m.status.S4xx.Load(),
-			Status429:   m.status.S429.Load(),
-			Status5xx:   m.status.S5xx.Load(),
-			RateLimited: m.rateLimited.Load(),
+			Single:    m.single.Load(),
+			Batch:     m.batch.Load(),
+			Labels:    m.labels.Load(),
+			Flagged:   m.flagged.Load(),
+			Status2xx: m.status.S2xx.Load(),
+			Status4xx: m.status.S4xx.Load(),
+			Status429: m.status.S429.Load(),
+			Status5xx: m.status.S5xx.Load(),
 		},
 		Latency:     m.latency.Stats(),
 		Cache:       s.cache.Stats(),

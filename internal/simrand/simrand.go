@@ -108,15 +108,6 @@ func (s *Source) Exponential(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Pareto returns a Pareto (type I) variate with scale xm and shape alpha.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

@@ -141,15 +141,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	s := New(10)
-	for i := 0; i < 1000; i++ {
-		if v := s.Pareto(3, 1.2); v < 3 {
-			t.Fatalf("Pareto below scale: %v", v)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(11)
 	p := s.Perm(100)

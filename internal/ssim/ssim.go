@@ -914,12 +914,3 @@ func MSE(a, b *image.Gray) (float64, error) {
 	}
 	return sum / float64(w*h), nil
 }
-
-// PSNR computes peak signal-to-noise ratio in dB from an MSE value.
-// Identical images yield +Inf.
-func PSNR(mse float64) float64 {
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(dynamicRange*dynamicRange/mse)
-}

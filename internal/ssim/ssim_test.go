@@ -194,15 +194,6 @@ func TestMSEProperties(t *testing.T) {
 	}
 }
 
-func TestPSNR(t *testing.T) {
-	if !math.IsInf(PSNR(0), 1) {
-		t.Error("PSNR(0) should be +Inf")
-	}
-	if PSNR(100) >= PSNR(10) {
-		t.Error("PSNR should decrease with MSE")
-	}
-}
-
 func TestQuickBoundsAndSymmetry(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	f := func(seedA, seedB int64) bool {

@@ -36,25 +36,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(i) / float64(len(e.sorted))
 }
 
-// Quantile returns the p-quantile (nearest-rank), p clamped to [0, 1].
-// An empty ECDF returns 0.
-func (e *ECDF) Quantile(p float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return e.sorted[0]
-	}
-	if p >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	i := int(math.Ceil(p*float64(len(e.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i]
-}
-
 // Mean returns the sample mean (0 for an empty sample).
 func (e *ECDF) Mean() float64 {
 	if len(e.sorted) == 0 {
@@ -65,14 +46,6 @@ func (e *ECDF) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(e.sorted))
-}
-
-// Min and Max return the sample extremes (0 for an empty sample).
-func (e *ECDF) Min() float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	return e.sorted[0]
 }
 
 // Max returns the largest sample value.
@@ -195,19 +168,6 @@ func CumulativeShare(counts []int) []float64 {
 		out[i] = float64(run) / float64(total)
 	}
 	return out
-}
-
-// TopKShare returns the fraction of total mass held by the k largest
-// counts (1.0 when k exceeds the population).
-func TopKShare(counts []int, k int) float64 {
-	cs := CumulativeShare(counts)
-	if len(cs) == 0 || k <= 0 {
-		return 0
-	}
-	if k > len(cs) {
-		k = len(cs)
-	}
-	return cs[k-1]
 }
 
 // Percent formats a fraction as "12.34%".

@@ -19,14 +19,14 @@ func TestECDFBasics(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
-	if e.Len() != 5 || e.Min() != 1 || e.Max() != 5 || e.Mean() != 3 {
-		t.Errorf("summary stats wrong: len=%d min=%v max=%v mean=%v", e.Len(), e.Min(), e.Max(), e.Mean())
+	if e.Len() != 5 || e.Max() != 5 || e.Mean() != 3 {
+		t.Errorf("summary stats wrong: len=%d max=%v mean=%v", e.Len(), e.Max(), e.Mean())
 	}
 }
 
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
-	if e.At(10) != 0 || e.Quantile(0.5) != 0 || e.Mean() != 0 || e.Min() != 0 || e.Max() != 0 {
+	if e.At(10) != 0 || e.Mean() != 0 || e.Max() != 0 {
 		t.Error("empty ECDF should be all zeros")
 	}
 }
@@ -62,33 +62,6 @@ func TestECDFDoesNotAliasInput(t *testing.T) {
 	sample[0] = 999
 	if e.Max() != 3 {
 		t.Error("ECDF aliased caller's slice")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	e := NewECDF([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {0.1, 10}, {0.5, 50}, {0.9, 90}, {1, 100}, {-1, 10}, {2, 100},
-	}
-	for _, tc := range cases {
-		if got := e.Quantile(tc.p); got != tc.want {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
-func TestQuantileAtInverse(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	sample := make([]float64, 500)
-	for i := range sample {
-		sample[i] = r.Float64() * 1000
-	}
-	e := NewECDF(sample)
-	for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-		q := e.Quantile(p)
-		if at := e.At(q); at < p-0.01 {
-			t.Errorf("At(Quantile(%v)) = %v < p", p, at)
-		}
 	}
 }
 
@@ -177,25 +150,6 @@ func TestCumulativeShareMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTopKShare(t *testing.T) {
-	counts := []int{50, 30, 10, 5, 5}
-	if got := TopKShare(counts, 1); got != 0.5 {
-		t.Errorf("top-1 = %v", got)
-	}
-	if got := TopKShare(counts, 2); got != 0.8 {
-		t.Errorf("top-2 = %v", got)
-	}
-	if got := TopKShare(counts, 100); got != 1.0 {
-		t.Errorf("top-100 = %v", got)
-	}
-	if got := TopKShare(counts, 0); got != 0 {
-		t.Errorf("top-0 = %v", got)
-	}
-	if got := TopKShare(nil, 3); got != 0 {
-		t.Errorf("empty = %v", got)
 	}
 }
 

@@ -260,9 +260,6 @@ func (a Analysis) SingleScript() bool {
 	return a.Concrete.Len() <= 1 && !a.HasUnknown
 }
 
-// Mixed reports whether at least two concrete scripts are present.
-func (a Analysis) Mixed() bool { return a.Concrete.Len() >= 2 }
-
 // Dominant returns the single concrete script of the analysis, or Unknown
 // when there are zero or multiple concrete scripts.
 func (a Analysis) Dominant() Script {

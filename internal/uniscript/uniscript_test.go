@@ -121,7 +121,7 @@ func TestAnalyzeASCII(t *testing.T) {
 func TestAnalyzeHomographMixed(t *testing.T) {
 	// "аpple": Cyrillic а + Latin pple — the canonical 2017 attack.
 	a := Analyze("аpple")
-	if !a.Mixed() {
+	if a.Concrete.Len() < 2 {
 		t.Error("Cyrillic+Latin should be mixed")
 	}
 	if a.SingleScript() {
@@ -154,7 +154,7 @@ func TestAnalyzeCombiningMarks(t *testing.T) {
 func TestAnalyzeChineseKeywordPlusBrand(t *testing.T) {
 	// Type-1 semantic attack shape: "apple邮箱".
 	a := Analyze("apple邮箱")
-	if !a.Mixed() {
+	if a.Concrete.Len() < 2 {
 		t.Error("Latin+Han should be mixed")
 	}
 	if a.ASCIIOnly {

@@ -5,13 +5,5 @@
 // merged metrics can surface version skew across a cluster.
 package version
 
-import "runtime"
-
 // Version is the repository's semantic version, bumped per PR wave.
 const Version = "0.5.0"
-
-// Runtime reports the Go runtime the binary was built with.
-func Runtime() string { return runtime.Version() }
-
-// Full is the identity string used in health bodies and logs.
-func Full() string { return "idnlab/" + Version + " (" + runtime.Version() + ")" }

@@ -41,9 +41,6 @@ func NewSubTable(nBrands int) *SubTable {
 	return t
 }
 
-// NBrands reports the catalog size the table was built for.
-func (t *SubTable) NBrands() int { return t.nBrands }
-
 func (t *SubTable) shard(brand uint32) *subShard {
 	return &t.shards[brand&(subShards-1)]
 }
@@ -64,24 +61,6 @@ func (t *SubTable) Subscribe(brand uint32, subscriber uint64) {
 		}
 	}
 	s.subs[brand] = append(s.subs[brand], subscriber)
-}
-
-// Unsubscribe removes subscriber from brand; unknown pairs are no-ops.
-func (t *SubTable) Unsubscribe(brand uint32, subscriber uint64) {
-	if int(brand) >= t.nBrands {
-		return
-	}
-	s := t.shard(brand)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	list := s.subs[brand]
-	for i, id := range list {
-		if id == subscriber {
-			list[i] = list[len(list)-1]
-			s.subs[brand] = list[:len(list)-1]
-			return
-		}
-	}
 }
 
 // SubSnapshot is the compiled, immutable form of the table: CSR layout

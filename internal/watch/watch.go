@@ -14,13 +14,6 @@ import (
 type EngineConfig struct {
 	// Workers is the match fan-out; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Batch is the pipeline dispatch granularity; <= 0 selects the
-	// pipeline default (32). Delta events are µs-scale work items, so
-	// batched dispatch is what keeps channel overhead off the hot path.
-	Batch int
-	// Buffer bounds the in-flight batches; <= 0 selects the pipeline
-	// default.
-	Buffer int
 }
 
 // Engine streams delta events through a pipeline of matcher workers and
@@ -48,7 +41,10 @@ func NewEngine(det *core.HomographDetector, subs *SubTable, cfg EngineConfig) (*
 	}
 	e := &Engine{subs: subs, det: det}
 	e.pipe = pipeline.New(
-		pipeline.Config{Stage: "watch", Workers: cfg.Workers, Batch: cfg.Batch, Buffer: cfg.Buffer},
+		// Dispatch is the pipeline default (batches of 32): delta events
+		// are µs-scale work items, and batching keeps channel overhead
+		// off the hot path.
+		pipeline.Config{Stage: "watch", Workers: cfg.Workers},
 		proto.Clone,
 		e.process,
 	)

@@ -128,11 +128,6 @@ func Parse(r io.Reader) (Record, error) {
 	return rec, nil
 }
 
-// ParseString parses a record from a string.
-func ParseString(s string) (Record, error) {
-	return Parse(strings.NewReader(s))
-}
-
 // Store is an in-memory WHOIS database keyed by domain. Coverage gaps are
 // represented by absence. Store is not safe for concurrent mutation; the
 // pipeline builds it once, then reads concurrently.
@@ -227,16 +222,4 @@ func (s *Store) RegistrarCount() int {
 		}
 	}
 	return len(set)
-}
-
-// CreationsByYear histograms record creation dates by calendar year — the
-// series behind Figure 1.
-func (s *Store) CreationsByYear() map[int]int {
-	out := make(map[int]int)
-	for _, rec := range s.records {
-		if !rec.Created.IsZero() {
-			out[rec.Created.Year()]++
-		}
-	}
-	return out
 }

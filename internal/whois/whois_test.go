@@ -22,7 +22,7 @@ func sampleRecord() Record {
 
 func TestRenderParseRoundTrip(t *testing.T) {
 	rec := sampleRecord()
-	back, err := ParseString(Render(rec))
+	back, err := Parse(strings.NewReader(Render(rec)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestPrivacyRoundTrip(t *testing.T) {
 		Privacy:   true,
 		Created:   time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC),
 	}
-	back, err := ParseString(Render(rec))
+	back, err := Parse(strings.NewReader(Render(rec)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ DNSSEC: unsigned
 Some Unknown Field: whatever
 >>> Last update of whois database <<<
 `
-	rec, err := ParseString(text)
+	rec, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +68,10 @@ Some Unknown Field: whatever
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := ParseString("Registrar: X\n"); !errors.Is(err, ErrMissingDomain) {
+	if _, err := Parse(strings.NewReader("Registrar: X\n")); !errors.Is(err, ErrMissingDomain) {
 		t.Errorf("err = %v, want ErrMissingDomain", err)
 	}
-	if _, err := ParseString("Domain Name: A.COM\nCreation Date: not-a-date\n"); !errors.Is(err, ErrBadRecord) {
+	if _, err := Parse(strings.NewReader("Domain Name: A.COM\nCreation Date: not-a-date\n")); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("err = %v, want ErrBadRecord", err)
 	}
 }
@@ -93,7 +93,7 @@ func TestRoundTripQuick(t *testing.T) {
 		if rec.Privacy {
 			rec.RegistrantEmail = "" // codec cannot carry both
 		}
-		back, err := ParseString(Render(rec))
+		back, err := Parse(strings.NewReader(Render(rec)))
 		if err != nil {
 			return false
 		}
@@ -178,13 +178,6 @@ func TestRegistrarCount(t *testing.T) {
 	}
 }
 
-func TestCreationsByYear(t *testing.T) {
-	hist := buildTestStore().CreationsByYear()
-	if hist[2015] != 5 || hist[2017] != 4 || hist[2000] != 1 {
-		t.Errorf("histogram = %v", hist)
-	}
-}
-
 func TestDomainsSorted(t *testing.T) {
 	s := buildTestStore()
 	ds := s.Domains()
@@ -210,7 +203,7 @@ func BenchmarkParse(b *testing.B) {
 	text := Render(sampleRecord())
 	b.SetBytes(int64(len(text)))
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseString(text); err != nil {
+		if _, err := Parse(strings.NewReader(text)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -244,12 +244,3 @@ func Scan(z *Zone) ScanStats {
 	}
 	return st
 }
-
-// ScanReader parses and scans in one step, for streaming pipelines.
-func ScanReader(r io.Reader) (ScanStats, error) {
-	z, err := Parse(r)
-	if err != nil {
-		return ScanStats{}, err
-	}
-	return Scan(z), nil
-}

@@ -79,10 +79,11 @@ $TTL 3600
 xn--fiq228c IN NS ns1.cnnic.cn.
 xn--55qx5d IN NS ns2.cnnic.cn.
 `
-	st, err := ScanReader(strings.NewReader(itldZone))
+	z, err := Parse(strings.NewReader(itldZone))
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := Scan(z)
 	if st.SLDCount != 2 || len(st.IDNs) != 2 {
 		t.Errorf("iTLD scan: %+v — every SLD under an iTLD is an IDN", st)
 	}
