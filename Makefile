@@ -40,7 +40,7 @@ bench-check:
 
 # The absolute throughput floors of the micro-benchmarks: index
 # lookups/s, watch deltas/s, stat classifications/s, store recovery
-# entries/s. The table is in cmd/benchgate.
+# entries/s, universe-generator domains/s. The table is in cmd/benchgate.
 bench-gates:
 	$(GO) run ./cmd/benchgate $(BENCHTIME)
 

@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	idnreport -seed 1 -scale 100           # ≈14.7K IDNs, seconds
-//	idnreport -scale 10                    # ≈147K IDNs, minutes
+//	idnreport -seed 1 -scale 100           # ≈14.7K IDNs, under a second
+//	idnreport -scale 10                    # ≈147K IDNs, a few seconds
 //	idnreport -only table13                # a single experiment
 package main
 
@@ -38,6 +38,17 @@ func run(ctx context.Context) error {
 	workers, metrics := cli.PipelineFlags("corpus-scan fan-out")
 	prof := cli.ProfileFlags()
 	flag.Parse()
+
+	// Whatever the flags get wrong is said before the universe is
+	// generated, not after.
+	if err := cli.CheckScale(*scale); err != nil {
+		return err
+	}
+	if *only != "" {
+		if _, err := new(core.Study).Section(*only); err != nil {
+			return err
+		}
+	}
 
 	if err := prof.Start(); err != nil {
 		return err

@@ -45,12 +45,16 @@ func run(context.Context) error {
 	)
 	flag.Parse()
 
-	reg := zonegen.Generate(zonegen.Config{Seed: *seed, Scale: *scale})
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	if err := cli.CheckScale(*scale); err != nil {
 		return err
 	}
 	if *labelsOnly && *labelsPath == "" {
 		return fmt.Errorf("-labels-only requires -labels FILE")
+	}
+
+	reg := zonegen.Generate(zonegen.Config{Seed: *seed, Scale: *scale})
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return err
 	}
 	if *labelsPath != "" {
 		labels := reg.Labels()

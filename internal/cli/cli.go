@@ -38,6 +38,16 @@ func PipelineFlags(fanOut string) (workers *int, metrics *bool) {
 		flag.Bool("metrics", false, "print pipeline metrics to stderr after the run")
 }
 
+// CheckScale rejects a -scale below 1 for the tools that generate the
+// universe: zonegen.Config reads a non-positive divisor as "use the
+// default", which is not what someone who typed one asked for.
+func CheckScale(scale int) error {
+	if scale < 1 {
+		return fmt.Errorf("-scale must be at least 1 (1 = paper scale), got %d", scale)
+	}
+	return nil
+}
+
 // Profile is the -cpuprofile/-memprofile pair.
 type Profile struct {
 	cpuPath, memPath *string

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -20,7 +21,6 @@ import (
 	"idnlab/internal/pdns"
 	"idnlab/internal/webprobe"
 	"idnlab/internal/whois"
-	"idnlab/internal/zonefile"
 	"idnlab/internal/zonegen"
 )
 
@@ -67,66 +67,70 @@ type TLDRow struct {
 // Assemble builds the Dataset from a generated registry: it renders the
 // zone files, scans them for IDNs exactly as the paper scanned Verisign
 // and PIR snapshots, and materializes every auxiliary source.
+//
+// The zone scan and the five store builders each read the finished,
+// immutable registry and write only their own field, so they run side by
+// side, GOMAXPROCS wide; each is sequential inside (the CA's serial and
+// the passive-DNS noise stream keep their order), which makes the result
+// independent of the width.
 func Assemble(reg *zonegen.Registry) (*Dataset, error) {
 	ds := &Dataset{Registry: reg}
-
-	zones := reg.BuildZones()
-	gtlds := map[string]bool{"com": true, "net": true, "org": true}
-	var itldIDNs, itldSLDs int
-	perTLD := make(map[string]*TLDRow)
-	for origin, zone := range zones {
-		scan := zonefile.Scan(zone)
-		if gtlds[origin] {
-			row := &TLDRow{TLD: origin, SLDs: reg.SLDTotals[origin], IDNs: len(scan.IDNs)}
-			perTLD[origin] = row
-			ds.IDNs = append(ds.IDNs, scan.IDNs...)
-			// Non-IDN sample: the scanned SLDs that are not IDNs.
-			idnSet := make(map[string]bool, len(scan.IDNs))
-			for _, d := range scan.IDNs {
-				idnSet[d] = true
+	gtlds := []string{"com", "net", "org"}
+	perTLD := make(map[string]*TLDRow, len(gtlds))
+	for _, tld := range gtlds {
+		perTLD[tld] = &TLDRow{TLD: tld}
+	}
+	itldRow := TLDRow{TLD: "itld"}
+	// Longest first, so two workers finish together.
+	_, err := runAll(context.Background(), "assemble", 0, []func() error{
+		func() error {
+			authority, err := certs.NewAuthority(reg.Cfg.Seed^0x5ead, reg.Cfg.Snapshot)
+			if err != nil {
+				return fmt.Errorf("core: certificate authority: %w", err)
 			}
-			for _, sld := range zone.SLDs() {
-				if !idnSet[sld] {
-					ds.NonIDNs = append(ds.NonIDNs, sld)
+			ds.Authority = authority
+			if ds.Certs, err = reg.BuildCerts(authority); err != nil {
+				return fmt.Errorf("core: certificates: %w", err)
+			}
+			return nil
+		},
+		func() error {
+			for origin, zone := range reg.BuildZones() {
+				idns, others := zone.Partition()
+				ds.IDNs = append(ds.IDNs, idns...)
+				if row := perTLD[origin]; row != nil {
+					row.SLDs, row.IDNs = reg.SLDTotals[origin], len(idns)
+					// Non-IDN sample: the scanned SLDs that are not IDNs.
+					ds.NonIDNs = append(ds.NonIDNs, others...)
+					continue
 				}
+				itldRow.IDNs += len(idns)
+				itldRow.SLDs += len(idns) + len(others)
 			}
-			continue
-		}
-		itldIDNs += len(scan.IDNs)
-		itldSLDs += scan.SLDCount
-		ds.IDNs = append(ds.IDNs, scan.IDNs...)
-	}
-	sort.Strings(ds.IDNs)
-	sort.Strings(ds.NonIDNs)
-
-	ds.WHOIS = reg.BuildWHOIS()
-	ds.PDNS = reg.BuildPDNS()
-	ds.Blacklists = reg.BuildBlacklists()
-	ds.DNS = reg.BuildDNS()
-	ds.Resolver = dnssim.NewInMemoryResolver(ds.DNS)
-
-	authority, err := certs.NewAuthority(reg.Cfg.Seed^0x5ead, reg.Cfg.Snapshot)
+			sort.Strings(ds.IDNs)
+			sort.Strings(ds.NonIDNs)
+			return nil
+		},
+		func() error { ds.PDNS = reg.BuildPDNS(); return nil },
+		func() error {
+			ds.DNS = reg.BuildDNS()
+			ds.Resolver = dnssim.NewInMemoryResolver(ds.DNS)
+			return nil
+		},
+		func() error { ds.WHOIS = reg.BuildWHOIS(); return nil },
+		func() error { ds.Blacklists = reg.BuildBlacklists(); return nil },
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: certificate authority: %w", err)
+		return nil, err
 	}
-	ds.Authority = authority
-	store, err := reg.BuildCerts(authority)
-	if err != nil {
-		return nil, fmt.Errorf("core: certificates: %w", err)
-	}
-	ds.Certs = store
 
 	// Table I accounting.
-	for _, tld := range []string{"com", "net", "org"} {
+	for _, tld := range gtlds {
 		row := perTLD[tld]
-		if row == nil {
-			row = &TLDRow{TLD: tld}
-		}
 		row.WHOIS = countCovered(ds.WHOIS, ds.IDNs, tld)
 		row.Blacklisted = countFlagged(ds.Blacklists, ds.IDNs, tld)
 		ds.PerTLD = append(ds.PerTLD, *row)
 	}
-	itldRow := TLDRow{TLD: "itld", SLDs: itldSLDs, IDNs: itldIDNs}
 	itldRow.WHOIS = countCoveredITLD(ds.WHOIS, ds.IDNs)
 	itldRow.Blacklisted = countFlaggedITLD(ds.Blacklists, ds.IDNs)
 	ds.PerTLD = append(ds.PerTLD, itldRow)

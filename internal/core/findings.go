@@ -39,70 +39,90 @@ type Findings struct {
 // ComputeFindings runs every finding over the dataset.
 func (st *Study) ComputeFindings() Findings {
 	var f Findings
-
-	// Finding 1.
-	for _, row := range st.DS.LanguageBreakdown(st.Classifier) {
-		if row.Language.EastAsian() {
-			f.EastAsianShare += row.Rate
-		}
+	for _, step := range st.findingSteps(&f) {
+		step()
 	}
-
-	// Finding 2.
-	all, _ := st.DS.CreationTimeline()
-	pre2008, total := 0, 0
-	for year, n := range all {
-		total += n
-		if year < 2008 {
-			pre2008 += n
-		}
-	}
-	if total > 0 {
-		f.Pre2008Share = float64(pre2008) / float64(total)
-	}
-
-	// Finding 3.
-	for _, gc := range st.DS.TopRegistrants(5) {
-		f.OpportunisticCount += gc.Count
-	}
-
-	// Finding 4.
-	f.Registrars = st.DS.RegistrarCount()
-	top, covered := st.DS.TopRegistrars(10)
-	sum := 0
-	for _, gc := range top {
-		sum += gc.Count
-	}
-	if covered > 0 {
-		f.Top10RegShare = float64(sum) / float64(covered)
-	}
-
-	// Findings 5 and 6.
-	f.IDNShortLived = stats.NewECDF(st.DS.ActiveTimeSeries(PopulationIDN, "com")).At(100)
-	f.NonIDNShortLived = stats.NewECDF(st.DS.ActiveTimeSeries(PopulationNonIDN, "com")).At(100)
-	f.IDNLowTraffic = stats.NewECDF(st.DS.QueryVolumeSeries(PopulationIDN, "com")).At(100)
-	f.NonIDNLowTraffic = stats.NewECDF(st.DS.QueryVolumeSeries(PopulationNonIDN, "com")).At(100)
-
-	// Finding 7: top 2.3% of segments, the paper's 1,000-of-43,535 ratio.
-	conc := st.DS.IPConcentrationStats()
-	if n := len(conc.Cumulative); n > 0 {
-		k := n * 23 / 1000
-		if k < 1 {
-			k = 1
-		}
-		if k > n {
-			k = n
-		}
-		f.TopSegmentShare = conc.Cumulative[k-1]
-	}
-
-	// Finding 8.
-	census := st.DS.UsageSample(PopulationIDN, 500, 1)
-	f.MeaningfulRate = census.Rate(webprobe.Meaningful)
-	f.NotResolvedRate = census.Rate(webprobe.NotResolved)
-
-	// Finding 9.
-	f.CertProblemRate = st.DS.CertCensus(PopulationIDN).ProblemRate()
 	return f
+}
+
+// findingSteps returns the measurements behind the findings, the costly
+// ones first. Each reads memoized, concurrency-safe aggregates of the
+// corpus index and writes only its own fields of f, so they may run in
+// any order or side by side (Results does).
+func (st *Study) findingSteps(f *Findings) []func() {
+	ds := st.DS
+	return []func(){
+		// Finding 7: top 2.3% of segments, the paper's 1,000-of-43,535 ratio.
+		func() {
+			conc := ds.IPConcentrationStats()
+			if n := len(conc.Cumulative); n > 0 {
+				k := n * 23 / 1000
+				if k < 1 {
+					k = 1
+				}
+				if k > n {
+					k = n
+				}
+				f.TopSegmentShare = conc.Cumulative[k-1]
+			}
+		},
+		// Finding 9.
+		func() {
+			f.CertProblemRate = ds.CertCensus(PopulationIDN).ProblemRate()
+		},
+		// Findings 3 and 4.
+		func() {
+			for _, gc := range ds.TopRegistrants(5) {
+				f.OpportunisticCount += gc.Count
+			}
+			f.Registrars = ds.RegistrarCount()
+			top, covered := ds.TopRegistrars(10)
+			sum := 0
+			for _, gc := range top {
+				sum += gc.Count
+			}
+			if covered > 0 {
+				f.Top10RegShare = float64(sum) / float64(covered)
+			}
+		},
+		// Findings 5 and 6.
+		func() {
+			f.IDNShortLived = stats.NewECDF(ds.ActiveTimeSeries(PopulationIDN, "com")).At(100)
+			f.IDNLowTraffic = stats.NewECDF(ds.QueryVolumeSeries(PopulationIDN, "com")).At(100)
+		},
+		func() {
+			f.NonIDNShortLived = stats.NewECDF(ds.ActiveTimeSeries(PopulationNonIDN, "com")).At(100)
+			f.NonIDNLowTraffic = stats.NewECDF(ds.QueryVolumeSeries(PopulationNonIDN, "com")).At(100)
+		},
+		// Finding 2.
+		func() {
+			all, _ := ds.CreationTimeline()
+			pre2008, total := 0, 0
+			for year, n := range all {
+				total += n
+				if year < 2008 {
+					pre2008 += n
+				}
+			}
+			if total > 0 {
+				f.Pre2008Share = float64(pre2008) / float64(total)
+			}
+		},
+		// Finding 8.
+		func() {
+			census := ds.UsageSample(PopulationIDN, 500, 1)
+			f.MeaningfulRate = census.Rate(webprobe.Meaningful)
+			f.NotResolvedRate = census.Rate(webprobe.NotResolved)
+		},
+		// Finding 1.
+		func() {
+			for _, row := range ds.LanguageBreakdown(st.Classifier) {
+				if row.Language.EastAsian() {
+					f.EastAsianShare += row.Rate
+				}
+			}
+		},
+	}
 }
 
 // ReportFindings renders the findings as the paper phrases them.

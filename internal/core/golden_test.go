@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -55,4 +57,24 @@ func TestReportGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("report length changed: %d vs %d lines", len(gotLines), len(wantLines))
+}
+
+// TestReportJSONDigest pins the machine-readable study at the default
+// scale — a universe 20 times the golden report's, large enough that the
+// generator's name collisions, every Build* store and both corpus scans
+// shape the bytes. Recorded on the tree before Assemble and Results went
+// concurrent (commit 93c990a); an optimisation never regenerates it.
+func TestReportJSONDigest(t *testing.T) {
+	ds, err := NewDefaultDataset(2018, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := NewStudy(ds).WriteJSON(h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "7ce01d7eae598edead6eff513e3e39ced8940e35268eee97a885458474eb1a05"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("idnreport -seed 2018 -scale 100 -json digest %s, want %s", got, want)
+	}
 }

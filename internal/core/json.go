@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 
 	"idnlab/internal/browser"
+	"idnlab/internal/pipeline"
 	"idnlab/internal/stats"
 )
 
@@ -56,7 +58,12 @@ type SemanticResults struct {
 	Matches []SemanticMatch `json:"matches"`
 }
 
-// Results computes the full machine-readable study output.
+// Results computes the full machine-readable study output. Like
+// RunContext it primes the index and the two scans, then runs what is
+// independent — here the findings' aggregates and the browser survey,
+// each memoized behind its own lock — through the same scheduler,
+// ScanWorkers wide. The struct is assembled from the memoized values, so
+// it is identical at any width.
 func (st *Study) Results() Results {
 	out := Results{
 		Scale:   st.DS.Scale(),
@@ -64,7 +71,21 @@ func (st *Study) Results() Results {
 		NonIDNs: len(st.DS.NonIDNs),
 		PerTLD:  st.DS.PerTLD,
 	}
-	out.Findings = st.ComputeFindings()
+	var steps []func() error
+	for _, step := range append(st.findingSteps(&out.Findings), func() { out.BrowserSurvey = browser.RunSurvey() }) {
+		steps = append(steps, func() error { step(); return nil })
+	}
+	ctx := context.Background()
+	err := st.prime(ctx)
+	if err == nil {
+		var m pipeline.Metrics
+		m, err = runAll(ctx, "results", st.ScanWorkers, steps)
+		st.recordScan(m)
+	}
+	if err != nil {
+		// Unreachable: a background context, slice sources, no failing step.
+		panic("core: results: " + err.Error())
+	}
 	out.Languages = st.DS.LanguageBreakdown(st.Classifier)
 
 	topReg, _ := st.DS.TopRegistrars(10)
@@ -92,8 +113,6 @@ func (st *Study) Results() Results {
 	out.Semantic.Total = len(sem)
 	out.Semantic.Matches = sem
 	out.Semantic.ByBrand = RankBrands(sem, func(m SemanticMatch) string { return m.Brand })
-
-	out.BrowserSurvey = browser.RunSurvey()
 
 	conc := st.DS.IPConcentrationStats()
 	counts := make([]int, len(conc.Segments))

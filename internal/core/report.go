@@ -237,15 +237,52 @@ func (st *Study) Run(w io.Writer) error {
 
 // RunContext executes every experiment with bounded-parallel section
 // rendering and writes the full report to w. The three shared substrates
-// — the corpus index and both detector scans — are primed first under the
-// caller's context; the ~25 sections then render concurrently into
+// are primed first under the caller's context (prime); the ~25 sections
+// then render concurrently (runSteps) into
 // private buffers that the pipeline's order-preserving fan-in writes to w
 // in the fixed section order. Output is byte-identical to the sequential
 // renderer at any ScanWorkers value. On cancellation RunContext returns
 // ctx.Err() after all section goroutines have drained.
 func (st *Study) RunContext(ctx context.Context, w io.Writer) error {
-	// Prime the shared substrates once, sequentially, under ctx: every
-	// section then reads memoized state instead of racing to compute it.
+	if err := st.prime(ctx); err != nil {
+		return err
+	}
+
+	secs := st.sections()
+	timings := make([]SectionTiming, len(secs))
+	m, err := runSteps(ctx, "report", st.ScanWorkers, len(secs),
+		func(i int) ([]byte, error) {
+			var buf bytes.Buffer
+			t0 := time.Now()
+			if err := secs[i].Fn(&buf); err != nil {
+				return nil, fmt.Errorf("section %s: %w", secs[i].Name, err)
+			}
+			// The sequential renderer emitted one blank line after each
+			// section; keep it inside the section's buffer so assembly
+			// is a plain ordered concatenation.
+			buf.WriteByte('\n')
+			timings[i] = SectionTiming{Name: secs[i].Name, Duration: time.Since(t0)}
+			return buf.Bytes(), nil
+		},
+		func(b []byte) error {
+			_, werr := w.Write(b)
+			return werr
+		})
+	st.recordScan(m)
+	if err != nil {
+		return err
+	}
+	st.mu.Lock()
+	st.timings = timings
+	st.mu.Unlock()
+	return nil
+}
+
+// prime computes the three shared substrates — the corpus index and both
+// detector scans — once, one after another (each is ScanWorkers wide
+// inside), under ctx: whatever is scheduled next reads memoized state
+// instead of racing to compute it.
+func (st *Study) prime(ctx context.Context) error {
 	if st.DS.IndexWorkers == 0 {
 		st.DS.IndexWorkers = st.ScanWorkers
 	}
@@ -257,44 +294,8 @@ func (st *Study) RunContext(ctx context.Context, w io.Writer) error {
 	if _, err := st.homographMatchesCtx(ctx); err != nil {
 		return err
 	}
-	if _, err := st.semanticMatchesCtx(ctx); err != nil {
-		return err
-	}
-
-	secs := st.sections()
-	timings := make([]SectionTiming, len(secs))
-	eng := pipeline.New(
-		pipeline.Config{Stage: "report", Workers: st.ScanWorkers, Batch: 1},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) ([]byte, bool, error) {
-			var buf bytes.Buffer
-			t0 := time.Now()
-			if err := secs[i].Fn(&buf); err != nil {
-				return nil, false, fmt.Errorf("section %s: %w", secs[i].Name, err)
-			}
-			// The sequential renderer emitted one blank line after each
-			// section; keep it inside the section's buffer so assembly
-			// is a plain ordered concatenation.
-			buf.WriteByte('\n')
-			timings[i] = SectionTiming{Name: secs[i].Name, Duration: time.Since(t0)}
-			return buf.Bytes(), true, nil
-		})
-	order := make([]int, len(secs))
-	for i := range order {
-		order[i] = i
-	}
-	err := eng.Stream(ctx, pipeline.FromSlice(order), func(b []byte) error {
-		_, werr := w.Write(b)
-		return werr
-	})
-	st.recordScan(eng.Metrics())
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	st.timings = timings
-	st.mu.Unlock()
-	return nil
+	_, err := st.semanticMatchesCtx(ctx)
+	return err
 }
 
 func newTab(w io.Writer) *tabwriter.Writer {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -211,4 +213,87 @@ func TestEverySectionSelectable(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Fatalf("unknown key error = %v, want %s", err, want)
 	}
+}
+
+// TestAssembleAndResultsAtAnyWidth: the concurrent Assemble and Results
+// give, on one core and on eight, the stores and the JSON bytes a
+// sequential build gives — every builder is sequential inside and writes
+// only its own store, every aggregate is memoized before the struct is
+// assembled. Under -race this is also the data-race check of both.
+func TestAssembleAndResultsAtAnyWidth(t *testing.T) {
+	reg := zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 400})
+	build := func(procs int) (*Dataset, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		ds, err := Assemble(reg)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		var buf bytes.Buffer
+		if err := NewStudy(ds).WriteJSON(&buf); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		return ds, buf.Bytes()
+	}
+	one, oneJSON := build(1)
+	if len(one.IDNs) == 0 || len(one.NonIDNs) == 0 || one.Certs.Len() == 0 {
+		t.Fatalf("degenerate dataset: %d IDNs, %d non-IDNs, %d certificates", len(one.IDNs), len(one.NonIDNs), one.Certs.Len())
+	}
+	eight, eightJSON := build(8)
+	if !bytes.Equal(oneJSON, eightJSON) {
+		t.Errorf("JSON differs between GOMAXPROCS=1 (%d bytes) and GOMAXPROCS=8 (%d bytes)", len(oneJSON), len(eightJSON))
+	}
+	for _, f := range []struct {
+		name     string
+		one, all any
+	}{
+		{"IDNs", one.IDNs, eight.IDNs}, {"NonIDNs", one.NonIDNs, eight.NonIDNs}, {"PerTLD", one.PerTLD, eight.PerTLD},
+		{"WHOIS", one.WHOIS, eight.WHOIS}, {"PDNS", one.PDNS, eight.PDNS},
+		{"Blacklists", one.Blacklists, eight.Blacklists}, {"DNS", one.DNS, eight.DNS},
+	} {
+		if !reflect.DeepEqual(f.one, f.all) {
+			t.Errorf("%s differs between GOMAXPROCS=1 and GOMAXPROCS=8", f.name)
+		}
+	}
+	// crypto/ecdsa does not draw keys and signatures deterministically
+	// from its reader, so certificate bytes differ from run to run at any
+	// width; what the CA decides — who is issued which certificate, in
+	// which order — is exact.
+	if one.Certs.Len() != eight.Certs.Len() {
+		t.Fatalf("%d certificates vs %d", one.Certs.Len(), eight.Certs.Len())
+	}
+	for _, d := range append(append([]string(nil), one.IDNs...), one.NonIDNs...) {
+		a, okA := one.Certs.Get(d)
+		b, okB := eight.Certs.Get(d)
+		if okA != okB {
+			t.Fatalf("%s: certificate deployed at one width only", d)
+		}
+		if okA && (a.SerialNumber.Cmp(b.SerialNumber) != 0 || a.Subject.CommonName != b.Subject.CommonName ||
+			!a.NotAfter.Equal(b.NotAfter) || a.Issuer.CommonName != b.Issuer.CommonName) {
+			t.Fatalf("%s: serial %v cn %q vs serial %v cn %q", d, a.SerialNumber, a.Subject.CommonName, b.SerialNumber, b.Subject.CommonName)
+		}
+	}
+}
+
+// TestAssembleCertError: a certificate the CA cannot issue (a name that
+// is not an IA5 string) fails Assemble with the error it always had,
+// while the other builders are running, and leaves no goroutine behind.
+func TestAssembleCertError(t *testing.T) {
+	reg := zonegen.Generate(zonegen.Config{Seed: 7, Scale: 2000})
+	broken := -1
+	for i := range reg.Domains {
+		if reg.Domains[i].Cert == zonegen.CertValid {
+			broken = i
+			break
+		}
+	}
+	if broken < 0 {
+		t.Fatal("the universe deploys no valid certificate")
+	}
+	reg.Domains[broken].ACE = "bücher.com"
+	before := runtime.NumGoroutine()
+	ds, err := Assemble(reg)
+	if ds != nil || err == nil || !strings.HasPrefix(err.Error(), "core: certificates: zonegen: issue valid cert for bücher.com: ") {
+		t.Fatalf("Assemble = %v, %v; want a core: certificates: error", ds, err)
+	}
+	assertNoLeakedGoroutines(t, before)
 }

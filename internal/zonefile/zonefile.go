@@ -168,20 +168,52 @@ func (z *Zone) Write(w io.Writer) error {
 // ns1.example) contribute their top label only; absolute owner names
 // outside the origin are ignored.
 func (z *Zone) SLDs() []string {
-	set := make(map[string]struct{}, len(z.Records))
-	for _, rec := range z.Records {
-		label, ok := z.sldLabel(rec.Owner)
+	out := z.distinctSLDs()
+	sort.Strings(out)
+	return out
+}
+
+// distinctSLDs is the one walk over the records: the distinct SLD names
+// in first-occurrence order.
+func (z *Zone) distinctSLDs() []string {
+	// A delegation is usually two or more consecutive records of one
+	// owner; only the first pays for the set.
+	seen := make(map[string]struct{}, len(z.Records)/2)
+	out := make([]string, 0, len(z.Records)/2)
+	for i := range z.Records {
+		owner := z.Records[i].Owner
+		if i > 0 && owner == z.Records[i-1].Owner {
+			continue
+		}
+		label, ok := z.sldLabel(owner)
 		if !ok {
 			continue
 		}
-		set[label+"."+z.Origin] = struct{}{}
+		if _, dup := seen[label]; dup {
+			continue
+		}
+		seen[label] = struct{}{}
+		out = append(out, label+"."+z.Origin)
 	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
 	return out
+}
+
+// Partition splits the zone's distinct SLDs into the IDNs — the paper's
+// discovery step ("we searched substring xn-- in TLDs"); in an iTLD zone
+// (IDN origin) every SLD is one by construction — and the rest, each
+// sorted.
+func (z *Zone) Partition() (idns, others []string) {
+	itld := idna.IsACELabel(z.Origin)
+	for _, d := range z.distinctSLDs() {
+		if itld || idna.IsIDN(d) {
+			idns = append(idns, d)
+		} else {
+			others = append(others, d)
+		}
+	}
+	sort.Strings(idns)
+	sort.Strings(others)
+	return idns, others
 }
 
 // sldLabel extracts the delegated label from an owner name.
@@ -230,17 +262,8 @@ type ScanStats struct {
 	IDNs []string
 }
 
-// Scan extracts the SLD population and the IDN subset from a zone — the
-// paper's discovery step ("we searched substring xn-- in TLDs"). For iTLD
-// zones (IDN origin), every SLD is an IDN by construction.
+// Scan extracts the SLD population and the IDN subset from a zone.
 func Scan(z *Zone) ScanStats {
-	slds := z.SLDs()
-	st := ScanStats{Origin: z.Origin, SLDCount: len(slds)}
-	itld := idna.IsACELabel(z.Origin)
-	for _, d := range slds {
-		if itld || idna.IsIDN(d) {
-			st.IDNs = append(st.IDNs, d)
-		}
-	}
-	return st
+	idns, others := z.Partition()
+	return ScanStats{Origin: z.Origin, SLDCount: len(idns) + len(others), IDNs: idns}
 }

@@ -73,6 +73,25 @@ func TestScanFindsIDNs(t *testing.T) {
 	}
 }
 
+// TestPartition: the one walk yields the IDN / non-IDN split of SLDs(),
+// also when an owner's records are not adjacent.
+func TestPartition(t *testing.T) {
+	z, err := Parse(strings.NewReader(sampleZone + "example IN DS 1 8 2 abcd\nXN--0WWY37B IN NS ns2.parking.com.\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idns, others := z.Partition()
+	if want := []string{"xn--0wwy37b.com"}; !reflect.DeepEqual(idns, want) {
+		t.Errorf("IDNs = %v, want %v", idns, want)
+	}
+	if want := []string{"absolute.com", "another.com", "example.com", "glued.com"}; !reflect.DeepEqual(others, want) {
+		t.Errorf("non-IDNs = %v, want %v", others, want)
+	}
+	if got := len(z.SLDs()); got != len(idns)+len(others) {
+		t.Errorf("SLDs() has %d names, the partition %d", got, len(idns)+len(others))
+	}
+}
+
 func TestScanITLDZoneAllIDN(t *testing.T) {
 	const itldZone = `$ORIGIN xn--fiqs8s.
 $TTL 3600

@@ -182,10 +182,14 @@ type DeltaGen struct {
 	names *nameGen
 	tab   *confusables.Table
 	lang  *simrand.Weighted
+	tlds  *simrand.Weighted // over gtldNames
 
 	day     int
 	live    []liveDomain
 	targets []brands.Brand
+	// variants[i] is what an attack on targets[i] draws its label from,
+	// computed on the first attack (nil until then).
+	variants [][]string
 }
 
 // DeltaStream builds the day-over-day churn generator for this registry.
@@ -197,10 +201,12 @@ func (r *Registry) DeltaStream(cfg DeltaConfig) *DeltaGen {
 	g := &DeltaGen{
 		cfg:     cfg,
 		src:     src,
-		names:   newNameGen(src.Fork("delta-names")),
+		names:   newNameGen(src.Fork("delta-names"), len(r.Domains)+cfg.AddsPerDay),
 		tab:     confusables.Default(),
+		tlds:    simrand.NewWeighted(src, gtldWeights),
 		targets: brands.TopK(cfg.AttackTopK),
 	}
+	g.variants = make([][]string, len(g.targets))
 	// Benign adds follow the paper's Table II language mix.
 	langW := make([]float64, len(TableIILanguages))
 	for i, lw := range TableIILanguages {
@@ -310,8 +316,7 @@ func (g *DeltaGen) pickUntouched(touched map[string]struct{}) (int, bool) {
 
 // genAdd synthesizes one new registration.
 func (g *DeltaGen) genAdd() (DeltaRecord, string) {
-	tldW := simrand.NewWeighted(g.src, []float64{0.82, 0.13, 0.05})
-	tld := []string{"com", "net", "org"}[tldW.Next()]
+	tld := gtldNames[g.tlds.Next()]
 	ns := nsPool[g.src.Intn(len(nsPool))]
 
 	if g.src.Bool(g.cfg.AttackShare) {
@@ -338,12 +343,17 @@ func (g *DeltaGen) genAdd() (DeltaRecord, string) {
 // top-K brand, preferring pixel-identical variants (the class the
 // detector must flag at any threshold).
 func (g *DeltaGen) genAttackAdd(ns string) (DeltaRecord, bool) {
-	b := g.targets[g.src.Intn(len(g.targets))]
-	label := b.Label()
-	vars := identicalVariants(g.tab, label)
-	if len(vars) == 0 {
-		vars = g.tab.Variants(label)
+	i := g.src.Intn(len(g.targets))
+	b := g.targets[i]
+	if g.variants[i] == nil {
+		label := b.Label()
+		vars := identicalVariants(g.tab, label)
+		if len(vars) == 0 {
+			vars = g.tab.Variants(label)
+		}
+		g.variants[i] = append([]string{}, vars...) // non-nil: computed, if empty
 	}
+	vars := g.variants[i]
 	if len(vars) == 0 {
 		return DeltaRecord{}, false
 	}

@@ -2,7 +2,7 @@ package zonegen
 
 import (
 	"strconv"
-	"strings"
+	"unicode/utf8"
 
 	"idnlab/internal/langid"
 	"idnlab/internal/simrand"
@@ -49,30 +49,51 @@ var (
 	gamblingWords = []string{"娱乐城", "博彩", "彩票网", "棋牌", "赌场", "百家乐", "六合彩", "老虎机", "轮盘", "体彩"}
 	shoppingWords = []string{"商城", "购物网", "特卖", "折扣店", "精品店", "批发网", "团购", "秒杀", "优选", "好货"}
 	shortWords    = []string{"好", "美", "爱", "乐", "福", "发", "赢", "旺", "金", "银"}
+	citySuffixes  = []string{"房产", "旅游", "招聘", "美食"}
 )
 
 // nameGen synthesizes unique labels.
 type nameGen struct {
 	src  *simrand.Source
 	seen map[string]struct{}
+	// next is, per label that has collided, the first numeric suffix not
+	// yet known to be taken. seen only grows, so every smaller suffix stays
+	// taken and a collision resumes where the last one for that label
+	// stopped: the answer is the one a probe from 2 would find.
+	next map[string]int
+	// lookups counts membership tests of seen; the linearity test reads it.
+	lookups int
 }
 
-func newNameGen(src *simrand.Source) *nameGen {
-	return &nameGen{src: src, seen: make(map[string]struct{}, 1<<16)}
+// newNameGen sizes the census for the labels the caller expects to draw.
+func newNameGen(src *simrand.Source, labels int) *nameGen {
+	return &nameGen{src: src, seen: make(map[string]struct{}, labels), next: make(map[string]int)}
+}
+
+// take registers label and reports whether it was free.
+func (g *nameGen) take(label string) bool {
+	g.lookups++
+	if _, dup := g.seen[label]; dup {
+		return false
+	}
+	g.seen[label] = struct{}{}
+	return true
 }
 
 // unique registers a candidate label, de-duplicating with a numeric
 // suffix when needed. Uniqueness is per-generator (one per TLD namespace
 // would be stricter, but global uniqueness is simpler and also valid).
 func (g *nameGen) unique(label string) string {
-	if _, dup := g.seen[label]; !dup {
-		g.seen[label] = struct{}{}
+	if g.take(label) {
 		return label
 	}
-	for i := 2; ; i++ {
-		cand := label + strconv.Itoa(i)
-		if _, dup := g.seen[cand]; !dup {
-			g.seen[cand] = struct{}{}
+	i := g.next[label]
+	if i < 2 {
+		i = 2
+	}
+	for ; ; i++ {
+		if cand := label + strconv.Itoa(i); g.take(cand) {
+			g.next[label] = i + 1
 			return cand
 		}
 	}
@@ -80,11 +101,12 @@ func (g *nameGen) unique(label string) string {
 
 // pick returns n random runes from pool.
 func (g *nameGen) pick(pool []rune, n int) string {
-	var b strings.Builder
+	var buf [32]byte // the longest label drawn is 9 three-byte runes
+	b := buf[:0]
 	for i := 0; i < n; i++ {
-		b.WriteRune(pool[g.src.Intn(len(pool))])
+		b = utf8.AppendRune(b, pool[g.src.Intn(len(pool))])
 	}
-	return b.String()
+	return string(b)
 }
 
 // Label synthesizes a fresh Unicode label in the given language.
@@ -134,7 +156,7 @@ func (g *nameGen) ThemedLabel(theme string) string {
 	case "city":
 		cand = cityNames[g.src.Intn(len(cityNames))]
 		if g.src.Bool(0.5) {
-			cand += []string{"房产", "旅游", "招聘", "美食"}[g.src.Intn(4)]
+			cand += citySuffixes[g.src.Intn(len(citySuffixes))]
 		}
 	case "gambling":
 		cand = g.pick(hanPool[:60], 1) + gamblingWords[g.src.Intn(len(gamblingWords))]

@@ -21,12 +21,8 @@ var maliciousHosting = webprobe.Weights{
 	webprobe.Meaningful: 40,
 }
 
-// tldFor assigns an attack domain's TLD: predominantly com, like the
-// paper's corpus.
-func (g *generator) attackTLD() string {
-	w := simrand.NewWeighted(g.src, []float64{0.82, 0.13, 0.05})
-	return []string{"com", "net", "org"}[w.Next()]
-}
+// attackTLD assigns an attack domain's TLD.
+func (g *generator) attackTLD() string { return gtldNames[g.attackTLDs.Next()] }
 
 // assigned tracks per-TLD materialized IDN counts so the regular
 // population tops each zone up to its Table I total.
@@ -68,10 +64,9 @@ func (g *generator) genType2() {
 		brand := brandNames[i%len(brandNames)]
 		names := brands.Translations[brand]
 		uniLabel := names[g.src.Intn(len(names))]
-		if _, dup := g.names.seen[uniLabel]; dup {
+		if !g.names.take(uniLabel) {
 			continue // each translation registers at most once
 		}
-		g.names.seen[uniLabel] = struct{}{}
 		ace, err := idna.ToASCIILabel(uniLabel)
 		if err != nil {
 			continue
@@ -84,7 +79,7 @@ func (g *generator) genType2() {
 			IsIDN:       true,
 			Lang:        langid.Chinese,
 			Registrar:   g.registrarNames[g.registrar.Next()],
-			Created:     g.dateInYear(g.pickYear(g.yearAtk, g.yearAtkW)),
+			Created:     g.dateInYear(g.yearAtk.next()),
 			Attack:      AttackSemantic2,
 			TargetBrand: brand,
 		}
@@ -93,7 +88,7 @@ func (g *generator) genType2() {
 		} else {
 			d.Privacy = true
 		}
-		g.finishDomain(d, SemanticHosting, ActivitySemantic, CertMixIDN, whoisRateFor(tld, true))
+		g.finishDomain(d, &g.semantic, whoisRateFor(tld, true))
 	}
 }
 
@@ -216,7 +211,7 @@ func (g *generator) genHomographs() {
 				IsIDN:       true,
 				Lang:        langid.English, // Latin-lookalike labels
 				Registrar:   g.registrarNames[g.registrar.Next()],
-				Created:     g.dateInYear(g.pickYear(g.yearAtk, g.yearAtkW)),
+				Created:     g.dateInYear(g.yearAtk.next()),
 				Attack:      AttackHomograph,
 				TargetBrand: t.brand.Domain,
 			}
@@ -237,7 +232,7 @@ func (g *generator) genHomographs() {
 			if d.Protective {
 				whoisRate = 1
 			}
-			g.finishDomain(d, HomographHosting, ActivityHomograph, CertMixIDN, whoisRate)
+			g.finishDomain(d, &g.homograph, whoisRate)
 			made++
 		}
 	}
@@ -265,7 +260,7 @@ func (g *generator) genSemantic() {
 				IsIDN:       true,
 				Lang:        langid.Chinese,
 				Registrar:   g.registrarNames[g.registrar.Next()],
-				Created:     g.dateInYear(g.pickYear(g.yearAtk, g.yearAtkW)),
+				Created:     g.dateInYear(g.yearAtk.next()),
 				Attack:      AttackSemantic,
 				TargetBrand: t.brand.Domain,
 			}
@@ -286,7 +281,7 @@ func (g *generator) genSemantic() {
 			if d.Protective {
 				whoisRate = 1
 			}
-			g.finishDomain(d, SemanticHosting, ActivitySemantic, CertMixIDN, whoisRate)
+			g.finishDomain(d, &g.semantic, whoisRate)
 		}
 	}
 }
@@ -309,20 +304,18 @@ func (g *generator) genOpportunistic() {
 				Lang:            langid.Chinese,
 				Registrar:       g.registrarNames[g.registrar.Next()],
 				RegistrantEmail: opp.Email,
-				Created:         g.dateInYear(g.pickYear(g.yearMal, g.yearMalW)),
+				Created:         g.dateInYear(g.yearMal.next()),
 			}
 			// Gambling portfolios are where the blacklisted spikes come
 			// from (Figure 1's 2015/2017 malicious spikes).
 			if opp.Theme == "gambling" && g.src.Bool(0.25) {
 				d.Feeds = []string{blacklist.Feed360}
 			}
-			act := ActivityIDN
-			hosting := webprobe.IDNWeights()
+			p := &g.idn
 			if d.Malicious() {
-				act = ActivityMalicious
-				hosting = maliciousHosting
+				p = &g.malicious
 			}
-			g.finishDomain(d, hosting, act, CertMixIDN, whoisRateFor("com", true))
+			g.finishDomain(d, p, whoisRateFor("com", true))
 		}
 	}
 }
@@ -374,12 +367,8 @@ func (g *generator) genRegularIDNs() {
 			tld := row.TLD
 			uniTLD := tld
 			if row.TLD == "itld" {
-				tld = g.reg.ITLDs[g.src.Intn(len(g.reg.ITLDs))]
-				if u, err := idna.ToUnicodeLabel(tld); err == nil {
-					uniTLD = u
-				} else {
-					uniTLD = tld
-				}
+				i := g.src.Intn(len(g.reg.ITLDs))
+				tld, uniTLD = g.reg.ITLDs[i], g.itldUnicode[i]
 			}
 			d := Domain{
 				ACE:     ace + "." + tld,
@@ -389,8 +378,7 @@ func (g *generator) genRegularIDNs() {
 				Lang:    lang,
 			}
 			d.Registrar = g.registrarNames[g.registrar.Next()]
-			hosting := webprobe.IDNWeights()
-			act := ActivityIDN
+			p := &g.idn
 			if malicious {
 				d.Feeds = []string{feedNames[feedW.Next()]}
 				// Feeds overlap: a second feed sometimes agrees.
@@ -400,19 +388,18 @@ func (g *generator) genRegularIDNs() {
 						d.Feeds = append(d.Feeds, other)
 					}
 				}
-				d.Created = g.dateInYear(g.pickYear(g.yearMal, g.yearMalW))
+				d.Created = g.dateInYear(g.yearMal.next())
 				d.RegistrantEmail = g.personalEmail()
-				hosting = maliciousHosting
-				act = ActivityMalicious
+				p = &g.malicious
 			} else {
-				d.Created = g.dateInYear(g.pickYear(g.yearAll, g.yearAllW))
+				d.Created = g.dateInYear(g.yearAll.next())
 				if g.src.Bool(0.35) {
 					d.Privacy = true
 				} else {
 					d.RegistrantEmail = g.personalEmail()
 				}
 			}
-			g.finishDomain(d, hosting, act, CertMixIDN, whoisRate)
+			g.finishDomain(d, p, whoisRate)
 		}
 	}
 }
@@ -437,8 +424,8 @@ func (g *generator) genNonIDNs() {
 			} else {
 				d.RegistrantEmail = g.personalEmail()
 			}
-			d.Created = g.dateInYear(g.pickYear(g.yearAll, g.yearAllW))
-			g.finishDomain(d, webprobe.NonIDNWeights(), ActivityNonIDN, CertMixNonIDN, whoisRateFor(row.TLD, false))
+			d.Created = g.dateInYear(g.yearAll.next())
+			g.finishDomain(d, &g.nonIDN, whoisRateFor(row.TLD, false))
 		}
 	}
 }

@@ -40,9 +40,16 @@ func (r *Registry) BuildZones() map[string]*zonefile.Zone {
 	for _, itld := range r.ITLDs {
 		get(itld)
 	}
+	perZone := make(map[string]int, len(zones))
+	for i := range r.Domains {
+		perZone[r.Domains[i].TLD]++
+	}
+	for origin, n := range perZone {
+		get(origin).Records = make([]zonefile.Record, 0, 2*n)
+	}
 	for i := range r.Domains {
 		d := &r.Domains[i]
-		z := get(d.TLD)
+		z := zones[d.TLD]
 		owner := strings.TrimSuffix(d.ACE, "."+d.TLD)
 		z.Records = append(z.Records,
 			zonefile.Record{Owner: owner, Type: "NS", Data: "ns1.dns-host.net."},
@@ -107,10 +114,6 @@ func (r *Registry) BuildPDNS() *pdns.Store {
 			IPs:       append([]string(nil), d.IPs...),
 		})
 	}
-	registered := make(map[string]struct{}, len(r.Domains))
-	for i := range r.Domains {
-		registered[r.Domains[i].ACE] = struct{}{}
-	}
 	src := simrand.New(r.Cfg.Seed).Fork("unregistered-noise")
 	tab := confusables.Default()
 	for _, b := range brands.TopK(100) {
@@ -120,7 +123,7 @@ func (r *Registry) BuildPDNS() *pdns.Store {
 				continue
 			}
 			name := ace + ".com"
-			if _, ok := registered[name]; ok {
+			if _, registered := r.Lookup(name); registered {
 				continue
 			}
 			if !src.Bool(UnregisteredNoise) {

@@ -192,6 +192,10 @@ func allocate(total int, weights []float64) []int {
 }
 
 // generator carries generation state.
+//
+// The RNG draw order is the generator's contract: every sampler below
+// that draws from src is built once (NewWeighted draws nothing) and its
+// Next consumes the one Float64 a sampler built at the call site would.
 type generator struct {
 	cfg       Config
 	src       *simrand.Source
@@ -201,19 +205,67 @@ type generator struct {
 	// registrarNames indexes the weighted sampler's categories.
 	registrarNames []string
 	segZipf        *simrand.Zipf
-	yearAll        []int
-	yearAllW       []float64
-	yearMal        []int
-	yearMalW       []float64
-	yearAtk        []int
-	yearAtkW       []float64
-	emailSeq       int
-	pdnsStart      time.Time
-	farsightStart  time.Time
+	// Creation-year samplers: the whole corpus, blacklisted and attack
+	// registrations.
+	yearAll, yearMal, yearAtk yearSampler
+	attackTLDs                *simrand.Weighted
+	sharedCN                  *simrand.Weighted
+	// The five populations finishDomain fills correlated fields for.
+	idn, malicious, homograph, semantic, nonIDN profile
+	// itldUnicode is the display form of each reg.ITLDs entry.
+	itldUnicode   []string
+	emailSeq      int
+	pdnsStart     time.Time
+	farsightStart time.Time
+}
+
+// yearSampler draws a creation year from one of the calibration tables.
+type yearSampler struct {
+	years []int
+	w     *simrand.Weighted
+}
+
+// profile is what a population draws its hosting state, certificate
+// deployment and passive-DNS activity from.
+type profile struct {
+	hosting    *simrand.Weighted // over hostingStates
+	act        activityParams
+	deployRate float64
+	certKind   *simrand.Weighted // over certKinds
+}
+
+var (
+	hostingStates = webprobe.States()
+	certKinds     = []CertKind{CertValid, CertExpired, CertSelfSigned, CertShared}
+	// gtldWeights is the com/net/org split of attack registrations and of
+	// delta adds: predominantly com, like the paper's corpus.
+	gtldNames      = []string{"com", "net", "org"}
+	gtldWeights    = []float64{0.82, 0.13, 0.05}
+	emailProviders = []string{"qq.com", "163.com", "gmail.com", "126.com", "hotmail.com"}
+)
+
+func (g *generator) newProfile(hosting webprobe.Weights, act activityParams, mix certMix) profile {
+	w := make([]float64, len(hostingStates))
+	for i, s := range hostingStates {
+		w[i] = hosting[s]
+	}
+	return profile{
+		hosting:    simrand.NewWeighted(g.src, w),
+		act:        act,
+		deployRate: mix.DeployRate,
+		certKind: simrand.NewWeighted(g.src,
+			[]float64{mix.Valid, mix.Expired, mix.InvalidAuthority, mix.InvalidCommonNameShared}),
+	}
 }
 
 // Generate synthesizes the registry for the given configuration.
 func Generate(cfg Config) *Registry {
+	g := newGenerator(cfg)
+	g.run()
+	return g.reg
+}
+
+func newGenerator(cfg Config) *generator {
 	cfg = cfg.withDefaults()
 	g := &generator{
 		cfg: cfg,
@@ -224,21 +276,48 @@ func Generate(cfg Config) *Registry {
 		pdnsStart:     time.Date(2014, 8, 4, 0, 0, 0, 0, time.UTC),
 		farsightStart: time.Date(2010, 6, 24, 0, 0, 0, 0, time.UTC),
 	}
-	g.names = newNameGen(g.src.Fork("names"))
-	g.buildRegistrarSampler()
-	g.buildYearSamplers()
-	segments := cfg.scaleAtLeast1(Slash24Segments)
-	g.segZipf = simrand.NewZipf(g.src.Fork("segments"), segments, SegmentZipfS)
-
+	// The populations run materializes add up to at most this (the regular
+	// IDNs top each zone up to its Table I total, so the attack and
+	// opportunistic counts are counted twice at worst): the registry and
+	// the name census are each allocated once.
+	n := cfg.scaleAtLeast1(HomographTotal) + cfg.scaleAtLeast1(SemanticTotal) + cfg.scaleAtLeast1(Type2Total)
+	for _, opp := range TableIIIRegistrants {
+		n += cfg.scaleAtLeast1(opp.Count)
+	}
 	for _, row := range TableI {
 		g.reg.SLDTotals[row.TLD] = cfg.scaleCount(row.SLDs)
+		n += cfg.scaleCount(row.IDNs) + cfg.scaleCount(row.NonIDNSample)
 	}
+	g.reg.Domains = make([]Domain, 0, n)
+	g.names = newNameGen(g.src.Fork("names"), n)
+	g.buildRegistrarSampler()
+	g.yearAll = g.newYearSampler(CreationYearWeights)
+	g.yearMal = g.newYearSampler(MaliciousYearWeights)
+	g.yearAtk = g.newYearSampler(AttackYearWeights)
+	g.attackTLDs = simrand.NewWeighted(g.src, gtldWeights)
+	cnW := make([]float64, len(TableVIISharedCNs))
+	for i, cn := range TableVIISharedCNs {
+		cnW[i] = cn.Weight
+	}
+	g.sharedCN = simrand.NewWeighted(g.src, cnW)
+	g.idn = g.newProfile(webprobe.IDNWeights(), ActivityIDN, CertMixIDN)
+	g.malicious = g.newProfile(maliciousHosting, ActivityMalicious, CertMixIDN)
+	g.homograph = g.newProfile(HomographHosting, ActivityHomograph, CertMixIDN)
+	g.semantic = g.newProfile(SemanticHosting, ActivitySemantic, CertMixIDN)
+	g.nonIDN = g.newProfile(webprobe.NonIDNWeights(), ActivityNonIDN, CertMixNonIDN)
+	segments := cfg.scaleAtLeast1(Slash24Segments)
+	g.segZipf = simrand.NewZipf(g.src.Fork("segments"), segments, SegmentZipfS)
+	return g
+}
+
+// run materializes every population, in the fixed order the draw
+// sequence depends on.
+func (g *generator) run() {
 	g.buildITLDs()
 	g.genAttackDomains()
 	g.genOpportunistic()
 	g.genRegularIDNs()
 	g.genNonIDNs()
-	return g.reg
 }
 
 // buildRegistrarSampler sets up the Table IV head plus a Zipf long tail of
@@ -269,29 +348,21 @@ func (g *generator) buildRegistrarSampler() {
 	g.registrar = simrand.NewWeighted(g.src.Fork("registrar"), weights)
 }
 
-func (g *generator) buildYearSamplers() {
-	for y := range CreationYearWeights {
-		g.yearAll = append(g.yearAll, y)
+func (g *generator) newYearSampler(table map[int]float64) yearSampler {
+	ys := yearSampler{years: make([]int, 0, len(table))}
+	for y := range table {
+		ys.years = append(ys.years, y)
 	}
-	sort.Ints(g.yearAll)
-	for _, y := range g.yearAll {
-		g.yearAllW = append(g.yearAllW, CreationYearWeights[y])
+	sort.Ints(ys.years)
+	weights := make([]float64, len(ys.years))
+	for i, y := range ys.years {
+		weights[i] = table[y]
 	}
-	for y := range MaliciousYearWeights {
-		g.yearMal = append(g.yearMal, y)
-	}
-	sort.Ints(g.yearMal)
-	for _, y := range g.yearMal {
-		g.yearMalW = append(g.yearMalW, MaliciousYearWeights[y])
-	}
-	for y := range AttackYearWeights {
-		g.yearAtk = append(g.yearAtk, y)
-	}
-	sort.Ints(g.yearAtk)
-	for _, y := range g.yearAtk {
-		g.yearAtkW = append(g.yearAtkW, AttackYearWeights[y])
-	}
+	ys.w = simrand.NewWeighted(g.src, weights)
+	return ys
 }
+
+func (ys yearSampler) next() int { return ys.years[ys.w.Next()] }
 
 // buildITLDs materializes the 53 iTLD origins: a handful of real ones and
 // synthetic CJK/Hangul TLD labels for the rest.
@@ -313,12 +384,13 @@ func (g *generator) buildITLDs() {
 		}
 		g.reg.ITLDs = append(g.reg.ITLDs, ace)
 	}
-}
-
-// pickYear samples a creation year from a weight table.
-func (g *generator) pickYear(years []int, weights []float64) int {
-	w := simrand.NewWeighted(g.src, weights)
-	return years[w.Next()]
+	g.itldUnicode = make([]string, len(g.reg.ITLDs))
+	for i, tld := range g.reg.ITLDs {
+		g.itldUnicode[i] = tld
+		if u, err := idna.ToUnicodeLabel(tld); err == nil {
+			g.itldUnicode[i] = u
+		}
+	}
 }
 
 // dateInYear returns a date within year, no later than the snapshot.
@@ -334,56 +406,38 @@ func (g *generator) dateInYear(year int) time.Time {
 // personalEmail synthesizes a registrant address.
 func (g *generator) personalEmail() string {
 	g.emailSeq++
-	providers := []string{"qq.com", "163.com", "gmail.com", "126.com", "hotmail.com"}
-	return strconv.Itoa(100000000+g.src.Intn(900000000)) + strconv.Itoa(g.emailSeq%97) + "@" + providers[g.src.Intn(len(providers))]
+	var buf [32]byte
+	b := strconv.AppendInt(buf[:0], int64(100000000+g.src.Intn(900000000)), 10)
+	b = strconv.AppendInt(b, int64(g.emailSeq%97), 10)
+	b = append(b, '@')
+	b = append(b, emailProviders[g.src.Intn(len(emailProviders))]...)
+	return string(b)
 }
 
 // finishDomain fills the correlated fields (WHOIS coverage, hosting,
 // certificates, passive DNS) shared by every population, then appends the
 // domain to the registry.
-func (g *generator) finishDomain(d Domain, hosting webprobe.Weights, act activityParams, mix certMix, whoisRate float64) {
+func (g *generator) finishDomain(d Domain, p *profile, whoisRate float64) {
 	// WHOIS coverage.
 	d.HasWHOIS = g.src.Bool(whoisRate)
 	// Hosting state.
-	d.Hosting = g.pickHosting(hosting)
+	d.Hosting = hostingStates[p.hosting.Next()]
 	// Certificates: unresolved domains cannot serve one. Deployment draws
 	// from the population's rate; parked deployments always present the
 	// parking service's certificate, coupling Table V to Table VII.
-	if d.Hosting != webprobe.NotResolved && d.Cert == CertNone && g.src.Bool(mix.DeployRate) {
+	if d.Hosting != webprobe.NotResolved && d.Cert == CertNone && g.src.Bool(p.deployRate) {
 		if d.Hosting == webprobe.Parked {
 			d.Cert = CertShared
 		} else {
-			d.Cert = g.pickCertKind(mix)
+			d.Cert = certKinds[p.certKind.Next()]
 		}
 		if d.Cert == CertShared {
-			d.SharedCN = g.pickSharedCN()
+			d.SharedCN = TableVIISharedCNs[g.sharedCN.Next()].CN
 		}
 	}
 	// Passive DNS.
-	g.fillActivity(&d, act)
+	g.fillActivity(&d, p.act)
 	g.reg.Domains = append(g.reg.Domains, d)
-}
-
-func (g *generator) pickHosting(weights webprobe.Weights) webprobe.State {
-	states := webprobe.States()
-	w := make([]float64, len(states))
-	for i, s := range states {
-		w[i] = weights[s]
-	}
-	return states[simrand.NewWeighted(g.src, w).Next()]
-}
-
-func (g *generator) pickCertKind(mix certMix) CertKind {
-	w := simrand.NewWeighted(g.src, []float64{mix.Valid, mix.Expired, mix.InvalidAuthority, mix.InvalidCommonNameShared})
-	return []CertKind{CertValid, CertExpired, CertSelfSigned, CertShared}[w.Next()]
-}
-
-func (g *generator) pickSharedCN() string {
-	w := make([]float64, len(TableVIISharedCNs))
-	for i, cn := range TableVIISharedCNs {
-		w[i] = cn.Weight
-	}
-	return TableVIISharedCNs[simrand.NewWeighted(g.src, w).Next()].CN
 }
 
 // fillActivity samples the passive-DNS ground truth for a domain. Attack
@@ -417,19 +471,23 @@ func (g *generator) fillActivity(d *Domain, act activityParams) {
 		q = 1
 	}
 	d.Queries = q
-	nIPs := 1 + g.src.Intn(3)
-	for i := 0; i < nIPs; i++ {
-		d.IPs = append(d.IPs, g.segmentIP(g.segZipf.Next()))
+	d.IPs = make([]string, 1+g.src.Intn(3))
+	for i := range d.IPs {
+		d.IPs[i] = g.segmentIP(g.segZipf.Next())
 	}
 }
 
 // segmentIP maps a /24 segment rank to a concrete address in it.
 func (g *generator) segmentIP(rank int) string {
-	a := 10 + rank/65536
-	b := (rank / 256) % 256
-	c := rank % 256
-	host := 1 + g.src.Intn(254)
-	return fmt.Sprintf("%d.%d.%d.%d", a, b, c, host)
+	var buf [15]byte // "255.255.255.255"
+	b := strconv.AppendInt(buf[:0], int64(10+rank/65536), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64((rank/256)%256), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(rank%256), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(1+g.src.Intn(254)), 10)
+	return string(b)
 }
 
 // whoisRateFor returns the per-TLD WHOIS coverage from Table I.
