@@ -39,8 +39,10 @@ bench-check:
 	$(GO) run -C bench ./e2e -smoke
 
 # The absolute throughput floors of the micro-benchmarks: index
-# lookups/s, watch deltas/s, stat classifications/s, store recovery
-# entries/s, universe-generator domains/s. The table is in cmd/benchgate.
+# lookups/s, watch deltas/s (BenchmarkWatchMatch1M), delta parse MB/s
+# (BenchmarkDeltaParse), start-up subscriptions/s (BenchmarkSubscribe1M),
+# stat classifications/s, store recovery entries/s, universe-generator
+# domains/s. The table is in cmd/benchgate.
 bench-gates:
 	$(GO) run ./cmd/benchgate $(BENCHTIME)
 

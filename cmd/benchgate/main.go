@@ -30,6 +30,8 @@ var gates = []struct {
 }{
 	{"./internal/candidx", "BenchmarkIndexLookup", "ops/s", 100_000, "index lookups/s at 10k brands"},
 	{"./internal/watch", "BenchmarkWatchMatch1M", "ops/s", 500_000, "deltas/s through the match stage at 1M subscriptions"},
+	{"./internal/watch", "BenchmarkDeltaParse", "MB/s", 80, "delta parse throughput (a string, a field slice and a failed TTL parse per line made 45-52)"},
+	{"./internal/watch", "BenchmarkSubscribe1M", "subscriptions/s", 18_000_000, "start-up subscriptions/s at 1M over 1k brands (a duplicate scan per Subscribe made 1.6M)"},
 	{"./internal/feat", "BenchmarkStatClassify", "ops/s", 1_000_000, "classifications/s"},
 	{"./internal/vstore", "BenchmarkVstoreRecovery", "entries/s", 100_000, "warm-boot entries/s (a 1M-verdict partition boots in <= 10 s)"},
 	{"./internal/zonegen", "BenchmarkGenerateScale20", "domains/s", 120_000, "universe domains/s at the bench corpus's size (a quadratic name census made 60-70k)"},

@@ -245,3 +245,31 @@ func BenchmarkDeltaParse(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSubscribe1M is idnwatch's start-up at the bench's size:
+// 1,000,000 Subscribe calls over a 1,000-brand catalog (the default
+// index) with benchSubs' popularity skew, then one Compile. Reported in
+// subscriptions/s. A Subscribe that scans its brand's list for a
+// duplicate is quadratic here and runs ~1.6M/s; `make bench-gates` holds
+// the append-and-dedup-at-Compile table to 18M/s.
+func BenchmarkSubscribe1M(b *testing.B) {
+	const nBrands, subs = 1000, 1_000_000
+	src := simrand.New(0x5AB5C21B)
+	brand := make([]uint32, subs)
+	for i := range brand {
+		b1, b2 := src.Intn(nBrands), src.Intn(nBrands)
+		brand[i] = uint32(min(b1, b2))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab := NewSubTable(nBrands)
+		for j, br := range brand {
+			tab.Subscribe(br, uint64(j))
+		}
+		if got := tab.Compile().Total(); got != subs {
+			b.Fatalf("compiled %d subscriptions, want %d", got, subs)
+		}
+	}
+	b.ReportMetric(float64(subs)*float64(b.N)/b.Elapsed().Seconds(), "subscriptions/s")
+}

@@ -138,6 +138,27 @@ func (r *Runner) pendingFiles() ([]string, error) {
 	return out, nil
 }
 
+// loadDelta parses one delta file. A file named for a serial must
+// carry that serial in its SOA headers: the runner picks files by name
+// but advances the cursor by header, so a mismatch would either replay
+// the file on every poll (header below name) or skip the files between
+// them (header above).
+func loadDelta(path string) (*Delta, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	d, err := ParseDelta(f)
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if serial, ok := ParseDeltaFileName(filepath.Base(path)); ok && serial != d.Serial {
+		return nil, fmt.Errorf("%s: header serial %d does not match file name serial %d", path, d.Serial, serial)
+	}
+	return d, nil
+}
+
 // ProcessFile streams one delta file end to end: parse, match, append
 // every alert, Sync the log, then advance and persist the cursor.
 // Returns the number of alerts the delta produced.
@@ -145,17 +166,18 @@ func (r *Runner) ProcessFile(ctx context.Context, path string) (int, error) {
 	if err := r.init(); err != nil {
 		return 0, err
 	}
-	f, err := os.Open(path)
+	d, err := loadDelta(path)
 	if err != nil {
 		return 0, err
 	}
-	d, err := ParseDelta(f)
-	f.Close()
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
-	}
+	return r.processDelta(ctx, d)
+}
+
+// processDelta matches a parsed delta, appends its alerts, Syncs the
+// log, then advances and persists the cursor.
+func (r *Runner) processDelta(ctx context.Context, d *Delta) (int, error) {
 	alerts := 0
-	err = r.Engine.ProcessDelta(ctx, d, func(a Alert) error {
+	err := r.Engine.ProcessDelta(ctx, d, func(a Alert) error {
 		alerts++
 		return r.Log.Append(a)
 	})
@@ -176,28 +198,65 @@ func (r *Runner) ProcessFile(ctx context.Context, path string) (int, error) {
 	return alerts, nil
 }
 
+// parsed is one lookahead result: a file's delta or its parse error.
+type parsed struct {
+	d   *Delta
+	err error
+}
+
 // Poll processes every pending delta file once, in serial order.
 // Returns the number of files processed and the number of alerts.
+//
+// One lookahead goroutine parses file n+1 while file n is matched and
+// committed; the unbuffered hand-off bounds it to one parsed delta
+// ahead. Commits stay strictly in serial order, and a parse error is
+// returned only after every earlier file is committed. Poll returns
+// only after the lookahead has exited.
 func (r *Runner) Poll(ctx context.Context) (files, alerts int, err error) {
 	if err := r.init(); err != nil {
 		return 0, 0, err
 	}
 	paths, err := r.pendingFiles()
-	if err != nil {
+	if err != nil || len(paths) == 0 {
 		return 0, 0, err
 	}
-	for _, p := range paths {
-		if ctx.Err() != nil {
-			return files, alerts, ctx.Err()
+	ctx, cancel := context.WithCancel(ctx)
+	ahead := make(chan parsed)
+	done := make(chan struct{})
+	defer func() {
+		cancel()
+		<-done
+	}()
+	go func() {
+		defer close(done)
+		defer close(ahead)
+		for _, p := range paths {
+			d, err := loadDelta(p)
+			select {
+			case ahead <- parsed{d, err}:
+			case <-ctx.Done():
+				return
+			}
+			if err != nil {
+				return
+			}
 		}
-		n, err := r.ProcessFile(ctx, p)
+	}()
+	for next := range ahead {
+		if ctx.Err() != nil {
+			break
+		}
+		if next.err != nil {
+			return files, alerts, next.err
+		}
+		n, err := r.processDelta(ctx, next.d)
 		alerts += n
 		if err != nil {
 			return files, alerts, err
 		}
 		files++
 	}
-	return files, alerts, nil
+	return files, alerts, ctx.Err()
 }
 
 // Run polls until the context is cancelled, sleeping interval between

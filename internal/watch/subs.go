@@ -1,66 +1,65 @@
 package watch
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// subShards is the stripe count for the mutable subscription table.
-// Power of two so the shard pick is a mask, sized so that concurrent
-// subscribe/unsubscribe traffic from API handlers rarely collides.
+// subShards is the lock stripe count for the mutable subscription
+// table. Power of two so the stripe pick is a mask, sized so that
+// concurrent subscribe traffic from API handlers rarely collides.
 const subShards = 64
 
 // SubTable is the standing-subscription registry: which subscribers
 // (opaque uint64 IDs — account IDs, webhook IDs) want alerts for which
-// brand. The table has two faces: a sharded mutable side for
-// subscribe/unsubscribe churn, and an immutable compiled snapshot (CSR
-// layout) the match hot path reads lock-free and allocation-free.
-// Mutations do not show up in matching until Compile is called; the
-// watch daemon compiles once at startup and after subscription batches,
-// never per delta.
+// brand. The table has two faces: a lock-striped mutable side for
+// subscribe churn, and an immutable compiled snapshot (CSR layout) the
+// match hot path reads lock-free and allocation-free. Mutations do not
+// show up in matching until Compile is called; the watch daemon
+// compiles once at startup and after subscription batches, never per
+// delta.
+//
+// Subscribe is an O(1) append; Compile sorts and dedups the lists
+// appended to since the last compile and leaves every list aliasing its
+// range of the new snapshot, so the subscriptions are held once, not
+// once mutable and once compiled.
 type SubTable struct {
-	nBrands int
-	shards  [subShards]subShard
-	snap    atomic.Pointer[SubSnapshot]
-}
-
-type subShard struct {
-	mu   sync.Mutex
-	subs map[uint32][]uint64 // brand ID -> subscriber IDs (unsorted)
+	mu    [subShards]sync.Mutex // mu[brand&(subShards-1)] guards lists[brand] and dirty[brand]
+	lists [][]uint64            // brand ID -> subscriber IDs
+	dirty []bool                // brand appended to since the last Compile
+	snap  atomic.Pointer[SubSnapshot]
 }
 
 // NewSubTable builds an empty table for a catalog of nBrands brands
 // (brand IDs are candidx brand IDs: dense, 0..nBrands-1). The initial
 // compiled snapshot is empty, so matching is valid before any Compile.
 func NewSubTable(nBrands int) *SubTable {
-	t := &SubTable{nBrands: nBrands}
-	for i := range t.shards {
-		t.shards[i].subs = make(map[uint32][]uint64)
-	}
+	t := &SubTable{lists: make([][]uint64, nBrands), dirty: make([]bool, nBrands)}
 	t.snap.Store(&SubSnapshot{off: make([]uint32, nBrands+1)})
 	return t
 }
 
-func (t *SubTable) shard(brand uint32) *subShard {
-	return &t.shards[brand&(subShards-1)]
-}
-
 // Subscribe registers subscriber for alerts on brand. Duplicate
-// subscriptions are idempotent. Brand IDs outside the catalog are
-// ignored.
+// subscriptions are idempotent (Compile drops them). Brand IDs outside
+// the catalog are ignored.
 func (t *SubTable) Subscribe(brand uint32, subscriber uint64) {
-	if int(brand) >= t.nBrands {
+	if int(brand) >= len(t.lists) {
 		return
 	}
-	s := t.shard(brand)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, id := range s.subs[brand] {
-		if id == subscriber {
-			return
-		}
+	mu := &t.mu[brand&(subShards-1)]
+	mu.Lock()
+	// A compiled list has cap == len, so the first append after a
+	// Compile copies it out of the published snapshot instead of
+	// writing into it. Lists double: append's 1.25x step for long
+	// slices copies each ID about four times over a bulk load.
+	list := t.lists[brand]
+	if len(list) == cap(list) {
+		list = slices.Grow(list, len(list)+1)
 	}
-	s.subs[brand] = append(s.subs[brand], subscriber)
+	t.lists[brand] = append(list, subscriber)
+	t.dirty[brand] = true
+	mu.Unlock()
 }
 
 // SubSnapshot is the compiled, immutable form of the table: CSR layout
@@ -98,34 +97,35 @@ func (s *SubSnapshot) Total() int { return s.total }
 
 // Compile freezes the current table contents into a new snapshot and
 // publishes it for matchers. O(subscriptions); called on subscription
-// batches, never on the delta path.
+// batches, never on the delta path. Each brand's subscribers come out
+// sorted and unique.
 func (t *SubTable) Compile() *SubSnapshot {
-	snap := &SubSnapshot{off: make([]uint32, t.nBrands+1)}
-	// Pass 1: per-brand counts (under each shard lock once).
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for brand, list := range s.subs {
-			snap.off[brand+1] += uint32(len(list))
+	for i := range t.mu {
+		t.mu[i].Lock()
+	}
+	defer func() {
+		for i := range t.mu {
+			t.mu[i].Unlock()
 		}
-		s.mu.Unlock()
+	}()
+	n := len(t.lists)
+	snap := &SubSnapshot{off: make([]uint32, n+1)}
+	for brand, list := range t.lists {
+		// Only an appended-to list is sorted in place: it owns its
+		// array. A clean one still aliases a published snapshot.
+		if t.dirty[brand] {
+			slices.Sort(list)
+			t.lists[brand] = slices.Compact(list)
+			t.dirty[brand] = false
+		}
+		snap.off[brand+1] = snap.off[brand] + uint32(len(t.lists[brand]))
 	}
-	for i := 1; i <= t.nBrands; i++ {
-		snap.off[i] += snap.off[i-1]
-	}
-	snap.total = int(snap.off[t.nBrands])
+	snap.total = int(snap.off[n])
 	snap.ids = make([]uint64, snap.total)
-	// Pass 2: fill. cursor tracks the next free slot per brand.
-	cursor := make([]uint32, t.nBrands)
-	copy(cursor, snap.off[:t.nBrands])
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for brand, list := range s.subs {
-			n := copy(snap.ids[cursor[brand]:], list)
-			cursor[brand] += uint32(n)
-		}
-		s.mu.Unlock()
+	for brand, list := range t.lists {
+		a, b := snap.off[brand], snap.off[brand+1]
+		copy(snap.ids[a:b], list)
+		t.lists[brand] = snap.ids[a:b:b]
 	}
 	t.snap.Store(snap)
 	return snap

@@ -2,12 +2,14 @@ package zonefile
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"idnlab/internal/idna"
 )
@@ -32,8 +34,14 @@ import (
 // Scanner interprets directives positionally: Origin reports the value
 // in effect at the current record (the streaming-correct reading; the
 // two agree on any zone in canonical Write form, where $ORIGIN leads).
+//
+// A Record's strings are slices of one string per read buffer (every
+// complete line the buffer holds), so the scan allocates per block of
+// input, not per line or field; a record kept alive keeps its block.
 type Scanner struct {
 	sc     *bufio.Scanner
+	block  string   // complete lines of the current read not yet consumed
+	fields []string // the current line's fields, reused across lines
 	origin string
 	ttl    uint32
 	rec    Record
@@ -43,7 +51,38 @@ type Scanner struct {
 
 // NewScanner builds a streaming reader over a master-format zone.
 func NewScanner(r io.Reader) *Scanner {
-	return &Scanner{sc: newLineScanner(r)}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	sc.Split(scanLineBlocks)
+	return &Scanner{sc: sc}
+}
+
+// scanLineBlocks is a bufio.SplitFunc returning every complete line in
+// the buffer as one token (the final line may lack its newline). A
+// line still has to fit the buffer whole, so the too-long limit and
+// its error are bufio.ScanLines'.
+func scanLineBlocks(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// nextLine returns the following line with bufio.ScanLines' framing:
+// split at '\n', one trailing '\r' dropped.
+func (s *Scanner) nextLine() (string, bool) {
+	if s.block == "" {
+		if !s.sc.Scan() {
+			return "", false
+		}
+		s.block = s.sc.Text()
+	}
+	line, rest, _ := strings.Cut(s.block, "\n")
+	s.block = rest
+	return strings.TrimSuffix(line, "\r"), true
 }
 
 // Next advances to the following record, interpreting $ORIGIN and $TTL
@@ -53,13 +92,17 @@ func (s *Scanner) Next() bool {
 	if s.err != nil {
 		return false
 	}
-	for s.sc.Scan() {
+	for {
+		line, ok := s.nextLine()
+		if !ok {
+			break
+		}
 		s.line++
-		line := s.sc.Text()
 		if i := strings.IndexByte(line, ';'); i >= 0 {
 			line = line[:i]
 		}
-		fields := strings.Fields(line)
+		s.fields = fieldsInto(s.fields, line)
+		fields := s.fields
 		if len(fields) == 0 {
 			continue
 		}
@@ -96,6 +139,36 @@ func (s *Scanner) Next() bool {
 		s.err = fmt.Errorf("zonefile: read: %w", err)
 	}
 	return false
+}
+
+// asciiSpace is strings.Fields' separator set below utf8.RuneSelf.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// fieldsInto returns line's whitespace-separated fields, slices of
+// line held in buf's storage, split exactly as strings.Fields splits. A
+// line with any byte >= 0x80 goes to strings.Fields itself, which knows
+// the Unicode spaces (U+0085, U+00A0, U+2028, ...).
+func fieldsInto(buf []string, line string) []string {
+	dst := buf[:0]
+	start := -1
+	for i := 0; i < len(line); i++ {
+		c := line[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return append(buf[:0], strings.Fields(line)...)
+		case asciiSpace[c]:
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
 }
 
 // Record returns the record produced by the last successful Next.

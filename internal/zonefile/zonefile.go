@@ -52,72 +52,38 @@ var (
 // Parse reads a zone from r. Supported syntax: $ORIGIN and $TTL
 // directives, ';' comments, blank lines, and records of the form
 // "owner [ttl] [IN] type data...". Owner names may be absolute (trailing
-// dot) or relative to the origin.
+// dot) or relative to the origin. The zone's Origin and DefaultTTL are
+// the last values the file sets.
 func Parse(r io.Reader) (*Zone, error) {
 	z := &Zone{}
-	sc := newLineScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "$ORIGIN":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("%w: line %d: $ORIGIN wants one argument", ErrSyntax, lineNo)
-			}
-			z.Origin = strings.TrimSuffix(strings.ToLower(fields[1]), ".")
-			continue
-		case "$TTL":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("%w: line %d: $TTL wants one argument", ErrSyntax, lineNo)
-			}
-			ttl, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("%w: line %d: bad TTL %q", ErrSyntax, lineNo, fields[1])
-			}
-			z.DefaultTTL = uint32(ttl)
-			continue
-		}
-		rec, err := parseRecord(fields)
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrSyntax, lineNo, err)
-		}
-		z.Records = append(z.Records, rec)
+	s := NewScanner(r)
+	for s.Next() {
+		z.Records = append(z.Records, s.Record())
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("zonefile: read: %w", err)
+	if err := s.Err(); err != nil {
+		return nil, err
 	}
+	z.Origin, z.DefaultTTL = s.Origin(), s.DefaultTTL()
 	if z.Origin == "" {
 		return nil, ErrNoOrigin
 	}
 	return z, nil
 }
 
-// newLineScanner builds the line reader shared by Parse and Scanner,
-// with headroom for long record lines.
-func newLineScanner(r io.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	return sc
-}
-
-// parseRecord interprets "owner [ttl] [IN] type data...".
+// parseRecord interprets "owner [ttl] [IN] type data...". Only an
+// all-digit second field is tried as a TTL, so an owner-first record
+// costs no failed strconv call.
 func parseRecord(fields []string) (Record, error) {
 	if len(fields) < 3 {
 		return Record{}, errors.New("record needs owner, type and data")
 	}
 	rec := Record{Owner: strings.ToLower(fields[0])}
 	i := 1
-	if ttl, err := strconv.ParseUint(fields[i], 10, 32); err == nil {
-		rec.TTL = uint32(ttl)
-		i++
+	if isDigits(fields[i]) {
+		if ttl, err := strconv.ParseUint(fields[i], 10, 32); err == nil {
+			rec.TTL = uint32(ttl)
+			i++
+		}
 	}
 	if i < len(fields) && strings.EqualFold(fields[i], "IN") {
 		i++
@@ -132,6 +98,17 @@ func parseRecord(fields []string) (Record, error) {
 	}
 	rec.Data = strings.Join(fields[i:], " ")
 	return rec, nil
+}
+
+// isDigits reports whether s is a non-empty run of ASCII digits, the
+// only strings strconv.ParseUint accepts in base 10.
+func isDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // Write serializes the zone in canonical form: $ORIGIN, $TTL, then records
