@@ -5,7 +5,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/detect        routed to the key's ring owner (hedged for tail latency)
+//	POST /v1/detect        routed to the key's ring owner
 //	POST /v1/detect/batch  split by owner, scatter/gathered, reassembled in order
 //	POST /v1/join          worker registration + heartbeat (idnserve -join)
 //	GET  /healthz          gateway liveness; 503 while draining
@@ -45,9 +45,7 @@ func run(ctx context.Context) error {
 		listen    = flag.String("listen", "127.0.0.1:8180", "HTTP listen address (use :0 for an ephemeral port)")
 		nodeID    = flag.String("node", "", "gateway node ID (default generated)")
 		heartbeat = flag.Duration("heartbeat", time.Second, "worker heartbeat cadence advertised on join; a worker silent for 3x is suspect, for 10x dead")
-		hedge     = flag.Duration("hedge", 0, "hedged-request delay for single detects (0 = off)")
 		minReady  = flag.Int("min-ready", 1, "alive workers required for /readyz")
-		coalesce  = flag.Duration("coalesce", 0, "single-detect coalescing window, e.g. 500us (0 = off)")
 	)
 	flag.Parse()
 
@@ -60,11 +58,9 @@ func run(ctx context.Context) error {
 		id = fmt.Sprintf("gw-%s-%d", host, os.Getpid())
 	}
 	gw := cluster.NewGateway(cluster.GatewayConfig{
-		NodeID:         id,
-		Membership:     cluster.MembershipConfig{HeartbeatInterval: *heartbeat},
-		Router:         cluster.RouterConfig{Hedge: *hedge},
-		MinReady:       *minReady,
-		CoalesceWindow: *coalesce,
+		NodeID:     id,
+		Membership: cluster.MembershipConfig{HeartbeatInterval: *heartbeat},
+		MinReady:   *minReady,
 	})
 	return cli.ServeUntilDrained(ctx, "idngateway", *listen, gw.Run, func(addr net.Addr) {
 		// The exact "listening on" line is the smoke harness's readiness

@@ -46,7 +46,7 @@ func run(ctx context.Context) error {
 		workers   = flag.Int("workers", 0, "batch fan-out width (0 = GOMAXPROCS)")
 		cacheSize = flag.Int("cache", 65536, "verdict cache capacity (entries)")
 		join      = flag.String("join", "", "idngateway address to register with (peer mode)")
-		nodeID    = flag.String("node", "", "node ID for health bodies and ring placement (default <hostname>-<pid>)")
+		nodeID    = flag.String("node", "", "node ID for health bodies and ring placement (default: the advertised address with -join, else <hostname>-<pid>)")
 		advertise = flag.String("advertise", "", "host:port the gateway should route to (default: the bound listen address)")
 		indexPath = flag.String("index", "", "precomputed candidate index file (built by idnindex); replaces -brands with the index's embedded catalog")
 		statPath  = flag.String("stat", "", "trained statistical model file (built by idnstat train); enables ensemble verdicts and the learned prefilter")

@@ -11,7 +11,7 @@
 // caller-supplied buffer (pooled via GetBuf/PutBuf on the response-write
 // path), allocate nothing, and are pinned to encoding/json's exact
 // output bytes by golden, randomized-equivalence and fuzz tests — so
-// coalescing gateways, old clients and new workers can be mixed freely:
+// gateways, old clients and new workers can be mixed freely:
 // the optimization is invisible on the wire.
 //
 // Byte-identity contract (verified against the Go 1.2x encoder):
@@ -315,9 +315,9 @@ func AppendBatchResponse(dst []byte, r *BatchResponse) ([]byte, error) {
 // bytes are no longer referenced. Ownership rule: PutBuf hands the
 // backing array to the next GetBuf caller — never retain B (or any
 // slice of it) past PutBuf, and never PutBuf a buffer whose bytes were
-// handed to an API that may read them after returning (hedged upstream
-// requests, for example, keep plain allocations for exactly that
-// reason).
+// handed to an API that may read them after returning (upstream
+// request bodies, which a retry may resend, keep plain allocations for
+// exactly that reason).
 type Buf struct{ B []byte }
 
 // maxPooledBuf caps what Put returns to the pool so one giant batch

@@ -1,7 +1,6 @@
 // decode.go is the codec's read side: a pooled, allocation-disciplined
 // decoder for DetectResponse and BatchResponse bodies — the two shapes
-// the gateway reassembles on every proxied request and the coalescer
-// demultiplexes on every merged window.
+// the gateway reassembles on every proxied request.
 //
 // Semantics mirror json.Unmarshal (not the strict DisallowUnknownFields
 // request decoders in wire.go — responses flow gateway←worker inside

@@ -7,10 +7,7 @@
 // package provides the feed and aggregate types the pipeline queries.
 package blacklist
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Feed names mirroring the paper's three sources.
 const (
@@ -19,19 +16,15 @@ const (
 	FeedBaidu      = "Baidu"
 )
 
-// Feed is one blacklist source: a named set of domains.
+// Feed is one blacklist source: a set of domains.
 type Feed struct {
-	name    string
 	domains map[string]struct{}
 }
 
-// NewFeed returns an empty feed with the given display name.
-func NewFeed(name string) *Feed {
-	return &Feed{name: name, domains: make(map[string]struct{})}
+// NewFeed returns an empty feed.
+func NewFeed() *Feed {
+	return &Feed{domains: make(map[string]struct{})}
 }
-
-// Name returns the feed's display name.
-func (f *Feed) Name() string { return f.name }
 
 // Add inserts a domain into the feed (case-insensitive).
 func (f *Feed) Add(domain string) {
@@ -42,19 +35,6 @@ func (f *Feed) Add(domain string) {
 func (f *Feed) Contains(domain string) bool {
 	_, ok := f.domains[strings.ToLower(domain)]
 	return ok
-}
-
-// Len returns the number of flagged domains.
-func (f *Feed) Len() int { return len(f.domains) }
-
-// Domains returns all flagged domains, sorted.
-func (f *Feed) Domains() []string {
-	out := make([]string, 0, len(f.domains))
-	for d := range f.domains {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Aggregate is the union of several feeds — the paper's "malicious"
@@ -68,13 +48,6 @@ func NewAggregate(feeds ...*Feed) *Aggregate {
 	fs := make([]*Feed, len(feeds))
 	copy(fs, feeds)
 	return &Aggregate{feeds: fs}
-}
-
-// Feeds returns the member feeds in construction order.
-func (a *Aggregate) Feeds() []*Feed {
-	out := make([]*Feed, len(a.feeds))
-	copy(out, a.feeds)
-	return out
 }
 
 // IsMalicious reports whether any member feed flags the domain.

@@ -5,11 +5,8 @@ import (
 )
 
 func TestFeedBasics(t *testing.T) {
-	f := NewFeed(FeedVirusTotal)
-	if f.Name() != "VirusTotal" {
-		t.Errorf("Name = %q", f.Name())
-	}
-	if f.Len() != 0 || f.Contains("a.com") {
+	f := NewFeed()
+	if f.Contains("a.com") {
 		t.Error("empty feed should contain nothing")
 	}
 	f.Add("xn--0wwy37b.com")
@@ -20,15 +17,15 @@ func TestFeedBasics(t *testing.T) {
 		t.Error("Contains should fold case")
 	}
 	f.Add("XN--0WWY37B.COM")
-	if f.Len() != 1 {
+	if len(f.domains) != 1 {
 		t.Error("case-folded duplicate should not grow the feed")
 	}
 }
 
 func TestAggregateUnion(t *testing.T) {
-	vt := NewFeed(FeedVirusTotal)
-	q := NewFeed(Feed360)
-	bd := NewFeed(FeedBaidu)
+	vt := NewFeed()
+	q := NewFeed()
+	bd := NewFeed()
 	vt.Add("a.com")
 	vt.Add("b.com")
 	q.Add("b.com")
@@ -46,22 +43,12 @@ func TestAggregateUnion(t *testing.T) {
 	}
 }
 
-func TestFeedsAccessorCopies(t *testing.T) {
-	vt := NewFeed(FeedVirusTotal)
-	agg := NewAggregate(vt)
-	fs := agg.Feeds()
-	fs[0] = nil // must not corrupt the aggregate
-	if agg.Feeds()[0] == nil {
-		t.Error("Feeds() exposed internal slice")
-	}
-}
-
 func BenchmarkIsMalicious(b *testing.B) {
-	vt := NewFeed(FeedVirusTotal)
+	vt := NewFeed()
 	for i := 0; i < 5000; i++ {
 		vt.Add("domain" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + ".com")
 	}
-	agg := NewAggregate(vt, NewFeed(Feed360), NewFeed(FeedBaidu))
+	agg := NewAggregate(vt, NewFeed(), NewFeed())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = agg.IsMalicious("domainzz.com")

@@ -151,16 +151,6 @@ func Lookup(domain string) (Brand, bool) {
 	return b, ok
 }
 
-// Labels returns the second-level labels of the top-k brands, rank order.
-func Labels(k int) []string {
-	top := TopK(k)
-	out := make([]string, len(top))
-	for i, b := range top {
-		out[i] = b.Label()
-	}
-	return out
-}
-
 // String implements fmt.Stringer.
 func (b Brand) String() string {
 	return fmt.Sprintf("#%d %s", b.Rank, b.Domain)

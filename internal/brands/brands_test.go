@@ -106,11 +106,11 @@ func TestLookupCaseInsensitive(t *testing.T) {
 }
 
 func TestLabels(t *testing.T) {
-	ls := Labels(3)
+	top := TopK(3)
 	want := []string{"google", "youtube", "facebook"}
 	for i, w := range want {
-		if ls[i] != w {
-			t.Errorf("Labels[%d] = %q, want %q", i, ls[i], w)
+		if top[i].Label() != w {
+			t.Errorf("TopK(3)[%d].Label() = %q, want %q", i, top[i].Label(), w)
 		}
 	}
 }

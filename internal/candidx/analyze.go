@@ -30,12 +30,6 @@ import (
 // the four edge classes capturing how the window band clamps at the
 // image borders (i = 0, i = 1, i = m-1, interior).
 
-// minSubSSIM floors the per-cell similarity of substitutions considered
-// by the analysis: runes scoring below it against a base render so
-// differently that their windows bottom out far beyond any budget, so
-// they cannot define a position's minimum penalty.
-const minSubSSIM = -1.0 // keep the full repertoire; the scan is cached
-
 // edge classes of a position within an m-cell image.
 const (
 	edgeFirst  = 0 // i == 0

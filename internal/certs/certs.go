@@ -136,9 +136,6 @@ func (a *Authority) nextSerial() int64 {
 // Roots returns the trust pool containing this authority's root.
 func (a *Authority) Roots() *x509.CertPool { return a.pool }
 
-// Now returns the reference time validity windows are anchored to.
-func (a *Authority) Now() time.Time { return a.now }
-
 // IssueOption customizes certificate issuance.
 type IssueOption func(*issueConfig)
 
@@ -212,15 +209,7 @@ func Classify(cert *x509.Certificate, domain string, now time.Time, roots *x509.
 	return ProblemNone
 }
 
-// Deployment records that a domain serves a certificate. The same
-// *x509.Certificate may be deployed for many domains (certificate
-// sharing, Table VII).
-type Deployment struct {
-	Domain string
-	Cert   *x509.Certificate
-}
-
-// Store collects deployments and answers the Table VI/VII aggregations.
+// Store records which certificate each domain serves.
 type Store struct {
 	byDomain map[string]*x509.Certificate
 }
@@ -239,43 +228,4 @@ func (s *Store) Deploy(domain string, cert *x509.Certificate) {
 func (s *Store) Get(domain string) (*x509.Certificate, bool) {
 	c, ok := s.byDomain[strings.ToLower(domain)]
 	return c, ok
-}
-
-// Len returns the number of domains serving certificates.
-func (s *Store) Len() int { return len(s.byDomain) }
-
-// Census is the Table VI aggregation over a deployment population.
-type Census struct {
-	Total             int
-	Valid             int
-	Expired           int
-	InvalidAuthority  int
-	InvalidCommonName int
-}
-
-// ProblemRate returns the fraction of deployments with any problem.
-func (c Census) ProblemRate() float64 {
-	if c.Total == 0 {
-		return 0
-	}
-	return float64(c.Total-c.Valid) / float64(c.Total)
-}
-
-// Classify runs the validator over every deployment.
-func (s *Store) Classify(now time.Time, roots *x509.CertPool) Census {
-	var census Census
-	for domain, cert := range s.byDomain {
-		census.Total++
-		switch Classify(cert, domain, now, roots) {
-		case ProblemNone:
-			census.Valid++
-		case ProblemExpired:
-			census.Expired++
-		case ProblemInvalidAuthority:
-			census.InvalidAuthority++
-		case ProblemInvalidCommonName:
-			census.InvalidCommonName++
-		}
-	}
-	return census
 }

@@ -52,7 +52,6 @@ type Breaker struct {
 	state    int
 	failures int
 	openedAt time.Time
-	opens    uint64
 }
 
 // NewBreaker builds a closed breaker.
@@ -98,9 +97,6 @@ func (b *Breaker) Failure() {
 	defer b.mu.Unlock()
 	b.failures++
 	if b.state == breakerHalfOpen || b.failures >= b.cfg.FailThreshold {
-		if b.state != breakerOpen {
-			b.opens++
-		}
 		b.state = breakerOpen
 		b.openedAt = b.cfg.Now()
 	}
@@ -118,13 +114,6 @@ func (b *Breaker) State() string {
 	default:
 		return "half-open"
 	}
-}
-
-// Opens reports how many times the breaker has tripped.
-func (b *Breaker) Opens() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
 }
 
 // breakerSet is a lazily filled set of per-node breakers that share one

@@ -21,9 +21,6 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	if b.Allow() || b.State() != "open" {
 		t.Fatalf("3 failures should open (state=%s)", b.State())
 	}
-	if b.Opens() != 1 {
-		t.Fatalf("Opens = %d, want 1", b.Opens())
-	}
 }
 
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
@@ -64,9 +61,6 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	b.Failure() // probe failed: re-open immediately, streak irrelevant
 	if b.Allow() || b.State() != "open" {
 		t.Fatalf("failed probe should re-open (state=%s)", b.State())
-	}
-	if b.Opens() != 2 {
-		t.Fatalf("Opens = %d, want 2", b.Opens())
 	}
 	// And the clock restarts: still blocked until another full cooldown.
 	clk.advance(999 * time.Millisecond)

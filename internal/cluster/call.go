@@ -53,7 +53,6 @@ type Reply struct {
 	Body       []byte
 	RetryAfter string // Retry-After header, when present
 	Attempts   int
-	Hedged     bool // answered by a hedge, not the primary
 
 	pooled *[]byte // pool token; nil once released or detached
 }

@@ -15,13 +15,15 @@ import (
 
 	"idnlab/internal/api"
 	"idnlab/internal/feat"
+	"idnlab/internal/zonegen"
 )
 
 func TestGatewayEnsembleScatterGather(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	model, _, _, err := feat.TrainCorpus(2018, 50, feat.TrainConfig{})
+	reg := zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 50})
+	model, _, err := feat.Train(feat.FromLabeled(reg.Labels()), feat.TrainConfig{Seed: 2018})
 	if err != nil {
 		t.Fatalf("train: %v", err)
 	}

@@ -89,14 +89,6 @@ type testWorker struct {
 // startCluster boots a gateway (fast failure-detection windows) and n
 // workers that register through the real peer heartbeat loop.
 func startCluster(t *testing.T, n int, minReady int) *testCluster {
-	return startClusterWith(t, n, minReady, nil)
-}
-
-// startClusterWith is startCluster with a gateway-config hook: mutate
-// (when non-nil) runs on the assembled config before NewGateway, so
-// tests can flip features like request coalescing without duplicating
-// the harness.
-func startClusterWith(t *testing.T, n int, minReady int, mutate func(*cluster.GatewayConfig)) *testCluster {
 	t.Helper()
 	tr := &http.Transport{MaxIdleConns: 64, MaxIdleConnsPerHost: 16}
 	tc := &testCluster{
@@ -126,9 +118,6 @@ func startClusterWith(t *testing.T, n int, minReady int, mutate func(*cluster.Ga
 		// deadline fails the run as "context deadline exceeded" without
 		// any real bug.
 		DrainTimeout: 10 * time.Second,
-	}
-	if mutate != nil {
-		mutate(&cfg)
 	}
 	tc.gw = cluster.NewGateway(cfg)
 	gwCtx, gwStop := context.WithCancel(context.Background())

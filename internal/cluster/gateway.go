@@ -26,23 +26,14 @@ type GatewayConfig struct {
 	Membership MembershipConfig
 	Router     RouterConfig
 	// RequestTimeout is the per-request deadline, covering all retries
-	// and hedges (default 2s — deliberately above the workers' 1s so a
-	// failover retry still fits).
+	// (default 2s — deliberately above the workers' 1s so a failover
+	// retry still fits).
 	RequestTimeout time.Duration
 	// MinReady is the alive-node count below which /readyz reports 503
 	// (default 1).
 	MinReady int
 	// DrainTimeout bounds graceful shutdown (default 5s).
 	DrainTimeout time.Duration
-	// CoalesceWindow, when > 0, enables single-request coalescing:
-	// concurrent POST /v1/detect requests for the same ring owner are
-	// held for at most this long (sensible range 250µs–1ms) and merged
-	// into one upstream /v1/detect/batch call. 0 disables coalescing.
-	CoalesceWindow time.Duration
-	// CoalesceMax bounds how many singles one window may merge; a full
-	// window flushes immediately without waiting out CoalesceWindow
-	// (default 64; must not exceed api.MaxBatch).
-	CoalesceMax int
 }
 
 // scatterWorkers bounds concurrent sub-batch fan-out; the work is
@@ -62,12 +53,6 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
-	if c.CoalesceMax <= 0 {
-		c.CoalesceMax = 64
-	}
-	if c.CoalesceMax > api.MaxBatch {
-		c.CoalesceMax = api.MaxBatch
-	}
 	return c
 }
 
@@ -81,13 +66,6 @@ type gwMetrics struct {
 	labels      atomic.Uint64
 	subBatches  atomic.Uint64
 	localErrors atomic.Uint64 // invalid domains answered at the edge
-
-	// Coalescer counters: windows dispatched, singles that rode a merged
-	// (≥2-call) window, and windows flushed by the timer rather than the
-	// size bound.
-	coalWindows  atomic.Uint64
-	coalBatched  atomic.Uint64
-	coalTimeouts atomic.Uint64
 
 	// Failover replies queued for the key's ring owner (forwardSingle;
 	// drops and send failures are the shipper's counters), and rejoins
@@ -135,7 +113,6 @@ type Gateway struct {
 	mem      *Membership
 	router   *Router
 	scatter  *pipeline.Engine[subBatch, subResult, struct{}]
-	coal     *coalescer // nil unless CoalesceWindow > 0
 	metrics  *gwMetrics
 	repairs  *shipper // failover verdicts bound for their ring owner
 	draining atomic.Bool
@@ -164,26 +141,19 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 			res, err := g.forwardSubBatch(sb)
 			return res, err == nil, err
 		})
-	if cfg.CoalesceWindow > 0 {
-		g.coal = newCoalescer(g)
-	}
 	return g
 }
 
 // Membership exposes the registry (tests and Run's sweeper).
 func (g *Gateway) Membership() *Membership { return g.mem }
 
-// Router exposes the routing client (tests).
-func (g *Gateway) Router() *Router { return g.router }
-
 // Draining reports whether graceful shutdown has begun.
 func (g *Gateway) Draining() bool { return g.draining.Load() }
 
 // forwardSubBatch sends one owner's sub-batch — a slice of a client
-// batch, or a coalesced window of singles — through the router and
-// parses the worker's reply. Infrastructure failures and sheds surface
-// as errors that fail the whole sub-batch with one taxonomy-mapped
-// status.
+// batch — through the router and parses the worker's reply.
+// Infrastructure failures and sheds surface as errors that fail the
+// whole sub-batch with one taxonomy-mapped status.
 func (g *Gateway) forwardSubBatch(sb subBatch) (subResult, error) {
 	body := api.AppendBatchRequest(nil, &api.BatchRequest{Domains: sb.domains})
 	rep, err := g.router.Do(sb.ctx, sb.key, http.MethodPost, "/v1/detect/batch", body)
@@ -210,7 +180,7 @@ func (g *Gateway) forwardSubBatch(sb subBatch) (subResult, error) {
 
 // Handler returns the gateway's HTTP mux:
 //
-//	POST /v1/detect        route to ring owner (hedged), pass through
+//	POST /v1/detect        route to ring owner, pass through
 //	POST /v1/detect/batch  split by owner, scatter/gather, reassemble
 //	POST /v1/join          worker registration + heartbeat
 //	GET  /healthz          gateway liveness; 503 while draining
@@ -281,10 +251,6 @@ func (g *Gateway) handleDetect(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if g.coal != nil {
-		g.detectCoalesced(w, r, n.ACE)
-		return
-	}
 	rep, err := g.forwardSingle(r.Context(), n.ACE)
 	if err != nil {
 		writeError(w, err)
@@ -294,10 +260,10 @@ func (g *Gateway) handleDetect(w http.ResponseWriter, r *http.Request) {
 	g.passthrough(w, rep)
 }
 
-// forwardSingle routes one normalized single to its ring owner (hedged,
-// breaker-aware) and returns the raw reply for passthrough. The ACE form
-// is what travels: it is the partition key, the worker's cache key, and
-// re-normalizes in the worker for free.
+// forwardSingle routes one normalized single to its ring owner
+// (breaker-aware, retried down the ring) and returns the raw reply for
+// passthrough. The ACE form is what travels: it is the partition key,
+// the worker's cache key, and re-normalizes in the worker for free.
 //
 // A 200 served by a non-owner means the owner is cold for this key
 // (rebooted, or its replica was promoted) and the gateway holds exactly
@@ -305,7 +271,7 @@ func (g *Gateway) handleDetect(w http.ResponseWriter, r *http.Request) {
 // like all replication. Only this failover path pays the decode.
 func (g *Gateway) forwardSingle(ctx context.Context, ace string) (Reply, error) {
 	body := api.AppendDetectRequest(nil, &api.DetectRequest{Domain: ace})
-	rep, err := g.router.DoHedged(ctx, ace, http.MethodPost, "/v1/detect", body)
+	rep, err := g.router.Do(ctx, ace, http.MethodPost, "/v1/detect", body)
 	if err != nil || rep.Status != http.StatusOK {
 		return rep, err
 	}
@@ -327,33 +293,6 @@ func (g *Gateway) passthrough(w http.ResponseWriter, rep Reply) {
 	w.WriteHeader(rep.Status)
 	_, _ = w.Write(rep.Body)
 	rep.Release()
-}
-
-// detectCoalesced routes one normalized single through the coalescer
-// and waits for the demultiplexed result (or the caller's deadline —
-// the buffered result channel means an abandoned wait cannot block the
-// flush).
-func (g *Gateway) detectCoalesced(w http.ResponseWriter, r *http.Request, ace string) {
-	call, err := g.coal.submit(ace)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	select {
-	case res := <-call.done:
-		if res.err != nil {
-			writeError(w, res.err)
-			return
-		}
-		g.metrics.labels.Add(1)
-		if res.direct {
-			g.passthrough(w, res.rep)
-			return
-		}
-		api.WriteDetect(w, http.StatusOK, &res.resp)
-	case <-r.Context().Done():
-		writeError(w, r.Context().Err())
-	}
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -547,24 +486,19 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"version":       version.Version,
 		"uptimeSeconds": time.Since(m.start).Seconds(),
 		"gateway": map[string]any{
-			"single":      m.single.Load(),
-			"batch":       m.batch.Load(),
-			"labels":      m.labels.Load(),
-			"subBatches":  m.subBatches.Load(),
-			"localErrors": m.localErrors.Load(),
-			"status2xx":   m.status.S2xx.Load(),
-			"status4xx":   m.status.S4xx.Load(),
-			"status429":   m.status.S429.Load(),
-			"status5xx":   m.status.S5xx.Load(),
-			// Always present (zero when coalescing is off) so scrapers
-			// need no feature detection.
-			"coalesce_windows":       m.coalWindows.Load(),
-			"coalesce_batched":       m.coalBatched.Load(),
-			"coalesce_flush_timeout": m.coalTimeouts.Load(),
-			"repair_forwards":        m.repairForwards.Load(),
-			"repair_dropped":         g.repairs.dropped.Load(),
-			"repair_errors":          g.repairs.errs.Load(),
-			"rejoins":                m.rejoins.Load(),
+			"single":          m.single.Load(),
+			"batch":           m.batch.Load(),
+			"labels":          m.labels.Load(),
+			"subBatches":      m.subBatches.Load(),
+			"localErrors":     m.localErrors.Load(),
+			"status2xx":       m.status.S2xx.Load(),
+			"status4xx":       m.status.S4xx.Load(),
+			"status429":       m.status.S429.Load(),
+			"status5xx":       m.status.S5xx.Load(),
+			"repair_forwards": m.repairForwards.Load(),
+			"repair_dropped":  g.repairs.dropped.Load(),
+			"repair_errors":   g.repairs.errs.Load(),
+			"rejoins":         m.rejoins.Load(),
 		},
 		"latency": m.latency.Stats(),
 		"scatter": g.scatter.Metrics().JSON(),

@@ -1,11 +1,18 @@
 package cluster
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -130,5 +137,283 @@ func TestEveryPackageAnswersToAGate(t *testing.T) {
 			reached[pkg] = true // report once
 			t.Errorf("internal/%s: no cmd/ binary, bench/e2e or smoke drill reaches it", pkg)
 		}
+	}
+}
+
+// declAllowed are the declarations TestEveryDeclarationAnswersToAGate
+// lets stand without a use, each with the reason.
+var declAllowed = map[string]string{
+	"internal/whois.Parse":          "WHOIS codec: the study reading WHOIS text gives it a caller, or it goes (ROADMAP)",
+	"internal/whois.Render":         "WHOIS codec: the study reading WHOIS text gives it a caller, or it goes (ROADMAP)",
+	"internal/zonefile.Parse":       "zone-file reader: the study reading zone files gives it a caller, or it goes (ROADMAP)",
+	"internal/vstore.Store.Compact": "test hook: framelog/format_test.go compacts a store to pin the snapshot layout",
+}
+
+// TestEveryDeclarationAnswersToAGate is TestEveryPackageAnswersToAGate
+// one level down: every package-level declaration and method in a
+// non-test file under cmd/ or internal/ (and every helper in the smoke
+// drills) is used outside its own declaration by those files, by
+// bench/e2e or by the smoke drills. A method is exempt when its receiver
+// satisfies an interface that declares it, since the call then goes
+// through the interface. Imports are typed from the compiler's export
+// data (go list -export), so the cost is a type-check of these sources
+// alone.
+func TestEveryDeclarationAnswersToAGate(t *testing.T) {
+	const module = "idnlab/"
+	fset := token.NewFileSet()
+	parse := func(paths []string) []*ast.File {
+		files := make([]*ast.File, len(paths))
+		for i, path := range paths {
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[i] = f
+		}
+		return files
+	}
+	glob := func(pattern string, tests bool) []string {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, p := range paths {
+			if strings.HasSuffix(p, "_test.go") == tests {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	benchFiles := parse(glob("../../bench/e2e/*.go", false))
+	smokeFiles := parse(glob("../../internal/smoke/*_test.go", true))
+
+	// Export data for every dependency of the module, plus the standard
+	// packages that only bench/e2e and the smoke drills import.
+	args := []string{"list", "-export", "-deps", "-f",
+		"{{.ImportPath}}\t{{.Export}}\t{{if not .Standard}}{{.Dir}}\t{{join .GoFiles \" \"}}{{end}}", "./..."}
+	for _, f := range append(benchFiles, smokeFiles...) {
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); !strings.HasPrefix(p, module) {
+				args = append(args, p)
+			}
+		}
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = "../.."
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	exports := make(map[string]string)
+	type srcPkg struct {
+		path  string
+		files []*ast.File
+		check bool // its declarations must answer to a gate
+		info  *types.Info
+		pkg   *types.Package
+	}
+	var pkgs []*srcPkg
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Split(line, "\t")
+		exports[f[0]] = f[1]
+		if !strings.HasPrefix(f[0], module) || len(f) < 4 {
+			continue
+		}
+		var paths []string
+		for _, name := range strings.Fields(f[3]) {
+			paths = append(paths, filepath.Join(f[2], name))
+		}
+		p := &srcPkg{path: f[0], files: parse(paths), check: true}
+		if p.path == module+"internal/smoke" {
+			p.files = append(p.files, smokeFiles...)
+		}
+		pkgs = append(pkgs, p)
+	}
+	pkgs = append(pkgs, &srcPkg{path: module + "bench/e2e", files: benchFiles})
+
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	})
+	for _, p := range pkgs {
+		p.info = &types.Info{Uses: make(map[*ast.Ident]types.Object), Types: make(map[ast.Expr]types.TypeAndValue)}
+		conf := types.Config{Importer: imp}
+		if p.pkg, err = conf.Check(p.path, fset, p.files, p.info); err != nil {
+			t.Fatalf("type-check %s: %v", p.path, err)
+		}
+	}
+
+	// key names a declaration the same way whether it was typed from
+	// source or from export data: path, receiver, name.
+	key := func(obj types.Object) string {
+		if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), module) {
+			return ""
+		}
+		path := strings.TrimPrefix(obj.Pkg().Path(), module)
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Origin().Type().(*types.Signature).Recv(); recv != nil {
+				typ := recv.Type()
+				if ptr, ok := typ.(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				named, ok := typ.(*types.Named)
+				if !ok {
+					return ""
+				}
+				return path + "." + named.Origin().Obj().Name() + "." + obj.Name()
+			}
+		}
+		if obj.Pkg().Scope().Lookup(obj.Name()) != obj {
+			return "" // a local, a field or a parameter
+		}
+		return path + "." + obj.Name()
+	}
+
+	type decl struct {
+		pkg        *srcPkg
+		name       string
+		recv       string
+		start, end token.Pos
+	}
+	decls := make(map[string]*decl)
+	for _, p := range pkgs {
+		if !p.check {
+			continue
+		}
+		path := strings.TrimPrefix(p.path, module)
+		add := func(recv, name string, start, end token.Pos) {
+			if name == "_" {
+				return
+			}
+			k := path + "." + name
+			if recv != "" {
+				k = path + "." + recv + "." + name
+			}
+			decls[k] = &decl{pkg: p, name: name, recv: recv, start: start, end: end}
+		}
+		for _, f := range p.files {
+			smoke := strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						if d.Name.Name == "main" || d.Name.Name == "init" ||
+							smoke && (strings.HasPrefix(d.Name.Name, "Test") || strings.HasPrefix(d.Name.Name, "Fuzz") || strings.HasPrefix(d.Name.Name, "Benchmark")) {
+							continue
+						}
+						add("", d.Name.Name, d.Pos(), d.End())
+						continue
+					}
+					typ := d.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					switch x := typ.(type) {
+					case *ast.IndexExpr:
+						typ = x.X
+					case *ast.IndexListExpr:
+						typ = x.X
+					}
+					add(typ.(*ast.Ident).Name, d.Name.Name, d.Pos(), d.End())
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							add("", s.Name.Name, s.Pos(), s.End())
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								add("", n.Name, s.Pos(), s.End())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := make(map[string]bool)
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
+			k := key(obj)
+			if d := decls[k]; d == nil || d.pkg == p && id.Pos() >= d.start && id.Pos() < d.end {
+				continue
+			}
+			used[k] = true
+		}
+	}
+
+	// Every interface in sight, by method name: declared in a checked
+	// package or anything it imports, or written inline in a source.
+	ifaces := make(map[string][]*types.Interface)
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				name := it.Method(i).Name()
+				ifaces[name] = append(ifaces[name], it)
+			}
+		}
+	}
+	seen := make(map[*types.Package]bool)
+	var walk func(*types.Package)
+	walk = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, dep := range pkg.Imports() {
+			walk(dep)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, p := range pkgs {
+		walk(p.pkg)
+		for _, tv := range p.info.Types {
+			addIface(tv.Type)
+		}
+	}
+	// satisfies reports whether d's receiver implements an interface
+	// that declares d's method, so the method is called through it.
+	satisfies := func(d *decl) bool {
+		recv, ok := d.pkg.pkg.Scope().Lookup(d.recv).(*types.TypeName)
+		if !ok {
+			return false
+		}
+		for _, it := range ifaces[d.name] {
+			if types.Implements(recv.Type(), it) || types.Implements(types.NewPointer(recv.Type()), it) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var unused []string
+	for k, d := range decls {
+		if used[k] || d.recv != "" && satisfies(d) {
+			if declAllowed[k] != "" {
+				t.Errorf("%s is allowed unused but has a use now: drop it from declAllowed", k)
+			}
+			continue
+		}
+		if declAllowed[k] == "" {
+			unused = append(unused, fmt.Sprintf("%s: %s", fset.Position(d.start), k))
+		}
+	}
+	for k := range declAllowed {
+		if decls[k] == nil {
+			t.Errorf("declAllowed names %s, which is not declared", k)
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("%s: no use outside its own declaration in cmd/, internal/, bench/e2e or the smoke drills", u)
 	}
 }

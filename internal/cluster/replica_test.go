@@ -135,14 +135,14 @@ func TestReplicaRoundTrip(t *testing.T) {
 	if _, ok := a.cache.Peek("errored.example"); ok {
 		t.Fatal("an error result was ingested")
 	}
-	if got := a.store.Seq(); got != 40 {
+	if got := a.store.Stats().Seq; got != 40 {
 		t.Fatalf("store seq %d after 40 new verdicts and one already-cached key, want 40", got)
 	}
 	// The same frame again is all duplicates: accepted 0, log unchanged.
 	if code, body := post(t, a.addr, replicatePath, replicateFrame(t, results...)); code != 200 || !strings.Contains(body, `"accepted":0`) {
 		t.Fatalf("replicate again: %d %q", code, body)
 	}
-	if got, st := a.store.Seq(), a.r.Stats(); got != 40 || st.ReplicationIn != 40 {
+	if got, st := a.store.Stats().Seq, a.r.Stats(); got != 40 || st.ReplicationIn != 40 {
 		t.Fatalf("after the duplicate frame: seq %d replicationIn %d, want 40 and 40", got, st.ReplicationIn)
 	}
 	if err := a.store.Sync(); err != nil {
@@ -177,8 +177,8 @@ func TestReplicaRoundTrip(t *testing.T) {
 	if int(st.SyncIngested) != want || int(st.SyncSkipped) != 40-want || st.SyncRounds != 1 || st.SyncErrors != 0 {
 		t.Fatalf("sync counters %+v, want %d ingested and %d skipped in one clean round", st, want, 40-want)
 	}
-	if b.cache.len() != want || int(b.store.Seq()) != want {
-		t.Fatalf("b holds %d cached / seq %d, want %d", b.cache.len(), b.store.Seq(), want)
+	if b.cache.len() != want || int(b.store.Stats().Seq) != want {
+		t.Fatalf("b holds %d cached / seq %d, want %d", b.cache.len(), b.store.Stats().Seq, want)
 	}
 	if wm["a"] != 40 {
 		t.Fatalf("cursor for a = %d, want its durable mark 40", wm["a"])
@@ -210,8 +210,8 @@ func TestReplicaRoundTrip(t *testing.T) {
 		if q := a.since.Load().(string); !strings.HasPrefix(q, "seq=0&") {
 			t.Fatalf("round after %q peers.json asked a for %q, want seq=0", junk, q)
 		}
-		if int(b.store.Seq()) != want {
-			t.Fatalf("replay re-appended: seq %d, want %d", b.store.Seq(), want)
+		if int(b.store.Stats().Seq) != want {
+			t.Fatalf("replay re-appended: seq %d, want %d", b.store.Stats().Seq, want)
 		}
 	}
 }

@@ -27,10 +27,6 @@ type RouterConfig struct {
 	// a burst of failovers does not re-synchronize on the fallback node.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Hedge, when > 0, fires a second request to the next ring candidate
-	// if the owner has not answered within this budget — the classic
-	// tail-latency hedge. 0 disables hedging.
-	Hedge time.Duration
 	// Breaker parameterizes the per-node circuit breakers.
 	Breaker BreakerConfig
 	// Client overrides the HTTP client (default: the package's shared
@@ -56,18 +52,16 @@ func (c RouterConfig) withDefaults() RouterConfig {
 
 // RouterStats is the router's /clusterz contribution.
 type RouterStats struct {
-	Retries   uint64            `json:"retries"`
-	Hedges    uint64            `json:"hedges"`
-	HedgeWins uint64            `json:"hedgeWins"`
-	Breakers  map[string]string `json:"breakers"`
+	Retries  uint64            `json:"retries"`
+	Breakers map[string]string `json:"breakers"`
 }
 
 // Router routes keys to nodes: rendezvous ring over the membership's
 // routable set (rebuilt only when the epoch moves), per-node circuit
-// breakers, bounded retries with jittered backoff down the candidate
-// list, and optional hedged requests. It feeds evidence back into the
-// membership (ObserveSuccess/ObserveFailure) so routing outcomes — not
-// just heartbeats — drive health state.
+// breakers, and bounded retries with jittered backoff down the candidate
+// list. It feeds evidence back into the membership
+// (ObserveSuccess/ObserveFailure) so routing outcomes — not just
+// heartbeats — drive health state.
 type Router struct {
 	cfg RouterConfig
 	mem *Membership
@@ -75,10 +69,8 @@ type Router struct {
 	ring     ringCache
 	breakers breakerSet
 
-	rng       atomic.Uint64
-	retries   atomic.Uint64
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
+	rng     atomic.Uint64
+	retries atomic.Uint64
 }
 
 // NewRouter builds a router over mem.
@@ -106,10 +98,8 @@ func (r *Router) Owner(key string) (NodeInfo, bool) { return r.Ring().Owner(key)
 // Stats snapshots the router counters and breaker states.
 func (r *Router) Stats() RouterStats {
 	st := RouterStats{
-		Retries:   r.retries.Load(),
-		Hedges:    r.hedges.Load(),
-		HedgeWins: r.hedgeWins.Load(),
-		Breakers:  make(map[string]string),
+		Retries:  r.retries.Load(),
+		Breakers: make(map[string]string),
 	}
 	r.breakers.m.Range(func(id, b any) bool {
 		st.Breakers[id.(string)] = b.(*Breaker).State()
@@ -169,13 +159,12 @@ func (r *Router) Do(ctx context.Context, key, method, path string, body []byte) 
 	if len(cands) == 0 {
 		return Reply{}, ErrNoNodes
 	}
-	return r.walk(ctx, cands, 0, method, path, body)
+	return r.walk(ctx, cands, method, path, body)
 }
 
-// walk attempts candidates[skipped:] sequentially. attemptsUsed seeds
-// the attempt counter (used by the hedged path's fallback).
-func (r *Router) walk(ctx context.Context, cands []NodeInfo, attemptsUsed int, method, path string, body []byte) (Reply, error) {
-	attempts := attemptsUsed
+// walk attempts cands sequentially.
+func (r *Router) walk(ctx context.Context, cands []NodeInfo, method, path string, body []byte) (Reply, error) {
+	attempts := 0
 	var lastErr error
 	for _, nd := range cands {
 		if attempts >= r.cfg.MaxAttempts {
@@ -184,11 +173,11 @@ func (r *Router) walk(ctx context.Context, cands []NodeInfo, attemptsUsed int, m
 		if !r.breakers.get(nd.ID).Allow() {
 			continue // fail fast past an open breaker; no attempt consumed
 		}
-		if attempts > attemptsUsed {
+		if attempts > 0 {
 			// Backoff before a retry, scaled by how many attempts this
 			// call has already burned, jittered, capped, and cut short
 			// by the caller's deadline.
-			d := r.cfg.BaseBackoff << uint(attempts-attemptsUsed-1)
+			d := r.cfg.BaseBackoff << uint(attempts-1)
 			if d > r.cfg.MaxBackoff {
 				d = r.cfg.MaxBackoff
 			}
@@ -215,97 +204,7 @@ func (r *Router) walk(ctx context.Context, cands []NodeInfo, attemptsUsed int, m
 	if lastErr == nil {
 		lastErr = ErrNoNodes // every candidate's breaker was open
 	}
-	return Reply{}, fmt.Errorf("%w after %d attempts: %v", ErrUnavailable, attempts-attemptsUsed, lastErr)
-}
-
-// hedgeResult carries one racer's outcome.
-type hedgeResult struct {
-	rep    Reply
-	err    error
-	hedged bool
-}
-
-// DoHedged is Do with tail-latency hedging: the owner gets a head
-// start of cfg.Hedge; if it has not answered by then, the second
-// candidate is raced against it and the first answer wins (the loser is
-// cancelled). Falls back to plain Do when hedging is disabled or the
-// ring has a single node. Hedges are issued to at most one extra node —
-// bounded extra load, bounded tail.
-func (r *Router) DoHedged(ctx context.Context, key, method, path string, body []byte) (Reply, error) {
-	cands := r.Ring().Candidates(key, 0)
-	if len(cands) == 0 {
-		return Reply{}, ErrNoNodes
-	}
-	if r.cfg.Hedge <= 0 || len(cands) < 2 {
-		return r.walk(ctx, cands, 0, method, path, body)
-	}
-	primary, secondary := cands[0], cands[1]
-	if !r.breakers.get(primary.ID).Allow() {
-		// Owner is circuit-broken: no point hedging around it, just
-		// walk the remainder of the list.
-		return r.walk(ctx, cands[1:], 0, method, path, body)
-	}
-
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resc := make(chan hedgeResult, 2) // buffered: losers never block
-	launch := func(nd NodeInfo, hedged bool) {
-		go func() {
-			rep, err := r.attempt(raceCtx, nd, method, path, body)
-			resc <- hedgeResult{rep: rep, err: err, hedged: hedged}
-		}()
-	}
-	launch(primary, false)
-	hedgeTimer := time.NewTimer(r.cfg.Hedge)
-	defer hedgeTimer.Stop()
-
-	outstanding := 1
-	hedgeFired := false
-	var lastErr error
-	for outstanding > 0 {
-		select {
-		case res := <-resc:
-			outstanding--
-			if res.err == nil {
-				cancel() // release the loser immediately
-				res.rep.Hedged = res.hedged
-				res.rep.Attempts = 1
-				if res.hedged {
-					r.hedgeWins.Add(1)
-				}
-				return res.rep, nil
-			}
-			lastErr = res.err
-			if ctx.Err() != nil {
-				return Reply{}, ctx.Err()
-			}
-			if !hedgeFired && outstanding == 0 {
-				// Primary failed before the hedge timer: promote the
-				// hedge to an immediate retry.
-				if r.breakers.get(secondary.ID).Allow() {
-					hedgeFired = true
-					r.hedges.Add(1)
-					launch(secondary, true)
-					outstanding++
-				}
-			}
-		case <-hedgeTimer.C:
-			if !hedgeFired && r.breakers.get(secondary.ID).Allow() {
-				hedgeFired = true
-				r.hedges.Add(1)
-				launch(secondary, true)
-				outstanding++
-			}
-		case <-ctx.Done():
-			return Reply{}, ctx.Err()
-		}
-	}
-	// Both racers failed; walk the rest of the candidate list with the
-	// two burned attempts accounted for.
-	if len(cands) > 2 {
-		return r.walk(ctx, cands[2:], 2, method, path, body)
-	}
-	return Reply{}, fmt.Errorf("%w after 2 attempts: %v", ErrUnavailable, lastErr)
+	return Reply{}, fmt.Errorf("%w after %d attempts: %v", ErrUnavailable, attempts, lastErr)
 }
 
 // Broadcast fans one GET out to every routable node concurrently and

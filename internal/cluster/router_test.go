@@ -241,75 +241,6 @@ func TestRouterRingCacheFollowsEpoch(t *testing.T) {
 	}
 }
 
-func TestRouterHedgeWinsOnSlowPrimary(t *testing.T) {
-	fake := newFakeDoer()
-	_, r, _ := routerFixture(t, 3, RouterConfig{Hedge: 5 * time.Millisecond}, fake)
-	key := "example.com"
-	cands := r.Ring().Candidates(key, 0)
-
-	// Primary answers, but far slower than the hedge delay.
-	fake.set(cands[0].Addr, func(req *http.Request) (*http.Response, error) {
-		select {
-		case <-time.After(500 * time.Millisecond):
-			return okResponse("slow")(req)
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-	})
-	t0 := time.Now()
-	rep, err := r.DoHedged(context.Background(), key, http.MethodPost, "/v1/detect", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Hedged || rep.NodeID != cands[1].ID {
-		t.Fatalf("rep = %+v, want hedged answer from %s", rep, cands[1].ID)
-	}
-	if el := time.Since(t0); el > 250*time.Millisecond {
-		t.Fatalf("hedged request took %s — did not cut the tail", el)
-	}
-	st := r.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("stats = %+v, want 1 hedge / 1 win", st)
-	}
-}
-
-func TestRouterHedgePrimaryFastPath(t *testing.T) {
-	fake := newFakeDoer()
-	_, r, _ := routerFixture(t, 3, RouterConfig{Hedge: 50 * time.Millisecond}, fake)
-	key := "example.com"
-	cands := r.Ring().Candidates(key, 0)
-	rep, err := r.DoHedged(context.Background(), key, http.MethodPost, "/v1/detect", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Hedged || rep.NodeID != cands[0].ID {
-		t.Fatalf("rep = %+v, want un-hedged owner answer", rep)
-	}
-	if fake.callCount(cands[1].Addr) != 0 {
-		t.Fatal("hedge fired although the primary answered fast")
-	}
-	if st := r.Stats(); st.Hedges != 0 {
-		t.Fatalf("Hedges = %d, want 0", st.Hedges)
-	}
-}
-
-func TestRouterHedgePromotedOnPrimaryFailure(t *testing.T) {
-	fake := newFakeDoer()
-	_, r, _ := routerFixture(t, 3, RouterConfig{Hedge: time.Hour}, fake)
-	key := "example.com"
-	cands := r.Ring().Candidates(key, 0)
-	fake.set(cands[0].Addr, refuse())
-	rep, err := r.DoHedged(context.Background(), key, http.MethodPost, "/v1/detect", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Primary failed long before the (1h) hedge timer — the hedge is
-	// promoted to an immediate retry instead of waiting.
-	if !rep.Hedged || rep.NodeID != cands[1].ID {
-		t.Fatalf("rep = %+v, want promoted hedge from %s", rep, cands[1].ID)
-	}
-}
-
 func TestRouterBroadcast(t *testing.T) {
 	fake := newFakeDoer()
 	_, r, nodes := routerFixture(t, 3, RouterConfig{}, fake)

@@ -5,8 +5,8 @@
 // states; a rendezvous-hash Ring partitions the verdict keyspace so each
 // domain's verdict is cached on exactly one owner (aggregate cache
 // capacity grows with node count instead of being cloned per replica);
-// the Router adds per-node circuit breakers, bounded retries with
-// jittered backoff to the next ring candidate, and optional hedging.
+// the Router adds per-node circuit breakers and bounded retries with
+// jittered backoff to the next ring candidate.
 // The Gateway ties them together in front of N idnserve workers: it
 // forwards singles to their owner, splits batch bodies by owner and
 // scatter/gathers the sub-batches with order-preserving reassembly,

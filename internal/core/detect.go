@@ -403,19 +403,6 @@ func (d *HomographDetector) detect(n NormalizedDomain, raw float64) (m Homograph
 	return HomographMatch{}, true, false
 }
 
-// Detect scans a domain corpus and returns all homographic matches, sorted
-// by brand then domain.
-func (d *HomographDetector) Detect(domains []string) []HomographMatch {
-	var out []HomographMatch
-	for _, domain := range domains {
-		if m, ok := d.DetectOne(domain); ok {
-			out = append(out, m)
-		}
-	}
-	sortHomographMatches(out)
-	return out
-}
-
 func isASCII(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= 0x80 {
@@ -487,18 +474,6 @@ func (d *SemanticDetector) DetectNormalized(n NormalizedDomain) (SemanticMatch, 
 		return SemanticMatch{}, false
 	}
 	return SemanticMatch{Domain: n.ACE, Unicode: n.Unicode, Brand: b.Domain, Keyword: keyword.String()}, true
-}
-
-// Detect scans a corpus for Type-1 semantic IDNs.
-func (d *SemanticDetector) Detect(domains []string) []SemanticMatch {
-	var out []SemanticMatch
-	for _, domain := range domains {
-		if m, ok := d.DetectOne(domain); ok {
-			out = append(out, m)
-		}
-	}
-	sortSemanticMatches(out)
-	return out
 }
 
 // BrandRanking aggregates detected matches per brand — the shape of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -24,7 +25,7 @@ func TestReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := NewStudy(ds).Run(&sb); err != nil {
+	if err := NewStudy(ds).RunContext(context.Background(), &sb); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()

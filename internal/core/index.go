@@ -151,10 +151,6 @@ func buildIndex(ds *Dataset, cls *langid.Classifier, workers int) *Index {
 	return &Index{ds: ds, infos: infos, buildMetrics: eng.Metrics()}
 }
 
-// Infos returns the per-domain derived records, aligned with Dataset.IDNs.
-// Callers must treat the slice as read-only.
-func (ix *Index) Infos() []DomainInfo { return ix.infos }
-
 // BuildMetrics returns the pipeline metrics of the index-construction
 // pass.
 func (ix *Index) BuildMetrics() pipeline.Metrics { return ix.buildMetrics }

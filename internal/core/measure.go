@@ -124,12 +124,6 @@ const (
 	PopulationMalicious
 )
 
-// populationDomains materializes a population's domain list, resolving
-// through the corpus index so the malicious filter is computed once.
-func (ds *Dataset) populationDomains(p Population) []string {
-	return ds.Index().populationDomains(p)
-}
-
 // ActiveTimeSeries returns the Figure 2 series for a population,
 // optionally restricted to one TLD ("" for all). Each (population, TLD)
 // cut is computed once by the corpus index; callers must treat the slice

@@ -16,7 +16,6 @@ import (
 
 	"idnlab/internal/browser"
 	"idnlab/internal/feat"
-	"idnlab/internal/glyph"
 	"idnlab/internal/langid"
 	"idnlab/internal/pipeline"
 	"idnlab/internal/stats"
@@ -228,11 +227,6 @@ func (st *Study) Section(key string) (func(io.Writer) error, error) {
 		}
 	}
 	return nil, fmt.Errorf("unknown experiment %q (available: %s)", key, strings.Join(st.SectionKeys(), ", "))
-}
-
-// Run executes every experiment and writes the full report to w.
-func (st *Study) Run(w io.Writer) error {
-	return st.RunContext(context.Background(), w)
 }
 
 // RunContext executes every experiment with bounded-parallel section
@@ -807,12 +801,6 @@ func topKBrandLabels(k int) []string {
 		labels = append(labels, l)
 	}
 	return labels
-}
-
-// Art renders a domain comparison as ASCII art for documentation.
-func Art(domain string) string {
-	re := glyph.NewRenderer()
-	return strings.Join(re.Art(domain), "\n")
 }
 
 // Scale returns the dataset's configured down-scaling divisor.

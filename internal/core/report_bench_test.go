@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -37,7 +38,7 @@ func BenchmarkStudyRun(b *testing.B) {
 				st := NewStudy(ds)
 				st.ScanWorkers = workers
 				b.StartTimer()
-				if err := st.Run(io.Discard); err != nil {
+				if err := st.RunContext(context.Background(), io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}

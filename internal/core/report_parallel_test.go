@@ -35,7 +35,7 @@ func TestRunParallelByteIdentical(t *testing.T) {
 		st := NewStudy(freshStudyDS(t))
 		st.ScanWorkers = workers
 		var sb strings.Builder
-		if err := st.Run(&sb); err != nil {
+		if err := st.RunContext(context.Background(), &sb); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if timings := st.SectionTimings(); len(timings) != len(st.sections()) {
@@ -134,7 +134,7 @@ func TestRunContextCancelled(t *testing.T) {
 // with Dataset.IDNs.
 func TestIndexMemoization(t *testing.T) {
 	ix := testDS.Index()
-	infos := ix.Infos()
+	infos := ix.infos
 	if len(infos) != len(testDS.IDNs) {
 		t.Fatalf("index has %d infos for %d IDNs", len(infos), len(testDS.IDNs))
 	}
@@ -186,7 +186,7 @@ func TestIndexMemoization(t *testing.T) {
 func TestEverySectionSelectable(t *testing.T) {
 	st := NewStudy(freshStudyDS(t))
 	var full strings.Builder
-	if err := st.Run(&full); err != nil {
+	if err := st.RunContext(context.Background(), &full); err != nil {
 		t.Fatal(err)
 	}
 	keys := st.SectionKeys()
@@ -235,8 +235,8 @@ func TestAssembleAndResultsAtAnyWidth(t *testing.T) {
 		return ds, buf.Bytes()
 	}
 	one, oneJSON := build(1)
-	if len(one.IDNs) == 0 || len(one.NonIDNs) == 0 || one.Certs.Len() == 0 {
-		t.Fatalf("degenerate dataset: %d IDNs, %d non-IDNs, %d certificates", len(one.IDNs), len(one.NonIDNs), one.Certs.Len())
+	if len(one.IDNs) == 0 || len(one.NonIDNs) == 0 {
+		t.Fatalf("degenerate dataset: %d IDNs, %d non-IDNs", len(one.IDNs), len(one.NonIDNs))
 	}
 	eight, eightJSON := build(8)
 	if !bytes.Equal(oneJSON, eightJSON) {
@@ -258,19 +258,23 @@ func TestAssembleAndResultsAtAnyWidth(t *testing.T) {
 	// from its reader, so certificate bytes differ from run to run at any
 	// width; what the CA decides — who is issued which certificate, in
 	// which order — is exact.
-	if one.Certs.Len() != eight.Certs.Len() {
-		t.Fatalf("%d certificates vs %d", one.Certs.Len(), eight.Certs.Len())
-	}
+	deployed := 0
 	for _, d := range append(append([]string(nil), one.IDNs...), one.NonIDNs...) {
 		a, okA := one.Certs.Get(d)
 		b, okB := eight.Certs.Get(d)
 		if okA != okB {
 			t.Fatalf("%s: certificate deployed at one width only", d)
 		}
+		if okA {
+			deployed++
+		}
 		if okA && (a.SerialNumber.Cmp(b.SerialNumber) != 0 || a.Subject.CommonName != b.Subject.CommonName ||
 			!a.NotAfter.Equal(b.NotAfter) || a.Issuer.CommonName != b.Issuer.CommonName) {
 			t.Fatalf("%s: serial %v cn %q vs serial %v cn %q", d, a.SerialNumber, a.Subject.CommonName, b.SerialNumber, b.Subject.CommonName)
 		}
+	}
+	if deployed == 0 {
+		t.Fatal("degenerate dataset: no certificates deployed")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 func TestStudyRunProducesAllSections(t *testing.T) {
 	st := NewStudy(testDS)
 	var sb strings.Builder
-	if err := st.Run(&sb); err != nil {
+	if err := st.RunContext(context.Background(), &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -102,13 +103,6 @@ func TestNewDefaultDataset(t *testing.T) {
 	}
 	if ds.Scale() != 2000 {
 		t.Errorf("Scale = %d", ds.Scale())
-	}
-}
-
-func TestArt(t *testing.T) {
-	art := Art("аpple.com")
-	if !strings.Contains(art, "#") {
-		t.Error("art has no ink")
 	}
 }
 

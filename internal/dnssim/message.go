@@ -49,9 +49,8 @@ type Type uint16
 
 // Record types supported by the simulator.
 const (
-	TypeA    Type = 1
-	TypeNS   Type = 2
-	TypeAAAA Type = 28
+	TypeA  Type = 1
+	TypeNS Type = 2
 )
 
 // ClassIN is the Internet class.

@@ -56,13 +56,6 @@ func (s *Server) SetBehavior(domain string, b Behavior) {
 	s.entries[strings.ToLower(domain)] = zoneEntry{behavior: b}
 }
 
-// Len returns the number of configured names.
-func (s *Server) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.entries)
-}
-
 // Handle answers one query message.
 func (s *Server) Handle(query *Message) *Message {
 	resp := &Message{

@@ -3,7 +3,6 @@ package glyph
 import (
 	"image"
 	"testing"
-	"testing/quick"
 )
 
 func countInk(img *image.Gray) int {
@@ -192,46 +191,6 @@ func TestRenderWidthNegative(t *testing.T) {
 	}
 }
 
-func TestSkeleton(t *testing.T) {
-	cases := []struct {
-		r    rune
-		want rune
-		ok   bool
-	}{
-		{'a', 'a', true},
-		{'A', 'a', true},
-		{'а', 'a', true}, // Cyrillic
-		{'á', 'a', true},
-		{'ạ', 'a', true},
-		{'ö', 'o', true},
-		{'ѕ', 's', true},
-		{'5', '5', true},
-		{'-', '-', true},
-		{'中', 0, false},
-		{'€', 0, false},
-	}
-	for _, tc := range cases {
-		got, ok := Skeleton(tc.r)
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("Skeleton(%q) = %q,%v want %q,%v", tc.r, got, ok, tc.want, tc.ok)
-		}
-	}
-}
-
-func TestSkeletonIdempotentProperty(t *testing.T) {
-	if err := quick.Check(func(v uint16) bool {
-		r := rune(v)
-		s1, ok := Skeleton(r)
-		if !ok {
-			return true
-		}
-		s2, ok2 := Skeleton(s1)
-		return ok2 && s2 == s1
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestComposedAllHaveValidBases(t *testing.T) {
 	for r, sp := range composed {
 		if _, ok := baseFont[sp.base]; !ok {
@@ -269,28 +228,6 @@ func TestInkOverlapSymmetric(t *testing.T) {
 				t.Fatalf("InkOverlap not symmetric for %q,%q", x, y)
 			}
 		}
-	}
-}
-
-func TestArt(t *testing.T) {
-	re := NewRenderer()
-	art := re.Art("a")
-	if len(art) != CellHeight {
-		t.Fatalf("art has %d rows", len(art))
-	}
-	inked := false
-	for _, row := range art {
-		if len(row) != CellWidth {
-			t.Fatalf("art row width %d", len(row))
-		}
-		for i := 0; i < len(row); i++ {
-			if row[i] == '#' {
-				inked = true
-			}
-		}
-	}
-	if !inked {
-		t.Fatal("art of 'a' has no ink")
 	}
 }
 

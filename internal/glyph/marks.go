@@ -8,7 +8,7 @@ type Mark int
 
 // Marks supported by the composer.
 const (
-	MarkNone Mark = iota
+	_ Mark = iota // zero: no mark
 	MarkAcute
 	MarkGrave
 	MarkCircumflex
@@ -259,22 +259,6 @@ var composed = map[rune]spec{
 	'０': {base: '0'}, '１': {base: '1'}, '２': {base: '2'}, '３': {base: '3'},
 	'４': {base: '4'}, '５': {base: '5'}, '６': {base: '6'}, '７': {base: '7'},
 	'８': {base: '8'}, '９': {base: '9'},
-}
-
-// Skeleton returns the ASCII base character underlying r, and whether r has
-// one. ASCII LDH characters are their own skeleton. This is the folding
-// primitive package confusables builds on.
-func Skeleton(r rune) (rune, bool) {
-	if r >= 'A' && r <= 'Z' {
-		r += 'a' - 'A'
-	}
-	if _, ok := baseFont[r]; ok {
-		return r, true
-	}
-	if s, ok := composed[r]; ok {
-		return s.base, true
-	}
-	return 0, false
 }
 
 // Composed returns the list of code points in the composition table, in

@@ -19,7 +19,6 @@ package glyph
 import (
 	"image"
 	"math/bits"
-	"strings"
 	"sync"
 )
 
@@ -183,13 +182,6 @@ func hashGlyph(r rune) [CellHeight]uint8 {
 	return cell
 }
 
-// Render rasterizes s into a grayscale image of height CellHeight and width
-// len([]rune(s)) * CellWidth. Ink is black (0), background white (255).
-func (re *Renderer) Render(s string) *image.Gray {
-	runes := []rune(s)
-	return re.RenderWidth(s, len(runes)*CellWidth)
-}
-
 // RenderWidth rasterizes s into an image of exactly width pixels, padding
 // with background on the right or truncating. Fixed-width rendering is what
 // makes pair-wise SSIM between different-length domains well-defined.
@@ -241,46 +233,6 @@ func (re *Renderer) RenderWidthInto(dst *image.Gray, s string, width int) *image
 		x0 += CellWidth
 	}
 	return dst
-}
-
-// PaintCell overwrites character cell `cell` of img — an image previously
-// produced by Render/RenderWidth/RenderWidthInto with origin (0,0) — with
-// the glyph for r, leaving every other cell untouched. It returns the
-// half-open pixel-column range [x0, x1) that may have changed. Because
-// each rune inks only its own cell's columns, patching cell i of a
-// rendered string yields exactly the image a full render of the
-// substituted string would produce — which is what makes the availability
-// study's single-substitution sweep cheap: one ~5-column repaint instead
-// of a whole-raster re-render per candidate.
-func (re *Renderer) PaintCell(img *image.Gray, cell int, r rune) (x0, x1 int) {
-	width := img.Rect.Dx()
-	x0 = cell * CellWidth
-	if cell < 0 || x0 >= width {
-		return width, width
-	}
-	// Ink only ever occupies the low baseWidth bits of a cell; the spacing
-	// column is background in every render and stays untouched.
-	x1 = x0 + baseWidth
-	if x1 > width {
-		x1 = width
-	}
-	c := re.cellOf(r)
-	height := img.Rect.Dy()
-	if height > CellHeight {
-		height = CellHeight
-	}
-	for y := 0; y < height; y++ {
-		row := img.Pix[y*img.Stride:]
-		bits := c[y]
-		for x := x0; x < x1; x++ {
-			if bits&(1<<uint(x-x0)) != 0 {
-				row[x] = inkPixel
-			} else {
-				row[x] = backgroundPixel
-			}
-		}
-	}
-	return x0, x1
 }
 
 // CellBits returns the rasterized cell of r as CellHeight rows of column
@@ -365,24 +317,4 @@ func popcount5(b uint8) int {
 		n++
 	}
 	return n
-}
-
-// Art returns an ASCII-art rendering of s, one string per pixel row, for
-// debugging and documentation ('#' ink, '.' background).
-func (re *Renderer) Art(s string) []string {
-	img := re.Render(s)
-	out := make([]string, CellHeight)
-	var b strings.Builder
-	for y := 0; y < CellHeight; y++ {
-		b.Reset()
-		for x := 0; x < img.Rect.Dx(); x++ {
-			if img.Pix[y*img.Stride+x] == inkPixel {
-				b.WriteByte('#')
-			} else {
-				b.WriteByte('.')
-			}
-		}
-		out[y] = b.String()
-	}
-	return out
 }

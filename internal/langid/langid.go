@@ -311,48 +311,3 @@ func (c *Classifier) addBigram(scores *[numLanguages]float64, a, b rune) {
 		scores[i] += c.unseen[i]
 	}
 }
-
-// classifyLatinRef is the retained map-based reference scorer: tokenize on
-// non-Latin runes, score every token's bigrams against each language's
-// probability map, add diacritic hint boosts, pick the best score with
-// ties broken in Language declaration order. The dense fast path is pinned
-// to this implementation by TestClassifyDenseMatchesReference.
-func (c *Classifier) classifyLatinRef(label string) Language {
-	label = strings.ToLower(label)
-	// Tokenize on non-letters so "shop-münchen24" scores its words.
-	tokens := strings.FieldsFunc(label, func(r rune) bool {
-		return uniscript.Of(r) != uniscript.Latin
-	})
-	if len(tokens) == 0 {
-		return Other
-	}
-	best := Other
-	bestScore := math.Inf(-1)
-	for _, lang := range All() {
-		probs, ok := c.logProb[lang]
-		if !ok {
-			continue
-		}
-		score := 0.0
-		for _, tok := range tokens {
-			for _, bg := range bigrams(tok) {
-				if p, seen := probs[bg]; seen {
-					score += p
-				} else {
-					score += c.logUnseen[lang]
-				}
-			}
-		}
-		for _, r := range label {
-			for _, hinted := range diacriticHints[r] {
-				if hinted == lang {
-					score += hintBoost
-				}
-			}
-		}
-		if score > bestScore {
-			best, bestScore = lang, score
-		}
-	}
-	return best
-}

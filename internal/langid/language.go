@@ -71,12 +71,3 @@ func (l Language) EastAsian() bool {
 	}
 	return false
 }
-
-// All returns every Language value in declaration order.
-func All() []Language {
-	out := make([]Language, numLanguages)
-	for i := range out {
-		out[i] = Language(i)
-	}
-	return out
-}

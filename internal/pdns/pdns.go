@@ -90,19 +90,6 @@ func (s *Store) Get(domain string) (Entry, bool) {
 	return e, ok
 }
 
-// Len returns the number of observed domains.
-func (s *Store) Len() int { return len(s.entries) }
-
-// Domains returns the observed domains, sorted.
-func (s *Store) Domains() []string {
-	out := make([]string, 0, len(s.entries))
-	for d := range s.entries {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ActiveDaysOf collects the active-time metric for the given domains,
 // skipping unobserved ones — the per-population series of Figures 2/5/8.
 func (s *Store) ActiveDaysOf(domains []string) []float64 {

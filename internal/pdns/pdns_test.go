@@ -105,20 +105,6 @@ func TestSlash24(t *testing.T) {
 	}
 }
 
-func TestDomainsSorted(t *testing.T) {
-	s := NewStore()
-	for _, d := range []string{"z.com", "a.com", "m.com"} {
-		s.Merge(Entry{Domain: d, Queries: 1})
-	}
-	ds := s.Domains()
-	if !reflect.DeepEqual(ds, []string{"a.com", "m.com", "z.com"}) {
-		t.Errorf("Domains = %v", ds)
-	}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
-	}
-}
-
 func BenchmarkMerge(b *testing.B) {
 	s := NewStore()
 	e := Entry{Domain: "bench.com", FirstSeen: day(2016, 1, 1), LastSeen: day(2017, 1, 1), Queries: 1, IPs: []string{"192.0.2.9"}}

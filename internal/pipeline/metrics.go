@@ -66,25 +66,6 @@ func (m Metrics) Utilization() float64 {
 	return busy.Seconds() / (m.Elapsed.Seconds() * float64(m.Workers))
 }
 
-// Sub returns the delta m−prev, for metering one scan of a reused
-// engine.
-func (m Metrics) Sub(prev Metrics) Metrics {
-	d := m
-	d.In -= prev.In
-	d.Out -= prev.Out
-	d.Errors -= prev.Errors
-	d.Consumed -= prev.Consumed
-	d.Elapsed -= prev.Elapsed
-	d.Busy = make([]time.Duration, len(m.Busy))
-	for i := range m.Busy {
-		d.Busy[i] = m.Busy[i]
-		if i < len(prev.Busy) {
-			d.Busy[i] -= prev.Busy[i]
-		}
-	}
-	return d
-}
-
 // MetricsJSON is the wire form of a Metrics snapshot, used by the online
 // serving layer's /metrics endpoint. Busy times are folded into the
 // derived utilization figure rather than shipped per worker.
@@ -127,14 +108,14 @@ func (m Metrics) String() string {
 // meter holds the engine's live counters. All fields are updated with
 // atomics so Metrics() is safe during a scan.
 type meter struct {
-	stage   string
-	workers int
+	stage    string
+	workers  int
 	in       atomic.Uint64
 	out      atomic.Uint64
 	errors   atomic.Uint64
 	consumed atomic.Uint64
-	elapsed atomic.Int64 // nanoseconds
-	busy    []atomic.Int64
+	elapsed  atomic.Int64 // nanoseconds
+	busy     []atomic.Int64
 }
 
 func newMeter(stage string, workers int) *meter {

@@ -128,9 +128,6 @@ func New[T, R, W any](cfg Config, newWorker func() W, fn Func[T, R, W]) *Engine[
 	}
 }
 
-// Workers reports the resolved fan-out width.
-func (e *Engine[T, R, W]) Workers() int { return e.workers }
-
 // Metrics snapshots the engine's counters. Safe to call concurrently
 // with a running scan; counts accumulate across scans.
 func (e *Engine[T, R, W]) Metrics() Metrics { return e.m.snapshot() }

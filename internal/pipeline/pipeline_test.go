@@ -223,14 +223,13 @@ func TestMetricsCounters(t *testing.T) {
 	if s := m.String(); s == "" {
 		t.Fatal("empty String()")
 	}
-	// Second run accumulates; Sub meters the delta.
+	// Second run accumulates.
 	prev := m
 	if _, err := eng.Collect(context.Background(), FromSlice(ints(10))); err != nil {
 		t.Fatal(err)
 	}
-	d := eng.Metrics().Sub(prev)
-	if d.In != 10 || d.Out != 10 {
-		t.Fatalf("delta: %+v", d)
+	if m := eng.Metrics(); m.In != prev.In+10 || m.Out != prev.Out+10 {
+		t.Fatalf("after a second scan of 10: %+v, before %+v", m, prev)
 	}
 }
 
@@ -238,8 +237,8 @@ func TestDefaultsResolve(t *testing.T) {
 	eng := New(Config{},
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, n int) (int, bool, error) { return n, true, nil })
-	if eng.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("workers = %d, want GOMAXPROCS", eng.Workers())
+	if eng.workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers = %d, want GOMAXPROCS", eng.workers)
 	}
 	if m := eng.Metrics(); m.Stage != "scan" {
 		t.Fatalf("stage = %q, want default", m.Stage)

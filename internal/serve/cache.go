@@ -103,24 +103,6 @@ func (c *VerdictCache) shard(key string) *cacheShard {
 	return &c.shards[fnv1a(key)&c.mask]
 }
 
-// Get returns the cached verdict for key, promoting it to most recently
-// used. It never blocks on an in-flight computation.
-func (c *VerdictCache) Get(key string) (core.Verdict, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	e, ok := s.items[key]
-	if ok {
-		s.moveFront(e)
-	}
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		return e.verdict, true
-	}
-	c.misses.Add(1)
-	return core.Verdict{}, false
-}
-
 // Do returns the verdict for key, computing it with compute on a miss.
 // Concurrent Do calls for the same key share one computation: the first
 // caller (the leader) runs compute, followers block until it finishes and

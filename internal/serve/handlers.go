@@ -133,7 +133,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batch.Add(1)
-	req, err := decodeBatchRequest(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), s.cfg.MaxBatch)
+	req, err := decodeBatchRequest(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), api.MaxBatch)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -169,7 +169,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, map[string]any{
-		"status": status, "node": s.cfg.NodeID, "version": version.Version,
+		"status": status, "node": s.nodeID(), "version": version.Version,
 	})
 }
 
@@ -187,7 +187,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		status, code = "unready", http.StatusServiceUnavailable
 	}
 	body := map[string]any{
-		"status": status, "node": s.cfg.NodeID, "version": version.Version,
+		"status": status, "node": s.nodeID(), "version": version.Version,
 		"warm": warm, "admissionSaturated": saturated, "draining": s.Draining(),
 	}
 	if p := s.peer.Load(); p != nil {

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"idnlab/internal/api"
 )
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -140,7 +142,7 @@ func TestDetectBadRequests(t *testing.T) {
 
 // TestBatch covers the aligned-results contract and the 413 cap.
 func TestBatch(t *testing.T) {
-	_, ts := testServer(t, Config{TopK: 1000, MaxBatch: 4})
+	_, ts := testServer(t, Config{TopK: 1000})
 	resp, body := postJSON(t, ts.URL+"/v1/detect/batch",
 		`{"domains":["xn--pple-43d.com","example.com","bad..x","apple邮箱.com"]}`)
 	if resp.StatusCode != 200 {
@@ -180,8 +182,15 @@ func TestBatch(t *testing.T) {
 	}
 
 	// Oversized batch: 413, never partial processing.
-	resp, _ = postJSON(t, ts.URL+"/v1/detect/batch",
-		`{"domains":["a.com","b.com","c.com","d.com","e.com"]}`)
+	domains := make([]string, api.MaxBatch+1)
+	for i := range domains {
+		domains[i] = fmt.Sprintf("d%d.com", i)
+	}
+	oversized, err := json.Marshal(map[string][]string{"domains": domains})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, _ = postJSON(t, ts.URL+"/v1/detect/batch", string(oversized))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch: status %d, want 413", resp.StatusCode)
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"idnlab/internal/cluster"
 )
 
 func getBody(t *testing.T, url string) (int, string) {
@@ -85,6 +87,21 @@ func TestHealthBodiesCarryIdentity(t *testing.T) {
 		_, body := getBody(t, ts.URL+path)
 		if !strings.Contains(body, `"idn-w1"`) || !strings.Contains(body, `"version"`) {
 			t.Fatalf("%s missing identity: %q", path, body)
+		}
+	}
+}
+
+// TestBodiesNameTheAttachedPeer: a worker given no NodeID registers
+// under its Peer's ID (idnserve -join without -node uses the advertised
+// address), so /healthz, /readyz and /metrics must name that ID too —
+// the gateway files each worker's /metrics body under it.
+func TestBodiesNameTheAttachedPeer(t *testing.T) {
+	s, ts := testServer(t, Config{TopK: 100})
+	const id = "127.0.0.1:9"
+	s.AttachPeer(cluster.NewPeer("127.0.0.1:1", id, id))
+	for _, path := range []string{"/healthz", "/readyz", "/metrics"} {
+		if _, body := getBody(t, ts.URL+path); !strings.Contains(body, `"node":"`+id+`"`) {
+			t.Errorf("%s does not name the peer %s: %s", path, id, body)
 		}
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"idnlab/internal/api"
 	"idnlab/internal/candidx"
 	"idnlab/internal/cluster"
 	"idnlab/internal/core"
@@ -46,8 +45,9 @@ import (
 // Config parameterizes a Server. The zero value selects sane defaults
 // for every field (see withDefaults).
 type Config struct {
-	// NodeID names this node in health bodies and cluster membership
-	// (default: "<hostname>-<pid>").
+	// NodeID names this node in health bodies (default:
+	// "<hostname>-<pid>"). Once a Peer is attached, every body names the
+	// node by the Peer's ID, the one the cluster routes and syncs under.
 	NodeID string
 	// TopK is the brand-list depth defended (default 1000).
 	TopK int
@@ -68,9 +68,6 @@ type Config struct {
 	// RequestTimeout is the per-request deadline applied at the handler
 	// boundary (default 1s).
 	RequestTimeout time.Duration
-	// MaxBatch bounds labels per batch request (default api.MaxBatch;
-	// larger requests get 413).
-	MaxBatch int
 	// DrainTimeout bounds graceful shutdown (default 5s).
 	DrainTimeout time.Duration
 	// Index, when set, is a precomputed homograph candidate index (built
@@ -124,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = time.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = api.MaxBatch
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
@@ -229,16 +223,6 @@ func (s *Server) Warmed() bool {
 	}
 }
 
-// WaitWarm blocks until warm-up completes or ctx is cancelled.
-func (s *Server) WaitWarm(ctx context.Context) error {
-	select {
-	case <-s.warmed:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // AttachPeer wires a cluster membership client into the server's
 // /readyz and /clusterz views and its replica. Safe to call while
 // serving.
@@ -324,11 +308,20 @@ func (s *Server) classifyRaw(c *core.Classifier, raw string) detectResponse {
 // Draining reports whether the server has begun graceful shutdown.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
+// nodeID is the identity every body reports: the attached Peer's, which
+// the gateway files this node's /metrics under, else the configured one.
+func (s *Server) nodeID() string {
+	if p := s.peer.Load(); p != nil {
+		return p.NodeID()
+	}
+	return s.cfg.NodeID
+}
+
 // Snapshot assembles the full /metrics payload.
 func (s *Server) Snapshot() MetricsSnapshot {
 	m := s.metrics
 	return MetricsSnapshot{
-		Node:          s.cfg.NodeID,
+		Node:          s.nodeID(),
 		Version:       version.Version,
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Requests: RequestStats{

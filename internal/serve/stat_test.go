@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"idnlab/internal/feat"
+	"idnlab/internal/zonegen"
 )
 
 // Shared trained model for the stat-serving tests: one training run,
@@ -22,11 +23,12 @@ var statFixture struct {
 func statModel(t *testing.T) (*feat.Model, []feat.Example) {
 	t.Helper()
 	statFixture.once.Do(func() {
-		statFixture.model, _, statFixture.exs, statFixture.err =
-			feat.TrainCorpus(2018, 50, feat.TrainConfig{})
+		reg := zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 50})
+		statFixture.exs = feat.FromLabeled(reg.Labels())
+		statFixture.model, _, statFixture.err = feat.Train(statFixture.exs, feat.TrainConfig{Seed: 2018})
 	})
 	if statFixture.err != nil {
-		t.Fatalf("TrainCorpus: %v", statFixture.err)
+		t.Fatalf("train: %v", statFixture.err)
 	}
 	return statFixture.model, statFixture.exs
 }

@@ -222,14 +222,14 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 	}
 
 	// Write-through: fresh keys append to the warm log.
-	before := st.Seq()
+	before := st.Stats().Seq
 	for i := 0; i < 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/detect", fmt.Sprintf(`{"domain":"fresh-%d.example"}`, i))
 		if resp.StatusCode != 200 {
 			t.Fatalf("detect fresh-%d: %d %q", i, resp.StatusCode, body)
 		}
 	}
-	if got := st.Seq(); got != before+3 {
+	if got := st.Stats().Seq; got != before+3 {
 		t.Fatalf("store seq %d after 3 fresh verdicts, want %d", got, before+3)
 	}
 
@@ -267,7 +267,7 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	want := st.DurableSeq()
+	want := st.Stats().DurableSeq
 	var after uint64
 	var streamed int
 	for {

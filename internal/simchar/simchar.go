@@ -28,7 +28,6 @@ package simchar
 import (
 	"sort"
 	"sync"
-	"unicode/utf8"
 
 	"idnlab/internal/glyph"
 	"idnlab/internal/ssim"
@@ -210,58 +209,9 @@ func (t *Table) Fold(r rune) (byte, bool) {
 	return 0, false
 }
 
-// Identical reports whether r renders pixel-identically to an ASCII base,
-// and which.
-func (t *Table) Identical(r rune) (byte, bool) {
-	if r < 0x80 {
-		b, ok := t.Fold(r)
-		return b, ok
-	}
-	if b, ok := t.identity[r]; ok {
-		return b, true
-	}
-	b, ok := t.bitmapBase[t.re.CellBits(r)]
-	return b, ok
-}
-
 // Similar returns the scored confusables of an ASCII base, best-first.
 // The returned slice is shared and must not be modified.
 func (t *Table) Similar(base byte) []Sim { return t.similar[base] }
-
-// Homoglyphs returns the confusable code points of base with cell SSIM at
-// or above threshold, best-first — the auto-derived SimChar list in the
-// shape the candidate generators consume.
-func (t *Table) Homoglyphs(base byte, threshold float64) []rune {
-	list := t.similar[base]
-	out := make([]rune, 0, len(list))
-	for _, s := range list {
-		if s.SSIM < threshold {
-			break
-		}
-		out = append(out, s.Rune)
-	}
-	return out
-}
-
-// AppendSkeleton appends the skeleton fold of label to dst and returns
-// the extended slice: folding runes become their ASCII base byte,
-// unfoldable runes keep their UTF-8 bytes. The fold is idempotent and
-// allocation-free when dst has capacity.
-func (t *Table) AppendSkeleton(dst []byte, label string) []byte {
-	for _, r := range label {
-		if b, ok := t.Fold(r); ok {
-			dst = append(dst, b)
-		} else {
-			dst = utf8.AppendRune(dst, r)
-		}
-	}
-	return dst
-}
-
-// Skeleton returns the skeleton fold of label as a string.
-func (t *Table) Skeleton(label string) string {
-	return string(t.AppendSkeleton(nil, label))
-}
 
 // fnv is an inline FNV-1a 64 accumulator (stdlib-only, deterministic).
 type fnv struct{ sum uint64 }

@@ -42,9 +42,6 @@ func (z *Zipf) Next() int {
 	return sort.SearchFloat64s(z.cdf, u)
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Weighted samples indices in proportion to a fixed weight vector. Used for
 // the language mix, TLD mix and content-category mixes, which the paper
 // reports as explicit percentage tables.
@@ -82,6 +79,3 @@ func (w *Weighted) Next() int {
 	u := w.src.Float64()
 	return sort.SearchFloat64s(w.cdf, u)
 }
-
-// N returns the number of categories.
-func (w *Weighted) N() int { return len(w.cdf) }

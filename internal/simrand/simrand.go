@@ -61,14 +61,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (s *Source) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("simrand: Int63n with non-positive n")
-	}
-	return int64(s.Uint64() % uint64(n))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
@@ -106,19 +98,6 @@ func (s *Source) Exponential(mean float64) float64 {
 		u = s.Float64()
 	}
 	return -mean * math.Log(u)
-}
-
-// Perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle pseudo-randomly reorders n elements using the provided swap

@@ -141,18 +141,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(11)
-	p := s.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestShuffleKeepsElements(t *testing.T) {
 	s := New(12)
 	vals := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -194,9 +182,6 @@ func TestZipfRange(t *testing.T) {
 		if v := z.Next(); v < 0 || v >= 5 {
 			t.Fatalf("Zipf out of range: %d", v)
 		}
-	}
-	if z.N() != 5 {
-		t.Fatalf("N = %d", z.N())
 	}
 }
 

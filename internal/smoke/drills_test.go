@@ -25,10 +25,9 @@ func TestServe(t *testing.T) {
 
 // cluster boots a gateway (fast heartbeats, so a kill is noticed without
 // traffic too) and two self-registering workers, and waits for quorum.
-func cluster(t *testing.T, gatewayArgs ...string) (gw *proctest.Proc, gwAddr string, w1, w2 *proctest.Proc) {
+func cluster(t *testing.T) (gw *proctest.Proc, gwAddr string, w1, w2 *proctest.Proc) {
 	t.Helper()
-	args := append([]string{"-listen", "127.0.0.1:0", "-heartbeat", "200ms", "-min-ready", "2"}, gatewayArgs...)
-	gw, gwAddr = start(t, "idngateway", "idngateway", args...)
+	gw, gwAddr = start(t, "idngateway", "idngateway", "-listen", "127.0.0.1:0", "-heartbeat", "200ms", "-min-ready", "2")
 	w1, _ = start(t, "w1", "idnserve", "-listen", "127.0.0.1:0", "-brands", "1000", "-node", "w1", "-join", gwAddr)
 	w2, _ = start(t, "w2", "idnserve", "-listen", "127.0.0.1:0", "-brands", "1000", "-node", "w2", "-join", gwAddr)
 	waitServing(t, gw, 2)
@@ -37,7 +36,7 @@ func cluster(t *testing.T, gatewayArgs ...string) (gw *proctest.Proc, gwAddr str
 
 // TestCluster (cluster_smoke.sh): the request set through the routing
 // tier, a worker SIGKILL, the request set again on the survivor; then
-// the same with request coalescing on and the kill under live load.
+// the kill under live singles load.
 func TestCluster(t *testing.T) {
 	// phase 1: the killed worker's key range must reassign with no
 	// client-visible error — the request set right after the kill is
@@ -50,30 +49,17 @@ func TestCluster(t *testing.T) {
 		drain(t, w2, gw)
 	})
 
-	// phase 2: merged windows in flight to a dead worker must retry or
-	// fail over: a singles-only load runs through the SIGKILL and must
-	// end with zero non-429 errors ("error-rate: 0.00%"), and coalescing
-	// must actually have engaged (the "coalesce-amplification" line).
-	t.Run("coalesce", func(t *testing.T) {
-		gw, gwAddr, w1, w2 := cluster(t, "-coalesce", "500us")
-		requestSet(t, gwAddr) // coalescing is invisible to the correctness set
+	// phase 2: singles in flight to a dead worker must retry or fail
+	// over: a singles-only load runs through the SIGKILL and must end
+	// with zero non-429 errors ("error-rate: 0.00%").
+	t.Run("load", func(t *testing.T) {
+		gw, gwAddr, w1, w2 := cluster(t)
 		c := newCorpus(t, 1, 2000)
 		done := make(chan loadResult, 1)
 		go func() { done <- c.load(gwAddr, 16, 6*time.Second, 0) }()
 		time.Sleep(2 * time.Second)
 		w1.Kill()
-		(<-done).requireClean(t, "coalesced load through a worker kill")
-		var m struct {
-			Gateway struct {
-				Single  uint64 `json:"single"`
-				Windows uint64 `json:"coalesce_windows"`
-			} `json:"gateway"`
-		}
-		metrics(t, gwAddr, &m)
-		if m.Gateway.Windows == 0 {
-			t.Fatalf("coalescing never engaged: %d singles, 0 windows", m.Gateway.Single)
-		}
-		t.Logf("coalescing: %.2f singles per upstream call", float64(m.Gateway.Single)/float64(m.Gateway.Windows))
+		(<-done).requireClean(t, "singles load through a worker kill")
 		drain(t, w2, gw)
 	})
 }

@@ -89,9 +89,6 @@ func TestSizeMismatch(t *testing.T) {
 	if _, err := Index(a, b); err != ErrSizeMismatch {
 		t.Errorf("err = %v, want ErrSizeMismatch", err)
 	}
-	if _, err := MSE(a, b); err != ErrSizeMismatch {
-		t.Errorf("MSE err = %v, want ErrSizeMismatch", err)
-	}
 }
 
 func TestEmptyImages(t *testing.T) {
@@ -177,23 +174,6 @@ func TestSSIMMonotoneInPerturbation(t *testing.T) {
 	}
 }
 
-func TestMSEProperties(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	a := randomGray(r, 25, 11)
-	if v, err := MSE(a, a); err != nil || v != 0 {
-		t.Errorf("MSE(a,a) = %v, %v", v, err)
-	}
-	b := randomGray(r, 25, 11)
-	ab, _ := MSE(a, b)
-	ba, _ := MSE(b, a)
-	if ab != ba {
-		t.Error("MSE not symmetric")
-	}
-	if ab < 0 {
-		t.Error("MSE negative")
-	}
-}
-
 func TestQuickBoundsAndSymmetry(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	f := func(seedA, seedB int64) bool {
@@ -248,19 +228,6 @@ func BenchmarkIndexDomainPair(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Index(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMSEDomainPair(b *testing.B) {
-	re := glyph.NewRenderer()
-	width := len("facebook.com") * glyph.CellWidth
-	x := re.RenderWidth("facebook.com", width)
-	y := re.RenderWidth("faceboôk.com", width)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MSE(x, y); err != nil {
 			b.Fatal(err)
 		}
 	}

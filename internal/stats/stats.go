@@ -48,14 +48,6 @@ func (e *ECDF) Mean() float64 {
 	return sum / float64(len(e.sorted))
 }
 
-// Max returns the largest sample value.
-func (e *ECDF) Max() float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	return e.sorted[len(e.sorted)-1]
-}
-
 // LogTicks returns k x-axis positions log-spaced over [lo, hi], the axis
 // the paper's figures use for day counts and query volumes. lo must be
 // positive and hi > lo; k >= 2.
@@ -111,39 +103,6 @@ func (h Histogram) Keys() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Total returns the sum of all bin counts.
-func (h Histogram) Total() int {
-	n := 0
-	for _, v := range h {
-		n += v
-	}
-	return n
-}
-
-// Render prints the histogram as "key\tcount\tbar" rows with bars scaled
-// to width characters.
-func (h Histogram) Render(width int) string {
-	if width < 1 {
-		width = 1
-	}
-	max := 0
-	for _, v := range h {
-		if v > max {
-			max = v
-		}
-	}
-	var b strings.Builder
-	for _, k := range h.Keys() {
-		n := h[k]
-		bar := 0
-		if max > 0 {
-			bar = n * width / max
-		}
-		fmt.Fprintf(&b, "%d\t%d\t%s\n", k, n, strings.Repeat("#", bar))
-	}
-	return b.String()
 }
 
 // CumulativeShare returns, for the counts sorted descending, the fraction

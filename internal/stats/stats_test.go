@@ -104,16 +104,6 @@ func TestHistogram(t *testing.T) {
 	if got := h.Keys(); !sort.IntsAreSorted(got) || len(got) != 3 {
 		t.Errorf("Keys = %v", got)
 	}
-	if h.Total() != 9 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	out := h.Render(10)
-	if !strings.Contains(out, "2017\t5\t##########") {
-		t.Errorf("render:\n%s", out)
-	}
-	if !strings.Contains(out, "2000\t1\t##") {
-		t.Errorf("scaled bar wrong:\n%s", out)
-	}
 }
 
 func TestCumulativeShare(t *testing.T) {

@@ -269,13 +269,3 @@ func (a Analysis) Dominant() Script {
 	}
 	return Unknown
 }
-
-// EastAsian reports whether the script is one of the east-Asian scripts the
-// paper highlights as dominating IDN registration (Finding 1).
-func EastAsian(sc Script) bool {
-	switch sc {
-	case Han, Hiragana, Katakana, Hangul, Bopomofo, Thai, Mongolian:
-		return true
-	}
-	return false
-}

@@ -185,19 +185,6 @@ func TestAnalyzeUnknownBreaksSingleScript(t *testing.T) {
 	}
 }
 
-func TestEastAsian(t *testing.T) {
-	for _, sc := range []Script{Han, Hiragana, Katakana, Hangul, Thai, Bopomofo, Mongolian} {
-		if !EastAsian(sc) {
-			t.Errorf("%v should be east-Asian", sc)
-		}
-	}
-	for _, sc := range []Script{Latin, Cyrillic, Greek, Arabic, Hebrew, Common, Unknown} {
-		if EastAsian(sc) {
-			t.Errorf("%v should not be east-Asian", sc)
-		}
-	}
-}
-
 func TestScriptString(t *testing.T) {
 	if Latin.String() != "Latin" || Han.String() != "Han" {
 		t.Error("String() wrong")

@@ -90,8 +90,8 @@ func FuzzOpen(f *testing.F) {
 		recs := s.TakeRecovered()
 		var last uint64
 		for i, r := range recs {
-			if r.Seq > s.Seq() || (i > 0 && r.Seq < last) {
-				t.Fatalf("record %d: seq %d out of order (previous %d, store seq %d)", i, r.Seq, last, s.Seq())
+			if r.Seq > s.Stats().Seq || (i > 0 && r.Seq < last) {
+				t.Fatalf("record %d: seq %d out of order (previous %d, store seq %d)", i, r.Seq, last, s.Stats().Seq)
 			}
 			last = r.Seq
 			payload, err := appendRecord(nil, r.Seq, r.Verdict)
@@ -104,7 +104,7 @@ func FuzzOpen(f *testing.F) {
 			}
 		}
 
-		if s.Seq() == math.MaxUint64 {
+		if s.Stats().Seq == math.MaxUint64 {
 			s.Close()
 			return // a forged header or record spent the whole sequence space
 		}

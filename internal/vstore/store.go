@@ -234,20 +234,6 @@ func (s *Store) Sync() error {
 	return l.Sync()
 }
 
-// Seq reports the last assigned sequence number.
-func (s *Store) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
-// DurableSeq reports the last sequence number on stable storage.
-func (s *Store) DurableSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.logStart + s.log.Stats().Durable
-}
-
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

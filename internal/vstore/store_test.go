@@ -76,7 +76,7 @@ func TestAppendSyncReopen(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	if got := s.DurableSeq(); got != n {
+	if got := s.Stats().DurableSeq; got != n {
 		t.Fatalf("DurableSeq %d, want %d", got, n)
 	}
 	st := s.Stats()

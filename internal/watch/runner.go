@@ -159,20 +159,6 @@ func loadDelta(path string) (*Delta, error) {
 	return d, nil
 }
 
-// ProcessFile streams one delta file end to end: parse, match, append
-// every alert, Sync the log, then advance and persist the cursor.
-// Returns the number of alerts the delta produced.
-func (r *Runner) ProcessFile(ctx context.Context, path string) (int, error) {
-	if err := r.init(); err != nil {
-		return 0, err
-	}
-	d, err := loadDelta(path)
-	if err != nil {
-		return 0, err
-	}
-	return r.processDelta(ctx, d)
-}
-
 // processDelta matches a parsed delta, appends its alerts, Syncs the
 // log, then advances and persists the cursor.
 func (r *Runner) processDelta(ctx context.Context, d *Delta) (int, error) {

@@ -41,7 +41,8 @@ func statEngine(t *testing.T, topK int, m *feat.Model) *Engine {
 // population it was trained against), and the pass/shed counters must
 // account for every IDN add that reached the gate.
 func TestEngineStatGate(t *testing.T) {
-	model, _, _, err := feat.TrainCorpus(2018, 50, feat.TrainConfig{})
+	reg := zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 50})
+	model, _, err := feat.Train(feat.FromLabeled(reg.Labels()), feat.TrainConfig{Seed: 2018})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,8 @@ func TestEngineStatGate(t *testing.T) {
 // TestEngineStatGateSheds: a delta of purely benign churn should be
 // mostly shed before the SSIM probe.
 func TestEngineStatGateSheds(t *testing.T) {
-	model, _, _, err := feat.TrainCorpus(2018, 50, feat.TrainConfig{})
+	reg := zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 50})
+	model, _, err := feat.Train(feat.FromLabeled(reg.Labels()), feat.TrainConfig{Seed: 2018})
 	if err != nil {
 		t.Fatal(err)
 	}

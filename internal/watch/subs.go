@@ -73,16 +73,6 @@ type SubSnapshot struct {
 	total int
 }
 
-// Of returns brand's subscribers. The slice aliases the snapshot's
-// backing array: read-only, valid for the snapshot's lifetime, zero
-// allocations.
-func (s *SubSnapshot) Of(brand uint32) []uint64 {
-	if int(brand) >= len(s.off)-1 {
-		return nil
-	}
-	return s.ids[s.off[brand]:s.off[brand+1]]
-}
-
 // Count returns the number of subscribers for brand without
 // materializing the slice.
 func (s *SubSnapshot) Count(brand uint32) int {

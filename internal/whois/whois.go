@@ -155,16 +155,6 @@ func (s *Store) Get(domain string) (Record, bool) {
 // Table I).
 func (s *Store) Len() int { return len(s.records) }
 
-// Domains returns all covered domains, sorted.
-func (s *Store) Domains() []string {
-	out := make([]string, 0, len(s.records))
-	for d := range s.records {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // GroupCount is a (key, count) aggregation row used by the registrar and
 // registrant rankings (Tables III and IV).
 type GroupCount struct {

@@ -178,19 +178,6 @@ func TestRegistrarCount(t *testing.T) {
 	}
 }
 
-func TestDomainsSorted(t *testing.T) {
-	s := buildTestStore()
-	ds := s.Domains()
-	for i := 1; i < len(ds); i++ {
-		if ds[i-1] >= ds[i] {
-			t.Fatal("Domains not sorted")
-		}
-	}
-	if len(ds) != s.Len() {
-		t.Fatal("Domains length mismatch")
-	}
-}
-
 func BenchmarkRender(b *testing.B) {
 	rec := sampleRecord()
 	b.ReportAllocs()

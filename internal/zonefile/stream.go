@@ -194,8 +194,8 @@ const cancelCheckInterval = 512
 // glue, payloads and duplicate owners are folded away as the stream
 // passes. If emit is non-nil it is called once per newly discovered IDN
 // SLD in encounter order, feeding streaming pipelines; the returned
-// ScanStats is identical to Scan(Parse(r)) for single-$ORIGIN zones
-// (IDNs sorted).
+// ScanStats equals Parse(r)'s Partition for single-$ORIGIN zones (IDNs
+// sorted).
 //
 // ctx cancellation aborts the scan between records with ctx.Err().
 func ScanStream(ctx context.Context, r io.Reader, emit func(domain string) error) (ScanStats, error) {

@@ -140,16 +140,6 @@ func (z *Zone) Write(w io.Writer) error {
 	return nil
 }
 
-// SLDs returns the distinct second-level domains delegated by the zone
-// ("<label>.<origin>"), sorted. Multi-label owners (glue like
-// ns1.example) contribute their top label only; absolute owner names
-// outside the origin are ignored.
-func (z *Zone) SLDs() []string {
-	out := z.distinctSLDs()
-	sort.Strings(out)
-	return out
-}
-
 // distinctSLDs is the one walk over the records: the distinct SLD names
 // in first-occurrence order.
 func (z *Zone) distinctSLDs() []string {
@@ -237,10 +227,4 @@ type ScanStats struct {
 	SLDCount int
 	// IDNs holds the discovered IDN SLDs (ACE form), sorted.
 	IDNs []string
-}
-
-// Scan extracts the SLD population and the IDN subset from a zone.
-func Scan(z *Zone) ScanStats {
-	idns, others := z.Partition()
-	return ScanStats{Origin: z.Origin, SLDCount: len(idns) + len(others), IDNs: idns}
 }

@@ -46,9 +46,6 @@ var TableI = []TLDCalibration{
 		VirusTotal: 90, Qihoo360: 63, Baidu: 2, BlacklistTotal: 152, NonIDNSample: 0},
 }
 
-// TotalIDNs is the paper's headline corpus size.
-const TotalIDNs = 1472836
-
 // NumITLDs is the number of internationalized TLD zones scanned.
 const NumITLDs = 53
 
@@ -146,10 +143,6 @@ var TableIIIRegistrants = []opportunisticRegistrant{
 	{"hoarder03@163.com", 760, "city"},
 	{"hoarder04@qq.com", 650, "shortword"},
 }
-
-// OpportunisticTotal is the paper's 29,318 (4%) opportunistically
-// registered IDNs.
-const OpportunisticTotal = 29318
 
 // CreationYearWeights drives Figure 1: relative registration volume per
 // year, with the spikes the paper attributes to the 2000 Verisign IDN
@@ -332,6 +325,5 @@ var (
 const (
 	Slash24Segments   = 43535
 	SegmentZipfS      = 0.85
-	IPAddressesTotal  = 106021
 	UnregisteredNoise = 0.03 // fraction of unregistered homograph candidates seeing stray queries (Fig 6)
 )

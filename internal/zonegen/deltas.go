@@ -227,9 +227,6 @@ func (r *Registry) DeltaStream(cfg DeltaConfig) *DeltaGen {
 	return g
 }
 
-// Day returns the number of days generated so far.
-func (g *DeltaGen) Day() int { return g.day }
-
 // Live returns the current number of live delegations.
 func (g *DeltaGen) Live() int { return len(g.live) }
 

@@ -2,16 +2,14 @@ package zonegen
 
 import (
 	"crypto/x509"
-
 	"fmt"
-	"idnlab/internal/dnssim"
-	"sort"
 	"strings"
 
 	"idnlab/internal/blacklist"
 	"idnlab/internal/brands"
 	"idnlab/internal/certs"
 	"idnlab/internal/confusables"
+	"idnlab/internal/dnssim"
 	"idnlab/internal/idna"
 	"idnlab/internal/pdns"
 	"idnlab/internal/simrand"
@@ -84,9 +82,9 @@ func (r *Registry) BuildWHOIS() *whois.Store {
 // BuildBlacklists materializes the three feeds and their union.
 func (r *Registry) BuildBlacklists() *blacklist.Aggregate {
 	feeds := map[string]*blacklist.Feed{
-		blacklist.FeedVirusTotal: blacklist.NewFeed(blacklist.FeedVirusTotal),
-		blacklist.Feed360:        blacklist.NewFeed(blacklist.Feed360),
-		blacklist.FeedBaidu:      blacklist.NewFeed(blacklist.FeedBaidu),
+		blacklist.FeedVirusTotal: blacklist.NewFeed(),
+		blacklist.Feed360:        blacklist.NewFeed(),
+		blacklist.FeedBaidu:      blacklist.NewFeed(),
 	}
 	for i := range r.Domains {
 		d := &r.Domains[i]
@@ -219,30 +217,6 @@ func (r *Registry) Serve(d *Domain) webprobe.Response {
 		resp.ServerCN = d.SharedCN
 	}
 	return resp
-}
-
-// IDNs returns the ACE names of all IDN domains, sorted.
-func (r *Registry) IDNs() []string {
-	var out []string
-	for i := range r.Domains {
-		if r.Domains[i].IsIDN {
-			out = append(out, r.Domains[i].ACE)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NonIDNs returns the ACE names of the sampled non-IDN population, sorted.
-func (r *Registry) NonIDNs() []string {
-	var out []string
-	for i := range r.Domains {
-		if !r.Domains[i].IsIDN {
-			out = append(out, r.Domains[i].ACE)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Lookup finds a registry domain by ACE name. The first call builds a
