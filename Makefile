@@ -39,7 +39,9 @@ bench-check:
 	$(GO) run -C bench ./e2e -smoke
 
 # The absolute throughput floors of the micro-benchmarks: index
-# lookups/s, watch deltas/s (BenchmarkWatchMatch1M), delta parse MB/s
+# lookups/s, top-1000 index builds/s (BenchmarkIndexBuild, what every
+# detector given no index file pays once at start), watch deltas/s
+# (BenchmarkWatchMatch1M), delta parse MB/s
 # (BenchmarkDeltaParse), start-up subscriptions/s (BenchmarkSubscribe1M),
 # stat classifications/s, store recovery entries/s, universe-generator
 # domains/s. The table is in cmd/benchgate.

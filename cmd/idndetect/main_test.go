@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"idnlab/internal/core"
+	"idnlab/internal/zonegen"
 )
 
 // TestClassifyAgreesWithVerdict is the CLI-doors differential: a name
@@ -13,7 +14,8 @@ import (
 // (core.Classifier.VerdictFor) — the same homograph and semantic match,
 // and INVALID exactly when the service rejects the name — over
 // malformed, boundary-length, mixed-case, trailing-dot and
-// Unicode-vs-ACE spellings.
+// Unicode-vs-ACE spellings, every labelled attack of the (2018, 100)
+// universe, and seẋ2.com.
 func TestClassifyAgreesWithVerdict(t *testing.T) {
 	label63 := strings.Repeat("a", 63)
 	name253 := strings.Repeat(label63+".", 3) + strings.Repeat("b", 57) + ".com" // 3*64 + 57 + 4 octets
@@ -32,6 +34,13 @@ func TestClassifyAgreesWithVerdict(t *testing.T) {
 		"apple邮箱.com", "APPLE邮箱.com", "xn--apple-rq8mk98i.com", "apple邮箱.com.",
 		// Clean names and a Type-2 name (no verdict field: clean for the service).
 		"example.com", "Example.COM.", "bücher.de", "格力空调.net", "中国",
+		// seẋ2.com, a homograph of sex.com the confusables skeleton missed.
+		"xn--se2-bez.com",
+	}
+	for _, l := range zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 100}).Labels() {
+		if l.Positive {
+			corpus = append(corpus, l.ACE)
+		}
 	}
 	cls := core.NewClassifier(core.DetectorConfig{TopK: 1000})
 	d := detectors{

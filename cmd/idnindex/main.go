@@ -5,11 +5,13 @@
 //
 // Usage:
 //
-//	idnindex build -top 1000 -out brands.cidx [-threshold 0.98]
+//	idnindex build -top 1000 -out brands.cidx
 //	idnindex inspect brands.cidx
 //	idnindex verify brands.cidx [-sample 200] [-seed 1]
 //
-// build compiles the top-k brand catalog into a serialized index.
+// build compiles the top-k brand catalog into a serialized index, for
+// the one detection threshold (candidx.SSIMThreshold). A detector given
+// no index file compiles the same bytes in-process at start-up.
 // inspect prints the header, section sizes and fold classes of an index
 // file. verify proves an index file is trustworthy twice over: it
 // rebuilds the index from the embedded catalog and byte-compares the
@@ -55,11 +57,9 @@ func runBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	top := fs.Int("top", 1000, "brand catalog depth (top-k by rank)")
 	out := fs.String("out", "brands.cidx", "output index file")
-	threshold := fs.Float64("threshold", candidx.DefaultThreshold, "SSIM detection threshold to compile for")
 	fs.Parse(args)
 
-	list := brands.TopK(*top)
-	ix, err := candidx.Build(list, candidx.BuildOptions{Threshold: *threshold})
+	ix, err := candidx.Build(brands.TopK(*top), candidx.BuildOptions{})
 	if err != nil {
 		return err
 	}
@@ -83,7 +83,7 @@ func runInspect(args []string) error {
 	}
 	fmt.Printf("file:        %s (%d bytes)\n", fs.Arg(0), len(ix.Bytes()))
 	fmt.Printf("format:      %s\n", ix.Bytes()[:8])
-	fmt.Printf("threshold:   %g\n", ix.Threshold())
+	fmt.Printf("threshold:   %g\n", candidx.SSIMThreshold) // Load refuses any other
 	fmt.Printf("fingerprint: %016x\n", ix.Fingerprint())
 	fmt.Printf("brands:      %d\n", len(ix.Brands()))
 	fmt.Printf("keys:        %d\n", ix.KeyCount())
@@ -108,9 +108,9 @@ func runVerify(args []string) error {
 		return err
 	}
 
-	// 1. Deterministic rebuild: same catalog + threshold must reproduce
-	// the file byte for byte.
-	rebuilt, err := candidx.Build(ix.Brands(), candidx.BuildOptions{Threshold: ix.Threshold()})
+	// 1. Deterministic rebuild: the same catalog must reproduce the file
+	// byte for byte.
+	rebuilt, err := candidx.Build(ix.Brands(), candidx.BuildOptions{})
 	if err != nil {
 		return fmt.Errorf("rebuild: %w", err)
 	}
@@ -123,7 +123,7 @@ func runVerify(args []string) error {
 	// 2. Sampled sweep equivalence: the index-backed detector must agree
 	// with the brute-force SSIM sweep on every sampled verdict.
 	indexed := core.NewHomographDetector(0, core.WithIndex(ix))
-	sweep := core.NewHomographDetector(0, core.WithoutPrefilter(), core.WithBrands(ix.Brands()))
+	sweep := core.NewHomographDetector(0, core.WithBrands(ix.Brands()))
 	tab := simchar.Default()
 	src := simrand.New(*seed)
 	list := ix.Brands()

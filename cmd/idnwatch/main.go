@@ -35,8 +35,6 @@ import (
 	"os"
 	"time"
 
-	"idnlab/internal/brands"
-	"idnlab/internal/candidx"
 	"idnlab/internal/cli"
 	"idnlab/internal/core"
 	"idnlab/internal/watch"
@@ -49,7 +47,7 @@ func run(ctx context.Context) error {
 		deltaDir  = flag.String("deltas", "", "delta directory to tail (required unless -replay)")
 		alertPath = flag.String("alerts", "alerts.log", "durable alert log path")
 		cursor    = flag.String("cursor", "", "cursor file (default <alerts>.cursor)")
-		indexPath = flag.String("index", "", "precomputed candidate index (built by idnindex); default builds one in-process")
+		indexPath = flag.String("index", "", "precomputed candidate index (built by idnindex); default compiles the -brands one in-process")
 		topK      = flag.Int("brands", 1000, "brands to build the in-process index from (ignored with -index)")
 		workers   = flag.Int("workers", 0, "match fan-out width (0 = GOMAXPROCS)")
 		subsN     = flag.Int("subs", 0, "synthetic standing subscriptions to install (0 = one per brand)")
@@ -72,28 +70,25 @@ func run(ctx context.Context) error {
 		*cursor = *alertPath + ".cursor"
 	}
 
-	// Detector: load a prebuilt index or compile one for the top-K
-	// catalog. The watch tier refuses to run without an index — see
-	// watch.NewMatcher.
+	// Detector: a prebuilt index, or the one every index-less detector
+	// compiles for the top-K catalog.
 	ix, stat, err := cli.LoadDetector("idnwatch", *indexPath, *statPath)
 	if err != nil {
 		return err
 	}
-	if ix == nil {
-		if ix, err = candidx.Build(brands.TopK(*topK), candidx.BuildOptions{}); err != nil {
-			return fmt.Errorf("build index: %w", err)
-		}
+	var opts []core.HomographOption
+	if ix != nil {
+		opts = append(opts, core.WithIndex(ix))
 	}
-	opts := []core.HomographOption{core.WithIndex(ix)}
 	if stat != nil {
 		opts = append(opts, core.WithStatModel(stat))
 	}
-	det := core.NewHomographDetector(0, opts...)
+	det := core.NewHomographDetector(*topK, opts...)
 
 	// Standing subscriptions. Real deployments feed these from an API;
 	// the daemon installs a deterministic synthetic population so the
 	// pipeline is exercised end to end out of the box.
-	catalog := ix.Brands()
+	catalog := det.Index().Brands()
 	subs := watch.NewSubTable(len(catalog))
 	n := *subsN
 	if n <= 0 {

@@ -10,10 +10,14 @@ import (
 	"idnlab/internal/simchar"
 )
 
-// DefaultThreshold mirrors the detector's default SSIM threshold; the
-// index must be compiled for the threshold it will serve (the value is
-// embedded and checked downstream).
-const DefaultThreshold = 0.98
+// SSIMThreshold is the homograph detection threshold in this renderer's
+// SSIM space, the one the index is compiled for and the detector applies.
+// The paper used 0.95 with its anti-aliased rendering; with our pixel
+// typeface, single-diacritic homographs score ≥0.985 and unrelated
+// single-letter swaps fall at 0.96-0.98 (see the Table XII reproduction),
+// so 0.98 cuts the band at the same semantic point the paper's 0.95 did.
+// The value is embedded in every index file and Load refuses any other.
+const SSIMThreshold = 0.98
 
 // Emission margins. Raw deficits of substitutions at positions at least
 // two cells apart add exactly (their SSIM window bands are disjoint), so
@@ -31,16 +35,13 @@ const (
 
 // BuildOptions parameterizes Build. Zero values select the defaults.
 type BuildOptions struct {
-	// Threshold is the SSIM detection threshold the index is compiled
-	// for (default DefaultThreshold).
-	Threshold float64
 	// Table is the simchar derivation to expand through (default
 	// simchar.Default()).
 	Table *simchar.Table
 }
 
 // Build compiles a brand catalog into a candidate index. The same
-// catalog, threshold and derivation always produce byte-identical output
+// catalog and derivation always produce byte-identical output
 // (every traversal below is explicitly ordered), which is what makes
 // `idnindex verify` a simple rebuild-and-compare.
 //
@@ -52,13 +53,6 @@ type BuildOptions struct {
 // simultaneous off-family substitutions could fit the budget go on the
 // hard list and are rescored on every lookup instead.
 func Build(list []brands.Brand, opt BuildOptions) (*Index, error) {
-	thr := opt.Threshold
-	if thr == 0 {
-		thr = DefaultThreshold
-	}
-	if !(thr > 0 && thr <= 1) {
-		return nil, fmt.Errorf("candidx: invalid threshold %v", thr)
-	}
 	table := opt.Table
 	if table == nil {
 		table = simchar.Default()
@@ -99,7 +93,7 @@ func Build(list []brands.Brand, opt BuildOptions) (*Index, error) {
 		// brand renders); keys use the index fold classes, which absorb
 		// the ultra-cheap cross-base confusions the analysis would
 		// otherwise have to price.
-		ba := an.analyze(skel, thr)
+		ba := an.analyze(skel, SSIMThreshold)
 		budget := ba.budget * marginFactor
 		keySkel = keySkel[:0]
 		for _, b := range skel {
@@ -147,7 +141,7 @@ func Build(list []brands.Brand, opt BuildOptions) (*Index, error) {
 		}
 	}
 
-	data := serialize(list, thr, table.Fingerprint(), an.foldTable(), keyed, pairSet, hardSet)
+	data := serialize(list, table.Fingerprint(), an.foldTable(), keyed, pairSet, hardSet)
 	ix, err := load(data, table)
 	if err != nil {
 		return nil, fmt.Errorf("candidx: self-validation failed: %w", err)
@@ -281,7 +275,7 @@ func tripleCost(minOff []float64, a, b, c int) float64 {
 }
 
 // serialize lays out the index image per the format comment in format.go.
-func serialize(list []brands.Brand, thr float64, fp uint64, foldMap []byte,
+func serialize(list []brands.Brand, fp uint64, foldMap []byte,
 	keyed map[string][]uint32, pairSet map[[3]uint8]struct{},
 	hardSet map[uint32]struct{}) []byte {
 
@@ -369,7 +363,7 @@ func serialize(list []brands.Brand, thr float64, fp uint64, foldMap []byte,
 	var hdr [headerSize]byte
 	copy(hdr[:8], magic)
 	binary.LittleEndian.PutUint64(hdr[8:], fp)
-	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(thr))
+	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(SSIMThreshold))
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(list)))
 	binary.LittleEndian.PutUint32(hdr[28:], slotCount)
 	binary.LittleEndian.PutUint32(hdr[32:], uint32(len(hard)))

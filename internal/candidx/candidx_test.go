@@ -2,6 +2,11 @@ package candidx
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"idnlab/internal/brands"
@@ -37,7 +42,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Threshold() != ix.Threshold() || re.Fingerprint() != ix.Fingerprint() {
+	if re.Fingerprint() != ix.Fingerprint() {
 		t.Fatal("header fields changed across round-trip")
 	}
 	if len(re.Brands()) != len(list) {
@@ -185,6 +190,76 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 	fixChecksum(bad)
 	if _, err := Load(bad); err != ErrFingerprint {
 		t.Fatalf("want ErrFingerprint, got %v", err)
+	}
+}
+
+// TestThresholdMismatchRejected: an index compiled for another SSIM
+// threshold is refused, and the error names both values.
+func TestThresholdMismatchRejected(t *testing.T) {
+	ix, err := Build(testBrands(20), BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), ix.Bytes()...)
+	binary.LittleEndian.PutUint64(bad[16:], math.Float64bits(0.95))
+	fixChecksum(bad)
+	_, err = Load(bad)
+	if err == nil {
+		t.Fatal("index compiled for 0.95 accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "0.95") || !strings.Contains(msg, "0.98") {
+		t.Fatalf("error %q does not name both thresholds", msg)
+	}
+}
+
+// TestWriteFileRoundTrip: WriteFile then LoadFile returns the same image,
+// and a rewrite replaces the file in place.
+func TestWriteFileRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "brands.cidx")
+	for _, n := range []int{10, 20} {
+		ix, err := Build(testBrands(n), BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		re, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), ix.Bytes()) {
+			t.Fatalf("%d brands: file image differs from the built one", n)
+		}
+	}
+}
+
+// TestWriteFileFailedWrite: when the write fails (the temp file is
+// pointed at /dev/full, which answers ENOSPC), WriteFile reports it,
+// leaves no temp file behind and the previous index stays loadable.
+func TestWriteFileFailedWrite(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	path := filepath.Join(t.TempDir(), "brands.cidx")
+	old, err := Build(testBrands(10), BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.WriteFile(path); err == nil {
+		t.Fatal("WriteFile succeeded writing to a full device")
+	}
+	if tmps, _ := filepath.Glob(path + "*.tmp"); len(tmps) != 0 {
+		t.Fatalf("failed write left %v behind", tmps)
+	}
+	if re, err := LoadFile(path); err != nil || !bytes.Equal(re.Bytes(), old.Bytes()) {
+		t.Fatalf("after the failed write the old index does not load: %v", err)
 	}
 }
 

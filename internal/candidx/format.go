@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sync/atomic"
 
 	"idnlab/internal/brands"
+	"idnlab/internal/framelog"
 	"idnlab/internal/simchar"
 )
 
@@ -17,7 +19,7 @@ import (
 //	offset size
 //	0      8    magic "IDNCIDX1"
 //	8      8    simchar derivation fingerprint
-//	16     8    detection threshold (float64 bits)
+//	16     8    detection threshold (float64 bits, = SSIMThreshold)
 //	24     4    brandCount
 //	28     4    slotCount (power of two)
 //	32     4    hardCount
@@ -50,7 +52,8 @@ import (
 //
 // The checksum, magic and section bounds are all verified at load; the
 // loaded index reads straight out of the (immutable) byte slice with no
-// deserialization pass over keys or entries.
+// deserialization pass over keys or entries. An index compiled for
+// another threshold is refused, naming both values.
 
 const (
 	magic      = "IDNCIDX1"
@@ -89,7 +92,6 @@ type Index struct {
 	ixFold     [256]byte    // base byte -> fold class (identity elsewhere)
 
 	fingerprint uint64
-	threshold   float64
 	table       *simchar.Table
 
 	lookups atomic.Uint64
@@ -103,9 +105,6 @@ func (ix *Index) Bytes() []byte { return ix.data }
 // Brands returns the brand catalog the index was compiled from, in brand
 // ID order. The slice is shared and must not be modified.
 func (ix *Index) Brands() []brands.Brand { return ix.brandList }
-
-// Threshold returns the detection threshold the index was compiled for.
-func (ix *Index) Threshold() float64 { return ix.threshold }
 
 // Fingerprint returns the simchar derivation fingerprint embedded at
 // build time.
@@ -152,9 +151,10 @@ func (ix *Index) FoldClasses() [][]byte {
 
 // Load parses a serialized index. The data slice is retained and read
 // zero-copy; it must not be modified afterwards. Load verifies the
-// checksum, every section bound, and that the embedded derivation
-// fingerprint matches the running simchar table — an index built against
-// a different glyph design is rejected rather than silently misused.
+// checksum, every section bound, that the embedded threshold is
+// SSIMThreshold, and that the embedded derivation fingerprint matches the
+// running simchar table — an index built against a different threshold
+// or glyph design is rejected rather than silently misused.
 func Load(data []byte) (*Index, error) {
 	return load(data, simchar.Default())
 }
@@ -186,8 +186,8 @@ func load(data []byte, table *simchar.Table) (*Index, error) {
 	if slotCount == 0 || slotCount&(slotCount-1) != 0 {
 		return nil, ErrCorrupt
 	}
-	if !(thr > 0 && thr <= 1) { // also rejects NaN
-		return nil, ErrCorrupt
+	if thr != SSIMThreshold { // also rejects NaN
+		return nil, fmt.Errorf("candidx: index compiled for SSIM threshold %g, detection runs at %g", thr, SSIMThreshold)
 	}
 	if int(foldLen) != len(simchar.Bases) {
 		return nil, ErrCorrupt
@@ -205,7 +205,6 @@ func load(data []byte, table *simchar.Table) (*Index, error) {
 		data:        data,
 		mask:        slotCount - 1,
 		fingerprint: fp,
-		threshold:   thr,
 		table:       table,
 	}
 
@@ -370,14 +369,14 @@ func LoadFile(path string) (*Index, error) {
 	return ix, nil
 }
 
-// WriteFile serializes the index to path (atomically via a temp file in
-// the same directory).
+// WriteFile serializes the index to path durably (framelog.ReplaceFile:
+// temp file, fsync, rename, directory fsync), so a crash leaves either
+// the old file or the complete new one.
 func (ix *Index) WriteFile(path string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, ix.data, 0o644); err != nil {
+	return framelog.ReplaceFile(path, framelog.Options{}, func(w io.Writer) error {
+		_, err := w.Write(ix.data)
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // isBase reports whether b is a simchar base byte.

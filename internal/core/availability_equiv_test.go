@@ -23,7 +23,7 @@ func availabilityReference(d *HomographDetector, topK int, registered []string) 
 		res := AvailabilityResult{Brand: b.Domain}
 		for _, v := range genTable.Variants(label) {
 			res.Candidates++
-			if d.Score(v, label) < d.threshold {
+			if d.Score(v, label) < d.Threshold() {
 				continue
 			}
 			res.Homographic++

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"idnlab/internal/brands"
 )
 
 func TestCloneScoresIdentically(t *testing.T) {
@@ -97,33 +99,23 @@ func TestScoreOffBrandReference(t *testing.T) {
 	}
 }
 
-// TestDetectOneMatchesPrePRSemantics pins the brute-force path through
-// the cached-brand renderer: prefilter and brute force agree with each
-// other on the corpus exactly as before the raster cache existed.
+// TestDetectOneMatchesPrePRSemantics pins the default detector against
+// the reference sweep through the cached-brand renderer: over the first
+// 300 corpus IDNs the index probe and the brute sweep over the same
+// top-1000 catalog return identical matches, SSIM bits included.
 func TestDetectOneMatchesPrePRSemantics(t *testing.T) {
 	corpus := testDS.IDNs
 	if len(corpus) > 300 {
 		corpus = corpus[:300]
 	}
-	fast := NewHomographDetector(1000)
-	brute := NewHomographDetector(1000, WithoutPrefilter())
-	fastMatches := fast.Detect(corpus)
-	bruteMatches := brute.Detect(corpus)
-	if len(fastMatches) < len(bruteMatches) {
-		t.Fatalf("prefilter lost recall: %d vs %d", len(fastMatches), len(bruteMatches))
+	indexed := NewHomographDetector(1000).Detect(corpus)
+	sweep := NewHomographDetector(0, WithBrands(brands.TopK(1000))).Detect(corpus)
+	if len(indexed) != len(sweep) {
+		t.Fatalf("index found %d matches, sweep %d", len(indexed), len(sweep))
 	}
-	seen := make(map[string]HomographMatch, len(fastMatches))
-	for _, m := range fastMatches {
-		seen[m.Domain] = m
-	}
-	for _, m := range bruteMatches {
-		f, ok := seen[m.Domain]
-		if !ok {
-			t.Errorf("brute-force found %v missed by prefilter", m)
-			continue
-		}
-		if f.SSIM < m.SSIM-1e-9 {
-			t.Errorf("prefilter SSIM %v below brute %v for %s", f.SSIM, m.SSIM, m.Domain)
+	for i := range sweep {
+		if !sameMatch(indexed[i], sweep[i]) {
+			t.Errorf("index %+v != sweep %+v", indexed[i], sweep[i])
 		}
 	}
 }

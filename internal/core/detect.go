@@ -18,13 +18,6 @@ import (
 	"idnlab/internal/ssim"
 )
 
-// DefaultSSIMThreshold is the detection threshold in this renderer's SSIM
-// space. The paper used 0.95 with its anti-aliased rendering; with our
-// pixel typeface, single-diacritic homographs score ≥0.985 and unrelated
-// single-letter swaps fall at 0.96-0.98 (see the Table XII reproduction),
-// so 0.98 cuts the band at the same semantic point the paper's 0.95 did.
-const DefaultSSIMThreshold = 0.98
-
 // HomographMatch is one detected homographic IDN.
 type HomographMatch struct {
 	// Domain is the IDN in ACE form.
@@ -42,26 +35,27 @@ type HomographMatch struct {
 // brand domains (§VI-B). It is safe for sequential reuse; not for
 // concurrent use (it owns reusable raster and summed-area-table scratch
 // buffers). Concurrent scans give each goroutine a Clone, which shares
-// all immutable state — brand list, confusable table, the glyph atlas and
+// all immutable state — brand list, candidate index, the glyph atlas and
 // the prerendered brand rasters — at the cost of only the private scratch.
+//
+// A label is matched by probing the candidate index (indexed.go) and
+// rescoring the few brands it returns. The one other generator is the
+// brute sweep over every brand, selected by WithBrands without an index:
+// the reference the index is proven against, never a serving path.
 type HomographDetector struct {
-	threshold float64
-	prefilter bool
-	renderer  *glyph.Renderer
-	cmp       *ssim.Comparator
-	table     *confusables.Table
-	// brandsByLabel indexes brands by SLD label for the skeleton
-	// prefilter; brandList is the brute-force iteration order.
-	brandsByLabel map[string]brands.Brand
-	brandList     []brands.Brand
+	renderer *glyph.Renderer
+	cmp      *ssim.Comparator
+	// brandList is the catalog: the index's embedded one, or the
+	// WithBrands list the reference sweep iterates.
+	brandList []brands.Brand
 	// brandRefs maps each brand label to its prerendered raster plus the
 	// precomputed reference-side summed-area table — every Score call
 	// against a known brand hits this cache and skips both the render and
 	// a third of the SSIM table build. brandWidths caches the rendered
 	// width (runes × CellWidth) and brandLens the rune count of each
 	// brandList entry, indexed in step with brandList. brandRefs and
-	// brandWidths point at the process-wide brandCache (the brand list is
-	// a fixed constant); all three are immutable, so Clones share them
+	// brandWidths are the process-wide brandCache unless the catalog holds
+	// labels outside it; all three are immutable, so Clones share them
 	// without synchronization.
 	brandRefs   map[string]*ssim.RefTable
 	brandWidths map[string]int
@@ -76,13 +70,11 @@ type HomographDetector struct {
 	scratchRef   *image.Gray
 	scratchLabel string
 	scratchWidth int
-	// customBrands, when set (WithBrands / WithIndex), replaces the
-	// global top-k catalog; index is the precomputed candidate index
-	// DetectNormalized consults before any sweep, and probe its private
-	// lookup scratch (never shared by Clone).
-	customBrands []brands.Brand
-	index        *candidx.Index
-	probe        *candidx.Probe
+	// index is the candidate index every lookup probes (nil only for the
+	// reference sweep), and probe its private lookup scratch (never
+	// shared by Clone).
+	index *candidx.Index
+	probe *candidx.Probe
 	// stat, when set (WithStatModel), is the trained statistical
 	// classifier run as a learned prefilter in front of the SSIM path:
 	// labels scoring below the model's prefilter floor are shed before
@@ -135,18 +127,6 @@ func (d *HomographDetector) StatModel() *feat.Model { return d.stat }
 // HomographOption configures the detector.
 type HomographOption func(*HomographDetector)
 
-// WithThreshold overrides the SSIM detection threshold.
-func WithThreshold(t float64) HomographOption {
-	return func(d *HomographDetector) { d.threshold = t }
-}
-
-// WithoutPrefilter disables the confusable-skeleton prefilter and compares
-// every IDN against every brand pair-wise — the paper's brute-force mode
-// (102 hours on their corpus). Used by the ablation benchmark.
-func WithoutPrefilter() HomographOption {
-	return func(d *HomographDetector) { d.prefilter = false }
-}
-
 // WithStatModel attaches a trained statistical classifier as a learned
 // prefilter: DetectNormalized scores the label first and sheds
 // everything below the model's prefilter floor without rendering a
@@ -156,36 +136,26 @@ func WithStatModel(m *feat.Model) HomographOption {
 	return func(d *HomographDetector) { d.stat = m }
 }
 
-// NewHomographDetector builds a detector over the top-k brand list.
+// NewHomographDetector builds a detector over the top-k brand list: it
+// probes the process-wide index for brands.TopK(topK) (defaultIndex),
+// unless WithIndex attaches another index or WithBrands selects the
+// reference sweep, in which case topK is ignored.
 func NewHomographDetector(topK int, opts ...HomographOption) *HomographDetector {
 	d := &HomographDetector{
-		threshold:     DefaultSSIMThreshold,
-		prefilter:     true,
-		renderer:      glyph.NewRenderer(),
-		cmp:           ssim.New(ssim.DefaultWindow),
-		table:         confusables.Default(),
-		brandsByLabel: make(map[string]brands.Brand, topK),
-		counters:      &detectorCounters{},
+		renderer: glyph.NewRenderer(),
+		cmp:      ssim.New(ssim.DefaultWindow),
+		counters: &detectorCounters{},
 	}
 	for _, o := range opts {
 		o(d)
 	}
 	d.resolveBrandSetup(topK)
-	for _, b := range d.brandList {
-		if _, dup := d.brandsByLabel[b.Label()]; !dup {
-			d.brandsByLabel[b.Label()] = b
-		}
-	}
-	// Score, brute-force DetectOne and AvailabilityStudy all reference
-	// brands at exactly their own width, so the shared prerender cache
-	// covers every hot-path render and half of every hot-path
-	// integral-image build. A custom catalog (WithBrands / WithIndex)
-	// extends it with private prerenders, so Score stays on the
-	// precomputed-table path for every brand either way.
-	d.brandRefs, d.brandWidths = brandCache()
-	if d.customBrands != nil {
-		d.brandRefs, d.brandWidths = extendBrandCache(d.renderer, d.brandRefs, d.brandWidths, d.brandList)
-	}
+	// Score, the rescore and AvailabilityStudy all reference brands at
+	// exactly their own width, so the shared prerender cache covers every
+	// hot-path render and half of every hot-path integral-image build. A
+	// catalog with labels outside it gets private prerenders on top, so
+	// Score stays on the precomputed-table path for every brand.
+	d.brandRefs, d.brandWidths = extendBrandCache(d.renderer, d.brandList)
 	d.brandLens = make([]int, len(d.brandList))
 	for i, b := range d.brandList {
 		d.brandLens[i] = utf8.RuneCountInString(b.Label())
@@ -225,13 +195,40 @@ func brandCache() (map[string]*ssim.RefTable, map[string]int) {
 	return brandCacheRefs, brandCacheWidths
 }
 
+// defaultIndex returns the candidate index compiled from brands.TopK(k),
+// the catalog of every detector built without WithIndex or WithBrands.
+// It is built at most once per process per catalog depth (one build of
+// the top-1000 costs ~50 ms), so the study, the classifier, the scan
+// engines and every worker of a command share one image — byte-identical
+// to what `idnindex build -top k` writes.
+var (
+	defaultIndexMu sync.Mutex
+	defaultIndexes = make(map[int]*candidx.Index)
+)
+
+func defaultIndex(topK int) *candidx.Index {
+	list := brands.TopK(topK)
+	defaultIndexMu.Lock()
+	defer defaultIndexMu.Unlock()
+	ix := defaultIndexes[len(list)]
+	if ix == nil {
+		var err error
+		if ix, err = candidx.Build(list, candidx.BuildOptions{}); err != nil {
+			// The catalog is a compiled-in constant; a failed build is a bug.
+			panic("core: default candidate index: " + err.Error())
+		}
+		defaultIndexes[len(list)] = ix
+	}
+	return ix
+}
+
 // Clone returns a detector that shares this detector's immutable state —
-// threshold, brand list and index, confusable table, renderer (itself
-// backed by the process-wide glyph atlas) and the prerendered brand
-// rasters — while owning fresh private scratch buffers. Clones are cheap
-// (no brand re-rendering, no table rebuild) and safe to use concurrently
-// with each other and with the original, as long as each individual
-// detector stays on one goroutine.
+// brand list and index, renderer (itself backed by the process-wide
+// glyph atlas) and the prerendered brand rasters — while owning fresh
+// private scratch buffers. Clones are cheap (no brand re-rendering, no
+// index rebuild) and safe to use concurrently with each other and with
+// the original, as long as each individual detector stays on one
+// goroutine.
 func (d *HomographDetector) Clone() *HomographDetector {
 	// The struct copy carries the stat model and the counters pointer:
 	// clones score through the same immutable model and aggregate into
@@ -246,8 +243,8 @@ func (d *HomographDetector) Clone() *HomographDetector {
 	return &c
 }
 
-// Threshold returns the active SSIM threshold.
-func (d *HomographDetector) Threshold() float64 { return d.threshold }
+// Threshold returns the SSIM detection threshold, candidx.SSIMThreshold.
+func (d *HomographDetector) Threshold() float64 { return candidx.SSIMThreshold }
 
 // Score computes the SSIM between an IDN label and a brand label, rendered
 // at the brand's width. When brandLabel is in the brand set the reference
@@ -361,27 +358,21 @@ func (d *HomographDetector) AdmitStat(raw float64) bool {
 // detect is the one homograph match path, for a non-ASCII label. With
 // a statistical model attached, raw is the model's margin for the label
 // (scored once by the caller) and the learned prefilter gates first;
-// admitted reports its decision. Then the index, when one is attached —
-// O(1) candidate probes plus a rescore of the few hits, bit-identical to
-// the sweeps by construction — else the skeleton-prefilter or
-// brute-force sweep.
+// admitted reports its decision. Then the index: O(1) candidate probes
+// plus a rescore of the few hits, bit-identical to the brute sweep by
+// construction. The sweep itself runs only on a WithBrands reference
+// detector.
 func (d *HomographDetector) detect(n NormalizedDomain, raw float64) (m HomographMatch, admitted, ok bool) {
 	if d.stat != nil && !d.AdmitStat(raw) {
 		return HomographMatch{}, false, false // shed by the learned prefilter
 	}
 	label := n.Label
 	best := HomographMatch{Domain: n.ACE, Unicode: n.Unicode, SSIM: -1}
-	switch {
-	case d.index != nil:
+	if d.index != nil {
 		if i, score, found := d.BestIndexed(label); found {
 			best.Brand, best.SSIM = d.brandList[i].Domain, score
 		}
-	case d.prefilter:
-		skel := d.table.Skeleton(label)
-		if b, found := d.brandsByLabel[skel]; found && isASCII(skel) {
-			best.Brand, best.SSIM = b.Domain, d.Score(label, b.Label())
-		}
-	default:
+	} else {
 		labelLen := utf8.RuneCountInString(label)
 		for i, b := range d.brandList {
 			// Pair-wise over all brands, skipping only wildly different
@@ -397,7 +388,7 @@ func (d *HomographDetector) detect(n NormalizedDomain, raw float64) (m Homograph
 			}
 		}
 	}
-	if best.SSIM >= d.threshold {
+	if best.SSIM >= candidx.SSIMThreshold {
 		return best, true, true
 	}
 	return HomographMatch{}, true, false
@@ -577,7 +568,7 @@ func (d *HomographDetector) AvailabilityStudyReg(topK int, regUni map[string]uin
 			// iteration order).
 			for _, v := range genTable.Variants(label) {
 				res.Candidates++
-				if d.Score(v, label) < d.threshold {
+				if d.Score(v, label) < candidx.SSIMThreshold {
 					continue
 				}
 				res.Homographic++
@@ -603,13 +594,13 @@ func (d *HomographDetector) AvailabilityStudyReg(topK int, regUni map[string]uin
 				// raster equals the brand raster and the score is exactly
 				// 1.0 without touching the kernel.
 				if cnd.DX0 == cnd.DX1 {
-					if 1.0 < d.threshold {
+					if 1.0 < candidx.SSIMThreshold {
 						continue
 					}
 				} else {
 					above, err := d.cmp.RefSubPatchAbove(rt,
 						cellX+cnd.DX0, cellX+cnd.DX1, cnd.DY0, cnd.DY1,
-						cnd.Patch, d.threshold)
+						cnd.Patch, candidx.SSIMThreshold)
 					if err != nil || !above {
 						continue
 					}

@@ -116,7 +116,7 @@ func TestIndexEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewHomographDetector(0, WithoutPrefilter(), WithBrands(list))
+	ref := NewHomographDetector(0, WithBrands(list))
 	idx := NewHomographDetector(0, WithIndex(ix))
 
 	lsrc := src.Fork("labels")
@@ -169,7 +169,7 @@ func TestIndexEquivalenceRegistryBrands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewHomographDetector(0, WithoutPrefilter(), WithBrands(list))
+	ref := NewHomographDetector(0, WithBrands(list))
 	idx := NewHomographDetector(0, WithIndex(ix))
 
 	src := simrand.New(0xBEEF)
@@ -198,7 +198,7 @@ func TestIndexedDetectorMatchesOnCanaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewHomographDetector(0, WithoutPrefilter(), WithBrands(list))
+	ref := NewHomographDetector(0, WithBrands(list))
 	idx := NewHomographDetector(0, WithIndex(ix))
 	for _, domain := range []string{"xn--pple-43d.com", "apple邮箱.com", "example.com"} {
 		n, err := Normalize(domain)

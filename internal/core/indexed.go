@@ -15,53 +15,58 @@ import (
 // those few candidates are then rescored with the detector's own Score,
 // so the verdict — including the exact SSIM value and the first-at-max
 // tie-break — is bit-identical to the brute sweep's. The sweep itself is
-// retained as the out-of-index fallback (no index loaded, or an index
-// compiled for a different threshold) and as the equivalence oracle in
-// the property tests.
+// retained only as the specification: `idnindex verify` and the
+// equivalence tests compare the index against it (WithBrands).
 
-// WithBrands replaces the detector's brand catalog with an explicit
-// list, prerendering reference rasters for any label outside the shared
-// top-1000 cache so every Score call stays on the precomputed-table
-// path. The topK constructor argument is ignored when this option is
-// used.
+// WithBrands selects the reference brute sweep over an explicit catalog:
+// every label is scored against every length-compatible brand, the
+// paper's pair-wise mode (102 hours on their corpus). Reference
+// rasters are prerendered for any label outside the shared top-1000
+// cache. The topK constructor argument is ignored; WithIndex wins when
+// both are given.
 func WithBrands(list []brands.Brand) HomographOption {
-	return func(d *HomographDetector) { d.customBrands = list }
+	return func(d *HomographDetector) { d.brandList = list }
 }
 
-// WithIndex attaches a precomputed candidate index. The detector's brand
-// catalog becomes the index's embedded catalog (the index's brand IDs
-// must resolve against the exact list it was compiled from), and
-// DetectNormalized consults the index before any sweep. An index
-// compiled for a different threshold than the detector's is ignored:
-// the detector silently falls back to the brute sweep, which is always
-// correct, rather than serve verdicts from a mismatched expansion.
+// WithIndex attaches a precomputed candidate index (built by idnindex,
+// loaded with candidx.LoadFile) in place of the process-wide default.
+// The detector's brand catalog becomes the index's embedded catalog (the
+// index's brand IDs must resolve against the exact list it was compiled
+// from). candidx.Load has already refused an index compiled for another
+// threshold.
 func WithIndex(ix *candidx.Index) HomographOption {
 	return func(d *HomographDetector) { d.index = ix }
 }
 
-// resolveBrandSetup finishes construction after options ran: it picks
-// the brand catalog (index catalog > explicit list > global top-k) and
-// extends the shared prerender cache with any labels it misses.
+// resolveBrandSetup finishes construction after options ran: the catalog
+// is the attached index's; a WithBrands list without an index stays the
+// reference sweep's; otherwise the detector probes the default index.
 func (d *HomographDetector) resolveBrandSetup(topK int) {
-	if d.index != nil {
-		if d.index.Threshold() != d.threshold {
-			d.index = nil // mismatched compilation; sweep stays authoritative
-		} else {
-			d.customBrands = d.index.Brands()
-		}
+	if d.index == nil && d.brandList != nil {
+		return
 	}
-	if d.customBrands != nil {
-		d.brandList = d.customBrands
-	} else {
-		d.brandList = brands.TopK(topK)
+	if d.index == nil {
+		d.index = defaultIndex(topK)
 	}
+	d.brandList = d.index.Brands()
 }
 
-// extendBrandCache returns ref/width maps covering every label in list,
-// reusing the process-wide cache's entries and rendering only the
-// missing ones. The shared maps are never mutated.
-func extendBrandCache(re *glyph.Renderer, refs map[string]*ssim.RefTable,
-	widths map[string]int, list []brands.Brand) (map[string]*ssim.RefTable, map[string]int) {
+// extendBrandCache returns ref/width maps covering every label in list:
+// the process-wide brandCache itself when it already does, else a copy
+// extended with prerenders of the missing labels. The shared maps are
+// never mutated.
+func extendBrandCache(re *glyph.Renderer, list []brands.Brand) (map[string]*ssim.RefTable, map[string]int) {
+	refs, widths := brandCache()
+	missing := false
+	for _, b := range list {
+		if _, ok := refs[b.Label()]; !ok {
+			missing = true
+			break
+		}
+	}
+	if !missing {
+		return refs, widths
+	}
 	nr := make(map[string]*ssim.RefTable, len(refs)+len(list))
 	nw := make(map[string]int, len(widths)+len(list))
 	for k, v := range refs {
@@ -82,7 +87,8 @@ func extendBrandCache(re *glyph.Renderer, refs map[string]*ssim.RefTable,
 	return nr, nw
 }
 
-// Index returns the attached candidate index, if any.
+// Index returns the candidate index the detector probes; nil only on a
+// WithBrands reference detector.
 func (d *HomographDetector) Index() *candidx.Index { return d.index }
 
 // BestIndexed is the one index-backed match loop, shared by
@@ -108,7 +114,7 @@ func (d *HomographDetector) BestIndexed(label string) (brand int, score float64,
 		d.probe = &candidx.Probe{}
 	}
 	score = -1
-	floor := d.threshold
+	floor := candidx.SSIMThreshold
 	labelLen := utf8.RuneCountInString(label)
 	for _, id := range d.index.Candidates(label, d.probe) {
 		i := int(id)
@@ -119,5 +125,5 @@ func (d *HomographDetector) BestIndexed(label string) (brand int, score float64,
 			brand, score, floor = i, s, s
 		}
 	}
-	return brand, score, score >= d.threshold
+	return brand, score, score >= candidx.SSIMThreshold
 }

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"idnlab/internal/brands"
 	"idnlab/internal/core"
 	"idnlab/internal/glyph"
 	"idnlab/internal/punycode"
@@ -246,10 +247,9 @@ func mse(a, b *image.Gray) float64 {
 	return sum / float64(w*h)
 }
 
-// BenchmarkAblationPrefilter compares the skeleton-prefiltered detector
-// against the paper's brute-force pair-wise sweep (102 hours on their
-// testbed) on a fixed slice of the corpus, and fails if the prefilter
-// loses recall.
+// BenchmarkAblationPrefilter compares the index-probing detector against
+// the paper's brute-force pair-wise sweep (102 hours on their testbed)
+// on a fixed slice of the corpus, and fails if the index loses recall.
 func BenchmarkAblationPrefilter(b *testing.B) {
 	st := study(b)
 	corpus := st.DS.IDNs
@@ -257,14 +257,14 @@ func BenchmarkAblationPrefilter(b *testing.B) {
 		corpus = corpus[:300]
 	}
 	fast := core.NewHomographDetector(1000)
-	brute := core.NewHomographDetector(1000, core.WithoutPrefilter())
+	brute := core.NewHomographDetector(0, core.WithBrands(brands.TopK(1000)))
 	fastN := len(fast.Detect(corpus))
 	bruteN := len(brute.Detect(corpus))
-	if fastN < bruteN {
-		b.Fatalf("prefilter lost recall: %d vs %d", fastN, bruteN)
+	if fastN != bruteN {
+		b.Fatalf("index and sweep disagree: %d vs %d matches", fastN, bruteN)
 	}
-	b.Logf("matches on %d-domain slice: prefilter=%d brute=%d", len(corpus), fastN, bruteN)
-	b.Run("prefilter", func(b *testing.B) {
+	b.Logf("matches on %d-domain slice: index=%d brute=%d", len(corpus), fastN, bruteN)
+	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = fast.Detect(corpus)
 		}
@@ -318,15 +318,15 @@ func BenchmarkScore(b *testing.B) {
 
 // BenchmarkWithoutPrefilter is the paper's brute-force pair-wise sweep
 // (§VI-B, 102 hours on their testbed) over a fixed 300-domain slice —
-// every candidate against every length-compatible brand, no skeleton
-// prefilter. This is the workload the integral-image kernel and raster
-// caches exist for.
+// every candidate against every length-compatible brand, no index. This
+// is the reference the index is proven against, and the workload the
+// integral-image kernel and raster caches exist for.
 func BenchmarkWithoutPrefilter(b *testing.B) {
 	corpus := study(b).DS.IDNs
 	if len(corpus) > 300 {
 		corpus = corpus[:300]
 	}
-	brute := core.NewHomographDetector(1000, core.WithoutPrefilter())
+	brute := core.NewHomographDetector(0, core.WithBrands(brands.TopK(1000)))
 	b.SetBytes(corpusBytes(corpus))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"idnlab/internal/brands"
+	"idnlab/internal/candidx"
+	"idnlab/internal/confusables"
 	"idnlab/internal/idna"
 	"io"
 	"sort"
@@ -76,7 +78,9 @@ type Study struct {
 // NewStudy wires a study over an assembled dataset with default
 // components. The language classifier is the process-wide shared model
 // (langid.Default), which lets the Table II breakdown reuse the corpus
-// index's per-domain classifications.
+// index's per-domain classifications. The homograph detector and the
+// scan engines probe the process-wide top-1000 candidate index, built
+// here on first use (defaultIndex) and shared by every door.
 func NewStudy(ds *Dataset) *Study {
 	return &Study{
 		DS:         ds,
@@ -671,10 +675,11 @@ func (st *Study) UnregisteredTraffic(topK int) (registered, unregistered []float
 	}
 	seen := make(map[string]struct{})
 	keyBuf := make([]byte, 0, 64)
+	tab := confusables.Default()
 	for _, b := range topKBrandLabels(topK) {
 		for byteOff, base := range b {
 			baseLen := utf8.RuneLen(base)
-			for _, h := range st.Homograph.table.Homoglyphs(base) {
+			for _, h := range tab.Homoglyphs(base) {
 				keyBuf = append(keyBuf[:0], b[:byteOff]...)
 				keyBuf = utf8.AppendRune(keyBuf, h)
 				keyBuf = append(keyBuf, b[byteOff+baseLen:]...)
@@ -712,11 +717,12 @@ type ExampleHomograph struct {
 	SSIM    float64
 }
 
-// ExamplesFor generates up to n homographic variants of a brand label with
-// their ACE forms, highest SSIM first.
+// ExamplesFor generates up to n homographic variants of a brand label
+// (single substitutions from the confusables table) with their ACE
+// forms, highest SSIM first.
 func (d *HomographDetector) ExamplesFor(brandLabel string, n int) []ExampleHomograph {
 	var out []ExampleHomograph
-	for _, v := range d.table.Variants(brandLabel) {
+	for _, v := range confusables.Default().Variants(brandLabel) {
 		ace, err := idna.ToASCIILabel(v)
 		if err != nil {
 			continue
@@ -764,13 +770,14 @@ func (d *HomographDetector) Ladder(brandLabel string) []ExampleHomograph {
 func (d *HomographDetector) multiSubstitutions(label string, maxOut int) []ExampleHomograph {
 	runes := []rune(label)
 	var out []ExampleHomograph
+	tab := confusables.Default()
 	for i := 0; i < len(runes) && len(out) < maxOut*4; i++ {
-		hi := d.table.Homoglyphs(runes[i])
+		hi := tab.Homoglyphs(runes[i])
 		if len(hi) == 0 {
 			continue
 		}
 		for j := i + 1; j < len(runes) && len(out) < maxOut*4; j++ {
-			hj := d.table.Homoglyphs(runes[j])
+			hj := tab.Homoglyphs(runes[j])
 			if len(hj) == 0 {
 				continue
 			}
@@ -820,7 +827,7 @@ func NewDefaultDataset(seed uint64, scale int) (*Dataset, error) {
 func (st *Study) ReportFigure7b(w io.Writer) error {
 	// Clone: the sampled-survivor scoring below mutates detector scratch.
 	det := st.Homograph.Clone()
-	tab := det.table
+	tab := confusables.Default()
 	tw := newTab(w)
 	fmt.Fprintln(tw, "FIGURE 7b (extension): candidate space growth with substitutions")
 	fmt.Fprintln(tw, "Brand\t1-sub space\t2-sub space\tgrowth\t2-sub homographic (sampled)")
@@ -835,7 +842,7 @@ func (st *Study) ReportFigure7b(w io.Writer) error {
 		sample := tab.VariantsMulti(label, 2, sampleCap)
 		hits := 0
 		for _, v := range sample {
-			if det.Score(v, label) >= det.threshold {
+			if det.Score(v, label) >= candidx.SSIMThreshold {
 				hits++
 			}
 		}

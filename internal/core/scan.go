@@ -30,32 +30,22 @@ import (
 // DetectorConfig captures how to build identical detector instances for a
 // worker pool.
 type DetectorConfig struct {
-	// TopK is the brand-list depth.
+	// TopK is the brand-list depth: without Index, every instance probes
+	// the process-wide index for brands.TopK(TopK).
 	TopK int
-	// Options apply to every instance.
-	Options []HomographOption
 	// Index, when set, attaches a precomputed candidate index to every
-	// instance (equivalent to appending WithIndex to Options). Carrying
-	// it as a first-class field means every construction path built on
-	// DetectorConfig — the classifier and the scan engines — routes
-	// through the index identically instead of silently falling back to
-	// the sweep.
+	// instance (WithIndex) in place of the default one.
 	Index *candidx.Index
 	// Stat, when set, attaches the statistical model to every instance
-	// (equivalent to appending WithStatModel to Options): the model
-	// becomes the learned prefilter ahead of the SSIM path and the
-	// third detector in ensemble verdicts.
+	// (WithStatModel): the model becomes the learned prefilter ahead of
+	// the SSIM path and the third detector in ensemble verdicts.
 	Stat *feat.Model
 }
 
 // detectorOptions resolves the config into the option list detector
 // construction actually applies.
 func (cfg DetectorConfig) detectorOptions() []HomographOption {
-	if cfg.Index == nil && cfg.Stat == nil {
-		return cfg.Options
-	}
-	opts := make([]HomographOption, 0, len(cfg.Options)+2)
-	opts = append(opts, cfg.Options...)
+	var opts []HomographOption
 	if cfg.Index != nil {
 		opts = append(opts, WithIndex(cfg.Index))
 	}
@@ -91,9 +81,9 @@ func sortSemanticMatches(out []SemanticMatch) {
 // GOMAXPROCS.
 //
 // Workers share one lazily-built prototype detector: the first worker to
-// receive an item constructs it (brand index, confusable table,
-// prerendered brand rasters), and every worker — including the first —
-// then operates on a Clone carrying only private scratch buffers. The
+// receive an item constructs it (candidate index, prerendered brand
+// rasters), and every worker — including the first — then operates on a
+// Clone carrying only private scratch buffers. The
 // expensive immutable state is therefore built once per engine instead of
 // once per worker, and the glyph atlas is shared process-wide.
 func NewHomographEngine(cfg DetectorConfig, workers int) *pipeline.Engine[string, HomographMatch, *HomographDetector] {

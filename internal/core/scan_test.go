@@ -255,18 +255,34 @@ func assertNoLeakedGoroutines(t *testing.T, before int) {
 	t.Fatalf("goroutines leaked: %d before, %d after settle", before, now)
 }
 
-// TestDetectParallelWithOptions pins that DetectorConfig.Options reach
-// every worker's detector. (This and the next test keep the ids they
-// had when they ran through the deleted DetectParallel shim.)
+// TestDetectParallelWithOptions pins that DetectorConfig.TopK reaches
+// every worker's detector: a top-100 scan names only top-100 brands and
+// equals the sequential top-100 detector, although the top-1000 scan of
+// the same corpus names deeper brands. (This and the next test keep the
+// ids they had when they ran through the deleted DetectParallel shim.)
 func TestDetectParallelWithOptions(t *testing.T) {
-	cfg := DetectorConfig{TopK: 1000, Options: []HomographOption{WithThreshold(0.999)}}
-	par, _, err := ScanHomograph(context.Background(), cfg, testDS.IDNs, 4)
-	if err != nil {
-		t.Fatal(err)
+	deep := 0
+	for _, m := range NewHomographDetector(1000).Detect(testDS.IDNs) {
+		if b, _ := brands.Lookup(m.Brand); b.Rank > 100 {
+			deep++
+		}
 	}
-	for _, m := range par {
-		if m.SSIM < 0.999 {
-			t.Errorf("threshold not applied: %v", m)
+	if deep == 0 {
+		t.Fatal("no top-1000 match beyond rank 100; the corpus cannot tell the depths apart")
+	}
+	want := NewHomographDetector(100).Detect(testDS.IDNs)
+	for _, workers := range []int{1, 4} {
+		par, _, err := ScanHomograph(context.Background(), DetectorConfig{TopK: 100}, testDS.IDNs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(par, want) {
+			t.Fatalf("workers=%d: top-100 scan differs from the sequential detector (%d vs %d)", workers, len(par), len(want))
+		}
+		for _, m := range par {
+			if b, ok := brands.Lookup(m.Brand); !ok || b.Rank > 100 {
+				t.Errorf("workers=%d: TopK not applied: %v", workers, m)
+			}
 		}
 	}
 }

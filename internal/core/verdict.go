@@ -146,7 +146,7 @@ func NewClassifier(cfg DetectorConfig) *Classifier {
 func (c *Classifier) DetectorStats() DetectorStats { return c.homo.Stats() }
 
 // Clone returns a classifier sharing all immutable detector state (brand
-// index, confusable table, prerendered brand rasters, the semantic brand
+// list, candidate index, prerendered brand rasters, the semantic brand
 // map — read-only after construction) while owning private homograph
 // scratch buffers. Clones are safe to use concurrently with each other
 // and the original.

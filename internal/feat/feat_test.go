@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -92,6 +93,32 @@ func TestFormatRoundTrip(t *testing.T) {
 		if a != b {
 			t.Fatalf("score diverged after round trip for %q: %v vs %v", e.Label, a, b)
 		}
+	}
+}
+
+// TestWriteFileFailedWrite: when the write fails (the temp file is
+// pointed at /dev/full, which answers ENOSPC), WriteFile reports it,
+// leaves no temp file behind and the previous model stays loadable.
+func TestWriteFileFailedWrite(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	m, _, _ := trainedModel(t)
+	path := filepath.Join(t.TempDir(), "model.idnstat")
+	if err := m.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteFile(path); err == nil {
+		t.Fatal("WriteFile succeeded writing to a full device")
+	}
+	if tmps, _ := filepath.Glob(path + "*.tmp"); len(tmps) != 0 {
+		t.Fatalf("failed write left %v behind", tmps)
+	}
+	if re, err := LoadFile(path); err != nil || !bytes.Equal(re.Bytes(), m.Bytes()) {
+		t.Fatalf("after the failed write the old model does not load: %v", err)
 	}
 }
 

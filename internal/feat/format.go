@@ -4,10 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
-	"path/filepath"
 
+	"idnlab/internal/framelog"
 	"idnlab/internal/simchar"
 )
 
@@ -209,26 +210,15 @@ func LoadFile(path string) (*Model, error) {
 	return m, nil
 }
 
-// WriteFile atomically writes the model blob next to its final path
-// (tmp + rename, like the candidate index writer).
+// WriteFile writes the model blob to path durably (framelog.ReplaceFile:
+// temp file, fsync, rename, directory fsync), so a crash leaves either
+// the old file or the complete new one.
 func (m *Model) WriteFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".idnstat-*")
+	err := framelog.ReplaceFile(path, framelog.Options{}, func(w io.Writer) error {
+		_, err := w.Write(m.data)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("feat: write %s: %w", path, err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(m.data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("feat: write %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("feat: write %s: %w", path, err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
 		return fmt.Errorf("feat: write %s: %w", path, err)
 	}
 	return nil

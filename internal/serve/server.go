@@ -168,7 +168,7 @@ type batchEntry struct {
 }
 
 // NewServer builds the service: one prototype classifier (brand index,
-// confusable table, prerendered rasters — built once), a clone pool for
+// candidate index, prerendered rasters — built once), a clone pool for
 // single requests, and a shared pipeline engine for batch fan-out.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -197,11 +197,11 @@ func NewServer(cfg Config) *Server {
 }
 
 // warmup primes the process-wide caches the first request would
-// otherwise pay for — the prerendered brand rasters behind the
-// homograph detector and the confusable table — by classifying one
-// known homograph and one semantic canary. /readyz reports unready
-// until it completes, so a load balancer never routes to a node whose
-// first verdicts would be hundred-of-ms outliers.
+// otherwise pay for — the prerendered brand rasters behind the homograph
+// detector — by classifying one known homograph and one semantic
+// canary. /readyz reports unready until it completes, so a load
+// balancer never routes to a node whose first verdicts would be
+// hundred-of-ms outliers.
 func (s *Server) warmup() {
 	defer close(s.warmed)
 	c := s.proto.Clone()

@@ -27,14 +27,13 @@ type Match struct {
 	SSIM    float64
 }
 
-// NewMatcher wraps an index-backed detector. The detector must have
-// been built with core.WithIndex and a matching threshold — the watch
-// tier refuses to fall back to the O(brands) sweep, because at millions
-// of subscriptions the sweep silently turns a streaming tier into a
-// batch one.
+// NewMatcher wraps an index-backed detector — any detector but a
+// core.WithBrands reference sweep. The watch tier refuses the
+// O(brands) sweep, because at millions of subscriptions it silently
+// turns a streaming tier into a batch one.
 func NewMatcher(det *core.HomographDetector) (*Matcher, error) {
 	if det.Index() == nil {
-		return nil, fmt.Errorf("watch: detector has no candidate index (or index threshold mismatch); the watch hot path requires one")
+		return nil, fmt.Errorf("watch: detector has no candidate index (a reference sweep); the watch hot path requires one")
 	}
 	return &Matcher{det: det}, nil
 }

@@ -22,7 +22,7 @@ func testCatalogDetector(t testing.TB, k int) (*core.HomographDetector, []brands
 }
 
 func TestNewMatcherRequiresIndex(t *testing.T) {
-	det := core.NewHomographDetector(50) // sweep detector, no index
+	det := core.NewHomographDetector(0, core.WithBrands(brands.TopK(50))) // reference sweep, no index
 	if _, err := NewMatcher(det); err == nil {
 		t.Fatal("NewMatcher accepted an index-less detector")
 	}
