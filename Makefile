@@ -43,8 +43,9 @@ bench-check:
 # detector given no index file pays once at start), watch deltas/s
 # (BenchmarkWatchMatch1M), delta parse MB/s
 # (BenchmarkDeltaParse), start-up subscriptions/s (BenchmarkSubscribe1M),
-# stat classifications/s, store recovery entries/s, universe-generator
-# domains/s. The table is in cmd/benchgate.
+# stat classifications/s, store recovery entries/s, store compaction
+# records/s, universe-generator domains/s. The table is in
+# cmd/benchgate.
 bench-gates:
 	$(GO) run ./cmd/benchgate $(BENCHTIME)
 

@@ -35,6 +35,7 @@ var gates = []struct {
 	{"./internal/watch", "BenchmarkSubscribe1M", "subscriptions/s", 18_000_000, "start-up subscriptions/s at 1M over 1k brands (a duplicate scan per Subscribe made 1.6M)"},
 	{"./internal/feat", "BenchmarkStatClassify", "ops/s", 1_000_000, "classifications/s"},
 	{"./internal/vstore", "BenchmarkVstoreRecovery", "entries/s", 100_000, "warm-boot entries/s (a 1M-verdict partition boots in <= 10 s)"},
+	{"./internal/vstore", "BenchmarkVstoreCompact", "records/s", 100_000, "compaction records/s: every compaction rewrites the whole durable set (runs 2.1-2.5M)"},
 	{"./internal/zonegen", "BenchmarkGenerateScale20", "domains/s", 120_000, "universe domains/s at the bench corpus's size (a quadratic name census made 60-70k)"},
 }
 

@@ -25,13 +25,10 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
 
 	"idnlab/internal/cli"
 	"idnlab/internal/feat"
@@ -168,53 +165,9 @@ func runInspect(args []string) error {
 	}
 	if *topN > 0 && m.BigramCount() > 0 {
 		fmt.Printf("top %d bigrams by |log-odds|:\n", *topN)
-		for _, b := range topBigrams(m, *topN) {
-			fmt.Printf("  %-12q %+.4f\n", b.pair, b.logOdds)
+		for _, b := range m.TopBigrams(*topN) {
+			fmt.Printf("  %-12q %+.4f\n", b.Pair, b.LogOdds)
 		}
 	}
 	return nil
-}
-
-type bigramRow struct {
-	pair    string
-	logOdds float64
-}
-
-// topBigrams decodes the model's serialized bigram table (the blob is
-// public via Bytes; the layout is documented in internal/feat) and
-// returns the strongest entries. Boundary sentinels render as ^ and $.
-func topBigrams(m *feat.Model, n int) []bigramRow {
-	data := m.Bytes()
-	count := m.BigramCount()
-	// Key/value sections sit before the trailing checksum.
-	valOff := len(data) - 8 - 8*count
-	keyOff := valOff - 8*count
-	rows := make([]bigramRow, 0, count)
-	for i := 0; i < count; i++ {
-		key := binary.LittleEndian.Uint64(data[keyOff+8*i:])
-		val := math.Float64frombits(binary.LittleEndian.Uint64(data[valOff+8*i:]))
-		a, b := rune(key>>32), rune(uint32(key))
-		rows = append(rows, bigramRow{pair: renderRune(a) + renderRune(b), logOdds: val})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		ai, aj := math.Abs(rows[i].logOdds), math.Abs(rows[j].logOdds)
-		if ai != aj {
-			return ai > aj
-		}
-		return rows[i].pair < rows[j].pair
-	})
-	if len(rows) > n {
-		rows = rows[:n]
-	}
-	return rows
-}
-
-func renderRune(r rune) string {
-	switch r {
-	case 0x02:
-		return "^"
-	case 0x03:
-		return "$"
-	}
-	return string(r)
 }

@@ -74,11 +74,11 @@ const (
 
 // Cache is the worker's verdict cache as the Replica sees it.
 // Peek must not perturb hit/miss counters or LRU order; Put inserts warm
-// under the given store sequence without re-entering the write-through
-// hook (which is what keeps ingested verdicts from being re-replicated).
+// without re-entering the write-through hook (which is what keeps
+// ingested verdicts from being re-replicated).
 type Cache interface {
 	Peek(key string) (core.Verdict, bool)
-	Put(key string, v core.Verdict, seq uint64)
+	Put(key string, v core.Verdict)
 }
 
 // ReplicaConfig parameterizes a Replica; the zero value selects the
@@ -192,10 +192,10 @@ func (r *Replica) Offer(v core.Verdict) {
 }
 
 // ingest inserts an externally computed verdict (replication frame,
-// anti-entropy record): append to the local log for a fresh local
-// sequence, then insert warm. Keys already cached are skipped — that
-// dedup is what keeps replication and repeated sync rounds from growing
-// the log without bound.
+// anti-entropy record): append it to the local log, then insert warm.
+// Cached keys are skipped, and a key the store holds is only warmed —
+// deduping on the store, not the LRU, is what lets stores larger than
+// their caches converge instead of re-appending each other's records.
 func (r *Replica) ingest(v core.Verdict) bool {
 	if v.Domain == "" {
 		return false
@@ -203,11 +203,14 @@ func (r *Replica) ingest(v core.Verdict) bool {
 	if _, ok := r.cache.Peek(v.Domain); ok {
 		return false
 	}
-	var seq uint64
 	if r.store != nil {
-		seq = r.store.Append(v)
+		if r.store.Has(v.Domain) {
+			r.cache.Put(v.Domain, v)
+			return false
+		}
+		r.store.Append(v)
 	}
-	r.cache.Put(v.Domain, v, seq)
+	r.cache.Put(v.Domain, v)
 	return true
 }
 

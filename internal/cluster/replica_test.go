@@ -37,7 +37,7 @@ func (c *mapCache) Peek(key string) (core.Verdict, bool) {
 	return v, ok
 }
 
-func (c *mapCache) Put(key string, v core.Verdict, seq uint64) {
+func (c *mapCache) Put(key string, v core.Verdict) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m[key] = v
@@ -119,7 +119,7 @@ func post(t *testing.T, addr, path, body string) (int, string) {
 // and b's cursor, which survives a restart and a corrupt peers.json.
 func TestReplicaRoundTrip(t *testing.T) {
 	a := startReplicaNode(t, ReplicaConfig{}, openStore(t, t.TempDir()))
-	a.cache.Put("warm.example", vd("warm.example"), 0)
+	a.cache.Put("warm.example", vd("warm.example"))
 
 	var results []api.DetectResponse
 	for i := 0; i < 40; i++ {
@@ -216,6 +216,78 @@ func TestReplicaRoundTrip(t *testing.T) {
 	}
 }
 
+// nopCache retains nothing: the limit of a store larger than its cache.
+type nopCache struct{}
+
+func (nopCache) Peek(string) (core.Verdict, bool) { return core.Verdict{}, false }
+func (nopCache) Put(string, core.Verdict)         {}
+
+// TestStoresLargerThanTheirCachesConverge: two stores behind caches that
+// retain nothing run anti-entropy against each other. Each appends the
+// other's records once; a record its store already holds is never
+// appended again, so both logs stop growing after the second round
+// instead of re-appending each other's suffix every round.
+func TestStoresLargerThanTheirCachesConverge(t *testing.T) {
+	const perNode = 20
+	ids := []string{"a", "b"}
+	var (
+		replicas []*Replica
+		stores   []*vstore.Store
+		view     []NodeInfo
+	)
+	for _, id := range ids {
+		st := openStore(t, t.TempDir())
+		for j := 0; j < perNode; j++ {
+			if st.Append(vd(fmt.Sprintf("%s-%d.example", id, j))) == 0 {
+				t.Fatal("seed append failed")
+			}
+		}
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		r := NewReplica(ReplicaConfig{}, nopCache{}, st)
+		mux := http.NewServeMux()
+		r.Register(mux)
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		replicas, stores = append(replicas, r), append(stores, st)
+		view = append(view, NodeInfo{ID: id, Addr: strings.TrimPrefix(ts.URL, "http://"), State: StateAlive})
+	}
+	var peers []*Peer
+	for i, r := range replicas {
+		p := NewPeer("gateway.invalid:1", ids[i], view[i].Addr)
+		p.view = ClusterView{Epoch: 1, Nodes: view}
+		r.Attach(p)
+		peers = append(peers, p)
+	}
+
+	wms := []map[string]uint64{{}, {}}
+	var appends [][]uint64 // per round, per store
+	for round := 1; round <= 3; round++ {
+		var after []uint64
+		for i, r := range replicas {
+			if !r.syncRound(context.Background(), peers[i], wms[i]) {
+				t.Fatalf("round %d on %s not clean: %+v", round, ids[i], r.Stats())
+			}
+			if err := stores[i].Sync(); err != nil { // the peer streams only durable records
+				t.Fatal(err)
+			}
+		}
+		for _, st := range stores {
+			after = append(after, st.Stats().Appends)
+		}
+		appends = append(appends, after)
+	}
+	for i := range stores {
+		if appends[2][i] != appends[1][i] {
+			t.Fatalf("store %s still growing after round 2: appends per round %v", ids[i], appends)
+		}
+		if appends[2][i] != 2*perNode {
+			t.Fatalf("store %s appended %d records, want its own %d plus the peer's %d once (per round %v)", ids[i], appends[2][i], perNode, perNode, appends)
+		}
+	}
+}
+
 // TestReplicaOfferShipsToOtherCandidate: a fresh verdict is queued for
 // the key's other R=2 candidate and one flush delivers it as a frame the
 // receiver ingests; with no peer Offer is inert, with nobody else in the
@@ -279,7 +351,7 @@ func TestReplicaFetchProbesOnlyWhenAPeerCanHaveIt(t *testing.T) {
 			replicated = k
 		}
 	}
-	other.cache.Put(owned, vd(owned), 0)
+	other.cache.Put(owned, vd(owned))
 
 	if v, ok := self.r.Fetch(owned); !ok || v.Domain != owned || peeks.Load() != 1 {
 		t.Fatalf("fresh boot: Fetch(owned) = %v %v after %d peeks, want the peer's copy in one", v, ok, peeks.Load())

@@ -1,6 +1,7 @@
 package feat
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 )
@@ -223,4 +224,47 @@ func (m *Model) TopContributions(label, aceLabel, tld string, ageDays float64, h
 		out = out[:k]
 	}
 	return out
+}
+
+// Bigram is one interned bigram and its trained log-odds. Pair renders
+// the boundary sentinels as ^ and $.
+type Bigram struct {
+	Pair    string
+	LogOdds float64
+}
+
+// TopBigrams returns the n bigrams with the largest |log-odds|,
+// strongest first (ties by pair), read from the blob's key and value
+// sections. It allocates and is meant for inspection.
+func (m *Model) TopBigrams(n int) []Bigram {
+	le := binary.LittleEndian
+	out := make([]Bigram, m.nBigrams)
+	for i := range out {
+		key := le.Uint64(m.data[m.keyOff+8*i:])
+		out[i] = Bigram{
+			Pair:    renderRune(rune(key>>32)) + renderRune(rune(uint32(key))),
+			LogOdds: math.Float64frombits(le.Uint64(m.data[m.valOff+8*i:])),
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		ai, aj := math.Abs(out[i].LogOdds), math.Abs(out[j].LogOdds)
+		if ai != aj {
+			return ai > aj
+		}
+		return out[i].Pair < out[j].Pair
+	})
+	if len(out) > n {
+		out = out[:n]
+	}
+	return out
+}
+
+func renderRune(r rune) string {
+	switch r {
+	case bigramStart:
+		return "^"
+	case bigramEnd:
+		return "$"
+	}
+	return string(r)
 }

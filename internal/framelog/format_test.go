@@ -107,11 +107,6 @@ func TestVerdictStoreFileFormats(t *testing.T) {
 	wantFile(t, filepath.Join(dir, "wlog-0000000000000000.vlog"), frames(logHeader, payloads...))
 
 	// Snapshot: magic | u64le watermark | u32le count, records ascending.
-	st.SetWalker(func(emit func(key string, v core.Verdict, seq uint64)) {
-		for i := len(verdicts) - 1; i >= 0; i-- { // the cache walks in no particular order
-			emit(verdicts[i].Domain, verdicts[i], uint64(i+1))
-		}
-	})
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}

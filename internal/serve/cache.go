@@ -22,12 +22,11 @@ type VerdictCache struct {
 	mask   uint64
 
 	// writeThrough, when set, is called once per freshly computed
-	// verdict (the singleflight leader path, outside any shard lock) and
-	// returns the durable-store sequence number stamped on the entry.
-	// Warm inserts via Put carry their own sequence and do not re-enter
-	// the hook — that asymmetry is what keeps replicated and recovered
-	// entries from being re-replicated.
-	writeThrough func(key string, v core.Verdict) uint64
+	// verdict (the singleflight leader path, outside any shard lock).
+	// Warm inserts via Put do not re-enter the hook — that asymmetry is
+	// what keeps replicated and recovered entries from being
+	// re-replicated.
+	writeThrough func(key string, v core.Verdict)
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -49,7 +48,6 @@ type cacheShard struct {
 type cacheEntry struct {
 	key        string
 	verdict    core.Verdict
-	seq        uint64 // durable-store sequence (0 = memory-only entry)
 	prev, next *cacheEntry
 }
 
@@ -131,18 +129,16 @@ func (c *VerdictCache) Do(key string, compute func() (core.Verdict, error)) (v c
 
 	call.verdict, call.err = compute()
 
-	// Write-through runs outside the shard lock (it appends to the warm
-	// log's group-commit queue) and stamps the entry with the assigned
-	// log sequence, which is what snapshot compaction later orders by.
-	var seq uint64
+	// Write-through runs outside the shard lock: it appends to the warm
+	// log's group-commit queue.
 	if call.err == nil && c.writeThrough != nil {
-		seq = c.writeThrough(key, call.verdict)
+		c.writeThrough(key, call.verdict)
 	}
 
 	s.mu.Lock()
 	delete(s.calls, key)
 	if call.err == nil {
-		s.store(key, call.verdict, seq, c)
+		s.store(key, call.verdict, c)
 	}
 	s.mu.Unlock()
 	close(call.done)
@@ -151,20 +147,19 @@ func (c *VerdictCache) Do(key string, compute func() (core.Verdict, error)) (v c
 
 // SetWriteThrough attaches the durable write-through hook called for
 // every freshly computed verdict. Attach before serving traffic.
-func (c *VerdictCache) SetWriteThrough(fn func(key string, v core.Verdict) uint64) {
+func (c *VerdictCache) SetWriteThrough(fn func(key string, v core.Verdict)) {
 	c.writeThrough = fn
 }
 
 // Put inserts a verdict that was computed elsewhere — warm-boot
 // recovery, a replication frame from the key's owner, or a read-repair
-// backfill — carrying the sequence number it already holds in some
-// store. It bypasses singleflight and the hit/miss counters: warm
+// backfill. It bypasses singleflight and the hit/miss counters: warm
 // inserts are not lookups and must not distort the hit rate the
 // cold-miss budget is asserted against.
-func (c *VerdictCache) Put(key string, v core.Verdict, seq uint64) {
+func (c *VerdictCache) Put(key string, v core.Verdict) {
 	s := c.shard(key)
 	s.mu.Lock()
-	s.store(key, v, seq, c)
+	s.store(key, v, c)
 	s.mu.Unlock()
 }
 
@@ -184,42 +179,14 @@ func (c *VerdictCache) Peek(key string) (core.Verdict, bool) {
 	return v, ok
 }
 
-// Walk calls fn once per cached entry. It locks one shard at a time and
-// copies that shard's entries out before invoking fn, so no shard lock
-// is ever held across the full dump (or across fn) — the warm-log
-// snapshot writer iterates a full cache under live traffic with this.
-// Entries inserted or evicted during the walk may or may not appear;
-// that race is inherent to a live dump and harmless for a warm-boot
-// image. fn returning false stops the walk.
-func (c *VerdictCache) Walk(fn func(key string, v core.Verdict, seq uint64) bool) {
-	var batch []cacheEntry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		batch = batch[:0]
-		for _, e := range s.items {
-			batch = append(batch, cacheEntry{key: e.key, verdict: e.verdict, seq: e.seq})
-		}
-		s.mu.Unlock()
-		for j := range batch {
-			if !fn(batch[j].key, batch[j].verdict, batch[j].seq) {
-				return
-			}
-		}
-	}
-}
-
 // store inserts under the shard lock, evicting the least recently used
 // entry when the shard is full. A zero-capacity shard stores nothing.
-func (s *cacheShard) store(key string, v core.Verdict, seq uint64, c *VerdictCache) {
+func (s *cacheShard) store(key string, v core.Verdict, c *VerdictCache) {
 	if s.cap <= 0 {
 		return
 	}
 	if e, ok := s.items[key]; ok { // raced with another leader
 		e.verdict = v
-		if seq > e.seq {
-			e.seq = seq
-		}
 		s.moveFront(e)
 		return
 	}
@@ -229,7 +196,7 @@ func (s *cacheShard) store(key string, v core.Verdict, seq uint64, c *VerdictCac
 		delete(s.items, lru.key)
 		c.evictions.Add(1)
 	}
-	e := &cacheEntry{key: key, verdict: v, seq: seq}
+	e := &cacheEntry{key: key, verdict: v}
 	s.items[key] = e
 	s.pushFront(e)
 }

@@ -6,13 +6,15 @@ import (
 	"idnlab/internal/vstore"
 )
 
-// Durable-store integration, the serving half: warm boot, write-through
-// and the compactor's cache walker. Everything a durable worker says to
-// other nodes — replication, read-repair, anti-entropy and the
-// /v1/store/* endpoints — is the cluster.Replica built here, which sees
-// this server only as its cache. The server touches it in four places:
-// Offer in the write-through hook below, Fetch on the miss path
-// (server.go), Register in Handler and Stats in storeStats.
+// Durable-store integration, the serving half: warm boot and
+// write-through. The store compacts from its own files, so what is
+// durable never depends on what this cache still holds. Everything a
+// durable worker says to other nodes — replication, read-repair,
+// anti-entropy and the /v1/store/* endpoints — is the cluster.Replica
+// built here, which sees this server only as its cache. The server
+// touches it in four places: Offer in the write-through hook below,
+// Fetch on the miss path (server.go), Register in Handler and Stats in
+// storeStats.
 
 // StoreStats is the /metrics store block: the vstore counters plus the
 // replica's replication, read-repair and anti-entropy counters, flat in
@@ -36,7 +38,7 @@ func (s *Server) storeStats() StoreStats {
 // listener opens, so a restarted worker serves its old partition warm
 // instead of stampeding the SSIM path), the write-through hook (every
 // freshly computed verdict is appended to the group-committed warm log
-// and offered for replication), and the compactor's cache walker.
+// and offered for replication).
 func (s *Server) attachStore() {
 	s.store = s.cfg.Store
 	s.replica = cluster.NewReplica(s.cfg.Replica, s.cache, s.store)
@@ -44,18 +46,11 @@ func (s *Server) attachStore() {
 		return
 	}
 	for _, r := range s.store.TakeRecovered() {
-		s.cache.Put(r.Verdict.Domain, r.Verdict, r.Seq)
+		s.cache.Put(r.Verdict.Domain, r.Verdict)
 	}
-	s.cache.SetWriteThrough(func(key string, v core.Verdict) uint64 {
-		seq := s.store.Append(v)
+	s.cache.SetWriteThrough(func(key string, v core.Verdict) {
+		s.store.Append(v)
 		s.replica.Offer(v)
-		return seq
-	})
-	s.store.SetWalker(func(emit func(key string, v core.Verdict, seq uint64)) {
-		s.cache.Walk(func(key string, v core.Verdict, seq uint64) bool {
-			emit(key, v, seq)
-			return true
-		})
 	})
 }
 

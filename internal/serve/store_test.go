@@ -21,7 +21,7 @@ func TestCachePutPeekWalk(t *testing.T) {
 	c := NewVerdictCache(64, 4)
 	for i := 0; i < 10; i++ {
 		k := fmt.Sprintf("warm-%d.com", i)
-		c.Put(k, vd(k), uint64(i+1))
+		c.Put(k, vd(k))
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("Put perturbed hit/miss counters: %+v", st)
@@ -35,25 +35,8 @@ func TestCachePutPeekWalk(t *testing.T) {
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("Peek perturbed hit/miss counters: %+v", st)
 	}
-
-	// Walk sees every entry with the sequence it was inserted under.
-	seqs := make(map[string]uint64)
-	c.Walk(func(key string, v core.Verdict, seq uint64) bool {
-		seqs[key] = seq
-		return true
-	})
-	if len(seqs) != 10 {
-		t.Fatalf("Walk visited %d entries, want 10", len(seqs))
-	}
-	if seqs["warm-3.com"] != 4 {
-		t.Fatalf("warm-3 walked with seq %d, want 4", seqs["warm-3.com"])
-	}
-
-	// fn returning false stops the walk.
-	n := 0
-	c.Walk(func(string, core.Verdict, uint64) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("walk after stop visited %d entries, want 1", n)
+	if st := c.Stats(); st.Size != 10 {
+		t.Fatalf("cache holds %d entries after 10 Puts", st.Size)
 	}
 }
 
@@ -62,10 +45,10 @@ func TestCachePutPeekWalk(t *testing.T) {
 // never happened (Get, by contrast, promotes).
 func TestCachePeekDoesNotPromote(t *testing.T) {
 	c := NewVerdictCache(2, 1)
-	c.Put("a.com", vd("a.com"), 1)
-	c.Put("b.com", vd("b.com"), 2)
+	c.Put("a.com", vd("a.com"))
+	c.Put("b.com", vd("b.com"))
 	c.Peek("a.com") // must NOT promote a past b
-	c.Put("c.com", vd("c.com"), 3)
+	c.Put("c.com", vd("c.com"))
 	if _, ok := c.Peek("a.com"); ok {
 		t.Fatal("a.com survived eviction — Peek promoted it")
 	}
@@ -76,15 +59,11 @@ func TestCachePeekDoesNotPromote(t *testing.T) {
 
 // TestCacheWriteThroughLeaderOnly: the durable write-through hook fires
 // exactly once per fresh computation — not on hits, not on coalesced
-// followers, not on warm Puts, not on compute errors — and the returned
-// sequence is stamped on the entry.
+// followers, not on warm Puts, not on compute errors.
 func TestCacheWriteThroughLeaderOnly(t *testing.T) {
 	c := NewVerdictCache(64, 4)
 	var calls atomic.Uint64
-	c.SetWriteThrough(func(key string, v core.Verdict) uint64 {
-		calls.Add(1)
-		return 42
-	})
+	c.SetWriteThrough(func(key string, v core.Verdict) { calls.Add(1) })
 
 	c.Do("a.com", func() (core.Verdict, error) { return vd("a.com"), nil })
 	if calls.Load() != 1 {
@@ -97,7 +76,7 @@ func TestCacheWriteThroughLeaderOnly(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("write-through fired on a cache hit: %d calls", calls.Load())
 	}
-	c.Put("b.com", vd("b.com"), 7)
+	c.Put("b.com", vd("b.com"))
 	if calls.Load() != 1 {
 		t.Fatalf("write-through fired on a warm Put: %d calls", calls.Load())
 	}
@@ -129,60 +108,6 @@ func TestCacheWriteThroughLeaderOnly(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Fatalf("write-through after coalesced burst: %d calls, want 2", calls.Load())
 	}
-
-	// The hook's sequence number is what the entry carries into Walk
-	// (and therefore into snapshot compaction).
-	var got uint64
-	c.Walk(func(key string, _ core.Verdict, seq uint64) bool {
-		if key == "a.com" {
-			got = seq
-		}
-		return true
-	})
-	if got != 42 {
-		t.Fatalf("entry stamped with seq %d, want the hook's 42", got)
-	}
-}
-
-// TestCacheWalkHoldsNoLocksDuringEmit parks the walk callback mid-dump
-// and verifies the cache stays fully usable — the snapshot writer must
-// never hold a shard lock across its emit.
-func TestCacheWalkHoldsNoLocksDuringEmit(t *testing.T) {
-	c := NewVerdictCache(64, 1) // single shard: the worst case
-	for i := 0; i < 8; i++ {
-		k := fmt.Sprintf("warm-%d.com", i)
-		c.Put(k, vd(k), uint64(i+1))
-	}
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	walked := make(chan struct{})
-	go func() {
-		defer close(walked)
-		first := true
-		c.Walk(func(string, core.Verdict, uint64) bool {
-			if first {
-				first = false
-				close(entered)
-				<-release
-			}
-			return true
-		})
-	}()
-	<-entered
-	ok := make(chan struct{})
-	go func() {
-		c.Put("during.com", vd("during.com"), 99)
-		c.Get("warm-0.com")
-		c.Do("also-during.com", func() (core.Verdict, error) { return vd("also-during.com"), nil })
-		close(ok)
-	}()
-	select {
-	case <-ok:
-	case <-time.After(2 * time.Second):
-		t.Fatal("cache operations blocked behind a paused Walk — shard lock held across emit")
-	}
-	close(release)
-	<-walked
 }
 
 // --- Server integration: warm boot, write-through, and the replica's
@@ -328,5 +253,90 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 	}
 	if m.Store.Appends == 0 {
 		t.Fatal("metrics store block missing vstore counters")
+	}
+}
+
+// --- What stays durable: the store compacts from its own files, so
+// neither the cache's contents nor the moment it is written decides it.
+
+// openDurable opens a store at dir that compacts only when asked.
+func openDurable(t *testing.T, dir string) *vstore.Store {
+	t.Helper()
+	st, err := vstore.Open(vstore.Config{Dir: dir, CompactBytes: -1, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// restartRecovers closes srv's store, reopens dir as a restarted worker
+// would and returns the domains it warm-boots.
+func restartRecovers(t *testing.T, srv *Server, dir string) map[string]bool {
+	t.Helper()
+	if err := srv.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	st := openDurable(t, dir)
+	defer st.Close()
+	got := make(map[string]bool)
+	for _, r := range st.TakeRecovered() {
+		got[r.Verdict.Domain] = true
+	}
+	return got
+}
+
+// TestWriteThroughCompactionWindow compacts inside the write-through
+// hook, after the verdict is appended and before the cache holds it. The
+// compaction deletes the log the verdict was appended to, so the
+// snapshot must carry it.
+func TestWriteThroughCompactionWindow(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir)
+	srv, ts := testServer(t, Config{NodeID: "n1", TopK: 100, Workers: 1, Store: st})
+	t.Cleanup(func() { srv.CloseStore() })
+	hook := srv.cache.writeThrough
+	srv.cache.SetWriteThrough(func(key string, v core.Verdict) {
+		hook(key, v)
+		if err := st.Compact(); err != nil {
+			t.Errorf("Compact in the window: %v", err)
+		}
+	})
+
+	if resp, body := postJSON(t, ts.URL+"/v1/detect", `{"domain":"window.example"}`); resp.StatusCode != 200 {
+		t.Fatalf("detect: %d %q", resp.StatusCode, body)
+	}
+	if got := st.Stats(); got.Snapshots != 1 || got.SnapshotSeq != 1 {
+		t.Fatalf("the hook's compaction did not cover the append: %+v", got)
+	}
+	if !restartRecovers(t, srv, dir)["window.example"] {
+		t.Fatal("a verdict appended before a compaction is gone after restart")
+	}
+}
+
+// TestEvictedVerdictsStayDurable: a two-entry cache evicts eight of ten
+// fresh verdicts before a compaction; all ten must survive a restart.
+func TestEvictedVerdictsStayDurable(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir)
+	srv, ts := testServer(t, Config{NodeID: "n1", TopK: 100, Workers: 1, CacheSize: 2, CacheShards: 1, Store: st})
+	t.Cleanup(func() { srv.CloseStore() })
+
+	const n = 10
+	for i := 0; i < n; i++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/detect", fmt.Sprintf(`{"domain":"evicted-%d.example"}`, i)); resp.StatusCode != 200 {
+			t.Fatalf("detect %d: %d %q", i, resp.StatusCode, body)
+		}
+	}
+	if ev := srv.cache.Stats().Evictions; ev != n-2 {
+		t.Fatalf("%d evictions, want %d", ev, n-2)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	got := restartRecovers(t, srv, dir)
+	for i := 0; i < n; i++ {
+		if k := fmt.Sprintf("evicted-%d.example", i); !got[k] {
+			t.Errorf("%s lost at compaction (%d of %d recovered)", k, len(got), n)
+		}
 	}
 }

@@ -17,12 +17,17 @@ import (
 //	                         warm-boot entries/s; `make bench-gates`
 //	                         holds it to >= 100k entries/s
 //	BenchmarkVstoreSince     anti-entropy suffix streaming (records/s)
+//	BenchmarkVstoreCompact   compaction throughput (records/s); every
+//	                         compaction rewrites the whole durable set,
+//	                         and `make bench-gates` holds it to >= 100k
+//	                         records/s
 //
 // NoFsync is set: these measure the encode/frame/replay paths, not the
 // disk.
 
 // recoveryRecords is the size of the store BenchmarkVstoreRecovery
-// replays per iteration. The gate is a rate, so it holds at any size.
+// replays and BenchmarkVstoreCompact merges per iteration. The gates are
+// rates, so they hold at any size.
 const recoveryRecords = 50_000
 
 func benchVerdict(i int) core.Verdict {
@@ -130,6 +135,37 @@ func BenchmarkVstoreSince(b *testing.B) {
 		if total != n {
 			b.Fatalf("streamed %d records, want %d", total, n)
 		}
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+func BenchmarkVstoreCompact(b *testing.B) {
+	const n = recoveryRecords
+	s, err := Open(Config{Dir: b.TempDir(), CompactBytes: -1, NoFsync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < n; i++ {
+		s.Append(benchVerdict(i))
+	}
+	if err := s.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// One fresh record gives the compaction a closed log to merge into
+		// the n-record snapshot.
+		if seq := s.Append(benchVerdict(n + i)); seq == 0 {
+			b.Fatal("Append returned 0")
+		}
+		if err := s.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.Snapshots != uint64(b.N)+1 || st.SnapshotEntries != n+b.N {
+		b.Fatalf("after %d compactions: %+v", b.N, st)
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }

@@ -182,11 +182,8 @@ func TestCorruptTailFrameDropped(t *testing.T) {
 func TestCrashMidSnapshotCutover(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, -1)
-	w := newTestWalker()
-	s.SetWalker(w.walk)
 	for i := 0; i < 20; i++ {
-		v := testVerdict(i, 1)
-		w.put(v, s.Append(v))
+		s.Append(testVerdict(i, 1))
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -195,8 +192,7 @@ func TestCrashMidSnapshotCutover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 20; i < 30; i++ {
-		v := testVerdict(i, 1)
-		w.put(v, s.Append(v))
+		s.Append(testVerdict(i, 1))
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -291,11 +287,8 @@ func TestBadMagicRefused(t *testing.T) {
 func TestTruncatedSnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, -1)
-	w := newTestWalker()
-	s.SetWalker(w.walk)
 	for i := 0; i < 10; i++ {
-		v := testVerdict(i, 1)
-		w.put(v, s.Append(v))
+		s.Append(testVerdict(i, 1))
 	}
 	s.Sync()
 	if err := s.Compact(); err != nil {

@@ -6,9 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
-	"idnlab/internal/core"
 	"idnlab/internal/framelog"
 )
 
@@ -16,18 +15,19 @@ import (
 // committer kicks compact(), which:
 //
 //  1. rotates the active log (new file, baseSeq = current seq) so the
-//     append path never stalls behind the dump;
-//  2. walks the live cache through the attached Walker — one shard
-//     locked at a time, never the whole cache — keeping records at or
-//     below the rotation watermark;
+//     append path never stalls behind the merge;
+//  2. merges the current snapshot and the logs the rotation closed with
+//     the rule Open applies: the key index (Store.keys, built by Open
+//     and extended by Append) names each key's latest seq, and the frame
+//     carrying it is copied raw — nothing is decoded;
 //  3. writes snapshot.vsnap.tmp, fsyncs, and renames it over the old
 //     snapshot (atomic cutover: a crash at any byte leaves either the
 //     old complete snapshot or the new complete one);
 //  4. deletes the log files the snapshot now covers.
 //
-// Evicted keys fall out at compaction — the store is a warm-boot image
-// of the cache, not an unbounded history — which is what bounds disk to
-// O(cache capacity + CompactBytes).
+// The store reads only its own files, so the snapshot holds the latest
+// verdict of every key ever appended: disk is O(distinct keys +
+// CompactBytes), whatever any cache still holds.
 
 // compact runs one size-triggered compaction cycle on its own goroutine.
 func (s *Store) compact() {
@@ -36,11 +36,10 @@ func (s *Store) compact() {
 }
 
 // Compact forces a compaction cycle synchronously (tests and benches;
-// production relies on the size trigger). It is a no-op without a
-// walker.
+// production relies on the size trigger).
 func (s *Store) Compact() error {
 	s.mu.Lock()
-	if s.walker == nil || s.compacting || s.closing || s.log.Err() != nil {
+	if s.compacting || s.closing || s.log.Err() != nil {
 		s.mu.Unlock()
 		return nil
 	}
@@ -64,16 +63,17 @@ func (s *Store) runCompaction() error {
 func (s *Store) compactOnce() error {
 	// Rotate: close the active log — which commits and fsyncs whatever is
 	// pending, so the old file is complete — and open the next one.
-	// Appenders wait on mu for that one commit; the dump below runs with
-	// the new log already taking appends. An active log no record has
-	// reached needs no successor (which would have the same name).
+	// Appenders wait on mu for that one commit and one pass over the key
+	// index; the merge below runs with the new log already taking
+	// appends. An active log no record has reached needs no successor
+	// (which would have the same name), and with no closed log there is
+	// nothing to merge.
 	s.mu.Lock()
 	if s.closing || s.log.Err() != nil {
 		s.mu.Unlock()
 		return nil
 	}
 	watermark := s.seq
-	walker := s.walker
 	if next := filepath.Join(s.cfg.Dir, logName(s.seq)); next != s.logPath {
 		if err := s.rotateLocked(next); err != nil {
 			s.mu.Unlock()
@@ -81,27 +81,26 @@ func (s *Store) compactOnce() error {
 		}
 	}
 	covered := append([]string(nil), s.oldLogs...)
+	if len(covered) == 0 {
+		s.mu.Unlock()
+		return nil
+	}
+	live := make([]uint64, 0, len(s.keys))
+	for _, seq := range s.keys {
+		if seq <= watermark {
+			live = append(live, seq)
+		}
+	}
 	s.mu.Unlock()
 
-	// Dump the live cache. Records above the watermark belong to the new
-	// log; records with seq 0 never hit this store (ingested while the
-	// log was dead) and cannot be ordered, so they stay log-only.
-	var recs []Record
-	walker(func(key string, v core.Verdict, seq uint64) {
-		if seq == 0 || seq > watermark {
-			return
-		}
-		recs = append(recs, Record{Seq: seq, Verdict: v})
-	})
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-
-	if err := s.writeSnapshot(recs, watermark); err != nil {
+	slices.Sort(live)
+	if err := s.writeSnapshot(live, watermark, covered); err != nil {
 		return err
 	}
 
 	s.mu.Lock()
 	s.snapshots++
-	s.snapSeq, s.snapCount = watermark, len(recs)
+	s.snapSeq, s.snapCount = watermark, len(live)
 	// Drop exactly the files the snapshot covers; a concurrent rotation
 	// cannot have added to oldLogs (compactions are serialized).
 	s.oldLogs = s.oldLogs[len(covered):]
@@ -131,58 +130,74 @@ func (s *Store) rotateLocked(path string) error {
 	return nil
 }
 
-// writeSnapshot atomically replaces the snapshot file with recs.
-func (s *Store) writeSnapshot(recs []Record, watermark uint64) error {
-	return framelog.ReplaceFile(filepath.Join(s.cfg.Dir, snapName), s.opt, func(w io.Writer) error {
+// writeSnapshot atomically replaces the snapshot with the frames of the
+// live seqs (ascending), copied from the current snapshot and the
+// covered logs in one pass — their frames ascend too (see Open). A live
+// seq the pass does not meet is an error, and the old snapshot stays.
+func (s *Store) writeSnapshot(live []uint64, watermark uint64, covered []string) error {
+	path := filepath.Join(s.cfg.Dir, snapName)
+	return framelog.ReplaceFile(path, s.opt, func(w io.Writer) error {
 		buf := make([]byte, snapHeaderSize, 1<<20)
 		copy(buf, snapMagic)
 		binary.LittleEndian.PutUint64(buf[8:], watermark)
-		binary.LittleEndian.PutUint32(buf[16:], uint32(len(recs)))
-		var payload []byte
-		for i := range recs {
-			var err error
-			if payload, err = appendRecord(payload[:0], recs[i].Seq, recs[i].Verdict); err != nil {
+		binary.LittleEndian.PutUint32(buf[16:], uint32(len(live)))
+		keep := func(_ int64, payload []byte) error {
+			if len(live) == 0 || len(payload) < 8 || binary.LittleEndian.Uint64(payload) != live[0] {
+				return nil
+			}
+			live = live[1:]
+			buf = framelog.AppendFrame(buf, payload)
+			if len(buf) < 1<<20 {
+				return nil
+			}
+			_, err := w.Write(buf)
+			buf = buf[:0]
+			return err
+		}
+		if _, _, err := framelog.Replay(path, snapMagic, snapHeaderSize, 0, -1, keep); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		for _, p := range covered {
+			if _, _, err := framelog.Replay(p, logMagic, logHeaderSize, 0, -1, keep); err != nil {
 				return err
 			}
-			buf = framelog.AppendFrame(buf, payload)
-			if len(buf) >= 1<<20 {
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
+		}
+		if len(live) > 0 {
+			return fmt.Errorf("vstore: compaction: seq %d is in none of the files it merges", live[0])
 		}
 		_, err := w.Write(buf)
 		return err
 	})
 }
 
-// loadSnapshot reads a snapshot file. A missing file is an empty store;
-// anything structurally wrong is an error — the atomic cutover means a
-// torn snapshot cannot be left by a crash, only by real corruption,
-// and serving silently from half a snapshot would be data loss.
-func loadSnapshot(path string) ([]Record, uint64, error) {
-	var recs []Record
-	hdr, err := scanRecords(path, snapMagic, snapHeaderSize, -1, func(r Record) { recs = append(recs, r) })
+// loadSnapshot hands fn the records of a snapshot file and returns its
+// watermark and record count. A missing file is an empty store; anything
+// structurally wrong is an error — the atomic cutover means a torn
+// snapshot cannot be left by a crash, only by real corruption, and
+// serving silently from half a snapshot would be data loss.
+func loadSnapshot(path string, fn func(Record) error) (uint64, int, error) {
+	n := 0
+	hdr, err := scanRecords(path, snapMagic, snapHeaderSize, -1, func(r Record) error {
+		n++
+		return fn(r)
+	})
 	if os.IsNotExist(err) {
-		return nil, 0, nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return nil, 0, err
+		return 0, 0, err
 	}
-	watermark := binary.LittleEndian.Uint64(hdr[8:])
-	count := binary.LittleEndian.Uint32(hdr[16:])
-	if len(recs) != int(count) {
-		return nil, 0, fmt.Errorf("vstore: %s: %d records, header says %d (truncated snapshot)", path, len(recs), count)
+	if count := binary.LittleEndian.Uint32(hdr[16:]); n != int(count) {
+		return 0, 0, fmt.Errorf("vstore: %s: %d records, header says %d (truncated snapshot)", path, n, count)
 	}
-	return recs, watermark, nil
+	return binary.LittleEndian.Uint64(hdr[8:]), n, nil
 }
 
 // scanRecords reads the records of a snapshot or log file, bounded to
 // limit bytes when limit >= 0 (the active log's durable size — bytes
 // past it may be a commit in flight), and returns the file's header.
 // Torn tails stop the scan cleanly.
-func scanRecords(path, magic string, headerSize int, limit int64, fn func(Record)) ([]byte, error) {
+func scanRecords(path, magic string, headerSize int, limit int64, fn func(Record) error) ([]byte, error) {
 	hdr, _, err := framelog.Replay(path, magic, headerSize, 0, limit, eachRecord(path, fn))
 	return hdr, err
 }
@@ -192,7 +207,9 @@ func scanRecords(path, magic string, headerSize int, limit int64, fn func(Record
 // peer streams to converge. durable is the store's current durable
 // watermark: when more is false the caller may advance its cursor to it
 // directly. Only durable bytes of the active log are scanned, so a
-// record is never handed out before it would survive a crash.
+// record is never handed out before it would survive a crash. The files
+// are read in the order Open reads them and under its rule, so records
+// come out ascending and each sequence number once.
 func (s *Store) Since(after uint64, max int) (recs []Record, durable uint64, more bool, err error) {
 	if max <= 0 {
 		max = 1024
@@ -208,19 +225,19 @@ func (s *Store) Since(after uint64, max int) (recs []Record, durable uint64, mor
 		return nil, durable, false, nil
 	}
 
-	collect := func(r Record) {
-		if r.Seq > after && r.Seq <= durable {
+	lo := after // records at or below lo are not streamed
+	collect := func(r Record) error {
+		if r.Seq > lo && r.Seq <= durable {
 			recs = append(recs, r)
 		}
+		return nil
 	}
 	if snapSeq > after {
-		snapRecs, _, err := loadSnapshot(filepath.Join(s.cfg.Dir, snapName))
+		watermark, _, err := loadSnapshot(filepath.Join(s.cfg.Dir, snapName), collect)
 		if err != nil {
 			return nil, durable, false, err
 		}
-		for _, r := range snapRecs {
-			collect(r)
-		}
+		lo = watermark
 	}
 	for _, p := range old {
 		if _, err := scanRecords(p, logMagic, logHeaderSize, -1, collect); err != nil {
@@ -230,7 +247,6 @@ func (s *Store) Since(after uint64, max int) (recs []Record, durable uint64, mor
 	if _, err := scanRecords(activePath, logMagic, logHeaderSize, active.Size, collect); err != nil {
 		return nil, durable, false, err
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	if len(recs) > max {
 		recs, more = recs[:max], true
 	}

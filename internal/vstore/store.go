@@ -43,18 +43,16 @@ type Store struct {
 	compacting    bool
 	compactErrors uint64
 	encodeErrors  uint64
-	walker        Walker
+
+	// keys is the latest seq of every key the store holds: what Has
+	// answers and what compaction keeps.
+	keys map[string]uint64
 
 	recovered     []Record // warm-boot records, handed out once
 	warmBoot      int
 	closing       bool
 	compactorDone sync.WaitGroup
 }
-
-// Walker supplies the compactor with the live cache contents: it calls
-// emit once per entry without holding any lock across the full dump
-// (serve.VerdictCache.Walk is the canonical implementation).
-type Walker func(emit func(key string, v core.Verdict, seq uint64))
 
 // Open opens (or creates) the store at cfg.Dir, recovers the snapshot
 // and every log file (truncating torn tails), and starts the committer.
@@ -76,15 +74,25 @@ func Open(cfg Config) (*Store, error) {
 		os.Remove(t)
 	}
 
-	byKey := make(map[string]Record)
-	snapRecs, snapSeq, err := loadSnapshot(filepath.Join(cfg.Dir, snapName))
+	// The rule Open, Since and compaction share: log records at or below
+	// the snapshot's watermark are the snapshot's (a crash can leave the
+	// logs it covers on disk), and the rest ascend strictly, so the last
+	// record seen for a key is its latest. Anything else is corruption.
+	var recs []Record
+	s.keys = make(map[string]uint64)
+	add := func(r Record) error {
+		if n := len(recs); n > 0 && r.Seq <= recs[n-1].Seq {
+			return fmt.Errorf("record seq %d follows seq %d", r.Seq, recs[n-1].Seq)
+		}
+		recs = append(recs, r)
+		s.keys[r.Verdict.Domain] = r.Seq
+		return nil
+	}
+	snapSeq, snapCount, err := loadSnapshot(filepath.Join(cfg.Dir, snapName), add)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range snapRecs {
-		byKey[r.Verdict.Domain] = r
-	}
-	s.snapSeq, s.snapCount = snapSeq, len(snapRecs)
+	s.snapSeq, s.snapCount = snapSeq, snapCount
 	maxSeq := snapSeq
 
 	logs, err := listLogs(cfg.Dir)
@@ -92,13 +100,12 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	for i, path := range logs {
-		l, err := s.openLog(path, 0, eachRecord(path, func(r Record) {
-			if prev, ok := byKey[r.Verdict.Domain]; !ok || r.Seq > prev.Seq {
-				byKey[r.Verdict.Domain] = r
+		l, err := s.openLog(path, 0, eachRecord(path, func(r Record) error {
+			maxSeq = max(maxSeq, r.Seq)
+			if r.Seq <= snapSeq {
+				return nil
 			}
-			if r.Seq > maxSeq {
-				maxSeq = r.Seq
-			}
+			return add(r)
 		}))
 		if err != nil {
 			return nil, err
@@ -121,12 +128,13 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s.seq, s.logStart = maxSeq, maxSeq
 
-	s.recovered = make([]Record, 0, len(byKey))
-	for _, r := range byKey {
-		s.recovered = append(s.recovered, r)
+	live := recs[:0]
+	for _, r := range recs {
+		if s.keys[r.Verdict.Domain] == r.Seq {
+			live = append(live, r)
+		}
 	}
-	sort.Slice(s.recovered, func(i, j int) bool { return s.recovered[i].Seq < s.recovered[j].Seq })
-	s.warmBoot = len(s.recovered)
+	s.recovered, s.warmBoot = live, len(live)
 	return s, nil
 }
 
@@ -160,13 +168,15 @@ func (s *Store) openLog(path string, baseSeq uint64, fn func(int64, []byte) erro
 // passes its CRC but is not a record is corruption beyond a torn tail:
 // the error names the file, and the caller refuses to serve from it
 // rather than guess.
-func eachRecord(path string, fn func(Record)) func(int64, []byte) error {
+func eachRecord(path string, fn func(Record) error) func(int64, []byte) error {
 	return func(_ int64, payload []byte) error {
 		r, err := decodeRecord(payload)
+		if err == nil {
+			err = fn(r)
+		}
 		if err != nil {
 			return fmt.Errorf("vstore: %s: %w", path, err)
 		}
-		fn(r)
 		return nil
 	}
 }
@@ -182,12 +192,13 @@ func (s *Store) TakeRecovered() []Record {
 	return r
 }
 
-// SetWalker wires the compactor's source of truth — the live cache.
-// Compaction stays disabled until a walker is attached.
-func (s *Store) SetWalker(w Walker) {
+// Has reports whether the store holds a verdict for key: recovered at
+// Open or appended since, whether or not any cache still holds it.
+func (s *Store) Has(key string) bool {
 	s.mu.Lock()
-	s.walker = w
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	_, ok := s.keys[key]
+	return ok
 }
 
 // Append assigns the next sequence number to v and enqueues the frame
@@ -216,7 +227,8 @@ func (s *Store) Append(v core.Verdict) uint64 {
 	}
 	s.seq++
 	s.appends++
-	if s.cfg.CompactBytes > 0 && end > s.cfg.CompactBytes && s.walker != nil && !s.compacting {
+	s.keys[v.Domain] = s.seq
+	if s.cfg.CompactBytes > 0 && end > s.cfg.CompactBytes && !s.compacting {
 		s.compacting = true
 		s.compactorDone.Add(1)
 		go s.compact()

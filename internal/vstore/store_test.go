@@ -31,39 +31,6 @@ func openTest(t *testing.T, dir string, compact int64) *Store {
 	return s
 }
 
-// testWalker mimics the live verdict cache: a map updated on every
-// append, dumped through the Walker hook at compaction.
-type testWalker struct {
-	mu sync.Mutex
-	m  map[string]Record
-}
-
-func newTestWalker() *testWalker { return &testWalker{m: make(map[string]Record)} }
-
-func (w *testWalker) put(v core.Verdict, seq uint64) {
-	w.mu.Lock()
-	w.m[v.Domain] = Record{Seq: seq, Verdict: v}
-	w.mu.Unlock()
-}
-
-func (w *testWalker) drop(domain string) {
-	w.mu.Lock()
-	delete(w.m, domain)
-	w.mu.Unlock()
-}
-
-func (w *testWalker) walk(emit func(key string, v core.Verdict, seq uint64)) {
-	w.mu.Lock()
-	recs := make([]Record, 0, len(w.m))
-	for _, r := range w.m {
-		recs = append(recs, r)
-	}
-	w.mu.Unlock()
-	for _, r := range recs {
-		emit(r.Verdict.Domain, r.Verdict, r.Seq)
-	}
-}
-
 func TestAppendSyncReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, -1)
@@ -146,13 +113,10 @@ func TestAppendAfterCloseReturnsZero(t *testing.T) {
 func TestCompactionCutoverAndSince(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, -1) // manual compaction only
-	w := newTestWalker()
-	s.SetWalker(w.walk)
 
 	const n = 40
 	for i := 0; i < n; i++ {
-		v := testVerdict(i, 1)
-		w.put(v, s.Append(v))
+		s.Append(testVerdict(i, 1))
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -172,8 +136,7 @@ func TestCompactionCutoverAndSince(t *testing.T) {
 
 	// Records appended after the cutover land in the new log.
 	for i := n; i < 2*n; i++ {
-		v := testVerdict(i, 1)
-		w.put(v, s.Append(v))
+		s.Append(testVerdict(i, 1))
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -222,45 +185,11 @@ func TestCompactionCutoverAndSince(t *testing.T) {
 	s.Close()
 }
 
-func TestEvictedKeysDropAtCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, -1)
-	w := newTestWalker()
-	s.SetWalker(w.walk)
-	for i := 0; i < 10; i++ {
-		v := testVerdict(i, 1)
-		w.put(v, s.Append(v))
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	evicted := testVerdict(3, 0).Domain
-	w.drop(evicted) // cache evicted key 3 before the snapshot
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	r := openTest(t, dir, -1)
-	defer r.Close()
-	for _, rec := range r.TakeRecovered() {
-		if rec.Verdict.Domain == evicted {
-			t.Fatalf("evicted key %s survived compaction", evicted)
-		}
-	}
-	if st := r.Stats(); st.WarmBootEntries != 9 {
-		t.Fatalf("warm boot %d entries, want 9", st.WarmBootEntries)
-	}
-}
-
 func TestSizeTriggeredCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, 4096) // tiny threshold: a few dozen records trip it
-	w := newTestWalker()
-	s.SetWalker(w.walk)
 	for i := 0; i < 200; i++ {
-		v := testVerdict(i, 1)
-		w.put(v, s.Append(v))
+		s.Append(testVerdict(i, 1))
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -280,6 +209,69 @@ func TestSizeTriggeredCompaction(t *testing.T) {
 	}
 	if st, err := os.Stat(filepath.Join(dir, snapName)); err != nil || st.Size() == 0 {
 		t.Fatalf("snapshot file missing after triggered compaction: %v", err)
+	}
+}
+
+// TestSinceAfterCrashBeforeLogRemoval: a crash between the snapshot's
+// rename and the removal of the logs it covers leaves those logs on
+// disk. Since must still stream every seq once, and never a superseded
+// version of a key; the next compaction deletes the stale log.
+func TestSinceAfterCrashBeforeLogRemoval(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, -1)
+	const n = 12
+	for i := 0; i < n; i++ {
+		s.Append(testVerdict(i, 1))
+	}
+	for i := 0; i < n; i += 3 {
+		s.Append(testVerdict(i, 2)) // supersedes seq i+1
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	covered := activeLog(t, dir)
+	stale, err := os.ReadFile(covered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := os.WriteFile(covered, stale, 0o644); err != nil { // the removal never happened
+		t.Fatal(err)
+	}
+
+	r := openTest(t, dir, -1)
+	defer r.Close()
+	for i := 0; i < n; i++ {
+		if !r.Has(testVerdict(i, 0).Domain) {
+			t.Fatalf("Has(key %d) false after reopen", i)
+		}
+	}
+	recs, _, more, err := r.Since(0, 1000)
+	if err != nil || more {
+		t.Fatalf("Since: more %v, err %v", more, err)
+	}
+	seqs, keys := make(map[uint64]bool), make(map[string]bool)
+	for _, rec := range recs {
+		if seqs[rec.Seq] || keys[rec.Verdict.Domain] {
+			t.Fatalf("Since streamed seq %d (%s) twice or behind its own rewrite: %d records for %d keys", rec.Seq, rec.Verdict.Domain, len(recs), n)
+		}
+		seqs[rec.Seq], keys[rec.Verdict.Domain] = true, true
+	}
+	if len(recs) != n {
+		t.Fatalf("Since streamed %d records, want one per key (%d)", len(recs), n)
+	}
+
+	if err := r.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if logs, _ := listLogs(dir); len(logs) != 1 {
+		t.Fatalf("the next compaction left %d logs, want the active one: %v", len(logs), logs)
+	}
+	if st := r.Stats(); st.SnapshotEntries != n {
+		t.Fatalf("snapshot holds %d entries after merging the stale log, want %d", st.SnapshotEntries, n)
 	}
 }
 
@@ -327,8 +319,6 @@ func TestConcurrentAppendersAndSince(t *testing.T) {
 func TestConcurrentAppendersAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, -1)
-	w := newTestWalker()
-	s.SetWalker(w.walk)
 	const goroutines, per = 8, 150
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -344,18 +334,9 @@ func TestConcurrentAppendersAcrossCompaction(t *testing.T) {
 						return
 					}
 				}
-				// Append and the walker's map move together, so the dump sees
-				// every record at or below the rotation watermark. (The live
-				// cache has a window here: a verdict is appended before it is
-				// stored, and a walk in between leaves it to the next
-				// snapshot.)
 				v := testVerdict(g*per+i, 1)
-				w.mu.Lock()
-				seq := s.Append(v)
-				w.m[v.Domain] = Record{Seq: seq, Verdict: v}
-				w.mu.Unlock()
-				if seq == 0 {
-					t.Errorf("goroutine %d: Append returned 0", g)
+				if seq := s.Append(v); seq == 0 || !s.Has(v.Domain) {
+					t.Errorf("goroutine %d: Append returned %d, Has %v", g, seq, s.Has(v.Domain))
 					return
 				}
 				if i%16 == 0 {
@@ -400,24 +381,60 @@ func TestConcurrentAppendersAcrossCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionKeepsLatestAcrossSnapshots: a second compaction merges
+// the first snapshot with a log that rewrites half its keys. The new
+// snapshot holds one record per key, the rewritten ones at their new
+// version, and a reopen recovers exactly that.
+func TestCompactionKeepsLatestAcrossSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, -1)
+	const n = 20
+	for i := 0; i < n; i++ {
+		s.Append(testVerdict(i, 1))
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 2 {
+		s.Append(testVerdict(i, 2))
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Snapshots != 2 || st.SnapshotSeq != n+n/2 || st.SnapshotEntries != n {
+		t.Fatalf("after two compactions: %+v", st)
+	}
+	s.Close()
+
+	r := openTest(t, dir, -1)
+	defer r.Close()
+	recs := r.TakeRecovered()
+	if len(recs) != n {
+		t.Fatalf("recovered %d records, want %d", len(recs), n)
+	}
+	for _, rec := range recs {
+		var i int
+		fmt.Sscanf(rec.Verdict.Domain, "xn--test%04d.example", &i)
+		if want := testVerdict(i, 1+(i+1)%2); rec.Verdict.Unicode != want.Unicode {
+			t.Fatalf("key %d recovered as %q, want %q", i, rec.Verdict.Unicode, want.Unicode)
+		}
+	}
+}
+
 // TestCompactTwiceWithoutAppends: a second compaction with nothing new
 // appended has no log to rotate and must leave the active log in place.
 func TestCompactTwiceWithoutAppends(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, -1)
-	w := newTestWalker()
-	s.SetWalker(w.walk)
 	for i := 0; i < 5; i++ {
-		v := testVerdict(i, 1)
-		w.put(v, s.Append(v))
+		s.Append(testVerdict(i, 1))
 	}
 	for round := 0; round < 2; round++ {
 		if err := s.Compact(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v := testVerdict(5, 1)
-	w.put(v, s.Append(v))
+	s.Append(testVerdict(5, 1))
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}

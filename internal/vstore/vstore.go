@@ -1,7 +1,9 @@
 // Package vstore gives each worker's verdict-cache partition a durable
 // life: an append-only warm log of committed verdicts plus periodic
 // compacted snapshots, so a SIGKILLed worker reboots with its partition
-// warm instead of stampeding the SSIM path cold.
+// warm instead of stampeding the SSIM path cold. Compaction merges the
+// store's own files, so a verdict stays durable after any cache evicts
+// it.
 //
 // On-disk layout (one directory per node):
 //
