@@ -10,13 +10,15 @@
 //	POST /v1/join          worker registration + heartbeat (idnserve -join)
 //	GET  /healthz          gateway liveness; 503 while draining
 //	GET  /readyz           cluster readiness (>= min-ready alive workers)
-//	GET  /clusterz         membership, ring and circuit-breaker state
+//	GET  /clusterz         membership, ring and router counters
 //	GET  /metrics          gateway counters + merged per-worker metrics
 //
-// Failure handling: a killed worker is detected by proxy-failure
-// feedback (faster than the heartbeat timers), its key range reassigns
-// to the surviving ring, and in-flight requests retry on survivors —
-// clients see latency, not errors.
+// Failure handling: membership is the only failure detector. A killed
+// worker is detected by proxy-failure feedback (faster than the
+// heartbeat timers), its key range reassigns to the surviving ring, and
+// in-flight requests retry on survivors — clients see latency, not
+// errors. A worker that heartbeats again takes its traffic back at
+// once.
 //
 // Usage:
 //

@@ -12,7 +12,7 @@ import (
 
 // Everything one node says to another goes through call: the router's
 // proxied requests and broadcasts, the replicate shipper, the
-// read-repair peek, the anti-entropy pager and the join heartbeat. A
+// anti-entropy pager and the join heartbeat. A
 // transport change (framing, pipelining) is a change to this file.
 
 // Doer is the HTTP client surface call runs over (satisfied by

@@ -108,7 +108,6 @@ func startCluster(t *testing.T, n int, minReady int) *testCluster {
 			MaxAttempts: 3,
 			BaseBackoff: time.Millisecond,
 			MaxBackoff:  5 * time.Millisecond,
-			Breaker:     cluster.BreakerConfig{FailThreshold: 2, Cooldown: 250 * time.Millisecond},
 			Client:      &http.Client{Transport: tr},
 		},
 		RequestTimeout: 2 * time.Second,
@@ -157,7 +156,6 @@ func (tc *testCluster) addWorker(id string) *testWorker {
 		cfg.Replica = cluster.ReplicaConfig{
 			SyncInterval:      250 * time.Millisecond,
 			ReplicateInterval: 10 * time.Millisecond,
-			RepairTimeout:     150 * time.Millisecond,
 		}
 	}
 	srv := serve.NewServer(cfg)

@@ -53,7 +53,10 @@ func FuzzLoadWatermarks(f *testing.F) {
 // FuzzSincePage feeds arbitrary bytes to the anti-entropy page decoder
 // as a peer's reply. It must never panic, never move the cursor past
 // the page's own durable mark, never ingest a record with an empty
-// domain, and ingest nothing from a page it refuses.
+// domain, and ingest nothing from a page it refuses. Every page either
+// advances the cursor or ends the round, so a round's page budget can
+// never be spent standing still; the one backwards move is the reset
+// to 0 that ends a round against a restarted log.
 func FuzzSincePage(f *testing.F) {
 	f.Add([]byte(`{"node":"a","durable":2,"more":false,"records":[{"seq":1,"verdict":{"domain":"a.example","unicode":"a.example","idn":false}},{"seq":2,"verdict":{"domain":"b.example","unicode":"b.example","idn":false}}]}`), uint64(0))
 	f.Add([]byte(`{"durable":9,"more":true,"records":[{"seq":4,"verdict":{"domain":"c.example"}}]}`), uint64(3))
@@ -64,6 +67,10 @@ func FuzzSincePage(f *testing.F) {
 	f.Add([]byte(`null`), uint64(1))
 	f.Add([]byte(`{"durable":-1}`), uint64(0))
 	f.Add([]byte(`{"durable":2,"records":[{"seq":1,"verdict":`), uint64(0))
+	f.Add([]byte(`{"durable":9,"more":true,"records":[{"seq":2,"verdict":{"domain":"behind.example"}}]}`), uint64(3))
+	f.Add([]byte(`{"durable":9,"more":true,"records":[{"seq":5,"verdict":{"domain":"a.example"}},{"seq":5,"verdict":{"domain":"b.example"}}]}`), uint64(3))
+	f.Add([]byte(`{"durable":9,"more":true,"records":[]}`), uint64(3))
+	f.Add([]byte(`{"durable":2,"more":false,"records":[]}`), uint64(8))
 
 	ring := NewRing([]NodeInfo{{ID: "self", State: StateAlive}, {ID: "peer", State: StateAlive}})
 
@@ -85,6 +92,12 @@ func FuzzSincePage(f *testing.F) {
 		}
 		if next != after && next > page.Durable {
 			t.Fatalf("cursor moved to %d, past the page's durable %d", next, page.Durable)
+		}
+		if more && next <= after {
+			t.Fatalf("a continued page left the cursor at %d (after %d)", next, after)
+		}
+		if next < after && (more || next != 0 || page.Durable >= after) {
+			t.Fatalf("cursor moved back from %d to %d (more %v, durable %d)", after, next, more, page.Durable)
 		}
 		if _, ok := cache.Peek(""); ok {
 			t.Fatal("ingested a record with an empty domain")

@@ -66,12 +66,7 @@ type gwMetrics struct {
 	labels      atomic.Uint64
 	subBatches  atomic.Uint64
 	localErrors atomic.Uint64 // invalid domains answered at the edge
-
-	// Failover replies queued for the key's ring owner (forwardSingle;
-	// drops and send failures are the shipper's counters), and rejoins
-	// observed by membership (dead node resurrected).
-	repairForwards atomic.Uint64
-	rejoins        atomic.Uint64
+	rejoins     atomic.Uint64 // dead nodes resurrected by membership
 
 	status  StatusCounts
 	latency metricsutil.Histogram
@@ -114,7 +109,6 @@ type Gateway struct {
 	router   *Router
 	scatter  *pipeline.Engine[subBatch, subResult, struct{}]
 	metrics  *gwMetrics
-	repairs  *shipper // failover verdicts bound for their ring owner
 	draining atomic.Bool
 }
 
@@ -127,7 +121,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		mem:     mem,
 		router:  NewRouter(mem, cfg.Router),
 		metrics: &gwMetrics{start: time.Now()},
-		repairs: newShipper(0),
 	}
 	mem.OnRejoin(func(string) { g.metrics.rejoins.Add(1) })
 	// Sub-batch fan-out reuses the streaming engine (PR 1): Batch=1
@@ -185,7 +178,7 @@ func (g *Gateway) forwardSubBatch(sb subBatch) (subResult, error) {
 //	POST /v1/join          worker registration + heartbeat
 //	GET  /healthz          gateway liveness; 503 while draining
 //	GET  /readyz           cluster readiness (>= MinReady alive nodes)
-//	GET  /clusterz         membership + ring + breaker state
+//	GET  /clusterz         membership + ring + router counters
 //	GET  /metrics          gateway counters + merged per-node metrics
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -251,36 +244,16 @@ func (g *Gateway) handleDetect(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	rep, err := g.forwardSingle(r.Context(), n.ACE)
+	// The ACE form is what travels: it is the partition key, the worker's
+	// cache key, and re-normalizes in the worker for free.
+	body := api.AppendDetectRequest(nil, &api.DetectRequest{Domain: n.ACE})
+	rep, err := g.router.Do(r.Context(), n.ACE, http.MethodPost, "/v1/detect", body)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	g.metrics.labels.Add(1)
 	g.passthrough(w, rep)
-}
-
-// forwardSingle routes one normalized single to its ring owner
-// (breaker-aware, retried down the ring) and returns the raw reply for
-// passthrough. The ACE form is what travels: it is the partition key,
-// the worker's cache key, and re-normalizes in the worker for free.
-//
-// A 200 served by a non-owner means the owner is cold for this key
-// (rebooted, or its replica was promoted) and the gateway holds exactly
-// the verdict it is missing, so it is queued for the owner — best-effort
-// like all replication. Only this failover path pays the decode.
-func (g *Gateway) forwardSingle(ctx context.Context, ace string) (Reply, error) {
-	body := api.AppendDetectRequest(nil, &api.DetectRequest{Domain: ace})
-	rep, err := g.router.Do(ctx, ace, http.MethodPost, "/v1/detect", body)
-	if err != nil || rep.Status != http.StatusOK {
-		return rep, err
-	}
-	if owner, ok := g.router.Owner(ace); ok && owner.ID != rep.NodeID {
-		if dr, err := api.DecodeDetectResponseBytes(rep.Body); err == nil && g.repairs.offer(owner.Addr, dr.Verdict) {
-			g.metrics.repairForwards.Add(1)
-		}
-	}
-	return rep, nil
 }
 
 // passthrough relays a routed Reply verbatim — status, Retry-After and
@@ -426,8 +399,6 @@ type nodeMetricsDigest struct {
 	Store struct {
 		Loaded          bool   `json:"loaded"`
 		WarmBootEntries int    `json:"warmBootEntries"`
-		RepairHits      uint64 `json:"repairHits"`
-		RepairMisses    uint64 `json:"repairMisses"`
 		SyncIngested    uint64 `json:"syncIngested"`
 		ReplicationIn   uint64 `json:"replicationIn"`
 	} `json:"store"`
@@ -446,8 +417,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 		DurableNodes    int
 		WarmBootEntries int
-		RepairHits      uint64
-		RepairMisses    uint64
 		SyncIngested    uint64
 		ReplicationIn   uint64
 	}
@@ -469,8 +438,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			if d.Store.Loaded {
 				agg.DurableNodes++
 				agg.WarmBootEntries += d.Store.WarmBootEntries
-				agg.RepairHits += d.Store.RepairHits
-				agg.RepairMisses += d.Store.RepairMisses
 				agg.SyncIngested += d.Store.SyncIngested
 				agg.ReplicationIn += d.Store.ReplicationIn
 			}
@@ -486,19 +453,16 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"version":       version.Version,
 		"uptimeSeconds": time.Since(m.start).Seconds(),
 		"gateway": map[string]any{
-			"single":          m.single.Load(),
-			"batch":           m.batch.Load(),
-			"labels":          m.labels.Load(),
-			"subBatches":      m.subBatches.Load(),
-			"localErrors":     m.localErrors.Load(),
-			"status2xx":       m.status.S2xx.Load(),
-			"status4xx":       m.status.S4xx.Load(),
-			"status429":       m.status.S429.Load(),
-			"status5xx":       m.status.S5xx.Load(),
-			"repair_forwards": m.repairForwards.Load(),
-			"repair_dropped":  g.repairs.dropped.Load(),
-			"repair_errors":   g.repairs.errs.Load(),
-			"rejoins":         m.rejoins.Load(),
+			"single":      m.single.Load(),
+			"batch":       m.batch.Load(),
+			"labels":      m.labels.Load(),
+			"subBatches":  m.subBatches.Load(),
+			"localErrors": m.localErrors.Load(),
+			"status2xx":   m.status.S2xx.Load(),
+			"status4xx":   m.status.S4xx.Load(),
+			"status429":   m.status.S429.Load(),
+			"status5xx":   m.status.S5xx.Load(),
+			"rejoins":     m.rejoins.Load(),
 		},
 		"latency": m.latency.Stats(),
 		"scatter": g.scatter.Metrics().JSON(),
@@ -515,13 +479,11 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"cacheHitRate":     hitRate,
 			"partitionedCache": true,
 			// Durable-tier aggregates: how much restart pain the store
-			// absorbed cluster-wide (warm boots, peer repairs, sync
+			// absorbed cluster-wide (warm boots, replication, sync
 			// catch-up) — the restart smoke asserts against these.
 			"store": map[string]any{
 				"durableNodes":    agg.DurableNodes,
 				"warmBootEntries": agg.WarmBootEntries,
-				"repairHits":      agg.RepairHits,
-				"repairMisses":    agg.RepairMisses,
 				"syncIngested":    agg.SyncIngested,
 				"replicationIn":   agg.ReplicationIn,
 			},
@@ -531,12 +493,11 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // Run serves on addr until ctx is cancelled, then drains gracefully
-// (ListenAndDrain). The membership sweeper and the repair shipper run
-// for the lifetime of the listener.
+// (ListenAndDrain). The membership sweeper runs for the lifetime of the
+// listener.
 func (g *Gateway) Run(ctx context.Context, addr string, ready chan<- net.Addr) error {
 	bg, stop := context.WithCancel(context.Background())
 	defer stop()
 	go g.mem.Run(bg)
-	go g.repairs.run(bg)
 	return ListenAndDrain(ctx, addr, ready, g.Handler(), &g.draining, g.cfg.DrainTimeout)
 }

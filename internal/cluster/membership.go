@@ -255,9 +255,9 @@ func (m *Membership) Snapshot() ClusterView {
 }
 
 // Routable returns the epoch and the nodes the ring may route to:
-// everything not dead. Suspect nodes stay routable (their circuit
-// breakers gate actual traffic) so a transient blip does not reshuffle
-// the whole keyspace.
+// everything not dead. Suspect nodes stay routable, so a transient blip
+// does not reshuffle the whole keyspace; DeadFailStreak consecutive
+// proxy failures take a node out.
 func (m *Membership) Routable() (uint64, []NodeInfo) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -8,8 +8,8 @@ import (
 // fakeClock is a manually advanced clock for deterministic sweeps.
 type fakeClock struct{ t time.Time }
 
-func newFakeClock() *fakeClock  { return &fakeClock{t: time.Unix(1700000000, 0)} }
-func (c *fakeClock) now() time.Time { return c.t }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1700000000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestMembership(clk *fakeClock) *Membership {
@@ -77,7 +77,7 @@ func TestMembershipSweepAgesThroughSuspectToDead(t *testing.T) {
 	if s := stateOf(t, m, "w1"); s != StateSuspect {
 		t.Fatalf("state = %s, want suspect", s)
 	}
-	// Suspect nodes remain routable — breakers gate the traffic.
+	// Suspect nodes remain routable; only death leaves the ring.
 	if _, nodes := m.Routable(); len(nodes) != 1 {
 		t.Fatalf("suspect node dropped from routable set: %v", nodes)
 	}

@@ -160,21 +160,19 @@ func (p *Peer) Ring() *Ring {
 	return p.ring.store(view.Epoch, NewRing(nodes))
 }
 
-// others returns key's R=2 candidates other than this node and whether
-// this node is the key's owner. ok is false while there is no view yet
-// or nobody else in the ring.
-func (p *Peer) others(key string) (others []NodeInfo, owner, ok bool) {
+// others returns key's R=2 candidates other than this node. ok is false
+// while there is no view yet or nobody else in the ring.
+func (p *Peer) others(key string) (others []NodeInfo, ok bool) {
 	ring := p.Ring()
 	if ring == nil || ring.Len() < 2 {
-		return nil, false, false
+		return nil, false
 	}
 	cands := ring.Candidates(key, 2)
-	owner = cands[0].ID == p.nodeID
 	others = cands[:0]
 	for _, c := range cands {
 		if c.ID != p.nodeID {
 			others = append(others, c)
 		}
 	}
-	return others, owner, true
+	return others, true
 }

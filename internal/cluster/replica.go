@@ -19,23 +19,23 @@ import (
 )
 
 // Replica is a worker's side of the durable tier: how its verdict-cache
-// partition survives the fleet's churn.
+// partition survives the fleet's churn. Verdicts move between nodes by
+// two flows only:
 //
 //   - Replication: every freshly computed verdict is offered to the
 //     shipper for the key's other HRW candidate (R=2 total copies: the
 //     owner's log + the replica's cache/log).
-//   - Read-repair: a miss on a key whose candidate list names a live
-//     peer probes that peer's cache before recomputing — a promoted
-//     replica serves its warm copy, and a freshly rebooted owner
-//     backfills from its replica.
 //   - Anti-entropy: on (re)join the worker streams each peer's log
 //     suffix since its persisted watermark and ingests the records it is
 //     owner or replica for, converging the downtime gap; afterwards it
 //     re-syncs every SyncInterval to bound drift from dropped frames.
 //
+// A miss is never fetched from a peer: the detector recomputes it in
+// about a microsecond, well under one loopback round trip.
+//
 // Every placement decision uses the attached Peer's ring and identity.
-// The worker is seen only as a Cache; the three endpoints below and
-// their body formats are known to this file alone.
+// The worker is seen only as a Cache; the two endpoints below and their
+// body formats are known to this file alone.
 type Replica struct {
 	cfg   ReplicaConfig
 	cache Cache
@@ -43,16 +43,7 @@ type Replica struct {
 	peer  atomic.Pointer[Peer]
 	ship  *shipper
 
-	synced atomic.Bool // first anti-entropy round completed
-	// Read-repair probe breakers: two consecutive probe failures silence
-	// a peer for two seconds (it is most likely the dead node the view has
-	// not yet demoted), then one probe is let through.
-	brk breakerSet
-
 	replicationIn atomic.Uint64
-	repairPeeks   atomic.Uint64
-	repairHits    atomic.Uint64
-	repairMisses  atomic.Uint64
 	syncRounds    atomic.Uint64
 	syncIngested  atomic.Uint64
 	syncSkipped   atomic.Uint64
@@ -61,7 +52,6 @@ type Replica struct {
 
 const (
 	replicatePath = "/v1/store/replicate"
-	peekPath      = "/v1/store/peek"
 	sincePath     = "/v1/store/since"
 
 	// maxPeerBody bounds a peer's request body: a full replicate batch is
@@ -89,11 +79,6 @@ type ReplicaConfig struct {
 	// SyncInterval is the anti-entropy re-sync cadence after the initial
 	// rejoin round (default 15s).
 	SyncInterval time.Duration
-	// RepairTimeout bounds one read-repair peek (default 75ms — a probe
-	// must stay well under the detector pass it tries to save).
-	RepairTimeout time.Duration
-	// Now overrides the read-repair breakers' clock for tests.
-	Now func() time.Time
 }
 
 // ReplicaStats is the Replica's /metrics contribution, flattened into
@@ -103,9 +88,6 @@ type ReplicaStats struct {
 	ReplicationOut     uint64 `json:"replicationOut"`
 	ReplicationDropped uint64 `json:"replicationDropped"`
 	ReplicationErrors  uint64 `json:"replicationErrors"`
-	RepairPeeks        uint64 `json:"repairPeeks"`
-	RepairHits         uint64 `json:"repairHits"`
-	RepairMisses       uint64 `json:"repairMisses"`
 	SyncRounds         uint64 `json:"syncRounds"`
 	SyncIngested       uint64 `json:"syncIngested"`
 	SyncSkipped        uint64 `json:"syncSkipped"`
@@ -114,23 +96,16 @@ type ReplicaStats struct {
 
 // NewReplica builds the replica over the worker's cache and (optional)
 // store. Without a store it is a cache-only replica: it accepts
-// replication frames and answers peeks, but has no log to stream, sync
-// or repair into.
+// replication frames, but has no log to stream or sync into.
 func NewReplica(cfg ReplicaConfig, cache Cache, store *vstore.Store) *Replica {
 	if cfg.SyncInterval <= 0 {
 		cfg.SyncInterval = 15 * time.Second
 	}
-	if cfg.RepairTimeout <= 0 {
-		cfg.RepairTimeout = 75 * time.Millisecond
-	}
-	return &Replica{
-		cfg: cfg, cache: cache, store: store, ship: newShipper(cfg.ReplicateInterval),
-		brk: breakerSet{cfg: BreakerConfig{FailThreshold: 2, Cooldown: 2 * time.Second, Now: cfg.Now}},
-	}
+	return &Replica{cfg: cfg, cache: cache, store: store, ship: newShipper(cfg.ReplicateInterval)}
 }
 
-// Attach gives the replica its membership client; until then Offer and
-// Fetch are inert.
+// Attach gives the replica its membership client; until then Offer is
+// inert.
 func (r *Replica) Attach(p *Peer) { r.peer.Store(p) }
 
 // Stats snapshots the counters.
@@ -140,9 +115,6 @@ func (r *Replica) Stats() ReplicaStats {
 		ReplicationOut:     r.ship.out.Load(),
 		ReplicationDropped: r.ship.dropped.Load(),
 		ReplicationErrors:  r.ship.errs.Load(),
-		RepairPeeks:        r.repairPeeks.Load(),
-		RepairHits:         r.repairHits.Load(),
-		RepairMisses:       r.repairMisses.Load(),
 		SyncRounds:         r.syncRounds.Load(),
 		SyncIngested:       r.syncIngested.Load(),
 		SyncSkipped:        r.syncSkipped.Load(),
@@ -150,13 +122,12 @@ func (r *Replica) Stats() ReplicaStats {
 	}
 }
 
-// Register mounts the three peer endpoints. They sit outside the
-// worker's instrumented routes: peer probes and replication frames must
-// not pollute the client-facing latency histogram, status counters or
-// rate cap.
+// Register mounts the two peer endpoints. They sit outside the worker's
+// instrumented routes: replication frames and sync pages must not
+// pollute the client-facing latency histogram, status counters or rate
+// cap.
 func (r *Replica) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+replicatePath, r.handleReplicate)
-	mux.HandleFunc("POST "+peekPath, r.handlePeek)
 	mux.HandleFunc("GET "+sincePath, r.handleSince)
 }
 
@@ -181,7 +152,7 @@ func (r *Replica) Offer(v core.Verdict) {
 	if p == nil {
 		return
 	}
-	others, _, ok := p.others(v.Domain)
+	others, ok := p.others(v.Domain)
 	if !ok {
 		r.ship.dropped.Add(1)
 		return
@@ -235,92 +206,6 @@ func (r *Replica) handleReplicate(w http.ResponseWriter, req *http.Request) {
 	}
 	r.replicationIn.Add(uint64(accepted))
 	api.WriteJSON(w, http.StatusOK, map[string]int{"accepted": accepted})
-}
-
-// --- Read-repair (peek a peer's cache before recomputing) -------------
-
-// handlePeek answers "is this key warm here" without computing: 200
-// with the cached verdict, 404 otherwise.
-func (r *Replica) handlePeek(w http.ResponseWriter, req *http.Request) {
-	dr, err := api.DecodeDetect(http.MaxBytesReader(w, req.Body, maxPeerBody))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	n, err := core.Normalize(dr.Domain)
-	if err != nil {
-		api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
-		return
-	}
-	v, ok := r.cache.Peek(n.ACE)
-	if !ok {
-		api.WriteJSON(w, http.StatusNotFound, api.ErrorResponse{Error: "not cached"})
-		return
-	}
-	api.WriteDetect(w, http.StatusOK, &api.DetectResponse{Verdict: v, Flagged: v.Flagged(), Cached: true})
-}
-
-// Fetch is the miss path's backfill probe: when this worker is not the
-// key's steady-state owner (failover traffic landed here), or it has
-// not yet completed a first anti-entropy round (fresh boot or rejoin),
-// ask the key's other candidates for their warm copy before paying a
-// detector pass. Bounded by RepairTimeout per probe and a per-peer
-// breaker, so a dead candidate costs at most a couple of probes during
-// the view-lag window.
-func (r *Replica) Fetch(ace string) (core.Verdict, bool) {
-	p := r.peer.Load()
-	if r.store == nil || p == nil {
-		return core.Verdict{}, false
-	}
-	others, owner, ok := p.others(ace)
-	if !ok || (owner && r.synced.Load()) {
-		// Steady-state owner miss: a genuinely new key. No peer can have
-		// it (replication flows owner → replica), so probing is waste.
-		return core.Verdict{}, false
-	}
-	probed := false
-	for _, c := range others {
-		brk := r.brk.get(c.ID)
-		if !brk.Allow() {
-			continue
-		}
-		probed = true
-		r.repairPeeks.Add(1)
-		v, ok, err := r.peek(c.Addr, ace)
-		if err != nil {
-			brk.Failure()
-			continue
-		}
-		brk.Success()
-		if ok {
-			r.repairHits.Add(1)
-			return v, true
-		}
-	}
-	if probed {
-		r.repairMisses.Add(1)
-	}
-	return core.Verdict{}, false
-}
-
-func (r *Replica) peek(addr, ace string) (core.Verdict, bool, error) {
-	body := api.AppendDetectRequest(nil, &api.DetectRequest{Domain: ace})
-	rep, err := callWithin(context.Background(), r.cfg.RepairTimeout, http.MethodPost, addr, peekPath, body)
-	if err != nil {
-		return core.Verdict{}, false, err
-	}
-	defer rep.Release() // the decoder copies every string out of Body
-	if rep.Status == http.StatusNotFound {
-		return core.Verdict{}, false, nil
-	}
-	if rep.Status != http.StatusOK {
-		return core.Verdict{}, false, fmt.Errorf("peek %s: status %d", addr, rep.Status)
-	}
-	dr, err := api.DecodeDetectResponseBytes(rep.Body)
-	if err != nil {
-		return core.Verdict{}, false, err
-	}
-	return dr.Verdict, dr.Verdict.Domain != "", nil
 }
 
 // --- Anti-entropy (log-suffix streaming on rejoin) --------------------
@@ -404,9 +289,7 @@ func (r *Replica) runAntiEntropy(ctx context.Context) {
 		}
 	}
 	for {
-		if r.syncRound(ctx, p, wm) {
-			r.synced.Store(true)
-		}
+		r.syncRound(ctx, p, wm)
 		select {
 		case <-ctx.Done():
 			return
@@ -480,18 +363,35 @@ func (r *Replica) syncPeer(ctx context.Context, ring *Ring, self string, node No
 // ingestPage decodes one since page fetched with cursor after, ingests
 // the records self is an R=2 candidate for — the placement filter that
 // keeps anti-entropy from copying the whole cluster onto every node —
-// and returns the cursor for the next fetch. The page is peer-supplied:
-// a record numbered past the page's own durable mark is refused, so a
-// cursor never runs ahead of what the peer says it holds.
+// and returns the cursor for the next fetch. The page is peer-supplied,
+// so it is checked whole before anything is ingested:
+//
+//   - record seqs ascend strictly above after and never pass the page's
+//     own durable mark, so the cursor never moves backwards or runs
+//     ahead of what the peer says it holds;
+//   - a page that asks to be continued (more) carries records, so every
+//     continued page advances the cursor;
+//   - a durable mark below after means the peer's log restarted (a wiped
+//     store directory): the cursor resets to 0 and the round ends, so
+//     the next round re-streams the whole log and ingest dedups the
+//     replay.
 func (r *Replica) ingestPage(body []byte, ring *Ring, self string, after uint64) (next uint64, more bool, err error) {
 	var page sincePage
 	if err := json.Unmarshal(body, &page); err != nil {
 		return after, false, err
 	}
+	prev := after
 	for _, rec := range page.Records {
-		if rec.Seq > page.Durable {
-			return after, false, fmt.Errorf("since page: record seq %d past durable %d", rec.Seq, page.Durable)
+		if rec.Seq <= prev || rec.Seq > page.Durable {
+			return after, false, fmt.Errorf("since page after %d: record seq %d out of order (previous %d, durable %d)", after, rec.Seq, prev, page.Durable)
 		}
+		prev = rec.Seq
+	}
+	if page.Durable < after {
+		return 0, false, nil
+	}
+	if page.More && len(page.Records) == 0 {
+		return after, false, fmt.Errorf("since page after %d: more with no records", after)
 	}
 	for _, rec := range page.Records {
 		if candidateFor(ring, rec.Verdict.Domain, self) && r.ingest(rec.Verdict) {
@@ -503,10 +403,7 @@ func (r *Replica) ingestPage(body []byte, ring *Ring, self string, after uint64)
 	if !page.More {
 		return page.Durable, false, nil
 	}
-	if n := len(page.Records); n > 0 {
-		after = page.Records[n-1].Seq
-	}
-	return after, true, nil
+	return prev, true, nil
 }
 
 // candidateFor reports whether self is in key's R=2 candidate list.

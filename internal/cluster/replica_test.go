@@ -321,56 +321,10 @@ func TestReplicaOfferShipsToOtherCandidate(t *testing.T) {
 	}
 }
 
-// TestReplicaFetchProbesOnlyWhenAPeerCanHaveIt: before the first clean
-// anti-entropy round every miss probes; afterwards a steady-state owner
-// miss is a genuinely new key and goes straight to the detector, while
-// failover traffic (self is only the replica) still probes.
-func TestReplicaFetchProbesOnlyWhenAPeerCanHaveIt(t *testing.T) {
-	other := startReplicaNode(t, ReplicaConfig{}, nil)
-	var peeks atomic.Int64
-	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		peeks.Add(1)
-		mux := http.NewServeMux()
-		other.r.Register(mux)
-		mux.ServeHTTP(w, r)
-	}))
-	defer counting.Close()
-
-	self := startReplicaNode(t, ReplicaConfig{RepairTimeout: 5 * time.Second}, openStore(t, t.TempDir()))
-	view := []NodeInfo{
-		{ID: "self", Addr: self.addr, State: StateAlive},
-		{ID: "other", Addr: strings.TrimPrefix(counting.URL, "http://"), State: StateAlive},
-	}
-	self.attach("self", 1, view...)
-	var owned, replicated string
-	for i := 0; owned == "" || replicated == ""; i++ {
-		k := fmt.Sprintf("key-%d.example", i)
-		if o, _ := NewRing(view).Owner(k); o.ID == "self" {
-			owned = k
-		} else {
-			replicated = k
-		}
-	}
-	other.cache.Put(owned, vd(owned))
-
-	if v, ok := self.r.Fetch(owned); !ok || v.Domain != owned || peeks.Load() != 1 {
-		t.Fatalf("fresh boot: Fetch(owned) = %v %v after %d peeks, want the peer's copy in one", v, ok, peeks.Load())
-	}
-	self.r.synced.Store(true)
-	if _, ok := self.r.Fetch(owned); ok || peeks.Load() != 1 {
-		t.Fatalf("steady-state owner probed: ok=%v, %d peeks", ok, peeks.Load())
-	}
-	if _, ok := self.r.Fetch(replicated); ok || peeks.Load() != 2 {
-		t.Fatalf("failover miss: ok=%v after %d peeks, want a probe that misses", ok, peeks.Load())
-	}
-	if st := self.r.Stats(); st.RepairPeeks != 2 || st.RepairHits != 1 || st.RepairMisses != 1 {
-		t.Fatalf("repair counters %+v, want 2 peeks, 1 hit, 1 miss", st)
-	}
-}
-
 // TestStoreHandlersWithoutStore: a memory-only node refuses the
 // anti-entropy feed (404, so peers treat it as storeless) but still
 // accepts replication frames into its cache — a cache-only replica.
+// No peer endpoint answers a cache lookup.
 func TestStoreHandlersWithoutStore(t *testing.T) {
 	n := startReplicaNode(t, ReplicaConfig{}, nil)
 
@@ -381,11 +335,11 @@ func TestStoreHandlersWithoutStore(t *testing.T) {
 	if code, body := post(t, n.addr, replicatePath, replicateFrame(t, api.DetectResponse{Verdict: vd("mem-only.example")})); code != 200 || !strings.Contains(body, `"accepted":1`) {
 		t.Fatalf("replicate without store: %d %q", code, body)
 	}
-	if code, body := post(t, n.addr, peekPath, `{"domain":"mem-only.example"}`); code != 200 || !strings.Contains(body, `"cached":true`) {
-		t.Fatalf("cache-only replica not warm: %d %q", code, body)
+	if _, ok := n.cache.Peek("mem-only.example"); !ok {
+		t.Fatal("cache-only replica not warm after a replicate frame")
 	}
-	if code, _ := post(t, n.addr, peekPath, `{"domain":"never.example"}`); code != 404 {
-		t.Fatalf("peek cold: %d, want 404", code)
+	if code, _ := post(t, n.addr, "/v1/store/peek", `{"domain":"mem-only.example"}`); code != 404 {
+		t.Fatalf("POST /v1/store/peek: %d, want 404 (not routed)", code)
 	}
 }
 
@@ -445,72 +399,100 @@ func TestStoreSinceQueryValidation(t *testing.T) {
 	}
 }
 
-// TestRepairFetchBreaker drives read-repair probes at a failing peer
-// under an injected clock: two failed peeks silence the peer, the
-// cooldown admits exactly one probe, and its success closes the breaker.
-func TestRepairFetchBreaker(t *testing.T) {
-	var (
-		hits    atomic.Int64
-		healthy atomic.Bool
-		entered = make(chan struct{}, 1)
-		release = make(chan struct{})
-	)
+// TestSincePageRefusals: since pages come from another host, so a page
+// is checked whole before any record is ingested. A refused page leaves
+// the cursor where it was and ingests nothing; a durable mark below the
+// cursor (the peer's log restarted) resets the cursor and ends the round.
+func TestSincePageRefusals(t *testing.T) {
+	rec := func(seq uint64, domain string) string {
+		return fmt.Sprintf(`{"seq":%d,"verdict":{"domain":%q}}`, seq, domain)
+	}
+	page := func(durable uint64, more bool, recs ...string) string {
+		return fmt.Sprintf(`{"node":"p","durable":%d,"more":%v,"records":[%s]}`, durable, more, strings.Join(recs, ","))
+	}
+	ring := NewRing([]NodeInfo{{ID: "self", State: StateAlive}, {ID: "peer", State: StateAlive}})
+	for _, tc := range []struct {
+		name     string
+		body     string
+		after    uint64
+		next     uint64
+		more     bool
+		err      bool
+		ingested int
+	}{
+		{"a full page continues from its last record", page(9, true, rec(4, "a.example"), rec(5, "b.example")), 3, 5, true, false, 2},
+		{"the last page moves the cursor to durable", page(9, false, rec(4, "a.example")), 3, 9, false, false, 1},
+		{"a record past durable is refused", page(1, true, rec(7, "ahead.example")), 0, 0, false, true, 0},
+		{"more with no records is refused", page(9, true), 3, 3, false, true, 0},
+		{"a record at the cursor is refused", page(9, true, rec(3, "a.example")), 3, 3, false, true, 0},
+		{"a record below the cursor is refused", page(9, true, rec(4, "a.example"), rec(2, "b.example")), 3, 3, false, true, 0},
+		{"a repeated seq is refused", page(9, false, rec(4, "a.example"), rec(4, "b.example")), 3, 3, false, true, 0},
+		{"durable below the cursor resets it to 0", page(2, false), 8, 0, false, false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := newMapCache()
+			r := NewReplica(ReplicaConfig{}, cache, nil)
+			next, more, err := r.ingestPage([]byte(tc.body), ring, "self", tc.after)
+			if (err != nil) != tc.err || next != tc.next || more != tc.more || cache.len() != tc.ingested {
+				t.Fatalf("ingestPage(after %d) = next %d, more %v, err %v, %d ingested; want next %d, more %v, err %v, %d ingested",
+					tc.after, next, more, err, cache.len(), tc.next, tc.more, tc.err, tc.ingested)
+			}
+		})
+	}
+}
+
+// TestSyncPeerStopsOnAnEmptyContinuedPage: a peer that answers every
+// fetch with more and no records costs one GET per round, not one per
+// page of the round's budget.
+func TestSyncPeerStopsOnAnEmptyContinuedPage(t *testing.T) {
+	var gets atomic.Int64
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		if !healthy.Load() {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
-		}
-		select {
-		case entered <- struct{}{}:
-			<-release // hold the half-open probe in flight
-		default:
-		}
-		http.Error(w, "not cached", http.StatusNotFound)
+		gets.Add(1)
+		api.WriteJSON(w, http.StatusOK, sincePage{Node: "peer", Durable: 9, More: true})
 	}))
 	defer peer.Close()
+	self := startReplicaNode(t, ReplicaConfig{}, openStore(t, t.TempDir()))
+	view := []NodeInfo{
+		{ID: "self", Addr: self.addr, State: StateAlive},
+		{ID: "peer", Addr: strings.TrimPrefix(peer.URL, "http://"), State: StateAlive},
+	}
+	wm := map[string]uint64{"peer": 3}
+	if self.r.syncPeer(context.Background(), NewRing(view), "self", view[1], wm) {
+		t.Fatal("a round over a page that cannot advance reported clean")
+	}
+	if gets.Load() != 1 || wm["peer"] != 3 {
+		t.Fatalf("%d GETs, cursor %d; want 1 GET and the cursor left at 3", gets.Load(), wm["peer"])
+	}
+}
 
-	var now atomic.Int64 // fake clock, nanoseconds
-	self := startReplicaNode(t, ReplicaConfig{
-		RepairTimeout: 5 * time.Second,
-		Now:           func() time.Time { return time.Unix(0, now.Load()) },
-	}, openStore(t, t.TempDir()))
-	self.attach("self", 1,
-		NodeInfo{ID: "self", Addr: "self.invalid:1", State: StateAlive},
-		NodeInfo{ID: "other", Addr: strings.TrimPrefix(peer.URL, "http://"), State: StateAlive})
-
-	probe := func(key string, wantHits int64, why string) {
-		t.Helper()
-		if _, ok := self.r.Fetch(key); ok {
-			t.Fatalf("%s: Fetch(%s) returned a verdict", why, key)
-		}
-		if got := hits.Load(); got != wantHits {
-			t.Fatalf("%s: peer saw %d peeks, want %d", why, got, wantHits)
+// TestSyncAfterPeerStoreWiped: a peer whose store directory was wiped
+// restarts its log at seq 1. The node's cursor for it is past the new
+// log's end; the next round must stream the new log from the start, not
+// resume at the peer's new durable mark.
+func TestSyncAfterPeerStoreWiped(t *testing.T) {
+	a := startReplicaNode(t, ReplicaConfig{}, openStore(t, t.TempDir()))
+	for i := 0; i < 5; i++ {
+		if a.store.Append(vd(fmt.Sprintf("wiped-%d.example", i))) == 0 {
+			t.Fatal("seed append failed")
 		}
 	}
-	probe("a.example", 1, "first failure")
-	probe("b.example", 2, "second failure opens the breaker")
-	probe("c.example", 2, "open breaker")
-	now.Add(int64(2*time.Second) - 1)
-	probe("d.example", 2, "cooldown not over")
-
-	// Cooldown over: one probe goes out; while it is in flight nobody
-	// else may probe.
-	now.Add(1)
-	healthy.Store(true)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		self.r.Fetch("e.example")
-	}()
-	<-entered
-	probe("f.example", 3, "half-open probe in flight")
-	close(release)
-	<-done
-
-	probe("g.example", 4, "closed after the probe succeeded")
-	probe("h.example", 5, "closed")
-	if m := self.r.Stats().RepairPeeks; m != 5 {
-		t.Fatalf("repairPeeks = %d, want 5 (skipped probes must not count)", m)
+	if err := a.store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	b := startReplicaNode(t, ReplicaConfig{}, openStore(t, t.TempDir()))
+	// Two nodes: b is a candidate for every key, so it ingests all of a's.
+	p := b.attach("b", 1,
+		NodeInfo{ID: "a", Addr: a.addr, State: StateAlive},
+		NodeInfo{ID: "b", Addr: b.addr, State: StateAlive})
+	wm := map[string]uint64{"a": 40} // a's log before the wipe ran to 40
+	b.r.syncRound(context.Background(), p, wm)
+	if wm["a"] != 0 || b.cache.len() != 0 {
+		t.Fatalf("round against the wiped peer: cursor %d, %d ingested; want the cursor reset to 0 and nothing ingested", wm["a"], b.cache.len())
+	}
+	if !b.r.syncRound(context.Background(), p, wm) {
+		t.Fatalf("re-stream round not clean: %+v", b.r.Stats())
+	}
+	if wm["a"] != 5 || b.cache.len() != 5 {
+		t.Fatalf("after the re-stream: cursor %d, %d ingested; want 5 and 5", wm["a"], b.cache.len())
 	}
 }

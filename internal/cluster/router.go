@@ -19,16 +19,13 @@ var ErrUnavailable = errors.New("cluster: all candidates failed")
 // RouterConfig parameterizes the routing client.
 type RouterConfig struct {
 	// MaxAttempts bounds how many distinct ring candidates one request
-	// may try (default 3). Candidates whose breaker is open are skipped
-	// without consuming an attempt.
+	// may try (default 3).
 	MaxAttempts int
 	// BaseBackoff is the first retry's backoff (default 5ms), doubling
 	// per attempt up to MaxBackoff (default 100ms), with ±50% jitter so
 	// a burst of failovers does not re-synchronize on the fallback node.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Breaker parameterizes the per-node circuit breakers.
-	Breaker BreakerConfig
 	// Client overrides the HTTP client (default: the package's shared
 	// pooled client).
 	Client Doer
@@ -52,22 +49,21 @@ func (c RouterConfig) withDefaults() RouterConfig {
 
 // RouterStats is the router's /clusterz contribution.
 type RouterStats struct {
-	Retries  uint64            `json:"retries"`
-	Breakers map[string]string `json:"breakers"`
+	Retries uint64 `json:"retries"`
 }
 
 // Router routes keys to nodes: rendezvous ring over the membership's
-// routable set (rebuilt only when the epoch moves), per-node circuit
-// breakers, and bounded retries with jittered backoff down the candidate
-// list. It feeds evidence back into the membership
-// (ObserveSuccess/ObserveFailure) so routing outcomes — not just
-// heartbeats — drive health state.
+// routable set (rebuilt only when the epoch moves), and bounded retries
+// with jittered backoff down the candidate list. Membership is the only
+// per-node health signal: the router feeds every outcome back into it
+// (ObserveSuccess/ObserveFailure), DeadFailStreak consecutive failures
+// take a node out of the ring, and a heartbeat or a success puts it
+// back.
 type Router struct {
 	cfg RouterConfig
 	mem *Membership
 
-	ring     ringCache
-	breakers breakerSet
+	ring ringCache
 
 	rng     atomic.Uint64
 	retries atomic.Uint64
@@ -76,7 +72,6 @@ type Router struct {
 // NewRouter builds a router over mem.
 func NewRouter(mem *Membership, cfg RouterConfig) *Router {
 	r := &Router{cfg: cfg.withDefaults(), mem: mem}
-	r.breakers.cfg = r.cfg.Breaker
 	r.rng.Store(1) // xorshift state must be non-zero
 	return r
 }
@@ -95,18 +90,8 @@ func (r *Router) Ring() *Ring {
 // Owner resolves key's current owner.
 func (r *Router) Owner(key string) (NodeInfo, bool) { return r.Ring().Owner(key) }
 
-// Stats snapshots the router counters and breaker states.
-func (r *Router) Stats() RouterStats {
-	st := RouterStats{
-		Retries:  r.retries.Load(),
-		Breakers: make(map[string]string),
-	}
-	r.breakers.m.Range(func(id, b any) bool {
-		st.Breakers[id.(string)] = b.(*Breaker).State()
-		return true
-	})
-	return st
-}
+// Stats snapshots the router counters.
+func (r *Router) Stats() RouterStats { return RouterStats{Retries: r.retries.Load()} }
 
 // jitter returns d scaled into [d/2, d) using a lock-free xorshift
 // stream — deterministic per seed, contention-free under load.
@@ -131,56 +116,38 @@ func (r *Router) try(ctx context.Context, nd NodeInfo, method, path string, body
 	return rep, err
 }
 
-// attempt runs try with breaker + membership bookkeeping.
+// attempt runs try with membership bookkeeping.
 func (r *Router) attempt(ctx context.Context, nd NodeInfo, method, path string, body []byte) (Reply, error) {
 	rep, err := r.try(ctx, nd, method, path, body)
-	br := r.breakers.get(nd.ID)
 	if err != nil {
 		// Do not punish a node for the caller's own cancellation: a
 		// context deadline is not evidence the node is down.
 		if ctx.Err() == nil {
-			br.Failure()
 			r.mem.ObserveFailure(nd.ID)
 		}
 		return Reply{}, err
 	}
-	br.Success()
 	r.mem.ObserveSuccess(nd.ID)
 	return rep, nil
 }
 
 // Do routes one request for key: walk the candidate list in rendezvous
-// order, skipping open breakers, retrying transport/5xx failures on the
-// next candidate with jittered exponential backoff, at most MaxAttempts
-// actual attempts. Any sub-500 HTTP answer — including 429 — returns
-// immediately.
+// order, retrying transport/5xx failures on the next candidate with
+// jittered exponential backoff, at most MaxAttempts attempts. Any
+// sub-500 HTTP answer — including 429 — returns immediately.
 func (r *Router) Do(ctx context.Context, key, method, path string, body []byte) (Reply, error) {
 	cands := r.Ring().Candidates(key, 0)
 	if len(cands) == 0 {
 		return Reply{}, ErrNoNodes
 	}
-	return r.walk(ctx, cands, method, path, body)
-}
-
-// walk attempts cands sequentially.
-func (r *Router) walk(ctx context.Context, cands []NodeInfo, method, path string, body []byte) (Reply, error) {
-	attempts := 0
+	cands = cands[:min(len(cands), r.cfg.MaxAttempts)]
 	var lastErr error
-	for _, nd := range cands {
-		if attempts >= r.cfg.MaxAttempts {
-			break
-		}
-		if !r.breakers.get(nd.ID).Allow() {
-			continue // fail fast past an open breaker; no attempt consumed
-		}
-		if attempts > 0 {
+	for i, nd := range cands {
+		if i > 0 {
 			// Backoff before a retry, scaled by how many attempts this
 			// call has already burned, jittered, capped, and cut short
 			// by the caller's deadline.
-			d := r.cfg.BaseBackoff << uint(attempts-1)
-			if d > r.cfg.MaxBackoff {
-				d = r.cfg.MaxBackoff
-			}
+			d := min(r.cfg.BaseBackoff<<uint(i-1), r.cfg.MaxBackoff)
 			t := time.NewTimer(r.jitter(d))
 			select {
 			case <-t.C:
@@ -190,10 +157,9 @@ func (r *Router) walk(ctx context.Context, cands []NodeInfo, method, path string
 			}
 			r.retries.Add(1)
 		}
-		attempts++
 		rep, err := r.attempt(ctx, nd, method, path, body)
 		if err == nil {
-			rep.Attempts = attempts
+			rep.Attempts = i + 1
 			return rep, nil
 		}
 		lastErr = err
@@ -201,10 +167,7 @@ func (r *Router) walk(ctx context.Context, cands []NodeInfo, method, path string
 			return Reply{}, ctx.Err()
 		}
 	}
-	if lastErr == nil {
-		lastErr = ErrNoNodes // every candidate's breaker was open
-	}
-	return Reply{}, fmt.Errorf("%w after %d attempts: %v", ErrUnavailable, attempts, lastErr)
+	return Reply{}, fmt.Errorf("%w after %d attempts: %v", ErrUnavailable, len(cands), lastErr)
 }
 
 // Broadcast fans one GET out to every routable node concurrently and

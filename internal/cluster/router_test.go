@@ -160,41 +160,46 @@ func TestRouter5xxIsFailure429PassesThrough(t *testing.T) {
 	}
 }
 
-func TestRouterBreakerSkipsDeadNodeWithoutAttempt(t *testing.T) {
+// TestRouterSkipsDeadNodeWithoutAttempt: membership is the router's
+// only failure detector. DeadFailStreak failed attempts take the owner
+// out of the ring, after which its keys go to the next candidate in one
+// attempt and the dead node is never dialled again.
+func TestRouterSkipsDeadNodeWithoutAttempt(t *testing.T) {
 	fake := newFakeDoer()
-	_, r, _ := routerFixture(t, 3, RouterConfig{
-		MaxAttempts: 2,
-		Breaker:     BreakerConfig{FailThreshold: 2, Cooldown: time.Hour},
-	}, fake)
+	m := NewMembership(MembershipConfig{HeartbeatInterval: time.Second, DeadFailStreak: 2})
+	for _, nd := range testNodes(3) {
+		m.Join(nd.ID, nd.Addr)
+		fake.set(nd.Addr, okResponse(`{"node":"`+nd.ID+`"}`))
+	}
+	r := NewRouter(m, RouterConfig{MaxAttempts: 2, Client: fake, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
 	key := "example.com"
 	cands := r.Ring().Candidates(key, 0)
 	fake.set(cands[0].Addr, refuse())
 
-	// Two requests trip the owner's breaker (threshold 2)...
+	// Two requests fail over the owner twice (DeadFailStreak 2)...
 	for i := 0; i < 2; i++ {
 		if _, err := r.Do(context.Background(), key, http.MethodPost, "/v1/detect", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ownerCalls := fake.callCount(cands[0].Addr)
-	if ownerCalls != 2 {
-		t.Fatalf("owner calls = %d, want 2", ownerCalls)
+	if got := fake.callCount(cands[0].Addr); got != 2 {
+		t.Fatalf("owner calls = %d, want 2", got)
 	}
-	// ...after which the owner is skipped entirely: fail-fast, no dial.
+	if s := stateOf(t, m, cands[0].ID); s != StateDead {
+		t.Fatalf("owner state = %s, want dead after 2 failures", s)
+	}
+	// ...after which the owner is out of the ring: no dial, one attempt.
 	for i := 0; i < 5; i++ {
 		rep, err := r.Do(context.Background(), key, http.MethodPost, "/v1/detect", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.NodeID != cands[1].ID || rep.Attempts != 1 {
-			t.Fatalf("rep = %+v, want %s in 1 attempt (breaker skip)", rep, cands[1].ID)
+			t.Fatalf("rep = %+v, want %s in 1 attempt", rep, cands[1].ID)
 		}
 	}
-	if got := fake.callCount(cands[0].Addr); got != ownerCalls {
-		t.Fatalf("open breaker leaked %d calls to the dead node", got-ownerCalls)
-	}
-	if st := r.Stats(); st.Breakers[cands[0].ID] != "open" {
-		t.Fatalf("breaker state = %q, want open", st.Breakers[cands[0].ID])
+	if got := fake.callCount(cands[0].Addr); got != 2 {
+		t.Fatalf("the dead owner was dialled %d more times", got-2)
 	}
 }
 

@@ -13,10 +13,9 @@ import (
 // shipper is the one sender of replication frames: a bounded queue of
 // (target address, verdict), flushed every interval as per-target
 // batches. A worker's Replica feeds it each fresh verdict's other HRW
-// candidate; the gateway feeds it the owner of a key a non-owner just
-// answered. Fire-and-forget in both roles: shipping is an optimization
-// (anti-entropy converges whatever it drops), so offer never blocks and
-// never adds latency to the serving path.
+// candidate. Fire-and-forget: shipping is an optimization (anti-entropy
+// converges whatever it drops), so offer never blocks and never adds
+// latency to the serving path.
 type shipper struct {
 	ch       chan shipItem
 	interval time.Duration

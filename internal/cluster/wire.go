@@ -5,14 +5,14 @@
 // states; a rendezvous-hash Ring partitions the verdict keyspace so each
 // domain's verdict is cached on exactly one owner (aggregate cache
 // capacity grows with node count instead of being cloned per replica);
-// the Router adds per-node circuit breakers and bounded retries with
-// jittered backoff to the next ring candidate.
+// the Router adds bounded retries with jittered backoff to the next ring
+// candidate, and membership alone decides which nodes are in the ring.
 // The Gateway ties them together in front of N idnserve workers: it
 // forwards singles to their owner, splits batch bodies by owner and
 // scatter/gathers the sub-batches with order-preserving reassembly,
 // merges per-node metrics into a cluster view, and exposes membership
 // at /clusterz. A durable worker's Replica keeps its partition alive
-// across churn (replication, read-repair, anti-entropy). Every exchange
+// across churn (replication and anti-entropy). Every exchange
 // any of them makes is one function, call.
 //
 // The paper's workload (per-IDN verdicts over ~1.6M names, §VI–§VII) is

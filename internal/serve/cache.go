@@ -152,10 +152,9 @@ func (c *VerdictCache) SetWriteThrough(fn func(key string, v core.Verdict)) {
 }
 
 // Put inserts a verdict that was computed elsewhere — warm-boot
-// recovery, a replication frame from the key's owner, or a read-repair
-// backfill. It bypasses singleflight and the hit/miss counters: warm
-// inserts are not lookups and must not distort the hit rate the
-// cold-miss budget is asserted against.
+// recovery, a replication frame or an anti-entropy record. It bypasses
+// singleflight and the hit/miss counters: warm inserts are not lookups
+// and must not distort the hit rate.
 func (c *VerdictCache) Put(key string, v core.Verdict) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -164,9 +163,9 @@ func (c *VerdictCache) Put(key string, v core.Verdict) {
 }
 
 // Peek reports whether key is cached without counting a hit or miss and
-// without promoting the entry — the replication and repair paths probe
-// with it, and probes must not perturb LRU order or the metrics the
-// smoke tests assert on.
+// without promoting the entry — replication and anti-entropy ingest
+// probe with it, and probes must not perturb LRU order or the metrics
+// the smoke tests assert on.
 func (c *VerdictCache) Peek(key string) (core.Verdict, bool) {
 	s := c.shard(key)
 	s.mu.Lock()

@@ -83,8 +83,7 @@ type MetricsSnapshot struct {
 	// model loaded — the learned prefilter's pass/shed split.
 	Detector core.DetectorStats `json:"detector"`
 	// Store is the durable-store block: warm-log/snapshot counters plus
-	// the replication, read-repair and anti-entropy counters the
-	// store drill's cold-miss budget is asserted against. Loaded=false on
-	// memory-only nodes.
+	// the replication and anti-entropy counters the store drill asserts
+	// against. Loaded=false on memory-only nodes.
 	Store StoreStats `json:"store"`
 }

@@ -84,8 +84,8 @@ type Config struct {
 	// Store, when set, is the node's durable verdict store
 	// (vstore.Open): recovered records warm the cache before the
 	// listener opens, every fresh verdict is appended write-through, and
-	// the cluster paths (replication, read-repair, anti-entropy) turn on
-	// when a Peer is attached. Store stats surface at /metrics.
+	// the cluster paths (replication, anti-entropy) turn on when a Peer
+	// is attached. Store stats surface at /metrics.
 	Store *vstore.Store
 	// Replica sets the cadences of those cluster paths.
 	Replica cluster.ReplicaConfig
@@ -262,13 +262,6 @@ func (s *Server) verdict(ctx context.Context, n core.NormalizedDomain) (core.Ver
 	// admission — a cache hit is a couple of map operations and must stay
 	// cheap at 10k+ req/s.
 	return s.cache.Do(n.ACE, func() (core.Verdict, error) {
-		// Read-repair before recomputing: when this node is serving
-		// failover traffic or just rebooted, a peer likely holds the
-		// warm verdict and a bounded peek is far cheaper than a
-		// detector pass.
-		if v, ok := s.replica.Fetch(n.ACE); ok {
-			return v, nil
-		}
 		release, err := s.adm.Admit(ctx)
 		if err != nil {
 			return core.Verdict{}, err
@@ -289,12 +282,7 @@ func (s *Server) classifyRaw(c *core.Classifier, raw string) detectResponse {
 	if err != nil {
 		return detectResponse{Input: raw, Error: err.Error()}
 	}
-	v, cached, err := s.cache.Do(n.ACE, func() (core.Verdict, error) {
-		if rv, ok := s.replica.Fetch(n.ACE); ok {
-			return rv, nil
-		}
-		return c.Verdict(n), nil
-	})
+	v, cached, err := s.cache.Do(n.ACE, func() (core.Verdict, error) { return c.Verdict(n), nil })
 	if err != nil { // unreachable: compute cannot fail
 		return detectResponse{Input: raw, Error: err.Error()}
 	}

@@ -9,16 +9,16 @@ import (
 // Durable-store integration, the serving half: warm boot and
 // write-through. The store compacts from its own files, so what is
 // durable never depends on what this cache still holds. Everything a
-// durable worker says to other nodes — replication, read-repair,
-// anti-entropy and the /v1/store/* endpoints — is the cluster.Replica
-// built here, which sees this server only as its cache. The server
-// touches it in four places: Offer in the write-through hook below,
-// Fetch on the miss path (server.go), Register in Handler and Stats in
-// storeStats.
+// durable worker says to other nodes — replication, anti-entropy and
+// the /v1/store/* endpoints — is the cluster.Replica built here, which
+// sees this server only as its cache. The server touches it in three
+// places: Offer in the write-through hook below, Register in Handler
+// and Stats in storeStats. A miss never asks a peer: it goes to
+// admission and the detector (server.go).
 
 // StoreStats is the /metrics store block: the vstore counters plus the
-// replica's replication, read-repair and anti-entropy counters, flat in
-// one JSON object. The store drill's budget assertions (internal/smoke)
+// replica's replication and anti-entropy counters, flat in one JSON
+// object. The store drill's budget assertions (internal/smoke)
 // read exactly this block, never log lines.
 type StoreStats struct {
 	vstore.Stats

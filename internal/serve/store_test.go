@@ -158,14 +158,9 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 		t.Fatalf("store seq %d after 3 fresh verdicts, want %d", got, before+3)
 	}
 
-	// Peek: warm 200 + cached flag, cold 404 — without touching counters
-	// the budget is asserted against.
-	resp, body = postJSON(t, ts.URL+"/v1/store/peek", `{"domain":"warm.example"}`)
-	if resp.StatusCode != 200 || !strings.Contains(body, `"cached":true`) {
-		t.Fatalf("peek warm: %d %q", resp.StatusCode, body)
-	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/store/peek", `{"domain":"never.example"}`); resp.StatusCode != 404 {
-		t.Fatalf("peek cold: %d, want 404", resp.StatusCode)
+	// No peer endpoint answers a cache lookup: a miss recomputes.
+	if resp, _ := postJSON(t, ts.URL+"/v1/store/peek", `{"domain":"warm.example"}`); resp.StatusCode != 404 {
+		t.Fatalf("POST /v1/store/peek: %d, want 404 (not routed)", resp.StatusCode)
 	}
 
 	// Replication ingest: one new verdict accepted, the duplicate of an
@@ -183,7 +178,7 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 	if resp.StatusCode != 200 || !strings.Contains(body, `"accepted":1`) {
 		t.Fatalf("replicate: %d %q", resp.StatusCode, body)
 	}
-	if resp, body := postJSON(t, ts.URL+"/v1/store/peek", `{"domain":"repl-1.example"}`); resp.StatusCode != 200 || !strings.Contains(body, `"cached":true`) {
+	if resp, body := postJSON(t, ts.URL+"/v1/detect", `{"domain":"repl-1.example"}`); resp.StatusCode != 200 || !strings.Contains(body, `"cached":true`) {
 		t.Fatalf("replicated key not warm: %d %q", resp.StatusCode, body)
 	}
 

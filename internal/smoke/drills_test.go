@@ -211,23 +211,21 @@ func TestStat(t *testing.T) {
 	drain(t, srv)
 }
 
-// missBudget is the cold-miss budget of the store drill: read-repair
-// probes that found no warm copy anywhere and recomputed, as a share of
-// the requests of the kill phase (DESIGN.md derives the bound from the
-// replication interval and the sync cadence).
-const missBudget = 0.05
-
 // TestStore (store_smoke.sh): a gateway and three durable workers; warm
 // the fleet, SIGKILL one worker under live load, restart it on the same
 // store directory while the load still runs, and hold the restart
-// story: no client-visible error, a warm boot, the cold-miss budget
-// from /metrics, three durable nodes, clean drains.
+// story: no client-visible error, a warm boot, an anti-entropy round on
+// the restarted worker, three durable nodes, clean drains.
 func TestStore(t *testing.T) {
 	dir := t.TempDir()
 	gw, gwAddr := start(t, "idngateway", "idngateway", "-listen", "127.0.0.1:0", "-heartbeat", "200ms", "-min-ready", "3")
+	var w1Addr string
 	worker := func(id string) *proctest.Proc {
-		w, _ := start(t, id, "idnserve", "-listen", "127.0.0.1:0", "-brands", "1000", "-node", id, "-join", gwAddr,
+		w, addr := start(t, id, "idnserve", "-listen", "127.0.0.1:0", "-brands", "1000", "-node", id, "-join", gwAddr,
 			"-store", filepath.Join(dir, "store-"+id), "-sync-interval", "500ms")
+		if id == "w1" {
+			w1Addr = addr
+		}
 		return w
 	}
 	w1, w2, w3 := worker("w1"), worker("w2"), worker("w3")
@@ -256,15 +254,25 @@ func TestStore(t *testing.T) {
 	res := <-done
 	res.requireClean(t, "load through SIGKILL and warm restart") // "error-rate: 0.00%"
 
+	// The restarted w1 caught up on its downtime through anti-entropy:
+	// its own store block counts at least one completed sync round.
+	var wm struct {
+		Store struct {
+			SyncRounds uint64 `json:"syncRounds"`
+		} `json:"store"`
+	}
+	metrics(t, w1Addr, &wm)
+	if wm.Store.SyncRounds == 0 {
+		t.Fatalf("restarted w1 completed no anti-entropy round:\n%s", w1.Log())
+	}
+
 	// The gateway's aggregate of every worker's store block:
-	// durable-nodes=3, warm-boot > 0, repair misses within budget.
+	// durable-nodes=3, warm-boot > 0.
 	var m struct {
 		Cluster struct {
 			Store struct {
-				DurableNodes    int    `json:"durableNodes"`
-				WarmBootEntries int    `json:"warmBootEntries"`
-				RepairHits      uint64 `json:"repairHits"`
-				RepairMisses    uint64 `json:"repairMisses"`
+				DurableNodes    int `json:"durableNodes"`
+				WarmBootEntries int `json:"warmBootEntries"`
 			} `json:"store"`
 		} `json:"cluster"`
 	}
@@ -276,9 +284,6 @@ func TestStore(t *testing.T) {
 	}
 	if s.WarmBootEntries == 0 {
 		t.Fatal("no warm-boot entries registered cluster-wide")
-	}
-	if float64(s.RepairMisses) > missBudget*float64(res.requests) {
-		t.Fatalf("%d cold misses over %d requests exceeds the %.0f%% budget", s.RepairMisses, res.requests, 100*missBudget)
 	}
 	drain(t, w1, w2, w3, gw)
 }

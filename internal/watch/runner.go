@@ -160,10 +160,13 @@ func loadDelta(path string) (*Delta, error) {
 }
 
 // processDelta matches a parsed delta, appends its alerts, Syncs the
-// log, then advances and persists the cursor.
+// log, then advances and persists the cursor. A started file always
+// finishes: the match runs without ctx's cancellation, because a cancel
+// inside it would leave that file's alerts in the log past the cursor.
+// Cancellation is honoured between files (Poll).
 func (r *Runner) processDelta(ctx context.Context, d *Delta) (int, error) {
 	alerts := 0
-	err := r.Engine.ProcessDelta(ctx, d, func(a Alert) error {
+	err := r.Engine.ProcessDelta(context.WithoutCancel(ctx), d, func(a Alert) error {
 		alerts++
 		return r.Log.Append(a)
 	})
@@ -197,7 +200,9 @@ type parsed struct {
 // committed; the unbuffered hand-off bounds it to one parsed delta
 // ahead. Commits stay strictly in serial order, and a parse error is
 // returned only after every earlier file is committed. Poll returns
-// only after the lookahead has exited.
+// only after the lookahead has exited. Cancellation has one point,
+// between files: a file whose processing has started is matched, Synced
+// and gets its cursor saved before Poll returns ctx.Err().
 func (r *Runner) Poll(ctx context.Context) (files, alerts int, err error) {
 	if err := r.init(); err != nil {
 		return 0, 0, err
@@ -246,9 +251,9 @@ func (r *Runner) Poll(ctx context.Context) (files, alerts int, err error) {
 }
 
 // Run polls until the context is cancelled, sleeping interval between
-// empty polls. Cancellation between files is clean: the current file
-// finishes (or aborts via the pipeline's own drain path) before Run
-// returns ctx.Err().
+// empty polls. A cancel takes effect between files: the current file is
+// matched, Synced and its cursor saved before Run returns ctx.Err(), so
+// the log never holds alerts past the cursor.
 func (r *Runner) Run(ctx context.Context, interval time.Duration) error {
 	if interval <= 0 {
 		interval = time.Second

@@ -208,3 +208,27 @@ func TestRunnerPollCancelled(t *testing.T) {
 	waitGoroutines(t, before)
 	requireCommittedThrough(t, r, days[files-1].Serial)
 }
+
+// TestCancelledFileStillCommits is the deterministic half of
+// TestRunnerPollCancelled: a file whose processing starts under an
+// already-cancelled context is matched, logged and committed whole,
+// with the same alerts as an uncancelled run.
+func TestCancelledFileStillCommits(t *testing.T) {
+	eng, _ := testFixture(t, 80, 4)
+	dir := t.TempDir()
+	days := writeDeltaDir(t, dir, 77, zonegen.DeltaConfig{AddsPerDay: 3000, AttackShare: 0.3, AttackTopK: 60}, 1)
+	path := filepath.Join(dir, zonegen.DeltaFileName(days[0].Serial))
+
+	ref := openRunner(t, eng, t.TempDir())
+	want, err := ref.ProcessFile(context.Background(), path)
+	if err != nil || want == 0 {
+		t.Fatalf("uncancelled run: %d alerts, err %v; want some alerts", want, err)
+	}
+	r := openRunner(t, eng, dir)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := r.ProcessFile(ctx, path); err != nil || got != want {
+		t.Fatalf("cancelled run: %d alerts, err %v; want %d and no error", got, err, want)
+	}
+	requireCommittedThrough(t, r, days[0].Serial)
+}
