@@ -44,8 +44,8 @@ bench-check:
 # (BenchmarkWatchMatch1M), delta parse MB/s
 # (BenchmarkDeltaParse), start-up subscriptions/s (BenchmarkSubscribe1M),
 # stat classifications/s, store recovery entries/s, store compaction
-# records/s, universe-generator domains/s. The table is in
-# cmd/benchgate.
+# records/s, anti-entropy since records/s (BenchmarkVstoreSince),
+# universe-generator domains/s. The table is in cmd/benchgate.
 bench-gates:
 	$(GO) run ./cmd/benchgate $(BENCHTIME)
 

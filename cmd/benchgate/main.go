@@ -36,6 +36,7 @@ var gates = []struct {
 	{"./internal/feat", "BenchmarkStatClassify", "ops/s", 1_000_000, "classifications/s"},
 	{"./internal/vstore", "BenchmarkVstoreRecovery", "entries/s", 100_000, "warm-boot entries/s (a 1M-verdict partition boots in <= 10 s)"},
 	{"./internal/vstore", "BenchmarkVstoreCompact", "records/s", 100_000, "compaction records/s: every compaction rewrites the whole durable set (runs 2.1-2.5M)"},
+	{"./internal/vstore", "BenchmarkVstoreSince", "records/s", 300_000, "anti-entropy records/s paging a 32,768-record store 2,048 at a time (decoding the whole store per page made 42k; runs ~1M)"},
 	{"./internal/zonegen", "BenchmarkGenerateScale20", "domains/s", 120_000, "universe domains/s at the bench corpus's size (a quadratic name census made 60-70k)"},
 }
 

@@ -151,12 +151,9 @@ func (tc *testCluster) addWorker(id string) *testWorker {
 			tc.t.Fatalf("open store for %s: %v", id, err)
 		}
 		cfg.Store = st
-		// Fast cluster-sync cadences: the churn test needs anti-entropy
-		// to converge inside the test window, not the production 15s.
-		cfg.Replica = cluster.ReplicaConfig{
-			SyncInterval:      250 * time.Millisecond,
-			ReplicateInterval: 10 * time.Millisecond,
-		}
+		// A fast anti-entropy cadence: the churn test needs it to
+		// converge inside the test window, not the production 15s.
+		cfg.Replica = cluster.ReplicaConfig{SyncInterval: 250 * time.Millisecond}
 	}
 	srv := serve.NewServer(cfg)
 	ts := httptest.NewServer(srv.Handler())

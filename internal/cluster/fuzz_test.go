@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"idnlab/internal/api"
+	"idnlab/internal/vstore"
 )
 
 // FuzzLoadWatermarks writes arbitrary bytes as the store directory's
@@ -53,24 +55,28 @@ func FuzzLoadWatermarks(f *testing.F) {
 // FuzzSincePage feeds arbitrary bytes to the anti-entropy page decoder
 // as a peer's reply. It must never panic, never move the cursor past
 // the page's own durable mark, never ingest a record with an empty
-// domain, and ingest nothing from a page it refuses. Every page either
-// advances the cursor or ends the round, so a round's page budget can
-// never be spent standing still; the one backwards move is the reset
-// to 0 that ends a round against a restarted log.
+// domain, ingest nothing from a page it refuses, and accept only a page
+// whose header is whole and whose every frame checks and decodes. Every
+// page either advances the cursor or ends the round, so a round's page
+// budget can never be spent standing still; the one backwards move is
+// the reset to 0 that ends a round against a restarted log.
 func FuzzSincePage(f *testing.F) {
-	f.Add([]byte(`{"node":"a","durable":2,"more":false,"records":[{"seq":1,"verdict":{"domain":"a.example","unicode":"a.example","idn":false}},{"seq":2,"verdict":{"domain":"b.example","unicode":"b.example","idn":false}}]}`), uint64(0))
-	f.Add([]byte(`{"durable":9,"more":true,"records":[{"seq":4,"verdict":{"domain":"c.example"}}]}`), uint64(3))
-	f.Add([]byte(`{"durable":1,"more":true,"records":[{"seq":7,"verdict":{"domain":"ahead.example"}}]}`), uint64(0))
-	f.Add([]byte(`{"durable":5,"records":[{"seq":5,"verdict":{"domain":""}}]}`), uint64(4))
-	f.Add([]byte(`{"durable":3,"more":true,"records":[]}`), uint64(8))
-	f.Add([]byte(`{"records":null}`), uint64(2))
-	f.Add([]byte(`null`), uint64(1))
-	f.Add([]byte(`{"durable":-1}`), uint64(0))
-	f.Add([]byte(`{"durable":2,"records":[{"seq":1,"verdict":`), uint64(0))
-	f.Add([]byte(`{"durable":9,"more":true,"records":[{"seq":2,"verdict":{"domain":"behind.example"}}]}`), uint64(3))
-	f.Add([]byte(`{"durable":9,"more":true,"records":[{"seq":5,"verdict":{"domain":"a.example"}},{"seq":5,"verdict":{"domain":"b.example"}}]}`), uint64(3))
-	f.Add([]byte(`{"durable":9,"more":true,"records":[]}`), uint64(3))
-	f.Add([]byte(`{"durable":2,"more":false,"records":[]}`), uint64(8))
+	rec := func(seq uint64, domain string) string {
+		return recordFrames(f, seq, api.DetectResponse{Verdict: vd(domain)})
+	}
+	f.Add([]byte(sincePage(2, false, rec(1, "a.example"), rec(2, "b.example"))), uint64(0))
+	f.Add([]byte(sincePage(9, true, rec(4, "c.example"))), uint64(3))
+	f.Add([]byte(sincePage(1, true, rec(7, "ahead.example"))), uint64(0))
+	f.Add([]byte(sincePage(5, false, rec(5, ""))), uint64(4))
+	f.Add([]byte(sincePage(3, true)), uint64(8))
+	f.Add([]byte(sincePage(9, true, rec(2, "behind.example"))), uint64(3))
+	f.Add([]byte(sincePage(9, true, rec(5, "a.example"), rec(5, "b.example"))), uint64(3))
+	f.Add([]byte(sincePage(9, true)), uint64(3))
+	f.Add([]byte(sincePage(2, false)), uint64(8))
+	f.Add([]byte(sincePage(9, false, recordFrames(f, 4, api.DetectResponse{Verdict: vd("e.example"), Error: "shed"}))), uint64(3))
+	f.Add([]byte(sincePage(2, false, rec(1, "a.example"))[:20]), uint64(0))
+	f.Add([]byte(sincePage(2, false)[:4]), uint64(1))
+	f.Add([]byte(nil), uint64(0))
 
 	ring := NewRing([]NodeInfo{{ID: "self", State: StateAlive}, {ID: "peer", State: StateAlive}})
 
@@ -84,20 +90,21 @@ func FuzzSincePage(f *testing.F) {
 			}
 			return
 		}
-		var page struct {
-			Durable uint64 `json:"durable"`
+		if len(data) < sinceHeader {
+			t.Fatalf("accepted a %d-byte page, shorter than its header", len(data))
 		}
-		if json.Unmarshal(data, &page) != nil {
-			t.Fatalf("accepted a page encoding/json refuses: %q", data)
+		if _, err := vstore.DecodeFrames(data[sinceHeader:]); err != nil {
+			t.Fatalf("accepted a page whose frames do not check and decode: %v", err)
 		}
-		if next != after && next > page.Durable {
-			t.Fatalf("cursor moved to %d, past the page's durable %d", next, page.Durable)
+		durable := binary.LittleEndian.Uint64(data)
+		if next != after && next > durable {
+			t.Fatalf("cursor moved to %d, past the page's durable %d", next, durable)
 		}
 		if more && next <= after {
 			t.Fatalf("a continued page left the cursor at %d (after %d)", next, after)
 		}
-		if next < after && (more || next != 0 || page.Durable >= after) {
-			t.Fatalf("cursor moved back from %d to %d (more %v, durable %d)", after, next, more, page.Durable)
+		if next < after && (more || next != 0 || durable >= after) {
+			t.Fatalf("cursor moved back from %d to %d (more %v, durable %d)", after, next, more, durable)
 		}
 		if _, ok := cache.Peek(""); ok {
 			t.Fatal("ingested a record with an empty domain")
@@ -105,17 +112,18 @@ func FuzzSincePage(f *testing.F) {
 	})
 }
 
-// FuzzReplicateBody posts arbitrary bytes as a replication frame: the
-// handler must answer 200 or a 4xx, never accept more verdicts than the
-// frame carries, and never ingest a result that reports an error.
+// FuzzReplicateBody posts arbitrary bytes as a replicate body: the
+// handler must answer 200 or a 4xx, accept only a body whose every frame
+// checks and decodes, never accept more verdicts than the body carries,
+// and never ingest a record that reports an error or has no domain.
 func FuzzReplicateBody(f *testing.F) {
 	f.Add([]byte(replicateFrame(f, api.DetectResponse{Verdict: vd("a.example")}, api.DetectResponse{Verdict: vd("b.example"), Flagged: true})))
 	f.Add([]byte(replicateFrame(f, api.DetectResponse{Verdict: vd("a.example")}, api.DetectResponse{Verdict: vd("a.example")})))
 	f.Add([]byte(replicateFrame(f, api.DetectResponse{Input: "bad..name", Error: "empty label"}, api.DetectResponse{Verdict: vd("shed.example"), Error: "shed"})))
 	f.Add([]byte(replicateFrame(f, api.DetectResponse{})))
-	f.Add([]byte(`{"count":1,"flagged":0,"results":[`))
+	f.Add([]byte(replicateFrame(f, api.DetectResponse{Verdict: vd("a.example")})[:12]))
+	f.Add([]byte(replicateFrame(f, api.DetectResponse{Verdict: vd("a.example")}) + "\x01"))
 	f.Add([]byte(`{"results":null}`))
-	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -125,7 +133,7 @@ func FuzzReplicateBody(f *testing.F) {
 		r.handleReplicate(rec, httptest.NewRequest(http.MethodPost, replicatePath, strings.NewReader(string(data))))
 		if rec.Code != http.StatusOK {
 			if rec.Code < 400 || rec.Code >= 500 || cache.len() != 0 {
-				t.Fatalf("refused frame: status %d, %d ingested", rec.Code, cache.len())
+				t.Fatalf("refused body: status %d, %d ingested", rec.Code, cache.len())
 			}
 			return
 		}
@@ -135,22 +143,20 @@ func FuzzReplicateBody(f *testing.F) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
 			t.Fatalf("ack %q: %v", rec.Body, err)
 		}
-		br, err := api.DecodeBatchResponseBytes(data)
+		recs, err := vstore.DecodeFrames(data)
 		if err != nil {
-			t.Fatalf("handler accepted a frame the codec refuses: %v", err)
+			t.Fatalf("handler accepted a body whose frames do not check and decode: %v", err)
 		}
-		clean := make(map[string]bool)
-		for _, res := range br.Results {
-			if res.Error == "" {
-				clean[res.Verdict.Domain] = true
-			}
+		carried := make(map[string]bool)
+		for _, rec := range recs {
+			carried[rec.Verdict.Domain] = true
 		}
-		if ack.Accepted != cache.len() || ack.Accepted > len(br.Results) {
-			t.Fatalf("accepted %d with %d cached from %d results", ack.Accepted, cache.len(), len(br.Results))
+		if ack.Accepted != cache.len() || ack.Accepted > len(recs) {
+			t.Fatalf("accepted %d with %d cached from %d records", ack.Accepted, cache.len(), len(recs))
 		}
 		for key := range cache.m {
-			if key == "" || !clean[key] {
-				t.Fatalf("ingested %q, which no error-free result carries", key)
+			if key == "" || !carried[key] {
+				t.Fatalf("ingested %q, which no record carries", key)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,9 +34,14 @@ import (
 // A miss is never fetched from a peer: the detector recomputes it in
 // about a microsecond, well under one loopback round trip.
 //
+// Both bodies are the store's own record frames, byte for byte what the
+// sender's files hold (vstore.AppendFrame, Since; the receiver checks
+// them with vstore.DecodeFrames): a replicate body is a run of frames,
+// a since body a sinceHeader then the page's frames.
+//
 // Every placement decision uses the attached Peer's ring and identity.
 // The worker is seen only as a Cache; the two endpoints below and their
-// body formats are known to this file alone.
+// bodies are known to this file and the shipper alone.
 type Replica struct {
 	cfg   ReplicaConfig
 	cache Cache
@@ -60,6 +66,10 @@ const (
 
 	syncPageSize = 2048
 	syncMaxPages = 32
+
+	// sinceHeader is the since body's fixed header: u64le durable, then
+	// one byte, 1 when more records follow the page and 0 when not.
+	sinceHeader = 9
 )
 
 // Cache is the worker's verdict cache as the Replica sees it.
@@ -74,8 +84,6 @@ type Cache interface {
 // ReplicaConfig parameterizes a Replica; the zero value selects the
 // defaults.
 type ReplicaConfig struct {
-	// ReplicateInterval is the shipper's flush cadence (default 25ms).
-	ReplicateInterval time.Duration
 	// SyncInterval is the anti-entropy re-sync cadence after the initial
 	// rejoin round (default 15s).
 	SyncInterval time.Duration
@@ -101,7 +109,7 @@ func NewReplica(cfg ReplicaConfig, cache Cache, store *vstore.Store) *Replica {
 	if cfg.SyncInterval <= 0 {
 		cfg.SyncInterval = 15 * time.Second
 	}
-	return &Replica{cfg: cfg, cache: cache, store: store, ship: newShipper(cfg.ReplicateInterval)}
+	return &Replica{cfg: cfg, cache: cache, store: store, ship: &shipper{ch: make(chan shipItem, shipQueueSize)}}
 }
 
 // Attach gives the replica its membership client; until then Offer is
@@ -146,8 +154,9 @@ func (r *Replica) Run(ctx context.Context) {
 
 // --- Replication (owner → replica, async) -----------------------------
 
-// Offer queues a freshly computed verdict for its other candidate.
-func (r *Replica) Offer(v core.Verdict) {
+// Offer queues a freshly computed verdict, which the local store
+// appended as seq, for its other candidate.
+func (r *Replica) Offer(seq uint64, v core.Verdict) {
 	p := r.peer.Load()
 	if p == nil {
 		return
@@ -158,7 +167,7 @@ func (r *Replica) Offer(v core.Verdict) {
 		return
 	}
 	for _, c := range others {
-		r.ship.offer(c.Addr, v)
+		r.ship.offer(c.Addr, vstore.Record{Seq: seq, Verdict: v})
 	}
 }
 
@@ -185,22 +194,23 @@ func (r *Replica) ingest(v core.Verdict) bool {
 	return true
 }
 
-// handleReplicate receives the shipper's frames: each result is a
+// handleReplicate receives the shipper's frames: each record is a
 // verdict the sender computed for a key this node is a candidate for.
+// The sender's seq means nothing here and is ignored.
 func (r *Replica) handleReplicate(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxPeerBody))
 	if err != nil {
 		api.WriteJSON(w, http.StatusRequestEntityTooLarge, api.ErrorResponse{Error: err.Error()})
 		return
 	}
-	br, err := api.DecodeBatchResponseBytes(body)
+	recs, err := vstore.DecodeFrames(body)
 	if err != nil {
 		api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
 		return
 	}
 	accepted := 0
-	for i := range br.Results {
-		if br.Results[i].Error == "" && r.ingest(br.Results[i].Verdict) {
+	for _, rec := range recs {
+		if r.ingest(rec.Verdict) {
 			accepted++
 		}
 	}
@@ -210,24 +220,9 @@ func (r *Replica) handleReplicate(w http.ResponseWriter, req *http.Request) {
 
 // --- Anti-entropy (log-suffix streaming on rejoin) --------------------
 
-// sincePage is the since endpoint's body. This is a rejoin-time bulk
-// path, not the request hot path, so it uses the stdlib codec (records
-// carry a sequence number the append codec has no field for).
-type sincePage struct {
-	Node    string        `json:"node"`
-	Durable uint64        `json:"durable"`
-	More    bool          `json:"more"`
-	Records []sinceRecord `json:"records"`
-}
-
-type sinceRecord struct {
-	Seq     uint64       `json:"seq"`
-	Verdict core.Verdict `json:"verdict"`
-}
-
-// handleSince streams the log suffix after ?seq=N. Page size is
-// bounded; More tells the caller to come back with the last record's
-// sequence.
+// handleSince streams the log suffix after ?seq=N: the header, then the
+// store's frames as Since copies them. Page size is bounded; more tells
+// the caller to come back with the last record's sequence.
 func (r *Replica) handleSince(w http.ResponseWriter, req *http.Request) {
 	if r.store == nil {
 		api.WriteJSON(w, http.StatusNotFound, api.ErrorResponse{Error: "no durable store on this node"})
@@ -255,19 +250,16 @@ func (r *Replica) handleSince(w http.ResponseWriter, req *http.Request) {
 			max = n
 		}
 	}
-	recs, durable, more, err := r.store.Since(after, max)
+	body, durable, more, err := r.store.Since(make([]byte, sinceHeader, 64<<10), after, max)
 	if err != nil {
 		api.WriteJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error()})
 		return
 	}
-	page := sincePage{Durable: durable, More: more, Records: make([]sinceRecord, len(recs))}
-	if p := r.peer.Load(); p != nil {
-		page.Node = p.NodeID()
+	binary.LittleEndian.PutUint64(body, durable)
+	if more {
+		body[8] = 1
 	}
-	for i, rec := range recs {
-		page.Records[i] = sinceRecord{Seq: rec.Seq, Verdict: rec.Verdict}
-	}
-	api.WriteJSON(w, http.StatusOK, page)
+	w.Write(body)
 }
 
 // runAntiEntropy performs an initial sync as soon as the worker has a
@@ -366,6 +358,9 @@ func (r *Replica) syncPeer(ctx context.Context, ring *Ring, self string, node No
 // and returns the cursor for the next fetch. The page is peer-supplied,
 // so it is checked whole before anything is ingested:
 //
+//   - the header is whole and every frame checks and decodes, up to the
+//     body's last byte: a short or torn body is refused, never cut as a
+//     crashed file's tail is;
 //   - record seqs ascend strictly above after and never pass the page's
 //     own durable mark, so the cursor never moves backwards or runs
 //     ahead of what the peer says it holds;
@@ -376,32 +371,36 @@ func (r *Replica) syncPeer(ctx context.Context, ring *Ring, self string, node No
 //     the next round re-streams the whole log and ingest dedups the
 //     replay.
 func (r *Replica) ingestPage(body []byte, ring *Ring, self string, after uint64) (next uint64, more bool, err error) {
-	var page sincePage
-	if err := json.Unmarshal(body, &page); err != nil {
-		return after, false, err
+	if len(body) < sinceHeader || body[8] > 1 {
+		return after, false, fmt.Errorf("since page after %d: no valid %d-byte header", after, sinceHeader)
+	}
+	durable, more := binary.LittleEndian.Uint64(body), body[8] == 1
+	recs, err := vstore.DecodeFrames(body[sinceHeader:])
+	if err != nil {
+		return after, false, fmt.Errorf("since page after %d: %w", after, err)
 	}
 	prev := after
-	for _, rec := range page.Records {
-		if rec.Seq <= prev || rec.Seq > page.Durable {
-			return after, false, fmt.Errorf("since page after %d: record seq %d out of order (previous %d, durable %d)", after, rec.Seq, prev, page.Durable)
+	for _, rec := range recs {
+		if rec.Seq <= prev || rec.Seq > durable {
+			return after, false, fmt.Errorf("since page after %d: record seq %d out of order (previous %d, durable %d)", after, rec.Seq, prev, durable)
 		}
 		prev = rec.Seq
 	}
-	if page.Durable < after {
+	if durable < after {
 		return 0, false, nil
 	}
-	if page.More && len(page.Records) == 0 {
+	if more && len(recs) == 0 {
 		return after, false, fmt.Errorf("since page after %d: more with no records", after)
 	}
-	for _, rec := range page.Records {
+	for _, rec := range recs {
 		if candidateFor(ring, rec.Verdict.Domain, self) && r.ingest(rec.Verdict) {
 			r.syncIngested.Add(1)
 		} else {
 			r.syncSkipped.Add(1)
 		}
 	}
-	if !page.More {
-		return page.Durable, false, nil
+	if !more {
+		return durable, false, nil
 	}
 	return prev, true, nil
 }

@@ -2,8 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 
 	"idnlab/internal/api"
 	"idnlab/internal/core"
+	"idnlab/internal/framelog"
 	"idnlab/internal/vstore"
 )
 
@@ -93,13 +95,26 @@ func (n *replicaNode) attach(self string, epoch uint64, nodes ...NodeInfo) *Peer
 	return p
 }
 
+// recordFrames encodes results as store record frames with seqs from
+// first up — the body of a replicate POST and the tail of a since page.
+// A store only ever writes verdicts; tests also frame what it never
+// writes (an error response) to see the receiver refuse it.
+func recordFrames(t testing.TB, first uint64, results ...api.DetectResponse) string {
+	t.Helper()
+	var body []byte
+	for i := range results {
+		payload, err := api.AppendDetectResponse(binary.LittleEndian.AppendUint64(nil, first+uint64(i)), &results[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = framelog.AppendFrame(body, payload)
+	}
+	return string(body)
+}
+
 func replicateFrame(t testing.TB, results ...api.DetectResponse) string {
 	t.Helper()
-	frame, err := api.AppendBatchResponse(nil, &api.BatchResponse{Count: len(results), Results: results})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(frame)
+	return recordFrames(t, 1, results...)
 }
 
 func post(t *testing.T, addr, path, body string) (int, string) {
@@ -112,11 +127,12 @@ func post(t *testing.T, addr, path, body string) (int, string) {
 	return rep.Status, string(rep.Body)
 }
 
-// TestReplicaRoundTrip carries verdicts through every peer format once:
-// a replicate frame into node a (error results and already-cached keys
-// refused, nothing re-appended), a's since feed into node b's
-// anti-entropy round, which keeps only what b is an R=2 candidate for —
-// and b's cursor, which survives a restart and a corrupt peers.json.
+// TestReplicaRoundTrip carries verdicts through both peer bodies once:
+// a replicate body into node a (already-cached keys skipped, a body
+// carrying an error response refused whole, nothing re-appended), a's
+// since feed into node b's anti-entropy round, which keeps only what b
+// is an R=2 candidate for — and b's cursor, which survives a restart and
+// a corrupt peers.json.
 func TestReplicaRoundTrip(t *testing.T) {
 	a := startReplicaNode(t, ReplicaConfig{}, openStore(t, t.TempDir()))
 	a.cache.Put("warm.example", vd("warm.example"))
@@ -125,15 +141,19 @@ func TestReplicaRoundTrip(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		results = append(results, api.DetectResponse{Verdict: vd(fmt.Sprintf("repl-%d.example", i))})
 	}
-	results = append(results,
-		api.DetectResponse{Verdict: vd("warm.example")},
-		api.DetectResponse{Input: "bad..name", Error: "empty label"},
-		api.DetectResponse{Verdict: vd("errored.example"), Error: "shed"})
+	results = append(results, api.DetectResponse{Verdict: vd("warm.example")})
 	if code, body := post(t, a.addr, replicatePath, replicateFrame(t, results...)); code != 200 || !strings.Contains(body, `"accepted":40`) {
 		t.Fatalf("replicate: %d %q", code, body)
 	}
-	if _, ok := a.cache.Peek("errored.example"); ok {
-		t.Fatal("an error result was ingested")
+	// An error response is not a record: the body carrying one is refused
+	// whole, its good record with it.
+	bad := replicateFrame(t, api.DetectResponse{Verdict: vd("good.example")},
+		api.DetectResponse{Verdict: vd("errored.example"), Error: "shed"})
+	if code, _ := post(t, a.addr, replicatePath, bad); code != 400 {
+		t.Fatalf("replicate with an error response: %d, want 400", code)
+	}
+	if _, ok := a.cache.Peek("good.example"); ok {
+		t.Fatal("a refused body was partly ingested")
 	}
 	if got := a.store.Stats().Seq; got != 40 {
 		t.Fatalf("store seq %d after 40 new verdicts and one already-cached key, want 40", got)
@@ -296,12 +316,12 @@ func TestReplicaOfferShipsToOtherCandidate(t *testing.T) {
 	a := startReplicaNode(t, ReplicaConfig{}, openStore(t, t.TempDir()))
 	b := startReplicaNode(t, ReplicaConfig{}, nil)
 
-	a.r.Offer(vd("alone.example"))
+	a.r.Offer(1, vd("alone.example"))
 	if st := a.r.Stats(); st.ReplicationDropped != 0 || len(a.r.ship.ch) != 0 {
 		t.Fatalf("Offer without a peer: %+v, queue %d", st, len(a.r.ship.ch))
 	}
 	a.attach("a", 1, NodeInfo{ID: "a", Addr: a.addr, State: StateAlive})
-	a.r.Offer(vd("alone.example"))
+	a.r.Offer(1, vd("alone.example"))
 	if st := a.r.Stats(); st.ReplicationDropped != 1 {
 		t.Fatalf("Offer into a one-node ring: dropped %d, want 1", st.ReplicationDropped)
 	}
@@ -310,7 +330,7 @@ func TestReplicaOfferShipsToOtherCandidate(t *testing.T) {
 		NodeInfo{ID: "a", Addr: a.addr, State: StateAlive},
 		NodeInfo{ID: "b", Addr: b.addr, State: StateAlive})
 	for i := 0; i < shipBatchMax+10; i++ {
-		a.r.Offer(vd(fmt.Sprintf("fresh-%d.example", i)))
+		a.r.Offer(uint64(i+1), vd(fmt.Sprintf("fresh-%d.example", i)))
 	}
 	a.r.ship.flush(context.Background())
 	if st := a.r.Stats(); st.ReplicationOut != shipBatchMax+10 || st.ReplicationErrors != 0 {
@@ -385,18 +405,34 @@ func TestStoreSinceQueryValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var page struct {
-			Records []json.RawMessage `json:"records"`
-		}
-		err = json.Unmarshal(rep.Body, &page)
 		if rep.Status != tc.status {
 			t.Errorf("since?%s: status %d, want %d", tc.query, rep.Status, tc.status)
 			continue
 		}
-		if tc.status == 200 && (err != nil || len(page.Records) != tc.records) {
-			t.Errorf("since?%s: %d records (decode err %v), want %d", tc.query, len(page.Records), err, tc.records)
+		if tc.status != 200 {
+			continue
+		}
+		var recs []vstore.Record
+		if len(rep.Body) < sinceHeader {
+			err = fmt.Errorf("%d-byte body", len(rep.Body))
+		} else {
+			recs, err = vstore.DecodeFrames(rep.Body[sinceHeader:])
+		}
+		if err != nil || len(recs) != tc.records {
+			t.Errorf("since?%s: %d records (decode err %v), want %d", tc.query, len(recs), err, tc.records)
 		}
 	}
+}
+
+// sincePage builds a since body: the header, then frames as they are.
+func sincePage(durable uint64, more bool, frames ...string) string {
+	hdr := binary.LittleEndian.AppendUint64(nil, durable)
+	if more {
+		hdr = append(hdr, 1)
+	} else {
+		hdr = append(hdr, 0)
+	}
+	return string(hdr) + strings.Join(frames, "")
 }
 
 // TestSincePageRefusals: since pages come from another host, so a page
@@ -405,11 +441,13 @@ func TestStoreSinceQueryValidation(t *testing.T) {
 // cursor (the peer's log restarted) resets the cursor and ends the round.
 func TestSincePageRefusals(t *testing.T) {
 	rec := func(seq uint64, domain string) string {
-		return fmt.Sprintf(`{"seq":%d,"verdict":{"domain":%q}}`, seq, domain)
+		return recordFrames(t, seq, api.DetectResponse{Verdict: vd(domain)})
 	}
-	page := func(durable uint64, more bool, recs ...string) string {
-		return fmt.Sprintf(`{"node":"p","durable":%d,"more":%v,"records":[%s]}`, durable, more, strings.Join(recs, ","))
-	}
+	page := sincePage
+	good := rec(4, "a.example")
+	badCRC := []byte(good)
+	badCRC[len(badCRC)-1] ^= 1
+	notARecord := string(framelog.AppendFrame(nil, append(binary.LittleEndian.AppendUint64(nil, 4), `{"domain":`...)))
 	ring := NewRing([]NodeInfo{{ID: "self", State: StateAlive}, {ID: "peer", State: StateAlive}})
 	for _, tc := range []struct {
 		name     string
@@ -428,6 +466,13 @@ func TestSincePageRefusals(t *testing.T) {
 		{"a record below the cursor is refused", page(9, true, rec(4, "a.example"), rec(2, "b.example")), 3, 3, false, true, 0},
 		{"a repeated seq is refused", page(9, false, rec(4, "a.example"), rec(4, "b.example")), 3, 3, false, true, 0},
 		{"durable below the cursor resets it to 0", page(2, false), 8, 0, false, false, 0},
+		{"a frame failing its CRC is refused", page(9, false, rec(5, "b.example"), string(badCRC)), 3, 3, false, true, 0},
+		{"a short final frame is refused", page(9, false, rec(5, "b.example"), good[:len(good)-1]), 3, 3, false, true, 0},
+		{"bytes after the last frame are refused", page(9, false, good, "\x00"), 3, 3, false, true, 0},
+		{"a payload that is not a record is refused", page(9, false, rec(5, "b.example"), notARecord), 3, 3, false, true, 0},
+		{"an error response is refused", page(9, false, recordFrames(t, 4, api.DetectResponse{Verdict: vd("e.example"), Error: "shed"})), 3, 3, false, true, 0},
+		{"a short header is refused", page(9, false)[:sinceHeader-1], 3, 3, false, true, 0},
+		{"a more byte other than 0 or 1 is refused", page(9, false)[:sinceHeader-1] + "\x02" + good, 3, 3, false, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cache := newMapCache()
@@ -448,7 +493,7 @@ func TestSyncPeerStopsOnAnEmptyContinuedPage(t *testing.T) {
 	var gets atomic.Int64
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gets.Add(1)
-		api.WriteJSON(w, http.StatusOK, sincePage{Node: "peer", Durable: 9, More: true})
+		io.WriteString(w, sincePage(9, true))
 	}))
 	defer peer.Close()
 	self := startReplicaNode(t, ReplicaConfig{}, openStore(t, t.TempDir()))

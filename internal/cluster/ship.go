@@ -6,19 +6,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"idnlab/internal/api"
-	"idnlab/internal/core"
+	"idnlab/internal/vstore"
 )
 
 // shipper is the one sender of replication frames: a bounded queue of
-// (target address, verdict), flushed every interval as per-target
+// (target address, record), flushed every shipInterval as per-target
 // batches. A worker's Replica feeds it each fresh verdict's other HRW
-// candidate. Fire-and-forget: shipping is an optimization (anti-entropy
-// converges whatever it drops), so offer never blocks and never adds
-// latency to the serving path.
+// candidate, with the seq the local store appended it as. A batch's body
+// is the records' store frames (vstore.AppendFrame), the same bytes the
+// sender's log holds. Fire-and-forget: shipping is an optimization
+// (anti-entropy converges whatever it drops), so offer never blocks and
+// never adds latency to the serving path.
 type shipper struct {
-	ch       chan shipItem
-	interval time.Duration
+	ch chan shipItem
 
 	out     atomic.Uint64 // verdicts delivered
 	dropped atomic.Uint64 // verdicts refused by a full queue
@@ -27,7 +27,7 @@ type shipper struct {
 
 type shipItem struct {
 	addr string
-	v    core.Verdict
+	rec  vstore.Record
 }
 
 const (
@@ -36,28 +36,19 @@ const (
 	shipInterval  = 25 * time.Millisecond
 )
 
-func newShipper(interval time.Duration) *shipper {
-	if interval <= 0 {
-		interval = shipInterval
-	}
-	return &shipper{ch: make(chan shipItem, shipQueueSize), interval: interval}
-}
-
-// offer enqueues v for the node at addr, dropping (and counting) when
+// offer enqueues rec for the node at addr, dropping (and counting) when
 // the queue is full.
-func (s *shipper) offer(addr string, v core.Verdict) bool {
+func (s *shipper) offer(addr string, rec vstore.Record) {
 	select {
-	case s.ch <- shipItem{addr: addr, v: v}:
-		return true
+	case s.ch <- shipItem{addr: addr, rec: rec}:
 	default:
 		s.dropped.Add(1)
-		return false
 	}
 }
 
 // run flushes on a ticker until ctx is cancelled.
 func (s *shipper) run(ctx context.Context) {
-	t := time.NewTicker(s.interval)
+	t := time.NewTicker(shipInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -70,42 +61,30 @@ func (s *shipper) run(ctx context.Context) {
 }
 
 func (s *shipper) flush(ctx context.Context) {
-	var perTarget map[string][]api.DetectResponse
-drain:
-	for n := 0; n < shipQueueSize; n++ {
-		select {
-		case it := <-s.ch:
-			if perTarget == nil {
-				perTarget = make(map[string][]api.DetectResponse)
-			}
-			perTarget[it.addr] = append(perTarget[it.addr], api.DetectResponse{Verdict: it.v, Flagged: it.v.Flagged()})
-		default:
-			break drain
-		}
+	perTarget := make(map[string][]vstore.Record)
+	for n := 0; n < shipQueueSize && len(s.ch) > 0; n++ { // flush is the one receiver
+		it := <-s.ch
+		perTarget[it.addr] = append(perTarget[it.addr], it.rec)
 	}
-	for addr, resps := range perTarget {
-		for len(resps) > 0 {
-			n := min(len(resps), shipBatchMax)
-			s.send(ctx, addr, resps[:n])
-			resps = resps[n:]
+	for addr, recs := range perTarget {
+		for len(recs) > 0 {
+			n := min(len(recs), shipBatchMax)
+			s.send(ctx, addr, recs[:n])
+			recs = recs[n:]
 		}
 	}
 }
 
-// send posts one batch in the replicate body format: a BatchResponse
-// (the same append codec the client-facing wire path uses), of which
-// the receiver reads only Results.
-func (s *shipper) send(ctx context.Context, addr string, resps []api.DetectResponse) {
-	br := api.BatchResponse{Count: len(resps), Results: resps}
-	for i := range resps {
-		if resps[i].Flagged {
-			br.Flagged++
+// send posts one batch in the replicate body format: the records'
+// frames, back to back.
+func (s *shipper) send(ctx context.Context, addr string, recs []vstore.Record) {
+	var body []byte
+	for _, rec := range recs {
+		var err error
+		if body, err = vstore.AppendFrame(body, rec.Seq, rec.Verdict); err != nil {
+			s.errs.Add(1)
+			return
 		}
-	}
-	body, err := api.AppendBatchResponse(nil, &br)
-	if err != nil {
-		s.errs.Add(1)
-		return
 	}
 	rep, err := callWithin(ctx, 2*time.Second, http.MethodPost, addr, replicatePath, body)
 	if err != nil {
@@ -118,5 +97,5 @@ func (s *shipper) send(ctx context.Context, addr string, resps []api.DetectRespo
 		s.errs.Add(1)
 		return
 	}
-	s.out.Add(uint64(len(resps)))
+	s.out.Add(uint64(len(recs)))
 }

@@ -141,6 +141,33 @@ func scan(r io.Reader, off int64, fn func(end int64, payload []byte) error) (int
 	}
 }
 
+// ReadFrames calls fn with each payload of data, a run of whole frames
+// received from another process rather than read back from a file.
+// Nothing there was torn by a crash, so where Replay stops cleanly,
+// ReadFrames fails: on a bad length, a CRC mismatch, a frame cut short
+// or bytes after the last frame. Payloads alias data.
+func ReadFrames(data []byte, fn func(payload []byte) error) error {
+	for off := 0; off < len(data); {
+		rest := data[off:]
+		if len(rest) < FrameHeader {
+			return fmt.Errorf("framelog: %d trailing bytes at offset %d", len(rest), off)
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		if n == 0 || n > MaxFrame || int(n) > len(rest)-FrameHeader {
+			return fmt.Errorf("framelog: frame at offset %d: length %d, %d bytes left", off, n, len(rest)-FrameHeader)
+		}
+		payload := rest[FrameHeader : FrameHeader+n]
+		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:]) {
+			return fmt.Errorf("framelog: frame at offset %d: checksum mismatch", off)
+		}
+		if err := fn(payload); err != nil {
+			return err
+		}
+		off += FrameHeader + int(n)
+	}
+	return nil
+}
+
 // readErr maps running out of bytes to a clean stop.
 func readErr(err error) error {
 	if err == io.EOF || err == io.ErrUnexpectedEOF {

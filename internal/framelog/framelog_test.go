@@ -253,3 +253,41 @@ func TestReplaceFile(t *testing.T) {
 		t.Fatalf("replace left %q, want the new content", got)
 	}
 }
+
+// TestReadFramesRefusesWhatReplayStopsAt: the defects a crash leaves at
+// a file's tail, which Replay stops at cleanly, are errors in frames
+// another process sent — and a whole run reads back every payload.
+func TestReadFramesRefusesWhatReplayStopsAt(t *testing.T) {
+	var data []byte
+	for _, p := range []string{"one", "two", "three"} {
+		data = AppendFrame(data, []byte(p))
+	}
+	var got []string
+	if err := ReadFrames(data, func(p []byte) error { got = append(got, string(p)); return nil }); err != nil || fmt.Sprint(got) != "[one two three]" {
+		t.Fatalf("ReadFrames = %v, %v; want [one two three]", got, err)
+	}
+	if err := ReadFrames(nil, nil); err != nil {
+		t.Fatalf("an empty run: %v", err)
+	}
+	badCRC := append([]byte(nil), data...)
+	badCRC[len(badCRC)-1] ^= 1
+	zeroLen := AppendFrame(nil, []byte("x"))
+	zeroLen[0] = 0
+	for name, bad := range map[string][]byte{
+		"a CRC mismatch":          badCRC,
+		"a frame cut short":       data[:len(data)-1],
+		"a header cut short":      append(append([]byte(nil), data...), 1, 0, 0),
+		"a byte after the frames": append(append([]byte(nil), data...), 0),
+		"a zero length":           zeroLen,
+	} {
+		n := 0
+		err := ReadFrames(bad, func([]byte) error { n++; return nil })
+		if err == nil {
+			t.Errorf("%s: accepted after %d payloads", name, n)
+		}
+	}
+	stop := errors.New("stop")
+	if err := ReadFrames(data, func([]byte) error { return stop }); err != stop {
+		t.Fatalf("fn's error: got %v", err)
+	}
+}

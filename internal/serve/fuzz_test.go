@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"idnlab/internal/api"
 	"idnlab/internal/core"
 )
 
@@ -28,7 +29,7 @@ func FuzzDecodeDetect(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte("{\"domain\":\"\xff\xfe.com\"}"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeDetectRequest(bytes.NewReader(data))
+		req, err := api.DecodeDetect(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input is fine; panicking is not
 		}
@@ -63,7 +64,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(`{"domains":["a.com","b.com","c.com"]}`))
 	f.Add([]byte(`{"domain":"a.com"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeBatchRequest(bytes.NewReader(data), 2)
+		req, err := api.DecodeBatch(bytes.NewReader(data), 2)
 		if err != nil {
 			return
 		}

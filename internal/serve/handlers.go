@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -16,40 +15,10 @@ import (
 	"idnlab/internal/version"
 )
 
-// The wire format lives in internal/api so the cluster gateway speaks
-// byte-identical request/response bodies (same strict decoder, same
-// error taxonomy). The aliases below keep the serving layer's internals
-// and tests reading naturally.
-
-type (
-	detectRequest  = api.DetectRequest
-	batchRequest   = api.BatchRequest
-	detectResponse = api.DetectResponse
-	batchResponse  = api.BatchResponse
-	errorResponse  = api.ErrorResponse
-)
-
-var (
-	errMalformed     = api.ErrMalformed
-	errTooLarge      = api.ErrTooLarge
-	errBatchTooLarge = api.ErrBatchTooLarge
-)
-
-// decodeDetectRequest and decodeBatchRequest are the fuzz-harness entry
-// points (FuzzDecodeDetect / FuzzDecodeBatch drive them with arbitrary
-// bytes); they delegate to the shared strict decoder.
-func decodeDetectRequest(r io.Reader) (detectRequest, error) {
-	return api.DecodeDetect(r)
-}
-
-func decodeBatchRequest(r io.Reader, maxBatch int) (batchRequest, error) {
-	return api.DecodeBatch(r, maxBatch)
-}
-
 // Handler returns the service's HTTP mux:
 //
-//	POST /v1/detect        {"domain":"..."}            → detectResponse
-//	POST /v1/detect/batch  {"domains":["...",...]}     → batchResponse
+//	POST /v1/detect        {"domain":"..."}            → api.DetectResponse
+//	POST /v1/detect/batch  {"domains":["...",...]}     → api.BatchResponse
 //	GET  /healthz                                      → liveness: ok | draining
 //	GET  /readyz                                       → readiness: warm + admission headroom
 //	GET  /clusterz                                     → peer-mode membership view
@@ -80,37 +49,35 @@ func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) { api.WriteJSON(w, code, v) }
-
 // writeError maps the error taxonomy to status codes: decode errors are
 // 400/413, admission saturation is 429 + Retry-After, deadline blowouts
 // are 503.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, errBatchTooLarge), errors.Is(err, errTooLarge):
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error()})
-	case errors.Is(err, errMalformed):
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	case errors.Is(err, api.ErrBatchTooLarge), errors.Is(err, api.ErrTooLarge):
+		api.WriteJSON(w, http.StatusRequestEntityTooLarge, api.ErrorResponse{Error: err.Error()})
+	case errors.Is(err, api.ErrMalformed):
+		api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: err.Error()})
 	case errors.Is(err, ErrSaturated):
 		w.Header().Set("Retry-After", strconv.Itoa(s.adm.RetryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+		api.WriteJSON(w, http.StatusTooManyRequests, api.ErrorResponse{Error: err.Error()})
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "deadline exceeded"})
+		api.WriteJSON(w, http.StatusServiceUnavailable, api.ErrorResponse{Error: "deadline exceeded"})
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		api.WriteJSON(w, http.StatusInternalServerError, api.ErrorResponse{Error: err.Error()})
 	}
 }
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	s.metrics.single.Add(1)
-	req, err := decodeDetectRequest(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
+	req, err := api.DecodeDetect(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	n, err := core.Normalize(req.Domain)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
+		api.WriteJSON(w, http.StatusBadRequest, api.ErrorResponse{
 			Error: fmt.Sprintf("invalid domain %q: %v", req.Domain, err),
 		})
 		return
@@ -127,13 +94,13 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// Response writing goes through the append codec (byte-identical to
 	// the stdlib encoder, zero allocations): at cluster QPS the worker's
 	// response marshal was its largest per-request allocation.
-	resp := detectResponse{Verdict: v, Flagged: v.Flagged(), Cached: cached}
+	resp := api.DetectResponse{Verdict: v, Flagged: v.Flagged(), Cached: cached}
 	api.WriteDetect(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batch.Add(1)
-	req, err := decodeBatchRequest(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), api.MaxBatch)
+	req, err := api.DecodeBatch(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), api.MaxBatch)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -146,7 +113,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	resp := batchResponse{Count: len(req.Domains), Results: make([]detectResponse, 0, len(req.Domains))}
+	resp := api.BatchResponse{Count: len(req.Domains), Results: make([]api.DetectResponse, 0, len(req.Domains))}
 	err = s.batchEng.Stream(r.Context(), pipeline.FromSlice(req.Domains), func(e batchEntry) error {
 		if e.resp.Flagged {
 			resp.Flagged++
@@ -168,7 +135,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	api.WriteJSON(w, code, map[string]any{
 		"status": status, "node": s.nodeID(), "version": version.Version,
 	})
 }
@@ -194,21 +161,21 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		st := p.Status()
 		body["cluster"] = map[string]any{"joined": st.Joined, "epoch": st.View.Epoch}
 	}
-	writeJSON(w, code, body)
+	api.WriteJSON(w, code, body)
 }
 
 // handleClusterz reports the worker's view of cluster membership (peer
 // mode) or its standalone status.
 func (s *Server) handleClusterz(w http.ResponseWriter, r *http.Request) {
 	if p := s.peer.Load(); p != nil {
-		writeJSON(w, http.StatusOK, p.Status())
+		api.WriteJSON(w, http.StatusOK, p.Status())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"mode": "standalone", "node": s.cfg.NodeID, "version": version.Version,
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Snapshot())
+	api.WriteJSON(w, http.StatusOK, s.Snapshot())
 }

@@ -18,10 +18,6 @@ import (
 // pressure. Everything is atomics — /metrics is safe (and cheap) to
 // scrape during full load.
 
-// LatencyStats aliases the shared histogram's wire form so existing
-// consumers of the serve API keep compiling.
-type LatencyStats = metricsutil.LatencyStats
-
 // serverMetrics aggregates the server's live counters.
 type serverMetrics struct {
 	start time.Time
@@ -34,10 +30,6 @@ type serverMetrics struct {
 	status cluster.StatusCounts
 
 	latency metricsutil.Histogram
-}
-
-func newServerMetrics() *serverMetrics {
-	return &serverMetrics{start: time.Now()}
 }
 
 // RequestStats is the request-counter wire form.
@@ -69,15 +61,15 @@ type IndexStats struct {
 
 // MetricsSnapshot is the full /metrics payload.
 type MetricsSnapshot struct {
-	Node          string               `json:"node"`
-	Version       string               `json:"version"`
-	UptimeSeconds float64              `json:"uptimeSeconds"`
-	Requests      RequestStats         `json:"requests"`
-	Latency       LatencyStats         `json:"latency"`
-	Cache         CacheStats           `json:"cache"`
-	Admission     AdmissionStats       `json:"admission"`
-	BatchEngine   pipeline.MetricsJSON `json:"batchEngine"`
-	Index         IndexStats           `json:"index"`
+	Node          string                   `json:"node"`
+	Version       string                   `json:"version"`
+	UptimeSeconds float64                  `json:"uptimeSeconds"`
+	Requests      RequestStats             `json:"requests"`
+	Latency       metricsutil.LatencyStats `json:"latency"`
+	Cache         CacheStats               `json:"cache"`
+	Admission     AdmissionStats           `json:"admission"`
+	BatchEngine   pipeline.MetricsJSON     `json:"batchEngine"`
+	Index         IndexStats               `json:"index"`
 	// Detector aggregates the detector family's shared counters across
 	// every clone: bounded-rescore early exits and — with a statistical
 	// model loaded — the learned prefilter's pass/shed split.

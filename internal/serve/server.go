@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"idnlab/internal/api"
 	"idnlab/internal/candidx"
 	"idnlab/internal/cluster"
 	"idnlab/internal/core"
@@ -163,7 +164,7 @@ type Server struct {
 
 // batchEntry is one batch item's response, produced inside the engine.
 type batchEntry struct {
-	resp detectResponse
+	resp api.DetectResponse
 	ok   bool
 }
 
@@ -177,7 +178,7 @@ func NewServer(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   NewVerdictCache(cfg.CacheSize, cfg.CacheShards),
 		adm:     NewAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueWait),
-		metrics: newServerMetrics(),
+		metrics: &serverMetrics{start: time.Now()},
 		proto:   core.NewClassifier(dcfg),
 		pool:    make(chan *core.Classifier, cfg.MaxInflight),
 		warmed:  make(chan struct{}),
@@ -277,20 +278,20 @@ func (s *Server) verdict(ctx context.Context, n core.NormalizedDomain) (core.Ver
 // classifyRaw is the batch engine's unit of work: normalize once, then
 // cache → detector. Batch items bypass admission (the batch request
 // already holds a slot; fan-out width is bounded by the engine).
-func (s *Server) classifyRaw(c *core.Classifier, raw string) detectResponse {
+func (s *Server) classifyRaw(c *core.Classifier, raw string) api.DetectResponse {
 	n, err := core.Normalize(raw)
 	if err != nil {
-		return detectResponse{Input: raw, Error: err.Error()}
+		return api.DetectResponse{Input: raw, Error: err.Error()}
 	}
 	v, cached, err := s.cache.Do(n.ACE, func() (core.Verdict, error) { return c.Verdict(n), nil })
 	if err != nil { // unreachable: compute cannot fail
-		return detectResponse{Input: raw, Error: err.Error()}
+		return api.DetectResponse{Input: raw, Error: err.Error()}
 	}
 	s.metrics.labels.Add(1)
 	if v.Flagged() {
 		s.metrics.flagged.Add(1)
 	}
-	return detectResponse{Verdict: v, Flagged: v.Flagged(), Cached: cached}
+	return api.DetectResponse{Verdict: v, Flagged: v.Flagged(), Cached: cached}
 }
 
 // Draining reports whether the server has begun graceful shutdown.

@@ -49,8 +49,7 @@ func (s *Server) attachStore() {
 		s.cache.Put(r.Verdict.Domain, r.Verdict)
 	}
 	s.cache.SetWriteThrough(func(key string, v core.Verdict) {
-		s.store.Append(v)
-		s.replica.Offer(v)
+		s.replica.Offer(s.store.Append(v), v)
 	})
 }
 

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -10,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"idnlab/internal/api"
 	"idnlab/internal/core"
 	"idnlab/internal/vstore"
 )
@@ -166,15 +167,13 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 	// Replication ingest: one new verdict accepted, the duplicate of an
 	// already-warm key deduplicated (that dedup is what stops replication
 	// loops from growing the log without bound).
-	br := api.BatchResponse{Count: 2, Results: []api.DetectResponse{
-		{Verdict: vd("warm.example")},
-		{Verdict: vd("repl-1.example")},
-	}}
-	frame, err := api.AppendBatchResponse(nil, &br)
-	if err != nil {
-		t.Fatal(err)
+	var frames []byte
+	for i, d := range []string{"warm.example", "repl-1.example"} {
+		if frames, err = vstore.AppendFrame(frames, uint64(i+1), vd(d)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/store/replicate", string(frame))
+	resp, body = postJSON(t, ts.URL+"/v1/store/replicate", string(frames))
 	if resp.StatusCode != 200 || !strings.Contains(body, `"accepted":1`) {
 		t.Fatalf("replicate: %d %q", resp.StatusCode, body)
 	}
@@ -195,29 +194,27 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sr struct {
-			Durable uint64 `json:"durable"`
-			More    bool   `json:"more"`
-			Records []struct {
-				Seq     uint64       `json:"seq"`
-				Verdict core.Verdict `json:"verdict"`
-			} `json:"records"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&sr)
+		// The body: u64le durable | u8 more | the page's record frames.
+		page, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil || len(page) < 9 {
+			t.Fatalf("since page: %d bytes, %v", len(page), err)
+		}
+		durable, more := binary.LittleEndian.Uint64(page), page[8] == 1
+		recs, err := vstore.DecodeFrames(page[9:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range sr.Records {
+		for _, r := range recs {
 			if r.Seq <= after {
 				t.Fatalf("since stream not ascending: seq %d after cursor %d", r.Seq, after)
 			}
 			after = r.Seq
 			streamed++
 		}
-		if !sr.More {
-			if sr.Durable != want {
-				t.Fatalf("final page durable %d, want %d", sr.Durable, want)
+		if !more {
+			if durable != want {
+				t.Fatalf("final page durable %d, want %d", durable, want)
 			}
 			break
 		}

@@ -2,6 +2,7 @@ package vstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,10 +17,10 @@ import (
 //
 //  1. rotates the active log (new file, baseSeq = current seq) so the
 //     append path never stalls behind the merge;
-//  2. merges the current snapshot and the logs the rotation closed with
-//     the rule Open applies: the key index (Store.keys, built by Open
-//     and extended by Append) names each key's latest seq, and the frame
-//     carrying it is copied raw — nothing is decoded;
+//  2. walks the current snapshot and the logs the rotation closed under
+//     the rule Open applies (walk): the key index (Store.keys, built by
+//     Open and extended by Append) names each key's latest seq, and the
+//     frame carrying it is copied raw — nothing is decoded;
 //  3. writes snapshot.vsnap.tmp, fsyncs, and renames it over the old
 //     snapshot (atomic cutover: a crash at any byte leaves either the
 //     old complete snapshot or the new complete one);
@@ -131,18 +132,17 @@ func (s *Store) rotateLocked(path string) error {
 }
 
 // writeSnapshot atomically replaces the snapshot with the frames of the
-// live seqs (ascending), copied from the current snapshot and the
-// covered logs in one pass — their frames ascend too (see Open). A live
-// seq the pass does not meet is an error, and the old snapshot stays.
+// live seqs (ascending) that the walk of the current snapshot and the
+// covered logs meets. A live seq it misses is an error, and the old
+// snapshot stays.
 func (s *Store) writeSnapshot(live []uint64, watermark uint64, covered []string) error {
-	path := filepath.Join(s.cfg.Dir, snapName)
-	return framelog.ReplaceFile(path, s.opt, func(w io.Writer) error {
+	return framelog.ReplaceFile(filepath.Join(s.cfg.Dir, snapName), s.opt, func(w io.Writer) error {
 		buf := make([]byte, snapHeaderSize, 1<<20)
 		copy(buf, snapMagic)
 		binary.LittleEndian.PutUint64(buf[8:], watermark)
 		binary.LittleEndian.PutUint32(buf[16:], uint32(len(live)))
-		keep := func(_ int64, payload []byte) error {
-			if len(live) == 0 || len(payload) < 8 || binary.LittleEndian.Uint64(payload) != live[0] {
+		err := s.walk(true, covered, -1, func(seq uint64, payload []byte) error {
+			if len(live) == 0 || seq != live[0] {
 				return nil
 			}
 			live = live[1:]
@@ -153,102 +153,90 @@ func (s *Store) writeSnapshot(live []uint64, watermark uint64, covered []string)
 			_, err := w.Write(buf)
 			buf = buf[:0]
 			return err
-		}
-		if _, _, err := framelog.Replay(path, snapMagic, snapHeaderSize, 0, -1, keep); err != nil && !os.IsNotExist(err) {
+		})
+		if err != nil {
 			return err
-		}
-		for _, p := range covered {
-			if _, _, err := framelog.Replay(p, logMagic, logHeaderSize, 0, -1, keep); err != nil {
-				return err
-			}
 		}
 		if len(live) > 0 {
 			return fmt.Errorf("vstore: compaction: seq %d is in none of the files it merges", live[0])
 		}
-		_, err := w.Write(buf)
+		_, err = w.Write(buf)
 		return err
 	})
 }
 
-// loadSnapshot hands fn the records of a snapshot file and returns its
-// watermark and record count. A missing file is an empty store; anything
-// structurally wrong is an error — the atomic cutover means a torn
-// snapshot cannot be left by a crash, only by real corruption, and
-// serving silently from half a snapshot would be data loss.
-func loadSnapshot(path string, fn func(Record) error) (uint64, int, error) {
-	n := 0
-	hdr, err := scanRecords(path, snapMagic, snapHeaderSize, -1, func(r Record) error {
-		n++
-		return fn(r)
-	})
-	if os.IsNotExist(err) {
-		return 0, 0, nil
+// errStop is what a walk callback returns to end the walk early.
+var errStop = errors.New("vstore: walk stopped")
+
+// walk is the one reader of the store's files after Open. It hands fn
+// each record's raw payload (valid during the call) and seq, its first 8
+// bytes, ascending as Open reads them: the snapshot's records if snap,
+// then log records above its watermark and the last seq handed out. The
+// last of logs is read up to limit bytes (< 0: all of it), the active
+// log's durable size. fn's error ends the walk and is returned.
+func (s *Store) walk(snap bool, logs []string, limit int64, fn func(seq uint64, payload []byte) error) error {
+	var lo uint64
+	visit := func(_ int64, payload []byte) error {
+		if len(payload) < 9 {
+			return fmt.Errorf("vstore: record payload %d bytes, want >= 9", len(payload))
+		}
+		seq := binary.LittleEndian.Uint64(payload)
+		if seq <= lo {
+			return nil
+		}
+		lo = seq
+		return fn(seq, payload)
 	}
-	if err != nil {
-		return 0, 0, err
+	if snap {
+		hdr, _, err := framelog.Replay(filepath.Join(s.cfg.Dir, snapName), snapMagic, snapHeaderSize, 0, -1, visit)
+		if err == nil {
+			lo = max(lo, binary.LittleEndian.Uint64(hdr[8:]))
+		} else if !os.IsNotExist(err) {
+			return err
+		}
 	}
-	if count := binary.LittleEndian.Uint32(hdr[16:]); n != int(count) {
-		return 0, 0, fmt.Errorf("vstore: %s: %d records, header says %d (truncated snapshot)", path, n, count)
+	for i, p := range logs {
+		lim := int64(-1)
+		if i == len(logs)-1 {
+			lim = limit
+		}
+		if _, _, err := framelog.Replay(p, logMagic, logHeaderSize, 0, lim, visit); err != nil {
+			return err
+		}
 	}
-	return binary.LittleEndian.Uint64(hdr[8:]), n, nil
+	return nil
 }
 
-// scanRecords reads the records of a snapshot or log file, bounded to
-// limit bytes when limit >= 0 (the active log's durable size — bytes
-// past it may be a commit in flight), and returns the file's header.
-// Torn tails stop the scan cleanly.
-func scanRecords(path, magic string, headerSize int, limit int64, fn func(Record) error) ([]byte, error) {
-	hdr, _, err := framelog.Replay(path, magic, headerSize, 0, limit, eachRecord(path, fn))
-	return hdr, err
-}
-
-// Since returns up to max records with sequence numbers in
-// (after, durable], ascending — the anti-entropy suffix a rejoining
-// peer streams to converge. durable is the store's current durable
-// watermark: when more is false the caller may advance its cursor to it
-// directly. Only durable bytes of the active log are scanned, so a
-// record is never handed out before it would survive a crash. The files
-// are read in the order Open reads them and under its rule, so records
-// come out ascending and each sequence number once.
-func (s *Store) Since(after uint64, max int) (recs []Record, durable uint64, more bool, err error) {
-	if max <= 0 {
-		max = 1024
-	}
+// Since appends to dst the frames of up to max (>= 1) records with
+// sequence numbers in (after, durable], ascending and byte for byte as
+// the store's files hold them: the anti-entropy suffix a rejoining peer
+// streams. When more is false the caller may advance its cursor to
+// durable directly. Only durable bytes are read, so no record is handed
+// out before it would survive a crash; no verdict is decoded, and the
+// walk stops at the first record past the page.
+func (s *Store) Since(dst []byte, after uint64, max int) (frames []byte, durable uint64, more bool, err error) {
 	s.mu.Lock()
 	active := s.log.Stats()
 	durable = s.logStart + active.Durable
-	snapSeq := s.snapSeq
-	activePath := s.logPath
-	old := append([]string(nil), s.oldLogs...)
+	snap := s.snapSeq > after // a snapshot at or below after holds nothing to stream
+	logs := append(append([]string(nil), s.oldLogs...), s.logPath)
 	s.mu.Unlock()
 	if after >= durable {
-		return nil, durable, false, nil
+		return dst, durable, false, nil
 	}
-
-	lo := after // records at or below lo are not streamed
-	collect := func(r Record) error {
-		if r.Seq > lo && r.Seq <= durable {
-			recs = append(recs, r)
+	err = s.walk(snap, logs, active.Size, func(seq uint64, payload []byte) error {
+		if seq <= after {
+			return nil
 		}
+		if more = max == 0; more {
+			return errStop
+		}
+		max--
+		dst = framelog.AppendFrame(dst, payload)
 		return nil
+	})
+	if errors.Is(err, errStop) {
+		err = nil
 	}
-	if snapSeq > after {
-		watermark, _, err := loadSnapshot(filepath.Join(s.cfg.Dir, snapName), collect)
-		if err != nil {
-			return nil, durable, false, err
-		}
-		lo = watermark
-	}
-	for _, p := range old {
-		if _, err := scanRecords(p, logMagic, logHeaderSize, -1, collect); err != nil {
-			return nil, durable, false, err
-		}
-	}
-	if _, err := scanRecords(activePath, logMagic, logHeaderSize, active.Size, collect); err != nil {
-		return nil, durable, false, err
-	}
-	if len(recs) > max {
-		recs, more = recs[:max], true
-	}
-	return recs, durable, more, nil
+	return dst, durable, more, err
 }

@@ -74,10 +74,11 @@ func Open(cfg Config) (*Store, error) {
 		os.Remove(t)
 	}
 
-	// The rule Open, Since and compaction share: log records at or below
-	// the snapshot's watermark are the snapshot's (a crash can leave the
-	// logs it covers on disk), and the rest ascend strictly, so the last
-	// record seen for a key is its latest. Anything else is corruption.
+	// The rule Open and walk (Since, compaction) share: log records at or
+	// below the snapshot's watermark are the snapshot's (a crash can leave
+	// the logs it covers on disk), and the rest ascend strictly, so the
+	// last record seen for a key is its latest. Anything else is
+	// corruption.
 	var recs []Record
 	s.keys = make(map[string]uint64)
 	add := func(r Record) error {
@@ -88,12 +89,24 @@ func Open(cfg Config) (*Store, error) {
 		s.keys[r.Verdict.Domain] = r.Seq
 		return nil
 	}
-	snapSeq, snapCount, err := loadSnapshot(filepath.Join(cfg.Dir, snapName), add)
-	if err != nil {
+	// A missing snapshot is an empty store. A short one is corruption: the
+	// atomic cutover means a crash cannot tear it, and serving silently
+	// from half a snapshot would be data loss.
+	snapPath := filepath.Join(cfg.Dir, snapName)
+	hdr, _, err := framelog.Replay(snapPath, snapMagic, snapHeaderSize, 0, -1, eachRecord(snapPath, func(r Record) error {
+		s.snapCount++
+		return add(r)
+	}))
+	switch {
+	case err == nil:
+		if count := binary.LittleEndian.Uint32(hdr[16:]); s.snapCount != int(count) {
+			return nil, fmt.Errorf("vstore: %s: %d records, header says %d (truncated snapshot)", snapPath, s.snapCount, count)
+		}
+		s.snapSeq = binary.LittleEndian.Uint64(hdr[8:])
+	case !os.IsNotExist(err):
 		return nil, err
 	}
-	s.snapSeq, s.snapCount = snapSeq, snapCount
-	maxSeq := snapSeq
+	snapSeq, maxSeq := s.snapSeq, s.snapSeq
 
 	logs, err := listLogs(cfg.Dir)
 	if err != nil {

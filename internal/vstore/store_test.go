@@ -22,6 +22,16 @@ func testVerdict(i, v int) core.Verdict {
 	}
 }
 
+// since is Store.Since with its page decoded the way a peer decodes it.
+func since(s *Store, after uint64, max int) ([]Record, uint64, bool, error) {
+	frames, durable, more, err := s.Since(nil, after, max)
+	if err != nil {
+		return nil, durable, more, err
+	}
+	recs, err := DecodeFrames(frames)
+	return recs, durable, more, err
+}
+
 func openTest(t *testing.T, dir string, compact int64) *Store {
 	t.Helper()
 	s, err := Open(Config{Dir: dir, CompactBytes: compact, NoFsync: true})
@@ -143,7 +153,7 @@ func TestCompactionCutoverAndSince(t *testing.T) {
 	}
 
 	// Since must stitch snapshot + active log into one ascending stream.
-	recs, durable, more, err := s.Since(0, 0)
+	recs, durable, more, err := since(s, 0, 2*n)
 	if err != nil {
 		t.Fatalf("Since: %v", err)
 	}
@@ -160,7 +170,7 @@ func TestCompactionCutoverAndSince(t *testing.T) {
 	var paged []Record
 	var after uint64
 	for {
-		recs, durable, more, err := s.Since(after, 7)
+		recs, durable, more, err := since(s, after, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +188,7 @@ func TestCompactionCutoverAndSince(t *testing.T) {
 	}
 
 	// A caught-up cursor gets an empty page.
-	recs, _, more, err = s.Since(2*n, 0)
+	recs, _, more, err = since(s, 2*n, 1)
 	if err != nil || len(recs) != 0 || more {
 		t.Fatalf("caught-up Since: %d recs, more %v, err %v", len(recs), more, err)
 	}
@@ -249,7 +259,7 @@ func TestSinceAfterCrashBeforeLogRemoval(t *testing.T) {
 			t.Fatalf("Has(key %d) false after reopen", i)
 		}
 	}
-	recs, _, more, err := r.Since(0, 1000)
+	recs, _, more, err := since(r, 0, 1000)
 	if err != nil || more {
 		t.Fatalf("Since: more %v, err %v", more, err)
 	}
@@ -296,7 +306,7 @@ func TestConcurrentAppendersAndSince(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	recs, durable, _, err := s.Since(0, goroutines*per)
+	recs, durable, _, err := since(s, 0, goroutines*per)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +369,7 @@ func TestConcurrentAppendersAcrossCompaction(t *testing.T) {
 	if st.DurableSeq != goroutines*per || st.Commits == 0 {
 		t.Fatalf("after rotation: %+v", st)
 	}
-	recs, durable, _, err := s.Since(0, goroutines*per)
+	recs, durable, _, err := since(s, 0, goroutines*per)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,9 @@
 // files"); this package owns what the bytes mean. A frame payload is a
 // u64le sequence number followed by the verdict encoded as an
 // api.DetectResponse via the zero-alloc append codec — byte-identical
-// to the wire form the worker serves, so one codec covers serving,
-// replication and durability.
+// to the wire form the worker serves. Replication and anti-entropy
+// bodies are runs of these same frames (AppendFrame, Since,
+// DecodeFrames): one codec for serving, replication and durability.
 //
 // Sequence numbers are per-store, monotone, and assigned at Append.
 // They order recovery (latest seq per key wins) and key the
@@ -37,6 +38,7 @@ import (
 
 	"idnlab/internal/api"
 	"idnlab/internal/core"
+	"idnlab/internal/framelog"
 )
 
 const (
@@ -102,15 +104,42 @@ func appendRecord(dst []byte, seq uint64, v core.Verdict) ([]byte, error) {
 	return api.AppendDetectResponse(dst, &resp)
 }
 
-// decodeRecord parses a frame payload produced by appendRecord.
+// decodeRecord parses a frame payload produced by appendRecord. A
+// response that carries an error is not a verdict, and is refused.
 func decodeRecord(payload []byte) (Record, error) {
 	if len(payload) < 9 {
 		return Record{}, fmt.Errorf("vstore: record payload %d bytes, want >= 9", len(payload))
 	}
 	seq := binary.LittleEndian.Uint64(payload)
 	resp, err := api.DecodeDetectResponseBytes(payload[8:])
+	if err == nil && resp.Error != "" {
+		err = fmt.Errorf("error response %q", resp.Error)
+	}
 	if err != nil {
 		return Record{}, fmt.Errorf("vstore: record seq %d: %w", seq, err)
 	}
 	return Record{Seq: seq, Verdict: resp.Verdict}, nil
+}
+
+// AppendFrame appends record (seq, v) to dst as the frame the store's
+// files hold for it: the unit both node-to-node store bodies carry.
+func AppendFrame(dst []byte, seq uint64, v core.Verdict) ([]byte, error) {
+	payload, err := appendRecord(nil, seq, v)
+	if err != nil {
+		return dst, err
+	}
+	return framelog.AppendFrame(dst, payload), nil
+}
+
+// DecodeFrames decodes a run of record frames from another node
+// (AppendFrame, Since). A frame that fails its CRC or is cut short,
+// bytes after the last frame and a payload that is not a record each
+// refuse the whole body: on an error, recs must not be used.
+func DecodeFrames(body []byte) (recs []Record, err error) {
+	err = framelog.ReadFrames(body, func(payload []byte) error {
+		r, err := decodeRecord(payload)
+		recs = append(recs, r)
+		return err
+	})
+	return recs, err
 }
