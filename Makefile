@@ -38,14 +38,8 @@ bench-check:
 	$(GO) test -C bench ./...
 	$(GO) run -C bench ./e2e -smoke
 
-# The absolute throughput floors of the micro-benchmarks: index
-# lookups/s, top-1000 index builds/s (BenchmarkIndexBuild, what every
-# detector given no index file pays once at start), watch deltas/s
-# (BenchmarkWatchMatch1M), delta parse MB/s
-# (BenchmarkDeltaParse), start-up subscriptions/s (BenchmarkSubscribe1M),
-# stat classifications/s, store recovery entries/s, store compaction
-# records/s, anti-entropy since records/s (BenchmarkVstoreSince),
-# universe-generator domains/s. The table is in cmd/benchgate.
+# The absolute throughput floors of the micro-benchmarks. The one list
+# of them (benchmark, floor, reason) is the gates table in cmd/benchgate.
 bench-gates:
 	$(GO) run ./cmd/benchgate $(BENCHTIME)
 

@@ -191,7 +191,7 @@ func (a *analyzer) deriveIxFold() {
 		}
 		for _, ctx := range contexts {
 			m := len(ctx.s)
-			rt := ssim.Precompute(a.re.RenderWidth(string(ctx.s), m*glyph.CellWidth))
+			rt := a.refTable(string(ctx.s), m)
 			n := float64(windowCount(m))
 			cellX := ctx.pos * glyph.CellWidth
 			for _, g := range a.geo.Of(cur, baseRunes) {
@@ -292,11 +292,21 @@ func pad(b byte) rune {
 	return rune(b)
 }
 
+// refTable renders s, m cells wide, as an SSIM reference. The analyzer's
+// contexts are a few cells, far inside the kernel's size bound.
+func (a *analyzer) refTable(s string, m int) *ssim.RefTable {
+	rt, err := ssim.Precompute(a.re.RenderWidth(s, m*glyph.CellWidth))
+	if err != nil {
+		panic("candidx: " + err.Error())
+	}
+	return rt
+}
+
 // minOffRawAt renders s, then measures every off-family substitution of
 // the repertoire at cell pos (whose base is cur) and returns the minimum
 // raw deficit. m is the cell count of s.
 func (a *analyzer) minOffRawAt(s string, pos int, cur byte, m int) float64 {
-	rt := ssim.Precompute(a.re.RenderWidth(s, m*glyph.CellWidth))
+	rt := a.refTable(s, m)
 	n := float64(windowCount(m))
 	cellX := pos * glyph.CellWidth
 	best := n // upper bound: every window zeroed
@@ -332,7 +342,7 @@ func (a *analyzer) blankRaw(prev, cur byte) float64 {
 	}
 	s := []rune{'o', 'o', pad(prev), rune(cur)}
 	m := len(s)
-	rt := ssim.Precompute(a.re.RenderWidth(string(s), m*glyph.CellWidth))
+	rt := a.refTable(string(s), m)
 	n := float64(windowCount(m))
 	g := BlankGeom(a.re, rune(cur))
 	v := 0.0

@@ -33,12 +33,9 @@ const (
 	adjFactor    = 0.85
 )
 
-// BuildOptions parameterizes Build. Zero values select the defaults.
-type BuildOptions struct {
-	// Table is the simchar derivation to expand through (default
-	// simchar.Default()).
-	Table *simchar.Table
-}
+// BuildOptions parameterizes Build. It has no fields: every build
+// expands through simchar.Default().
+type BuildOptions struct{}
 
 // Build compiles a brand catalog into a candidate index. The same
 // catalog and derivation always produce byte-identical output
@@ -52,11 +49,8 @@ type BuildOptions struct {
 // family of keys over the length-minus-one prefix. Brands where three
 // simultaneous off-family substitutions could fit the budget go on the
 // hard list and are rescored on every lookup instead.
-func Build(list []brands.Brand, opt BuildOptions) (*Index, error) {
-	table := opt.Table
-	if table == nil {
-		table = simchar.Default()
-	}
+func Build(list []brands.Brand, _ BuildOptions) (*Index, error) {
+	table := simchar.Default()
 	if len(list) > math.MaxUint16 {
 		// Entry records carry a u16 ID count, so a single key can hold at
 		// most 65535 brands; bounding the catalog at the same limit keeps

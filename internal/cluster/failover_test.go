@@ -98,25 +98,10 @@ func startCluster(t *testing.T, n int, minReady int) *testCluster {
 	}
 	cfg := cluster.GatewayConfig{
 		NodeID: "gw-test",
-		Membership: cluster.MembershipConfig{
-			HeartbeatInterval: 100 * time.Millisecond,
-			SuspectAfter:      300 * time.Millisecond,
-			DeadAfter:         2 * time.Second,
-			DeadFailStreak:    2,
-		},
-		Router: cluster.RouterConfig{
-			MaxAttempts: 3,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-			Client:      &http.Client{Transport: tr},
-		},
-		RequestTimeout: 2 * time.Second,
-		MinReady:       minReady,
-		// Generous drain budget: the whole suite runs in parallel with
-		// CPU-heavy packages, and a contended drain blowing a tight
-		// deadline fails the run as "context deadline exceeded" without
-		// any real bug.
-		DrainTimeout: 10 * time.Second,
+		// A silent worker turns suspect after 600ms and dead after 2s.
+		Membership: cluster.MembershipConfig{HeartbeatInterval: 200 * time.Millisecond},
+		Router:     cluster.RouterConfig{Client: &http.Client{Transport: tr}},
+		MinReady:   minReady,
 	}
 	tc.gw = cluster.NewGateway(cfg)
 	gwCtx, gwStop := context.WithCancel(context.Background())
@@ -468,7 +453,7 @@ func TestClusterFailover(t *testing.T) {
 	killedAt := time.Now()
 	tc.workers[0].kill()
 
-	// Failure detection: proxy-failure feedback (DeadFailStreak=2) must
+	// Failure detection: proxy-failure feedback (three failures) must
 	// demote w0 to dead well inside the heartbeat-timer window.
 	waitFor(t, 2*time.Second, "w0 demoted to dead", func() bool {
 		return tc.nodeState("w0") == "dead"

@@ -25,16 +25,15 @@ type GatewayConfig struct {
 	// Membership and Router parameterize the cluster plumbing.
 	Membership MembershipConfig
 	Router     RouterConfig
-	// RequestTimeout is the per-request deadline, covering all retries
-	// (default 2s — deliberately above the workers' 1s so a failover
-	// retry still fits).
-	RequestTimeout time.Duration
 	// MinReady is the alive-node count below which /readyz reports 503
 	// (default 1).
 	MinReady int
-	// DrainTimeout bounds graceful shutdown (default 5s).
-	DrainTimeout time.Duration
 }
+
+// requestTimeout is the gateway's per-request deadline, covering all
+// retries: deliberately above the workers' 1s so a failover retry still
+// fits.
+const requestTimeout = 2 * time.Second
 
 // scatterWorkers bounds concurrent sub-batch fan-out; the work is
 // I/O-bound, so it exceeds GOMAXPROCS deliberately.
@@ -44,14 +43,8 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.NodeID == "" {
 		c.NodeID = "gateway"
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 2 * time.Second
-	}
 	if c.MinReady <= 0 {
 		c.MinReady = 1
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
 	}
 	return c
 }
@@ -195,7 +188,7 @@ func (g *Gateway) Handler() http.Handler {
 func (g *Gateway) instrument(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 		defer cancel()
 		sw := &StatusWriter{ResponseWriter: w, Code: http.StatusOK}
 		h(sw, r.WithContext(ctx))
@@ -499,5 +492,5 @@ func (g *Gateway) Run(ctx context.Context, addr string, ready chan<- net.Addr) e
 	bg, stop := context.WithCancel(context.Background())
 	defer stop()
 	go g.mem.Run(bg)
-	return ListenAndDrain(ctx, addr, ready, g.Handler(), &g.draining, g.cfg.DrainTimeout)
+	return ListenAndDrain(ctx, addr, ready, g.Handler(), &g.draining)
 }

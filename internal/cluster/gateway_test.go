@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"idnlab/internal/api"
 	"idnlab/internal/core"
@@ -27,7 +26,7 @@ func TestFailoverSingleIsOfferedToOwner(t *testing.T) {
 	t.Run("coalesce=0s", func(t *testing.T) {
 		fake := newFakeDoer()
 		g := NewGateway(GatewayConfig{
-			Router: RouterConfig{Client: fake, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+			Router: RouterConfig{Client: fake},
 		})
 		for _, nd := range testNodes(3) {
 			g.mem.Join(nd.ID, nd.Addr)
@@ -46,21 +45,17 @@ func TestFailoverSingleIsOfferedToOwner(t *testing.T) {
 
 // TestHeartbeatingWorkerThatFailsRequests: a worker that heartbeats
 // normally but answers every detect with 500 is resurrected by each
-// heartbeat and killed again by DeadFailStreak failed attempts. Clients
+// heartbeat and killed again by deadFailStreak failed attempts. Clients
 // never see it: every request is answered 200 by the next candidate,
-// and over N heartbeats the worker sees at most DeadFailStreak × (N+1)
+// and over N heartbeats the worker sees at most deadFailStreak × (N+1)
 // detect attempts however much traffic its keys get.
 func TestHeartbeatingWorkerThatFailsRequests(t *testing.T) {
 	const (
-		streak     = 3
 		heartbeats = 4
 		perBeat    = 20
 	)
 	fake := newFakeDoer()
-	g := NewGateway(GatewayConfig{
-		Membership: MembershipConfig{DeadFailStreak: streak},
-		Router:     RouterConfig{Client: fake, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-	})
+	g := NewGateway(GatewayConfig{Router: RouterConfig{Client: fake}})
 	nodes := testNodes(3)
 	for _, nd := range nodes {
 		g.mem.Join(nd.ID, nd.Addr)
@@ -90,7 +85,7 @@ func TestHeartbeatingWorkerThatFailsRequests(t *testing.T) {
 			}
 		}
 	}
-	if got, max := fake.callCount(bad.Addr), streak*(heartbeats+1); got == 0 || got > max {
+	if got, max := fake.callCount(bad.Addr), deadFailStreak*(heartbeats+1); got == 0 || got > max {
 		t.Fatalf("the failing worker saw %d detect attempts over %d heartbeats, want 1..%d", got, heartbeats, max)
 	}
 }

@@ -41,12 +41,15 @@ func (c *StatusCounts) Observe(code int) {
 	}
 }
 
+// drainTimeout bounds graceful shutdown of both daemons.
+const drainTimeout = 5 * time.Second
+
 // ListenAndDrain serves h on addr until ctx is cancelled, then drains
 // gracefully: draining flips (so /healthz answers 503 and load
-// balancers stop sending), in-flight requests get up to budget to
-// finish, and the listener closes. The bound address is reported
+// balancers stop sending), in-flight requests get up to drainTimeout
+// to finish, and the listener closes. The bound address is reported
 // through ready (useful with ":0"); pass nil if not needed.
-func ListenAndDrain(ctx context.Context, addr string, ready chan<- net.Addr, h http.Handler, draining *atomic.Bool, budget time.Duration) error {
+func ListenAndDrain(ctx context.Context, addr string, ready chan<- net.Addr, h http.Handler, draining *atomic.Bool) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -69,7 +72,7 @@ func ListenAndDrain(ctx context.Context, addr string, ready chan<- net.Addr, h h
 	case <-ctx.Done():
 	}
 	draining.Store(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), budget)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		httpSrv.Close()

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -149,33 +150,43 @@ var declAllowed = map[string]string{
 	"internal/vstore.Store.Compact": "test hook: framelog/format_test.go compacts a store to pin the snapshot layout",
 }
 
-// TestEveryDeclarationAnswersToAGate is TestEveryPackageAnswersToAGate
-// one level down: every package-level declaration and method in a
-// non-test file under cmd/ or internal/ (and every helper in the smoke
-// drills) is used outside its own declaration by those files, by
-// bench/e2e or by the smoke drills. A method is exempt when its receiver
-// satisfies an interface that declares it, since the call then goes
-// through the interface. Imports are typed from the compiler's export
-// data (go list -export), so the cost is a type-check of these sources
-// alone.
-func TestEveryDeclarationAnswersToAGate(t *testing.T) {
-	const module = "idnlab/"
+// modulePkg is one package of the module, or bench/e2e, type-checked
+// from source.
+type modulePkg struct {
+	path  string
+	files []*ast.File
+	check bool // its declarations must answer to a gate
+	info  *types.Info
+	pkg   *types.Package
+}
+
+// moduleSources is every package of the module from its non-test files
+// (plus the smoke drills, whose helpers are declarations too) and
+// bench/e2e, type-checked once per test binary for the gates below.
+type moduleSources struct {
+	fset *token.FileSet
+	pkgs []*modulePkg
+}
+
+const module = "idnlab/"
+
+var loadModule = sync.OnceValues(func() (*moduleSources, error) {
 	fset := token.NewFileSet()
-	parse := func(paths []string) []*ast.File {
+	parse := func(paths []string) ([]*ast.File, error) {
 		files := make([]*ast.File, len(paths))
 		for i, path := range paths {
 			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			files[i] = f
 		}
-		return files
+		return files, nil
 	}
-	glob := func(pattern string, tests bool) []string {
+	glob := func(pattern string, tests bool) ([]*ast.File, error) {
 		paths, err := filepath.Glob(pattern)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		var out []string
 		for _, p := range paths {
@@ -183,10 +194,16 @@ func TestEveryDeclarationAnswersToAGate(t *testing.T) {
 				out = append(out, p)
 			}
 		}
-		return out
+		return parse(out)
 	}
-	benchFiles := parse(glob("../../bench/e2e/*.go", false))
-	smokeFiles := parse(glob("../../internal/smoke/*_test.go", true))
+	benchFiles, err := glob("../../bench/e2e/*.go", false)
+	if err != nil {
+		return nil, err
+	}
+	smokeFiles, err := glob("../../internal/smoke/*_test.go", true)
+	if err != nil {
+		return nil, err
+	}
 
 	// Export data for every dependency of the module, plus the standard
 	// packages that only bench/e2e and the smoke drills import.
@@ -204,17 +221,10 @@ func TestEveryDeclarationAnswersToAGate(t *testing.T) {
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list: %v", err)
+		return nil, fmt.Errorf("go list: %v", err)
 	}
 	exports := make(map[string]string)
-	type srcPkg struct {
-		path  string
-		files []*ast.File
-		check bool // its declarations must answer to a gate
-		info  *types.Info
-		pkg   *types.Package
-	}
-	var pkgs []*srcPkg
+	var pkgs []*modulePkg
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		f := strings.Split(line, "\t")
 		exports[f[0]] = f[1]
@@ -225,13 +235,17 @@ func TestEveryDeclarationAnswersToAGate(t *testing.T) {
 		for _, name := range strings.Fields(f[3]) {
 			paths = append(paths, filepath.Join(f[2], name))
 		}
-		p := &srcPkg{path: f[0], files: parse(paths), check: true}
+		files, err := parse(paths)
+		if err != nil {
+			return nil, err
+		}
+		p := &modulePkg{path: f[0], files: files, check: true}
 		if p.path == module+"internal/smoke" {
 			p.files = append(p.files, smokeFiles...)
 		}
 		pkgs = append(pkgs, p)
 	}
-	pkgs = append(pkgs, &srcPkg{path: module + "bench/e2e", files: benchFiles})
+	pkgs = append(pkgs, &modulePkg{path: module + "bench/e2e", files: benchFiles})
 
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		if exports[path] == "" {
@@ -240,12 +254,34 @@ func TestEveryDeclarationAnswersToAGate(t *testing.T) {
 		return os.Open(exports[path])
 	})
 	for _, p := range pkgs {
-		p.info = &types.Info{Uses: make(map[*ast.Ident]types.Object), Types: make(map[ast.Expr]types.TypeAndValue)}
+		p.info = &types.Info{
+			Uses:       make(map[*ast.Ident]types.Object),
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}
 		conf := types.Config{Importer: imp}
 		if p.pkg, err = conf.Check(p.path, fset, p.files, p.info); err != nil {
-			t.Fatalf("type-check %s: %v", p.path, err)
+			return nil, fmt.Errorf("type-check %s: %v", p.path, err)
 		}
 	}
+	return &moduleSources{fset: fset, pkgs: pkgs}, nil
+})
+
+// TestEveryDeclarationAnswersToAGate is TestEveryPackageAnswersToAGate
+// one level down: every package-level declaration and method in a
+// non-test file under cmd/ or internal/ (and every helper in the smoke
+// drills) is used outside its own declaration by those files, by
+// bench/e2e or by the smoke drills. A method is exempt when its receiver
+// satisfies an interface that declares it, since the call then goes
+// through the interface. Imports are typed from the compiler's export
+// data (go list -export), so the cost is a type-check of these sources
+// alone.
+func TestEveryDeclarationAnswersToAGate(t *testing.T) {
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset, pkgs := mod.fset, mod.pkgs
 
 	// key names a declaration the same way whether it was typed from
 	// source or from export data: path, receiver, name.
@@ -274,7 +310,7 @@ func TestEveryDeclarationAnswersToAGate(t *testing.T) {
 	}
 
 	type decl struct {
-		pkg        *srcPkg
+		pkg        *modulePkg
 		name       string
 		recv       string
 		start, end token.Pos
@@ -415,5 +451,149 @@ func TestEveryDeclarationAnswersToAGate(t *testing.T) {
 	sort.Strings(unused)
 	for _, u := range unused {
 		t.Errorf("%s: no use outside its own declaration in cmd/, internal/, bench/e2e or the smoke drills", u)
+	}
+}
+
+// cfgAllowed are the config fields TestEveryConfigFieldHasASetter lets
+// stand without a setter, each with the reason.
+var cfgAllowed = map[string]string{
+	"internal/cluster.MembershipConfig.Now": "test seam: the membership tests drive a fake clock",
+	"internal/cluster.RouterConfig.Client":  "test seam: the router and gateway tests swap in a fake transport",
+	"internal/cluster.GatewayConfig.Router": "test seam: carries RouterConfig.Client into a gateway under test",
+	"internal/vstore.Config.CompactBytes":   "test seam: the store tests reach compaction without writing 8 MiB",
+	"internal/vstore.Config.NoFsync":        "test seam: the store tests and fuzzers skip fsync",
+}
+
+// TestEveryConfigFieldHasASetter holds the daemons to deployment
+// settings only: every exported field of every exported *Config or
+// *Options struct in non-test internal/ code is written, as a
+// composite-literal key or an assignment, by a non-test file in cmd/, a
+// non-test file in internal/ outside the struct's own methods (its
+// withDefaults), or bench/e2e. A value that only tests or the defaults
+// write is a constant next to the code it bounds.
+func TestEveryConfigFieldHasASetter(t *testing.T) {
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deref := func(typ types.Type) types.Type {
+		if ptr, ok := typ.(*types.Pointer); ok {
+			return ptr.Elem()
+		}
+		return typ
+	}
+	// owner names a struct type the same way whether it was typed from
+	// source or from export data: path, type name.
+	owner := func(typ types.Type) string {
+		named, ok := deref(typ).(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			return ""
+		}
+		return strings.TrimPrefix(named.Obj().Pkg().Path(), module) + "." + named.Origin().Obj().Name()
+	}
+
+	fields := make(map[string]token.Pos)
+	for _, p := range mod.pkgs {
+		if !strings.HasPrefix(p.path, module+"internal/") {
+			continue
+		}
+		for _, name := range p.pkg.Scope().Names() {
+			tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || strings.HasSuffix(mod.fset.Position(tn.Pos()).Filename, "_test.go") ||
+				!strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[owner(tn.Type())+"."+f.Name()] = f.Pos()
+				}
+			}
+		}
+	}
+
+	set := make(map[string]bool)
+	for _, p := range mod.pkgs {
+		for _, file := range p.files {
+			if strings.HasSuffix(mod.fset.Position(file.Pos()).Filename, "_test.go") {
+				continue
+			}
+			for _, d := range file.Decls {
+				// A struct's own methods (its defaults) do not count.
+				self := ""
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil {
+					self = owner(p.info.TypeOf(fn.Recv.List[0].Type))
+				}
+				write := func(typ types.Type, field string) {
+					if o := owner(typ); o != "" && o != self {
+						set[o+"."+field] = true
+					}
+				}
+				// written records the field an assignment's target selects.
+				written := func(x ast.Expr) {
+					sel, ok := ast.Unparen(x).(*ast.SelectorExpr)
+					if !ok {
+						return
+					}
+					s := p.info.Selections[sel]
+					if s == nil || s.Kind() != types.FieldVal {
+						return
+					}
+					typ := s.Recv()
+					for _, i := range s.Index()[:len(s.Index())-1] {
+						typ = deref(typ).Underlying().(*types.Struct).Field(i).Type()
+					}
+					write(typ, sel.Sel.Name)
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						typ := p.info.TypeOf(n)
+						if typ == nil {
+							return true
+						}
+						if _, ok := deref(typ).Underlying().(*types.Struct); !ok {
+							return true
+						}
+						for _, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									write(typ, id.Name)
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, x := range n.Lhs {
+							written(x)
+						}
+					case *ast.IncDecStmt:
+						written(n.X)
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var unset []string
+	for k, pos := range fields {
+		switch {
+		case set[k] && cfgAllowed[k] != "":
+			t.Errorf("%s is allowed without a setter but has one now: drop it from cfgAllowed", k)
+		case !set[k] && cfgAllowed[k] == "":
+			unset = append(unset, fmt.Sprintf("%s: %s", mod.fset.Position(pos), k))
+		}
+	}
+	for k := range cfgAllowed {
+		if _, ok := fields[k]; !ok {
+			t.Errorf("cfgAllowed names %s, which is not a config field", k)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s: no setter in cmd/, internal/ outside its defaults, or bench/e2e: make it a constant", u)
 	}
 }

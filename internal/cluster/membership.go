@@ -7,21 +7,23 @@ import (
 	"time"
 )
 
+// A silent node turns suspect after suspectBeats heartbeat intervals
+// and dead after deadBeats. deadFailStreak consecutive proxy failures
+// demote a node straight to dead without waiting for those timers:
+// connection-refused evidence is stronger and faster than a heartbeat
+// gap.
+const (
+	suspectBeats   = 3
+	deadBeats      = 10
+	deadFailStreak = 3
+)
+
 // MembershipConfig parameterizes the registry. The zero value selects
 // defaults suitable for a LAN cluster (1s heartbeats).
 type MembershipConfig struct {
 	// HeartbeatInterval is the cadence advertised to workers in
 	// JoinResponse (default 1s). The sweeper runs at half this interval.
 	HeartbeatInterval time.Duration
-	// SuspectAfter demotes a silent node to StateSuspect (default
-	// 3×HeartbeatInterval); DeadAfter to StateDead (default 10×).
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// DeadFailStreak is the number of consecutive proxy failures that
-	// demotes a node straight to StateDead without waiting for the
-	// heartbeat timers (default 3). Connection-refused evidence is
-	// stronger and faster than a heartbeat gap.
-	DeadFailStreak int
 	// Now overrides the clock for tests.
 	Now func() time.Time
 }
@@ -29,15 +31,6 @@ type MembershipConfig struct {
 func (c MembershipConfig) withDefaults() MembershipConfig {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * c.HeartbeatInterval
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 10 * c.HeartbeatInterval
-	}
-	if c.DeadFailStreak <= 0 {
-		c.DeadFailStreak = 3
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -155,7 +148,7 @@ func (m *Membership) ObserveSuccess(id string) {
 }
 
 // ObserveFailure records a failed proxied request to id: the node is
-// demoted to suspect immediately and to dead after DeadFailStreak
+// demoted to suspect immediately and to dead after deadFailStreak
 // consecutive failures — much faster than waiting out the heartbeat
 // timers, which is what lets a killed worker's key range be reassigned
 // while requests are still in flight.
@@ -168,7 +161,7 @@ func (m *Membership) ObserveFailure(id string) {
 	}
 	n.failStreak++
 	want := StateSuspect
-	if n.failStreak >= m.cfg.DeadFailStreak {
+	if n.failStreak >= deadFailStreak {
 		want = StateDead
 	}
 	if n.state != want && n.state != StateDead {
@@ -177,9 +170,10 @@ func (m *Membership) ObserveFailure(id string) {
 	}
 }
 
-// Sweep ages silent nodes: past SuspectAfter → suspect, past DeadAfter
-// → dead. It reports whether anything changed (and bumps the epoch if
-// so). Sweep never resurrects — only heartbeats and successes do.
+// Sweep ages silent nodes: past suspectBeats heartbeat intervals →
+// suspect, past deadBeats → dead. It reports whether anything changed
+// (and bumps the epoch if so). Sweep never resurrects — only heartbeats
+// and successes do.
 func (m *Membership) Sweep() bool {
 	now := m.cfg.Now()
 	m.mu.Lock()
@@ -189,9 +183,9 @@ func (m *Membership) Sweep() bool {
 		age := now.Sub(n.lastBeat)
 		var want NodeState
 		switch {
-		case age > m.cfg.DeadAfter:
+		case age > deadBeats*m.cfg.HeartbeatInterval:
 			want = StateDead
-		case age > m.cfg.SuspectAfter:
+		case age > suspectBeats*m.cfg.HeartbeatInterval:
 			want = StateSuspect
 		default:
 			continue
@@ -256,7 +250,7 @@ func (m *Membership) Snapshot() ClusterView {
 
 // Routable returns the epoch and the nodes the ring may route to:
 // everything not dead. Suspect nodes stay routable, so a transient blip
-// does not reshuffle the whole keyspace; DeadFailStreak consecutive
+// does not reshuffle the whole keyspace; deadFailStreak consecutive
 // proxy failures take a node out.
 func (m *Membership) Routable() (uint64, []NodeInfo) {
 	m.mu.Lock()

@@ -15,9 +15,6 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newTestMembership(clk *fakeClock) *Membership {
 	return NewMembership(MembershipConfig{
 		HeartbeatInterval: time.Second,
-		SuspectAfter:      3 * time.Second,
-		DeadAfter:         10 * time.Second,
-		DeadFailStreak:    3,
 		Now:               clk.now,
 	})
 }
@@ -60,19 +57,19 @@ func TestMembershipSweepAgesThroughSuspectToDead(t *testing.T) {
 	m := newTestMembership(clk)
 	m.Join("w1", "127.0.0.1:8181")
 
-	// Within SuspectAfter: still alive, sweep is a no-op.
+	// Within 3 heartbeat intervals: still alive, sweep is a no-op.
 	clk.advance(2 * time.Second)
 	if m.Sweep() {
-		t.Fatal("sweep changed state within SuspectAfter")
+		t.Fatal("sweep changed state within 3 heartbeat intervals")
 	}
 	if s := stateOf(t, m, "w1"); s != StateAlive {
 		t.Fatalf("state = %s, want alive", s)
 	}
 
-	// Past SuspectAfter: suspect.
+	// Past 3 heartbeat intervals: suspect.
 	clk.advance(2 * time.Second) // 4s silent
 	if !m.Sweep() {
-		t.Fatal("sweep did not demote past SuspectAfter")
+		t.Fatal("sweep did not demote past 3 heartbeat intervals")
 	}
 	if s := stateOf(t, m, "w1"); s != StateSuspect {
 		t.Fatalf("state = %s, want suspect", s)
@@ -82,10 +79,10 @@ func TestMembershipSweepAgesThroughSuspectToDead(t *testing.T) {
 		t.Fatalf("suspect node dropped from routable set: %v", nodes)
 	}
 
-	// Past DeadAfter: dead, and out of the routable set.
+	// Past 10 heartbeat intervals: dead, and out of the routable set.
 	clk.advance(7 * time.Second) // 11s silent
 	if !m.Sweep() {
-		t.Fatal("sweep did not demote past DeadAfter")
+		t.Fatal("sweep did not demote past 10 heartbeat intervals")
 	}
 	if s := stateOf(t, m, "w1"); s != StateDead {
 		t.Fatalf("state = %s, want dead", s)
@@ -130,7 +127,7 @@ func TestMembershipObserveFailureFastPath(t *testing.T) {
 	if s := stateOf(t, m, "w1"); s != StateSuspect {
 		t.Fatalf("after 1 failure: state = %s, want suspect", s)
 	}
-	// DeadFailStreak consecutive failures: dead, without any clock
+	// deadFailStreak consecutive failures: dead, without any clock
 	// advance at all.
 	m.ObserveFailure("w1")
 	m.ObserveFailure("w1")

@@ -16,31 +16,24 @@ var ErrNoNodes = errors.New("cluster: no routable nodes")
 // ErrUnavailable reports that every attempted candidate failed.
 var ErrUnavailable = errors.New("cluster: all candidates failed")
 
+// Retry policy: one request tries at most maxAttempts distinct ring
+// candidates. The first retry backs off baseBackoff, doubling per
+// attempt up to maxBackoff, with ±50% jitter so a burst of failovers
+// does not re-synchronize on the fallback node.
+const (
+	maxAttempts = 3
+	baseBackoff = 5 * time.Millisecond
+	maxBackoff  = 100 * time.Millisecond
+)
+
 // RouterConfig parameterizes the routing client.
 type RouterConfig struct {
-	// MaxAttempts bounds how many distinct ring candidates one request
-	// may try (default 3).
-	MaxAttempts int
-	// BaseBackoff is the first retry's backoff (default 5ms), doubling
-	// per attempt up to MaxBackoff (default 100ms), with ±50% jitter so
-	// a burst of failovers does not re-synchronize on the fallback node.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Client overrides the HTTP client (default: the package's shared
 	// pooled client).
 	Client Doer
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 5 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 100 * time.Millisecond
-	}
 	if c.Client == nil {
 		c.Client = sharedClient
 	}
@@ -56,7 +49,7 @@ type RouterStats struct {
 // routable set (rebuilt only when the epoch moves), and bounded retries
 // with jittered backoff down the candidate list. Membership is the only
 // per-node health signal: the router feeds every outcome back into it
-// (ObserveSuccess/ObserveFailure), DeadFailStreak consecutive failures
+// (ObserveSuccess/ObserveFailure), deadFailStreak consecutive failures
 // take a node out of the ring, and a heartbeat or a success puts it
 // back.
 type Router struct {
@@ -133,21 +126,21 @@ func (r *Router) attempt(ctx context.Context, nd NodeInfo, method, path string, 
 
 // Do routes one request for key: walk the candidate list in rendezvous
 // order, retrying transport/5xx failures on the next candidate with
-// jittered exponential backoff, at most MaxAttempts attempts. Any
+// jittered exponential backoff, at most maxAttempts attempts. Any
 // sub-500 HTTP answer — including 429 — returns immediately.
 func (r *Router) Do(ctx context.Context, key, method, path string, body []byte) (Reply, error) {
 	cands := r.Ring().Candidates(key, 0)
 	if len(cands) == 0 {
 		return Reply{}, ErrNoNodes
 	}
-	cands = cands[:min(len(cands), r.cfg.MaxAttempts)]
+	cands = cands[:min(len(cands), maxAttempts)]
 	var lastErr error
 	for i, nd := range cands {
 		if i > 0 {
 			// Backoff before a retry, scaled by how many attempts this
 			// call has already burned, jittered, capped, and cut short
 			// by the caller's deadline.
-			d := min(r.cfg.BaseBackoff<<uint(i-1), r.cfg.MaxBackoff)
+			d := min(baseBackoff<<uint(i-1), maxBackoff)
 			t := time.NewTimer(r.jitter(d))
 			select {
 			case <-t.C:

@@ -66,23 +66,20 @@ func refuse() func(*http.Request) (*http.Response, error) {
 }
 
 // routerFixture wires a membership of n nodes to a router over fake.
-func routerFixture(t *testing.T, n int, cfg RouterConfig, fake *fakeDoer) (*Membership, *Router, []NodeInfo) {
+func routerFixture(t *testing.T, n int, fake *fakeDoer) (*Membership, *Router, []NodeInfo) {
 	t.Helper()
-	m := NewMembership(MembershipConfig{HeartbeatInterval: time.Second, DeadFailStreak: 3})
+	m := NewMembership(MembershipConfig{HeartbeatInterval: time.Second})
 	nodes := testNodes(n)
 	for _, nd := range nodes {
 		m.Join(nd.ID, nd.Addr)
 		fake.set(nd.Addr, okResponse(`{"node":"`+nd.ID+`"}`))
 	}
-	cfg.Client = fake
-	cfg.BaseBackoff = time.Millisecond
-	cfg.MaxBackoff = 2 * time.Millisecond
-	return m, NewRouter(m, cfg), nodes
+	return m, NewRouter(m, RouterConfig{Client: fake}), nodes
 }
 
 func TestRouterRoutesToOwner(t *testing.T) {
 	fake := newFakeDoer()
-	_, r, _ := routerFixture(t, 3, RouterConfig{}, fake)
+	_, r, _ := routerFixture(t, 3, fake)
 	key := "xn--pple-43d.com"
 	owner, ok := r.Owner(key)
 	if !ok {
@@ -102,7 +99,7 @@ func TestRouterRoutesToOwner(t *testing.T) {
 
 func TestRouterRetriesToNextCandidate(t *testing.T) {
 	fake := newFakeDoer()
-	m, r, _ := routerFixture(t, 3, RouterConfig{MaxAttempts: 3}, fake)
+	m, r, _ := routerFixture(t, 3, fake)
 	key := "xn--pple-43d.com"
 	cands := r.Ring().Candidates(key, 0)
 	fake.set(cands[0].Addr, refuse())
@@ -128,7 +125,7 @@ func TestRouterRetriesToNextCandidate(t *testing.T) {
 
 func TestRouter5xxIsFailure429PassesThrough(t *testing.T) {
 	fake := newFakeDoer()
-	_, r, _ := routerFixture(t, 2, RouterConfig{}, fake)
+	_, r, _ := routerFixture(t, 2, fake)
 	key := "example.com"
 	cands := r.Ring().Candidates(key, 0)
 
@@ -161,32 +158,27 @@ func TestRouter5xxIsFailure429PassesThrough(t *testing.T) {
 }
 
 // TestRouterSkipsDeadNodeWithoutAttempt: membership is the router's
-// only failure detector. DeadFailStreak failed attempts take the owner
+// only failure detector. deadFailStreak failed attempts take the owner
 // out of the ring, after which its keys go to the next candidate in one
 // attempt and the dead node is never dialled again.
 func TestRouterSkipsDeadNodeWithoutAttempt(t *testing.T) {
 	fake := newFakeDoer()
-	m := NewMembership(MembershipConfig{HeartbeatInterval: time.Second, DeadFailStreak: 2})
-	for _, nd := range testNodes(3) {
-		m.Join(nd.ID, nd.Addr)
-		fake.set(nd.Addr, okResponse(`{"node":"`+nd.ID+`"}`))
-	}
-	r := NewRouter(m, RouterConfig{MaxAttempts: 2, Client: fake, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
+	m, r, _ := routerFixture(t, 3, fake)
 	key := "example.com"
 	cands := r.Ring().Candidates(key, 0)
 	fake.set(cands[0].Addr, refuse())
 
-	// Two requests fail over the owner twice (DeadFailStreak 2)...
-	for i := 0; i < 2; i++ {
+	// deadFailStreak requests fail over the owner once each...
+	for i := 0; i < deadFailStreak; i++ {
 		if _, err := r.Do(context.Background(), key, http.MethodPost, "/v1/detect", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := fake.callCount(cands[0].Addr); got != 2 {
-		t.Fatalf("owner calls = %d, want 2", got)
+	if got := fake.callCount(cands[0].Addr); got != deadFailStreak {
+		t.Fatalf("owner calls = %d, want %d", got, deadFailStreak)
 	}
 	if s := stateOf(t, m, cands[0].ID); s != StateDead {
-		t.Fatalf("owner state = %s, want dead after 2 failures", s)
+		t.Fatalf("owner state = %s, want dead after %d failures", s, deadFailStreak)
 	}
 	// ...after which the owner is out of the ring: no dial, one attempt.
 	for i := 0; i < 5; i++ {
@@ -198,14 +190,14 @@ func TestRouterSkipsDeadNodeWithoutAttempt(t *testing.T) {
 			t.Fatalf("rep = %+v, want %s in 1 attempt", rep, cands[1].ID)
 		}
 	}
-	if got := fake.callCount(cands[0].Addr); got != 2 {
-		t.Fatalf("the dead owner was dialled %d more times", got-2)
+	if got := fake.callCount(cands[0].Addr); got != deadFailStreak {
+		t.Fatalf("the dead owner was dialled %d more times", got-deadFailStreak)
 	}
 }
 
 func TestRouterAllCandidatesDown(t *testing.T) {
 	fake := newFakeDoer()
-	_, r, nodes := routerFixture(t, 3, RouterConfig{MaxAttempts: 3}, fake)
+	_, r, nodes := routerFixture(t, 3, fake)
 	for _, nd := range nodes {
 		fake.set(nd.Addr, refuse())
 	}
@@ -225,7 +217,7 @@ func TestRouterEmptyRing(t *testing.T) {
 
 func TestRouterRingCacheFollowsEpoch(t *testing.T) {
 	fake := newFakeDoer()
-	m, r, _ := routerFixture(t, 2, RouterConfig{}, fake)
+	m, r, _ := routerFixture(t, 2, fake)
 	if got := r.Ring().Len(); got != 2 {
 		t.Fatalf("ring len = %d, want 2", got)
 	}
@@ -248,7 +240,7 @@ func TestRouterRingCacheFollowsEpoch(t *testing.T) {
 
 func TestRouterBroadcast(t *testing.T) {
 	fake := newFakeDoer()
-	_, r, nodes := routerFixture(t, 3, RouterConfig{}, fake)
+	_, r, nodes := routerFixture(t, 3, fake)
 	fake.set(nodes[2].Addr, refuse())
 	out := r.Broadcast(context.Background(), "/metrics")
 	if len(out) != 3 {

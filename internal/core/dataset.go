@@ -84,7 +84,7 @@ func Assemble(reg *zonegen.Registry) (*Dataset, error) {
 	// Longest first, so two workers finish together.
 	_, err := runAll(context.Background(), "assemble", 0, []func() error{
 		func() error {
-			authority, err := certs.NewAuthority(reg.Cfg.Seed^0x5ead, reg.Cfg.Snapshot)
+			authority, err := certs.NewAuthority(reg.Cfg.Seed^0x5ead, zonegen.Snapshot)
 			if err != nil {
 				return fmt.Errorf("core: certificate authority: %w", err)
 			}

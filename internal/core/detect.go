@@ -188,8 +188,13 @@ func brandCache() (map[string]*ssim.RefTable, map[string]int) {
 				continue
 			}
 			width := utf8.RuneCountInString(label) * glyph.CellWidth
+			rt, err := ssim.Precompute(re.RenderWidth(label, width))
+			if err != nil {
+				// The list is a compiled-in constant of DNS labels.
+				panic("core: brand cache: " + err.Error())
+			}
 			brandCacheWidths[label] = width
-			brandCacheRefs[label] = ssim.Precompute(re.RenderWidth(label, width))
+			brandCacheRefs[label] = rt
 		}
 	})
 	return brandCacheRefs, brandCacheWidths
@@ -425,8 +430,14 @@ type SemanticDetector struct {
 
 // NewSemanticDetector builds a detector over the top-k brand list.
 func NewSemanticDetector(topK int) *SemanticDetector {
-	d := &SemanticDetector{brandsByLabel: make(map[string]brands.Brand, topK)}
-	for _, b := range brands.TopK(topK) {
+	return newSemanticDetector(brands.TopK(topK))
+}
+
+// newSemanticDetector builds a detector over a brand catalog; the first
+// brand with a given label wins.
+func newSemanticDetector(list []brands.Brand) *SemanticDetector {
+	d := &SemanticDetector{brandsByLabel: make(map[string]brands.Brand, len(list))}
+	for _, b := range list {
 		if _, dup := d.brandsByLabel[b.Label()]; !dup {
 			d.brandsByLabel[b.Label()] = b
 		}
@@ -562,10 +573,9 @@ func (d *HomographDetector) AvailabilityStudyReg(topK int, regUni map[string]uin
 		label := b.Label()
 		res := AvailabilityResult{Brand: b.Domain}
 		rt, cached := d.brandRefs[label]
-		if !cached || !rt.Packed() {
-			// Label outside the prerender cache (or too wide for the packed
-			// table): fall back to the materialize-and-Score sweep (same
-			// iteration order).
+		if !cached {
+			// Label outside the prerender cache: fall back to the
+			// materialize-and-Score sweep (same iteration order).
 			for _, v := range genTable.Variants(label) {
 				res.Candidates++
 				if d.Score(v, label) < candidx.SSIMThreshold {

@@ -81,8 +81,14 @@ func extendBrandCache(re *glyph.Renderer, list []brands.Brand) (map[string]*ssim
 			continue
 		}
 		w := utf8.RuneCountInString(label) * glyph.CellWidth
+		rt, err := ssim.Precompute(re.RenderWidth(label, w))
+		if err != nil {
+			// Longer than any DNS label: Score refuses it (-1), so the
+			// brand never matches.
+			continue
+		}
 		nw[label] = w
-		nr[label] = ssim.Precompute(re.RenderWidth(label, w))
+		nr[label] = rt
 	}
 	return nr, nw
 }

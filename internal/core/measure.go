@@ -11,6 +11,7 @@ import (
 	"idnlab/internal/stats"
 	"idnlab/internal/webprobe"
 	"idnlab/internal/whois"
+	"idnlab/internal/zonegen"
 )
 
 // LanguageRow is one row of the Table II reproduction.
@@ -253,7 +254,7 @@ func (ds *Dataset) CertCensus(p Population) CertReport {
 // certCensus is the Table VI classification loop over a domain list.
 func (ds *Dataset) certCensus(domains []string) CertReport {
 	var rep CertReport
-	now := ds.Registry.Cfg.Snapshot
+	now := zonegen.Snapshot
 	roots := ds.Authority.Roots()
 	for _, d := range domains {
 		cert, ok := ds.Certs.Get(d)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"idnlab/internal/candidx"
 	"idnlab/internal/feat"
 	"idnlab/internal/idna"
 )
@@ -128,17 +129,21 @@ type Classifier struct {
 	sem  *SemanticDetector
 }
 
-// NewClassifier builds the paired detectors over the top-k brand list.
-// When cfg carries a statistical model the classifier becomes the
-// three-detector ensemble: the model scores every non-ASCII label once,
-// the score gates the SSIM path (learned prefilter) and contributes the
-// third verdict with per-detector confidence and a suspicion level.
+// NewClassifier builds the paired detectors over one brand catalog: the
+// homograph detector's (the index's, brands.TopK(cfg.TopK) without one),
+// which the semantic detector defends too. When cfg carries a
+// statistical model the classifier becomes the three-detector ensemble:
+// the model scores every non-ASCII label once, the score gates the SSIM
+// path (learned prefilter) and contributes the third verdict with
+// per-detector confidence and a suspicion level.
 func NewClassifier(cfg DetectorConfig) *Classifier {
-	return &Classifier{
-		homo: NewHomographDetector(cfg.TopK, cfg.detectorOptions()...),
-		sem:  NewSemanticDetector(cfg.TopK),
-	}
+	homo := NewHomographDetector(cfg.TopK, cfg.detectorOptions()...)
+	return &Classifier{homo: homo, sem: newSemanticDetector(homo.brandList)}
 }
+
+// Index returns the candidate index the homograph detector probes: the
+// configured one, or the process-wide default index.
+func (c *Classifier) Index() *candidx.Index { return c.homo.Index() }
 
 // DetectorStats snapshots the detector family's shared counters
 // (bounded-rescore early exits, prefilter pass/shed), aggregated

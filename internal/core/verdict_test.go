@@ -1,7 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+
+	"idnlab/internal/brands"
+	"idnlab/internal/candidx"
 )
 
 // TestNormalizeForms pins the shared normalization: both spellings of a
@@ -88,6 +92,39 @@ func TestClassifierVerdict(t *testing.T) {
 	}
 	if _, err := c.VerdictFor("bad..domain"); err == nil {
 		t.Fatal("invalid domain accepted")
+	}
+}
+
+// TestClassifierOneCatalog: with an index built from the top 50 and a
+// TopK of 1000, both detectors defend the index's 50 brands, so a
+// semantic attack on the brand ranked 500 is not a match.
+func TestClassifierOneCatalog(t *testing.T) {
+	ix, err := candidx.Build(brands.TopK(50), candidx.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClassifier(DetectorConfig{TopK: 1000, Index: ix})
+	if c.Index() != ix {
+		t.Fatal("classifier does not report the index it was given")
+	}
+	for _, b := range []brands.Brand{brands.TopK(1000)[499], brands.TopK(50)[0]} {
+		v, err := c.VerdictFor(b.Label() + "邮箱.com")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inIndex := b.Rank <= 50; (v.Semantic != nil) != inIndex {
+			t.Errorf("%s (rank %d): semantic match %+v, want a match only for a brand in the index", b.Domain, b.Rank, v.Semantic)
+		}
+	}
+}
+
+// TestDefaultCatalogIsTopK: the default index's catalog gives the same
+// semantic label map as brands.TopK(1000), so classifiers built without
+// an index answer as the study's semantic detector does.
+func TestDefaultCatalogIsTopK(t *testing.T) {
+	c := NewClassifier(DetectorConfig{TopK: 1000})
+	if got, want := c.sem.brandsByLabel, NewSemanticDetector(1000).brandsByLabel; !reflect.DeepEqual(got, want) {
+		t.Fatalf("default index catalog yields %d semantic labels, brands.TopK(1000) %d, and they differ", len(got), len(want))
 	}
 }
 

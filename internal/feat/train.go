@@ -43,6 +43,24 @@ func Split(exs []Example) (train, eval []Example) {
 	return train, eval
 }
 
+// Training constants. SGD starts at step size learnRate, decayed per
+// epoch, under ridge penalty l2. The prefilter floor is the largest raw
+// threshold keeping at least targetRecall on training positives under
+// serving conditions (margin over the 0.95 eval gate). The flag
+// threshold maximizes F1 only among thresholds keeping at least
+// flagRecall on training positives: an unconstrained F1 maximum
+// overfits, because the bigram table memorizes training attacks and
+// pushes their scores far above where held-out attacks land. Bigrams
+// seen fewer than minBigramCount times in training are dropped: rare
+// bigrams are noise and bloat the table.
+const (
+	learnRate      = 0.5
+	l2             = 1e-4
+	targetRecall   = 0.995
+	flagRecall     = 0.85
+	minBigramCount = 3
+)
+
 // TrainConfig parameterizes Train. The zero value selects defaults
 // that converge on the synthetic corpus at any scale.
 type TrainConfig struct {
@@ -51,46 +69,11 @@ type TrainConfig struct {
 	Seed uint64
 	// Epochs is the number of SGD passes (default 8).
 	Epochs int
-	// LearnRate is the initial step size, decayed per epoch (default 0.5).
-	LearnRate float64
-	// L2 is the ridge penalty (default 1e-4).
-	L2 float64
-	// PosWeight scales the positive-class gradient; 0 selects
-	// min(10, negatives/positives) to counter class imbalance.
-	PosWeight float64
-	// TargetRecall sets the prefilter floor: the largest raw threshold
-	// keeping at least this recall on training positives under serving
-	// conditions (default 0.995 — margin over the 0.95 eval gate).
-	TargetRecall float64
-	// FlagRecall constrains flag-threshold selection: F1 is maximized
-	// only among thresholds keeping at least this recall on training
-	// positives (default 0.85). An unconstrained F1 maximum overfits —
-	// the bigram table memorizes training attacks, pushing their
-	// scores far above where held-out attacks land.
-	FlagRecall float64
-	// MinBigramCount drops bigrams seen fewer times in training
-	// (default 3): rare bigrams are noise and bloat the table.
-	MinBigramCount int
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
 	if c.Epochs <= 0 {
 		c.Epochs = 8
-	}
-	if c.LearnRate <= 0 {
-		c.LearnRate = 0.5
-	}
-	if c.L2 <= 0 {
-		c.L2 = 1e-4
-	}
-	if c.TargetRecall <= 0 {
-		c.TargetRecall = 0.995
-	}
-	if c.FlagRecall <= 0 {
-		c.FlagRecall = 0.85
-	}
-	if c.MinBigramCount <= 0 {
-		c.MinBigramCount = 3
 	}
 	return c
 }
@@ -135,7 +118,7 @@ func Train(exs []Example, cfg TrainConfig) (*Model, *TrainReport, error) {
 
 	// Stage 1: the trained tables, counted on the train split only.
 	params := modelParams{seed: cfg.Seed}
-	params.bigramKeys, params.bigramVals = countBigrams(train, cfg.MinBigramCount)
+	params.bigramKeys, params.bigramVals = countBigrams(train, minBigramCount)
 	params.tldPrior = countTLDPriors(train)
 	tableModel, err := Load(encode(params))
 	if err != nil {
@@ -151,19 +134,10 @@ func Train(exs []Example, cfg TrainConfig) (*Model, *TrainReport, error) {
 		y float64
 		w float64
 	}
-	posW := cfg.PosWeight
-	if posW <= 0 {
-		// Balance the classes: the synthetic corpus is dominated by
-		// benign registrations (as real zones are), and an unweighted
-		// fit would park every attack below the decision boundary.
-		posW = float64(neg) / float64(pos)
-		if posW > 100 {
-			posW = 100
-		}
-		if posW < 1 {
-			posW = 1
-		}
-	}
+	// Balance the classes: the synthetic corpus is dominated by benign
+	// registrations (as real zones are), and an unweighted fit would
+	// park every attack below the decision boundary.
+	posW := min(max(float64(neg)/float64(pos), 1), 100)
 	insts := make([]inst, 0, 2*len(train))
 	for _, e := range train {
 		y, w := 0.0, 1.0
@@ -185,7 +159,7 @@ func Train(exs []Example, cfg TrainConfig) (*Model, *TrainReport, error) {
 	finalLoss := 0.0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(insts), func(i, j int) { insts[i], insts[j] = insts[j], insts[i] })
-		lr := cfg.LearnRate / (1 + float64(epoch))
+		lr := learnRate / (1 + float64(epoch))
 		loss, wsum := 0.0, 0.0
 		for i := range insts {
 			in := &insts[i]
@@ -199,7 +173,7 @@ func Train(exs []Example, cfg TrainConfig) (*Model, *TrainReport, error) {
 			g := in.w * (p - in.y)
 			bias -= lr * g
 			for f := 0; f < NumFeatures; f++ {
-				w[f] -= lr * (g*in.v[f] + cfg.L2*w[f])
+				w[f] -= lr * (g*in.v[f] + l2*w[f])
 			}
 		}
 		finalLoss = loss / wsum
@@ -217,8 +191,8 @@ func Train(exs []Example, cfg TrainConfig) (*Model, *TrainReport, error) {
 	for i, e := range train {
 		scored[i] = scoredExample{raw: m0.ScoreLabel(e.Label, e.ACELabel, e.TLD), pos: e.Positive}
 	}
-	params.flagRaw = selectFlagThreshold(scored, cfg.FlagRecall)
-	params.prefilterRaw = selectPrefilterThreshold(scored, cfg.TargetRecall)
+	params.flagRaw = selectFlagThreshold(scored, flagRecall)
+	params.prefilterRaw = selectPrefilterThreshold(scored, targetRecall)
 
 	m, err := Load(encode(params))
 	if err != nil {

@@ -49,11 +49,9 @@ const DefaultBatch = 32
 type Config struct {
 	// Stage names the engine in metrics output, e.g. "homograph".
 	Stage string
-	// Workers is the fan-out width; <= 0 selects GOMAXPROCS.
+	// Workers is the fan-out width; <= 0 selects GOMAXPROCS. The input
+	// and output channels hold 2×Workers batches (backpressure).
 	Workers int
-	// Buffer bounds the input and output channels in batches
-	// (backpressure); <= 0 selects 2×Workers.
-	Buffer int
 	// Batch is how many items a worker receives per dispatch; <= 0
 	// selects DefaultBatch. Use 1 when each item is itself heavy (a
 	// whole zone file, a network probe) so the fan-out stays fine-
@@ -109,10 +107,6 @@ func New[T, R, W any](cfg Config, newWorker func() W, fn Func[T, R, W]) *Engine[
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	buffer := cfg.Buffer
-	if buffer <= 0 {
-		buffer = 2 * workers
-	}
 	batch := cfg.Batch
 	if batch <= 0 {
 		batch = DefaultBatch
@@ -120,7 +114,7 @@ func New[T, R, W any](cfg Config, newWorker func() W, fn Func[T, R, W]) *Engine[
 	return &Engine[T, R, W]{
 		cfg:       cfg,
 		workers:   workers,
-		buffer:    buffer,
+		buffer:    2 * workers,
 		batch:     batch,
 		newWorker: newWorker,
 		fn:        fn,

@@ -169,7 +169,7 @@ func TestCancellationMidScanDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var processed atomic.Int64
-	eng := New(Config{Workers: 6, Buffer: 4},
+	eng := New(Config{Workers: 6},
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, n int) (int, bool, error) {
 			if processed.Add(1) == 10 {
@@ -267,7 +267,7 @@ func assertNoLeakedGoroutines(t *testing.T, before int) {
 func TestBacklogGauge(t *testing.T) {
 	gate := make(chan struct{})
 	var entered atomic.Int32
-	eng := New(Config{Stage: "gated", Workers: 2, Batch: 1, Buffer: 4},
+	eng := New(Config{Stage: "gated", Workers: 2, Batch: 1},
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, n int) (int, bool, error) {
 			entered.Add(1)
@@ -316,7 +316,7 @@ func TestBacklogGauge(t *testing.T) {
 // not stick at a nonzero value after an aborted run.
 func TestBacklogDrainsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	eng := New(Config{Stage: "cancelled", Workers: 2, Batch: 1, Buffer: 4},
+	eng := New(Config{Stage: "cancelled", Workers: 2, Batch: 1},
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, n int) (int, bool, error) {
 			if n == 3 {

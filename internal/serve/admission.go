@@ -35,20 +35,10 @@ type Admission struct {
 	canceled atomic.Uint64
 }
 
-// NewAdmission builds a controller with maxInflight execution slots, at
-// most maxQueue concurrent waiters, and a per-waiter cap of maxWait in
-// the queue. maxInflight <= 0 selects 1; maxQueue < 0 selects 0 (shed
-// immediately when all slots are busy); maxWait <= 0 selects 50ms.
+// NewAdmission builds a controller with maxInflight (≥ 1) execution
+// slots, at most maxQueue concurrent waiters (0 sheds as soon as every
+// slot is busy), and a per-waiter cap of maxWait in the queue.
 func NewAdmission(maxInflight, maxQueue int, maxWait time.Duration) *Admission {
-	if maxInflight <= 0 {
-		maxInflight = 1
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
-	if maxWait <= 0 {
-		maxWait = 50 * time.Millisecond
-	}
 	return &Admission{
 		slots:    make(chan struct{}, maxInflight),
 		maxQueue: int64(maxQueue),

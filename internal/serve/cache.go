@@ -60,12 +60,9 @@ type inflight struct {
 }
 
 // NewVerdictCache builds a cache holding up to capacity verdicts across
-// shardCount shards (rounded up to a power of two; <=0 selects 16).
+// shardCount shards (rounded up to a power of two).
 // capacity <= 0 disables storage but keeps singleflight dedup.
 func NewVerdictCache(capacity, shardCount int) *VerdictCache {
-	if shardCount <= 0 {
-		shardCount = 16
-	}
 	n := 1
 	for n < shardCount {
 		n <<= 1

@@ -41,7 +41,7 @@ func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &cluster.StatusWriter{ResponseWriter: w, Code: http.StatusOK}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 		h(sw, r.WithContext(ctx))
 		cancel()
 		s.metrics.status.Observe(sw.Code)

@@ -24,6 +24,17 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// saturableServer is testServer with one admission slot and no queue,
+// so a test that holds the slot saturates the node.
+func saturableServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	s := NewServer(Config{TopK: 100})
+	s.adm = NewAdmission(1, 0, 5*time.Millisecond)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
 func postJSON(t *testing.T, url, body string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -201,7 +212,7 @@ func TestBatch(t *testing.T) {
 // Retry-After, then flow again after release — load shedding, not
 // collapse.
 func TestLoadShed429(t *testing.T) {
-	s, ts := testServer(t, Config{TopK: 100, MaxInflight: 1, MaxQueue: -1, QueueWait: 5 * time.Millisecond})
+	s, ts := saturableServer(t)
 	release, err := s.adm.Admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +272,7 @@ func TestHealthzAndDrain(t *testing.T) {
 // TestRunGracefulDrain boots a real listener, cancels the context, and
 // verifies Run returns cleanly.
 func TestRunGracefulDrain(t *testing.T) {
-	s := NewServer(Config{TopK: 100, DrainTimeout: 2 * time.Second})
+	s := NewServer(Config{TopK: 100})
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
@@ -351,7 +362,7 @@ func TestSingleDetectCountsOneLookup(t *testing.T) {
 // mixing cached singles, cold singles, batches and malformed bodies —
 // run under -race this is the serving layer's data-race gate.
 func TestConcurrentHammer(t *testing.T) {
-	_, ts := testServer(t, Config{TopK: 1000, Workers: 4, MaxInflight: 4, CacheSize: 64, CacheShards: 4})
+	_, ts := testServer(t, Config{TopK: 1000, Workers: 4, CacheSize: 64})
 	client := ts.Client()
 	const goroutines = 16
 	const iters = 25

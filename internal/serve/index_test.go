@@ -59,10 +59,14 @@ func TestServeWithIndex(t *testing.T) {
 	}
 }
 
-// TestServeWithoutIndexMetrics pins the sweep-only shape: Loaded false,
-// zero counters.
+// TestServeWithoutIndexMetrics: a server given no index probes the
+// process-wide default index for its TopK, and /metrics reports that
+// index once an IDN has been classified.
 func TestServeWithoutIndexMetrics(t *testing.T) {
 	_, ts := testServer(t, Config{TopK: 50})
+	if resp, body := postJSON(t, ts.URL+"/v1/detect", `{"domain":"xn--pple-43d.com"}`); resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +75,7 @@ func TestServeWithoutIndexMetrics(t *testing.T) {
 	if err := json.Unmarshal([]byte(readAll(t, mresp)), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Index.Loaded || snap.Index.Lookups != 0 {
-		t.Fatalf("index stats on an index-less server: %+v", snap.Index)
+	if !snap.Index.Loaded || snap.Index.Lookups == 0 || snap.Index.Brands != 50 || snap.Index.Format != "IDNCIDX1" {
+		t.Fatalf("metrics do not report the default index the server probes: %+v", snap.Index)
 	}
 }

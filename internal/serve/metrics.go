@@ -44,8 +44,8 @@ type RequestStats struct {
 	Status5xx uint64 `json:"status5xx"`
 }
 
-// IndexStats is the candidate-index wire form: which index (if any) the
-// node serves with, and how often lookups produce candidates. A low hit
+// IndexStats is the candidate-index wire form: which index the node
+// serves with, and how often lookups produce candidates. A low hit
 // rate is healthy — most traffic is not a near-homograph of any brand,
 // and a miss is the cheapest possible verdict.
 type IndexStats struct {

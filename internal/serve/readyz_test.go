@@ -50,7 +50,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // headroom reports unready — it should be pulled out of rotation before
 // it starts shedding.
 func TestReadyzSaturation(t *testing.T) {
-	s, ts := testServer(t, Config{TopK: 100, MaxInflight: 1, MaxQueue: -1})
+	s, ts := saturableServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.WaitWarm(ctx); err != nil {

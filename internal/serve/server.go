@@ -56,26 +56,13 @@ type Config struct {
 	// single-request clone pool; <= 0 selects GOMAXPROCS.
 	Workers int
 	// CacheSize is the verdict-cache capacity in entries (default
-	// 65536); CacheShards the shard count (default 16).
-	CacheSize   int
-	CacheShards int
-	// MaxInflight bounds concurrently executing detector work (default
-	// 4×Workers); MaxQueue bounds admission waiters (default
-	// 16×MaxInflight); QueueWait caps time in the admission queue
-	// (default 50ms).
-	MaxInflight int
-	MaxQueue    int
-	QueueWait   time.Duration
-	// RequestTimeout is the per-request deadline applied at the handler
-	// boundary (default 1s).
-	RequestTimeout time.Duration
-	// DrainTimeout bounds graceful shutdown (default 5s).
-	DrainTimeout time.Duration
+	// 65536).
+	CacheSize int
 	// Index, when set, is a precomputed homograph candidate index (built
-	// offline by idnindex, loaded with candidx.LoadFile): every detector
-	// instance routes through its O(1) candidate probes instead of the
-	// sweep, and defends the index's embedded catalog instead of the
-	// top-TopK list. Index stats surface at /metrics.
+	// offline by idnindex, loaded with candidx.LoadFile) that replaces
+	// the process-wide default index for brands.TopK(TopK). Both
+	// detectors defend its embedded catalog. The stats of whichever
+	// index the detectors probe surface at /metrics.
 	Index *candidx.Index
 	// Stat, when set, is a trained statistical model (loaded with
 	// feat.LoadFile): every verdict becomes a three-detector ensemble
@@ -92,6 +79,17 @@ type Config struct {
 	Replica cluster.ReplicaConfig
 }
 
+// Capacity. The verdict cache is striped over cacheShards locks (one
+// per entry in a cache smaller than that). Admission runs 4×Workers
+// detector calls at once and queues 16× that many waiters for at most
+// queueWait; requestTimeout is the per-request deadline at the handler
+// boundary.
+const (
+	cacheShards    = 16
+	queueWait      = 50 * time.Millisecond
+	requestTimeout = time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.NodeID == "" {
 		c.NodeID = defaultNodeID()
@@ -104,27 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 65536
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4 * c.Workers
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = 16 * c.MaxInflight
-	}
-	if c.MaxQueue < 0 {
-		c.MaxQueue = 0
-	}
-	if c.QueueWait <= 0 {
-		c.QueueWait = 50 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
 	}
 	return c
 }
@@ -174,13 +151,14 @@ type batchEntry struct {
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	dcfg := core.DetectorConfig{TopK: cfg.TopK, Index: cfg.Index, Stat: cfg.Stat}
+	inflight := 4 * cfg.Workers
 	s := &Server{
 		cfg:     cfg,
-		cache:   NewVerdictCache(cfg.CacheSize, cfg.CacheShards),
-		adm:     NewAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueWait),
+		cache:   NewVerdictCache(cfg.CacheSize, min(cacheShards, cfg.CacheSize)),
+		adm:     NewAdmission(inflight, 16*inflight, queueWait),
 		metrics: &serverMetrics{start: time.Now()},
 		proto:   core.NewClassifier(dcfg),
-		pool:    make(chan *core.Classifier, cfg.MaxInflight),
+		pool:    make(chan *core.Classifier, inflight),
 		warmed:  make(chan struct{}),
 	}
 	s.attachStore()
@@ -238,7 +216,7 @@ func (s *Server) Replica() *cluster.Replica { return s.replica }
 
 // borrow takes a classifier clone from the pool, cloning a fresh one
 // when the pool is momentarily empty (bounded by admission, so the pool
-// converges on MaxInflight clones).
+// converges on one clone per admission slot).
 func (s *Server) borrow() *core.Classifier {
 	select {
 	case c := <-s.pool:
@@ -327,18 +305,15 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		Cache:       s.cache.Stats(),
 		Admission:   s.adm.Stats(),
 		BatchEngine: s.batchEng.Metrics().JSON(),
-		Index:       indexStats(s.cfg.Index),
+		Index:       indexStats(s.proto.Index()),
 		Detector:    s.proto.DetectorStats(),
 		Store:       s.storeStats(),
 	}
 }
 
-// indexStats snapshots the candidate index's live counters for /metrics;
-// the zero value (Loaded false) reports a sweep-only node.
+// indexStats snapshots the live counters of the candidate index the
+// detectors probe, for /metrics.
 func indexStats(ix *candidx.Index) IndexStats {
-	if ix == nil {
-		return IndexStats{}
-	}
 	lookups, hits := ix.Stats()
 	st := IndexStats{
 		Loaded:      true,
@@ -356,7 +331,7 @@ func indexStats(ix *candidx.Index) IndexStats {
 }
 
 // Run serves on addr until ctx is cancelled, then drains gracefully
-// within DrainTimeout (cluster.ListenAndDrain).
+// (cluster.ListenAndDrain).
 func (s *Server) Run(ctx context.Context, addr string, ready chan<- net.Addr) error {
-	return cluster.ListenAndDrain(ctx, addr, ready, s.Handler(), &s.draining, s.cfg.DrainTimeout)
+	return cluster.ListenAndDrain(ctx, addr, ready, s.Handler(), &s.draining)
 }

@@ -310,7 +310,7 @@ func TestWriteThroughCompactionWindow(t *testing.T) {
 func TestEvictedVerdictsStayDurable(t *testing.T) {
 	dir := t.TempDir()
 	st := openDurable(t, dir)
-	srv, ts := testServer(t, Config{NodeID: "n1", TopK: 100, Workers: 1, CacheSize: 2, CacheShards: 1, Store: st})
+	srv, ts := testServer(t, Config{NodeID: "n1", TopK: 100, Workers: 1, CacheSize: 2, Store: st})
 	t.Cleanup(func() { srv.CloseStore() })
 
 	const n = 10

@@ -106,8 +106,11 @@ func Derive() *Table {
 	baseRefs := make(map[byte]*ssim.RefTable, len(Bases))
 	for i := 0; i < len(Bases); i++ {
 		b := Bases[i]
-		img := re.RenderWidth(string(rune(b)), glyph.CellWidth)
-		baseRefs[b] = ssim.Precompute(img)
+		rt, err := ssim.Precompute(re.RenderWidth(string(rune(b)), glyph.CellWidth))
+		if err != nil {
+			panic("simchar: one glyph cell: " + err.Error()) // a cell is 66 px
+		}
+		baseRefs[b] = rt
 		bits := re.CellBits(rune(b))
 		if _, dup := t.bitmapBase[bits]; !dup {
 			t.bitmapBase[bits] = b

@@ -18,13 +18,17 @@ import (
 // equivSizes covers the degenerate corners the kernel must survive:
 // 0-width, 0-height, 1×1, single row/column, window-larger-than-image,
 // realistic rendered-domain shapes (width ≫ height, CellHeight rows), and
-// one shape past maxPackedPixels so the five-table wide path is exercised
-// by every property test.
+// shapes past maxPackedPixels, which every kernel entry point must refuse
+// (tooLarge).
 var equivSizes = [][2]int{
 	{0, 0}, {0, 5}, {5, 0}, {1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 3},
 	{8, 8}, {7, 11}, {11, 7}, {2, 33}, {33, 2}, {48, 15}, {90, 15},
-	{260, 140}, // 36400 px > maxPackedPixels: wide kernel
+	{260, 140}, // 36400 px > maxPackedPixels: refused
+	{3001, 11}, // one column past the bound at glyph height: refused
 }
+
+// tooLarge reports whether a shape is past the kernel's bound.
+func tooLarge(sz [2]int) bool { return sz[0]*sz[1] > maxPackedPixels }
 
 func TestIndexMatchesNaiveProperty(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 42, 2018} {
@@ -35,6 +39,12 @@ func TestIndexMatchesNaiveProperty(t *testing.T) {
 			for _, win := range []int{2, 3, 8, 16} {
 				c := New(win)
 				fast, errF := c.Index(a, b)
+				if tooLarge(sz) {
+					if errF != ErrTooLarge {
+						t.Fatalf("size %v: Index error %v, want ErrTooLarge", sz, errF)
+					}
+					continue
+				}
 				naive, errN := c.IndexNaive(a, b)
 				if (errF == nil) != (errN == nil) {
 					t.Fatalf("seed %d size %v win %d: error mismatch %v vs %v", seed, sz, win, errF, errN)
@@ -53,14 +63,24 @@ func TestIndexMatchesNaiveProperty(t *testing.T) {
 // TestIndexRefMatchesIndex pins the cached-reference path: IndexRef over a
 // Precomputed table must be bit-identical to the plain pair kernel (and so,
 // transitively, to IndexNaive) on every shape, including the table-less
-// wide and empty fallbacks, and must reject mismatched sizes the same way.
+// empty fallback, must refuse the shapes Index refuses, and must reject
+// mismatched sizes the same way.
 func TestIndexRefMatchesIndex(t *testing.T) {
 	for _, seed := range []int64{9, 13, 2018} {
 		r := rand.New(rand.NewSource(seed))
 		for _, sz := range equivSizes {
 			a := randomGray(r, sz[0], sz[1])
 			b := randomGray(r, sz[0], sz[1])
-			rt := Precompute(a)
+			rt, err := Precompute(a)
+			if tooLarge(sz) {
+				if err != ErrTooLarge {
+					t.Fatalf("size %v: Precompute error %v, want ErrTooLarge", sz, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 			if rt.img != a {
 				t.Fatalf("size %v: the table does not keep its image", sz)
 			}
@@ -82,7 +102,7 @@ func TestIndexRefMatchesIndex(t *testing.T) {
 		}
 	}
 	// Mismatched candidate size must fail exactly like Index.
-	rt := Precompute(image.NewGray(image.Rect(0, 0, 8, 8)))
+	rt := mustPrecompute(t, image.NewGray(image.Rect(0, 0, 8, 8)))
 	if _, err := New(8).IndexRef(rt, image.NewGray(image.Rect(0, 0, 7, 8))); err != ErrSizeMismatch {
 		t.Fatalf("size mismatch: got %v, want ErrSizeMismatch", err)
 	}
@@ -93,7 +113,7 @@ func TestIndexRefMatchesIndex(t *testing.T) {
 func TestIndexRefZeroAllocSteadyState(t *testing.T) {
 	re := glyph.NewRenderer()
 	width := len("facebook.com") * glyph.CellWidth
-	rt := Precompute(re.RenderWidth("facebook.com", width))
+	rt := mustPrecompute(t, re.RenderWidth("facebook.com", width))
 	y := re.RenderWidth("faceboôk.com", width)
 	c := New(DefaultWindow)
 	if _, err := c.IndexRef(rt, y); err != nil {
@@ -233,7 +253,11 @@ func TestIndexRefBoundedContract(t *testing.T) {
 	for _, seed := range []int64{1, 9, 2018} {
 		r := rand.New(rand.NewSource(seed))
 		for _, sz := range equivSizes {
+			if tooLarge(sz) {
+				continue // refused (TestIndexRefMatchesIndex)
+			}
 			a := randomGray(r, sz[0], sz[1])
+			rt := mustPrecompute(t, a)
 			for _, mode := range []string{"random", "similar"} {
 				var b *image.Gray
 				if mode == "random" {
@@ -247,9 +271,9 @@ func TestIndexRefBoundedContract(t *testing.T) {
 				}
 				for _, win := range []int{2, 8} {
 					c := New(win)
-					exact, errE := c.IndexRef(Precompute(a), b)
+					exact, errE := c.IndexRef(rt, b)
 					for _, floor := range floors {
-						got, ok, err := New(win).IndexRefBounded(Precompute(a), b, floor)
+						got, ok, err := New(win).IndexRefBounded(rt, b, floor)
 						if (err == nil) != (errE == nil) {
 							t.Fatalf("size %v floor %v: error mismatch %v vs %v", sz, floor, err, errE)
 						}
@@ -280,7 +304,7 @@ func TestIndexRefBoundedZeroAlloc(t *testing.T) {
 	a := randomGray(r, 96, 15)
 	b := randomGray(r, 96, 15)
 	c := New(DefaultWindow)
-	rt := Precompute(a)
+	rt := mustPrecompute(t, a)
 	if _, _, err := c.IndexRefBounded(rt, b, 0.98); err != nil {
 		t.Fatal(err)
 	}

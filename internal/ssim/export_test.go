@@ -1,6 +1,9 @@
 package ssim
 
-import "image"
+import (
+	"image"
+	"testing"
+)
 
 // Index computes the mean SSIM index with the default window size. It
 // builds a throwaway Comparator; hot paths should hold one Comparator and
@@ -9,15 +12,25 @@ func Index(a, b *image.Gray) (float64, error) {
 	return New(DefaultWindow).Index(a, b)
 }
 
+// mustPrecompute is Precompute for an image inside the kernel's bound.
+func mustPrecompute(t testing.TB, img *image.Gray) *RefTable {
+	t.Helper()
+	rt, err := Precompute(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
 // IndexRefSubRect is IndexRefSubPatch for a candidate image b that
 // differs from the reference only within columns [x0, x1) and rows
-// [y0, y1), clamped to the image; unpacked tables fall back to Index.
+// [y0, y1), clamped to the image; an empty table falls back to Index.
 func (c *Comparator) IndexRefSubRect(rt *RefTable, b *image.Gray, x0, x1, y0, y1 int) (float64, error) {
 	if rt.w != b.Rect.Dx() || rt.h != b.Rect.Dy() {
 		return 0, ErrSizeMismatch
 	}
 	if rt.t == nil {
-		return c.Index(rt.img, b) // empty or wide: shared fallback paths
+		return c.Index(rt.img, b) // empty
 	}
 	w, h := rt.w, rt.h
 	if x0 < 0 {

@@ -51,7 +51,7 @@ func TestIndexRefSubBitIdentical(t *testing.T) {
 	}
 	for _, d := range dims {
 		a := randGrayRS(rng, d.w, d.h)
-		rt := Precompute(a)
+		rt := mustPrecompute(t, a)
 		ranges := [][2]int{
 			{0, 1}, {0, d.w}, {d.w - 1, d.w}, {d.w / 2, d.w/2 + 1},
 			{d.w / 3, 2 * d.w / 3}, {5, 5}, {0, 0}, {-3, 2}, {d.w - 2, d.w + 7},
@@ -92,7 +92,7 @@ func TestIndexRefSubRectBitIdentical(t *testing.T) {
 	}
 	for _, d := range dims {
 		a := randGrayRS(rng, d.w, d.h)
-		rt := Precompute(a)
+		rt := mustPrecompute(t, a)
 		rects := [][4]int{
 			{0, 5, 0, 2},                         // top-left mark band
 			{0, 5, d.h - 2, d.h},                 // bottom mark band
@@ -141,7 +141,7 @@ func TestIndexRefSubPatchBitIdentical(t *testing.T) {
 	}
 	for _, d := range dims {
 		a := randGrayRS(rng, d.w, d.h)
-		rt := Precompute(a)
+		rt := mustPrecompute(t, a)
 		rects := [][4]int{
 			{0, 5, 0, 2}, {d.w / 2, d.w/2 + 3, 0, 1}, {0, d.w, 0, d.h}, {3, 4, 3, 4},
 		}
@@ -185,12 +185,12 @@ func TestIndexRefSubPatchBitIdentical(t *testing.T) {
 }
 
 // TestIndexRefSubPatchErrors covers the patch kernel's contract checks:
-// unpacked tables, out-of-bounds or empty rectangles, and short patches.
+// out-of-bounds or empty rectangles, short patches, and an empty table.
 func TestIndexRefSubPatchErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	c := New(DefaultWindow)
 	a := randGrayRS(rng, 20, 11)
-	rt := Precompute(a)
+	rt := mustPrecompute(t, a)
 	patch := make([]byte, 20*11)
 	cases := [][4]int{
 		{-1, 3, 0, 2}, {0, 0, 0, 2}, {0, 21, 0, 2}, {0, 3, 5, 5}, {0, 3, 0, 12},
@@ -203,9 +203,9 @@ func TestIndexRefSubPatchErrors(t *testing.T) {
 	if _, err := c.IndexRefSubPatch(rt, 0, 5, 0, 5, patch[:24]); err == nil {
 		t.Fatal("short patch: expected error")
 	}
-	wide := randGrayRS(rng, 3100, 11)
-	if _, err := c.IndexRefSubPatch(Precompute(wide), 0, 5, 0, 5, patch); err == nil {
-		t.Fatal("unpacked table: expected error")
+	empty := mustPrecompute(t, randGrayRS(rng, 0, 11))
+	if _, err := c.IndexRefSubPatch(empty, 0, 5, 0, 5, patch); err == nil {
+		t.Fatal("empty table: expected error")
 	}
 }
 
@@ -216,7 +216,7 @@ func TestIndexRefSubPatchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	c := New(DefaultWindow)
 	a := randGrayRS(rng, 36, 11)
-	rt := Precompute(a)
+	rt := mustPrecompute(t, a)
 	patch := make([]byte, 5*11)
 	for i := range patch {
 		patch[i] = uint8(rng.Intn(256))
@@ -247,7 +247,7 @@ func TestRefSubPatchAboveMatchesExact(t *testing.T) {
 	}
 	for _, d := range dims {
 		a := randGrayRS(rng, d.w, d.h)
-		rt := Precompute(a)
+		rt := mustPrecompute(t, a)
 		for trial := 0; trial < 10; trial++ {
 			x0 := rng.Intn(d.w)
 			x1 := x0 + 1 + rng.Intn(min(6, d.w-x0))
@@ -292,7 +292,7 @@ func TestRefSubPatchAboveZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	c := New(DefaultWindow)
 	a := randGrayRS(rng, 36, 11)
-	rt := Precompute(a)
+	rt := mustPrecompute(t, a)
 	patch := make([]byte, 5*8)
 	for i := range patch {
 		patch[i] = uint8(rng.Intn(256))
@@ -317,7 +317,7 @@ func TestIndexRefSubIdenticalImages(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := New(DefaultWindow)
 	a := randGrayRS(rng, 30, 11)
-	rt := Precompute(a)
+	rt := mustPrecompute(t, a)
 	b := cloneWithCols(rng, a, 0, 0)
 	want, err := c.IndexRef(rt, b)
 	if err != nil {
@@ -335,30 +335,22 @@ func TestIndexRefSubIdenticalImages(t *testing.T) {
 	}
 }
 
-// TestIndexRefSubWideFallback covers the table-less RefTable path (images
-// beyond the packed bound) and the size-mismatch error.
-func TestIndexRefSubWideFallback(t *testing.T) {
+// TestIndexRefSubWideRefused: an image over the kernel's size bound,
+// larger than any rendered DNS name, gets no RefTable, and a table
+// refuses a candidate of another size.
+func TestIndexRefSubWideRefused(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	c := New(DefaultWindow)
 	w, h := 3100, 11 // 34100 pixels > maxPackedPixels
 	a := randGrayRS(rng, w, h)
-	rt := Precompute(a)
-	if rt.t != nil {
-		t.Fatalf("expected table-less RefTable for %d pixels", w*h)
+	if rt, err := Precompute(a); err != ErrTooLarge || rt != nil {
+		t.Fatalf("Precompute of %d pixels = %v, %v, want ErrTooLarge", w*h, rt, err)
 	}
-	b := cloneWithCols(rng, a, 100, 140)
-	want, err := c.Index(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.IndexRefSub(rt, b, 100, 140)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("wide fallback: IndexRefSub = %v, Index = %v", got, want)
+	if _, err := c.Index(a, a); err != ErrTooLarge {
+		t.Fatalf("Index of %d pixels: error %v, want ErrTooLarge", w*h, err)
 	}
 
+	rt := mustPrecompute(t, randGrayRS(rng, 40, h))
 	small := randGrayRS(rng, 10, 10)
 	if _, err := c.IndexRefSub(rt, small, 0, 1); err != ErrSizeMismatch {
 		t.Fatalf("size mismatch error = %v, want ErrSizeMismatch", err)
@@ -372,7 +364,7 @@ func TestIndexRefSubZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	c := New(DefaultWindow)
 	a := randGrayRS(rng, 36, 11)
-	rt := Precompute(a)
+	rt := mustPrecompute(t, a)
 	b := cloneWithCols(rng, a, 12, 17)
 	if _, err := c.IndexRefSub(rt, b, 12, 17); err != nil {
 		t.Fatal(err)

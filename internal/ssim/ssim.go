@@ -23,19 +23,21 @@
 //
 //   - The tables are integer-exact. Pixels are uint8, so every window sum
 //     is an integer far below 2^53; uint64 table arithmetic and the
-//     float64 conversions downstream are all lossless. For images up to
-//     maxPackedPixels the kernel packs each image's (Σx, Σx²) into the
-//     two 32-bit halves of one uint64 table — three tables per pair
-//     instead of five, which is where the build spends its time — with
-//     overflow and carry/borrow-freedom guaranteed by the pixel-count
-//     bound. Packing per image (rather than across the pair) also lets a
-//     RefTable cache a reference image's table, so scans that compare
-//     many candidates against a fixed brand raster rebuild only the
-//     candidate's table and the cross table per call (IndexRef).
-//   - Both kernels fold window sums through the same windowStat
-//     expression, so the integral-image path is bit-identical to the
-//     direct-summation reference the tests keep (IndexNaive) — pinned by
-//     property tests and the byte-exact golden report.
+//     float64 conversions downstream are all lossless. The kernel packs
+//     each image's (Σx, Σx²) into the two 32-bit halves of one uint64
+//     table — three tables per pair instead of five, which is where the
+//     build spends its time — with overflow and carry/borrow-freedom
+//     guaranteed by the pixel-count bound maxPackedPixels, which every
+//     rendered DNS name is inside; larger images are refused
+//     (ErrTooLarge). Packing per image (rather than across the pair)
+//     also lets a RefTable cache a reference image's table, so scans
+//     that compare many candidates against a fixed brand raster rebuild
+//     only the candidate's table and the cross table per call
+//     (IndexRef).
+//   - The kernel and the direct-summation reference the tests keep
+//     (IndexNaive) fold window sums through the same windowStat
+//     expression, so the integral-image path is bit-identical to it —
+//     pinned by property tests and the byte-exact golden report.
 //
 // The tables live in a scratch buffer owned by the Comparator and are
 // reused across calls, so a steady-state corpus scan performs zero
@@ -59,16 +61,23 @@ const (
 	dynamicRange  = 255.0
 )
 
-// maxPackedPixels bounds the packed three-table fast path: with
+// maxPackedPixels bounds the packed three-table kernel: with
 // w*h ≤ 33000 every per-half table value is at most 255²·33000 < 2^31,
 // so adding two table entries cannot carry across the 32-bit boundary and
 // the four-corner subtraction cannot borrow (window sums are
-// non-negative). Larger images take the five-table wide path.
+// non-negative). A glyph cell is 6×11 = 66 px and Normalize refuses names
+// over 253 octets, so the widest rendered name is 253·66 = 16,698 px.
 const maxPackedPixels = 33000
 
-// ErrSizeMismatch reports two images with different dimensions; the caller
-// decides the padding policy (package glyph renders fixed-width pairs).
-var ErrSizeMismatch = errors.New("ssim: image dimensions differ")
+var (
+	// ErrSizeMismatch reports two images with different dimensions; the
+	// caller decides the padding policy (package glyph renders
+	// fixed-width pairs).
+	ErrSizeMismatch = errors.New("ssim: image dimensions differ")
+	// ErrTooLarge reports an image over maxPackedPixels, larger than any
+	// rendered DNS name.
+	ErrTooLarge = errors.New("ssim: image larger than any rendered DNS name")
+)
 
 // Comparator computes SSIM indices with a fixed window size. The zero value
 // is not usable; use New. A Comparator owns a reusable summed-area-table
@@ -106,25 +115,25 @@ func (c *Comparator) scratch(n int) []uint64 {
 // Index computes the mean SSIM index between two equal-sized grayscale
 // images: the per-window SSIM averaged over all window positions (stride
 // 1), in O(W·H) total via the integral-image kernel. Results are
-// bit-identical to direct summation over every window.
+// bit-identical to direct summation over every window. Images over
+// maxPackedPixels are refused with ErrTooLarge.
 func (c *Comparator) Index(a, b *image.Gray) (float64, error) {
 	w, h := a.Rect.Dx(), a.Rect.Dy()
 	if w != b.Rect.Dx() || h != b.Rect.Dy() {
 		return 0, ErrSizeMismatch
 	}
+	if w*h > maxPackedPixels {
+		return 0, ErrTooLarge
+	}
 	if w == 0 || h == 0 {
 		return 1, nil // two empty images are identical
 	}
-	win := min(c.window, w, h)
-	if w*h <= maxPackedPixels {
-		return c.indexPacked(a, b, w, h, win), nil
-	}
-	return c.indexWide(a, b, w, h, win), nil
+	return c.indexPacked(a, b, w, h, min(c.window, w, h)), nil
 }
 
-// indexPacked is the three-table kernel for images within
-// maxPackedPixels: tables tA and tB each hold one image's Σx in the low
-// and Σx² in the high 32 bits, and tX holds Σab alone.
+// indexPacked is the three-table kernel: tables tA and tB each hold one
+// image's Σx in the low and Σx² in the high 32 bits, and tX holds Σab
+// alone.
 func (c *Comparator) indexPacked(a, b *image.Gray, w, h, win int) float64 {
 	stride := w + 1
 	n := stride * (h + 1)
@@ -230,17 +239,20 @@ func packedWindowsBounded(tA, tB, tX []uint64, stride, w, h, win int, c1, c2, fl
 type RefTable struct {
 	img  *image.Gray
 	w, h int
-	t    []uint64 // nil when the image exceeds maxPackedPixels or is empty
+	t    []uint64 // nil when the image is empty
 }
 
-// Precompute builds the reusable reference-side table for img. Images
-// beyond the packed bound (or empty) get a table-less RefTable; IndexRef
-// then falls back to the plain pair kernel.
-func Precompute(img *image.Gray) *RefTable {
+// Precompute builds the reusable reference-side table for img. An empty
+// image gets a table-less RefTable, which IndexRef answers through
+// Index; an image over maxPackedPixels is refused with ErrTooLarge.
+func Precompute(img *image.Gray) (*RefTable, error) {
 	w, h := img.Rect.Dx(), img.Rect.Dy()
+	if w*h > maxPackedPixels {
+		return nil, ErrTooLarge
+	}
 	rt := &RefTable{img: img, w: w, h: h}
-	if w == 0 || h == 0 || w*h > maxPackedPixels {
-		return rt
+	if w == 0 || h == 0 {
+		return rt, nil
 	}
 	stride := w + 1
 	rt.t = make([]uint64, stride*(h+1))
@@ -255,7 +267,7 @@ func Precompute(img *image.Gray) *RefTable {
 			cur[x+1] = prev[x+1] + r
 		}
 	}
-	return rt
+	return rt, nil
 }
 
 // IndexRef computes Index(ref, b) for the image ref that rt was
@@ -268,7 +280,7 @@ func (c *Comparator) IndexRef(rt *RefTable, b *image.Gray) (float64, error) {
 		return 0, ErrSizeMismatch
 	}
 	if rt.t == nil {
-		return c.Index(rt.img, b) // empty or wide: shared fallback paths
+		return c.Index(rt.img, b) // empty
 	}
 	w, h := rt.w, rt.h
 	win := min(c.window, w, h)
@@ -313,7 +325,7 @@ func (c *Comparator) IndexRefBounded(rt *RefTable, b *image.Gray, floor float64)
 		return 0, false, ErrSizeMismatch
 	}
 	if rt.t == nil {
-		v, err := c.Index(rt.img, b) // empty or wide: shared fallback paths
+		v, err := c.Index(rt.img, b) // empty
 		return v, err == nil && v >= floor, err
 	}
 	w, h := rt.w, rt.h
@@ -348,11 +360,6 @@ func (c *Comparator) IndexRefBounded(rt *RefTable, b *image.Gray, floor float64)
 	return v, ok, nil
 }
 
-// Packed reports whether the reference table holds the packed fast-path
-// summed-area statistics. Patch-based scoring (IndexRefSubPatch) requires
-// a packed table; callers must fall back to a full comparison otherwise.
-func (rt *RefTable) Packed() bool { return rt.t != nil }
-
 // IndexRefSubPatch computes IndexRef(rt, b) for a candidate b that is
 // never materialized as an image: b equals the reference everywhere except
 // the rectangle of columns [x0, x1) and rows [y0, y1), whose candidate
@@ -374,12 +381,9 @@ func (rt *RefTable) Packed() bool { return rt.t != nil }
 // O(W·H). The result is bit-identical to rendering the candidate and
 // calling IndexRef; a rectangle that does not cover every differing pixel
 // gives garbage, so it is a correctness contract, not a hint. The
-// rectangle must satisfy 0 ≤ x0 < x1 ≤ w and 0 ≤ y0 < y1 ≤ h, patch must
-// hold at least (x1−x0)·(y1−y0) bytes, and rt must be Packed.
+// rectangle must satisfy 0 ≤ x0 < x1 ≤ w and 0 ≤ y0 < y1 ≤ h (so rt is
+// not empty), and patch must hold at least (x1−x0)·(y1−y0) bytes.
 func (c *Comparator) IndexRefSubPatch(rt *RefTable, x0, x1, y0, y1 int, patch []byte) (float64, error) {
-	if rt.t == nil {
-		return 0, errPatchUnpacked
-	}
 	if x0 < 0 || x0 >= x1 || x1 > rt.w || y0 < 0 || y0 >= y1 || y1 > rt.h {
 		return 0, errPatchRect
 	}
@@ -394,9 +398,8 @@ func (c *Comparator) IndexRefSubPatch(rt *RefTable, x0, x1, y0, y1 int, patch []
 }
 
 var (
-	errPatchUnpacked = errors.New("ssim: IndexRefSubPatch requires a packed RefTable")
-	errPatchRect     = errors.New("ssim: IndexRefSubPatch rectangle out of bounds")
-	errPatchShort    = errors.New("ssim: IndexRefSubPatch patch shorter than rectangle")
+	errPatchRect  = errors.New("ssim: IndexRefSubPatch rectangle out of bounds")
+	errPatchShort = errors.New("ssim: IndexRefSubPatch patch shorter than rectangle")
 )
 
 // RefSubPatchAbove reports whether IndexRefSubPatch(rt, x0, x1, y0, y1,
@@ -415,9 +418,6 @@ var (
 // generic image pair ever is — does it fall back to the exact sweep, so
 // the decision always equals comparing the exact IndexRefSubPatch score.
 func (c *Comparator) RefSubPatchAbove(rt *RefTable, x0, x1, y0, y1 int, patch []byte, threshold float64) (bool, error) {
-	if rt.t == nil {
-		return false, errPatchUnpacked
-	}
 	if x0 < 0 || x0 >= x1 || x1 > rt.w || y0 < 0 || y0 >= y1 || y1 > rt.h {
 		return false, errPatchRect
 	}
@@ -685,66 +685,6 @@ func (c *Comparator) refSubSweep(rt *RefTable, x0, x1, y0, y1 int, t1, t2, tx []
 		sum += 1.0
 	}
 	return sum / float64(cols*(h-win+1))
-}
-
-// indexWide is the five-table kernel for images too large for packed
-// 32-bit halves. Same math, one table per statistic.
-func (c *Comparator) indexWide(a, b *image.Gray, w, h, win int) float64 {
-	stride := w + 1
-	n := stride * (h + 1)
-	buf := c.scratch(5 * n)
-	sa := buf[0*n : 1*n]
-	sb := buf[1*n : 2*n]
-	saa := buf[2*n : 3*n]
-	sbb := buf[3*n : 4*n]
-	sab := buf[4*n : 5*n]
-	for x := 0; x < stride; x++ {
-		sa[x], sb[x], saa[x], sbb[x], sab[x] = 0, 0, 0, 0, 0
-	}
-	for y := 0; y < h; y++ {
-		rowA := a.Pix[y*a.Stride : y*a.Stride+w]
-		rowB := b.Pix[y*b.Stride : y*b.Stride+w]
-		prev := y * stride
-		cur := prev + stride
-		sa[cur], sb[cur], saa[cur], sbb[cur], sab[cur] = 0, 0, 0, 0, 0
-		var ra, rb, raa, rbb, rab uint64
-		for x := 0; x < w; x++ {
-			pa := uint64(rowA[x])
-			pb := uint64(rowB[x])
-			ra += pa
-			rb += pb
-			raa += pa * pa
-			rbb += pb * pb
-			rab += pa * pb
-			i := cur + x + 1
-			j := prev + x + 1
-			sa[i] = sa[j] + ra
-			sb[i] = sb[j] + rb
-			saa[i] = saa[j] + raa
-			sbb[i] = sbb[j] + rbb
-			sab[i] = sab[j] + rab
-		}
-	}
-	invN := 1 / float64(win*win)
-	var sum float64
-	var count int
-	for y := 0; y+win <= h; y++ {
-		r0 := y * stride
-		r1 := (y + win) * stride
-		for x := 0; x+win <= w; x++ {
-			i00, i01 := r0+x, r0+x+win
-			i10, i11 := r1+x, r1+x+win
-			sum += windowStat(
-				float64(sa[i11]+sa[i00]-sa[i01]-sa[i10]),
-				float64(sb[i11]+sb[i00]-sb[i01]-sb[i10]),
-				float64(saa[i11]+saa[i00]-saa[i01]-saa[i10]),
-				float64(sbb[i11]+sbb[i00]-sbb[i01]-sbb[i10]),
-				float64(sab[i11]+sab[i00]-sab[i01]-sab[i10]),
-				invN, c.c1, c.c2)
-			count++
-		}
-	}
-	return sum / float64(count)
 }
 
 // windowStat folds the five window sums into one SSIM statistic. Shared

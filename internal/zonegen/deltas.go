@@ -119,6 +119,10 @@ type DayDelta struct {
 	Zones []ZoneDelta
 }
 
+// asciiShare is the fraction of benign adds that are plain-ASCII
+// registrations: most zone churn is not IDN.
+const asciiShare = 0.55
+
 // DeltaConfig parameterizes delta generation. Zero values select
 // defaults scaled to the registry size.
 type DeltaConfig struct {
@@ -134,9 +138,6 @@ type DeltaConfig struct {
 	// AttackShare is the fraction of adds that are homograph attacks
 	// against the brand list (default 0.05).
 	AttackShare float64
-	// ASCIIShare is the fraction of benign adds that are plain-ASCII
-	// registrations (default 0.55 — most zone churn is not IDN).
-	ASCIIShare float64
 	// AttackTopK bounds attack targets to the top-K brands (default 100).
 	AttackTopK int
 }
@@ -156,9 +157,6 @@ func (c DeltaConfig) withDefaults(registrySize int) DeltaConfig {
 	}
 	if c.AttackShare <= 0 {
 		c.AttackShare = 0.05
-	}
-	if c.ASCIIShare <= 0 {
-		c.ASCIIShare = 0.55
 	}
 	if c.AttackTopK <= 0 {
 		c.AttackTopK = 100
@@ -321,7 +319,7 @@ func (g *DeltaGen) genAdd() (DeltaRecord, string) {
 			return rec, tld
 		}
 	}
-	if g.src.Bool(g.cfg.ASCIIShare) {
+	if g.src.Bool(asciiShare) {
 		label := g.names.ASCIILabel()
 		return DeltaRecord{Op: DeltaAdd, Owner: label, Unicode: label, NS: ns}, tld
 	}

@@ -73,7 +73,7 @@ func (r *Registry) Labels() []LabeledDomain {
 		default:
 			pop, positive = "benign-ascii", false
 		}
-		age := r.Cfg.Snapshot.Sub(d.Created).Hours() / 24
+		age := Snapshot.Sub(d.Created).Hours() / 24
 		if age < 0 {
 			age = 0
 		}

@@ -127,7 +127,7 @@ func (r *Registry) BuildPDNS() *pdns.Store {
 			if !src.Bool(UnregisteredNoise) {
 				continue
 			}
-			first := r.Cfg.Snapshot.AddDate(0, 0, -src.Intn(30)-1)
+			first := Snapshot.AddDate(0, 0, -src.Intn(30)-1)
 			s.Merge(pdns.Entry{
 				Domain:    name,
 				FirstSeen: first,

@@ -96,10 +96,9 @@ type Config struct {
 	// Seed makes the whole universe reproducible.
 	Seed uint64
 	// Scale divides every paper-scale count; 1 reproduces paper scale,
-	// the default 100 synthesizes ≈14.7K IDNs.
+	// the default 100 synthesizes ≈14.7K IDNs. Every date is anchored
+	// at Snapshot, the paper's.
 	Scale int
-	// Snapshot anchors all dates; defaults to the paper's snapshot.
-	Snapshot time.Time
 }
 
 // DefaultScale is the default down-scaling divisor.
@@ -108,9 +107,6 @@ const DefaultScale = 100
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = DefaultScale
-	}
-	if c.Snapshot.IsZero() {
-		c.Snapshot = Snapshot
 	}
 	return c
 }
@@ -397,8 +393,8 @@ func (g *generator) buildITLDs() {
 func (g *generator) dateInYear(year int) time.Time {
 	day := g.src.Intn(365)
 	t := time.Date(year, 1, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, day)
-	if t.After(g.cfg.Snapshot) {
-		t = g.cfg.Snapshot.AddDate(0, 0, -g.src.Intn(90)-1)
+	if t.After(Snapshot) {
+		t = Snapshot.AddDate(0, 0, -g.src.Intn(90)-1)
 	}
 	return t
 }
@@ -455,16 +451,16 @@ func (g *generator) fillActivity(d *Domain, act activityParams) {
 	// First query shortly after the observable window opens.
 	lag := int(g.src.Exponential(20))
 	d.FirstSeen = start.AddDate(0, 0, lag)
-	if d.FirstSeen.After(g.cfg.Snapshot) {
-		d.FirstSeen = g.cfg.Snapshot.AddDate(0, 0, -1)
+	if d.FirstSeen.After(Snapshot) {
+		d.FirstSeen = Snapshot.AddDate(0, 0, -1)
 	}
 	activeDays := g.src.LogNormal(act.ActiveMu, act.ActiveSigma)
 	if activeDays < 0.5 {
 		activeDays = 0.5
 	}
 	d.LastSeen = d.FirstSeen.AddDate(0, 0, int(activeDays))
-	if d.LastSeen.After(g.cfg.Snapshot) {
-		d.LastSeen = g.cfg.Snapshot
+	if d.LastSeen.After(Snapshot) {
+		d.LastSeen = Snapshot
 	}
 	q := int64(g.src.LogNormal(act.QueryMu, act.QuerySigma))
 	if q < 1 {

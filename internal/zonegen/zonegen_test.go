@@ -224,7 +224,7 @@ func TestOpportunisticPortfolios(t *testing.T) {
 }
 
 func TestCreationDatesWithinRange(t *testing.T) {
-	snapshot := testRegistry.Cfg.Snapshot
+	snapshot := Snapshot
 	pre2008 := 0
 	idns := 0
 	for i := range testRegistry.Domains {
@@ -255,7 +255,7 @@ func TestPDNSInvariants(t *testing.T) {
 		if d.LastSeen.Before(d.FirstSeen) {
 			t.Fatalf("%s: last seen before first seen", d.ACE)
 		}
-		if d.LastSeen.After(testRegistry.Cfg.Snapshot) {
+		if d.LastSeen.After(Snapshot) {
 			t.Fatalf("%s: last seen after snapshot", d.ACE)
 		}
 		if d.Queries < 1 {
@@ -341,13 +341,20 @@ func TestSLDTotalsAnalytic(t *testing.T) {
 	}
 }
 
+// TestSnapshotDefault: the universe is anchored at the paper's
+// snapshot, and its passive-DNS history runs right up to it.
 func TestSnapshotDefault(t *testing.T) {
-	if !testRegistry.Cfg.Snapshot.Equal(Snapshot) {
-		t.Errorf("snapshot = %v", testRegistry.Cfg.Snapshot)
+	if !Snapshot.Equal(time.Date(2017, 10, 1, 0, 0, 0, 0, time.UTC)) {
+		t.Errorf("snapshot = %v, want the paper's 2017-10-01", Snapshot)
 	}
-	custom := Generate(Config{Seed: 1, Scale: 2000, Snapshot: time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)})
-	if custom.Cfg.Snapshot.Year() != 2018 {
-		t.Error("custom snapshot ignored")
+	var last time.Time
+	for i := range testRegistry.Domains {
+		if d := &testRegistry.Domains[i]; d.LastSeen.After(last) {
+			last = d.LastSeen
+		}
+	}
+	if !last.Equal(Snapshot) {
+		t.Errorf("latest last-seen = %v, want the snapshot %v", last, Snapshot)
 	}
 }
 
