@@ -30,6 +30,7 @@ var gates = []struct {
 }{
 	{"./internal/candidx", "BenchmarkIndexLookup", "ops/s", 100_000, "index lookups/s at 10k brands"},
 	{"./internal/candidx", "BenchmarkIndexBuild", "ops/s", 10, "top-1000 index builds/s, the start-up cost of every detector given no index file (runs 13-22)"},
+	{"./internal/core", "BenchmarkRescoreUniverse", "rescores/s", 350_000, "bounded rescores/s over the default index's candidates for the scale-100 universe's IDNs (runs 383-499k; the whole-image kernel made 217-332k)"},
 	{"./internal/watch", "BenchmarkWatchMatch1M", "ops/s", 500_000, "deltas/s through the match stage at 1M subscriptions"},
 	{"./internal/watch", "BenchmarkDeltaParse", "MB/s", 80, "delta parse throughput (a string, a field slice and a failed TTL parse per line made 45-52)"},
 	{"./internal/watch", "BenchmarkSubscribe1M", "subscriptions/s", 18_000_000, "start-up subscriptions/s at 1M over 1k brands (a duplicate scan per Subscribe made 1.6M)"},

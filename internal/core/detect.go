@@ -63,13 +63,12 @@ type HomographDetector struct {
 	// scratch is the reusable candidate raster; scratchRef the reusable
 	// reference raster for Score calls against labels outside the brand
 	// set. Both are private to this instance (never shared by Clone).
-	// scratchLabel/scratchWidth memoize what scratch currently holds, so
-	// the brute-force brand sweep re-renders a candidate only when the
-	// target width actually changes.
+	// scratch holds scratchLabel rendered one cell wider than itself, and
+	// view is the narrower window of it a rescore reads (candidate).
 	scratch      *image.Gray
 	scratchRef   *image.Gray
 	scratchLabel string
-	scratchWidth int
+	view         image.Gray
 	// index is the candidate index every lookup probes (nil only for the
 	// reference sweep), and probe its private lookup scratch (never
 	// shared by Clone).
@@ -90,8 +89,8 @@ type HomographDetector struct {
 // counters, surfaced at /metrics by both the serving and watch tiers.
 type detectorCounters struct {
 	// rescoreEarlyExit counts bounded rescores (ScoreBounded against a
-	// known brand) that exited before completing the window sweep — the
-	// PR-7 optimization that was previously unobservable.
+	// known brand) the kernel proved below their floor without computing
+	// the exact score.
 	rescoreEarlyExit atomic.Uint64
 	// prefilterPass / prefilterShed count statistical-prefilter
 	// admissions and sheds of the expensive homograph path.
@@ -243,7 +242,7 @@ func (d *HomographDetector) Clone() *HomographDetector {
 	c.scratch = nil
 	c.scratchRef = nil
 	c.scratchLabel = ""
-	c.scratchWidth = 0
+	c.view = image.Gray{}
 	c.probe = nil
 	return &c
 }
@@ -251,30 +250,43 @@ func (d *HomographDetector) Clone() *HomographDetector {
 // Threshold returns the SSIM detection threshold, candidx.SSIMThreshold.
 func (d *HomographDetector) Threshold() float64 { return candidx.SSIMThreshold }
 
+// candidate returns label rendered at width pixels. The label is
+// rendered once, one cell wider than itself, and every width up to that
+// is a view of the same raster: RenderWidthInto is column-local (padding
+// is background, truncation drops columns), so each view is
+// pixel-identical to rendering at its width. A brand one rune longer or
+// shorter than the label — every brand the rescore reaches — needs no
+// second render; a wider target renders again.
+func (d *HomographDetector) candidate(label string, width int) *image.Gray {
+	if d.scratch == nil || label != d.scratchLabel || width > d.scratch.Rect.Dx() {
+		full := max(width, (utf8.RuneCountInString(label)+1)*glyph.CellWidth)
+		d.scratch = d.renderer.RenderWidthInto(d.scratch, label, full)
+		d.scratchLabel = label
+	}
+	d.view = image.Gray{Pix: d.scratch.Pix, Stride: d.scratch.Stride, Rect: image.Rect(0, 0, width, glyph.CellHeight)}
+	return &d.view
+}
+
 // Score computes the SSIM between an IDN label and a brand label, rendered
 // at the brand's width. When brandLabel is in the brand set the reference
 // raster and its precomputed summed-area table come from the construction-
 // time cache; the candidate raster reuses the detector's scratch buffer
-// and is itself memoized across consecutive calls with the same label and
-// width (the brute-force brand sweep). In steady state a Score call
-// allocates nothing.
+// and is itself memoized across consecutive calls with the same label
+// (the brute-force brand sweep). In steady state a Score call allocates
+// nothing.
 func (d *HomographDetector) Score(label, brandLabel string) float64 {
 	width, known := d.brandWidths[brandLabel]
 	if !known {
 		width = utf8.RuneCountInString(brandLabel) * glyph.CellWidth
 	}
-	if d.scratch == nil || label != d.scratchLabel || width != d.scratchWidth {
-		d.scratch = d.renderer.RenderWidthInto(d.scratch, label, width)
-		d.scratchLabel = label
-		d.scratchWidth = width
-	}
+	cand := d.candidate(label, width)
 	var v float64
 	var err error
 	if known {
-		v, err = d.cmp.IndexRef(d.brandRefs[brandLabel], d.scratch)
+		v, err = d.cmp.IndexRef(d.brandRefs[brandLabel], cand)
 	} else {
 		d.scratchRef = d.renderer.RenderWidthInto(d.scratchRef, brandLabel, width)
-		v, err = d.cmp.Index(d.scratchRef, d.scratch)
+		v, err = d.cmp.Index(d.scratchRef, cand)
 	}
 	if err != nil {
 		return -1
@@ -282,38 +294,35 @@ func (d *HomographDetector) Score(label, brandLabel string) float64 {
 	return v
 }
 
-// ScoreBounded is Score with an early-exit floor for rescore loops that
-// only act on scores at or above min — the index-backed detection path,
-// where most candidates fall short of the threshold and the exact
-// deficit is irrelevant. It returns (score, true) with score identical
-// to Score's when the score is at least min, and (partial, false) —
-// guaranteeing Score would return strictly less than min — otherwise.
+// ScoreBounded is Score for rescore loops that only act on scores at or
+// above min — the index-backed detection path, where most candidates
+// fall short of the threshold and the exact deficit is irrelevant. It
+// returns (score, true) with score identical to Score's when the score
+// is at least min, and (s, false) — guaranteeing Score would return
+// strictly less than min, with s not necessarily the score — otherwise.
+// Against a known brand the kernel scores only the rectangle where the
+// candidate differs from the brand (ssim.IndexRefBounded).
 func (d *HomographDetector) ScoreBounded(label, brandLabel string, min float64) (float64, bool) {
 	width, known := d.brandWidths[brandLabel]
 	if !known {
 		width = utf8.RuneCountInString(brandLabel) * glyph.CellWidth
 	}
-	if d.scratch == nil || label != d.scratchLabel || width != d.scratchWidth {
-		d.scratch = d.renderer.RenderWidthInto(d.scratch, label, width)
-		d.scratchLabel = label
-		d.scratchWidth = width
-	}
+	cand := d.candidate(label, width)
 	if known {
-		v, ok, err := d.cmp.IndexRefBounded(d.brandRefs[brandLabel], d.scratch, min)
+		v, ok, err := d.cmp.IndexRefBounded(d.brandRefs[brandLabel], cand, min)
 		if err != nil {
 			return -1, false
 		}
 		if !ok {
-			// A genuine early exit: the kernel proved the exact index
-			// falls below min without finishing the window sweep. (The
-			// unknown-brand fallback below completes its sweep either
-			// way, so it never counts.)
+			// The kernel proved the exact index falls below min; the
+			// unknown-brand fallback below scores in full, so it never
+			// counts.
 			d.counters.rescoreEarlyExit.Add(1)
 		}
 		return v, ok
 	}
 	d.scratchRef = d.renderer.RenderWidthInto(d.scratchRef, brandLabel, width)
-	v, err := d.cmp.Index(d.scratchRef, d.scratch)
+	v, err := d.cmp.Index(d.scratchRef, cand)
 	if err != nil {
 		return -1, false
 	}

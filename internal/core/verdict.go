@@ -34,15 +34,20 @@ type NormalizedDomain struct {
 // Normalize folds, validates and converts a domain (given in either
 // Unicode or Punycode form) exactly once, producing the shared form every
 // downstream consumer — cache, detectors, responses — reuses. It is the
-// only place the serving request path pays the IDNA round-trip.
+// only place the serving request path pays the IDNA round-trip. A name
+// already in canonical form — lowercase ASCII, or lowercase ACE that
+// re-encodes to itself — takes idna.Canonical's one pass; every other
+// name takes ToUnicode then ToASCII, which Canonical matches exactly.
 func Normalize(domain string) (NormalizedDomain, error) {
-	uni, err := idna.ToUnicode(domain)
-	if err != nil {
-		return NormalizedDomain{}, err
-	}
-	ace, err := idna.ToASCII(uni)
-	if err != nil {
-		return NormalizedDomain{}, err
+	ace, uni, ok := idna.Canonical(domain)
+	if !ok {
+		var err error
+		if uni, err = idna.ToUnicode(domain); err != nil {
+			return NormalizedDomain{}, err
+		}
+		if ace, err = idna.ToASCII(uni); err != nil {
+			return NormalizedDomain{}, err
+		}
 	}
 	label := idna.SLDLabel(uni)
 	return NormalizedDomain{

@@ -9,6 +9,7 @@ import (
 	"image"
 	"sync"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestSharedRendererConcurrent(t *testing.T) {
@@ -134,6 +135,36 @@ func TestAtlasCoversDesignedRepertoire(t *testing.T) {
 	for _, r := range []rune{'a', 'z', '0', '-', 'á', 'ạ', 'ö', 'ѕ'} {
 		if m[r] != rasterize(r) {
 			t.Errorf("atlas cell for %q differs from rasterize", r)
+		}
+	}
+}
+
+// TestRenderWidthIntoIsCellBits pins every pixel of a render to the
+// glyph cells: ink exactly where the rune's cell has a bit set and the
+// column is inside the width, background everywhere else — so a render
+// at one width is the leading columns of any wider render.
+func TestRenderWidthIntoIsCellBits(t *testing.T) {
+	re := NewRenderer()
+	var buf *image.Gray
+	for _, s := range []string{"apple.com", "аррӏе", "faceboôk.com", "中文网址", "", "a"} {
+		n := utf8.RuneCountInString(s)
+		for _, width := range []int{0, 1, 4, n*CellWidth - 1, n * CellWidth, (n + 2) * CellWidth} {
+			if width < 0 {
+				continue
+			}
+			buf = re.RenderWidthInto(buf, s, width)
+			runes := []rune(s)
+			for y := 0; y < CellHeight; y++ {
+				for x := 0; x < width; x++ {
+					want := uint8(backgroundPixel)
+					if i, col := x/CellWidth, x%CellWidth; i < len(runes) && col < baseWidth && re.CellBits(runes[i])[y]&(1<<col) != 0 {
+						want = inkPixel
+					}
+					if got := buf.Pix[y*buf.Stride+x]; got != want {
+						t.Fatalf("%q at width %d: pixel (%d, %d) = %d, want %d", s, width, x, y, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"image"
 	"math/bits"
 	"sync"
+	"unicode/utf8"
 )
 
 // Cell geometry: a 5x7 core band with two mark rows above and below, plus
@@ -208,29 +209,24 @@ func (re *Renderer) RenderWidthInto(dst *image.Gray, s string, width int) *image
 		dst.Stride = width
 		dst.Rect = image.Rect(0, 0, width, CellHeight)
 	}
-	for i := range dst.Pix {
-		dst.Pix[i] = backgroundPixel
-	}
-	x0 := 0
-	for _, r := range s {
-		if x0 >= width {
-			break
+	if len(dst.Pix) > 0 {
+		dst.Pix[0] = backgroundPixel
+		for n := 1; n < len(dst.Pix); n *= 2 {
+			copy(dst.Pix[n:], dst.Pix[:n])
 		}
+	}
+	for x0, i := 0, 0; i < len(s) && x0 < width; x0 += CellWidth {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		i += size
 		cell := re.cellOf(r)
-		for y := 0; y < CellHeight; y++ {
-			bits := cell[y]
-			for x := 0; x < baseWidth; x++ {
-				if bits&(1<<uint(x)) == 0 {
-					continue
-				}
-				px := x0 + x
-				if px >= width {
-					continue
-				}
-				dst.Pix[y*dst.Stride+px] = inkPixel
+		// Columns past width are dropped: rendering is column-local, so a
+		// render is the leading columns of any wider one.
+		mask := uint8(1<<min(width-x0, baseWidth) - 1)
+		for y, row := range cell {
+			for b := row & mask; b != 0; b &= b - 1 {
+				dst.Pix[y*dst.Stride+x0+bits.TrailingZeros8(b)] = inkPixel
 			}
 		}
-		x0 += CellWidth
 	}
 	return dst
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"idnlab/internal/punycode"
 )
@@ -68,17 +69,22 @@ func fold(s string) string {
 	return b.String()
 }
 
-// validateRunes rejects code points that may never appear in a label:
-// controls, spaces, and the label separator itself.
+// disallowed reports a code point that may never appear in a label:
+// controls, space, DEL, the label separator itself and the delimiters of
+// a URL's authority.
+func disallowed(r rune) bool {
+	return r < 0x21 || r == 0x7F || r == '.' || r == '/' || r == '\\' || r == '@' || r == ':'
+}
+
+// validateRunes rejects the disallowed code points.
 func validateRunes(label string) error {
 	for _, r := range label {
 		switch {
-		case r < 0x21: // controls and space
+		case !disallowed(r):
+		case r < 0x21 || r == 0x7F:
 			return fmt.Errorf("%w: U+%04X", ErrDisallowedRune, r)
-		case r == '.' || r == '/' || r == '\\' || r == '@' || r == ':':
+		default:
 			return fmt.Errorf("%w: %q", ErrDisallowedRune, r)
-		case r == 0x7F:
-			return fmt.Errorf("%w: U+007F", ErrDisallowedRune)
 		}
 	}
 	return nil
@@ -117,15 +123,8 @@ func ToASCIILabel(label string) (string, error) {
 	if err := validateRunes(label); err != nil {
 		return "", err
 	}
-	ascii := true
-	for i := 0; i < len(label); i++ {
-		if label[i] >= 0x80 {
-			ascii = false
-			break
-		}
-	}
 	out := label
-	if !ascii {
+	if !isASCII(label) {
 		enc, err := punycode.Encode(label)
 		if err != nil {
 			return "", fmt.Errorf("idna: encode label: %w", err)
@@ -149,7 +148,8 @@ func ToASCIILabel(label string) (string, error) {
 // ToUnicodeLabel converts a single label to its Unicode form. Labels with
 // the ACE prefix are decoded; others are returned folded. A label whose
 // decoded form is itself pure ASCII is rejected as a fake ACE label
-// ("hyper-encoded" labels are a known squatting trick).
+// ("hyper-encoded" labels are a known squatting trick): an A-label must
+// decode to a label with a non-ASCII code point (RFC 5891 §5.4).
 func ToUnicodeLabel(label string) (string, error) {
 	label = fold(label)
 	if label == "" {
@@ -168,7 +168,19 @@ func ToUnicodeLabel(label string) (string, error) {
 	if err := validateRunes(decoded); err != nil {
 		return "", err
 	}
+	if isASCII(decoded) {
+		return "", fmt.Errorf("%w: fake A-label %q decodes to ASCII %q", ErrBadLabel, label, decoded)
+	}
 	return decoded, nil
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 // ToASCII converts a whole domain name (labels separated by '.') to ACE
@@ -182,6 +194,96 @@ func ToASCII(domain string) (string, error) {
 // limits are not enforced on the Unicode form (they apply on the wire).
 func ToUnicode(domain string) (string, error) {
 	return mapLabels(domain, ToUnicodeLabel, false)
+}
+
+// Canonical converts, in one pass, a name that is already in canonical
+// form: the ACE and Unicode forms ToASCII(ToUnicode(domain)) and
+// ToUnicode(domain) would return, with ok. It takes two kinds of input
+// and reports !ok for everything else — Unicode input, upper case, any
+// name that breaks a rule — which the caller sends through the two-step
+// conversion, so error texts come from one place:
+//
+//   - lowercase ASCII with no A-label, whose labels pass ToASCIILabel's
+//     rules: domain itself is both forms, with no copy;
+//   - lowercase ASCII whose A-labels each decode, pass ToUnicodeLabel's
+//     rules and re-encode to exactly themselves: domain itself is the
+//     ACE form and only the Unicode string is built.
+func Canonical(domain string) (ace, unicode string, ok bool) {
+	name := domain
+	if len(name) > 1 && name[len(name)-1] == '.' {
+		name = name[:len(name)-1] // root
+	}
+	if name == "" || len(name) > maxDomainLength {
+		return "", "", false
+	}
+	aLabels := false
+	start := 0
+	for i := 0; i <= len(name); i++ {
+		if i < len(name) && name[i] != '.' {
+			if c := name[i]; c >= 0x80 || 'A' <= c && c <= 'Z' || disallowed(rune(c)) {
+				return "", "", false
+			}
+			continue
+		}
+		label := name[start:i]
+		start = i + 1
+		if label == "" || len(label) > maxLabelLength || label[0] == '-' || label[len(label)-1] == '-' {
+			return "", "", false
+		}
+		if len(label) >= 4 && label[2] == '-' && label[3] == '-' {
+			if label[:len(ACEPrefix)] != ACEPrefix {
+				return "", "", false
+			}
+			aLabels = true
+		}
+	}
+	if !aLabels {
+		return domain, domain, true
+	}
+	// Both forms of any name fit: a decoded code point takes at least one
+	// ACE byte and at most four UTF-8 bytes.
+	var buf [4 * (maxDomainLength + 1)]byte
+	var runes [maxLabelLength]rune
+	var enc [maxLabelLength]byte
+	uni := buf[:0]
+	for rest := domain; rest != ""; {
+		label := rest
+		if dot := strings.IndexByte(rest, '.'); dot >= 0 {
+			label, rest = rest[:dot], rest[dot+1:]
+		} else {
+			rest = ""
+		}
+		if !IsACELabel(label) {
+			uni = append(append(uni, label...), '.')
+			continue
+		}
+		decoded, err := punycode.AppendDecode(runes[:0], label[len(ACEPrefix):])
+		if err != nil {
+			return "", "", false
+		}
+		nonASCII := false
+		for _, r := range decoded {
+			if disallowed(r) {
+				return "", "", false
+			}
+			nonASCII = nonASCII || r >= 0x80
+		}
+		if !nonASCII {
+			return "", "", false
+		}
+		re, err := punycode.AppendEncode(enc[:0], decoded)
+		if err != nil || string(re) != label[len(ACEPrefix):] {
+			return "", "", false
+		}
+		for _, r := range decoded {
+			uni = utf8.AppendRune(uni, r)
+		}
+		uni = append(uni, '.')
+	}
+	if name != domain {
+		return domain, string(uni), true // uni ends in the root dot
+	}
+	return domain, string(uni[:len(uni)-1]), true
 }
 
 // mapLabels applies convert to each label of domain and rejoins.

@@ -265,3 +265,46 @@ func BenchmarkIsIDNScan(b *testing.B) {
 		_ = IsIDN(domains[i%len(domains)])
 	}
 }
+
+// TestToUnicodeRejectsFakeALabel: an A-label whose decoded form is pure
+// ASCII is refused (RFC 5891 §5.4), not read as that ASCII label.
+func TestToUnicodeRejectsFakeALabel(t *testing.T) {
+	for _, d := range []string{"xn--apple-.com", "xn---.com", "www.xn--a-b-.org"} {
+		if got, err := ToUnicode(d); !errors.Is(err, ErrBadLabel) {
+			t.Errorf("ToUnicode(%q) = %q, %v; want ErrBadLabel", d, got, err)
+		}
+	}
+}
+
+// TestCanonical pins the one-pass conversion: the inputs it takes come
+// back as ToASCII(ToUnicode(d)) and ToUnicode(d), with the ACE form
+// being d itself; everything else is left to the two-step path.
+func TestCanonical(t *testing.T) {
+	for _, d := range []string{
+		"example.com", "www.example.com.", "a-b.c-d", "xn--pple-43d.com",
+		"www.xn--e1afmkfd.com", "xn--pple-43d.xn--fiqs8s.", "1.2.3",
+	} {
+		ace, uni, ok := Canonical(d)
+		wantUni, err := ToUnicode(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantACE, err := ToASCII(wantUni)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || ace != wantACE || uni != wantUni || ace != d {
+			t.Errorf("Canonical(%q) = %q, %q, %v; want %q, %q, true", d, ace, uni, ok, wantACE, wantUni)
+		}
+	}
+	for _, d := range []string{
+		"", ".", "a..b", "EXAMPLE.com", "XN--pple-43d.com", "xn--PPLE-43d.com",
+		"аpple.com", "ab--cd.com", "-a.com", "a-.com", "xn--.com",
+		"xn--apple-.com", "xn--zz!.com", strings.Repeat("a", 64) + ".com",
+		strings.Repeat("a.", 126) + "ab", "a b.com", "a/b.com",
+	} {
+		if ace, uni, ok := Canonical(d); ok {
+			t.Errorf("Canonical(%q) = %q, %q, true; want !ok", d, ace, uni)
+		}
+	}
+}

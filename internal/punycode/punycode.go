@@ -94,19 +94,35 @@ func Encode(label string) (string, error) {
 	if !utf8.ValidString(label) {
 		return "", ErrInvalidRune
 	}
-	var output strings.Builder
-	runes := make([]rune, 0, len(label))
-	basicCount := 0
+	// Stack buffers cover any DNS label; longer input grows onto the heap.
+	var rbuf [64]rune
+	var obuf [64]byte
+	runes := rbuf[:0]
 	for _, r := range label {
 		runes = append(runes, r)
+	}
+	out, err := AppendEncode(obuf[:0], runes)
+	if err != nil {
+		return "", err
+	}
+	return string(out), nil
+}
+
+// AppendEncode is Encode over a decoded label, appending the Punycode
+// form to dst: with a large enough dst it allocates nothing, which is
+// how package idna checks that an ACE label is canonical.
+func AppendEncode(dst []byte, runes []rune) ([]byte, error) {
+	output := dst
+	basicCount := 0
+	for _, r := range runes {
 		if r < initialN {
-			output.WriteByte(byte(r))
+			output = append(output, byte(r))
 			basicCount++
 		}
 	}
 	h := basicCount
 	if basicCount > 0 {
-		output.WriteByte(delimiter)
+		output = append(output, delimiter)
 	}
 
 	n, delta, bias := initialN, 0, initialBias
@@ -119,7 +135,7 @@ func Encode(label string) (string, error) {
 			}
 		}
 		if int(m)-n > (int(^uint32(0)>>1)-delta)/(h+1) {
-			return "", ErrOverflow
+			return dst, ErrOverflow
 		}
 		delta += (int(m) - n) * (h + 1)
 		n = int(m)
@@ -127,7 +143,7 @@ func Encode(label string) (string, error) {
 			if int(r) < n {
 				delta++
 				if delta < 0 {
-					return "", ErrOverflow
+					return dst, ErrOverflow
 				}
 			}
 			if int(r) == n {
@@ -142,10 +158,10 @@ func Encode(label string) (string, error) {
 					if q < t {
 						break
 					}
-					output.WriteByte(encodeDigit(t + (q-t)%(base-t)))
+					output = append(output, encodeDigit(t+(q-t)%(base-t)))
 					q = (q - t) / (base - t)
 				}
-				output.WriteByte(encodeDigit(q))
+				output = append(output, encodeDigit(q))
 				bias = adapt(delta, h+1, h == basicCount)
 				delta = 0
 				h++
@@ -154,24 +170,35 @@ func Encode(label string) (string, error) {
 		delta++
 		n++
 	}
-	return output.String(), nil
+	return output, nil
 }
 
 // Decode converts a Punycode-encoded label (without any ACE prefix) back to
 // its Unicode form. Decoding is case-insensitive in the extended digits per
 // RFC 3492; the basic code points are preserved as given.
 func Decode(encoded string) (string, error) {
+	// Every decoded code point takes at least one input byte.
+	output, err := AppendDecode(make([]rune, 0, len(encoded)), encoded)
+	if err != nil {
+		return "", err
+	}
+	return string(output), nil
+}
+
+// AppendDecode is Decode appending the code points to dst: with a large
+// enough dst (len(encoded) free runes always suffice) it allocates
+// nothing. On error dst comes back unchanged.
+func AppendDecode(dst []rune, encoded string) ([]rune, error) {
 	for i := 0; i < len(encoded); i++ {
 		if encoded[i] >= 0x80 {
-			return "", fmt.Errorf("%w: non-ASCII byte 0x%02x at %d", ErrBadInput, encoded[i], i)
+			return dst, fmt.Errorf("%w: non-ASCII byte 0x%02x at %d", ErrBadInput, encoded[i], i)
 		}
 	}
 	// Basic code points are everything before the last delimiter.
 	basicEnd := strings.LastIndexByte(encoded, delimiter)
-	var output []rune
+	output := dst
 	pos := 0
 	if basicEnd >= 0 {
-		output = make([]rune, 0, basicEnd+8)
 		for i := 0; i < basicEnd; i++ {
 			output = append(output, rune(encoded[i]))
 		}
@@ -183,15 +210,15 @@ func Decode(encoded string) (string, error) {
 		oldi, w := i, 1
 		for k := base; ; k += base {
 			if pos >= len(encoded) {
-				return "", fmt.Errorf("%w: truncated variable-length integer", ErrBadInput)
+				return dst, fmt.Errorf("%w: truncated variable-length integer", ErrBadInput)
 			}
 			d, ok := decodeDigit(encoded[pos])
 			pos++
 			if !ok {
-				return "", fmt.Errorf("%w: invalid digit %q", ErrBadInput, encoded[pos-1])
+				return dst, fmt.Errorf("%w: invalid digit %q", ErrBadInput, encoded[pos-1])
 			}
 			if d > (int(^uint32(0)>>1)-i)/w {
-				return "", ErrOverflow
+				return dst, ErrOverflow
 			}
 			i += d * w
 			t := k - bias
@@ -204,27 +231,28 @@ func Decode(encoded string) (string, error) {
 				break
 			}
 			if w > int(^uint32(0)>>1)/(base-t) {
-				return "", ErrOverflow
+				return dst, ErrOverflow
 			}
 			w *= base - t
 		}
-		outLen := len(output) + 1
+		outLen := len(output) - len(dst) + 1
 		bias = adapt(i-oldi, outLen, oldi == 0)
 		if i/outLen > int(^uint32(0)>>1)-n {
-			return "", ErrOverflow
+			return dst, ErrOverflow
 		}
 		n += i / outLen
 		i %= outLen
 		if n > maxRune || (n >= 0xD800 && n <= 0xDFFF) {
-			return "", fmt.Errorf("%w: decoded code point U+%04X out of range", ErrBadInput, n)
+			return dst, fmt.Errorf("%w: decoded code point U+%04X out of range", ErrBadInput, n)
 		}
 		if n < initialN {
-			return "", fmt.Errorf("%w: decoded basic code point U+%04X", ErrBadInput, n)
+			return dst, fmt.Errorf("%w: decoded basic code point U+%04X", ErrBadInput, n)
 		}
 		output = append(output, 0)
-		copy(output[i+1:], output[i:])
-		output[i] = rune(n)
+		label := output[len(dst):]
+		copy(label[i+1:], label[i:])
+		label[i] = rune(n)
 		i++
 	}
-	return string(output), nil
+	return output, nil
 }

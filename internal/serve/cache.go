@@ -52,9 +52,10 @@ type cacheEntry struct {
 }
 
 // inflight is one singleflight computation. Followers wait on done;
-// the leader fills verdict/err before closing it.
+// the leader fills verdict/err before marking it done. A WaitGroup
+// rather than a channel keeps a miss to one allocation for the call.
 type inflight struct {
-	done    chan struct{}
+	done    sync.WaitGroup
 	verdict core.Verdict
 	err     error
 }
@@ -109,17 +110,19 @@ func (c *VerdictCache) Do(key string, compute func() (core.Verdict, error)) (v c
 	s.mu.Lock()
 	if e, ok := s.items[key]; ok {
 		s.moveFront(e)
+		v = e.verdict // under the lock: an eviction reuses the entry
 		s.mu.Unlock()
 		c.hits.Add(1)
-		return e.verdict, true, nil
+		return v, true, nil
 	}
 	if call, ok := s.calls[key]; ok {
 		s.mu.Unlock()
-		<-call.done
+		call.done.Wait()
 		c.coalesced.Add(1)
 		return call.verdict, true, call.err
 	}
-	call := &inflight{done: make(chan struct{})}
+	call := &inflight{}
+	call.done.Add(1)
 	s.calls[key] = call
 	s.mu.Unlock()
 	c.misses.Add(1)
@@ -138,7 +141,7 @@ func (c *VerdictCache) Do(key string, compute func() (core.Verdict, error)) (v c
 		s.store(key, call.verdict, c)
 	}
 	s.mu.Unlock()
-	close(call.done)
+	call.done.Done()
 	return call.verdict, false, call.err
 }
 
@@ -175,8 +178,9 @@ func (c *VerdictCache) Peek(key string) (core.Verdict, bool) {
 	return v, ok
 }
 
-// store inserts under the shard lock, evicting the least recently used
-// entry when the shard is full. A zero-capacity shard stores nothing.
+// store inserts under the shard lock. A full shard evicts its least
+// recently used entry and reuses it for the new key, so an insert at
+// capacity allocates nothing. A zero-capacity shard stores nothing.
 func (s *cacheShard) store(key string, v core.Verdict, c *VerdictCache) {
 	if s.cap <= 0 {
 		return
@@ -186,13 +190,16 @@ func (s *cacheShard) store(key string, v core.Verdict, c *VerdictCache) {
 		s.moveFront(e)
 		return
 	}
+	var e *cacheEntry
 	if len(s.items) >= s.cap {
-		lru := s.tail
-		s.unlink(lru)
-		delete(s.items, lru.key)
+		e = s.tail
+		s.unlink(e)
+		delete(s.items, e.key)
 		c.evictions.Add(1)
+	} else {
+		e = &cacheEntry{}
 	}
-	e := &cacheEntry{key: key, verdict: v}
+	e.key, e.verdict = key, v
 	s.items[key] = e
 	s.pushFront(e)
 }

@@ -136,3 +136,55 @@ func TestCacheShardRounding(t *testing.T) {
 		t.Fatalf("shards = %d, want 8 (next power of two)", got)
 	}
 }
+
+// TestCacheInsertAtCapacityZeroAlloc: a full shard reuses the entry it
+// evicts, so inserting into a full cache allocates nothing.
+func TestCacheInsertAtCapacityZeroAlloc(t *testing.T) {
+	const capacity = 256
+	c := NewVerdictCache(capacity, 4)
+	keys := make([]string, 4*capacity)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d.com", i)
+	}
+	for _, k := range keys[:2*capacity] { // uneven shards are full after two capacities
+		c.Put(k, vd(k))
+	}
+	i := 2 * capacity
+	allocs := testing.AllocsPerRun(2*capacity-1, func() {
+		c.Put(keys[i], vd(keys[i]))
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("insert into a full cache allocates %v, want 0", allocs)
+	}
+	if got := c.Len(); got != capacity {
+		t.Fatalf("Len = %d after inserts at capacity, want %d", got, capacity)
+	}
+}
+
+// TestCacheHitsUnderEvictionChurn: with every insert recycling an
+// evicted entry, a hit must still return its own key's verdict — the
+// entry is read under the shard lock, before a concurrent insert can
+// reuse it (`make race` checks the same from the memory model's side).
+func TestCacheHitsUnderEvictionChurn(t *testing.T) {
+	c := NewVerdictCache(4, 1)
+	var wg sync.WaitGroup
+	var wrong atomic.Int64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				k := fmt.Sprintf("k%d.com", (i*7+g)%9)
+				v, _, err := c.Do(k, func() (core.Verdict, error) { return vd(k), nil })
+				if err != nil || v.Domain != k {
+					wrong.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d lookups returned another key's verdict", n)
+	}
+}

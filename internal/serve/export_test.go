@@ -12,13 +12,15 @@ func (c *VerdictCache) Get(key string) (core.Verdict, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.items[key]
+	var v core.Verdict
 	if ok {
 		s.moveFront(e)
+		v = e.verdict // under the lock: an eviction reuses the entry
 	}
 	s.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
-		return e.verdict, true
+		return v, true
 	}
 	c.misses.Add(1)
 	return core.Verdict{}, false

@@ -295,6 +295,107 @@ func TestIndexRefBoundedContract(t *testing.T) {
 			}
 		}
 	}
+
+	// The shapes of the rectangle where a rendered candidate differs from
+	// its brand, the kernel's only input beyond the brand's table; each
+	// against IndexRef (bit for bit) and IndexNaive, at the fixed floors
+	// and at the pair's own exact score.
+	re := glyph.NewRenderer()
+	const brand = "paypal.com"
+	w := len(brand) * glyph.CellWidth
+	ref := re.RenderWidth(brand, w)
+	rt := mustPrecompute(t, ref)
+	wide := re.RenderWidth("paypäl.com", w+3*glyph.CellWidth)
+	shapes := []struct {
+		name string
+		b    *image.Gray
+	}{
+		{"identical", re.RenderWidth(brand, w)},
+		{"one changed cell", re.RenderWidth("paypäl.com", w)},
+		{"first and last cells", re.RenderWidth("qaypal.cam", w)},
+		{"one cell longer, truncated", re.RenderWidth("paypall.com", w)},
+		{"one cell shorter, padded", re.RenderWidth("paypl.com", w)},
+		{"view narrower than its stride", &image.Gray{Pix: wide.Pix, Stride: wide.Stride, Rect: image.Rect(0, 0, w, glyph.CellHeight)}},
+	}
+	for _, sh := range shapes {
+		for _, win := range []int{2, 8} {
+			c := New(win)
+			exact, err := c.IndexRef(rt, sh.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive, err := c.IndexNaive(ref, sh.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exact != naive {
+				t.Fatalf("%s win %d: IndexRef %v != IndexNaive %v", sh.name, win, exact, naive)
+			}
+			if sh.name == "identical" && exact != 1 {
+				t.Fatalf("identical images score %v", exact)
+			}
+			for _, floor := range append(floors, exact, math.Nextafter(exact, 2)) {
+				got, ok, err := c.IndexRefBounded(rt, sh.b, floor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != (exact >= floor) || ok && got != exact {
+					t.Fatalf("%s win %d floor %v: (%v, %v), exact %v", sh.name, win, floor, got, ok, exact)
+				}
+			}
+		}
+	}
+}
+
+// TestDeficitBoundIsALowerBound pins the table-free certificate: it never
+// exceeds the real total deficit Σ (1 − window statistic), on random
+// pairs and on rendered names with their changed rectangles.
+func TestDeficitBoundIsALowerBound(t *testing.T) {
+	check := func(name string, a, b *image.Gray, win int) {
+		t.Helper()
+		w, h := a.Rect.Dx(), a.Rect.Dy()
+		c := New(win)
+		win = min(win, w, h)
+		var deficit float64
+		for y := 0; y+win <= h; y++ {
+			for x := 0; x+win <= w; x++ {
+				deficit += 1 - c.windowSSIM(a, b, x, y, win)
+			}
+		}
+		rt := mustPrecompute(t, a)
+		x0, x1, y0, y1 := diffRect(a, b, w, h)
+		if x0 >= x1 {
+			return
+		}
+		bound := c.deficitBound(rt, x0, x1, y0, y1, func(gy int) []byte {
+			return b.Pix[gy*b.Stride+x0 : gy*b.Stride+x1]
+		}, win)
+		if bound > deficit*(1+1e-9) {
+			t.Fatalf("%s win %d: bound %v above the deficit %v", name, win, bound, deficit)
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	for _, sz := range equivSizes {
+		if sz[0] == 0 || sz[1] == 0 || tooLarge(sz) {
+			continue
+		}
+		a := randomGray(r, sz[0], sz[1])
+		b := randomGray(r, sz[0], sz[1])
+		inv := image.NewGray(a.Rect)
+		for i, p := range a.Pix {
+			inv.Pix[i] = 255 - p
+		}
+		for _, win := range []int{2, 8} {
+			check("random", a, b, win)
+			check("inverse", a, inv, win)
+		}
+	}
+	re := glyph.NewRenderer()
+	w := len("facebook.com") * glyph.CellWidth
+	target := re.RenderWidth("facebook.com", w)
+	for _, d := range []string{"facebóok.com", "faceb00k.com", "acebook.com", "yahoo.co.jp", "中文网址示例集合"} {
+		check(d, target, re.RenderWidth(d, w), DefaultWindow)
+	}
 }
 
 // TestIndexRefBoundedZeroAlloc: the bounded path must stay on the

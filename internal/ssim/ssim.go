@@ -39,6 +39,16 @@
 //     expression, so the integral-image path is bit-identical to it —
 //     pinned by property tests and the byte-exact golden report.
 //
+// A rescore that only needs to know whether a candidate reaches a floor
+// (IndexRefBounded, the index-backed detector's path) does only the work
+// where the candidate differs from the reference: it finds the bounding
+// rectangle of the differing pixels (an identical candidate scores exactly
+// 1.0), tries a table-free lower bound on the deficit over that rectangle,
+// then runs RefSubPatchAbove's certified predicate over delta tables built
+// for the rectangle alone, and computes the exact score — by the same
+// sub-rectangle sweep as IndexRefSubPatch, bit-identical to IndexRef —
+// only when the predicate has not proved the floor out of reach.
+//
 // The tables live in a scratch buffer owned by the Comparator and are
 // reused across calls, so a steady-state corpus scan performs zero
 // allocations per comparison. A Comparator is consequently not safe for
@@ -46,9 +56,11 @@
 package ssim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"image"
-	"math"
+	"math/bits"
 )
 
 // Default parameters from the SSIM paper: an 8x8 sliding window and
@@ -173,35 +185,7 @@ func (c *Comparator) indexPacked(a, b *image.Gray, w, h, win int) float64 {
 // tA, tB and the cross table tX, averaging windowStat. Shared by
 // indexPacked and IndexRef so both are bit-identical by construction.
 func packedWindows(tA, tB, tX []uint64, stride, w, h, win int, c1, c2 float64) float64 {
-	v, _ := packedWindowsBounded(tA, tB, tX, stride, w, h, win, c1, c2, math.Inf(-1))
-	return v
-}
-
-// boundSlack credits a not-yet-swept window with slightly more than the
-// mathematical per-window maximum of 1 when deciding whether the mean
-// can still reach a floor: windowStat's two factors are each ≤ 1 in
-// exact arithmetic, but the computed value can exceed 1 by an ulp, and
-// an early exit must only ever fire on a sweep whose exact final mean is
-// strictly below the floor.
-const boundSlack = 1 + 1e-7
-
-// packedWindowsBounded is packedWindows with an early-exit floor: after
-// each row of windows it checks whether crediting every remaining window
-// with boundSlack could still lift the mean to floor; if not, the sweep
-// stops and the second result is false, guaranteeing the full mean would
-// be strictly below floor. When it returns true the first result is
-// bit-identical to packedWindows' — the accumulation order is identical
-// and the exit test is conservative on both the per-window bound and the
-// threshold comparison (a relative margin covers the final division's
-// rounding).
-func packedWindowsBounded(tA, tB, tX []uint64, stride, w, h, win int, c1, c2, floor float64) (float64, bool) {
 	invN := 1 / float64(win*win)
-	// After clamping win ≤ min(w, h) both sweep loops execute at least
-	// once, so rows, cols ≥ 1 always.
-	rows, cols := h-win+1, w-win+1
-	total := rows * cols
-	need := floor * float64(total)
-	margin := math.Abs(need) * 1e-12
 	var sum float64
 	var count int
 	for y := 0; y+win <= h; y++ {
@@ -222,12 +206,10 @@ func packedWindowsBounded(tA, tB, tX []uint64, stride, w, h, win int, c1, c2, fl
 				float64(sx), invN, c1, c2)
 			count++
 		}
-		if rem := total - count; rem > 0 && sum+float64(rem)*boundSlack+margin < need {
-			return sum / float64(total), false
-		}
 	}
-	v := sum / float64(count)
-	return v, v >= floor
+	// After clamping win ≤ min(w, h) both loops execute at least once,
+	// so count ≥ 1.
+	return sum / float64(count)
 }
 
 // RefTable holds the precomputed summed-area statistics (packed Σx, Σx²)
@@ -313,13 +295,22 @@ func (c *Comparator) IndexRef(rt *RefTable, b *image.Gray) (float64, error) {
 	return packedWindows(rt.t, tB, tX, stride, w, h, win, c.c1, c.c2), nil
 }
 
-// IndexRefBounded is IndexRef with an early-exit floor for scans that
-// only care about scores at or above floor — the candidate-rescore loop of
-// index-backed homograph detection, where most candidates fall well
-// short of the detection threshold and the full window sweep is wasted
-// on proving exactly how short. It returns (score, true) with score
-// bit-identical to IndexRef's when the index is at least floor; otherwise
-// (partial, false), guaranteeing the exact index is strictly below floor.
+// IndexRefBounded is IndexRef for scans that only care about scores at
+// or above floor — the candidate-rescore loop of index-backed homograph
+// detection, where most candidates fall well short of the detection
+// threshold and an index's candidate usually differs from the brand in a
+// few substituted glyphs. It returns (score, true) with score
+// bit-identical to IndexRef's when the index is at least floor;
+// otherwise (0, false), guaranteeing the exact index is strictly below
+// floor.
+//
+// It scores only the rectangle where b differs from the reference: the
+// bounding box of the differing pixels (an identical candidate scores
+// exactly 1.0), then RefSubPatchAbove's certified predicate at floor
+// over that box (a table-free deficit bound, then delta tables over the
+// box), then — only when the predicate does not reject — the exact
+// changed-rectangle sweep behind IndexRefSubPatch, bit-identical to
+// IndexRef.
 func (c *Comparator) IndexRefBounded(rt *RefTable, b *image.Gray, floor float64) (float64, bool, error) {
 	if rt.w != b.Rect.Dx() || rt.h != b.Rect.Dy() {
 		return 0, false, ErrSizeMismatch
@@ -328,36 +319,76 @@ func (c *Comparator) IndexRefBounded(rt *RefTable, b *image.Gray, floor float64)
 		v, err := c.Index(rt.img, b) // empty
 		return v, err == nil && v >= floor, err
 	}
-	w, h := rt.w, rt.h
-	win := min(c.window, w, h)
-	stride := w + 1
-	n := stride * (h + 1)
-	buf := c.scratch(2 * n)
-	tB := buf[0*n : 1*n]
-	tX := buf[1*n : 2*n]
-	for x := 0; x < stride; x++ {
-		tB[x], tX[x] = 0, 0
+	x0, x1, y0, y1 := diffRect(rt.img, b, rt.w, rt.h)
+	if x0 >= x1 {
+		// Every window is bit-identical, so every window statistic and
+		// their mean are exactly 1.0 (see IndexRefSubPatch).
+		return 1, floor <= 1, nil
 	}
+	d, t1, t2, tx := c.refSubAbove(rt, x0, x1, y0, y1, func(gy int) []byte {
+		return b.Pix[gy*b.Stride+x0 : gy*b.Stride+x1]
+	}, floor)
+	if d < 0 {
+		return 0, false, nil
+	}
+	v := c.refSubSweep(rt, x0, x1, y0, y1, t1, t2, tx)
+	return v, v >= floor, nil
+}
+
+// diffRect returns the bounding box of the pixels where a and b (both at
+// least w×h) differ: columns [x0, x1) and rows [y0, y1), or x0 ≥ x1 when
+// they are identical. Equal rows are skipped with one bytes.Equal; a
+// differing row scans only the columns outside the box found so far.
+func diffRect(a, b *image.Gray, w, h int) (x0, x1, y0, y1 int) {
+	x0, y0 = w, h
 	for y := 0; y < h; y++ {
-		rowA := rt.img.Pix[y*rt.img.Stride : y*rt.img.Stride+w]
-		rowB := b.Pix[y*b.Stride : y*b.Stride+w]
-		prevB := tB[y*stride : (y+1)*stride]
-		curB := tB[(y+1)*stride : (y+2)*stride]
-		prevX := tX[y*stride : (y+1)*stride]
-		curX := tX[(y+1)*stride : (y+2)*stride]
-		curB[0], curX[0] = 0, 0
-		var rb, rx uint64
-		for x := 0; x < w; x++ {
-			pa := uint64(rowA[x])
-			pb := uint64(rowB[x])
-			rb += pb | (pb*pb)<<32
-			rx += pa * pb
-			curB[x+1] = prevB[x+1] + rb
-			curX[x+1] = prevX[x+1] + rx
+		ra := a.Pix[y*a.Stride : y*a.Stride+w]
+		rb := b.Pix[y*b.Stride : y*b.Stride+w]
+		if bytes.Equal(ra, rb) {
+			continue
+		}
+		if y0 == h {
+			y0 = y
+		}
+		y1 = y + 1
+		x0 = firstDiff(ra[:x0], rb[:x0])
+		x1 += lastDiff(ra[x1:], rb[x1:])
+	}
+	return x0, x1, y0, y1
+}
+
+// firstDiff returns the index of the first byte where a and b differ,
+// or len(a) when they are equal (len(b) ≥ len(a)).
+func firstDiff(a, b []byte) int {
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		if d := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); d != 0 {
+			return i + bits.TrailingZeros64(d)/8
 		}
 	}
-	v, ok := packedWindowsBounded(rt.t, tB, tX, stride, w, h, win, c.c1, c.c2, floor)
-	return v, ok, nil
+	for ; i < len(a); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// lastDiff returns one past the index of the last byte where a and b
+// differ, or 0 when they are equal (len(a) == len(b)).
+func lastDiff(a, b []byte) int {
+	i := len(a)
+	for ; i >= 8; i -= 8 {
+		if d := binary.LittleEndian.Uint64(a[i-8:]) ^ binary.LittleEndian.Uint64(b[i-8:]); d != 0 {
+			return i - bits.LeadingZeros64(d)/8
+		}
+	}
+	for ; i > 0; i-- {
+		if a[i-1] != b[i-1] {
+			return i
+		}
+	}
+	return 0
 }
 
 // IndexRefSubPatch computes IndexRef(rt, b) for a candidate b that is
@@ -425,11 +456,28 @@ func (c *Comparator) RefSubPatchAbove(rt *RefTable, x0, x1, y0, y1 int, patch []
 	if len(patch) < bw*(y1-y0) {
 		return false, errPatchShort
 	}
-	rowB := func(gy int) []byte {
+	d, t1, t2, tx := c.refSubAbove(rt, x0, x1, y0, y1, func(gy int) []byte {
 		off := (gy - y0) * bw
 		return patch[off : off+bw]
+	}, threshold)
+	if d != 0 {
+		return d > 0, nil
 	}
-	t1, t2, tx := c.refSubTables(rt, x0, x1, y0, y1, rowB)
+	// Inconclusive: replay the exact sequential sweep (tables are already
+	// built and still live in the scratch buffer).
+	return c.refSubSweep(rt, x0, x1, y0, y1, t1, t2, tx) >= threshold, nil
+}
+
+// refSubAbove is the certified predicate behind RefSubPatchAbove and
+// IndexRefBounded, for a candidate equal to rt's image outside the
+// changed rectangle whose rows within it rowB returns (as for
+// refSubPatch): +1 when the exact refSubSweep score is certainly at least
+// threshold, −1 when it is certainly below, 0 when the two are too close
+// for the reordered sum to tell. It tries the table-free deficitBound
+// first; past that it builds the rectangle's delta tables
+// (refSubTables) and returns them for the exact sweep.
+func (c *Comparator) refSubAbove(rt *RefTable, x0, x1, y0, y1 int, rowB func(gy int) []byte, threshold float64) (d int, t1, t2, tx []uint64) {
+	bw := x1 - x0
 	w, h := rt.w, rt.h
 	win := min(c.window, w, h)
 	wLo, wHi, yLo, yHi := refSubBounds(w, h, win, x0, x1, y0, y1)
@@ -458,6 +506,12 @@ func (c *Comparator) RefSubPatchAbove(rt *RefTable, x0, x1, y0, y1 int, patch []
 	// homoglyph candidates the study rejects.
 	const onePlus = 1 + 1e-12
 	rejectAt := rhs - margin
+	// n minus a lower bound on the summed deficit bounds n·score from
+	// above in real arithmetic; margin covers the kernel's rounding.
+	if float64(n)-c.deficitBound(rt, x0, x1, y0, y1, rowB, win) <= rejectAt {
+		return -1, nil, nil, nil
+	}
+	t1, t2, tx = c.refSubTables(rt, x0, x1, y0, y1, rowB)
 	var sum float64 // Σ windowStat over affected, non-identical windows
 	ones := 0       // affected windows with zero net delta (exactly 1.0)
 	processed := 0
@@ -505,21 +559,63 @@ func (c *Comparator) RefSubPatchAbove(rt *RefTable, x0, x1, y0, y1 int, patch []
 				float64(saH), float64(saH+d2),
 				float64(saH+dx), invN, c.c1, c.c2)
 			if base+float64(ones)+sum+float64(affected-processed)*onePlus <= rejectAt {
-				return false, nil
+				return -1, t1, t2, tx
 			}
 		}
 	}
 	// k identical windows contribute exactly 1.0 each in the exact kernel.
 	lhs := base + float64(ones) + sum
-	if lhs >= rhs+margin {
-		return true, nil
+	switch {
+	case lhs >= rhs+margin:
+		return 1, t1, t2, tx
+	case lhs <= rhs-margin:
+		return -1, t1, t2, tx
 	}
-	if lhs <= rhs-margin {
-		return false, nil
+	return 0, t1, t2, tx
+}
+
+// deficitBound returns a lower bound on Σ (1 − windowStat) over every
+// window of the candidate refSubAbove describes, from one pass over the
+// rectangle's pixels and no tables. Per window, with L and CS
+// windowStat's two factors, 1 − L·CS ≥ max(1 − L, min(1, 1 − CS))
+// because L ∈ (0, 1] and CS ≤ 1. Then 1 − L = M/(μa²+μb²+c1) ≥ M/K2 with
+// M = (μa−μb)² and K2 = 2·255² + c1, and 1 − CS = V/(σa²+σb²+c2) ≥ V/K1
+// with V the variance of a−b and K1 = 2·(255/2)² + c2 (a variance of
+// values in [0, 255] is at most (255/2)²). As M + V = E[(a−b)²] ≤ 255² <
+// K1 + K2, the window's deficit is at least E[(a−b)²]/(K1+K2), and
+// summing that over the windows counts each pixel's (a−b)² once per
+// window covering it. It mostly rejects candidates whose glyphs differ
+// over a wide rectangle — a shifted or wholly substituted label — before
+// any table is built.
+func (c *Comparator) deficitBound(rt *RefTable, x0, x1, y0, y1 int, rowB func(gy int) []byte, win int) float64 {
+	// Windows covering a pixel: per axis, the positions within win of it
+	// that fit in the image — capX for every column in [m0, m1), fewer
+	// towards the image's edges.
+	capX, capY := min(win, rt.w-win+1), min(win, rt.h-win+1)
+	m0 := min(max(x0, capX-1), x1)
+	m1 := min(max(m0, rt.w-capX+1), x1)
+	edge := func(ra, rb []byte, x0 int) (q uint64) {
+		for i, a := range ra {
+			d := int64(a) - int64(rb[i])
+			q += uint64(d*d) * uint64(min(capX, x0+i+1, rt.w-x0-i))
+		}
+		return q
 	}
-	// Inconclusive: replay the exact sequential sweep (tables are already
-	// built and still live in the scratch buffer).
-	return c.refSubSweep(rt, x0, x1, y0, y1, t1, t2, tx) >= threshold, nil
+	var q uint64 // Σ (a−b)² · windows covering the pixel, exact (< 2^53)
+	for y := y0; y < y1; y++ {
+		ra := rt.img.Pix[y*rt.img.Stride+x0 : y*rt.img.Stride+x1]
+		rb := rowB(y)[:len(ra)]
+		var mid uint64
+		for i, a := range ra[m0-x0 : m1-x0] {
+			d := int64(a) - int64(rb[m0-x0+i])
+			mid += uint64(d * d)
+		}
+		qy := mid*uint64(capX) + edge(ra[:m0-x0], rb, x0) + edge(ra[m1-x0:], rb[m1-x0:], m1)
+		q += qy * uint64(min(capY, y+1, rt.h-y))
+	}
+	k := 2*(dynamicRange/2)*(dynamicRange/2) + c.c2 + 2*dynamicRange*dynamicRange + c.c1
+	// float64(q) is exact; the factor absorbs the two roundings after it.
+	return float64(q) / (float64(win*win) * k) * (1 - 1e-12)
 }
 
 // refSubBounds computes the window-position range whose win×win span
