@@ -338,10 +338,11 @@ func PutBuf(b *Buf) {
 	bufPool.Put(b)
 }
 
-// writeEncoded writes pre-encoded JSON exactly as WriteJSON would have:
-// same Content-Type, same status, and the trailing newline
-// json.Encoder.Encode appends (the serving layer's golden tests pin it).
-func writeEncoded(w http.ResponseWriter, code int, body []byte) {
+// WriteEncoded writes pre-encoded JSON with WriteJSON's Content-Type
+// and the given status. To match WriteJSON byte for byte, body ends in
+// the newline json.Encoder.Encode appends (the serving layer's golden
+// tests pin it).
+func WriteEncoded(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
@@ -360,7 +361,7 @@ func WriteDetect(w http.ResponseWriter, code int, r *DetectResponse) {
 		return
 	}
 	b = append(b, '\n')
-	writeEncoded(w, code, b)
+	WriteEncoded(w, code, b)
 	buf.B = b
 	PutBuf(buf)
 }
@@ -376,7 +377,7 @@ func WriteBatch(w http.ResponseWriter, code int, r *BatchResponse) {
 		return
 	}
 	b = append(b, '\n')
-	writeEncoded(w, code, b)
+	WriteEncoded(w, code, b)
 	buf.B = b
 	PutBuf(buf)
 }

@@ -18,8 +18,7 @@ import (
 // client, and the gateway's scatter/gather reassembly all assume the
 // stdlib bytes. These tests pin that equivalence three ways — on the
 // golden fixtures, on adversarial string/float corpora, and on
-// randomized structures — and pin the decoder to json.Unmarshal's
-// field semantics on both canonical and quirky-but-valid inputs.
+// randomized structures.
 
 func mustMarshal(t *testing.T, v any) []byte {
 	t.Helper()
@@ -249,150 +248,6 @@ func TestRequestEncodersMatchStdlib(t *testing.T) {
 	}
 }
 
-// canon compares decoded values the way omitempty demands: via their
-// canonical re-encoding (DeepEqual would distinguish nil vs empty
-// slices that encode identically).
-func canon(t *testing.T, v any) string {
-	t.Helper()
-	return string(mustMarshal(t, v))
-}
-
-func TestDecoderMatchesStdlibOnCanonical(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for i := 0; i < 3000; i++ {
-		r := randomDetectResponse(rng)
-		data := mustMarshal(t, r)
-		var want DetectResponse
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeDetectResponseBytes(data)
-		if err != nil {
-			t.Fatalf("iter %d: decode %s: %v", i, data, err)
-		}
-		if canon(t, got) != canon(t, want) {
-			t.Fatalf("iter %d: decode diverged on %s:\n got %+v\nwant %+v", i, data, got, want)
-		}
-	}
-	for i := 0; i < 300; i++ {
-		var b BatchResponse
-		b.Count, b.Flagged = rng.Intn(50), rng.Intn(50)
-		for j := rng.Intn(4); j > 0; j-- {
-			b.Results = append(b.Results, randomDetectResponse(rng))
-		}
-		data := mustMarshal(t, b)
-		var want BatchResponse
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeBatchResponseBytes(data)
-		if err != nil {
-			t.Fatalf("batch iter %d: decode: %v", i, err)
-		}
-		if canon(t, got) != canon(t, want) {
-			t.Fatalf("batch iter %d: decode diverged:\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-}
-
-// TestDecoderQuirkSemantics pins the json.Unmarshal behaviors the
-// decoder must reproduce beyond the canonical happy path.
-func TestDecoderQuirkSemantics(t *testing.T) {
-	cases := []string{
-		// Whitespace everywhere.
-		" \t\r\n{ \"domain\" : \"a.com\" , \"idn\" : true } \n",
-		// Unknown fields skipped, including nested structures.
-		`{"domain":"a.com","future_field":{"deep":[1,2,{"x":null}]},"flagged":true}`,
-		// ASCII case-insensitive keys.
-		`{"DOMAIN":"a.com","Flagged":true,"CACHED":false,"IdN":true}`,
-		// Last duplicate wins; null after a value is a no-op for scalars.
-		`{"domain":"first","domain":"second","idn":true,"idn":null}`,
-		// null into pointers and slices.
-		`{"homograph":null,"confidence":null}`,
-		`{"homograph":{"brand":"b"},"homograph":null}`,
-		// Duplicate pointer keys merge.
-		`{"homograph":{"brand":"b"},"homograph":{"ssim":0.5}}`,
-		// Escapes in values, exotic numbers.
-		`{"domain":"a\u0041\n\t\"\\\/b","statistical":{"score":1e-9,"top":[]}}`,
-		`{"statistical":{"score":-0.0,"top":null}}`,
-		// Empty object, empty results, null results.
-		`{}`,
-		`{"count":3}`,
-		// Surrogate pairs and lone surrogates in strings.
-		`{"domain":"\ud83d\ude00 pair \ud800 lone \udc00 low"}`,
-		// Top-level null is an accepted no-op, exactly as json.Unmarshal.
-		`null`, ` null `,
-	}
-	for _, data := range cases {
-		var want DetectResponse
-		wantErr := json.Unmarshal([]byte(data), &want)
-		got, gotErr := DecodeDetectResponseBytes([]byte(data))
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: error mismatch: stdlib=%v mine=%v", data, wantErr, gotErr)
-		}
-		if wantErr == nil && canon(t, got) != canon(t, want) {
-			t.Errorf("%s:\n got %+v\nwant %+v", data, got, want)
-		}
-	}
-	batchCases := []string{
-		`{"count":2,"flagged":0,"results":[]}`,
-		`{"count":2,"flagged":0,"results":null}`,
-		`{"results":[{"domain":"a"},{}]}`,
-		`{"COUNT":7,"Results":[{"DOMAIN":"x"}]}`,
-	}
-	for _, data := range batchCases {
-		var want BatchResponse
-		if err := json.Unmarshal([]byte(data), &want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeBatchResponseBytes([]byte(data))
-		if err != nil {
-			t.Fatalf("%s: %v", data, err)
-		}
-		if canon(t, got) != canon(t, want) {
-			t.Errorf("%s:\n got %+v\nwant %+v", data, got, want)
-		}
-	}
-}
-
-// TestDecoderRejects pins the malformed inputs both decoders must
-// refuse — every case here also fails json.Unmarshal.
-func TestDecoderRejects(t *testing.T) {
-	cases := []string{
-		``, `   `, `true`, `42`, `"str"`, `[]`, `null }`, `nullx`,
-		`{`, `{"domain"}`, `{"domain":}`, `{"domain":"a"`,
-		`{"domain":"a"} trailing`, `{"domain":"a"}{}`,
-		`{"idn":1}`, `{"idn":"true"}`, `{"domain":42}`,
-		`{"count":1.5}`, `{"count":1e2}`, `{"count":"3"}`,
-		"{\"domain\":\"raw\x01control\"}",
-		`{"domain":"bad \x escape"}`, `{"domain":"trunc \u12"}`,
-		`{"statistical":{"score":01}}`, `{"statistical":{"score":+1}}`,
-		`{"statistical":{"score":1.}}`, `{"statistical":{"score":.5}}`,
-		`{"statistical":{"score":1e}}`, `{"statistical":{"score":1e999}}`,
-		`{"results":[}`, `{"results":[{"domain":"a"},]}`,
-		`{"homograph":[]}`, `{"results":{}}`,
-		strings.Repeat(`{"future":`, 10001) + `1` + strings.Repeat(`}`, 10001),
-	}
-	for _, data := range cases {
-		var sink DetectResponse
-		if err := json.Unmarshal([]byte(data), &sink); err == nil {
-			// Keep the corpus honest: everything here must be a stdlib
-			// error too (count/results cases only error for Batch).
-			var bsink BatchResponse
-			if err := json.Unmarshal([]byte(data), &bsink); err == nil {
-				t.Fatalf("test corpus bug: stdlib accepts %q", data)
-			}
-			if _, err := DecodeBatchResponseBytes([]byte(data)); err == nil {
-				t.Errorf("batch decoder accepted %q", data)
-			}
-			continue
-		}
-		if _, err := DecodeDetectResponseBytes([]byte(data)); err == nil {
-			t.Errorf("decoder accepted %q", data)
-		}
-	}
-}
-
 // TestWriteHelpersMatchWriteJSON pins that the codec write path emits
 // exactly what api.WriteJSON (json.Encoder) emits — status, headers,
 // body, trailing newline.
@@ -547,38 +402,5 @@ func BenchmarkEncodeBatchRequest64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = AppendBatchRequest(buf[:0], &req)
-	}
-}
-
-func BenchmarkDecodeBatchResponse64(b *testing.B) {
-	batch := benchBatch(64)
-	data, err := json.Marshal(batch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBatchResponseBytes(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeBatchResponse64Stdlib(b *testing.B) {
-	batch := benchBatch(64)
-	data, err := json.Marshal(batch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out BatchResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

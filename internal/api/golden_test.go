@@ -10,8 +10,8 @@ import (
 
 // The wire format is a compatibility contract three ways: pre-ensemble
 // clients must keep working against ensemble-enabled servers, ensemble
-// fields must survive the gateway's scatter/gather decode→re-encode
-// round trip byte-for-byte, and servers without a statistical model
+// fields must survive a decode→re-encode round trip byte-for-byte, and
+// servers without a statistical model
 // must emit bytes identical to the pre-ensemble format. These goldens
 // pin all three. If one fails because the format deliberately changed,
 // update the golden AND bump the compatibility notes in DESIGN.md.
@@ -85,12 +85,10 @@ func TestGoldenLegacyEncodingUnchanged(t *testing.T) {
 	}
 }
 
-// TestScatterGatherRoundTrip pins the gateway's transformation: it
-// unmarshals each worker reply into DetectResponse and re-marshals the
-// reassembled batch. Both directions must be lossless for both formats,
-// or a gateway upgrade would silently strip fields from worker replies
-// (new worker behind old gateway) or invent them (old worker behind new
-// gateway).
+// TestScatterGatherRoundTrip pins that decoding a verdict into
+// DetectResponse and re-encoding it is lossless for both formats: the
+// reason a gateway that splices a worker's item bytes answers exactly
+// what one that decoded and re-encoded them would.
 func TestScatterGatherRoundTrip(t *testing.T) {
 	for _, golden := range []string{ensembleGolden, legacyGolden} {
 		var resp DetectResponse

@@ -131,3 +131,14 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
+
+// DecodeBatchResponseBytes parses a batch reply. Its one caller is the
+// benchmark's layer probe (bench/e2e); it goes when that probe is
+// retired.
+func DecodeBatchResponseBytes(data []byte) (BatchResponse, error) {
+	var r BatchResponse
+	if err := json.Unmarshal(data, &r); err != nil {
+		return BatchResponse{}, err
+	}
+	return r, nil
+}

@@ -9,21 +9,31 @@ package cluster_test
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"idnlab/internal/api"
 	"idnlab/internal/feat"
+	"idnlab/internal/serve"
 	"idnlab/internal/zonegen"
 )
+
+// statModel is the statistical model every stat worker here loads,
+// trained once per test binary.
+var statModel = sync.OnceValues(func() (*feat.Model, error) {
+	reg := zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 50})
+	model, _, err := feat.Train(feat.FromLabeled(reg.Labels()), feat.TrainConfig{Seed: 2018})
+	return model, err
+})
 
 func TestGatewayEnsembleScatterGather(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	reg := zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 50})
-	model, _, err := feat.Train(feat.FromLabeled(reg.Labels()), feat.TrainConfig{Seed: 2018})
+	model, err := statModel()
 	if err != nil {
 		t.Fatalf("train: %v", err)
 	}
@@ -111,5 +121,73 @@ func TestGatewayEnsembleScatterGather(t *testing.T) {
 		if string(a) != string(b) {
 			t.Errorf("verdict %d unstable across cache hit:\n first %s\nsecond %s", i, a, b)
 		}
+	}
+}
+
+// TestGatewayBatchBytesMatchOneServer: a batch through a two-worker
+// gateway and the same batch sent to one standalone server with the
+// same config, both cold, answer with identical bytes. The batch spans
+// both owners, has names the gateway answers at the edge first, in the
+// middle and last, and carries flagged homographs.
+func TestGatewayBatchBytesMatchOneServer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	model, err := statModel()
+	if err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	tc := startCluster(t, 0, 1)
+	defer tc.shutdown(nil)
+	tc.stat = model
+	tc.addWorker("s0")
+	tc.addWorker("s1")
+	waitFor(t, 3*time.Second, "stat workers alive", func() bool {
+		return tc.gw.Membership().AliveCount() == 2
+	})
+
+	domains := []string{
+		"bad..domain",
+		"xn--pple-43d.com", "example.com", "xn--80ak6aa92e.com", "cloudhub.net",
+		"",
+		"paypal.com", "xn--ggle-55da.com", "münchen.de", "a<b>&.example",
+		"-leading-hyphen.com",
+	}
+	req, _ := json.Marshal(api.BatchRequest{Domains: domains})
+	code, got := tc.post("/v1/detect/batch", string(req))
+	if code != http.StatusOK {
+		t.Fatalf("gateway batch: status %d body %s", code, got)
+	}
+
+	srv := serve.NewServer(serve.Config{NodeID: "solo", TopK: 100, Workers: 2, Stat: model})
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/detect/batch", strings.NewReader(string(req))))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("standalone batch: status %d body %s", rec.Code, rec.Body)
+	}
+	if want := rec.Body.String(); got != want {
+		t.Fatalf("gateway batch bytes differ from one server's:\n got %s\nwant %s", got, want)
+	}
+
+	var br api.BatchResponse
+	if err := json.Unmarshal([]byte(got), &br); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 5, len(domains) - 1} {
+		if br.Results[i].Error == "" {
+			t.Errorf("item %d (%q) is not an edge error: %+v", i, domains[i], br.Results[i])
+		}
+	}
+	if br.Flagged == 0 || !br.Results[1].Flagged {
+		t.Errorf("no flagged homograph in the batch: %s", got)
+	}
+	_, body := tc.get("/metrics")
+	var m struct {
+		Gateway struct {
+			SubBatches int `json:"subBatches"`
+		} `json:"gateway"`
+	}
+	if err := json.Unmarshal([]byte(body), &m); err != nil || m.Gateway.SubBatches != 2 {
+		t.Errorf("batch went to %d owners, want both (err %v)", m.Gateway.SubBatches, err)
 	}
 }

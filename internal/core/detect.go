@@ -396,7 +396,10 @@ func (d *HomographDetector) detect(n NormalizedDomain, raw float64) (m Homograph
 			if diff := labelLen - d.brandLens[i]; diff > 1 || diff < -1 {
 				continue
 			}
-			if score := d.Score(label, b.Label()); score > best.SSIM {
+			// The certified kernel at floor max(threshold, best): a
+			// score below it cannot be the match, and the strict >
+			// keeps the first of equal brands.
+			if score, ok := d.ScoreBounded(label, b.Label(), max(candidx.SSIMThreshold, best.SSIM)); ok && score > best.SSIM {
 				best.SSIM = score
 				best.Brand = b.Domain
 			}

@@ -108,6 +108,10 @@ func substitutionFor(src *simrand.Source, tab *simchar.Table, base rune) rune {
 	return base
 }
 
+// sweepFullEvery samples the labels TestIndexEquivalence also runs
+// through the full-Score sweep (sweepFull).
+const sweepFullEvery = 20
+
 func TestIndexEquivalence(t *testing.T) {
 	src := simrand.New(0x1D9A_7C3E)
 	list := genBrandCorpus(src.Fork("brands"), equivBrandCount)
@@ -121,7 +125,7 @@ func TestIndexEquivalence(t *testing.T) {
 
 	lsrc := src.Fork("labels")
 	tab := simchar.Default()
-	checked, matched := 0, 0
+	checked, matched, full := 0, 0, 0
 	for i := 0; i < equivLabelCount; i++ {
 		brand := list[lsrc.Intn(len(list))]
 		label := mutateLabel(lsrc, tab, brand.Label())
@@ -140,6 +144,14 @@ func TestIndexEquivalence(t *testing.T) {
 			t.Fatalf("label %q: verdicts differ\nsweep: %+v (ssim bits %x)\nindex: %+v (ssim bits %x)",
 				label, wantM, math.Float64bits(wantM.SSIM), gotM, math.Float64bits(gotM.SSIM))
 		}
+		if i%sweepFullEvery == 0 {
+			fullM, fullOK := ref.sweepFull(n)
+			if fullOK != wantOK || (wantOK && !sameMatch(fullM, wantM)) {
+				t.Fatalf("label %q: full-Score sweep (%+v, %v) != bounded sweep (%+v, %v)",
+					label, fullM, fullOK, wantM, wantOK)
+			}
+			full++
+		}
 		checked++
 		if wantOK {
 			matched++
@@ -151,7 +163,8 @@ func TestIndexEquivalence(t *testing.T) {
 	if matched == 0 {
 		t.Fatal("no label matched any brand; corpus exercises nothing")
 	}
-	t.Logf("equivalence held on %d labels (%d matches) over %d brands", checked, matched, len(list))
+	t.Logf("equivalence held on %d labels (%d matches, %d against the full-Score sweep) over %d brands",
+		checked, matched, full, len(list))
 }
 
 // sameMatch compares verdicts bit-exactly, including the SSIM float.

@@ -20,7 +20,9 @@ import (
 
 // WithBrands selects the reference brute sweep over an explicit catalog:
 // every label is scored against every length-compatible brand, the
-// paper's pair-wise mode (102 hours on their corpus). Reference
+// paper's pair-wise mode (102 hours on their corpus), on the certified
+// ScoreBounded kernel at floor max(threshold, best) — the same verdict
+// as full Score, which a sampled test still sweeps with. Reference
 // rasters are prerendered for any label outside the shared top-1000
 // cache. The topK constructor argument is ignored; WithIndex wins when
 // both are given.

@@ -1,9 +1,11 @@
 package vstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +32,39 @@ func since(s *Store, after uint64, max int) ([]Record, uint64, bool, error) {
 	}
 	recs, err := DecodeFrames(frames)
 	return recs, durable, more, err
+}
+
+// TestDecodeRecordRefusals pins what a record payload may not be: too
+// short for a seq, a verdict that does not decode (cut short, a field of
+// the wrong type, bytes after the object, malformed JSON) or a response
+// carrying an error. A payload appendRecord wrote decodes back.
+func TestDecodeRecordRefusals(t *testing.T) {
+	v := testVerdict(7, 2)
+	good, err := appendRecord(nil, 42, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := decodeRecord(good); err != nil || r.Seq != 42 || r.Verdict.Domain != v.Domain || r.Verdict.Unicode != v.Unicode {
+		t.Fatalf("decodeRecord(appendRecord(42, v)) = %+v, %v", r, err)
+	}
+	if _, err := decodeRecord(good[:8]); err == nil {
+		t.Error("accepted a payload with a seq and no verdict")
+	}
+	seq := binary.LittleEndian.AppendUint64(nil, 42)
+	for _, verdict := range []string{
+		``, `   `, `true`, `42`, `"str"`, `[]`,
+		`{`, `{"domain"}`, `{"domain":}`, `{"domain":"a"`,
+		`{"domain":"a"} trailing`, `{"domain":"a"}{}`,
+		`{"idn":1}`, `{"idn":"true"}`, `{"domain":42}`, `{"homograph":[]}`,
+		`{"statistical":{"score":01}}`, `{"statistical":{"score":1e999}}`,
+		"{\"domain\":\"raw\x01control\"}", `{"domain":"bad \x escape"}`,
+		strings.Repeat(`{"future":`, 10001) + `1` + strings.Repeat(`}`, 10001),
+		`{"input":"bad..domain","error":"invalid domain"}`,
+	} {
+		if r, err := decodeRecord(append(seq[:8:8], verdict...)); err == nil {
+			t.Errorf("accepted verdict %.40q as %+v", verdict, r)
+		}
+	}
 }
 
 func openTest(t *testing.T, dir string, compact int64) *Store {

@@ -16,9 +16,10 @@
 // files"); this package owns what the bytes mean. A frame payload is a
 // u64le sequence number followed by the verdict encoded as an
 // api.DetectResponse via the zero-alloc append codec — byte-identical
-// to the wire form the worker serves. Replication and anti-entropy
-// bodies are runs of these same frames (AppendFrame, Since,
-// DecodeFrames): one codec for serving, replication and durability.
+// to the wire form the worker serves — and read back with
+// encoding/json. Replication and anti-entropy bodies are runs of these
+// same frames (AppendFrame, Since, DecodeFrames): one encoder for
+// serving, replication and durability.
 //
 // Sequence numbers are per-store, monotone, and assigned at Append.
 // They order recovery (latest seq per key wins) and key the
@@ -34,6 +35,7 @@ package vstore
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 
 	"idnlab/internal/api"
@@ -111,7 +113,8 @@ func decodeRecord(payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("vstore: record payload %d bytes, want >= 9", len(payload))
 	}
 	seq := binary.LittleEndian.Uint64(payload)
-	resp, err := api.DecodeDetectResponseBytes(payload[8:])
+	var resp api.DetectResponse
+	err := json.Unmarshal(payload[8:], &resp)
 	if err == nil && resp.Error != "" {
 		err = fmt.Errorf("error response %q", resp.Error)
 	}
