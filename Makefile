@@ -16,9 +16,12 @@ build:
 	$(GO) build ./...
 
 # The smoke drills compile only under their build tag; vet them too.
+# Any file gofmt would rewrite fails the target and is named.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags smoke ./internal/smoke/
+	@unformatted=$$(gofmt -l cmd internal bench); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # Tier 1. Allocation contracts (0 allocs/op on every steady-state hot
 # path) are testing.AllocsPerRun tests in here, not benchmark gates.

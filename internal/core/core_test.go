@@ -88,7 +88,7 @@ func TestZoneScanDiscoversAllIDNs(t *testing.T) {
 func TestTableIILanguagesRecovered(t *testing.T) {
 	// The classifier must recover the Table II shape from label content
 	// alone: Chinese first at ≈52%, east-Asian ≥70%.
-	rows := testDS.LanguageBreakdown(langid.New())
+	rows := testDS.LanguageBreakdown()
 	if len(rows) == 0 {
 		t.Fatal("no language rows")
 	}

@@ -16,7 +16,6 @@ import (
 
 	"idnlab/internal/blacklist"
 	"idnlab/internal/certs"
-	"idnlab/internal/dnssim"
 	"idnlab/internal/idna"
 	"idnlab/internal/pdns"
 	"idnlab/internal/webprobe"
@@ -39,12 +38,9 @@ type Dataset struct {
 	Blacklists *blacklist.Aggregate
 	Certs      *certs.Store
 	Authority  *certs.Authority
-	// DNS is the authoritative server the crawler resolves against;
-	// Resolver is a stub resolver wired to it in memory.
-	DNS      *dnssim.Server
-	Resolver *dnssim.Resolver
-	// Registry is retained for serving web content (the "live Internet"
-	// the crawler probes); measurements do not read its ground truth.
+	// Registry is retained as the "live Internet" the crawler probes:
+	// Probe reads a domain's hosting state, which decides whether the
+	// name resolves and what it serves.
 	Registry *zonegen.Registry
 
 	// IndexWorkers bounds the parallelism of the corpus-index build pass
@@ -68,7 +64,7 @@ type TLDRow struct {
 // zone files, scans them for IDNs exactly as the paper scanned Verisign
 // and PIR snapshots, and materializes every auxiliary source.
 //
-// The zone scan and the five store builders each read the finished,
+// The zone scan and the four store builders each read the finished,
 // immutable registry and write only their own field, so they run side by
 // side, GOMAXPROCS wide; each is sequential inside (the CA's serial and
 // the passive-DNS noise stream keep their order), which makes the result
@@ -112,11 +108,6 @@ func Assemble(reg *zonegen.Registry) (*Dataset, error) {
 			return nil
 		},
 		func() error { ds.PDNS = reg.BuildPDNS(); return nil },
-		func() error {
-			ds.DNS = reg.BuildDNS()
-			ds.Resolver = dnssim.NewInMemoryResolver(ds.DNS)
-			return nil
-		},
 		func() error { ds.WHOIS = reg.BuildWHOIS(); return nil },
 		func() error { ds.Blacklists = reg.BuildBlacklists(); return nil },
 	})
@@ -183,16 +174,14 @@ func countFlaggedITLD(agg *blacklist.Aggregate, domains []string) int {
 	return n
 }
 
-// Probe crawls one domain of the dataset: it resolves the name through
-// the DNS substrate first (observing REFUSED/NXDOMAIN exactly as the
-// paper's crawler did) and fetches the homepage only on success.
+// Probe crawls one domain of the dataset and returns what the crawler
+// observes. Resolution is the registry's hosting state: an unknown name,
+// or one with no A records, answers the zero (unresolved) response, as
+// does a domain whose name servers refuse it (the NotResolved profile,
+// §IV-D); every other name is fetched from the registry.
 func (ds *Dataset) Probe(domain string) webprobe.Response {
-	res, err := ds.Resolver.LookupA(domain)
-	if err != nil || !res.Resolved() {
-		return webprobe.Response{}
-	}
 	d, ok := ds.Registry.Lookup(domain)
-	if !ok {
+	if !ok || len(d.IPs) == 0 {
 		return webprobe.Response{}
 	}
 	return ds.Registry.Serve(d)

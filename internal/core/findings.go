@@ -116,7 +116,7 @@ func (st *Study) findingSteps(f *Findings) []func() {
 		},
 		// Finding 1.
 		func() {
-			for _, row := range ds.LanguageBreakdown(st.Classifier) {
+			for _, row := range ds.LanguageBreakdown() {
 				if row.Language.EastAsian() {
 					f.EastAsianShare += row.Rate
 				}

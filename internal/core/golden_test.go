@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"idnlab/internal/zonegen"
@@ -60,13 +61,18 @@ func TestReportGolden(t *testing.T) {
 	t.Fatalf("report length changed: %d vs %d lines", len(gotLines), len(wantLines))
 }
 
+// reportDS is the (2018, 100) dataset both report digests hash, the
+// corpus of `idnreport -seed 2018 -scale 100`, generated once per test
+// binary.
+var reportDS = sync.OnceValues(func() (*Dataset, error) { return NewDefaultDataset(2018, 100) })
+
 // TestReportJSONDigest pins the machine-readable study at the default
 // scale — a universe 20 times the golden report's, large enough that the
 // generator's name collisions, every Build* store and both corpus scans
 // shape the bytes. Recorded on the tree before Assemble and Results went
 // concurrent (commit 93c990a); an optimisation never regenerates it.
 func TestReportJSONDigest(t *testing.T) {
-	ds, err := NewDefaultDataset(2018, 100)
+	ds, err := reportDS()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,5 +83,24 @@ func TestReportJSONDigest(t *testing.T) {
 	const want = "7ce01d7eae598edead6eff513e3e39ced8940e35268eee97a885458474eb1a05"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("idnreport -seed 2018 -scale 100 -json digest %s, want %s", got, want)
+	}
+}
+
+// TestReportTextDigest pins the text report over the same dataset, the
+// bytes of `idnreport -seed 2018 -scale 100` (identical at -workers 1, 2
+// and 3). Recorded at commit d5a1f5e; an optimisation never regenerates
+// it.
+func TestReportTextDigest(t *testing.T) {
+	ds, err := reportDS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := NewStudy(ds).RunContext(context.Background(), h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "aa4b37d2362c5a80d7a3739e5a256dc2b354c4536d1fb97dc2343da7f8619833"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("idnreport -seed 2018 -scale 100 digest %s, want %s", got, want)
 	}
 }

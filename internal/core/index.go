@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sort"
 	"sync"
 
 	"idnlab/internal/idna"
@@ -271,8 +272,8 @@ func (ix *Index) LanguageRows() []LanguageRow {
 }
 
 // languageRowsFromInfos aggregates the precomputed per-domain languages
-// with exactly the grouping and ordering of the sequential
-// LanguageBreakdown loop.
+// into the Table II rows: English folded into Other, sorted by volume
+// descending, ties by language.
 func languageRowsFromInfos(infos []DomainInfo) []LanguageRow {
 	counts := make(map[langid.Language]int)
 	blackCounts := make(map[langid.Language]int)
@@ -293,7 +294,24 @@ func languageRowsFromInfos(infos []DomainInfo) []LanguageRow {
 			blackTotal++
 		}
 	}
-	return languageRowsFromCounts(counts, blackCounts, total, blackTotal)
+	out := make([]LanguageRow, 0, len(counts))
+	for lang, n := range counts {
+		row := LanguageRow{Language: lang, Count: n, Blacklisted: blackCounts[lang]}
+		if total > 0 {
+			row.Rate = float64(n) / float64(total)
+		}
+		if blackTotal > 0 {
+			row.BlackRate = float64(blackCounts[lang]) / float64(blackTotal)
+		}
+		out = append(out, row)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Language < out[j].Language
+	})
+	return out
 }
 
 // Timeline returns the Figure 1 histograms, computed once. Both maps are

@@ -86,7 +86,7 @@ func (st *Study) Results() Results {
 		// Unreachable: a background context, slice sources, no failing step.
 		panic("core: results: " + err.Error())
 	}
-	out.Languages = st.DS.LanguageBreakdown(st.Classifier)
+	out.Languages = st.DS.LanguageBreakdown()
 
 	topReg, _ := st.DS.TopRegistrars(10)
 	for _, gc := range topReg {

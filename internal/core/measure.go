@@ -23,63 +23,14 @@ type LanguageRow struct {
 	BlackRate   float64         `json:"blackRate"`
 }
 
-// LanguageBreakdown classifies every IDN's second-level label and returns
-// the Table II rows sorted by overall volume descending. English and
-// unclassified labels are grouped into langid.Other.
-//
-// When classifier is the process-wide langid.Default() model the rows come
-// from the corpus index, whose build pass already classified every SLD
-// label; the breakdown then costs one memoized aggregation instead of a
-// second corpus decode-and-classify loop. Any other classifier falls back
-// to the direct loop.
-func (ds *Dataset) LanguageBreakdown(classifier *langid.Classifier) []LanguageRow {
-	if classifier == langid.Default() {
-		return ds.Index().LanguageRows()
-	}
-	counts := make(map[langid.Language]int)
-	blackCounts := make(map[langid.Language]int)
-	total, blackTotal := 0, 0
-	for _, d := range ds.IDNs {
-		uni, err := idna.ToUnicode(d)
-		if err != nil {
-			continue
-		}
-		lang := classifier.Classify(idna.SLDLabel(uni))
-		if lang == langid.English {
-			lang = langid.Other
-		}
-		counts[lang]++
-		total++
-		if ds.Blacklists.IsMalicious(d) {
-			blackCounts[lang]++
-			blackTotal++
-		}
-	}
-	return languageRowsFromCounts(counts, blackCounts, total, blackTotal)
-}
-
-// languageRowsFromCounts turns per-language tallies into the sorted
-// Table II row set — the shared aggregation tail of the direct loop and
-// the index fast path.
-func languageRowsFromCounts(counts, blackCounts map[langid.Language]int, total, blackTotal int) []LanguageRow {
-	out := make([]LanguageRow, 0, len(counts))
-	for lang, n := range counts {
-		row := LanguageRow{Language: lang, Count: n, Blacklisted: blackCounts[lang]}
-		if total > 0 {
-			row.Rate = float64(n) / float64(total)
-		}
-		if blackTotal > 0 {
-			row.BlackRate = float64(blackCounts[lang]) / float64(blackTotal)
-		}
-		out = append(out, row)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Language < out[j].Language
-	})
-	return out
+// LanguageBreakdown returns the Table II rows sorted by overall volume
+// descending: every IDN's second-level label classified by the
+// process-wide langid.Default() model, with English and unclassified
+// labels grouped into langid.Other. The corpus index's build pass already
+// classified every SLD label, so the breakdown is one memoized
+// aggregation.
+func (ds *Dataset) LanguageBreakdown() []LanguageRow {
+	return ds.Index().LanguageRows()
 }
 
 // CreationTimeline returns the Figure 1 histograms: IDN registrations per

@@ -18,7 +18,6 @@ import (
 
 	"idnlab/internal/browser"
 	"idnlab/internal/feat"
-	"idnlab/internal/langid"
 	"idnlab/internal/pipeline"
 	"idnlab/internal/stats"
 	"idnlab/internal/webprobe"
@@ -35,10 +34,9 @@ import (
 // the report is byte-identical to the sequential renderer at any worker
 // count.
 type Study struct {
-	DS         *Dataset
-	Classifier *langid.Classifier
-	Homograph  *HomographDetector
-	Semantic   *SemanticDetector
+	DS        *Dataset
+	Homograph *HomographDetector
+	Semantic  *SemanticDetector
 
 	// ScanWorkers is the fan-out of pipelined corpus scans and of the
 	// section scheduler; 0 selects GOMAXPROCS, 1 forces a single worker.
@@ -76,15 +74,12 @@ type Study struct {
 }
 
 // NewStudy wires a study over an assembled dataset with default
-// components. The language classifier is the process-wide shared model
-// (langid.Default), which lets the Table II breakdown reuse the corpus
-// index's per-domain classifications. The homograph detector and the
-// scan engines probe the process-wide top-1000 candidate index, built
-// here on first use (defaultIndex) and shared by every door.
+// components. The homograph detector and the scan engines probe the
+// process-wide top-1000 candidate index, built here on first use
+// (defaultIndex) and shared by every door.
 func NewStudy(ds *Dataset) *Study {
 	return &Study{
 		DS:         ds,
-		Classifier: langid.Default(),
 		Homograph:  NewHomographDetector(1000),
 		Semantic:   NewSemanticDetector(1000),
 		ScanConfig: DetectorConfig{TopK: 1000},
@@ -319,7 +314,7 @@ func (st *Study) ReportTable1(w io.Writer) error {
 
 // ReportTable2 renders the language distribution (Table II).
 func (st *Study) ReportTable2(w io.Writer) error {
-	rows := st.DS.LanguageBreakdown(st.Classifier)
+	rows := st.DS.LanguageBreakdown()
 	tw := newTab(w)
 	fmt.Fprintln(tw, "TABLE II: Languages of all and malicious IDNs")
 	fmt.Fprintln(tw, "Language\tVolume\tRate\tBlacklisted\tRate")

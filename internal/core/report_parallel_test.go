@@ -248,7 +248,7 @@ func TestAssembleAndResultsAtAnyWidth(t *testing.T) {
 	}{
 		{"IDNs", one.IDNs, eight.IDNs}, {"NonIDNs", one.NonIDNs, eight.NonIDNs}, {"PerTLD", one.PerTLD, eight.PerTLD},
 		{"WHOIS", one.WHOIS, eight.WHOIS}, {"PDNS", one.PDNS, eight.PDNS},
-		{"Blacklists", one.Blacklists, eight.Blacklists}, {"DNS", one.DNS, eight.DNS},
+		{"Blacklists", one.Blacklists, eight.Blacklists},
 	} {
 		if !reflect.DeepEqual(f.one, f.all) {
 			t.Errorf("%s differs between GOMAXPROCS=1 and GOMAXPROCS=8", f.name)

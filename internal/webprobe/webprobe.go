@@ -76,10 +76,11 @@ func NonIDNWeights() Weights {
 
 // Response is the outcome of probing one domain.
 type Response struct {
-	// Resolved reports whether DNS resolution and the TCP connect
+	// Resolved reports whether the name resolved and the connect
 	// succeeded. When false, the remaining fields are zero. All IDNs in
 	// zone files have NS records, so failures are name-server-side
-	// (REFUSED and the like), as the paper notes.
+	// (REFUSED and the like, §IV-D): the NotResolved hosting state, which
+	// Serve renders as the zero Response.
 	Resolved bool
 	// StatusCode is the HTTP status (0 when !Resolved).
 	StatusCode int

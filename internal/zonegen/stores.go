@@ -9,7 +9,6 @@ import (
 	"idnlab/internal/brands"
 	"idnlab/internal/certs"
 	"idnlab/internal/confusables"
-	"idnlab/internal/dnssim"
 	"idnlab/internal/idna"
 	"idnlab/internal/pdns"
 	"idnlab/internal/simrand"
@@ -186,23 +185,6 @@ func (r *Registry) BuildCerts(authority *certs.Authority) (*certs.Store, error) 
 		}
 	}
 	return s, nil
-}
-
-// BuildDNS loads an authoritative server from the registry: domains with
-// a not-resolved hosting profile answer REFUSED (the name-server-side
-// failure the paper identifies in §IV-D), everything else answers its
-// ground-truth A records.
-func (r *Registry) BuildDNS() *dnssim.Server {
-	s := dnssim.NewServer()
-	for i := range r.Domains {
-		d := &r.Domains[i]
-		if d.Hosting == webprobe.NotResolved {
-			s.SetBehavior(d.ACE, dnssim.BehaviorRefused)
-			continue
-		}
-		s.SetAnswer(d.ACE, d.IPs...)
-	}
-	return s
 }
 
 // Serve returns the web response for one registry domain, as the crawler
