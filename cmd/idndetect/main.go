@@ -1,20 +1,21 @@
-// Command idndetect checks domains for homographic and Type-1 semantic
-// abuse against the top-1000 brand list — the paper's two detectors as a
-// standalone tool. Domains are read from arguments or stdin (one per
-// line), in either Unicode or Punycode form. The homograph detector
-// probes the candidate index for the -brands catalog, compiled once at
-// start (~50 ms for the top 1000) and byte-identical to the file
-// `idnindex build` writes.
+// Command idndetect checks domains for homographic, Type-1 and Type-2
+// semantic abuse against the top-1000 brand list — the paper's
+// detectors as a standalone tool. Domains are read from arguments or
+// stdin (one per line), in either Unicode or Punycode form.
 //
-// Classification fans across a worker pipeline with one detector set per
-// worker (the homograph renderer is not safe for concurrent use); the
-// order-preserving fan-in keeps output in input order, so results are
-// byte-identical to a sequential run. Ctrl-C cancels cleanly.
+// A name is normalized once (core.Normalize) and classified by a
+// core.Classifier built as idnserve builds its own, so a name this tool
+// calls INVALID is one the service rejects, and the HOMOGRAPH and
+// SEMANTIC lines are the service's verdict fields. The Type-2
+// dictionary, which the service does not consult, runs on the same
+// normalized form. The classifier probes the candidate index for the
+// -brands catalog, compiled once at start (~50 ms for the top 1000) and
+// byte-identical to the file `idnindex build` writes.
 //
-// A name is normalized once (core.Normalize, the same door idnserve's
-// requests come through) and the three detectors run on that form, so a
-// name this tool calls INVALID is one the service rejects, and the
-// HOMOGRAPH and SEMANTIC lines are the service's verdict fields.
+// Classification fans across a worker pipeline with one classifier clone
+// per worker (the homograph renderer is not safe for concurrent use);
+// the order-preserving fan-in keeps output in input order, so results
+// are byte-identical to a sequential run. Ctrl-C cancels cleanly.
 //
 // Usage:
 //
@@ -36,10 +37,10 @@ import (
 
 func main() { cli.Main("idndetect", run) }
 
-// detectors is the per-worker state: one instance of each detector.
+// detectors is the per-worker state: a classifier clone and the shared,
+// read-only Type-2 dictionary.
 type detectors struct {
-	homo  *core.HomographDetector
-	sem   *core.SemanticDetector
+	cls   *core.Classifier
 	type2 *core.Type2Detector
 }
 
@@ -56,6 +57,9 @@ func run(ctx context.Context) error {
 	)
 	workers, metrics := cli.PipelineFlags("detection fan-out")
 	flag.Parse()
+	if err := cli.CheckBrands(*topK); err != nil {
+		return err
+	}
 
 	domains := flag.Args()
 	if len(domains) == 0 {
@@ -73,15 +77,10 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("no domains given (pass arguments or pipe to stdin)")
 	}
 
+	cls, type2 := core.NewClassifier(core.DetectorConfig{TopK: *topK}), core.NewType2Detector(nil)
 	eng := pipeline.New(
 		pipeline.Config{Stage: "detect", Workers: *workers},
-		func() detectors {
-			return detectors{
-				homo:  core.NewHomographDetector(*topK),
-				sem:   core.NewSemanticDetector(*topK),
-				type2: core.NewType2Detector(nil),
-			}
-		},
+		func() detectors { return detectors{cls: cls.Clone(), type2: type2} },
 		func(d detectors, domain string) (verdict, bool, error) {
 			return classify(d, domain, *quiet)
 		})
@@ -104,18 +103,20 @@ func run(ctx context.Context) error {
 	return nil
 }
 
-// classify normalizes one domain and runs the detector cascade on the
-// normalized form. ok=false drops the domain from the output (clean and
-// invalid domains under -q).
+// classify normalizes one domain, classifies the normalized form and
+// formats the first of its homograph, semantic and Type-2 matches.
+// ok=false drops the domain from the output (clean and invalid domains
+// under -q).
 func classify(d detectors, domain string, quiet bool) (verdict, bool, error) {
 	n, err := core.Normalize(domain)
 	if err != nil {
 		return verdict{line: fmt.Sprintf("INVALID   %s (%v)", domain, err)}, !quiet, nil
 	}
-	if m, ok := d.homo.DetectNormalized(n); ok {
+	v := d.cls.Verdict(n)
+	if m := v.Homograph; m != nil {
 		return verdict{line: fmt.Sprintf("HOMOGRAPH %s", m), flagged: true}, true, nil
 	}
-	if m, ok := d.sem.DetectNormalized(n); ok {
+	if m := v.Semantic; m != nil {
 		return verdict{line: fmt.Sprintf("SEMANTIC  %s", m), flagged: true}, true, nil
 	}
 	if m, ok := d.type2.DetectNormalized(n); ok {

@@ -43,11 +43,7 @@ func TestClassifyAgreesWithVerdict(t *testing.T) {
 		}
 	}
 	cls := core.NewClassifier(core.DetectorConfig{TopK: 1000})
-	d := detectors{
-		homo:  core.NewHomographDetector(1000),
-		sem:   core.NewSemanticDetector(1000),
-		type2: core.NewType2Detector(nil),
-	}
+	d := detectors{cls: core.NewClassifier(core.DetectorConfig{TopK: 1000}).Clone(), type2: core.NewType2Detector(nil)}
 	kinds := map[string]int{}
 	for _, domain := range corpus {
 		got, _, err := classify(d, domain, false)

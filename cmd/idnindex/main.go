@@ -58,6 +58,9 @@ func runBuild(args []string) error {
 	top := fs.Int("top", 1000, "brand catalog depth (top-k by rank)")
 	out := fs.String("out", "brands.cidx", "output index file")
 	fs.Parse(args)
+	if err := cli.CheckBrands(*top); err != nil {
+		return err
+	}
 
 	ix, err := candidx.Build(brands.TopK(*top), candidx.BuildOptions{})
 	if err != nil {

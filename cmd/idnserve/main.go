@@ -54,6 +54,11 @@ func run(ctx context.Context) error {
 		syncEvery = flag.Duration("sync-interval", 15*time.Second, "anti-entropy re-sync cadence in peer mode")
 	)
 	flag.Parse()
+	if *indexPath == "" {
+		if err := cli.CheckBrands(*topK); err != nil {
+			return err
+		}
+	}
 
 	ix, stat, err := cli.LoadDetector("idnserve", *indexPath, *statPath)
 	if err != nil {

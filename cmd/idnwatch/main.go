@@ -69,6 +69,11 @@ func run(ctx context.Context) error {
 	if *cursor == "" {
 		*cursor = *alertPath + ".cursor"
 	}
+	if *indexPath == "" {
+		if err := cli.CheckBrands(*topK); err != nil {
+			return err
+		}
+	}
 
 	// Detector: a prebuilt index, or the one every index-less detector
 	// compiles for the top-K catalog.

@@ -15,6 +15,7 @@ import (
 	"runtime/pprof"
 	"syscall"
 
+	"idnlab/internal/brands"
 	"idnlab/internal/candidx"
 	"idnlab/internal/feat"
 )
@@ -44,6 +45,16 @@ func PipelineFlags(fanOut string) (workers *int, metrics *bool) {
 func CheckScale(scale int) error {
 	if scale < 1 {
 		return fmt.Errorf("-scale must be at least 1 (1 = paper scale), got %d", scale)
+	}
+	return nil
+}
+
+// CheckBrands rejects a brand-catalog depth (-brands, or idnindex build
+// -top) outside 1..len(brands.List()): brands.TopK would clamp it, and
+// the tool would defend a catalog other than the one its flag names.
+func CheckBrands(k int) error {
+	if n := len(brands.List()); k < 1 || k > n {
+		return fmt.Errorf("brand count must be in 1..%d (the brand list), got %d", n, k)
 	}
 	return nil
 }

@@ -454,6 +454,101 @@ func TestEveryDeclarationAnswersToAGate(t *testing.T) {
 	}
 }
 
+// detectorAllowed are the places TestOneVerdictDoor lets build a
+// detector of their own, by directory and detector type, each with the
+// reason.
+var detectorAllowed = map[string]string{
+	"cmd/idnindex HomographDetector": "verify compares the index with the brute sweep over the same catalog",
+	"cmd/idnwatch HomographDetector": "the watch Matcher takes a bare detector, until an alert is a verdict (ROADMAP)",
+	"cmd/idndetect Type2Detector":    "Type-2 is not in core.Classifier",
+}
+
+// TestOneVerdictDoor keeps one way to reach a verdict: outside
+// internal/core, a non-test file under cmd/ or internal/ builds a
+// HomographDetector, SemanticDetector or Type2Detector — by naming a
+// core function that returns one, a composite literal or new — only
+// where detectorAllowed says why. Everything else classifies through
+// core.Classifier, the door the service answers from; a method such as
+// Clone copies a detector its caller was handed and does not count.
+func TestOneVerdictDoor(t *testing.T) {
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// detector names the core detector type typ is or points to, or "".
+	detector := func(typ types.Type) string {
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		named, ok := typ.(*types.Named)
+		if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != module+"internal/core" {
+			return ""
+		}
+		switch name := named.Obj().Name(); name {
+		case "HomographDetector", "SemanticDetector", "Type2Detector":
+			return name
+		}
+		return ""
+	}
+	built := make(map[string]bool)
+	for _, p := range mod.pkgs {
+		dir := strings.TrimPrefix(p.path, module)
+		if dir == "internal/core" || !strings.HasPrefix(dir, "cmd/") && !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			if strings.HasSuffix(mod.fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var made []types.Type
+				switch n := n.(type) {
+				case *ast.Ident:
+					// A core function (not a method) returning a detector,
+					// called or passed as a value.
+					fn, ok := p.info.Uses[n].(*types.Func)
+					if !ok || fn.Pkg() == nil || fn.Pkg().Path() != module+"internal/core" {
+						return true
+					}
+					sig := fn.Type().(*types.Signature)
+					if sig.Recv() != nil {
+						return true
+					}
+					for i := 0; i < sig.Results().Len(); i++ {
+						made = append(made, sig.Results().At(i).Type())
+					}
+				case *ast.CompositeLit:
+					made = append(made, p.info.TypeOf(n))
+				case *ast.CallExpr:
+					if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
+						if b, ok := p.info.Uses[id].(*types.Builtin); ok && b.Name() == "new" {
+							made = append(made, p.info.TypeOf(n))
+						}
+					}
+				}
+				for _, typ := range made {
+					name := detector(typ)
+					if name == "" {
+						continue
+					}
+					k := dir + " " + name
+					built[k] = true
+					if detectorAllowed[k] == "" {
+						t.Errorf("%s: builds a core.%s; classify through core.Classifier, or add %q to detectorAllowed with the reason",
+							mod.fset.Position(n.Pos()), name, k)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for k := range detectorAllowed {
+		if !built[k] {
+			t.Errorf("detectorAllowed names %s, which builds no such detector now: drop it", k)
+		}
+	}
+}
+
 // cfgAllowed are the config fields TestEveryConfigFieldHasASetter lets
 // stand without a setter, each with the reason.
 var cfgAllowed = map[string]string{

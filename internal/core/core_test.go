@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"idnlab/internal/brands"
 	"idnlab/internal/idna"
 	"idnlab/internal/langid"
 	"idnlab/internal/stats"
@@ -252,8 +253,8 @@ func minInt(a, b int) int {
 }
 
 func TestTableVUsage(t *testing.T) {
-	idn := testDS.UsageSample(PopulationIDN, 500, 1)
-	non := testDS.UsageSample(PopulationNonIDN, 500, 1)
+	idn := testDS.UsageSample(PopulationIDN)
+	non := testDS.UsageSample(PopulationNonIDN)
 	if idn.Total() != 500 || non.Total() != 500 {
 		t.Fatalf("sample sizes: %d, %d", idn.Total(), non.Total())
 	}
@@ -351,7 +352,7 @@ func TestHomographDetectorRecoversGroundTruth(t *testing.T) {
 			continue
 		}
 		totalAttack++
-		if _, ok := det.DetectOne(d.ACE); ok {
+		if _, ok := detectName(det.DetectNormalized, d.ACE); ok {
 			recovered++
 		}
 	}
@@ -376,7 +377,7 @@ func TestHomographFalsePositivesOnBenign(t *testing.T) {
 			continue
 		}
 		checked++
-		if m, ok := det.DetectOne(d.ACE); ok {
+		if m, ok := detectName(det.DetectNormalized, d.ACE); ok {
 			t.Logf("false positive: %v", m)
 			fp++
 		}
@@ -390,7 +391,7 @@ func TestHomographFalsePositivesOnBenign(t *testing.T) {
 }
 
 func TestSemanticDetectorOnCorpus(t *testing.T) {
-	det := NewSemanticDetector(1000)
+	det := newSemanticDetector(brands.TopK(1000))
 	matches := det.Detect(testDS.IDNs)
 	scaled := 1497 / 100
 	if len(matches) < scaled/2 || len(matches) > scaled*3 {
@@ -419,7 +420,7 @@ func TestSemanticDetectorOnCorpus(t *testing.T) {
 }
 
 func TestSemanticDetectorRecall(t *testing.T) {
-	det := NewSemanticDetector(1000)
+	det := newSemanticDetector(brands.TopK(1000))
 	reg := testDS.Registry
 	total, recovered := 0, 0
 	for i := range reg.Domains {
@@ -428,7 +429,7 @@ func TestSemanticDetectorRecall(t *testing.T) {
 			continue
 		}
 		total++
-		if _, ok := det.DetectOne(d.ACE); ok {
+		if _, ok := detectName(det.DetectNormalized, d.ACE); ok {
 			recovered++
 		}
 	}
@@ -441,9 +442,9 @@ func TestSemanticDetectorRecall(t *testing.T) {
 }
 
 func TestSemanticDetectorIgnoresPlainAndHomograph(t *testing.T) {
-	det := NewSemanticDetector(1000)
+	det := newSemanticDetector(brands.TopK(1000))
 	for _, domain := range []string{"google.com", "xn--pple-43d.com", "xn--0wwy37b.com"} {
-		if m, ok := det.DetectOne(domain); ok {
+		if m, ok := detectName(det.DetectNormalized, domain); ok {
 			t.Errorf("false positive: %v", m)
 		}
 	}
@@ -480,7 +481,7 @@ func TestAvailabilityStudy(t *testing.T) {
 
 func TestDetectOneKnownAttacks(t *testing.T) {
 	det := NewHomographDetector(1000)
-	m, ok := det.DetectOne("xn--pple-43d.com") // аpple.com
+	m, ok := detectName(det.DetectNormalized, "xn--pple-43d.com") // аpple.com
 	if !ok {
 		t.Fatal("apple homograph not detected")
 	}
@@ -491,12 +492,12 @@ func TestDetectOneKnownAttacks(t *testing.T) {
 		t.Errorf("Cyrillic а swap should be pixel-identical, SSIM = %v", m.SSIM)
 	}
 	// ѕоѕо.com -> soso.com.
-	if m, ok := det.DetectOne("ѕоѕо.com"); !ok || m.Brand != "soso.com" {
+	if m, ok := detectName(det.DetectNormalized, "ѕоѕо.com"); !ok || m.Brand != "soso.com" {
 		t.Errorf("soso homograph: %v %v", m, ok)
 	}
 	// Benign names.
 	for _, d := range []string{"example.com", "xn--0wwy37b.com", "中国"} {
-		if m, ok := det.DetectOne(d); ok {
+		if m, ok := detectName(det.DetectNormalized, d); ok {
 			t.Errorf("false positive on %s: %v", d, m)
 		}
 	}

@@ -165,7 +165,7 @@ func NewHomographDetector(topK int, opts ...HomographOption) *HomographDetector 
 // brandCache prerenders every brand label in the fixed top-1000 list at
 // its own width and precomputes the reference-side SSIM table for each,
 // once per process. The brand list is a global constant, so detectors
-// (and benchmark loops that construct fresh engines per scan) all share
+// (and benchmark loops that construct a fresh study per pass) all share
 // one immutable cache instead of re-rendering a thousand rasters per
 // construction. ~9 MB resident for the full list, held for the process
 // lifetime.
@@ -202,9 +202,9 @@ func brandCache() (map[string]*ssim.RefTable, map[string]int) {
 // defaultIndex returns the candidate index compiled from brands.TopK(k),
 // the catalog of every detector built without WithIndex or WithBrands.
 // It is built at most once per process per catalog depth (one build of
-// the top-1000 costs ~50 ms), so the study, the classifier, the scan
-// engines and every worker of a command share one image — byte-identical
-// to what `idnindex build -top k` writes.
+// the top-1000 costs ~50 ms), so the study, every classifier and every
+// worker of a command share one image — byte-identical to what
+// `idnindex build -top k` writes.
 var (
 	defaultIndexMu sync.Mutex
 	defaultIndexes = make(map[int]*candidx.Index)
@@ -329,20 +329,10 @@ func (d *HomographDetector) ScoreBounded(label, brandLabel string, min float64) 
 	return v, v >= min
 }
 
-// DetectOne checks a single domain (ACE or Unicode form) against the brand
-// set and returns the best match at or above the threshold.
-func (d *HomographDetector) DetectOne(domain string) (HomographMatch, bool) {
-	n, err := Normalize(domain)
-	if err != nil {
-		return HomographMatch{}, false
-	}
-	return d.DetectNormalized(n)
-}
-
-// DetectNormalized is DetectOne over an already-normalized domain: the
-// serving layer normalizes once at the request boundary and reuses the
-// result across the cache key and both detectors, instead of paying the
-// IDNA round-trip in every detector.
+// DetectNormalized returns the best brand match at or above the
+// threshold for one normalized domain: callers normalize once at their
+// boundary and reuse the result across the cache key and every detector,
+// instead of paying the IDNA round-trip in each.
 func (d *HomographDetector) DetectNormalized(n NormalizedDomain) (HomographMatch, bool) {
 	if n.ASCII {
 		return HomographMatch{}, false // homographs need non-ASCII content
@@ -440,11 +430,6 @@ type SemanticDetector struct {
 	brandsByLabel map[string]brands.Brand
 }
 
-// NewSemanticDetector builds a detector over the top-k brand list.
-func NewSemanticDetector(topK int) *SemanticDetector {
-	return newSemanticDetector(brands.TopK(topK))
-}
-
 // newSemanticDetector builds a detector over a brand catalog; the first
 // brand with a given label wins.
 func newSemanticDetector(list []brands.Brand) *SemanticDetector {
@@ -457,17 +442,9 @@ func newSemanticDetector(list []brands.Brand) *SemanticDetector {
 	return d
 }
 
-// DetectOne checks one domain for Type-1 semantic abuse.
-func (d *SemanticDetector) DetectOne(domain string) (SemanticMatch, bool) {
-	n, err := Normalize(domain)
-	if err != nil {
-		return SemanticMatch{}, false
-	}
-	return d.DetectNormalized(n)
-}
-
-// DetectNormalized is DetectOne over an already-normalized domain; see
-// HomographDetector.DetectNormalized for the sharing rationale.
+// DetectNormalized checks one normalized domain for Type-1 semantic
+// abuse; see HomographDetector.DetectNormalized for the sharing
+// rationale.
 func (d *SemanticDetector) DetectNormalized(n NormalizedDomain) (SemanticMatch, bool) {
 	if n.ASCII {
 		return SemanticMatch{}, false // needs at least one non-ASCII rune

@@ -12,6 +12,7 @@ import (
 
 	"idnlab/internal/brands"
 	"idnlab/internal/candidx"
+	"idnlab/internal/pipeline"
 )
 
 // doorVerdict is the part of a verdict every door produces: the
@@ -23,7 +24,7 @@ type doorVerdict struct {
 
 // TestDoorDifferential is the one-verdict-per-domain check across the
 // doors that detect without a served index file: the study's memoized
-// corpus scans, a Classifier on the default index, and a Classifier on
+// corpus pass, a Classifier on the default index, and a Classifier on
 // the same index after a WriteFile → LoadFile round trip. Over every
 // labelled attack of the test universe plus 10k benign labels, the three
 // must encode byte-identical homograph and semantic fields.
@@ -42,13 +43,13 @@ func TestDoorDifferential(t *testing.T) {
 		names = append(names, l.ACE)
 	}
 
-	st := NewStudy(testDS)
+	matches := NewStudy(testDS).matches()
 	studyHomo := make(map[string]*HomographMatch)
-	for _, m := range st.homographMatches() {
+	for _, m := range matches.homograph {
 		studyHomo[m.Domain] = &m
 	}
 	studySem := make(map[string]*SemanticMatch)
-	for _, m := range st.semanticMatches() {
+	for _, m := range matches.semantic {
 		studySem[m.Domain] = &m
 	}
 
@@ -82,7 +83,7 @@ func TestDoorDifferential(t *testing.T) {
 		f := fromFile.Verdict(n)
 		loaded := encode(doorVerdict{f.Homograph, f.Semantic})
 		if !bytes.Equal(study, classified) || !bytes.Equal(classified, loaded) {
-			t.Fatalf("%s (%s): doors disagree\nstudy scan: %s\nclassifier: %s\nfile index: %s",
+			t.Fatalf("%s (%s): doors disagree\nstudy pass: %s\nclassifier: %s\nfile index: %s",
 				name, n.Unicode, study, classified, loaded)
 		}
 		if v.Homograph != nil || v.Semantic != nil {
@@ -97,16 +98,18 @@ func TestDoorDifferential(t *testing.T) {
 
 // TestDoorsAgreeOnLabelArtefact pins the name the confusables skeleton
 // missed and the index finds: seẋ2.com is within the SSIM threshold of
-// sex.com, so the study's scan configuration and the classifier both
+// sex.com, so the study's classify pass and a fresh classifier both
 // report it.
 func TestDoorsAgreeOnLabelArtefact(t *testing.T) {
 	const name = "xn--se2-bez.com"
-	got, _, err := ScanHomograph(context.Background(), NewStudy(testDS).ScanConfig, []string{name}, 1)
+	st := NewStudy(testDS)
+	matches, _, err := classifyCorpus(context.Background(), st.cls, st.type2, pipeline.FromSlice([]string{name}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := matches.homograph
 	if len(got) != 1 || got[0].Brand != "sex.com" {
-		t.Fatalf("study scan of %s: %+v, want a sex.com match", name, got)
+		t.Fatalf("study pass over %s: %+v, want a sex.com match", name, got)
 	}
 	v, err := NewClassifier(DetectorConfig{TopK: 1000}).VerdictFor(name)
 	if err != nil {
@@ -136,10 +139,8 @@ func TestDefaultIndexIsTheFileIndexBuiltOnce(t *testing.T) {
 	if !bytes.Equal(shared.Bytes(), ix.Bytes()) {
 		t.Fatal("the default index differs from a fresh build of the top-1000 catalog")
 	}
-	scan := NewStudy(testDS).ScanConfig
 	for door, got := range map[string]*candidx.Index{
-		"NewStudy":             NewStudy(testDS).Homograph.Index(),
-		"study scan engine":    NewHomographDetector(scan.TopK, scan.detectorOptions()...).Index(),
+		"NewStudy":             NewStudy(testDS).cls.Index(),
 		"NewClassifier":        NewClassifier(DetectorConfig{TopK: 1000}).homo.Index(),
 		"NewHomographDetector": NewHomographDetector(1000).Index(),
 	} {

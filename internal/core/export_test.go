@@ -6,20 +6,30 @@ import (
 	"idnlab/internal/candidx"
 )
 
-// The sequential corpus scans: the reference the streaming engines
-// (ScanHomograph, ScanSemantic) and the detector clones are compared
-// against.
+// detectName normalizes a name and runs one detector on the result; a
+// name Normalize rejects matches nothing.
+func detectName[M any](detect func(NormalizedDomain) (M, bool), domain string) (M, bool) {
+	n, err := Normalize(domain)
+	if err != nil {
+		var zero M
+		return zero, false
+	}
+	return detect(n)
+}
+
+// The sequential corpus scans over one detector: the reference the
+// detector clones and the index are compared against.
 
 // Detect scans a domain corpus and returns all homographic matches, sorted
 // by brand then domain.
 func (d *HomographDetector) Detect(domains []string) []HomographMatch {
 	var out []HomographMatch
 	for _, domain := range domains {
-		if m, ok := d.DetectOne(domain); ok {
+		if m, ok := detectName(d.DetectNormalized, domain); ok {
 			out = append(out, m)
 		}
 	}
-	sortHomographMatches(out)
+	sortByBrand(out, func(m HomographMatch) (string, string) { return m.Brand, m.Domain })
 	return out
 }
 
@@ -27,11 +37,11 @@ func (d *HomographDetector) Detect(domains []string) []HomographMatch {
 func (d *SemanticDetector) Detect(domains []string) []SemanticMatch {
 	var out []SemanticMatch
 	for _, domain := range domains {
-		if m, ok := d.DetectOne(domain); ok {
+		if m, ok := detectName(d.DetectNormalized, domain); ok {
 			out = append(out, m)
 		}
 	}
-	sortSemanticMatches(out)
+	sortByBrand(out, func(m SemanticMatch) (string, string) { return m.Brand, m.Domain })
 	return out
 }
 

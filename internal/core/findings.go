@@ -110,7 +110,7 @@ func (st *Study) findingSteps(f *Findings) []func() {
 		},
 		// Finding 8.
 		func() {
-			census := ds.UsageSample(PopulationIDN, 500, 1)
+			census := ds.UsageSample(PopulationIDN)
 			f.MeaningfulRate = census.Rate(webprobe.Meaningful)
 			f.NotResolvedRate = census.Rate(webprobe.NotResolved)
 		},

@@ -68,8 +68,8 @@ var reportDS = sync.OnceValues(func() (*Dataset, error) { return NewDefaultDatas
 
 // TestReportJSONDigest pins the machine-readable study at the default
 // scale — a universe 20 times the golden report's, large enough that the
-// generator's name collisions, every Build* store and both corpus scans
-// shape the bytes. Recorded on the tree before Assemble and Results went
+// generator's name collisions, every Build* store and the corpus
+// classify pass shape the bytes. Recorded on the tree before Assemble and Results went
 // concurrent (commit 93c990a); an optimisation never regenerates it.
 func TestReportJSONDigest(t *testing.T) {
 	ds, err := reportDS()

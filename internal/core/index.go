@@ -87,7 +87,7 @@ type Index struct {
 	conc     IPConcentration
 
 	usageMu sync.Mutex
-	usage   map[usageKey]webprobe.Census
+	usage   map[Population]webprobe.Census
 
 	certMu sync.Mutex
 	certs  map[Population]CertReport
@@ -105,12 +105,6 @@ type seriesKey struct {
 	active bool
 	pop    Population
 	tld    string
-}
-
-type usageKey struct {
-	pop  Population
-	size int
-	seed uint64
 }
 
 // Index returns the dataset's corpus index, building it on first use. The
@@ -347,20 +341,19 @@ func (ix *Index) Concentration() IPConcentration {
 	return ix.conc
 }
 
-// Usage returns the Table V census for a deterministic population sample,
-// computed once per (population, size, seed). Read-only.
-func (ix *Index) Usage(p Population, sampleSize int, seed uint64) webprobe.Census {
-	key := usageKey{pop: p, size: sampleSize, seed: seed}
+// Usage returns the Table V census of a population's deterministic
+// sample, computed once per population. Read-only.
+func (ix *Index) Usage(p Population) webprobe.Census {
 	ix.usageMu.Lock()
 	defer ix.usageMu.Unlock()
 	if ix.usage == nil {
-		ix.usage = make(map[usageKey]webprobe.Census)
+		ix.usage = make(map[Population]webprobe.Census)
 	}
-	if cached, ok := ix.usage[key]; ok {
+	if cached, ok := ix.usage[p]; ok {
 		return cached
 	}
-	census := ix.ds.usageSample(ix.populationDomains(p), sampleSize, seed)
-	ix.usage[key] = census
+	census := ix.ds.usageSample(ix.populationDomains(p))
+	ix.usage[p] = census
 	return census
 }
 

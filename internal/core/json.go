@@ -59,7 +59,7 @@ type SemanticResults struct {
 }
 
 // Results computes the full machine-readable study output. Like
-// RunContext it primes the index and the two scans, then runs what is
+// RunContext it primes the index and the classify pass, then runs what is
 // independent — here the findings' aggregates and the browser survey,
 // each memoized behind its own lock — through the same scheduler,
 // ScanWorkers wide. The struct is assembled from the memoized values, so
@@ -96,7 +96,8 @@ func (st *Study) Results() Results {
 		out.TopRegistrants = append(out.TopRegistrants, GroupCountJSON{Key: gc.Key, Count: gc.Count})
 	}
 
-	homo := st.homographMatches()
+	matches := st.matches()
+	homo := matches.homograph
 	out.Homographs.Total = len(homo)
 	out.Homographs.Matches = homo
 	out.Homographs.ByBrand = RankBrands(homo, func(m HomographMatch) string { return m.Brand })
@@ -109,7 +110,7 @@ func (st *Study) Results() Results {
 		}
 	}
 
-	sem := st.semanticMatches()
+	sem := matches.semantic
 	out.Semantic.Total = len(sem)
 	out.Semantic.Matches = sem
 	out.Semantic.ByBrand = RankBrands(sem, func(m SemanticMatch) string { return m.Brand })

@@ -165,28 +165,32 @@ func (ds *Dataset) ipConcentration(infos []DomainInfo) IPConcentration {
 	return out
 }
 
+// Table V's sample: usageSampleSize names of a population, every
+// stride-th of the sorted list (stride = len/usageSampleSize, at least
+// 1), starting at usageSampleOffset mod stride.
+const (
+	usageSampleSize   = 500
+	usageSampleOffset = 1
+)
+
 // UsageSample crawls a deterministic sample of a population and classifies
 // the responses — the Table V methodology (stratified sampling + manual
-// classification, here automated). Each (population, size, seed) census is
-// probed once, behind the corpus index.
-func (ds *Dataset) UsageSample(p Population, sampleSize int, seed uint64) webprobe.Census {
-	return ds.Index().Usage(p, sampleSize, seed)
+// classification, here automated). Each population's census is probed
+// once, behind the corpus index.
+func (ds *Dataset) UsageSample(p Population) webprobe.Census {
+	return ds.Index().Usage(p)
 }
 
 // usageSample is the Table V probe loop over a resolved domain list.
-func (ds *Dataset) usageSample(domains []string, sampleSize int, seed uint64) webprobe.Census {
+func (ds *Dataset) usageSample(domains []string) webprobe.Census {
 	census := make(webprobe.Census)
-	if len(domains) == 0 || sampleSize <= 0 {
+	if len(domains) == 0 {
 		return census
 	}
 	// Deterministic stride sample over the sorted population.
-	stride := len(domains) / sampleSize
-	if stride < 1 {
-		stride = 1
-	}
-	offset := int(seed) % stride
+	stride := max(len(domains)/usageSampleSize, 1)
 	taken := 0
-	for i := offset; i < len(domains) && taken < sampleSize; i += stride {
+	for i := usageSampleOffset % stride; i < len(domains) && taken < usageSampleSize; i += stride {
 		resp := ds.Probe(domains[i])
 		census[webprobe.Classify(resp)]++
 		taken++

@@ -159,36 +159,22 @@ func benchWorkerCounts() []int {
 	return counts
 }
 
-// BenchmarkPipelineHomograph scans the full seed corpus through the
-// streaming engine at 1, 4 and GOMAXPROCS workers. workers=1 is the
-// sequential baseline; the acceptance bar is ≥2× at workers=4.
-func BenchmarkPipelineHomograph(b *testing.B) {
-	corpus := study(b).DS.IDNs
-	nbytes := corpusBytes(corpus)
+// BenchmarkPipelineClassify runs the study's one classify pass over the
+// full seed corpus at 1, 4 and GOMAXPROCS workers: every name normalized
+// once, classified on a Classifier clone and looked up in the Type-2
+// dictionary. workers=1 is the sequential baseline. Each iteration is a
+// fresh Study, so the memoized pass cannot carry over.
+func BenchmarkPipelineClassify(b *testing.B) {
+	ds := study(b).DS
+	nbytes := corpusBytes(ds.IDNs)
 	for _, workers := range benchWorkerCounts() {
 		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			cfg := core.DetectorConfig{TopK: 1000}
 			b.SetBytes(nbytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ScanHomograph(context.Background(), cfg, corpus, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPipelineSemantic is the Type-1 scan through the same engine.
-func BenchmarkPipelineSemantic(b *testing.B) {
-	corpus := study(b).DS.IDNs
-	nbytes := corpusBytes(corpus)
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			b.SetBytes(nbytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ScanSemantic(context.Background(), 1000, corpus, workers); err != nil {
+				st := core.NewStudy(ds)
+				st.ScanWorkers = workers
+				if err := st.ReportTable10(io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}

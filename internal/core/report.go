@@ -25,27 +25,28 @@ import (
 )
 
 // Study runs the complete measurement over a dataset and renders every
-// table and figure of the paper. Corpus-scale detector scans (Tables IX,
-// XIII, XIV; Figures 5, 8) run through the internal/pipeline streaming
-// engine with ScanWorkers-wide fan-out and are memoized — each scan runs
-// once per Study no matter how many sections consume it. Report sections
-// themselves render concurrently (RunContext) into private buffers that
-// an order-preserving fan-in writes out in the fixed section order, so
-// the report is byte-identical to the sequential renderer at any worker
-// count.
+// table and figure of the paper. The corpus tables (IX, X, XIII, XIV;
+// Figures 5, 8; the taxonomy) read one classify pass through the
+// internal/pipeline streaming engine, ScanWorkers wide and memoized —
+// it runs once per Study no matter how many sections consume it. Report
+// sections themselves render concurrently (RunContext) into private
+// buffers that an order-preserving fan-in writes out in the fixed
+// section order, so the report is byte-identical to the sequential
+// renderer at any worker count.
 type Study struct {
-	DS        *Dataset
-	Homograph *HomographDetector
-	Semantic  *SemanticDetector
+	DS *Dataset
 
-	// ScanWorkers is the fan-out of pipelined corpus scans and of the
+	// ScanWorkers is the fan-out of the pipelined corpus pass and of the
 	// section scheduler; 0 selects GOMAXPROCS, 1 forces a single worker.
 	ScanWorkers int
-	// ScanConfig builds the per-worker homograph detectors for
-	// pipelined scans (its TopK also sizes the semantic detector). It
-	// must agree with the Homograph/Semantic fields for the report's
-	// example sections to match its corpus sections.
-	ScanConfig DetectorConfig
+
+	// cls is the study's one verdict door: the corpus pass classifies on
+	// its clones, and the example, ladder and availability sections score
+	// through clones of its homograph detector, so the catalogs cannot
+	// disagree. type2 is the read-only Type-2 dictionary every worker of
+	// the pass shares.
+	cls   *Classifier
+	type2 *Type2Detector
 
 	mu          sync.Mutex
 	scanMetrics []pipeline.Metrics
@@ -54,91 +55,51 @@ type Study struct {
 	// Memoized statistical classifier: trained once per Study on the
 	// registry's labeled ground truth (deterministic for a fixed seed),
 	// shared by the taxonomy section across sequential and parallel
-	// renders. Guarded by its own mutex like the memoized scans.
+	// renders. Guarded by its own mutex like the memoized pass.
 	statMu  sync.Mutex
 	statM   *feat.Model
 	statExs []feat.Example
 	statErr error
 
-	// Memoized corpus scans. Guarded by their own mutexes (not sync.Once)
-	// so a scan aborted by context cancellation stays uncached and can be
-	// retried; results are cached only on success.
-	homoMu     sync.Mutex
-	homoDone   bool
-	homoCached []HomographMatch
-	semMu      sync.Mutex
-	semDone    bool
-	semCached  []SemanticMatch
+	// Memoized corpus pass. Guarded by its own mutex (not sync.Once) so a
+	// pass aborted by context cancellation stays uncached and can be
+	// retried; it is cached only on success.
+	corpusMu sync.Mutex
+	corpus   *corpusMatches
 
 	indexMetricsOnce sync.Once
 }
 
 // NewStudy wires a study over an assembled dataset with default
-// components. The homograph detector and the scan engines probe the
-// process-wide top-1000 candidate index, built here on first use
-// (defaultIndex) and shared by every door.
+// components. Its classifier probes the process-wide top-1000 candidate
+// index, built here on first use (defaultIndex) and shared by every door.
 func NewStudy(ds *Dataset) *Study {
-	return &Study{
-		DS:         ds,
-		Homograph:  NewHomographDetector(1000),
-		Semantic:   NewSemanticDetector(1000),
-		ScanConfig: DetectorConfig{TopK: 1000},
-	}
+	return &Study{DS: ds, cls: NewClassifier(DetectorConfig{TopK: 1000}), type2: NewType2Detector(nil)}
 }
 
-// homographMatchesCtx returns the corpus homograph matches, running the
-// pipelined scan on first use and caching on success. Before memoization
-// the scan ran once per consuming section (Table XIII and Figure 5 each
-// paid a full corpus sweep).
-func (st *Study) homographMatchesCtx(ctx context.Context) ([]HomographMatch, error) {
-	st.homoMu.Lock()
-	defer st.homoMu.Unlock()
-	if st.homoDone {
-		return st.homoCached, nil
+// matchesCtx returns the corpus matches, running the classify pass on
+// first use and caching on success.
+func (st *Study) matchesCtx(ctx context.Context) (*corpusMatches, error) {
+	st.corpusMu.Lock()
+	defer st.corpusMu.Unlock()
+	if st.corpus != nil {
+		return st.corpus, nil
 	}
-	matches, m, err := ScanHomograph(ctx, st.ScanConfig, st.DS.IDNs, st.ScanWorkers)
+	matches, m, err := classifyCorpus(ctx, st.cls, st.type2, pipeline.FromSlice(st.DS.IDNs), st.ScanWorkers)
 	if err != nil {
 		return nil, err
 	}
 	st.recordScan(m)
-	st.homoCached = matches
-	st.homoDone = true
+	st.corpus = matches
 	return matches, nil
 }
 
-// homographMatches is the non-cancellable entry point used by sections.
-func (st *Study) homographMatches() []HomographMatch {
-	matches, err := st.homographMatchesCtx(context.Background())
+// matches is the non-cancellable entry point used by sections.
+func (st *Study) matches() *corpusMatches {
+	matches, err := st.matchesCtx(context.Background())
 	if err != nil {
 		// Unreachable with a background context and a slice source.
-		panic("core: homograph scan: " + err.Error())
-	}
-	return matches
-}
-
-// semanticMatchesCtx returns the corpus Type-1 matches, running the
-// pipelined scan on first use and caching on success.
-func (st *Study) semanticMatchesCtx(ctx context.Context) ([]SemanticMatch, error) {
-	st.semMu.Lock()
-	defer st.semMu.Unlock()
-	if st.semDone {
-		return st.semCached, nil
-	}
-	matches, m, err := ScanSemantic(ctx, st.ScanConfig.TopK, st.DS.IDNs, st.ScanWorkers)
-	if err != nil {
-		return nil, err
-	}
-	st.recordScan(m)
-	st.semCached = matches
-	st.semDone = true
-	return matches, nil
-}
-
-// semanticMatches is the non-cancellable entry point used by sections.
-func (st *Study) semanticMatches() []SemanticMatch {
-	matches, err := st.semanticMatchesCtx(context.Background())
-	if err != nil {
-		panic("core: semantic scan: " + err.Error())
+		panic("core: classify pass: " + err.Error())
 	}
 	return matches
 }
@@ -150,8 +111,8 @@ func (st *Study) recordScan(m pipeline.Metrics) {
 }
 
 // ScanMetrics returns one Metrics snapshot per pipelined pass the study
-// has run so far (index build, corpus scans, section scheduler), in
-// execution order.
+// has run so far (index build, corpus classify pass, section scheduler),
+// in execution order.
 func (st *Study) ScanMetrics() []pipeline.Metrics {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -271,8 +232,8 @@ func (st *Study) RunContext(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
-// prime computes the three shared substrates — the corpus index and both
-// detector scans — once, one after another (each is ScanWorkers wide
+// prime computes the two shared substrates — the corpus index and the
+// classify pass — once, one after the other (each is ScanWorkers wide
 // inside), under ctx: whatever is scheduled next reads memoized state
 // instead of racing to compute it.
 func (st *Study) prime(ctx context.Context) error {
@@ -284,10 +245,7 @@ func (st *Study) prime(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if _, err := st.homographMatchesCtx(ctx); err != nil {
-		return err
-	}
-	_, err := st.semanticMatchesCtx(ctx)
+	_, err := st.matchesCtx(ctx)
 	return err
 }
 
@@ -418,10 +376,10 @@ func (st *Study) ReportFigure4(w io.Writer) error {
 
 // ReportTable5 renders the usage census (Table V).
 func (st *Study) ReportTable5(w io.Writer) error {
-	idn := st.DS.UsageSample(PopulationIDN, 500, 1)
-	non := st.DS.UsageSample(PopulationNonIDN, 500, 1)
+	idn := st.DS.UsageSample(PopulationIDN)
+	non := st.DS.UsageSample(PopulationNonIDN)
 	tw := newTab(w)
-	fmt.Fprintln(tw, "TABLE V: Usage of domain names (500-domain samples)")
+	fmt.Fprintf(tw, "TABLE V: Usage of domain names (%d-domain samples)\n", usageSampleSize)
 	fmt.Fprintln(tw, "Type\tIDN\tNon-IDN")
 	for _, s := range webprobe.States() {
 		fmt.Fprintf(tw, "%s\t%d (%s)\t%d (%s)\n", s,
@@ -469,7 +427,7 @@ func (st *Study) ReportTable8(w io.Writer) error {
 	fmt.Fprintln(w, "TABLE VIII: Example homographic IDNs for facebook.com")
 	// Clone: the detector's Score scratch is not safe for concurrent use,
 	// and sections render in parallel under RunContext.
-	examples := st.Homograph.Clone().ExamplesFor("facebook", 12)
+	examples := st.cls.homo.Clone().ExamplesFor("facebook", 12)
 	for i, ex := range examples {
 		sep := "  "
 		if (i+1)%4 == 0 {
@@ -483,7 +441,7 @@ func (st *Study) ReportTable8(w io.Writer) error {
 
 // ReportTable9 renders Type-1 semantic examples (Tables IX/X shape).
 func (st *Study) ReportTable9(w io.Writer) error {
-	matches := st.semanticMatches()
+	matches := st.matches().semantic
 	tw := newTab(w)
 	fmt.Fprintln(tw, "TABLE IX: Examples of Type-1 semantic abuse")
 	fmt.Fprintln(tw, "Punycode\tUnicode\tBrand")
@@ -523,7 +481,7 @@ func (st *Study) ReportTable12(w io.Writer) error {
 	fmt.Fprintln(tw, "TABLE XII: SSIM index ladder against google.com")
 	fmt.Fprintln(tw, "SSIM\tUnicode\tPunycode")
 	// Clone: Ladder scores through the detector's private scratch.
-	for _, row := range st.Homograph.Clone().Ladder("google") {
+	for _, row := range st.cls.homo.Clone().Ladder("google") {
 		fmt.Fprintf(tw, "%.4f\t%s.com\t%s.com\n", row.SSIM, row.Unicode, row.ACE)
 	}
 	return tw.Flush()
@@ -531,7 +489,7 @@ func (st *Study) ReportTable12(w io.Writer) error {
 
 // ReportTable13 renders the homograph brand ranking (Table XIII).
 func (st *Study) ReportTable13(w io.Writer) error {
-	matches := st.homographMatches()
+	matches := st.matches().homograph
 	ranking := RankBrands(matches, func(m HomographMatch) string { return m.Brand })
 	identical := 0
 	for _, m := range matches {
@@ -570,7 +528,7 @@ func (st *Study) ReportTable13(w io.Writer) error {
 
 // ReportFigure5 renders the homographic-IDN DNS activity (Figure 5).
 func (st *Study) ReportFigure5(w io.Writer) error {
-	matches := st.homographMatches()
+	matches := st.matches().homograph
 	domains := make([]string, len(matches))
 	for i, m := range matches {
 		domains[i] = m.Domain
@@ -604,7 +562,7 @@ func (st *Study) ReportFigure7(w io.Writer) error {
 	// scratch, and sections render in parallel under RunContext. The
 	// registration map comes precomputed from the corpus index (the index
 	// pass already decoded every Unicode form).
-	results := st.Homograph.Clone().AvailabilityStudyReg(100, st.DS.Index().AvailabilityReg())
+	results := st.cls.homo.Clone().AvailabilityStudyReg(100, st.DS.Index().AvailabilityReg())
 	totalCand, totalHomo, totalReg := 0, 0, 0
 	for _, r := range results {
 		totalCand += r.Candidates
@@ -627,7 +585,7 @@ func (st *Study) ReportFigure7(w io.Writer) error {
 
 // ReportTable14 renders the Type-1 brand ranking (Table XIV).
 func (st *Study) ReportTable14(w io.Writer) error {
-	matches := st.semanticMatches()
+	matches := st.matches().semantic
 	ranking := RankBrands(matches, func(m SemanticMatch) string { return m.Brand })
 	tw := newTab(w)
 	fmt.Fprintf(tw, "TABLE XIV: Type-1 semantic IDNs (total %d)\n", len(matches))
@@ -643,7 +601,7 @@ func (st *Study) ReportTable14(w io.Writer) error {
 
 // ReportFigure8 renders the Type-1 DNS activity (Figure 8).
 func (st *Study) ReportFigure8(w io.Writer) error {
-	matches := st.semanticMatches()
+	matches := st.matches().semantic
 	domains := make([]string, len(matches))
 	for i, m := range matches {
 		domains[i] = m.Domain
@@ -821,7 +779,7 @@ func NewDefaultDataset(seed uint64, scale int) (*Dataset, error) {
 // brand, with the homographic survivor rate estimated on a bounded sample.
 func (st *Study) ReportFigure7b(w io.Writer) error {
 	// Clone: the sampled-survivor scoring below mutates detector scratch.
-	det := st.Homograph.Clone()
+	det := st.cls.homo.Clone()
 	tab := confusables.Default()
 	tw := newTab(w)
 	fmt.Fprintln(tw, "FIGURE 7b (extension): candidate space growth with substitutions")
@@ -870,7 +828,7 @@ func (st *Study) statModel() (*feat.Model, []feat.Example, error) {
 // abuse population, the share caught by each detector family — the
 // glyph-level homograph detector (SSIM), the exact-residue semantic
 // detector, and the statistical classifier — and their ensemble union.
-// The structural detectors are read from the memoized corpus scans, so
+// The structural detectors are read from the memoized corpus pass, so
 // the section matches the example sections exactly; the classifier is
 // trained in-report on the same universe it is evaluated against (the
 // section characterizes coverage overlap, not held-out generalization —
@@ -882,12 +840,13 @@ func (st *Study) ReportTaxonomy(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	matches := st.matches()
 	glyph := make(map[string]struct{})
-	for _, mt := range st.homographMatches() {
+	for _, mt := range matches.homograph {
 		glyph[mt.Domain] = struct{}{}
 	}
 	semantic := make(map[string]struct{})
-	for _, mt := range st.semanticMatches() {
+	for _, mt := range matches.semantic {
 		semantic[mt.Domain] = struct{}{}
 	}
 	type row struct{ total, glyph, semantic, stat, any int }

@@ -170,8 +170,8 @@ func TestIndexMemoization(t *testing.T) {
 	if len(s1) > 0 && &s1[0] != &s2[0] {
 		t.Error("Series not memoized")
 	}
-	u1 := testDS.UsageSample(PopulationIDN, 50, 1)
-	u2 := testDS.UsageSample(PopulationIDN, 50, 1)
+	u1 := testDS.UsageSample(PopulationIDN)
+	u2 := testDS.UsageSample(PopulationIDN)
 	if u1.Total() != u2.Total() {
 		t.Error("UsageSample not deterministic across memoized calls")
 	}

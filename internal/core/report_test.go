@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"idnlab/internal/brands"
 )
 
 func TestStudyRunProducesAllSections(t *testing.T) {
@@ -119,7 +121,7 @@ func BenchmarkHomographDetectCorpus(b *testing.B) {
 }
 
 func BenchmarkSemanticDetectCorpus(b *testing.B) {
-	det := NewSemanticDetector(1000)
+	det := newSemanticDetector(brands.TopK(1000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = det.Detect(testDS.IDNs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -12,17 +13,19 @@ import (
 
 	"idnlab/internal/brands"
 	"idnlab/internal/candidx"
+	"idnlab/internal/pipeline"
 	"idnlab/internal/zonefile"
 )
 
 // randomCorpus samples a randomized corpus from the shared dataset plus
-// adversarial noise (ASCII domains, malformed ACE, empty-ish labels), so
-// the equivalence property covers the detectors' reject paths too.
+// adversarial noise (ASCII domains, malformed names Normalize rejects,
+// one name of each attack kind), so the equivalence property covers the
+// detectors' reject paths too.
 func randomCorpus(seed int64, size int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	noise := []string{
-		"example.com", "a.com", "xn---.com", "xn--a.com",
-		"plain-ascii.org", "xn--pple-43d.com", "xn--ggle-0nda.com",
+		"example.com", "a.com", "xn---.com", "xn--a.com", "", "..", "bad label.com",
+		"plain-ascii.org", "xn--pple-43d.com", "xn--ggle-0nda.com", "apple邮箱.com", "格力空调.net",
 	}
 	out := make([]string, size)
 	for i := range out {
@@ -35,76 +38,90 @@ func randomCorpus(seed int64, size int) []string {
 	return out
 }
 
-// TestScanHomographEquivalenceProperty is the tentpole property: for
-// randomized corpora across seeds and sizes — including 0, 1 and
-// len < workers — the pipeline scan is byte-identical to the sequential
-// Detect.
-func TestScanHomographEquivalenceProperty(t *testing.T) {
-	cfg := DetectorConfig{TopK: 1000}
-	seq := NewHomographDetector(cfg.TopK)
+// sequentialMatches is the reference the classify pass must equal: a
+// sequential Normalize → Classifier.Verdict + Type-2 loop.
+func sequentialMatches(cls *Classifier, type2 *Type2Detector, corpus []string) corpusMatches {
+	var out corpusMatches
+	for _, domain := range corpus {
+		n, err := Normalize(domain)
+		if err != nil {
+			continue
+		}
+		v := cls.Verdict(n)
+		if v.Homograph != nil {
+			out.homograph = append(out.homograph, *v.Homograph)
+		}
+		if v.Semantic != nil {
+			out.semantic = append(out.semantic, *v.Semantic)
+		}
+		if m, ok := type2.DetectNormalized(n); ok {
+			out.type2 = append(out.type2, m)
+		}
+	}
+	out.sort()
+	return out
+}
+
+// studyOver is a study whose corpus is the given names, workers wide.
+func studyOver(corpus []string, workers int) *Study {
+	st := NewStudy(&Dataset{IDNs: corpus})
+	st.ScanWorkers = workers
+	return st
+}
+
+// TestScanEquivalenceProperty is the pass's property: for randomized
+// corpora across seeds and sizes — including 0, 1, len < workers and
+// malformed names — the study's classify pass is identical to the
+// sequential Normalize → Classifier.Verdict + Type-2 loop, for all three
+// detectors.
+func TestScanEquivalenceProperty(t *testing.T) {
+	cls, type2 := NewClassifier(DetectorConfig{TopK: 1000}), NewType2Detector(nil)
+	kinds := [3]int{}
 	for _, seed := range []int64{1, 2, 42} {
 		for _, size := range []int{0, 1, 2, 5, 63, 257} {
 			corpus := randomCorpus(seed, size)
-			want := seq.Detect(corpus)
-			for _, workers := range []int{1, 3, 4, 16} {
-				got, m, err := ScanHomograph(context.Background(), cfg, corpus, workers)
+			want := sequentialMatches(cls, type2, corpus)
+			kinds[0] += len(want.homograph)
+			kinds[1] += len(want.semantic)
+			kinds[2] += len(want.type2)
+			for _, workers := range []int{1, 3, 16} {
+				st := studyOver(corpus, workers)
+				got, err := st.matchesCtx(context.Background())
 				if err != nil {
 					t.Fatalf("seed=%d size=%d workers=%d: %v", seed, size, workers, err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed=%d size=%d workers=%d: pipeline diverges (%d vs %d matches)",
-						seed, size, workers, len(got), len(want))
+				if !reflect.DeepEqual(*got, want) {
+					t.Fatalf("seed=%d size=%d workers=%d: pass diverges (%d/%d/%d vs %d/%d/%d matches)",
+						seed, size, workers, len(got.homograph), len(got.semantic), len(got.type2),
+						len(want.homograph), len(want.semantic), len(want.type2))
 				}
-				if m.In != uint64(size) {
-					t.Errorf("seed=%d size=%d workers=%d: metrics in=%d", seed, size, workers, m.In)
+				if ms := st.ScanMetrics(); len(ms) != 1 || ms[0].In != uint64(size) {
+					t.Errorf("seed=%d size=%d workers=%d: metrics %v", seed, size, workers, ms)
 				}
 			}
 		}
 	}
+	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
+		t.Fatalf("corpora matched homograph/semantic/Type-2 %v times; each must occur", kinds)
+	}
 }
 
-// TestScanHomographFullCorpus pins the full seed-corpus equivalence at a
+// TestScanFullCorpus pins the full seed-corpus equivalence at a
 // realistic fan-out.
-func TestScanHomographFullCorpus(t *testing.T) {
-	cfg := DetectorConfig{TopK: 1000}
-	want := NewHomographDetector(cfg.TopK).Detect(testDS.IDNs)
+func TestScanFullCorpus(t *testing.T) {
+	st := NewStudy(testDS)
+	want := sequentialMatches(st.cls, st.type2, testDS.IDNs)
 	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-		got, m, err := ScanHomograph(context.Background(), cfg, testDS.IDNs, workers)
+		got, m, err := classifyCorpus(context.Background(), st.cls, st.type2, pipeline.FromSlice(testDS.IDNs), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: full-corpus scan diverges", workers)
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("workers=%d: full-corpus pass diverges", workers)
 		}
-		if m.In != uint64(len(testDS.IDNs)) || m.Out != uint64(len(want)) {
-			t.Errorf("workers=%d: metrics in=%d out=%d, want %d/%d",
-				workers, m.In, m.Out, len(testDS.IDNs), len(want))
-		}
-	}
-}
-
-// TestScanSemanticEquivalenceProperty mirrors the homograph property for
-// the Type-1 detector.
-func TestScanSemanticEquivalenceProperty(t *testing.T) {
-	seq := NewSemanticDetector(1000)
-	for _, seed := range []int64{3, 7} {
-		for _, size := range []int{0, 1, 4, 129, len(testDS.IDNs)} {
-			var corpus []string
-			if size == len(testDS.IDNs) {
-				corpus = testDS.IDNs
-			} else {
-				corpus = randomCorpus(seed, size)
-			}
-			want := seq.Detect(corpus)
-			for _, workers := range []int{1, 2, 8} {
-				got, _, err := ScanSemantic(context.Background(), 1000, corpus, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed=%d size=%d workers=%d: semantic scan diverges", seed, size, workers)
-				}
-			}
+		if m.In != uint64(len(testDS.IDNs)) || m.Out < uint64(len(want.homograph)) || m.Out == 0 {
+			t.Errorf("workers=%d: metrics in=%d out=%d, want %d in and at least %d out",
+				workers, m.In, m.Out, len(testDS.IDNs), len(want.homograph))
 		}
 	}
 }
@@ -114,9 +131,8 @@ func TestScanSemanticEquivalenceProperty(t *testing.T) {
 // leave workers without a shard and degraded silently when
 // workers > len(domains). The streaming engine hands out items one at a
 // time, so every (len, workers) shape must agree with the sequential
-// scan.
+// loop.
 func TestScanWorkerCountEdge(t *testing.T) {
-	cfg := DetectorConfig{TopK: 100}
 	shapes := []struct{ size, workers int }{
 		{8, 6},  // old math: chunk 2 → 4 shards for 6 workers
 		{5, 4},  // chunk 2 → 3 shards for 4 workers
@@ -126,28 +142,29 @@ func TestScanWorkerCountEdge(t *testing.T) {
 		{0, 4},  // empty corpus
 		{3, 0},  // workers <= 0 selects GOMAXPROCS
 	}
-	seq := NewHomographDetector(cfg.TopK)
+	cls, type2 := NewClassifier(DetectorConfig{TopK: 100}), NewType2Detector(nil)
 	for _, sh := range shapes {
 		corpus := randomCorpus(11, sh.size)
-		want := seq.Detect(corpus)
-		got, _, err := ScanHomograph(context.Background(), cfg, corpus, sh.workers)
+		want := sequentialMatches(cls, type2, corpus)
+		got, _, err := classifyCorpus(context.Background(), cls, type2, pipeline.FromSlice(corpus), sh.workers)
 		if err != nil {
 			t.Fatalf("size=%d workers=%d: %v", sh.size, sh.workers, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("size=%d workers=%d: scan diverges", sh.size, sh.workers)
+		if !reflect.DeepEqual(*got, want) {
+			t.Errorf("size=%d workers=%d: pass diverges", sh.size, sh.workers)
 		}
 	}
 }
 
-// TestScanCancellationDrains cancels deterministically mid-scan (from an
-// unbounded source, so the scan cannot win the race by finishing) and
-// asserts the engine returns ctx.Err() and leaks no goroutines.
+// TestScanCancellationDrains cancels mid-corpus and asserts the pass
+// returns ctx.Err() and leaks no goroutines: deterministically from an
+// unbounded source (the pass cannot win the race by finishing), and
+// through the study's memo, which must stay unset so the next call runs
+// the whole pass.
 func TestScanCancellationDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	eng := NewHomographEngine(DetectorConfig{TopK: 100}, 4)
 	emitted := 0
 	src := func(ctx context.Context, emit func(string) error) error {
 		for i := 0; ; i++ {
@@ -160,29 +177,76 @@ func TestScanCancellationDrains(t *testing.T) {
 			emitted++
 		}
 	}
-	err := eng.Stream(ctx, src, func(HomographMatch) error { return nil })
-	if !errors.Is(err, context.Canceled) {
+	st := NewStudy(testDS)
+	if _, _, err := classifyCorpus(ctx, st.cls, st.type2, src, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if emitted < 500 {
 		t.Fatalf("source stopped early at %d items", emitted)
 	}
 	assertNoLeakedGoroutines(t, before)
+
+	// Through the memo: a corpus of ten copies of the test IDNs takes
+	// far longer than it takes to see the pass's workers start.
+	var corpus []string
+	for range 10 {
+		corpus = append(corpus, testDS.IDNs...)
+	}
+	st = studyOver(corpus, 2)
+	before = runtime.NumGoroutine()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := st.matchesCtx(ctx)
+		errc <- err
+	}()
+	for runtime.NumGoroutine() <= before+2 {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("study pass cancelled mid-corpus: err = %v, want context.Canceled", err)
+	}
+	assertNoLeakedGoroutines(t, before)
+	assertMemoUnpoisoned(t, st, corpus)
 }
 
-// TestScanPreCancelled covers the public scan entry points with an
+// TestScanPreCancelled covers the pass and the study's memo with an
 // already-cancelled context.
 func TestScanPreCancelled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ScanHomograph(ctx, DetectorConfig{TopK: 100}, testDS.IDNs, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("homograph err = %v, want context.Canceled", err)
+	st := studyOver(testDS.IDNs, 4)
+	if _, _, err := classifyCorpus(ctx, st.cls, st.type2, pipeline.FromSlice(testDS.IDNs), 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pass err = %v, want context.Canceled", err)
 	}
-	if _, _, err := ScanSemantic(ctx, 100, testDS.IDNs, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("semantic err = %v, want context.Canceled", err)
+	if _, err := st.matchesCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("study err = %v, want context.Canceled", err)
 	}
 	assertNoLeakedGoroutines(t, before)
+	assertMemoUnpoisoned(t, st, testDS.IDNs)
+}
+
+// assertMemoUnpoisoned checks that a study whose pass was cancelled
+// cached nothing: its next pass runs in full, is the only one recorded,
+// and equals the sequential loop.
+func assertMemoUnpoisoned(t *testing.T, st *Study, corpus []string) {
+	t.Helper()
+	if len(st.ScanMetrics()) != 0 {
+		t.Fatalf("a cancelled pass recorded metrics: %v", st.ScanMetrics())
+	}
+	got, err := st.matchesCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sequentialMatches(st.cls, st.type2, corpus); !reflect.DeepEqual(*got, want) {
+		t.Fatal("the pass after a cancelled one diverges from the sequential loop")
+	}
+	if ms := st.ScanMetrics(); len(ms) != 1 || ms[0].In != uint64(len(corpus)) {
+		t.Fatalf("the pass after a cancelled one recorded %v", ms)
+	}
 }
 
 // TestZoneScanStreamMatchesMaterialized cross-checks the streaming zone
@@ -208,34 +272,36 @@ func TestZoneScanStreamMatchesMaterialized(t *testing.T) {
 }
 
 // TestStudyScanMetrics asserts the report path records one metrics
-// snapshot per pipelined scan and that the counters are coherent.
+// snapshot for its one classify pass, shared by the tables that read
+// it, and that the counters are coherent.
 func TestStudyScanMetrics(t *testing.T) {
 	st := NewStudy(testDS)
 	st.ScanWorkers = 2
 	var sb bytes.Buffer
-	if err := st.ReportTable13(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.ReportTable14(&sb); err != nil {
-		t.Fatal(err)
+	for _, render := range []func(io.Writer) error{st.ReportTable13, st.ReportTable14, st.ReportTable10} {
+		if err := render(&sb); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ms := st.ScanMetrics()
-	if len(ms) != 2 {
-		t.Fatalf("recorded %d scans, want 2", len(ms))
+	if len(ms) != 1 {
+		t.Fatalf("recorded %d passes, want 1", len(ms))
 	}
-	if ms[0].Stage != "homograph" || ms[1].Stage != "semantic" {
-		t.Fatalf("stages = %q, %q", ms[0].Stage, ms[1].Stage)
+	m := ms[0]
+	if m.Stage != "classify" {
+		t.Fatalf("stage = %q, want classify", m.Stage)
 	}
-	for _, m := range ms {
-		if m.In != uint64(len(testDS.IDNs)) {
-			t.Errorf("stage %s: in = %d, want %d", m.Stage, m.In, len(testDS.IDNs))
-		}
-		if m.Workers != 2 {
-			t.Errorf("stage %s: workers = %d, want 2", m.Stage, m.Workers)
-		}
-		if m.Elapsed <= 0 {
-			t.Errorf("stage %s: elapsed = %v", m.Stage, m.Elapsed)
-		}
+	if m.In != uint64(len(testDS.IDNs)) {
+		t.Errorf("in = %d, want %d", m.In, len(testDS.IDNs))
+	}
+	if matches := st.matches(); m.Out < uint64(max(len(matches.homograph), len(matches.semantic), len(matches.type2))) {
+		t.Errorf("out = %d, fewer than one detector's matches", m.Out)
+	}
+	if m.Workers != 2 {
+		t.Errorf("workers = %d, want 2", m.Workers)
+	}
+	if m.Elapsed <= 0 {
+		t.Errorf("elapsed = %v", m.Elapsed)
 	}
 }
 
@@ -256,10 +322,11 @@ func assertNoLeakedGoroutines(t *testing.T, before int) {
 }
 
 // TestDetectParallelWithOptions pins that DetectorConfig.TopK reaches
-// every worker's detector: a top-100 scan names only top-100 brands and
-// equals the sequential top-100 detector, although the top-1000 scan of
-// the same corpus names deeper brands. (This and the next test keep the
-// ids they had when they ran through the deleted DetectParallel shim.)
+// every worker's clone: a pass on a top-100 classifier names only
+// top-100 brands and equals the sequential top-100 detector, although
+// the top-1000 detector names deeper brands on the same corpus. (This
+// and the next test keep the ids they had when they ran through the
+// deleted DetectParallel shim.)
 func TestDetectParallelWithOptions(t *testing.T) {
 	deep := 0
 	for _, m := range NewHomographDetector(1000).Detect(testDS.IDNs) {
@@ -271,15 +338,16 @@ func TestDetectParallelWithOptions(t *testing.T) {
 		t.Fatal("no top-1000 match beyond rank 100; the corpus cannot tell the depths apart")
 	}
 	want := NewHomographDetector(100).Detect(testDS.IDNs)
+	cls := NewClassifier(DetectorConfig{TopK: 100})
 	for _, workers := range []int{1, 4} {
-		par, _, err := ScanHomograph(context.Background(), DetectorConfig{TopK: 100}, testDS.IDNs, workers)
+		got, _, err := classifyCorpus(context.Background(), cls, NewType2Detector(nil), pipeline.FromSlice(testDS.IDNs), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(par, want) {
-			t.Fatalf("workers=%d: top-100 scan differs from the sequential detector (%d vs %d)", workers, len(par), len(want))
+		if !reflect.DeepEqual(got.homograph, want) {
+			t.Fatalf("workers=%d: top-100 pass differs from the sequential detector (%d vs %d)", workers, len(got.homograph), len(want))
 		}
-		for _, m := range par {
+		for _, m := range got.homograph {
 			if b, ok := brands.Lookup(m.Brand); !ok || b.Rank > 100 {
 				t.Errorf("workers=%d: TopK not applied: %v", workers, m)
 			}
@@ -288,7 +356,7 @@ func TestDetectParallelWithOptions(t *testing.T) {
 }
 
 // TestDetectParallelUsesIndex pins the DetectorConfig.Index routing: the
-// scan must produce the same matches as a sequential indexed detector
+// pass must produce the same matches as a sequential indexed detector
 // AND actually consult the index (an earlier wiring bug dropped the
 // field on the floor, silently falling back to the sweep on every
 // worker — correct output, none of the index's speedup, and no test
@@ -302,19 +370,19 @@ func TestDetectParallelUsesIndex(t *testing.T) {
 	corpus := testDS.IDNs
 	seq := NewHomographDetector(0, WithIndex(ix)).Detect(corpus)
 	before, _ := ix.Stats()
-	cfg := DetectorConfig{Index: ix}
+	cls := NewClassifier(DetectorConfig{Index: ix})
 	for _, workers := range []int{1, 4} {
-		par, _, err := ScanHomograph(context.Background(), cfg, corpus, workers)
+		got, _, err := classifyCorpus(context.Background(), cls, NewType2Detector(nil), pipeline.FromSlice(corpus), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("workers=%d: indexed scan result differs (%d vs %d matches)",
-				workers, len(par), len(seq))
+		if !reflect.DeepEqual(seq, got.homograph) {
+			t.Errorf("workers=%d: indexed pass result differs (%d vs %d matches)",
+				workers, len(got.homograph), len(seq))
 		}
 	}
 	after, _ := ix.Stats()
 	if after == before {
-		t.Fatalf("ScanHomograph never consulted the index (lookups stuck at %d)", before)
+		t.Fatalf("the pass never consulted the index (lookups stuck at %d)", before)
 	}
 }

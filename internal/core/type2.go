@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"idnlab/internal/brands"
 )
@@ -62,17 +61,7 @@ func NewType2Detector(dict map[string][]string) *Type2Detector {
 	return d
 }
 
-// DetectOne checks a single domain (ACE or Unicode form) for Type-2
-// abuse.
-func (d *Type2Detector) DetectOne(domain string) (Type2Match, bool) {
-	n, err := Normalize(domain)
-	if err != nil {
-		return Type2Match{}, false
-	}
-	return d.DetectNormalized(n)
-}
-
-// DetectNormalized is DetectOne over an already-normalized domain: the
+// DetectNormalized checks one normalized domain for Type-2 abuse: the
 // label must exactly equal a dictionary translation.
 func (d *Type2Detector) DetectNormalized(n NormalizedDomain) (Type2Match, bool) {
 	entry, ok := d.byTranslation[n.Label]
@@ -87,27 +76,9 @@ func (d *Type2Detector) DetectNormalized(n NormalizedDomain) (Type2Match, bool) 
 	}, true
 }
 
-// Detect scans a corpus for Type-2 matches, sorted by brand then domain.
-func (d *Type2Detector) Detect(domains []string) []Type2Match {
-	var out []Type2Match
-	for _, domain := range domains {
-		if m, ok := d.DetectOne(domain); ok {
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Brand != out[j].Brand {
-			return out[i].Brand < out[j].Brand
-		}
-		return out[i].Domain < out[j].Domain
-	})
-	return out
-}
-
 // ReportTable10 renders the Type-2 reproduction of the paper's Table X.
 func (st *Study) ReportTable10(w io.Writer) error {
-	det := NewType2Detector(nil)
-	matches := det.Detect(st.DS.IDNs)
+	matches := st.matches().type2
 	tw := newTab(w)
 	fmt.Fprintf(tw, "TABLE X: Type-2 semantic abuse (translated brand names), %d detected\n", len(matches))
 	fmt.Fprintln(tw, "Punycode\tUnicode\tBrand")

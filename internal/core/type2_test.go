@@ -22,20 +22,20 @@ func TestType2DetectOne(t *testing.T) {
 		{"apple邮箱.com", "", false}, // Type-1 shape, not Type-2
 	}
 	for _, tc := range cases {
-		m, ok := det.DetectOne(tc.domain)
+		m, ok := detectName(det.DetectNormalized, tc.domain)
 		if ok != tc.ok {
-			t.Errorf("DetectOne(%q) ok = %v, want %v", tc.domain, ok, tc.ok)
+			t.Errorf("detect(%q) ok = %v, want %v", tc.domain, ok, tc.ok)
 			continue
 		}
 		if ok && m.Brand != tc.brand {
-			t.Errorf("DetectOne(%q) brand = %q, want %q", tc.domain, m.Brand, tc.brand)
+			t.Errorf("detect(%q) brand = %q, want %q", tc.domain, m.Brand, tc.brand)
 		}
 	}
 }
 
 func TestType2DetectsGeneratedPopulation(t *testing.T) {
 	det := NewType2Detector(nil)
-	matches := det.Detect(testDS.IDNs)
+	matches := NewStudy(testDS).matches().type2
 	// At scale 100 at least one Type-2 domain is generated and must be
 	// recovered.
 	if len(matches) == 0 {
@@ -50,7 +50,7 @@ func TestType2DetectsGeneratedPopulation(t *testing.T) {
 			continue
 		}
 		total++
-		if _, ok := det.DetectOne(d.ACE); ok {
+		if _, ok := detectName(det.DetectNormalized, d.ACE); ok {
 			recovered++
 		}
 	}
@@ -64,10 +64,10 @@ func TestType2DetectsGeneratedPopulation(t *testing.T) {
 
 func TestType2CustomDictionary(t *testing.T) {
 	det := NewType2Detector(map[string][]string{"example.com": {"例子"}})
-	if m, ok := det.DetectOne("例子.com"); !ok || m.Brand != "example.com" {
+	if m, ok := detectName(det.DetectNormalized, "例子.com"); !ok || m.Brand != "example.com" {
 		t.Errorf("custom dict: %v %v", m, ok)
 	}
-	if _, ok := det.DetectOne("谷歌.com"); ok {
+	if _, ok := detectName(det.DetectNormalized, "谷歌.com"); ok {
 		t.Error("custom dict should not contain defaults")
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"idnlab/internal/idna"
 )
 
-// Single-domain verdict entry points shared by the corpus scans, the
-// CLI (cmd/idndetect) and the online serving layer (internal/serve).
-// Normalize is the one door: a caller normalizes exactly once and hands
-// the same NormalizedDomain to the cache key and to every detector's
-// DetectNormalized; DetectOne is the wrapper that normalizes first.
+// Single-domain verdict entry points shared by the study's corpus pass,
+// the CLI (cmd/idndetect) and the online serving layer (internal/serve).
+// There is one door: a caller normalizes exactly once (Normalize) and
+// hands the same NormalizedDomain to the cache key and to
+// Classifier.Verdict.
 
 // NormalizedDomain is a domain normalized once: folded, validated, and
 // converted to both its ACE wire form and Unicode display form, with the
@@ -134,6 +134,21 @@ type Classifier struct {
 	sem  *SemanticDetector
 }
 
+// DetectorConfig captures how to build a Classifier; Clones of it are
+// the identical instances a worker pool runs.
+type DetectorConfig struct {
+	// TopK is the brand-list depth: without Index, the classifier probes
+	// the process-wide index for brands.TopK(TopK).
+	TopK int
+	// Index, when set, attaches a precomputed candidate index (WithIndex)
+	// in place of the default one.
+	Index *candidx.Index
+	// Stat, when set, attaches the statistical model (WithStatModel): the
+	// model becomes the learned prefilter ahead of the SSIM path and the
+	// third detector in ensemble verdicts.
+	Stat *feat.Model
+}
+
 // NewClassifier builds the paired detectors over one brand catalog: the
 // homograph detector's (the index's, brands.TopK(cfg.TopK) without one),
 // which the semantic detector defends too. When cfg carries a
@@ -142,7 +157,14 @@ type Classifier struct {
 // path (learned prefilter) and contributes the third verdict with
 // per-detector confidence and a suspicion level.
 func NewClassifier(cfg DetectorConfig) *Classifier {
-	homo := NewHomographDetector(cfg.TopK, cfg.detectorOptions()...)
+	var opts []HomographOption
+	if cfg.Index != nil {
+		opts = append(opts, WithIndex(cfg.Index))
+	}
+	if cfg.Stat != nil {
+		opts = append(opts, WithStatModel(cfg.Stat))
+	}
+	homo := NewHomographDetector(cfg.TopK, opts...)
 	return &Classifier{homo: homo, sem: newSemanticDetector(homo.brandList)}
 }
 

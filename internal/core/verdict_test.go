@@ -37,14 +37,16 @@ func TestNormalizeForms(t *testing.T) {
 	}
 }
 
-// TestDetectNormalizedEquivalence pins that the normalize-once entry
-// points produce byte-identical results to the DetectOne path across the
-// whole test corpus — the serving layer and the batch scanners must
-// never disagree on a verdict.
+// TestDetectNormalizedEquivalence pins that the classifier's verdict
+// fields are the standalone detectors' DetectNormalized results, on the
+// detectors and on a clone, across the head of the test corpus — the
+// serving layer, the study and idndetect read the verdict, and must
+// never disagree with the detectors it bundles.
 func TestDetectNormalizedEquivalence(t *testing.T) {
 	homo := NewHomographDetector(1000)
 	homo2 := homo.Clone()
-	sem := NewSemanticDetector(1000)
+	sem := newSemanticDetector(brands.TopK(1000))
+	cls := NewClassifier(DetectorConfig{TopK: 1000}).Clone()
 	domains := append([]string{}, testDS.IDNs[:min(len(testDS.IDNs), 400)]...)
 	domains = append(domains, "xn--pple-43d.com", "apple邮箱.com", "example.com")
 	for _, d := range domains {
@@ -52,15 +54,15 @@ func TestDetectNormalizedEquivalence(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		m1, ok1 := homo.DetectOne(d)
+		v := cls.Verdict(n)
+		m1, ok1 := homo.DetectNormalized(n)
 		m2, ok2 := homo2.DetectNormalized(n)
-		if ok1 != ok2 || m1 != m2 {
-			t.Fatalf("homograph divergence on %q: (%v,%v) vs (%v,%v)", d, m1, ok1, m2, ok2)
+		if ok1 != ok2 || m1 != m2 || ok1 != (v.Homograph != nil) || ok1 && *v.Homograph != m1 {
+			t.Fatalf("homograph divergence on %q: (%v,%v) vs (%v,%v) vs verdict %v", d, m1, ok1, m2, ok2, v.Homograph)
 		}
-		s1, ok1 := sem.DetectOne(d)
-		s2, ok2 := sem.DetectNormalized(n)
-		if ok1 != ok2 || s1 != s2 {
-			t.Fatalf("semantic divergence on %q: (%v,%v) vs (%v,%v)", d, s1, ok1, s2, ok2)
+		s1, ok1 := sem.DetectNormalized(n)
+		if ok1 != (v.Semantic != nil) || ok1 && *v.Semantic != s1 {
+			t.Fatalf("semantic divergence on %q: (%v,%v) vs verdict %v", d, s1, ok1, v.Semantic)
 		}
 	}
 }
@@ -119,11 +121,11 @@ func TestClassifierOneCatalog(t *testing.T) {
 }
 
 // TestDefaultCatalogIsTopK: the default index's catalog gives the same
-// semantic label map as brands.TopK(1000), so classifiers built without
-// an index answer as the study's semantic detector does.
+// semantic label map as brands.TopK(1000), so a classifier built
+// without an index defends the top-1000 list with both detectors.
 func TestDefaultCatalogIsTopK(t *testing.T) {
 	c := NewClassifier(DetectorConfig{TopK: 1000})
-	if got, want := c.sem.brandsByLabel, NewSemanticDetector(1000).brandsByLabel; !reflect.DeepEqual(got, want) {
+	if got, want := c.sem.brandsByLabel, newSemanticDetector(brands.TopK(1000)).brandsByLabel; !reflect.DeepEqual(got, want) {
 		t.Fatalf("default index catalog yields %d semantic labels, brands.TopK(1000) %d, and they differ", len(got), len(want))
 	}
 }
