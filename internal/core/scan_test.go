@@ -201,8 +201,8 @@ func TestScanCancellationDrains(t *testing.T) {
 		_, err := st.matchesCtx(ctx)
 		errc <- err
 	}()
-	for runtime.NumGoroutine() <= before+2 {
-		runtime.Gosched()
+	for runtime.NumGoroutine() <= before+2 && len(errc) == 0 {
+		runtime.Gosched() // until the pass's workers run
 	}
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
