@@ -106,6 +106,70 @@ func TestScanEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestScanHomographEquivalenceProperty checks the pass's homograph list
+// against the standalone sequential homograph detector, over randomized
+// corpora across seeds, sizes and fan-outs.
+func TestScanHomographEquivalenceProperty(t *testing.T) {
+	cls, type2 := NewClassifier(DetectorConfig{TopK: 1000}), NewType2Detector(nil)
+	seq := NewHomographDetector(1000)
+	matched := 0
+	for _, seed := range []int64{1, 2, 42} {
+		for _, size := range []int{0, 1, 2, 5, 63, 257} {
+			corpus := randomCorpus(seed, size)
+			want := seq.Detect(corpus)
+			matched += len(want)
+			for _, workers := range []int{1, 3, 4, 16} {
+				got, m, err := classifyCorpus(context.Background(), cls, type2, pipeline.FromSlice(corpus), workers)
+				if err != nil {
+					t.Fatalf("seed=%d size=%d workers=%d: %v", seed, size, workers, err)
+				}
+				if !reflect.DeepEqual(got.homograph, want) {
+					t.Fatalf("seed=%d size=%d workers=%d: homograph matches diverge (%d vs %d)",
+						seed, size, workers, len(got.homograph), len(want))
+				}
+				if m.In != uint64(size) {
+					t.Errorf("seed=%d size=%d workers=%d: metrics in=%d", seed, size, workers, m.In)
+				}
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no corpus held a homograph match")
+	}
+}
+
+// TestScanSemanticEquivalenceProperty checks the pass's semantic list
+// against the standalone sequential Type-1 detector, up to the full
+// seed corpus.
+func TestScanSemanticEquivalenceProperty(t *testing.T) {
+	cls, type2 := NewClassifier(DetectorConfig{TopK: 1000}), NewType2Detector(nil)
+	seq := newSemanticDetector(brands.TopK(1000))
+	matched := 0
+	for _, seed := range []int64{3, 7} {
+		for _, size := range []int{0, 1, 4, 129, len(testDS.IDNs)} {
+			corpus := randomCorpus(seed, size)
+			if size == len(testDS.IDNs) {
+				corpus = testDS.IDNs
+			}
+			want := seq.Detect(corpus)
+			matched += len(want)
+			for _, workers := range []int{1, 2, 8} {
+				got, _, err := classifyCorpus(context.Background(), cls, type2, pipeline.FromSlice(corpus), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.semantic, want) {
+					t.Fatalf("seed=%d size=%d workers=%d: semantic matches diverge (%d vs %d)",
+						seed, size, workers, len(got.semantic), len(want))
+				}
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no corpus held a semantic match")
+	}
+}
+
 // TestScanFullCorpus pins the full seed-corpus equivalence at a
 // realistic fan-out.
 func TestScanFullCorpus(t *testing.T) {
