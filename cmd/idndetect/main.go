@@ -86,7 +86,7 @@ func run(ctx context.Context) error {
 		})
 
 	flagged := 0
-	err := eng.Stream(ctx, pipeline.FromSlice(domains), func(v verdict) error {
+	err := eng.Stream(ctx, domains, func(v verdict) error {
 		if v.flagged {
 			flagged++
 		}

@@ -44,6 +44,12 @@ func run(ctx context.Context) error {
 	if err := cli.CheckScale(*scale); err != nil {
 		return err
 	}
+	if *jsonMode && *only != "" {
+		return fmt.Errorf("-only selects a text section; it cannot be combined with -json")
+	}
+	if *timings && (*jsonMode || *only != "") {
+		return fmt.Errorf("-timings times the full text report; it cannot be combined with -json or -only")
+	}
 	if *only != "" {
 		if _, err := new(core.Study).Section(*only); err != nil {
 			return err

@@ -24,6 +24,9 @@ func TestBadFlagsFailBeforeGenerating(t *testing.T) {
 		{[]string{"-only", "bogus", "-scale", "20"}, `idnreport: unknown experiment "bogus" (available: findings, table1,`},
 		{[]string{"-scale", "-3"}, "idnreport: -scale must be at least 1 (1 = paper scale), got -3"},
 		{[]string{"-scale", "0", "-json"}, "idnreport: -scale must be at least 1 (1 = paper scale), got 0"},
+		{[]string{"-json", "-only", "table2"}, "idnreport: -only selects a text section; it cannot be combined with -json"},
+		{[]string{"-timings", "-json"}, "idnreport: -timings times the full text report; it cannot be combined with -json or -only"},
+		{[]string{"-timings", "-only", "table2"}, "idnreport: -timings times the full text report; it cannot be combined with -json or -only"},
 	} {
 		// The 100 ms are the box's worst case for starting a process, not
 		// the command's work; a slow start is retried before it counts.

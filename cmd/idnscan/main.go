@@ -58,11 +58,11 @@ func run(ctx context.Context) error {
 	sort.Strings(paths)
 
 	// One work item per zone file; each worker streams its file through
-	// zonefile.ScanStream. The order-preserving fan-in keeps the output
-	// in sorted-path order no matter which zone finishes first. Batch is
-	// 1 because each item is a whole zone file — heavy enough that the
-	// channel handoff is noise, and fine-grained dispatch keeps all
-	// workers busy on corpora with a few large zones.
+	// zonefile.ScanStream. The engine delivers in input order, so the
+	// output stays in sorted-path order no matter which zone finishes
+	// first. Batch is 1 because each item is a whole zone file: a worker
+	// claims one zone at a time, which keeps all workers busy on corpora
+	// with a few large zones.
 	eng := pipeline.New(
 		pipeline.Config{Stage: "zonescan", Workers: *workers, Batch: 1},
 		func() struct{} { return struct{}{} },
@@ -80,7 +80,7 @@ func run(ctx context.Context) error {
 		})
 
 	var totalSLD, totalIDN int
-	err := eng.Stream(ctx, pipeline.FromSlice(paths), func(st zonefile.ScanStats) error {
+	err := eng.Stream(ctx, paths, func(st zonefile.ScanStats) error {
 		totalSLD += st.SLDCount
 		totalIDN += len(st.IDNs)
 		fmt.Printf("%-24s %8d SLDs %8d IDNs\n", st.Origin, st.SLDCount, len(st.IDNs))

@@ -119,9 +119,10 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		metrics: &gwMetrics{start: time.Now()},
 	}
 	mem.OnRejoin(func(string) { g.metrics.rejoins.Add(1) })
-	// Sub-batch fan-out reuses the streaming engine (PR 1): Batch=1
-	// because each item is itself a network round-trip, order-preserving
-	// fan-in for free, per-stage metrics surfaced at /metrics.
+	// Sub-batch fan-out reuses the scan engine: Batch=1 because each
+	// item is itself a network round-trip, in-order delivery for free
+	// (one goroutine per sub-batch, at most scatterWorkers), per-stage
+	// metrics surfaced at /metrics.
 	g.scatter = pipeline.New(
 		pipeline.Config{Stage: "gateway.scatter", Workers: scatterWorkers, Batch: 1},
 		func() struct{} { return struct{}{} },
@@ -299,8 +300,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// same per-item error shape a worker produces), valid ones grouped
 	// by ring owner. items[i] is the encoded answer to domain i.
 	items := make([][]byte, len(req.Domains))
-	groups := make(map[string]*subBatch)
-	order := make([]*subBatch, 0, 4)
+	groups := make(map[string]int) // owner ID → index in subs
+	subs := make([]subBatch, 0, 4)
 	for i, raw := range req.Domains {
 		n, err := core.Normalize(raw)
 		if err != nil {
@@ -313,23 +314,19 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, ErrNoNodes)
 			return
 		}
-		sb, seen := groups[owner.ID]
+		at, seen := groups[owner.ID]
 		if !seen {
-			sb = &subBatch{key: n.ACE}
-			groups[owner.ID] = sb
-			order = append(order, sb)
+			at = len(subs)
+			groups[owner.ID] = at
+			subs = append(subs, subBatch{key: n.ACE, ctx: r.Context()})
 		}
+		sb := &subs[at]
 		sb.indices = append(sb.indices, i)
 		sb.domains = append(sb.domains, n.ACE)
 	}
 	flagged := 0
-	if len(order) > 0 {
-		subs := make([]subBatch, len(order))
-		for i, sb := range order {
-			sb.ctx = r.Context()
-			subs[i] = *sb
-		}
-		err = g.scatter.Stream(r.Context(), pipeline.FromSlice(subs), func(res subResult) error {
+	if len(subs) > 0 {
+		err = g.scatter.Stream(r.Context(), subs, func(res subResult) error {
 			flagged += res.flagged
 			for j, idx := range res.indices {
 				items[idx] = res.items[j]

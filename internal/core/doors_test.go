@@ -12,7 +12,6 @@ import (
 
 	"idnlab/internal/brands"
 	"idnlab/internal/candidx"
-	"idnlab/internal/pipeline"
 )
 
 // doorVerdict is the part of a verdict every door produces: the
@@ -103,7 +102,7 @@ func TestDoorDifferential(t *testing.T) {
 func TestDoorsAgreeOnLabelArtefact(t *testing.T) {
 	const name = "xn--se2-bez.com"
 	st := NewStudy(testDS)
-	matches, _, err := classifyCorpus(context.Background(), st.cls, st.type2, pipeline.FromSlice([]string{name}), 1)
+	matches, _, err := classifyCorpus(context.Background(), st.cls, st.type2, []string{name}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,9 +138,9 @@ func buildIndex(ds *Dataset, cls *langid.Classifier, workers int) *Index {
 			}
 			return info, true, nil
 		})
-	infos, err := eng.Collect(context.Background(), pipeline.FromSlice(ds.IDNs))
+	infos, err := eng.Collect(context.Background(), ds.IDNs)
 	if err != nil {
-		// Unreachable: slice source, background context, Func never errors.
+		// Unreachable: background context, Func never errors.
 		panic("core: index build: " + err.Error())
 	}
 	return &Index{ds: ds, infos: infos, buildMetrics: eng.Metrics()}

@@ -83,7 +83,7 @@ func (st *Study) Results() Results {
 		st.recordScan(m)
 	}
 	if err != nil {
-		// Unreachable: a background context, slice sources, no failing step.
+		// Unreachable: a background context, no failing step.
 		panic("core: results: " + err.Error())
 	}
 	out.Languages = st.DS.LanguageBreakdown()

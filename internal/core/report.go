@@ -85,7 +85,7 @@ func (st *Study) matchesCtx(ctx context.Context) (*corpusMatches, error) {
 	if st.corpus != nil {
 		return st.corpus, nil
 	}
-	matches, m, err := classifyCorpus(ctx, st.cls, st.type2, pipeline.FromSlice(st.DS.IDNs), st.ScanWorkers)
+	matches, m, err := classifyCorpus(ctx, st.cls, st.type2, st.DS.IDNs, st.ScanWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func (st *Study) matchesCtx(ctx context.Context) (*corpusMatches, error) {
 func (st *Study) matches() *corpusMatches {
 	matches, err := st.matchesCtx(context.Background())
 	if err != nil {
-		// Unreachable with a background context and a slice source.
+		// Unreachable with a background context.
 		panic("core: classify pass: " + err.Error())
 	}
 	return matches
@@ -202,24 +202,28 @@ func (st *Study) RunContext(ctx context.Context, w io.Writer) error {
 		return err
 	}
 
-	secs := st.sections()
-	timings := make([]SectionTiming, len(secs))
-	m, err := runSteps(ctx, "report", st.ScanWorkers, len(secs),
-		func(i int) ([]byte, error) {
+	// rendered is one section's output and how long it took.
+	type rendered struct {
+		body   []byte
+		timing SectionTiming
+	}
+	var timings []SectionTiming
+	m, err := runSteps(ctx, "report", st.ScanWorkers, st.sections(),
+		func(sec reportSection) (rendered, error) {
 			var buf bytes.Buffer
 			t0 := time.Now()
-			if err := secs[i].Fn(&buf); err != nil {
-				return nil, fmt.Errorf("section %s: %w", secs[i].Name, err)
+			if err := sec.Fn(&buf); err != nil {
+				return rendered{}, fmt.Errorf("section %s: %w", sec.Name, err)
 			}
 			// The sequential renderer emitted one blank line after each
 			// section; keep it inside the section's buffer so assembly
 			// is a plain ordered concatenation.
 			buf.WriteByte('\n')
-			timings[i] = SectionTiming{Name: secs[i].Name, Duration: time.Since(t0)}
-			return buf.Bytes(), nil
+			return rendered{buf.Bytes(), SectionTiming{Name: sec.Name, Duration: time.Since(t0)}}, nil
 		},
-		func(b []byte) error {
-			_, werr := w.Write(b)
+		func(r rendered) error {
+			timings = append(timings, r.timing)
+			_, werr := w.Write(r.body)
 			return werr
 		})
 	st.recordScan(m)

@@ -9,19 +9,20 @@ import (
 
 // The study's corpus pass. The paper's brute-force homograph sweep took
 // 102 hours on a single machine (§VI-B); the study instead classifies
-// the corpus once through internal/pipeline's streaming engine: bounded
-// input, one Classifier clone per worker (the homograph renderer's
-// scratch is not safe for concurrent use), order-preserving fan-in,
-// per-stage metrics, and clean cancellation. Each name is normalized
-// once and gets the verdict idnserve would serve for it, plus the Type-2
-// dictionary lookup on the same NormalizedDomain, so every corpus table
-// reads the one door the service answers from.
+// the corpus once through internal/pipeline's scan engine: one
+// Classifier clone per worker (the homograph renderer's scratch is not
+// safe for concurrent use), in-order delivery, per-stage metrics, and
+// clean cancellation. Each name is normalized once and gets the verdict
+// idnserve would serve for it, plus the Type-2 dictionary lookup on the
+// same NormalizedDomain, so every corpus table reads the one door the
+// service answers from.
 //
-// The engine hands items out one at a time from a bounded queue, so
-// every worker gets work whatever len(domains) and the worker count are
-// (a pool that precomputed ceil(len/workers) shards once left workers
-// idle — 8 domains across 6 workers made only 4 shards);
-// TestScanWorkerCountEdge pins that.
+// Workers claim batches of 32 consecutive names from a shared cursor
+// and claim the next when they finish, so a corpus of at least 32 names
+// per worker keeps every worker busy, and a smaller one runs on fewer
+// workers (an 8-name corpus is one batch, on one worker). Whatever
+// len(domains) and the worker count are, the result equals the
+// sequential loop; TestScanWorkerCountEdge pins that.
 
 // corpusMatches is what the pass keeps of a corpus: each detector's
 // matches, sorted by brand then domain.
@@ -37,12 +38,12 @@ type classified struct {
 	type2   *Type2Match
 }
 
-// classifyCorpus runs the pass over src, workers wide (<= 0 selects
+// classifyCorpus runs the pass over domains, workers wide (<= 0 selects
 // GOMAXPROCS), on clones of cls and the shared read-only type2
 // dictionary. A name Normalize rejects matches nothing. On cancellation
 // it drains and returns ctx.Err().
 func classifyCorpus(ctx context.Context, cls *Classifier, type2 *Type2Detector,
-	src pipeline.Source[string], workers int) (*corpusMatches, pipeline.Metrics, error) {
+	domains []string, workers int) (*corpusMatches, pipeline.Metrics, error) {
 	eng := pipeline.New(pipeline.Config{Stage: "classify", Workers: workers}, cls.Clone,
 		func(c *Classifier, domain string) (classified, bool, error) {
 			n, err := Normalize(domain)
@@ -56,7 +57,7 @@ func classifyCorpus(ctx context.Context, cls *Classifier, type2 *Type2Detector,
 			return out, out.type2 != nil || out.verdict.Flagged(), nil
 		})
 	out := &corpusMatches{}
-	err := eng.Stream(ctx, src, func(c classified) error {
+	err := eng.Stream(ctx, domains, func(c classified) error {
 		if m := c.verdict.Homograph; m != nil {
 			out.homograph = append(out.homograph, *m)
 		}

@@ -13,7 +13,6 @@ import (
 
 	"idnlab/internal/brands"
 	"idnlab/internal/candidx"
-	"idnlab/internal/pipeline"
 	"idnlab/internal/zonefile"
 )
 
@@ -119,7 +118,7 @@ func TestScanHomographEquivalenceProperty(t *testing.T) {
 			want := seq.Detect(corpus)
 			matched += len(want)
 			for _, workers := range []int{1, 3, 4, 16} {
-				got, m, err := classifyCorpus(context.Background(), cls, type2, pipeline.FromSlice(corpus), workers)
+				got, m, err := classifyCorpus(context.Background(), cls, type2, corpus, workers)
 				if err != nil {
 					t.Fatalf("seed=%d size=%d workers=%d: %v", seed, size, workers, err)
 				}
@@ -154,7 +153,7 @@ func TestScanSemanticEquivalenceProperty(t *testing.T) {
 			want := seq.Detect(corpus)
 			matched += len(want)
 			for _, workers := range []int{1, 2, 8} {
-				got, _, err := classifyCorpus(context.Background(), cls, type2, pipeline.FromSlice(corpus), workers)
+				got, _, err := classifyCorpus(context.Background(), cls, type2, corpus, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,7 +175,7 @@ func TestScanFullCorpus(t *testing.T) {
 	st := NewStudy(testDS)
 	want := sequentialMatches(st.cls, st.type2, testDS.IDNs)
 	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-		got, m, err := classifyCorpus(context.Background(), st.cls, st.type2, pipeline.FromSlice(testDS.IDNs), workers)
+		got, m, err := classifyCorpus(context.Background(), st.cls, st.type2, testDS.IDNs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +209,7 @@ func TestScanWorkerCountEdge(t *testing.T) {
 	for _, sh := range shapes {
 		corpus := randomCorpus(11, sh.size)
 		want := sequentialMatches(cls, type2, corpus)
-		got, _, err := classifyCorpus(context.Background(), cls, type2, pipeline.FromSlice(corpus), sh.workers)
+		got, _, err := classifyCorpus(context.Background(), cls, type2, corpus, sh.workers)
 		if err != nil {
 			t.Fatalf("size=%d workers=%d: %v", sh.size, sh.workers, err)
 		}
@@ -221,32 +220,30 @@ func TestScanWorkerCountEdge(t *testing.T) {
 }
 
 // TestScanCancellationDrains cancels mid-corpus and asserts the pass
-// returns ctx.Err() and leaks no goroutines: deterministically from an
-// unbounded source (the pass cannot win the race by finishing), and
-// through the study's memo, which must stay unset so the next call runs
-// the whole pass.
+// returns ctx.Err() and leaks no goroutines: directly, over a corpus so
+// large the pass cannot win the race by finishing, and through the
+// study's memo, which must stay unset so the next call runs the whole
+// pass.
 func TestScanCancellationDrains(t *testing.T) {
+	var huge []string
+	for range 100 {
+		huge = append(huge, testDS.IDNs...)
+	}
+	st := NewStudy(testDS)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	emitted := 0
-	src := func(ctx context.Context, emit func(string) error) error {
-		for i := 0; ; i++ {
-			if i == 500 {
-				cancel() // mid-corpus, deterministic
-			}
-			if err := emit(testDS.IDNs[i%len(testDS.IDNs)]); err != nil {
-				return err
-			}
-			emitted++
-		}
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := classifyCorpus(ctx, st.cls, st.type2, huge, 4)
+		errc <- err
+	}()
+	for runtime.NumGoroutine() <= before+4 && len(errc) == 0 {
+		runtime.Gosched() // until the pass's workers run
 	}
-	st := NewStudy(testDS)
-	if _, _, err := classifyCorpus(ctx, st.cls, st.type2, src, 4); !errors.Is(err, context.Canceled) {
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if emitted < 500 {
-		t.Fatalf("source stopped early at %d items", emitted)
 	}
 	assertNoLeakedGoroutines(t, before)
 
@@ -260,7 +257,7 @@ func TestScanCancellationDrains(t *testing.T) {
 	before = runtime.NumGoroutine()
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	errc := make(chan error, 1)
+	errc = make(chan error, 1)
 	go func() {
 		_, err := st.matchesCtx(ctx)
 		errc <- err
@@ -283,7 +280,7 @@ func TestScanPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	st := studyOver(testDS.IDNs, 4)
-	if _, _, err := classifyCorpus(ctx, st.cls, st.type2, pipeline.FromSlice(testDS.IDNs), 4); !errors.Is(err, context.Canceled) {
+	if _, _, err := classifyCorpus(ctx, st.cls, st.type2, testDS.IDNs, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pass err = %v, want context.Canceled", err)
 	}
 	if _, err := st.matchesCtx(ctx); !errors.Is(err, context.Canceled) {
@@ -404,7 +401,7 @@ func TestDetectParallelWithOptions(t *testing.T) {
 	want := NewHomographDetector(100).Detect(testDS.IDNs)
 	cls := NewClassifier(DetectorConfig{TopK: 100})
 	for _, workers := range []int{1, 4} {
-		got, _, err := classifyCorpus(context.Background(), cls, NewType2Detector(nil), pipeline.FromSlice(testDS.IDNs), workers)
+		got, _, err := classifyCorpus(context.Background(), cls, NewType2Detector(nil), testDS.IDNs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +433,7 @@ func TestDetectParallelUsesIndex(t *testing.T) {
 	before, _ := ix.Stats()
 	cls := NewClassifier(DetectorConfig{Index: ix})
 	for _, workers := range []int{1, 4} {
-		got, _, err := classifyCorpus(context.Background(), cls, NewType2Detector(nil), pipeline.FromSlice(corpus), workers)
+		got, _, err := classifyCorpus(context.Background(), cls, NewType2Detector(nil), corpus, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -15,16 +14,16 @@ type Metrics struct {
 	Stage string
 	// Workers is the resolved fan-out width.
 	Workers int
-	// In counts items accepted from the source.
+	// In counts the items of every run, added when the run starts.
 	In uint64
 	// Out counts results delivered to the sink (post-filter).
 	Out uint64
 	// Errors counts Func invocations that returned an error.
 	Errors uint64
 	// Consumed counts items workers have finished with (processed,
-	// skipped on abort, or drained after cancellation). In − Consumed is
-	// the live backlog: items accepted from the source but not yet
-	// through a worker.
+	// abandoned on abort, or skipped after cancellation). In − Consumed
+	// is the live backlog: items of running scans not yet through a
+	// worker.
 	Consumed uint64
 	// Elapsed is the total wall time spent inside Stream/Collect.
 	Elapsed time.Duration
@@ -32,11 +31,11 @@ type Metrics struct {
 	Busy []time.Duration
 }
 
-// Backlog reports the queue depth at snapshot time: items accepted from
-// the source that no worker has finished with yet (buffered batches plus
+// Backlog reports the work left at snapshot time: items of running
+// scans that no worker has finished with yet (unclaimed batches plus
 // items inside in-flight Func calls). A persistently high backlog on a
-// streaming stage means the workers, not the source, are the bottleneck
-// — the signal the watch tier uses for backpressure visibility.
+// stage means its workers are the bottleneck — the signal the watch
+// tier uses for backpressure visibility.
 func (m Metrics) Backlog() uint64 {
 	if m.Consumed > m.In {
 		return 0
@@ -54,7 +53,7 @@ func (m Metrics) Throughput() float64 {
 
 // Utilization reports the mean fraction of wall time the workers spent
 // processing items — 1.0 means every worker was busy the whole scan,
-// low values point at input starvation or fan-in backpressure.
+// low values point at too few batches for the workers or a slow sink.
 func (m Metrics) Utilization() float64 {
 	if m.Elapsed <= 0 || m.Workers == 0 {
 		return 0
@@ -98,11 +97,9 @@ func (m Metrics) JSON() MetricsJSON {
 
 // String renders a one-line summary for -metrics output.
 func (m Metrics) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "stage=%s workers=%d in=%d out=%d errors=%d backlog=%d elapsed=%s throughput=%.0f/s utilization=%.0f%%",
+	return fmt.Sprintf("stage=%s workers=%d in=%d out=%d errors=%d backlog=%d elapsed=%s throughput=%.0f/s utilization=%.0f%%",
 		m.Stage, m.Workers, m.In, m.Out, m.Errors, m.Backlog(),
 		m.Elapsed.Round(time.Millisecond), m.Throughput(), 100*m.Utilization())
-	return sb.String()
 }
 
 // meter holds the engine's live counters. All fields are updated with

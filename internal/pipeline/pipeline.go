@@ -1,18 +1,19 @@
-// Package pipeline is a generic, context-aware streaming scan engine:
-// a bounded input channel feeds a sharded worker fan-out (one private
-// state value per worker, built lazily on first use) whose results are
-// re-assembled by an order-preserving fan-in. Every stage keeps counters
-// — items in/out, errors, per-worker busy time — exposed as a Metrics
-// snapshot, so corpus scans report where time goes.
+// Package pipeline is a generic, context-aware scan engine that maps a
+// slice: workers claim batches of consecutive items from one shared
+// cursor, each with one private state value built lazily on first use,
+// and the caller's goroutine hands every batch's results to the sink in
+// input order. Every run keeps counters — items in/out, errors,
+// per-worker busy time — exposed as a Metrics snapshot, so corpus scans
+// report where time goes.
 //
 // The engine exists because the paper's brute-force homograph sweep took
 // 102 hours on one machine (§VI-B): every corpus-scale scan in this
-// repository (homograph, semantic, zone ingestion) is embarrassingly
-// parallel but was previously sequential, fully in-memory, and
-// unobservable. Items are distributed one at a time, never in precomputed
-// shards, so workers stay busy regardless of corpus size versus worker
-// count (the failure mode of ceil(len/workers) chunking, where
-// workers > len(corpus)/chunk leaves workers idle).
+// repository is embarrassingly parallel. Its input is a slice the caller
+// already holds (a corpus, a parsed delta, a request's domains, a list
+// of report sections), so there is no feeder and no input queue. A
+// worker claims the next batch when it finishes its last, so workers
+// stay busy whatever the corpus size versus worker count; at most
+// min(Workers, batches) goroutines start.
 //
 // Ordering guarantee: results are delivered to the sink in input order,
 // regardless of which worker produced them or how long it took. A scan
@@ -20,9 +21,9 @@
 // same results, same order.
 //
 // Cancellation guarantee: when the caller's context is cancelled
-// mid-corpus, Stream/Collect return ctx.Err() after draining — the
-// feeder stops, workers finish or skip their current item, and every
-// goroutine exits before the call returns. No goroutines leak.
+// mid-corpus, Stream/Collect return ctx.Err() after draining — workers
+// finish or abandon their current batch, skip the rest, and exit before
+// the call returns. No goroutines leak.
 //
 // Beyond corpus scans, the serving tiers reuse the same engine: the
 // online service fans batch requests out across detector clones
@@ -36,45 +37,28 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // DefaultBatch is the dispatch granularity when Config.Batch is unset:
-// items are handed to workers in groups of this size, amortizing channel
-// overhead for cheap per-item work (a µs-scale detector call costs less
-// than the channel handoff would item by item).
+// a worker claims this many consecutive items at a time, amortizing the
+// claim and the hand-back for cheap per-item work (a µs-scale detector
+// call).
 const DefaultBatch = 32
 
 // Config parameterizes an Engine.
 type Config struct {
 	// Stage names the engine in metrics output, e.g. "homograph".
 	Stage string
-	// Workers is the fan-out width; <= 0 selects GOMAXPROCS. The input
-	// and output channels hold 2×Workers batches (backpressure).
+	// Workers is the fan-out width; <= 0 selects GOMAXPROCS. A run
+	// starts no more workers than it has batches.
 	Workers int
-	// Batch is how many items a worker receives per dispatch; <= 0
-	// selects DefaultBatch. Use 1 when each item is itself heavy (a
+	// Batch is how many consecutive items a worker claims at a time;
+	// <= 0 selects DefaultBatch. Use 1 when each item is itself heavy (a
 	// whole zone file, a network probe) so the fan-out stays fine-
 	// grained. Batching never affects output order.
 	Batch int
-}
-
-// Source produces the input stream. It must call emit for every item in
-// order and return emit's error unchanged if emit fails (emit fails only
-// on cancellation). Sources are pull-agnostic: a slice, a channel, a
-// zone-file scanner — anything that can push items.
-type Source[T any] func(ctx context.Context, emit func(T) error) error
-
-// FromSlice adapts a slice to a Source.
-func FromSlice[T any](items []T) Source[T] {
-	return func(ctx context.Context, emit func(T) error) error {
-		for _, item := range items {
-			if err := emit(item); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }
 
 // Func processes one item with per-worker state W. Returning ok=false
@@ -82,13 +66,12 @@ func FromSlice[T any](items []T) Source[T] {
 // error aborts the whole run with that error.
 type Func[T, R, W any] func(w W, item T) (R, bool, error)
 
-// Engine is a reusable streaming scan stage. The zero value is not
-// usable; build with New. An Engine may run many scans; its metrics
-// accumulate across runs (snapshot before/after to meter one run).
+// Engine is a reusable scan stage. The zero value is not usable; build
+// with New. An Engine may run many scans, concurrently too: all per-run
+// state lives inside Stream. Its metrics accumulate across runs
+// (snapshot before/after to meter one run).
 type Engine[T, R, W any] struct {
-	cfg       Config
 	workers   int
-	buffer    int
 	batch     int
 	newWorker func() W
 	fn        Func[T, R, W]
@@ -99,9 +82,7 @@ type Engine[T, R, W any] struct {
 // New builds an engine. newWorker constructs one private state value per
 // worker — detectors that are not safe for concurrent use (the homograph
 // renderer keeps a glyph cache) get one instance each. Construction is
-// lazy: a worker that never receives an item never builds its state, so
-// oversized worker counts on tiny corpora cost goroutines, not
-// detectors.
+// lazy: a worker that never processes an item never builds its state.
 func New[T, R, W any](cfg Config, newWorker func() W, fn Func[T, R, W]) *Engine[T, R, W] {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -112,9 +93,7 @@ func New[T, R, W any](cfg Config, newWorker func() W, fn Func[T, R, W]) *Engine[
 		batch = DefaultBatch
 	}
 	return &Engine[T, R, W]{
-		cfg:       cfg,
 		workers:   workers,
-		buffer:    2 * workers,
 		batch:     batch,
 		newWorker: newWorker,
 		fn:        fn,
@@ -126,165 +105,80 @@ func New[T, R, W any](cfg Config, newWorker func() W, fn Func[T, R, W]) *Engine[
 // with a running scan; counts accumulate across scans.
 func (e *Engine[T, R, W]) Metrics() Metrics { return e.m.snapshot() }
 
-// job and result carry the sequence number of their first item so the
-// fan-in can restore input order no matter which worker finishes first.
-// Items travel in small batches to amortize channel overhead; results
-// keep only the items the Func retained, in batch order, plus the count
-// of items consumed so the fan-in can advance its cursor.
-type job[T any] struct {
-	seq   uint64
-	items []T
-}
+// Stream runs the scan over items, delivering results to sink in input
+// order from the caller's goroutine. It returns the first error among a
+// Func error, a sink error, or ctx.Err() on cancellation; after the
+// first, nothing more reaches the sink. Every worker has exited when
+// Stream returns.
+func (e *Engine[T, R, W]) Stream(ctx context.Context, items []T, sink func(R) error) error {
+	start := time.Now()
+	defer func() { e.m.addElapsed(time.Since(start)) }()
+	e.m.in.Add(uint64(len(items)))
 
-type result[R any] struct {
-	seq  uint64
-	n    int // input items consumed
-	vals []R // retained results, in input order
-}
-
-// Stream runs the scan, delivering results to sink in input order. It
-// returns the first error among: a Func error, a sink error, the
-// source's own error, or ctx.Err() on cancellation. On any error the
-// pipeline drains fully before returning — no goroutine outlives the
-// call.
-func (e *Engine[T, R, W]) Stream(ctx context.Context, src Source[T], sink func(R) error) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
 	var (
 		firstErr error
 		errOnce  sync.Once
 	)
 	fail := func(err error) {
-		if err == nil {
-			return
-		}
 		errOnce.Do(func() { firstErr = err })
 		cancel()
 	}
 
-	jobs := make(chan job[T], e.buffer)
-	results := make(chan result[R], e.buffer)
-
-	start := time.Now()
-	defer func() { e.m.addElapsed(time.Since(start)) }()
-
-	// Feeder: sequence, batch and bound the input.
-	go func() {
-		defer close(jobs)
-		var seq uint64
-		batch := make([]T, 0, e.batch)
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			j := job[T]{seq: seq, items: batch}
-			select {
-			case jobs <- j:
-				seq += uint64(len(batch))
-				e.m.in.Add(uint64(len(batch)))
-				batch = make([]T, 0, e.batch)
-				return nil
-			case <-runCtx.Done():
-				return runCtx.Err()
-			}
-		}
-		err := src(runCtx, func(item T) error {
-			batch = append(batch, item)
-			if len(batch) < e.batch {
-				return nil
-			}
-			return flush()
-		})
-		if err == nil {
-			err = flush()
-		}
-		if err != nil && err != runCtx.Err() {
-			// A genuine source failure, not our own cancellation
-			// echoed back.
-			fail(err)
-		}
-	}()
-
-	// Workers: private lazily-built state, one batch at a time.
+	// Batch b is items[b*batch:], at most batch long. A worker puts its
+	// kept results in slots[b] and then sends b on finished; the channel
+	// holds every batch, so no worker ever waits for the sink.
+	batches := (len(items) + e.batch - 1) / e.batch
+	slots := make([][]R, batches)
+	finished := make(chan int, batches)
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < e.workers; i++ {
+	for id := range min(e.workers, batches) {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			var (
-				state W
-				built bool
-			)
-			for j := range jobs {
-				if runCtx.Err() != nil {
-					// Drain without processing — still counted as
-					// consumed so the backlog gauge returns to zero
-					// after cancellation.
-					e.m.consumed.Add(uint64(len(j.items)))
-					continue
+			var state W
+			built := false
+			for {
+				b := int(cursor.Add(1) - 1)
+				if b >= batches {
+					return
 				}
-				if !built {
-					state = e.newWorker()
-					built = true
-				}
-				t0 := time.Now()
-				vals := make([]R, 0, len(j.items))
-				aborted := false
-				for _, item := range j.items {
-					if runCtx.Err() != nil {
-						aborted = true
-						break
+				chunk := items[b*e.batch : min((b+1)*e.batch, len(items))]
+				// A batch claimed after cancellation is skipped but
+				// still counted as consumed, so the backlog gauge
+				// returns to zero.
+				if runCtx.Err() == nil {
+					if !built {
+						state = e.newWorker()
+						built = true
 					}
-					val, ok, err := e.fn(state, item)
-					if err != nil {
-						e.m.errors.Add(1)
-						fail(err)
-						aborted = true
-						break
-					}
-					if ok {
-						vals = append(vals, val)
-					}
+					t0 := time.Now()
+					slots[b] = e.run(runCtx, state, chunk, fail)
+					e.m.addBusy(id, time.Since(t0))
 				}
-				e.m.addBusy(id, time.Since(t0))
-				e.m.consumed.Add(uint64(len(j.items)))
-				if aborted {
-					continue
-				}
-				select {
-				case results <- result[R]{seq: j.seq, n: len(j.items), vals: vals}:
-				case <-runCtx.Done():
-				}
+				e.m.consumed.Add(uint64(len(chunk)))
+				finished <- b
 			}
-		}(i)
+		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
-	// Fan-in: restore input order. pending holds at most
-	// buffer+workers in-flight batches, so memory stays bounded by
-	// configuration, not corpus size.
-	pending := make(map[uint64]result[R], e.buffer)
-	var next uint64
-	sinkDead := false
-	for r := range results {
-		pending[r.seq] = r
-		for {
-			p, ready := pending[next]
-			if !ready {
-				break
+	// Deliver each batch once every earlier batch has been delivered.
+	// Results of finished batches wait for earlier ones, so at most
+	// len(items) results are held.
+	done := make([]bool, batches)
+	next := 0
+	for range batches {
+		done[<-finished] = true
+		for ; next < batches && done[next]; next++ {
+			vals := slots[next]
+			slots[next] = nil
+			if runCtx.Err() != nil {
+				continue
 			}
-			delete(pending, next)
-			next += uint64(p.n)
-			for _, v := range p.vals {
-				if sinkDead {
-					break
-				}
+			for _, v := range vals {
 				if err := sink(v); err != nil {
-					sinkDead = true
 					fail(err)
 					break
 				}
@@ -292,22 +186,44 @@ func (e *Engine[T, R, W]) Stream(ctx context.Context, src Source[T], sink func(R
 			}
 		}
 	}
+	wg.Wait()
 
-	errOnce.Do(func() {}) // seal firstErr
 	if firstErr != nil {
 		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	return ctx.Err()
+}
+
+// run applies the Func to one batch and returns the results it kept. A
+// Func error fails the run; a failed or cancelled run abandons the
+// batch, and the sink never sees its results.
+func (e *Engine[T, R, W]) run(ctx context.Context, state W, chunk []T, fail func(error)) []R {
+	var vals []R
+	for _, item := range chunk {
+		if ctx.Err() != nil {
+			return nil
+		}
+		val, ok, err := e.fn(state, item)
+		if err != nil {
+			e.m.errors.Add(1)
+			fail(err)
+			return nil
+		}
+		if ok {
+			if vals == nil {
+				vals = make([]R, 0, len(chunk))
+			}
+			vals = append(vals, val)
+		}
 	}
-	return nil
+	return vals
 }
 
 // Collect runs the scan and gathers all results, in input order, into a
 // slice.
-func (e *Engine[T, R, W]) Collect(ctx context.Context, src Source[T]) ([]R, error) {
+func (e *Engine[T, R, W]) Collect(ctx context.Context, items []T) ([]R, error) {
 	var out []R
-	if err := e.Stream(ctx, src, func(r R) error {
+	if err := e.Stream(ctx, items, func(r R) error {
 		out = append(out, r)
 		return nil
 	}); err != nil {

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -39,7 +40,7 @@ func TestCollectPreservesOrder(t *testing.T) {
 			time.Sleep(delays[n])
 			return n, true, nil
 		})
-	out, err := eng.Collect(context.Background(), FromSlice(ints(len(delays))))
+	out, err := eng.Collect(context.Background(), ints(len(delays)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestCollectEdgeSizes(t *testing.T) {
 	// Sizes 0, 1 and len < workers — the shapes that break chunked
 	// sharding.
 	for _, n := range []int{0, 1, 2, 3} {
-		out, err := double().Collect(context.Background(), FromSlice(ints(n)))
+		out, err := double().Collect(context.Background(), ints(n))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -76,7 +77,7 @@ func TestFilterDropsButKeepsOrder(t *testing.T) {
 	eng := New(Config{Workers: 4},
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, n int) (int, bool, error) { return n, n%3 == 0, nil })
-	out, err := eng.Collect(context.Background(), FromSlice(ints(100)))
+	out, err := eng.Collect(context.Background(), ints(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,43 @@ func TestLazyWorkerConstruction(t *testing.T) {
 	eng := New(Config{Workers: 16},
 		func() int { built.Add(1); return 0 },
 		func(_ int, n int) (int, bool, error) { return n, true, nil })
-	if _, err := eng.Collect(context.Background(), FromSlice(ints(2))); err != nil {
+	if _, err := eng.Collect(context.Background(), ints(2)); err != nil {
 		t.Fatal(err)
 	}
 	if b := built.Load(); b > 2 {
 		t.Fatalf("built %d worker states for 2 items", b)
+	}
+}
+
+// TestWorkersNeverOutnumberBatches: a run starts no more workers than
+// it has batches — 2 items at Batch 1 run on at most 2 goroutines
+// besides the caller's, however wide the engine.
+func TestWorkersNeverOutnumberBatches(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	var peak atomic.Int64
+	eng := New(Config{Workers: 16, Batch: 1},
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, n int) (int, bool, error) {
+			// Sampled on entry and again once every started goroutine
+			// has had time to show.
+			sample := func() {
+				for now := int64(runtime.NumGoroutine()); ; {
+					old := peak.Load()
+					if now <= old || peak.CompareAndSwap(old, now) {
+						return
+					}
+				}
+			}
+			sample()
+			time.Sleep(10 * time.Millisecond)
+			sample()
+			return n, true, nil
+		})
+	if _, err := eng.Collect(context.Background(), ints(2)); err != nil {
+		t.Fatal(err)
+	}
+	if extra := peak.Load() - int64(baseline); extra > 2 {
+		t.Fatalf("%d goroutines beyond the caller's ran 2 items", extra)
 	}
 }
 
@@ -115,7 +148,7 @@ func TestFuncErrorAborts(t *testing.T) {
 			}
 			return n, true, nil
 		})
-	_, err := eng.Collect(context.Background(), FromSlice(ints(1000)))
+	_, err := eng.Collect(context.Background(), ints(1000))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -126,7 +159,7 @@ func TestFuncErrorAborts(t *testing.T) {
 
 func TestSinkErrorAborts(t *testing.T) {
 	stop := errors.New("stop")
-	err := double().Stream(context.Background(), FromSlice(ints(1000)), func(n int) error {
+	err := double().Stream(context.Background(), ints(1000), func(n int) error {
 		if n >= 20 {
 			return stop
 		}
@@ -137,26 +170,10 @@ func TestSinkErrorAborts(t *testing.T) {
 	}
 }
 
-func TestSourceErrorAborts(t *testing.T) {
-	srcErr := errors.New("bad source")
-	src := Source[int](func(ctx context.Context, emit func(int) error) error {
-		for i := 0; i < 5; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-		return srcErr
-	})
-	_, err := double().Collect(context.Background(), src)
-	if !errors.Is(err, srcErr) {
-		t.Fatalf("err = %v, want source error", err)
-	}
-}
-
 func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := double().Collect(ctx, FromSlice(ints(100)))
+	_, err := double().Collect(ctx, ints(100))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -177,7 +194,7 @@ func TestCancellationMidScanDrains(t *testing.T) {
 			}
 			return n, true, nil
 		})
-	_, err := eng.Collect(ctx, FromSlice(ints(100000)))
+	_, err := eng.Collect(ctx, ints(100000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -194,7 +211,7 @@ func TestMetricsCounters(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 			return n, true, nil
 		})
-	if _, err := eng.Collect(context.Background(), FromSlice(ints(30))); err != nil {
+	if _, err := eng.Collect(context.Background(), ints(30)); err != nil {
 		t.Fatal(err)
 	}
 	m := eng.Metrics()
@@ -225,7 +242,7 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	// Second run accumulates.
 	prev := m
-	if _, err := eng.Collect(context.Background(), FromSlice(ints(10))); err != nil {
+	if _, err := eng.Collect(context.Background(), ints(10)); err != nil {
 		t.Fatal(err)
 	}
 	if m := eng.Metrics(); m.In != prev.In+10 || m.Out != prev.Out+10 {
@@ -277,7 +294,7 @@ func TestBacklogGauge(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := eng.Collect(context.Background(), FromSlice(ints(32)))
+		_, err := eng.Collect(context.Background(), ints(32))
 		done <- err
 	}()
 
@@ -324,11 +341,64 @@ func TestBacklogDrainsOnCancel(t *testing.T) {
 			}
 			return n, true, nil
 		})
-	_, err := eng.Collect(ctx, FromSlice(ints(1000)))
+	_, err := eng.Collect(ctx, ints(1000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if m := eng.Metrics(); m.Backlog() != 0 {
 		t.Fatalf("backlog after cancelled run = %d (in=%d consumed=%d), want 0", m.Backlog(), m.In, m.Consumed)
 	}
+}
+
+// BenchmarkStream measures the engine's own cost on the three shapes
+// its callers run: a serve batch (256 domains, Batch 8, 2 workers), a
+// watch delta (15.8k 72-byte events, Batch 32, 2 workers, 1 in 30
+// kept) and a gateway scatter (2 sub-batches, Batch 1, 16 workers). The
+// Func is an FNV hash of one string, so the engine, not the work,
+// dominates.
+func BenchmarkStream(b *testing.B) {
+	type event struct {
+		owner, origin string
+		serial        uint64
+		op            int
+		rdata         [4]uint64
+	}
+	hash := func(s string) uint64 {
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+		return h
+	}
+	domains := make([]string, 256)
+	for i := range domains {
+		domains[i] = fmt.Sprintf("xn--domain-%04d.example", i)
+	}
+	events := make([]event, 15800)
+	for i := range events {
+		events[i] = event{owner: domains[i%len(domains)], origin: "com.", serial: uint64(i)}
+	}
+	run := func(b *testing.B, eng *Engine[event, uint64, struct{}], items []event) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := eng.Stream(context.Background(), items, func(uint64) error { return nil }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	none := func() struct{} { return struct{}{} }
+	b.Run("serve_batch", func(b *testing.B) {
+		items := events[:256]
+		run(b, New(Config{Workers: 2, Batch: 8}, none,
+			func(_ struct{}, ev event) (uint64, bool, error) { return hash(ev.owner), true, nil }), items)
+	})
+	b.Run("watch_delta", func(b *testing.B) {
+		run(b, New(Config{Workers: 2, Batch: 32}, none,
+			func(_ struct{}, ev event) (uint64, bool, error) { return hash(ev.owner), ev.serial%30 == 0, nil }), events)
+	})
+	b.Run("gateway_scatter", func(b *testing.B) {
+		items := events[:2]
+		run(b, New(Config{Workers: 16, Batch: 1}, none,
+			func(_ struct{}, ev event) (uint64, bool, error) { return hash(ev.owner), true, nil }), items)
+	})
 }

@@ -11,7 +11,6 @@ import (
 	"idnlab/internal/api"
 	"idnlab/internal/cluster"
 	"idnlab/internal/core"
-	"idnlab/internal/pipeline"
 	"idnlab/internal/version"
 )
 
@@ -114,7 +113,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	resp := api.BatchResponse{Count: len(req.Domains), Results: make([]api.DetectResponse, 0, len(req.Domains))}
-	err = s.batchEng.Stream(r.Context(), pipeline.FromSlice(req.Domains), func(e batchEntry) error {
+	err = s.batchEng.Stream(r.Context(), req.Domains, func(e batchEntry) error {
 		if e.resp.Flagged {
 			resp.Flagged++
 		}

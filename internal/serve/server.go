@@ -15,9 +15,9 @@
 //     pool plus a bounded deadline-aware wait queue. Saturation sheds
 //     early with 429 + Retry-After; the queue cannot collapse.
 //  4. Detection on a per-worker pool of detector clones — cheap because
-//     Clone() shares all immutable state (PR 2); batches fan out
-//     through the internal/pipeline engine (PR 1) with order-preserving
-//     fan-in, so batch responses align with request order.
+//     Clone() shares all immutable state; batches fan out through the
+//     internal/pipeline engine, which delivers in input order, so batch
+//     responses align with request order.
 //
 // Shutdown: Run drains on context cancellation — /healthz flips to 503
 // (load balancers stop sending), in-flight requests finish within the
@@ -162,9 +162,9 @@ func NewServer(cfg Config) *Server {
 		warmed:  make(chan struct{}),
 	}
 	s.attachStore()
-	// Batch fan-out reuses the streaming engine: per-worker clones of
-	// the shared prototype, order-preserving fan-in so responses align
-	// with request order, per-stage metrics surfaced at /metrics.
+	// Batch fan-out reuses the scan engine: per-worker clones of the
+	// shared prototype, in-order delivery so responses align with
+	// request order, per-stage metrics surfaced at /metrics.
 	s.batchEng = pipeline.New(
 		pipeline.Config{Stage: "serve.batch", Workers: cfg.Workers, Batch: 8},
 		func() *core.Classifier { return s.proto.Clone() },

@@ -19,7 +19,7 @@ type EngineConfig struct {
 // Engine streams delta events through a pipeline of matcher workers and
 // filters the results down to alerts: events whose label imitates a
 // brand that at least one subscriber is watching. Verdict order is
-// input order (the pipeline's fan-in guarantee), which makes a run's
+// input order (the pipeline's ordering guarantee), which makes a run's
 // alert sequence deterministic — the property the crash-recovery tests
 // lean on.
 type Engine struct {
@@ -42,8 +42,8 @@ func NewEngine(det *core.HomographDetector, subs *SubTable, cfg EngineConfig) (*
 	e := &Engine{subs: subs, det: det}
 	e.pipe = pipeline.New(
 		// Dispatch is the pipeline default (batches of 32): delta events
-		// are µs-scale work items, and batching keeps channel overhead
-		// off the hot path.
+		// are µs-scale work items, and claiming 32 at a time keeps the
+		// engine's per-batch claim and hand-back off the hot path.
 		pipeline.Config{Stage: "watch", Workers: cfg.Workers},
 		proto.Clone,
 		e.process,
@@ -98,10 +98,10 @@ func (e *Engine) process(m *Matcher, ev Event) (Alert, bool, error) {
 	}, true, nil
 }
 
-// ProcessDelta streams one parsed delta's events through the match
+// ProcessDelta runs one parsed delta's events through the match
 // pipeline, calling emit for every alert in event order.
 func (e *Engine) ProcessDelta(ctx context.Context, d *Delta, emit func(Alert) error) error {
-	return e.pipe.Stream(ctx, pipeline.FromSlice(d.Events), emit)
+	return e.pipe.Stream(ctx, d.Events, emit)
 }
 
 // Metrics snapshots the underlying pipeline stage (in/out/backlog/
