@@ -35,7 +35,7 @@ func run(ctx context.Context) error {
 		jsonMode = flag.Bool("json", false, "emit machine-readable JSON instead of the text report")
 		timings  = flag.Bool("timings", false, "print per-section render timings to stderr")
 	)
-	workers, metrics := cli.PipelineFlags("corpus-scan fan-out")
+	workers, metrics := cli.PipelineFlags("width of the corpus-index pass, the classify pass and the section fan-out")
 	prof := cli.ProfileFlags()
 	flag.Parse()
 

@@ -53,3 +53,29 @@ func TestBadFlagsFailBeforeGenerating(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsNameEveryPass: -metrics prints a line for every pass the
+// run made, as wide as -workers says, also when -only renders a single
+// section — a lone Table II builds the corpus index and used to print
+// nothing, its pass running GOMAXPROCS wide.
+func TestMetricsNameEveryPass(t *testing.T) {
+	dir := t.TempDir()
+	if err := proctest.Build(dir, "idnreport"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-only", "table2", "-workers", "1", "-metrics", "-scale", "1000"}, "stage=index workers=1 "},
+		{[]string{"-only", "table13", "-workers", "1", "-metrics", "-scale", "1000"}, "stage=classify workers=1 "},
+	} {
+		out, err := proctest.Run("idnreport", dir+"/idnreport", tc.args...)
+		if err != nil {
+			t.Fatalf("idnreport %v: %v\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("idnreport %v printed\n%s\nwant a line with %q", tc.args, out, tc.want)
+		}
+	}
+}

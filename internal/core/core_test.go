@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"idnlab/internal/brands"
@@ -25,6 +26,10 @@ func mustAssemble() *Dataset {
 	}
 	return ds
 }
+
+// testIndex is the corpus index of one study over testDS, built once and
+// shared by the tests that read the corpus aggregates.
+var testIndex = sync.OnceValue(func() *Index { return NewStudy(testDS).index() })
 
 func TestTableIShape(t *testing.T) {
 	if len(testDS.PerTLD) != 4 {
@@ -89,7 +94,7 @@ func TestZoneScanDiscoversAllIDNs(t *testing.T) {
 func TestTableIILanguagesRecovered(t *testing.T) {
 	// The classifier must recover the Table II shape from label content
 	// alone: Chinese first at ≈52%, east-Asian ≥70%.
-	rows := testDS.LanguageBreakdown()
+	rows := testIndex().LanguageRows()
 	if len(rows) == 0 {
 		t.Fatal("no language rows")
 	}
@@ -121,7 +126,7 @@ func TestTableIILanguagesRecovered(t *testing.T) {
 }
 
 func TestFigure1Timeline(t *testing.T) {
-	all, malicious := testDS.CreationTimeline()
+	all, malicious := testIndex().Timeline()
 	if len(all) == 0 || len(malicious) == 0 {
 		t.Fatal("empty timelines")
 	}
@@ -143,7 +148,7 @@ func TestFigure1Timeline(t *testing.T) {
 }
 
 func TestTableIIIRegistrants(t *testing.T) {
-	top := testDS.TopRegistrants(5)
+	top := testIndex().IDNWHOIS().TopRegistrantEmails(5)
 	if len(top) != 5 {
 		t.Fatalf("top registrants = %d", len(top))
 	}
@@ -165,7 +170,8 @@ func TestTableIIIRegistrants(t *testing.T) {
 }
 
 func TestTableIVRegistrars(t *testing.T) {
-	top, covered := testDS.TopRegistrars(10)
+	who := testIndex().IDNWHOIS()
+	top, covered := who.TopRegistrars(10), who.Len()
 	if len(top) != 10 || covered == 0 {
 		t.Fatalf("top = %d covered = %d", len(top), covered)
 	}
@@ -185,15 +191,16 @@ func TestTableIVRegistrars(t *testing.T) {
 	if top10 < 0.45 || top10 > 0.70 {
 		t.Errorf("top-10 share = %.3f, want ≈0.55", top10)
 	}
-	if got := testDS.RegistrarCount(); got < 150 {
+	if got := who.RegistrarCount(); got < 150 {
 		t.Errorf("registrar count = %d, want a long tail", got)
 	}
 }
 
 func TestFigures2And3DNSSeparation(t *testing.T) {
-	idnActive := stats.NewECDF(testDS.ActiveTimeSeries(PopulationIDN, "com"))
-	nonActive := stats.NewECDF(testDS.ActiveTimeSeries(PopulationNonIDN, "com"))
-	malActive := stats.NewECDF(testDS.ActiveTimeSeries(PopulationMalicious, ""))
+	ix := testIndex()
+	idnActive := stats.NewECDF(ix.Series(true, PopulationIDN, "com"))
+	nonActive := stats.NewECDF(ix.Series(true, PopulationNonIDN, "com"))
+	malActive := stats.NewECDF(ix.Series(true, PopulationMalicious, ""))
 	// Finding 5 quantiles: ≈60% of com IDNs active <100 days vs ≈40% of
 	// non-IDNs.
 	idnShort := idnActive.At(100)
@@ -209,9 +216,9 @@ func TestFigures2And3DNSSeparation(t *testing.T) {
 		t.Errorf("malicious should be longer-lived")
 	}
 	// Finding 6: 88% of com IDNs under 100 queries vs 74% non-IDN.
-	idnQ := stats.NewECDF(testDS.QueryVolumeSeries(PopulationIDN, "com"))
-	nonQ := stats.NewECDF(testDS.QueryVolumeSeries(PopulationNonIDN, "com"))
-	malQ := stats.NewECDF(testDS.QueryVolumeSeries(PopulationMalicious, ""))
+	idnQ := stats.NewECDF(ix.Series(false, PopulationIDN, "com"))
+	nonQ := stats.NewECDF(ix.Series(false, PopulationNonIDN, "com"))
+	malQ := stats.NewECDF(ix.Series(false, PopulationMalicious, ""))
 	if idnQ.At(100) <= nonQ.At(100) {
 		t.Error("IDNs should be queried less than non-IDNs")
 	}
@@ -224,7 +231,7 @@ func TestFigures2And3DNSSeparation(t *testing.T) {
 }
 
 func TestFigure4IPConcentration(t *testing.T) {
-	conc := testDS.IPConcentrationStats()
+	conc := testIndex().Concentration()
 	if len(conc.Segments) == 0 || conc.TotalIPs == 0 {
 		t.Fatal("no IP data")
 	}
@@ -253,8 +260,8 @@ func minInt(a, b int) int {
 }
 
 func TestTableVUsage(t *testing.T) {
-	idn := testDS.UsageSample(PopulationIDN)
-	non := testDS.UsageSample(PopulationNonIDN)
+	ix := testIndex()
+	idn, non := ix.Usage(PopulationIDN), ix.Usage(PopulationNonIDN)
 	if idn.Total() != 500 || non.Total() != 500 {
 		t.Fatalf("sample sizes: %d, %d", idn.Total(), non.Total())
 	}
@@ -275,8 +282,8 @@ func TestTableVUsage(t *testing.T) {
 }
 
 func TestTableVICertificates(t *testing.T) {
-	idn := testDS.CertCensus(PopulationIDN)
-	non := testDS.CertCensus(PopulationNonIDN)
+	ix := testIndex()
+	idn, non := ix.Certs(PopulationIDN), ix.Certs(PopulationNonIDN)
 	if idn.Total == 0 || non.Total == 0 {
 		t.Fatal("no certificates classified")
 	}
@@ -452,7 +459,7 @@ func TestSemanticDetectorIgnoresPlainAndHomograph(t *testing.T) {
 
 func TestAvailabilityStudy(t *testing.T) {
 	det := NewHomographDetector(1000)
-	results := det.AvailabilityStudyReg(20, testDS.Index().AvailabilityReg())
+	results := det.AvailabilityStudyReg(20, testIndex().AvailabilityReg())
 	if len(results) != 20 {
 		t.Fatalf("results = %d", len(results))
 	}

@@ -3,16 +3,19 @@
 // blacklists, certificates and web content, and running the two abuse
 // detectors (homograph, §VI; Type-1 semantic, §VII).
 //
-// The pipeline consumes only materialized data sources — zone files and
-// the auxiliary stores — never the generator's ground truth, mirroring how
-// the authors consumed their feeds.
+// The measurements read materialized data sources — the zone files and
+// the auxiliary stores built from the generated registry — the way the
+// authors read their feeds. Two steps read the registry itself: the
+// crawler (Dataset.Probe) takes a domain's hosting state as the live
+// Internet it would fetch, and the taxonomy extension trains its
+// statistical classifier on the registry's labeled ground truth
+// (Registry.Labels).
 package core
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"idnlab/internal/blacklist"
 	"idnlab/internal/certs"
@@ -42,13 +45,6 @@ type Dataset struct {
 	// Probe reads a domain's hosting state, which decides whether the
 	// name resolves and what it serves.
 	Registry *zonegen.Registry
-
-	// IndexWorkers bounds the parallelism of the corpus-index build pass
-	// (GOMAXPROCS when zero). Set it before the first Index() call.
-	IndexWorkers int
-
-	idxOnce sync.Once
-	idx     *Index
 }
 
 // TLDRow is one row of the Table I reproduction.

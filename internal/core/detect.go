@@ -561,21 +561,9 @@ func (d *HomographDetector) AvailabilityStudyReg(topK int, regUni map[string]uin
 	for _, b := range brands.TopK(topK) {
 		label := b.Label()
 		res := AvailabilityResult{Brand: b.Domain}
-		rt, cached := d.brandRefs[label]
-		if !cached {
-			// Label outside the prerender cache: fall back to the
-			// materialize-and-Score sweep (same iteration order).
-			for _, v := range genTable.Variants(label) {
-				res.Candidates++
-				if d.Score(v, label) < candidx.SSIMThreshold {
-					continue
-				}
-				res.Homographic++
-				res.Registered += tldBitCount(regUni[v])
-			}
-			out = append(out, res)
-			continue
-		}
+		// Every brands.TopK label is prerendered: brandRefs is brandCache
+		// (all of brands.List()) or a superset of it.
+		rt := d.brandRefs[label]
 		cellIdx := 0
 		for byteOff, base := range label {
 			i := cellIdx

@@ -50,11 +50,11 @@ func (st *Study) ComputeFindings() Findings {
 // corpus index and writes only its own fields of f, so they may run in
 // any order or side by side (Results does).
 func (st *Study) findingSteps(f *Findings) []func() {
-	ds := st.DS
+	ix := st.index()
 	return []func(){
 		// Finding 7: top 2.3% of segments, the paper's 1,000-of-43,535 ratio.
 		func() {
-			conc := ds.IPConcentrationStats()
+			conc := ix.Concentration()
 			if n := len(conc.Cumulative); n > 0 {
 				k := n * 23 / 1000
 				if k < 1 {
@@ -68,35 +68,35 @@ func (st *Study) findingSteps(f *Findings) []func() {
 		},
 		// Finding 9.
 		func() {
-			f.CertProblemRate = ds.CertCensus(PopulationIDN).ProblemRate()
+			f.CertProblemRate = ix.Certs(PopulationIDN).ProblemRate()
 		},
 		// Findings 3 and 4.
 		func() {
-			for _, gc := range ds.TopRegistrants(5) {
+			who := ix.IDNWHOIS()
+			for _, gc := range who.TopRegistrantEmails(5) {
 				f.OpportunisticCount += gc.Count
 			}
-			f.Registrars = ds.RegistrarCount()
-			top, covered := ds.TopRegistrars(10)
+			f.Registrars = who.RegistrarCount()
 			sum := 0
-			for _, gc := range top {
+			for _, gc := range who.TopRegistrars(10) {
 				sum += gc.Count
 			}
-			if covered > 0 {
+			if covered := who.Len(); covered > 0 {
 				f.Top10RegShare = float64(sum) / float64(covered)
 			}
 		},
 		// Findings 5 and 6.
 		func() {
-			f.IDNShortLived = stats.NewECDF(ds.ActiveTimeSeries(PopulationIDN, "com")).At(100)
-			f.IDNLowTraffic = stats.NewECDF(ds.QueryVolumeSeries(PopulationIDN, "com")).At(100)
+			f.IDNShortLived = stats.NewECDF(ix.Series(true, PopulationIDN, "com")).At(100)
+			f.IDNLowTraffic = stats.NewECDF(ix.Series(false, PopulationIDN, "com")).At(100)
 		},
 		func() {
-			f.NonIDNShortLived = stats.NewECDF(ds.ActiveTimeSeries(PopulationNonIDN, "com")).At(100)
-			f.NonIDNLowTraffic = stats.NewECDF(ds.QueryVolumeSeries(PopulationNonIDN, "com")).At(100)
+			f.NonIDNShortLived = stats.NewECDF(ix.Series(true, PopulationNonIDN, "com")).At(100)
+			f.NonIDNLowTraffic = stats.NewECDF(ix.Series(false, PopulationNonIDN, "com")).At(100)
 		},
 		// Finding 2.
 		func() {
-			all, _ := ds.CreationTimeline()
+			all, _ := ix.Timeline()
 			pre2008, total := 0, 0
 			for year, n := range all {
 				total += n
@@ -110,13 +110,13 @@ func (st *Study) findingSteps(f *Findings) []func() {
 		},
 		// Finding 8.
 		func() {
-			census := ds.UsageSample(PopulationIDN)
+			census := ix.Usage(PopulationIDN)
 			f.MeaningfulRate = census.Rate(webprobe.Meaningful)
 			f.NotResolvedRate = census.Rate(webprobe.NotResolved)
 		},
 		// Finding 1.
 		func() {
-			for _, row := range ds.LanguageBreakdown() {
+			for _, row := range ix.LanguageRows() {
 				if row.Language.EastAsian() {
 					f.EastAsianShare += row.Rate
 				}

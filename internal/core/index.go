@@ -45,13 +45,13 @@ type DomainInfo struct {
 
 // Index is the shared, immutable corpus substrate: one pass over the IDN
 // population materializes per-domain derived state into a dense slice, and
-// every cross-section aggregate (the IDN WHOIS sub-store, population
-// partitions, the language breakdown, the creation timeline, the hosting
-// concentration, usage samples, certificate censuses) is computed at most
-// once and memoized behind the index. All accessors are safe for
-// concurrent use — the parallel report scheduler hits them from many
-// sections at once — and every memoized value is treated as read-only by
-// its consumers.
+// every cross-section aggregate (the IDN WHOIS sub-store, the pDNS series
+// of each population cut, the language breakdown, the creation timeline,
+// the hosting concentration, usage samples, certificate censuses) is
+// computed at most once and memoized behind the index. A Study owns its
+// index (Study.index). All accessors are safe for concurrent use — the
+// parallel report scheduler hits them from many sections at once — and
+// every memoized value is treated as read-only by its consumers.
 //
 // The design follows the lesson the ZDNS system documents for
 // scan-pipeline software: build one indexed, immutable view of the corpus
@@ -61,17 +61,8 @@ type Index struct {
 	ds    *Dataset
 	infos []DomainInfo
 
-	// buildMetrics snapshots the pipeline engine that built the index.
-	buildMetrics pipeline.Metrics
-
 	whoisOnce sync.Once
 	whoisSub  *whois.Store
-
-	malOnce   sync.Once
-	malicious []string
-
-	partMu     sync.Mutex
-	partitions map[partitionKey][]string
 
 	seriesMu sync.Mutex
 	series   map[seriesKey][]float64
@@ -96,31 +87,29 @@ type Index struct {
 	availReg  map[string]uint8
 }
 
-type partitionKey struct {
-	pop Population
-	tld string
-}
-
 type seriesKey struct {
 	active bool
 	pop    Population
 	tld    string
 }
 
-// Index returns the dataset's corpus index, building it on first use. The
-// build is a single bounded-parallel pass through internal/pipeline
-// (IndexWorkers wide, GOMAXPROCS when zero); the order-preserving fan-in
-// keeps infos aligned with Dataset.IDNs, so the index is deterministic at
-// any worker count.
-func (ds *Dataset) Index() *Index {
-	ds.idxOnce.Do(func() {
-		ds.idx = buildIndex(ds, langid.Default(), ds.IndexWorkers)
+// index returns the study's corpus index, building it on first use in
+// one bounded-parallel pass through internal/pipeline, ScanWorkers wide,
+// and recording that pass as the study's stage=index metrics in the same
+// step — whichever section or step asks first. The order-preserving
+// fan-in keeps infos aligned with Dataset.IDNs, so the index is the same
+// at any width.
+func (st *Study) index() *Index {
+	st.idxOnce.Do(func() {
+		var m pipeline.Metrics
+		st.idx, m = buildIndex(st.DS, langid.Default(), st.ScanWorkers)
+		st.recordScan(m)
 	})
-	return ds.idx
+	return st.idx
 }
 
 // buildIndex runs the one-pass derivation over the IDN corpus.
-func buildIndex(ds *Dataset, cls *langid.Classifier, workers int) *Index {
+func buildIndex(ds *Dataset, cls *langid.Classifier, workers int) (*Index, pipeline.Metrics) {
 	eng := pipeline.New(
 		pipeline.Config{Stage: "index", Workers: workers},
 		func() struct{} { return struct{}{} },
@@ -143,12 +132,8 @@ func buildIndex(ds *Dataset, cls *langid.Classifier, workers int) *Index {
 		// Unreachable: background context, Func never errors.
 		panic("core: index build: " + err.Error())
 	}
-	return &Index{ds: ds, infos: infos, buildMetrics: eng.Metrics()}
+	return &Index{ds: ds, infos: infos}, eng.Metrics()
 }
-
-// BuildMetrics returns the pipeline metrics of the index-construction
-// pass.
-func (ix *Index) BuildMetrics() pipeline.Metrics { return ix.buildMetrics }
 
 // IDNWHOIS returns the WHOIS sub-store restricted to the IDN corpus,
 // built once. Tables III and IV and three findings all rank against it;
@@ -169,61 +154,30 @@ func (ix *Index) IDNWHOIS() *whois.Store {
 	return ix.whoisSub
 }
 
-// Malicious returns the blacklisted subset of the corpus in corpus order
-// (sorted, because Dataset.IDNs is sorted). Read-only.
-func (ix *Index) Malicious() []string {
-	ix.malOnce.Do(func() {
-		for i := range ix.infos {
-			if ix.infos[i].Malicious {
-				ix.malicious = append(ix.malicious, ix.infos[i].Domain)
-			}
-		}
-	})
-	return ix.malicious
-}
-
-// populationDomains resolves a population to its (cached) domain list.
-func (ix *Index) populationDomains(p Population) []string {
+// cut returns a population optionally restricted to one TLD ("" for
+// all), in corpus order. The IDN and malicious cuts read the index's
+// precomputed TLD and blacklist fields instead of re-deriving them per
+// domain. Not memoized: Series, its reader, memoizes per cut. The result
+// may alias Dataset.IDNs or Dataset.NonIDNs; read-only.
+func (ix *Index) cut(p Population, tld string) []string {
 	switch p {
-	case PopulationIDN:
-		return ix.ds.IDNs
 	case PopulationNonIDN:
-		return ix.ds.NonIDNs
-	case PopulationMalicious:
-		return ix.Malicious()
-	}
-	return nil
-}
-
-// Partition returns a population optionally restricted to one TLD ("" for
-// all), computing each (population, tld) filter exactly once. For the IDN
-// population the filter reads the index's precomputed TLD fields instead
-// of re-deriving them per domain. Read-only.
-func (ix *Index) Partition(p Population, tld string) []string {
-	if tld == "" {
-		return ix.populationDomains(p)
-	}
-	key := partitionKey{pop: p, tld: tld}
-	ix.partMu.Lock()
-	defer ix.partMu.Unlock()
-	if ix.partitions == nil {
-		ix.partitions = make(map[partitionKey][]string)
-	}
-	if cached, ok := ix.partitions[key]; ok {
-		return cached
+		return filterTLD(ix.ds.NonIDNs, tld)
+	case PopulationIDN:
+		if tld == "" {
+			return ix.ds.IDNs
+		}
 	}
 	var out []string
-	if p == PopulationIDN {
-		for i := range ix.infos {
-			info := &ix.infos[i]
-			if info.TLD == tld || (tld == "itld" && info.ITLD) {
-				out = append(out, info.Domain)
-			}
+	for i := range ix.infos {
+		info := &ix.infos[i]
+		if p == PopulationMalicious && !info.Malicious {
+			continue
 		}
-	} else {
-		out = filterTLD(ix.populationDomains(p), tld)
+		if tld == "" || info.TLD == tld || (tld == "itld" && info.ITLD) {
+			out = append(out, info.Domain)
+		}
 	}
-	ix.partitions[key] = out
 	return out
 }
 
@@ -242,7 +196,7 @@ func (ix *Index) Series(active bool, p Population, tld string) []float64 {
 	}
 	ix.seriesMu.Unlock()
 
-	domains := ix.Partition(p, tld)
+	domains := ix.cut(p, tld)
 	var vals []float64
 	if active {
 		vals = ix.ds.PDNS.ActiveDaysOf(domains)
@@ -256,8 +210,10 @@ func (ix *Index) Series(active bool, p Population, tld string) []float64 {
 	return vals
 }
 
-// LanguageRows returns the Table II distribution, classified during the
-// index pass and aggregated once. Read-only.
+// LanguageRows returns the Table II rows: every IDN's second-level label,
+// classified during the index pass by the process-wide langid.Default()
+// model, English and unclassified labels grouped into langid.Other,
+// aggregated once. Read-only.
 func (ix *Index) LanguageRows() []LanguageRow {
 	ix.langOnce.Do(func() {
 		ix.langRows = languageRowsFromInfos(ix.infos)
@@ -308,8 +264,9 @@ func languageRowsFromInfos(infos []DomainInfo) []LanguageRow {
 	return out
 }
 
-// Timeline returns the Figure 1 histograms, computed once. Both maps are
-// read-only.
+// Timeline returns the Figure 1 histograms: IDN registrations per
+// creation year, overall and blacklisted, from WHOIS records. Computed
+// once; both maps are read-only.
 func (ix *Index) Timeline() (all, malicious stats.Histogram) {
 	ix.timelineOnce.Do(func() {
 		ix.timelineAll = make(stats.Histogram)
@@ -341,8 +298,9 @@ func (ix *Index) Concentration() IPConcentration {
 	return ix.conc
 }
 
-// Usage returns the Table V census of a population's deterministic
-// sample, computed once per population. Read-only.
+// Usage crawls a deterministic sample of a population and classifies the
+// responses — the Table V methodology (stratified sampling + manual
+// classification, here automated). Probed once per population. Read-only.
 func (ix *Index) Usage(p Population) webprobe.Census {
 	ix.usageMu.Lock()
 	defer ix.usageMu.Unlock()
@@ -352,7 +310,7 @@ func (ix *Index) Usage(p Population) webprobe.Census {
 	if cached, ok := ix.usage[p]; ok {
 		return cached
 	}
-	census := ix.ds.usageSample(ix.populationDomains(p))
+	census := ix.ds.usageSample(ix.cut(p, ""))
 	ix.usage[p] = census
 	return census
 }
@@ -381,8 +339,8 @@ func (ix *Index) AvailabilityReg() map[string]uint8 {
 	return ix.availReg
 }
 
-// Certs returns the Table VI certificate census for a population, computed
-// once.
+// Certs classifies the certificates a population serves — the Table VI
+// census, computed once per population.
 func (ix *Index) Certs(p Population) CertReport {
 	ix.certMu.Lock()
 	defer ix.certMu.Unlock()
@@ -392,7 +350,7 @@ func (ix *Index) Certs(p Population) CertReport {
 	if cached, ok := ix.certs[p]; ok {
 		return cached
 	}
-	rep := ix.ds.certCensus(ix.populationDomains(p))
+	rep := ix.ds.certCensus(ix.cut(p, ""))
 	ix.certs[p] = rep
 	return rep
 }

@@ -58,6 +58,31 @@ type SemanticResults struct {
 	Matches []SemanticMatch `json:"matches"`
 }
 
+// homographResults summarizes the classify pass's homograph matches: the
+// one count Table XIII and Results both read.
+func (st *Study) homographResults() HomographResults {
+	homo := st.matches().homograph
+	out := HomographResults{Total: len(homo), Matches: homo,
+		ByBrand: RankBrands(homo, func(m HomographMatch) string { return m.Brand })}
+	for _, m := range homo {
+		if m.SSIM >= 1.0-1e-9 {
+			out.Identical++
+		}
+		if st.DS.Blacklists.IsMalicious(m.Domain) {
+			out.Blacklisted++
+		}
+	}
+	return out
+}
+
+// semanticResults summarizes the classify pass's Type-1 matches: the one
+// ranking Table XIV and Results both read.
+func (st *Study) semanticResults() SemanticResults {
+	sem := st.matches().semantic
+	return SemanticResults{Total: len(sem), Matches: sem,
+		ByBrand: RankBrands(sem, func(m SemanticMatch) string { return m.Brand })}
+}
+
 // Results computes the full machine-readable study output. Like
 // RunContext it primes the index and the classify pass, then runs what is
 // independent — here the findings' aggregates and the browser survey,
@@ -86,36 +111,21 @@ func (st *Study) Results() Results {
 		// Unreachable: a background context, no failing step.
 		panic("core: results: " + err.Error())
 	}
-	out.Languages = st.DS.LanguageBreakdown()
+	ix := st.index()
+	out.Languages = ix.LanguageRows()
 
-	topReg, _ := st.DS.TopRegistrars(10)
-	for _, gc := range topReg {
+	who := ix.IDNWHOIS()
+	for _, gc := range who.TopRegistrars(10) {
 		out.TopRegistrars = append(out.TopRegistrars, GroupCountJSON{Key: gc.Key, Count: gc.Count})
 	}
-	for _, gc := range st.DS.TopRegistrants(5) {
+	for _, gc := range who.TopRegistrantEmails(5) {
 		out.TopRegistrants = append(out.TopRegistrants, GroupCountJSON{Key: gc.Key, Count: gc.Count})
 	}
 
-	matches := st.matches()
-	homo := matches.homograph
-	out.Homographs.Total = len(homo)
-	out.Homographs.Matches = homo
-	out.Homographs.ByBrand = RankBrands(homo, func(m HomographMatch) string { return m.Brand })
-	for _, m := range homo {
-		if m.SSIM >= 1.0-1e-9 {
-			out.Homographs.Identical++
-		}
-		if st.DS.Blacklists.IsMalicious(m.Domain) {
-			out.Homographs.Blacklisted++
-		}
-	}
+	out.Homographs = st.homographResults()
+	out.Semantic = st.semanticResults()
 
-	sem := matches.semantic
-	out.Semantic.Total = len(sem)
-	out.Semantic.Matches = sem
-	out.Semantic.ByBrand = RankBrands(sem, func(m SemanticMatch) string { return m.Brand })
-
-	conc := st.DS.IPConcentrationStats()
+	conc := ix.Concentration()
 	counts := make([]int, len(conc.Segments))
 	for i, seg := range conc.Segments {
 		counts[i] = seg.Domains

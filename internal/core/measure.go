@@ -10,7 +10,6 @@ import (
 	"idnlab/internal/pdns"
 	"idnlab/internal/stats"
 	"idnlab/internal/webprobe"
-	"idnlab/internal/whois"
 	"idnlab/internal/zonegen"
 )
 
@@ -23,49 +22,6 @@ type LanguageRow struct {
 	BlackRate   float64         `json:"blackRate"`
 }
 
-// LanguageBreakdown returns the Table II rows sorted by overall volume
-// descending: every IDN's second-level label classified by the
-// process-wide langid.Default() model, with English and unclassified
-// labels grouped into langid.Other. The corpus index's build pass already
-// classified every SLD label, so the breakdown is one memoized
-// aggregation.
-func (ds *Dataset) LanguageBreakdown() []LanguageRow {
-	return ds.Index().LanguageRows()
-}
-
-// CreationTimeline returns the Figure 1 histograms: IDN registrations per
-// creation year, overall and blacklisted, from WHOIS records. Computed
-// once by the corpus index; both histograms are read-only.
-func (ds *Dataset) CreationTimeline() (all, malicious stats.Histogram) {
-	return ds.Index().Timeline()
-}
-
-// idnWHOIS returns the WHOIS sub-store restricted to the IDN corpus, the
-// population Tables III and IV rank. The store is built once by the
-// corpus index and shared; before the index each caller rebuilt it.
-func (ds *Dataset) idnWHOIS() *whois.Store {
-	return ds.Index().IDNWHOIS()
-}
-
-// TopRegistrants returns the Table III ranking: registrant emails by IDN
-// count.
-func (ds *Dataset) TopRegistrants(k int) []whois.GroupCount {
-	return ds.idnWHOIS().TopRegistrantEmails(k)
-}
-
-// TopRegistrars returns the Table IV ranking: registrars by IDN count,
-// plus the share of the WHOIS-covered population each holds.
-func (ds *Dataset) TopRegistrars(k int) ([]whois.GroupCount, int) {
-	sub := ds.idnWHOIS()
-	return sub.TopRegistrars(k), sub.Len()
-}
-
-// RegistrarCount returns the number of distinct registrars in the IDN
-// corpus (paper: over 700).
-func (ds *Dataset) RegistrarCount() int {
-	return ds.idnWHOIS().RegistrarCount()
-}
-
 // Population selects a comparison population for the DNS-activity figures.
 type Population int
 
@@ -75,20 +31,6 @@ const (
 	PopulationNonIDN
 	PopulationMalicious
 )
-
-// ActiveTimeSeries returns the Figure 2 series for a population,
-// optionally restricted to one TLD ("" for all). Each (population, TLD)
-// cut is computed once by the corpus index; callers must treat the slice
-// as read-only.
-func (ds *Dataset) ActiveTimeSeries(p Population, tld string) []float64 {
-	return ds.Index().Series(true, p, tld)
-}
-
-// QueryVolumeSeries returns the Figure 3 series for a population,
-// memoized like ActiveTimeSeries. Read-only.
-func (ds *Dataset) QueryVolumeSeries(p Population, tld string) []float64 {
-	return ds.Index().Series(false, p, tld)
-}
 
 func filterTLD(domains []string, tld string) []string {
 	if tld == "" {
@@ -111,12 +53,6 @@ type IPConcentration struct {
 	Segments   []pdns.SegmentStat
 	TotalIPs   int
 	Cumulative []float64
-}
-
-// IPConcentrationStats computes Figure 4 over the IDN population. The
-// aggregation runs once, behind the corpus index. Read-only.
-func (ds *Dataset) IPConcentrationStats() IPConcentration {
-	return ds.Index().Concentration()
 }
 
 // ipConcentration is the Figure 4 aggregation body, fed by the index's
@@ -173,14 +109,6 @@ const (
 	usageSampleOffset = 1
 )
 
-// UsageSample crawls a deterministic sample of a population and classifies
-// the responses — the Table V methodology (stratified sampling + manual
-// classification, here automated). Each population's census is probed
-// once, behind the corpus index.
-func (ds *Dataset) UsageSample(p Population) webprobe.Census {
-	return ds.Index().Usage(p)
-}
-
 // usageSample is the Table V probe loop over a resolved domain list.
 func (ds *Dataset) usageSample(domains []string) webprobe.Census {
 	census := make(webprobe.Census)
@@ -198,15 +126,9 @@ func (ds *Dataset) usageSample(domains []string) webprobe.Census {
 	return census
 }
 
-// CertCensus classifies the certificates served by a population — the
-// Table VI reproduction. Domains without a certificate are skipped (the
-// paper's denominators are downloaded certificates). Each population's
-// census is computed once, behind the corpus index.
-func (ds *Dataset) CertCensus(p Population) CertReport {
-	return ds.Index().Certs(p)
-}
-
 // certCensus is the Table VI classification loop over a domain list.
+// Domains without a certificate are skipped (the paper's denominators are
+// downloaded certificates).
 func (ds *Dataset) certCensus(domains []string) CertReport {
 	var rep CertReport
 	now := zonegen.Snapshot

@@ -32,7 +32,7 @@ func TestUsageSampleNotResolvedRate(t *testing.T) {
 	// The Table V "Not resolved" row is the share of sampled IDNs whose
 	// name servers refuse them; the census must land near the paper's
 	// 45.6%.
-	census := testDS.UsageSample(PopulationIDN)
+	census := testIndex().Usage(PopulationIDN)
 	rate := census.Rate(webprobe.NotResolved)
 	if rate < 0.30 || rate > 0.60 {
 		t.Errorf("not-resolved rate = %.3f, want ≈0.456", rate)

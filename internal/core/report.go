@@ -25,10 +25,11 @@ import (
 )
 
 // Study runs the complete measurement over a dataset and renders every
-// table and figure of the paper. The corpus tables (IX, X, XIII, XIV;
-// Figures 5, 8; the taxonomy) read one classify pass through the
-// internal/pipeline streaming engine, ScanWorkers wide and memoized —
-// it runs once per Study no matter how many sections consume it. Report
+// table and figure of the paper. The characterization (Tables II–VI,
+// Figures 1–4, the findings) reads the Study's corpus index (index); the
+// corpus tables (IX, X, XIII, XIV; Figures 5, 8; the taxonomy) read one
+// classify pass. Each runs once per Study, ScanWorkers wide through the
+// internal/pipeline engine, no matter how many sections consume it. Report
 // sections themselves render concurrently (RunContext) into private
 // buffers that an order-preserving fan-in writes out in the fixed
 // section order, so the report is byte-identical to the sequential
@@ -36,8 +37,9 @@ import (
 type Study struct {
 	DS *Dataset
 
-	// ScanWorkers is the fan-out of the pipelined corpus pass and of the
-	// section scheduler; 0 selects GOMAXPROCS, 1 forces a single worker.
+	// ScanWorkers is the fan-out of the corpus-index pass, the classify
+	// pass and the section scheduler; 0 selects GOMAXPROCS, 1 forces a
+	// single worker.
 	ScanWorkers int
 
 	// cls is the study's one verdict door: the corpus pass classifies on
@@ -67,7 +69,9 @@ type Study struct {
 	corpusMu sync.Mutex
 	corpus   *corpusMatches
 
-	indexMetricsOnce sync.Once
+	// The corpus index every corpus aggregate reads (index).
+	idxOnce sync.Once
+	idx     *Index
 }
 
 // NewStudy wires a study over an assembled dataset with default
@@ -241,11 +245,7 @@ func (st *Study) RunContext(ctx context.Context, w io.Writer) error {
 // inside), under ctx: whatever is scheduled next reads memoized state
 // instead of racing to compute it.
 func (st *Study) prime(ctx context.Context) error {
-	if st.DS.IndexWorkers == 0 {
-		st.DS.IndexWorkers = st.ScanWorkers
-	}
-	ix := st.DS.Index()
-	st.indexMetricsOnce.Do(func() { st.recordScan(ix.BuildMetrics()) })
+	st.index()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -276,7 +276,7 @@ func (st *Study) ReportTable1(w io.Writer) error {
 
 // ReportTable2 renders the language distribution (Table II).
 func (st *Study) ReportTable2(w io.Writer) error {
-	rows := st.DS.LanguageBreakdown()
+	rows := st.index().LanguageRows()
 	tw := newTab(w)
 	fmt.Fprintln(tw, "TABLE II: Languages of all and malicious IDNs")
 	fmt.Fprintln(tw, "Language\tVolume\tRate\tBlacklisted\tRate")
@@ -293,7 +293,7 @@ func (st *Study) ReportTable2(w io.Writer) error {
 
 // ReportFigure1 renders the registration timeline (Figure 1).
 func (st *Study) ReportFigure1(w io.Writer) error {
-	all, malicious := st.DS.CreationTimeline()
+	all, malicious := st.index().Timeline()
 	fmt.Fprintln(w, "FIGURE 1: IDN registrations by creation year (all | malicious)")
 	tw := newTab(w)
 	for _, y := range all.Keys() {
@@ -307,7 +307,7 @@ func (st *Study) ReportTable3(w io.Writer) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "TABLE III: Top 5 IDN registrants")
 	fmt.Fprintln(tw, "Email\t# IDN")
-	for _, gc := range st.DS.TopRegistrants(5) {
+	for _, gc := range st.index().IDNWHOIS().TopRegistrantEmails(5) {
 		fmt.Fprintf(tw, "%s\t%d\n", gc.Key, gc.Count)
 	}
 	return tw.Flush()
@@ -315,9 +315,10 @@ func (st *Study) ReportTable3(w io.Writer) error {
 
 // ReportTable4 renders the top registrars (Table IV).
 func (st *Study) ReportTable4(w io.Writer) error {
-	top, covered := st.DS.TopRegistrars(10)
+	who := st.index().IDNWHOIS()
+	top, covered := who.TopRegistrars(10), who.Len()
 	tw := newTab(w)
-	fmt.Fprintf(tw, "TABLE IV: Top 10 registrars (%d distinct total)\n", st.DS.RegistrarCount())
+	fmt.Fprintf(tw, "TABLE IV: Top 10 registrars (%d distinct total)\n", who.RegistrarCount())
 	fmt.Fprintln(tw, "Registrar\t# IDN\tRate")
 	for _, gc := range top {
 		fmt.Fprintf(tw, "%s\t%d\t%s\n", gc.Key, gc.Count, stats.Percent(float64(gc.Count)/float64(covered)))
@@ -336,31 +337,33 @@ func (st *Study) figureECDF(w io.Writer, title, xlabel string, series []stats.Se
 
 // ReportFigure2 renders the active-time ECDFs (Figure 2).
 func (st *Study) ReportFigure2(w io.Writer) error {
+	ix := st.index()
 	series := []stats.Series{
-		{Name: "IDN(com)", Values: st.DS.ActiveTimeSeries(PopulationIDN, "com")},
-		{Name: "IDN(net)", Values: st.DS.ActiveTimeSeries(PopulationIDN, "net")},
-		{Name: "IDN(itld)", Values: st.DS.ActiveTimeSeries(PopulationIDN, "itld")},
-		{Name: "nonIDN(com)", Values: st.DS.ActiveTimeSeries(PopulationNonIDN, "com")},
-		{Name: "malicious", Values: st.DS.ActiveTimeSeries(PopulationMalicious, "")},
+		{Name: "IDN(com)", Values: ix.Series(true, PopulationIDN, "com")},
+		{Name: "IDN(net)", Values: ix.Series(true, PopulationIDN, "net")},
+		{Name: "IDN(itld)", Values: ix.Series(true, PopulationIDN, "itld")},
+		{Name: "nonIDN(com)", Values: ix.Series(true, PopulationNonIDN, "com")},
+		{Name: "malicious", Values: ix.Series(true, PopulationMalicious, "")},
 	}
 	return st.figureECDF(w, "FIGURE 2: ECDF of active time", "days", series, 3000)
 }
 
 // ReportFigure3 renders the query-volume ECDFs (Figure 3).
 func (st *Study) ReportFigure3(w io.Writer) error {
+	ix := st.index()
 	series := []stats.Series{
-		{Name: "IDN(com)", Values: st.DS.QueryVolumeSeries(PopulationIDN, "com")},
-		{Name: "IDN(net)", Values: st.DS.QueryVolumeSeries(PopulationIDN, "net")},
-		{Name: "IDN(itld)", Values: st.DS.QueryVolumeSeries(PopulationIDN, "itld")},
-		{Name: "nonIDN(com)", Values: st.DS.QueryVolumeSeries(PopulationNonIDN, "com")},
-		{Name: "malicious", Values: st.DS.QueryVolumeSeries(PopulationMalicious, "")},
+		{Name: "IDN(com)", Values: ix.Series(false, PopulationIDN, "com")},
+		{Name: "IDN(net)", Values: ix.Series(false, PopulationIDN, "net")},
+		{Name: "IDN(itld)", Values: ix.Series(false, PopulationIDN, "itld")},
+		{Name: "nonIDN(com)", Values: ix.Series(false, PopulationNonIDN, "com")},
+		{Name: "malicious", Values: ix.Series(false, PopulationMalicious, "")},
 	}
 	return st.figureECDF(w, "FIGURE 3: ECDF of query volume", "queries", series, 1e7)
 }
 
 // ReportFigure4 renders the IP-concentration curve (Figure 4).
 func (st *Study) ReportFigure4(w io.Writer) error {
-	conc := st.DS.IPConcentrationStats()
+	conc := st.index().Concentration()
 	counts := make([]int, len(conc.Segments))
 	for i, seg := range conc.Segments {
 		counts[i] = seg.Domains
@@ -380,8 +383,8 @@ func (st *Study) ReportFigure4(w io.Writer) error {
 
 // ReportTable5 renders the usage census (Table V).
 func (st *Study) ReportTable5(w io.Writer) error {
-	idn := st.DS.UsageSample(PopulationIDN)
-	non := st.DS.UsageSample(PopulationNonIDN)
+	ix := st.index()
+	idn, non := ix.Usage(PopulationIDN), ix.Usage(PopulationNonIDN)
 	tw := newTab(w)
 	fmt.Fprintf(tw, "TABLE V: Usage of domain names (%d-domain samples)\n", usageSampleSize)
 	fmt.Fprintln(tw, "Type\tIDN\tNon-IDN")
@@ -395,8 +398,8 @@ func (st *Study) ReportTable5(w io.Writer) error {
 
 // ReportTable6 renders the certificate problems (Table VI).
 func (st *Study) ReportTable6(w io.Writer) error {
-	idn := st.DS.CertCensus(PopulationIDN)
-	non := st.DS.CertCensus(PopulationNonIDN)
+	ix := st.index()
+	idn, non := ix.Certs(PopulationIDN), ix.Certs(PopulationNonIDN)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "TABLE VI: Security problems of SSL certificates")
 	fmt.Fprintln(tw, "Problem\tIDN\tnon-IDN")
@@ -493,39 +496,26 @@ func (st *Study) ReportTable12(w io.Writer) error {
 
 // ReportTable13 renders the homograph brand ranking (Table XIII).
 func (st *Study) ReportTable13(w io.Writer) error {
-	matches := st.matches().homograph
-	ranking := RankBrands(matches, func(m HomographMatch) string { return m.Brand })
-	identical := 0
-	for _, m := range matches {
-		if m.SSIM >= 1.0-1e-9 {
-			identical++
-		}
-	}
-	blacklisted := 0
-	for _, m := range matches {
-		if st.DS.Blacklists.IsMalicious(m.Domain) {
-			blacklisted++
-		}
-	}
-	domains := make([]string, len(matches))
-	brandOf := make([]string, len(matches))
-	for i, m := range matches {
+	res := st.homographResults()
+	domains := make([]string, res.Total)
+	brandOf := make([]string, res.Total)
+	for i, m := range res.Matches {
 		domains[i] = m.Domain
 		brandOf[i] = m.Brand
 	}
 	reg := BreakdownRegistrants(st.DS, domains, brandOf)
 	tw := newTab(w)
 	fmt.Fprintf(tw, "TABLE XIII: Registered homographic IDNs (total %d, identical %d, blacklisted %d)\n",
-		len(matches), identical, blacklisted)
+		res.Total, res.Identical, res.Blacklisted)
 	fmt.Fprintf(tw, "Registrants (of %d with WHOIS): %d protective, %d personal, %d privacy\n",
 		reg.WithWHOIS, reg.Protective, reg.Personal, reg.Privacy)
 	fmt.Fprintln(tw, "Brand\t# IDN\tRate")
 	limit := 10
-	for i, r := range ranking {
+	for i, r := range res.ByBrand {
 		if i >= limit {
 			break
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\n", r.Brand, r.Count, stats.Percent(float64(r.Count)/float64(len(matches))))
+		fmt.Fprintf(tw, "%s\t%d\t%s\n", r.Brand, r.Count, stats.Percent(float64(r.Count)/float64(res.Total)))
 	}
 	return tw.Flush()
 }
@@ -566,7 +556,7 @@ func (st *Study) ReportFigure7(w io.Writer) error {
 	// scratch, and sections render in parallel under RunContext. The
 	// registration map comes precomputed from the corpus index (the index
 	// pass already decoded every Unicode form).
-	results := st.cls.homo.Clone().AvailabilityStudyReg(100, st.DS.Index().AvailabilityReg())
+	results := st.cls.homo.Clone().AvailabilityStudyReg(100, st.index().AvailabilityReg())
 	totalCand, totalHomo, totalReg := 0, 0, 0
 	for _, r := range results {
 		totalCand += r.Candidates
@@ -589,16 +579,15 @@ func (st *Study) ReportFigure7(w io.Writer) error {
 
 // ReportTable14 renders the Type-1 brand ranking (Table XIV).
 func (st *Study) ReportTable14(w io.Writer) error {
-	matches := st.matches().semantic
-	ranking := RankBrands(matches, func(m SemanticMatch) string { return m.Brand })
+	res := st.semanticResults()
 	tw := newTab(w)
-	fmt.Fprintf(tw, "TABLE XIV: Type-1 semantic IDNs (total %d)\n", len(matches))
+	fmt.Fprintf(tw, "TABLE XIV: Type-1 semantic IDNs (total %d)\n", res.Total)
 	fmt.Fprintln(tw, "Brand\t# Type-1 IDN\tRate")
-	for i, r := range ranking {
+	for i, r := range res.ByBrand {
 		if i >= 10 {
 			break
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\n", r.Brand, r.Count, stats.Percent(float64(r.Count)/float64(len(matches))))
+		fmt.Fprintf(tw, "%s\t%d\t%s\n", r.Brand, r.Count, stats.Percent(float64(r.Count)/float64(res.Total)))
 	}
 	return tw.Flush()
 }

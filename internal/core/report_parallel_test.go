@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"io"
 	"reflect"
 	"runtime"
 	"strings"
@@ -130,10 +131,10 @@ func TestRunContextCancelled(t *testing.T) {
 
 // TestIndexMemoization pins the memoization the corpus index introduces:
 // repeated calls to the aggregate accessors must return the same cached
-// backing data instead of recomputing, and the index build must align
-// with Dataset.IDNs.
+// backing data instead of recomputing, the index build must align with
+// Dataset.IDNs, and the cuts must agree with the pre-index filters.
 func TestIndexMemoization(t *testing.T) {
-	ix := testDS.Index()
+	ix := testIndex()
 	infos := ix.infos
 	if len(infos) != len(testDS.IDNs) {
 		t.Fatalf("index has %d infos for %d IDNs", len(infos), len(testDS.IDNs))
@@ -146,23 +147,24 @@ func TestIndexMemoization(t *testing.T) {
 	if ix.IDNWHOIS() != ix.IDNWHOIS() {
 		t.Error("IDNWHOIS not memoized")
 	}
-	m1, m2 := ix.Malicious(), ix.Malicious()
-	if len(m1) > 0 && &m1[0] != &m2[0] {
-		t.Error("Malicious not memoized")
+	var malicious []string
+	for _, d := range testDS.IDNs {
+		if testDS.Blacklists.IsMalicious(d) {
+			malicious = append(malicious, d)
+		}
 	}
-	p1 := ix.Partition(PopulationIDN, "com")
-	p2 := ix.Partition(PopulationIDN, "com")
-	if len(p1) > 0 && &p1[0] != &p2[0] {
-		t.Error("Partition not memoized")
-	}
-	// Partition must agree with the pre-index filter semantics.
-	want := filterTLD(testDS.IDNs, "com")
-	if len(p1) != len(want) {
-		t.Fatalf("Partition(com) = %d domains, filterTLD = %d", len(p1), len(want))
-	}
-	for i := range want {
-		if p1[i] != want[i] {
-			t.Fatalf("Partition(com)[%d] = %q, want %q", i, p1[i], want[i])
+	for _, c := range []struct {
+		pop  Population
+		tld  string
+		want []string
+	}{
+		{PopulationIDN, "com", filterTLD(testDS.IDNs, "com")},
+		{PopulationIDN, "itld", filterTLD(testDS.IDNs, "itld")},
+		{PopulationMalicious, "", malicious},
+		{PopulationMalicious, "net", filterTLD(malicious, "net")},
+	} {
+		if got := ix.cut(c.pop, c.tld); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("cut(%v, %q) = %d domains, the filter gives %d", c.pop, c.tld, len(got), len(c.want))
 		}
 	}
 	s1 := ix.Series(true, PopulationIDN, "com")
@@ -170,10 +172,34 @@ func TestIndexMemoization(t *testing.T) {
 	if len(s1) > 0 && &s1[0] != &s2[0] {
 		t.Error("Series not memoized")
 	}
-	u1 := testDS.UsageSample(PopulationIDN)
-	u2 := testDS.UsageSample(PopulationIDN)
+	u1 := ix.Usage(PopulationIDN)
+	u2 := ix.Usage(PopulationIDN)
 	if u1.Total() != u2.Total() {
-		t.Error("UsageSample not deterministic across memoized calls")
+		t.Error("Usage not deterministic across memoized calls")
+	}
+}
+
+// TestSectionRecordsIndexPass: a section rendered on its own (what
+// `idnreport -only` does) builds the study's corpus index ScanWorkers
+// wide and records that pass, once, however many sections read it.
+func TestSectionRecordsIndexPass(t *testing.T) {
+	st := NewStudy(testDS)
+	st.ScanWorkers = 1
+	for _, key := range []string{"table2", "figure2"} {
+		section, err := st.Section(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := section(io.Discard); err != nil {
+			t.Fatalf("section %s: %v", key, err)
+		}
+	}
+	ms := st.ScanMetrics()
+	if len(ms) != 1 || ms[0].Stage != "index" || ms[0].Workers != 1 {
+		t.Fatalf("recorded passes %v, want one stage=index pass one worker wide", ms)
+	}
+	if ms[0].In != uint64(len(testDS.IDNs)) {
+		t.Errorf("index pass read %d domains, want %d", ms[0].In, len(testDS.IDNs))
 	}
 }
 
