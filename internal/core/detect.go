@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"image"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"unicode/utf8"
@@ -449,22 +448,30 @@ func (d *SemanticDetector) DetectNormalized(n NormalizedDomain) (SemanticMatch, 
 	if n.ASCII {
 		return SemanticMatch{}, false // needs at least one non-ASCII rune
 	}
-	var residue, keyword strings.Builder
-	for _, r := range n.Label {
-		if r < 0x80 {
-			residue.WriteRune(r)
-		} else {
-			keyword.WriteRune(r)
+	// The residue is built on the stack and looked up without a string
+	// (a DNS label's residue fits the buffer); only a match builds the
+	// keyword string. A byte below 0x80 is an ASCII rune in any UTF-8.
+	var buf [64]byte
+	residue := buf[:0]
+	for i := 0; i < len(n.Label); i++ {
+		if c := n.Label[i]; c < utf8.RuneSelf {
+			residue = append(residue, c)
 		}
 	}
-	if keyword.Len() == 0 || residue.Len() == 0 {
+	if len(residue) == 0 || len(residue) == len(n.Label) {
 		return SemanticMatch{}, false
 	}
-	b, ok := d.brandsByLabel[residue.String()]
+	b, ok := d.brandsByLabel[string(residue)]
 	if !ok {
 		return SemanticMatch{}, false
 	}
-	return SemanticMatch{Domain: n.ACE, Unicode: n.Unicode, Brand: b.Domain, Keyword: keyword.String()}, true
+	keyword := buf[:0]
+	for _, r := range n.Label {
+		if r >= utf8.RuneSelf {
+			keyword = utf8.AppendRune(keyword, r)
+		}
+	}
+	return SemanticMatch{Domain: n.ACE, Unicode: n.Unicode, Brand: b.Domain, Keyword: string(keyword)}, true
 }
 
 // BrandRanking aggregates detected matches per brand — the shape of

@@ -187,10 +187,12 @@ func (c *Classifier) Clone() *Classifier {
 }
 
 // Verdict classifies one pre-normalized domain with every detector.
-// With a statistical model attached the label is scored exactly once:
-// the raw margin feeds the prefilter gate, the statistical match and
-// the confidence block. Without a model the ensemble fields stay zero
-// and the verdict is bit-identical to the two-detector baseline.
+// With a statistical model attached the label is featurized exactly
+// once: the raw margin feeds the prefilter gate, the statistical match
+// and the confidence block, and the same vector explains a flag.
+// Without a model the ensemble fields stay zero and the verdict is
+// bit-identical to the two-detector baseline. Only what the verdict
+// keeps is allocated: a match that did not happen costs nothing.
 func (c *Classifier) Verdict(n NormalizedDomain) Verdict {
 	v := Verdict{Domain: n.ACE, Unicode: n.Unicode, IDN: idna.IsIDN(n.ACE)}
 	stat := c.homo.stat
@@ -198,10 +200,10 @@ func (c *Classifier) Verdict(n NormalizedDomain) Verdict {
 		// No model (baseline path), or an ASCII label the statistical
 		// and homograph detectors both fast-exit on.
 		if m, ok := c.homo.DetectNormalized(n); ok {
-			v.Homograph = &m
+			v.Homograph = kept(m)
 		}
 		if m, ok := c.sem.DetectNormalized(n); ok {
-			v.Semantic = &m
+			v.Semantic = kept(m)
 		}
 		if stat != nil {
 			v.Confidence = &EnsembleConfidence{Semantic: semConfidence(v.Semantic)}
@@ -210,25 +212,30 @@ func (c *Classifier) Verdict(n NormalizedDomain) Verdict {
 		return v
 	}
 	aceLabel, tld := idna.SLDLabel(n.ACE), idna.TLD(n.ACE)
-	raw := stat.ScoreLabel(n.Label, aceLabel, tld)
+	var fv feat.Vector
+	stat.Featurize(n.Label, aceLabel, tld, 0, false, &fv)
+	raw := stat.Margin(&fv)
 	m, passed, ok := c.homo.detect(n, raw)
 	if ok {
-		hm := m // only a match is moved to the heap
-		v.Homograph = &hm
+		v.Homograph = kept(m)
 	}
 	if m, ok := c.sem.DetectNormalized(n); ok {
-		v.Semantic = &m
+		v.Semantic = kept(m)
 	}
 	prob := stat.Prob(raw)
+	var conf *EnsembleConfidence
 	if stat.Flag(raw) {
-		v.Statistical = &StatMatch{
-			Domain:  n.ACE,
-			Unicode: n.Unicode,
-			Score:   prob,
-			Top:     stat.TopContributions(n.Label, aceLabel, tld, 0, false, 3),
-		}
+		// One allocation holds the flag's match, its top-3 explanation
+		// and the confidence block.
+		b := &flaggedStat{match: StatMatch{Domain: n.ACE, Unicode: n.Unicode, Score: prob}}
+		top, k := stat.TopContributions(&fv, len(b.top))
+		copy(b.top[:], top[:k])
+		b.match.Top = b.top[:k]
+		v.Statistical, conf = &b.match, &b.conf
+	} else {
+		conf = new(EnsembleConfidence)
 	}
-	conf := &EnsembleConfidence{Statistical: prob, Semantic: semConfidence(v.Semantic)}
+	conf.Statistical, conf.Semantic = prob, semConfidence(v.Semantic)
 	if v.Homograph != nil {
 		conf.Homograph = v.Homograph.SSIM
 	}
@@ -236,6 +243,19 @@ func (c *Classifier) Verdict(n NormalizedDomain) Verdict {
 	v.Suspicion = suspicionLevel(&v, passed)
 	return v
 }
+
+// flaggedStat is the one allocation behind a statistically flagged
+// verdict's Statistical and Confidence fields.
+type flaggedStat struct {
+	match StatMatch
+	conf  EnsembleConfidence
+	top   [3]feat.Contribution
+}
+
+// kept moves a match the verdict keeps to the heap. Taking the address
+// of the detector's result variable instead would allocate it on every
+// call, matched or not.
+func kept[T any](m T) *T { return &m }
 
 func semConfidence(m *SemanticMatch) float64 {
 	if m != nil {

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -379,7 +381,13 @@ func TestTopContributions(t *testing.T) {
 	if flagged == nil {
 		t.Fatal("no flagged positive in corpus")
 	}
-	top := m.TopContributions(flagged.Label, flagged.ACELabel, flagged.TLD, 0, false, 3)
+	var v Vector
+	m.Featurize(flagged.Label, flagged.ACELabel, flagged.TLD, 0, false, &v)
+	if got, want := m.Margin(&v), m.ScoreLabel(flagged.Label, flagged.ACELabel, flagged.TLD); got != want {
+		t.Fatalf("Margin = %v, ScoreLabel = %v", got, want)
+	}
+	arr, n := m.TopContributions(&v, 3)
+	top := arr[:n]
 	if len(top) == 0 || len(top) > 3 {
 		t.Fatalf("got %d contributions, want 1..3", len(top))
 	}
@@ -389,6 +397,68 @@ func TestTopContributions(t *testing.T) {
 		}
 		if i > 0 && math.Abs(top[i-1].Impact) < math.Abs(c.Impact) {
 			t.Fatalf("contributions not sorted by |impact|: %v", top)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.TopContributions(&v, 3) }); allocs != 0 {
+		t.Fatalf("TopContributions allocates %v, want 0", allocs)
+	}
+}
+
+// sortedContributions is the reference top-k: every nonzero impact
+// collected, sorted by descending |impact| then feature name, and cut
+// to k (k <= 0 keeps all).
+func sortedContributions(m *Model, v *Vector, k int) []Contribution {
+	out := make([]Contribution, 0, NumFeatures)
+	for i := 0; i < NumFeatures; i++ {
+		impact := m.weights[i] * v[i]
+		if impact == 0 {
+			continue
+		}
+		out = append(out, Contribution{Feature: FeatureNames[i], Value: v[i], Impact: impact})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		ai, aj := math.Abs(out[i].Impact), math.Abs(out[j].Impact)
+		if ai != aj {
+			return ai > aj
+		}
+		return out[i].Feature < out[j].Feature
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// TestTopContributionsMatchesSort checks the insertion top-k against
+// the sort-based reference over random vectors. Weights and values are
+// drawn from small sets, so many impacts tie in |impact| (equal or
+// opposite signs) and some are zero.
+func TestTopContributionsMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(46, 17))
+	levels := []float64{-2, -1, -0.5, 0, 0.5, 1, 2}
+	for trial := 0; trial < 2000; trial++ {
+		m := &Model{}
+		var v Vector
+		for i := 0; i < NumFeatures; i++ {
+			m.weights[i] = levels[r.IntN(len(levels))]
+			if trial%2 == 0 {
+				v[i] = levels[r.IntN(len(levels))]
+			} else {
+				v[i] = r.NormFloat64()
+			}
+		}
+		for _, k := range []int{0, 1, 3, 17, 20} {
+			want := sortedContributions(m, &v, k)
+			arr, n := m.TopContributions(&v, k)
+			got := arr[:n]
+			if len(got) != len(want) {
+				t.Fatalf("trial %d k=%d: %d contributions, want %d", trial, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d k=%d: [%d] = %+v, want %+v", trial, k, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -163,6 +163,12 @@ func (m *Model) Featurize(label, aceLabel, tld string, ageDays float64, hasAge b
 func (m *Model) ScoreDomain(label, aceLabel, tld string, ageDays float64, hasAge bool) float64 {
 	var v Vector
 	m.Featurize(label, aceLabel, tld, ageDays, hasAge, &v)
+	return m.Margin(&v)
+}
+
+// Margin is the raw logistic margin of a featurized vector: the bias
+// plus each weight × value, summed in feature order.
+func (m *Model) Margin(v *Vector) float64 {
 	s := m.bias
 	for i := 0; i < NumFeatures; i++ {
 		s += m.weights[i] * v[i]
@@ -198,32 +204,46 @@ type Contribution struct {
 	Impact float64 `json:"impact"`
 }
 
-// TopContributions explains a score: the k features with the largest
-// absolute impact on the raw margin, largest first. It allocates (one
-// slice) and is meant for flagged verdicts and inspection, not the
-// steady-state scoring path.
-func (m *Model) TopContributions(label, aceLabel, tld string, ageDays float64, hasAge bool, k int) []Contribution {
-	var v Vector
-	m.Featurize(label, aceLabel, tld, ageDays, hasAge, &v)
-	out := make([]Contribution, 0, NumFeatures)
+// TopContributions explains the margin of a featurized vector: the k
+// features with the largest absolute impact, largest first, equal
+// |impact| by feature name; features with zero impact are left out.
+// k <= 0 keeps every contribution. top[:n] holds the result; it comes
+// back by value, so the caller keeps as much of it as it needs and
+// nothing is allocated.
+func (m *Model) TopContributions(v *Vector, k int) (top [NumFeatures]Contribution, n int) {
+	if k <= 0 || k > NumFeatures {
+		k = NumFeatures
+	}
 	for i := 0; i < NumFeatures; i++ {
-		impact := m.weights[i] * v[i]
-		if impact == 0 {
+		c := Contribution{Feature: FeatureNames[i], Value: v[i], Impact: m.weights[i] * v[i]}
+		if c.Impact == 0 {
 			continue
 		}
-		out = append(out, Contribution{Feature: FeatureNames[i], Value: v[i], Impact: impact})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ai, aj := math.Abs(out[i].Impact), math.Abs(out[j].Impact)
-		if ai != aj {
-			return ai > aj
+		// Insertion into the sorted prefix: j is c's rank among the
+		// kept contributions; a rank past k is dropped.
+		j := n
+		for j > 0 && outranks(c, top[j-1]) {
+			j--
 		}
-		return out[i].Feature < out[j].Feature
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+		if j == k {
+			continue
+		}
+		if n < k {
+			n++
+		}
+		copy(top[j+1:n], top[j:n-1])
+		top[j] = c
 	}
-	return out
+	return top, n
+}
+
+// outranks orders contributions by descending |impact|, then by name.
+func outranks(a, b Contribution) bool {
+	ai, bi := math.Abs(a.Impact), math.Abs(b.Impact)
+	if ai != bi {
+		return ai > bi
+	}
+	return a.Feature < b.Feature
 }
 
 // Bigram is one interned bigram and its trained log-odds. Pair renders

@@ -15,8 +15,10 @@ import (
 //
 // Sharding bounds lock contention: each key hashes to one of S shards
 // (S rounded up to a power of two), and each shard owns an independent
-// mutex, LRU list and in-flight call table. Counters are process-wide
-// atomics so Stats() is safe during traffic.
+// mutex, one map and an LRU list. The singleflight state lives in the
+// map entry itself: a miss inserts a pending entry, which later lookups
+// of the key find and wait on. Counters are process-wide atomics so
+// Stats() is safe during traffic.
 type VerdictCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -34,26 +36,33 @@ type VerdictCache struct {
 	evictions atomic.Uint64
 }
 
-// cacheShard is one lock domain: an intrusive doubly-linked LRU over
-// map entries plus the shard's in-flight call table.
+// cacheShard is one lock domain: a map of cached and pending entries
+// and an intrusive doubly-linked LRU list over the cached ones. Pending
+// entries are off the list, so eviction never takes one.
 type cacheShard struct {
-	mu    sync.Mutex
-	cap   int
-	items map[string]*cacheEntry
-	head  *cacheEntry // most recently used
-	tail  *cacheEntry // least recently used
-	calls map[string]*inflight
+	mu     sync.Mutex
+	cap    int
+	cached int // entries on the LRU list
+	items  map[string]*cacheEntry
+	head   *cacheEntry // most recently used
+	tail   *cacheEntry // least recently used
 }
 
+// cacheEntry is a cached verdict or, while pending, a computation in
+// flight. Only the leader that inserted a pending entry completes it.
 type cacheEntry struct {
 	key        string
 	verdict    core.Verdict
 	prev, next *cacheEntry
+	pending    bool
+	// call is the pending computation's rendezvous, allocated by its
+	// first follower: a miss nobody waits on allocates none.
+	call *inflight
 }
 
-// inflight is one singleflight computation. Followers wait on done;
-// the leader fills verdict/err before marking it done. A WaitGroup
-// rather than a channel keeps a miss to one allocation for the call.
+// inflight is what followers of one pending entry wait on. The leader
+// fills verdict/err before marking it done; it outlives the entry,
+// which the shard may recycle as soon as the leader lets go of it.
 type inflight struct {
 	done    sync.WaitGroup
 	verdict core.Verdict
@@ -76,7 +85,6 @@ func NewVerdictCache(capacity, shardCount int) *VerdictCache {
 	for i := range c.shards {
 		c.shards[i].cap = perShard
 		c.shards[i].items = make(map[string]*cacheEntry)
-		c.shards[i].calls = make(map[string]*inflight)
 	}
 	return c
 }
@@ -101,48 +109,61 @@ func (c *VerdictCache) shard(key string) *cacheShard {
 
 // Do returns the verdict for key, computing it with compute on a miss.
 // Concurrent Do calls for the same key share one computation: the first
-// caller (the leader) runs compute, followers block until it finishes and
-// receive the same verdict or error. Errors are not cached — the next
-// request retries. hit reports whether the verdict came from cache or a
-// coalesced in-flight computation rather than a fresh compute.
+// caller (the leader) inserts a pending entry and runs compute,
+// followers block until it finishes and receive the same verdict or
+// error. Errors are not cached — the leader removes its entry and the
+// next request retries. hit reports whether the verdict came from cache
+// or a coalesced in-flight computation rather than a fresh compute.
 func (c *VerdictCache) Do(key string, compute func() (core.Verdict, error)) (v core.Verdict, hit bool, err error) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.items[key]; ok {
+		if e.pending {
+			if e.call == nil {
+				e.call = &inflight{}
+				e.call.done.Add(1)
+			}
+			call := e.call
+			s.mu.Unlock()
+			call.done.Wait()
+			c.coalesced.Add(1)
+			return call.verdict, true, call.err
+		}
 		s.moveFront(e)
 		v = e.verdict // under the lock: an eviction reuses the entry
 		s.mu.Unlock()
 		c.hits.Add(1)
 		return v, true, nil
 	}
-	if call, ok := s.calls[key]; ok {
-		s.mu.Unlock()
-		call.done.Wait()
-		c.coalesced.Add(1)
-		return call.verdict, true, call.err
-	}
-	call := &inflight{}
-	call.done.Add(1)
-	s.calls[key] = call
+	e := s.claim(c)
+	e.key, e.pending = key, true
+	s.items[key] = e
 	s.mu.Unlock()
 	c.misses.Add(1)
 
-	call.verdict, call.err = compute()
+	v, err = compute()
 
 	// Write-through runs outside the shard lock: it appends to the warm
 	// log's group-commit queue.
-	if call.err == nil && c.writeThrough != nil {
-		c.writeThrough(key, call.verdict)
+	if err == nil && c.writeThrough != nil {
+		c.writeThrough(key, v)
 	}
 
 	s.mu.Lock()
-	delete(s.calls, key)
-	if call.err == nil {
-		s.store(key, call.verdict, c)
+	call := e.call
+	e.pending, e.call = false, nil
+	if err != nil || s.cap <= 0 {
+		delete(s.items, key)
+	} else {
+		e.verdict = v
+		s.admit(e, c)
 	}
 	s.mu.Unlock()
-	call.done.Done()
-	return call.verdict, false, call.err
+	if call != nil {
+		call.verdict, call.err = v, err
+		call.done.Done()
+	}
+	return v, false, err
 }
 
 // SetWriteThrough attaches the durable write-through hook called for
@@ -154,22 +175,37 @@ func (c *VerdictCache) SetWriteThrough(fn func(key string, v core.Verdict)) {
 // Put inserts a verdict that was computed elsewhere — warm-boot
 // recovery, a replication frame or an anti-entropy record. It bypasses
 // singleflight and the hit/miss counters: warm inserts are not lookups
-// and must not distort the hit rate.
+// and must not distort the hit rate. A key whose verdict is pending is
+// left to its leader.
 func (c *VerdictCache) Put(key string, v core.Verdict) {
 	s := c.shard(key)
 	s.mu.Lock()
-	s.store(key, v, c)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.cap <= 0 {
+		return
+	}
+	if e, ok := s.items[key]; ok {
+		if !e.pending {
+			e.verdict = v
+			s.moveFront(e)
+		}
+		return
+	}
+	e := s.claim(c)
+	e.key, e.verdict = key, v
+	s.items[key] = e
+	s.admit(e, c)
 }
 
 // Peek reports whether key is cached without counting a hit or miss and
 // without promoting the entry — replication and anti-entropy ingest
 // probe with it, and probes must not perturb LRU order or the metrics
-// the smoke tests assert on.
+// the smoke tests assert on. A pending key is not cached yet.
 func (c *VerdictCache) Peek(key string) (core.Verdict, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.items[key]
+	ok = ok && !e.pending
 	var v core.Verdict
 	if ok {
 		v = e.verdict
@@ -178,30 +214,36 @@ func (c *VerdictCache) Peek(key string) (core.Verdict, bool) {
 	return v, ok
 }
 
-// store inserts under the shard lock. A full shard evicts its least
-// recently used entry and reuses it for the new key, so an insert at
-// capacity allocates nothing. A zero-capacity shard stores nothing.
-func (s *cacheShard) store(key string, v core.Verdict, c *VerdictCache) {
-	if s.cap <= 0 {
-		return
+// claim returns an entry for a new key, under the shard lock: a full
+// shard evicts its least recently used entry and recycles it, so a miss
+// or an insert at capacity allocates nothing.
+func (s *cacheShard) claim(c *VerdictCache) *cacheEntry {
+	if s.cap <= 0 || s.cached < s.cap {
+		return &cacheEntry{}
 	}
-	if e, ok := s.items[key]; ok { // raced with another leader
-		e.verdict = v
-		s.moveFront(e)
-		return
-	}
-	var e *cacheEntry
-	if len(s.items) >= s.cap {
-		e = s.tail
-		s.unlink(e)
-		delete(s.items, e.key)
-		c.evictions.Add(1)
-	} else {
-		e = &cacheEntry{}
-	}
-	e.key, e.verdict = key, v
-	s.items[key] = e
+	e := s.evict(c)
+	e.verdict = core.Verdict{}
+	return e
+}
+
+// admit puts a completed entry on the LRU list, evicting the tail if
+// concurrent misses have taken the shard past capacity.
+func (s *cacheShard) admit(e *cacheEntry, c *VerdictCache) {
 	s.pushFront(e)
+	s.cached++
+	if s.cached > s.cap {
+		s.evict(c)
+	}
+}
+
+// evict drops the least recently used cached entry and returns it.
+func (s *cacheShard) evict(c *VerdictCache) *cacheEntry {
+	e := s.tail
+	s.unlink(e)
+	delete(s.items, e.key)
+	s.cached--
+	c.evictions.Add(1)
+	return e
 }
 
 func (s *cacheShard) pushFront(e *cacheEntry) {
@@ -238,12 +280,13 @@ func (s *cacheShard) moveFront(e *cacheEntry) {
 	s.pushFront(e)
 }
 
-// Len reports the number of cached verdicts across all shards.
+// Len reports the number of cached verdicts across all shards; pending
+// entries are not counted.
 func (c *VerdictCache) Len() int {
 	n := 0
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
-		n += len(c.shards[i].items)
+		n += c.shards[i].cached
 		c.shards[i].mu.Unlock()
 	}
 	return n

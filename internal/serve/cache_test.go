@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"idnlab/internal/core"
 )
@@ -186,5 +187,202 @@ func TestCacheHitsUnderEvictionChurn(t *testing.T) {
 	wg.Wait()
 	if n := wrong.Load(); n != 0 {
 		t.Fatalf("%d lookups returned another key's verdict", n)
+	}
+}
+
+// TestCacheMissAtCapacityZeroAlloc: a miss nobody waits on, on a full
+// cache, recycles the entry it evicts as its pending entry and
+// allocates nothing in the cache.
+func TestCacheMissAtCapacityZeroAlloc(t *testing.T) {
+	const capacity = 256
+	c := NewVerdictCache(capacity, 4)
+	keys := make([]string, 4*capacity)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d.com", i)
+	}
+	v := vd("k.com")
+	compute := func() (core.Verdict, error) { return v, nil }
+	for _, k := range keys[:2*capacity] { // uneven shards are full after two capacities
+		c.Do(k, compute)
+	}
+	i := 2 * capacity
+	allocs := testing.AllocsPerRun(2*capacity-1, func() {
+		c.Do(keys[i], compute)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a miss on a full cache allocates %v, want 0", allocs)
+	}
+	if got := c.Len(); got != capacity {
+		t.Fatalf("Len = %d after misses at capacity, want %d", got, capacity)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 4*capacity {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// pendingLeader starts a Do for key whose compute blocks until release
+// is closed, and returns once the key's pending entry is in the cache.
+// The leader's result arrives on the returned channel.
+func pendingLeader(t *testing.T, c *VerdictCache, key string, release chan struct{}, v core.Verdict, err error) <-chan error {
+	t.Helper()
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		got, hit, gotErr := c.Do(key, func() (core.Verdict, error) {
+			close(started)
+			<-release
+			return v, err
+		})
+		if gotErr == nil && (hit || got.Domain != v.Domain) {
+			gotErr = fmt.Errorf("leader got %+v hit=%v", got, hit)
+		}
+		done <- gotErr
+	}()
+	<-started
+	return done
+}
+
+// TestCacheFailingLeaderReachesEveryFollower: a lookup that finds a
+// pending entry gets its leader's error and runs no compute of its own,
+// and nothing is cached. A lookup that arrives after the leader has
+// failed finds no entry and computes for itself; the leader is released
+// only once at least one follower waits on it.
+func TestCacheFailingLeaderReachesEveryFollower(t *testing.T) {
+	c := NewVerdictCache(16, 1)
+	boom := fmt.Errorf("boom")
+	release := make(chan struct{})
+	leader := pendingLeader(t, c, "x.com", release, core.Verdict{}, boom)
+
+	const lookups = 8
+	late := fmt.Errorf("computed after the leader failed")
+	var wg sync.WaitGroup
+	errs := make([]error, lookups)
+	computed := make([]bool, lookups)
+	for i := 0; i < lookups; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = c.Do("x.com", func() (core.Verdict, error) {
+				computed[i] = true
+				return core.Verdict{}, late
+			})
+		}(i)
+	}
+	for !c.followed("x.com") {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-leader; err != boom {
+		t.Fatalf("leader err = %v, want boom", err)
+	}
+	wg.Wait()
+	followers := 0
+	for i, err := range errs {
+		switch {
+		case err == boom && !computed[i]:
+			followers++
+		case err == late && computed[i]:
+		default:
+			t.Fatalf("lookup %d: err = %v, computed %v; want the leader's error, or its own after the leader", i, err, computed[i])
+		}
+	}
+	if followers == 0 {
+		t.Fatal("no lookup followed the leader")
+	}
+	if _, ok := c.Peek("x.com"); ok || c.Len() != 0 {
+		t.Fatalf("a failed verdict was cached (Len %d)", c.Len())
+	}
+	if st := c.Stats(); st.Coalesced != uint64(followers) || st.Misses != uint64(1+lookups-followers) {
+		t.Fatalf("stats: %+v with %d followers", st, followers)
+	}
+}
+
+// TestCachePeekAndPutLeavePendingToLeader: while a key is pending, Peek
+// reports it absent and Put does not overwrite it; the leader's verdict
+// is what lands.
+func TestCachePeekAndPutLeavePendingToLeader(t *testing.T) {
+	c := NewVerdictCache(16, 1)
+	release := make(chan struct{})
+	mine := core.Verdict{Domain: "p.com", Unicode: "leader"}
+	leader := pendingLeader(t, c, "p.com", release, mine, nil)
+
+	if _, ok := c.Peek("p.com"); ok {
+		t.Fatal("Peek reports a pending key as cached")
+	}
+	if _, ok := c.Get("p.com"); ok {
+		t.Fatal("Get reports a pending key as cached")
+	}
+	c.Put("p.com", core.Verdict{Domain: "p.com", Unicode: "replica"})
+	if _, ok := c.Peek("p.com"); ok {
+		t.Fatal("Put on a pending key made it cached before its leader finished")
+	}
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d with only a pending key", c.Len())
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c.Peek("p.com"); !ok || v.Unicode != "leader" {
+		t.Fatalf("after the leader: Peek = %+v, %v; want the leader's verdict", v, ok)
+	}
+	c.Put("p.com", core.Verdict{Domain: "p.com", Unicode: "replica"})
+	if v, _ := c.Peek("p.com"); v.Unicode != "replica" {
+		t.Fatalf("Put on a cached key: Peek = %+v", v)
+	}
+	// The LRU list is intact: 20 more keys leave exactly the last 16.
+	for i := 0; i < 20; i++ {
+		k := fmt.Sprintf("q%d.com", i)
+		c.Put(k, vd(k))
+	}
+	if _, ok := c.Peek("p.com"); ok || c.Len() != 16 {
+		t.Fatalf("after 20 inserts: p.com cached %v, Len %d; want evicted, 16", ok, c.Len())
+	}
+	for i := 4; i < 20; i++ {
+		if _, ok := c.Peek(fmt.Sprintf("q%d.com", i)); !ok {
+			t.Fatalf("q%d.com missing after the inserts", i)
+		}
+	}
+}
+
+// TestCacheCapacityOneWithPending: a one-entry shard evicts its entry
+// for a pending miss, serves other keys while it is pending and never
+// holds more than one cached verdict.
+func TestCacheCapacityOneWithPending(t *testing.T) {
+	c := NewVerdictCache(1, 1)
+	c.Do("a.com", func() (core.Verdict, error) { return vd("a.com"), nil })
+	release := make(chan struct{})
+	leader := pendingLeader(t, c, "b.com", release, vd("b.com"), nil)
+	if _, ok := c.Peek("a.com"); ok || c.Len() != 0 {
+		t.Fatalf("the pending miss did not recycle a.com (Len %d)", c.Len())
+	}
+
+	// Another key completes and is cached while b.com is pending.
+	if v, hit, err := c.Do("c.com", func() (core.Verdict, error) { return vd("c.com"), nil }); err != nil || hit || v.Domain != "c.com" {
+		t.Fatalf("Do(c.com) = %+v, %v, %v", v, hit, err)
+	}
+	c.Put("d.com", vd("d.com"))
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
+	}
+	// A follower of the pending key waits for it.
+	follower := make(chan core.Verdict, 1)
+	go func() {
+		v, _, _ := c.Do("b.com", func() (core.Verdict, error) { return vd("wrong"), nil })
+		follower <- v
+	}()
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if v := <-follower; v.Domain != "b.com" {
+		t.Fatalf("follower got %+v", v)
+	}
+	if v, ok := c.Peek("b.com"); !ok || v.Domain != "b.com" || c.Len() != 1 {
+		t.Fatalf("after the leader: Peek(b.com) = %+v, %v; Len %d", v, ok, c.Len())
+	}
+	if st := c.Stats(); st.Evictions != 3 || st.Size != 1 {
+		t.Fatalf("stats: %+v", st) // a, c (by d), d (by b)
 	}
 }

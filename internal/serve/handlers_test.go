@@ -327,6 +327,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	if snap.BatchEngine.Stage != "serve.batch" || snap.BatchEngine.In != 1 {
 		t.Fatalf("batch engine metrics: %+v", snap.BatchEngine)
 	}
+	rt := snap.Runtime
+	if rt.CPUSeconds <= 0 || rt.GCCPUSeconds < 0 || rt.GCCPUSeconds > rt.CPUSeconds ||
+		rt.HeapAllocObjects == 0 || rt.HeapAllocBytes < rt.HeapAllocObjects {
+		t.Fatalf("runtime block: %+v", rt)
+	}
+	// Cumulative: a later scrape never reads less.
+	postJSON(t, ts.URL+"/v1/detect/batch", `{"domains":["a.example","b.example","c.example"]}`)
+	later := readRuntimeStats()
+	if later.HeapAllocObjects < rt.HeapAllocObjects || later.HeapAllocBytes < rt.HeapAllocBytes ||
+		later.GCCycles < rt.GCCycles || later.CPUSeconds < rt.CPUSeconds || later.GCCPUSeconds < rt.GCCPUSeconds {
+		t.Fatalf("runtime block went backwards: %+v then %+v", rt, later)
+	}
 }
 
 // TestSingleDetectCountsOneLookup: a single detect is one cache lookup.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -78,4 +79,58 @@ type MetricsSnapshot struct {
 	// the replication and anti-entropy counters the store drill asserts
 	// against. Loaded=false on memory-only nodes.
 	Store StoreStats `json:"store"`
+	// Runtime is the Go runtime's cumulative cost block.
+	Runtime RuntimeStats `json:"runtime"`
+}
+
+// RuntimeStats is what the Go runtime has spent since the process
+// started, read from runtime/metrics. Every field is cumulative, so the
+// difference of two scrapes prices the traffic between them: Δ
+// heapAllocObjects ÷ Δ requests.labels is allocations per classified
+// name, Δ gcCpuSeconds ÷ Δ cpuSeconds the share of busy CPU that went
+// to the collector. The CPU figures are the runtime's own estimates
+// (/cpu/classes) as of the last completed collection, comparable with
+// each other but not with the OS's CPU accounting; the allocation
+// counts are flushed per span, so a short interval reads coarse.
+type RuntimeStats struct {
+	// CPUSeconds is the CPU time spent running Go code or the runtime:
+	// the /cpu/classes total less its idle class.
+	CPUSeconds float64 `json:"cpuSeconds"`
+	// GCCPUSeconds is the part of CPUSeconds spent on garbage collection.
+	GCCPUSeconds float64 `json:"gcCpuSeconds"`
+	// HeapAllocObjects counts every heap allocation, tiny ones included
+	// (what runtime.MemStats.Mallocs and testing.AllocsPerRun count).
+	HeapAllocObjects uint64 `json:"heapAllocObjects"`
+	// HeapAllocBytes is the bytes those allocations asked for.
+	HeapAllocBytes uint64 `json:"heapAllocBytes"`
+	// GCCycles counts completed collections.
+	GCCycles uint64 `json:"gcCycles"`
+}
+
+// runtimeSampleNames are the runtime/metrics read for RuntimeStats, in
+// the order readRuntimeStats consumes them.
+var runtimeSampleNames = [...]string{
+	"/cpu/classes/total:cpu-seconds",
+	"/cpu/classes/idle:cpu-seconds",
+	"/cpu/classes/gc/total:cpu-seconds",
+	"/gc/heap/allocs:objects",
+	"/gc/heap/tiny/allocs:objects",
+	"/gc/heap/allocs:bytes",
+	"/gc/cycles/total:gc-cycles",
+}
+
+// readRuntimeStats samples the runtime's cumulative counters.
+func readRuntimeStats() RuntimeStats {
+	var s [len(runtimeSampleNames)]metrics.Sample
+	for i, name := range runtimeSampleNames {
+		s[i].Name = name
+	}
+	metrics.Read(s[:])
+	return RuntimeStats{
+		CPUSeconds:       s[0].Value.Float64() - s[1].Value.Float64(),
+		GCCPUSeconds:     s[2].Value.Float64(),
+		HeapAllocObjects: s[3].Value.Uint64() + s[4].Value.Uint64(),
+		HeapAllocBytes:   s[5].Value.Uint64(),
+		GCCycles:         s[6].Value.Uint64(),
+	}
 }

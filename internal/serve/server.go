@@ -308,6 +308,7 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		Index:       indexStats(s.proto.Index()),
 		Detector:    s.proto.DetectorStats(),
 		Store:       s.storeStats(),
+		Runtime:     readRuntimeStats(),
 	}
 }
 

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"idnlab/internal/api"
 	"idnlab/internal/feat"
 	"idnlab/internal/zonegen"
 )
@@ -177,5 +180,63 @@ func TestStatDisabledWireUnchanged(t *testing.T) {
 		if strings.Contains(body, key) {
 			t.Fatalf("model-less verdict leaked ensemble key %s: %s", key, body)
 		}
+	}
+}
+
+// TestColdBatchAllocsPerDomain pins the allocation budget of the cold
+// path: 256-name batches of never-seen names through Server.Handler()
+// with a statistical model, on a full cache, so every name is a miss
+// that evicts. The count covers the whole request — decode, normalize,
+// the three detectors, the cache insert and the encode — per domain.
+func TestColdBatchAllocsPerDomain(t *testing.T) {
+	m, exs := statModel(t)
+	var names []string
+	seen := map[string]bool{}
+	for i := range exs {
+		name := exs[i].ACELabel + "." + exs[i].TLD
+		if !seen[name] {
+			seen[name] = true
+			names = append(names, name)
+		}
+	}
+	const batch = api.MaxBatch
+	const runs = 8
+	if len(names) < (runs+2)*batch {
+		t.Fatalf("%d fixture names, want %d", len(names), (runs+2)*batch)
+	}
+	s := NewServer(Config{TopK: 1000, Stat: m, Workers: 1, CacheSize: batch})
+	h := s.Handler()
+	bodies := make([][]byte, runs+2) // the fill batch, AllocsPerRun's warm-up run, the runs
+	for i := range bodies {
+		body, err := json.Marshal(api.BatchRequest{Domains: names[i*batch : (i+1)*batch]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	reqs := make([]*http.Request, len(bodies))
+	recs := make([]*httptest.ResponseRecorder, len(bodies))
+	for i := range bodies {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/detect/batch", bytes.NewReader(bodies[i]))
+		recs[i] = httptest.NewRecorder()
+	}
+	h.ServeHTTP(recs[0], reqs[0]) // fill: every later insert evicts
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		h.ServeHTTP(recs[next], reqs[next])
+		next++
+	})
+	for _, rec := range recs {
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	if hits := s.cache.Stats().Hits; hits != 0 {
+		t.Fatalf("%d cache hits on never-seen names", hits)
+	}
+	perDomain := allocs / batch
+	t.Logf("%.2f allocations per cold domain", perDomain)
+	if perDomain > 3.5 {
+		t.Fatalf("%.2f allocations per cold domain, want <= 3.5", perDomain)
 	}
 }
