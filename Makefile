@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 # at any benchtime; shorter runs are noisier.
 BENCHTIME ?= 1s
 
-.PHONY: all build vet test race bench-check bench-gates fuzz smoke report clean
+.PHONY: all build vet test race bench-check bench-gates fuzz smoke cover report clean
 
 all: build vet test
 
@@ -63,10 +63,24 @@ fuzz:
 smoke:
 	$(GO) test -tags smoke -count=1 ./internal/smoke/
 
+# Statement coverage of tier-1 and the smoke drills, the binaries they
+# run included: under -test.gocoverdir, internal/proctest builds the
+# binaries with -cover and points their counters at the same directory.
+# Prints each package's share, the total and every function no run
+# reaches.
+COVERDIR := $(CURDIR)/.cover
+cover:
+	rm -rf $(COVERDIR) && mkdir -p $(COVERDIR)/data
+	$(GO) test -count=1 -cover -coverpkg=idnlab/... ./... -args -test.gocoverdir=$(COVERDIR)/data
+	$(GO) test -count=1 -tags smoke -cover -coverpkg=idnlab/... ./internal/smoke/ -args -test.gocoverdir=$(COVERDIR)/data
+	$(GO) tool covdata percent -i=$(COVERDIR)/data
+	$(GO) tool covdata textfmt -i=$(COVERDIR)/data -o=$(COVERDIR)/cover.out
+	$(GO) tool cover -func=$(COVERDIR)/cover.out | awk '$$NF == "0.0%" || $$1 == "total:"'
+
 # The full study: every table and figure at 1/100 of the paper's corpus.
 report:
 	$(GO) run ./cmd/idnreport -seed 2018 -scale 100
 
 clean:
 	$(GO) clean ./...
-	rm -rf .bench_build zones test_output.txt bench_output.txt
+	rm -rf .bench_build .cover zones test_output.txt bench_output.txt

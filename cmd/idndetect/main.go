@@ -9,18 +9,19 @@
 // SEMANTIC lines are the service's verdict fields. The Type-2
 // dictionary, which the service does not consult, runs on the same
 // normalized form. The classifier probes the candidate index for the
-// -brands catalog, compiled once at start (~50 ms for the top 1000) and
-// byte-identical to the file `idnindex build` writes.
+// top-1000 catalog, compiled once at start (~50 ms) and byte-identical
+// to the file `idnindex build` writes.
 //
-// Classification fans across a worker pipeline with one classifier clone
-// per worker (the homograph renderer is not safe for concurrent use);
-// the order-preserving fan-in keeps output in input order, so results
-// are byte-identical to a sequential run. Ctrl-C cancels cleanly.
+// Classification fans across a worker pipeline GOMAXPROCS wide, with
+// one classifier clone per worker (the homograph renderer is not safe
+// for concurrent use); the order-preserving fan-in keeps output in
+// input order, so results are byte-identical to a sequential run. -q
+// prints only the flagged domains. Ctrl-C cancels cleanly.
 //
 // Usage:
 //
 //	idndetect xn--pple-43d.com apple邮箱.com example.com
-//	cat suspicious.txt | idndetect -workers 8 -metrics
+//	cat suspicious.txt | idndetect -q
 package main
 
 import (
@@ -51,15 +52,8 @@ type verdict struct {
 }
 
 func run(ctx context.Context) error {
-	var (
-		topK  = flag.Int("brands", 1000, "number of top brands to defend")
-		quiet = flag.Bool("q", false, "print only matching domains")
-	)
-	workers, metrics := cli.PipelineFlags("detection fan-out")
+	quiet := flag.Bool("q", false, "print only matching domains")
 	flag.Parse()
-	if err := cli.CheckBrands(*topK); err != nil {
-		return err
-	}
 
 	domains := flag.Args()
 	if len(domains) == 0 {
@@ -77,9 +71,9 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("no domains given (pass arguments or pipe to stdin)")
 	}
 
-	cls, type2 := core.NewClassifier(core.DetectorConfig{TopK: *topK}), core.NewType2Detector(nil)
+	cls, type2 := core.NewClassifier(core.DetectorConfig{TopK: 1000}), core.NewType2Detector(nil)
 	eng := pipeline.New(
-		pipeline.Config{Stage: "detect", Workers: *workers},
+		pipeline.Config{Stage: "detect"},
 		func() detectors { return detectors{cls: cls.Clone(), type2: type2} },
 		func(d detectors, domain string) (verdict, bool, error) {
 			return classify(d, domain, *quiet)
@@ -93,9 +87,6 @@ func run(ctx context.Context) error {
 		fmt.Println(v.line)
 		return nil
 	})
-	if *metrics {
-		fmt.Fprintln(os.Stderr, eng.Metrics())
-	}
 	if err != nil {
 		return err
 	}

@@ -2,21 +2,20 @@ package main
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"idnlab/internal/core"
+	"idnlab/internal/proctest"
 	"idnlab/internal/zonegen"
 )
 
-// TestClassifyAgreesWithVerdict is the CLI-doors differential: a name
-// given to idndetect gets the verdict idnserve would return for it
-// (core.Classifier.VerdictFor) — the same homograph and semantic match,
-// and INVALID exactly when the service rejects the name — over
-// malformed, boundary-length, mixed-case, trailing-dot and
-// Unicode-vs-ACE spellings, every labelled attack of the (2018, 100)
-// universe, and seẋ2.com.
-func TestClassifyAgreesWithVerdict(t *testing.T) {
+// doorCorpus is the names both tests classify: malformed,
+// boundary-length, mixed-case, trailing-dot and Unicode-vs-ACE
+// spellings, every labelled attack of the (2018, 100) universe, and
+// seẋ2.com.
+func doorCorpus() []string {
 	label63 := strings.Repeat("a", 63)
 	name253 := strings.Repeat(label63+".", 3) + strings.Repeat("b", 57) + ".com" // 3*64 + 57 + 4 octets
 	name254 := strings.Repeat(label63+".", 3) + strings.Repeat("b", 58) + ".com"
@@ -42,6 +41,16 @@ func TestClassifyAgreesWithVerdict(t *testing.T) {
 			corpus = append(corpus, l.ACE)
 		}
 	}
+	return corpus
+}
+
+// TestClassifyAgreesWithVerdict is the CLI-doors differential: a name
+// given to idndetect gets the verdict idnserve would return for it
+// (core.Classifier.VerdictFor) — the same homograph and semantic match,
+// and INVALID exactly when the service rejects the name — over
+// doorCorpus.
+func TestClassifyAgreesWithVerdict(t *testing.T) {
+	corpus := doorCorpus()
 	cls := core.NewClassifier(core.DetectorConfig{TopK: 1000})
 	d := detectors{cls: core.NewClassifier(core.DetectorConfig{TopK: 1000}).Clone(), type2: core.NewType2Detector(nil)}
 	kinds := map[string]int{}
@@ -76,6 +85,53 @@ func TestClassifyAgreesWithVerdict(t *testing.T) {
 	for _, kind := range []string{"INVALID", "HOMOGRAPH", "SEMANTIC", "TYPE2", "clean"} {
 		if kinds[kind] == 0 {
 			t.Errorf("corpus produced no %s line", kind)
+		}
+	}
+}
+
+// TestDoor runs the binary over the same names, with and without -q:
+// its lines are classify's, in input order, -q keeps only the flagged
+// ones, and the summary on stderr counts them.
+func TestDoor(t *testing.T) {
+	dir := t.TempDir()
+	if err := proctest.Build(dir, "idndetect"); err != nil {
+		t.Fatal(err)
+	}
+	corpus := doorCorpus()
+	d := detectors{cls: core.NewClassifier(core.DetectorConfig{TopK: 1000}), type2: core.NewType2Detector(nil)}
+	for _, quiet := range []bool{false, true} {
+		var want []string
+		flagged := 0
+		for _, domain := range corpus {
+			v, ok, err := classify(d, domain, quiet)
+			if err != nil {
+				t.Fatalf("classify(%q): %v", domain, err)
+			}
+			if v.flagged {
+				flagged++
+			}
+			if ok {
+				want = append(want, v.line)
+			}
+		}
+		want = append(want, fmt.Sprintf("%d of %d domains flagged", flagged, len(corpus)))
+		args := corpus
+		if quiet {
+			args = append([]string{"-q"}, corpus...)
+		}
+		out, err := proctest.Run("idndetect", filepath.Join(dir, "idndetect"), args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := strings.Split(out, "\n")
+		if len(got) != len(want) {
+			t.Errorf("quiet=%v: %d lines, want %d", quiet, len(got), len(want))
+		}
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Errorf("quiet=%v: line %d is %.80q, want %.80q", quiet, i, got[i], want[i])
+				break
+			}
 		}
 	}
 }

@@ -34,9 +34,9 @@ func run(ctx context.Context) error {
 		only     = flag.String("only", "", "run a single experiment, e.g. table2, figure7")
 		jsonMode = flag.Bool("json", false, "emit machine-readable JSON instead of the text report")
 		timings  = flag.Bool("timings", false, "print per-section render timings to stderr")
+		workers  = flag.Int("workers", 0, "width of the corpus-index pass, the classify pass and the section fan-out (0 = GOMAXPROCS)")
+		metrics  = flag.Bool("metrics", false, "print the scan passes' pipeline metrics to stderr after the run")
 	)
-	workers, metrics := cli.PipelineFlags("width of the corpus-index pass, the classify pass and the section fan-out")
-	prof := cli.ProfileFlags()
 	flag.Parse()
 
 	// Whatever the flags get wrong is said before the universe is
@@ -55,11 +55,6 @@ func run(ctx context.Context) error {
 			return err
 		}
 	}
-
-	if err := prof.Start(); err != nil {
-		return err
-	}
-	defer prof.Stop()
 
 	fmt.Fprintf(os.Stderr, "generating universe (seed %d, scale 1/%d)...\n", *seed, *scale)
 	ds, err := core.NewDefaultDataset(*seed, *scale)

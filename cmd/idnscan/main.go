@@ -1,17 +1,17 @@
 // Command idnscan scans zone files for internationalized domain names —
 // the paper's discovery step ("we searched substring xn-- in TLDs"). It
 // reads master-format zone files (as written by idnzonegen, or real TLD
-// snapshots) and prints per-zone SLD/IDN counts plus the decoded IDNs.
+// snapshots) and prints per-zone SLD/IDN counts and their totals.
 //
 // Zones are ingested through the streaming scanner (records are never
-// fully resident) and fanned across a context-aware worker pipeline, so
-// many zone files scan in parallel while the output order stays
-// deterministic. Ctrl-C cancels cleanly mid-scan.
+// fully resident) and fanned across a context-aware worker pipeline
+// GOMAXPROCS wide, so many zone files scan in parallel while the output
+// order stays deterministic. Ctrl-C cancels cleanly mid-scan.
 //
 // Usage:
 //
-//	idnscan [-v] [-workers N] [-metrics] zones/com.zone zones/net.zone ...
-//	idnscan -dir zones -metrics
+//	idnscan zones/com.zone zones/net.zone ...
+//	idnscan -dir zones
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"idnlab/internal/cli"
-	"idnlab/internal/idna"
 	"idnlab/internal/pipeline"
 	"idnlab/internal/zonefile"
 )
@@ -31,18 +30,8 @@ import (
 func main() { cli.Main("idnscan", run) }
 
 func run(ctx context.Context) error {
-	var (
-		dir     = flag.String("dir", "", "scan every *.zone file in this directory")
-		verbose = flag.Bool("v", false, "print each discovered IDN with its Unicode form")
-	)
-	workers, metrics := cli.PipelineFlags("zone files scanned concurrently")
-	prof := cli.ProfileFlags()
+	dir := flag.String("dir", "", "scan every *.zone file in this directory")
 	flag.Parse()
-
-	if err := prof.Start(); err != nil {
-		return err
-	}
-	defer prof.Stop()
 
 	paths := flag.Args()
 	if *dir != "" {
@@ -64,7 +53,7 @@ func run(ctx context.Context) error {
 	// claims one zone at a time, which keeps all workers busy on corpora
 	// with a few large zones.
 	eng := pipeline.New(
-		pipeline.Config{Stage: "zonescan", Workers: *workers, Batch: 1},
+		pipeline.Config{Stage: "zonescan", Batch: 1},
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, path string) (zonefile.ScanStats, bool, error) {
 			f, err := os.Open(path)
@@ -84,20 +73,8 @@ func run(ctx context.Context) error {
 		totalSLD += st.SLDCount
 		totalIDN += len(st.IDNs)
 		fmt.Printf("%-24s %8d SLDs %8d IDNs\n", st.Origin, st.SLDCount, len(st.IDNs))
-		if *verbose {
-			for _, d := range st.IDNs {
-				uni, err := idna.ToUnicode(d)
-				if err != nil {
-					uni = "(decode error: " + err.Error() + ")"
-				}
-				fmt.Printf("  %-40s %s\n", d, uni)
-			}
-		}
 		return nil
 	})
-	if *metrics {
-		fmt.Fprintln(os.Stderr, eng.Metrics())
-	}
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	idnserve -listen 127.0.0.1:8181 -brands 1000 -cache 65536
+//	idnserve -listen 127.0.0.1:8181 -brands 1000
 //	idnserve -listen 127.0.0.1:8181 -join 127.0.0.1:8180   # register with idngateway
 //	idnserve -listen 127.0.0.1:8181 -index brands.cidx     # O(1) candidate index
 //	curl -d '{"domain":"аррӏе.com"}' http://127.0.0.1:8181/v1/detect
@@ -43,8 +43,6 @@ func run(ctx context.Context) error {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:8181", "HTTP listen address (use :0 for an ephemeral port)")
 		topK      = flag.Int("brands", 1000, "number of top brands to defend")
-		workers   = flag.Int("workers", 0, "batch fan-out width (0 = GOMAXPROCS)")
-		cacheSize = flag.Int("cache", 65536, "verdict cache capacity (entries)")
 		join      = flag.String("join", "", "idngateway address to register with (peer mode)")
 		nodeID    = flag.String("node", "", "node ID for health bodies and ring placement (default: the advertised address with -join, else <hostname>-<pid>)")
 		advertise = flag.String("advertise", "", "host:port the gateway should route to (default: the bound listen address)")
@@ -76,14 +74,12 @@ func run(ctx context.Context) error {
 	}
 
 	srv := serve.NewServer(serve.Config{
-		NodeID:    *nodeID,
-		TopK:      *topK,
-		Workers:   *workers,
-		CacheSize: *cacheSize,
-		Index:     ix,
-		Stat:      stat,
-		Store:     store,
-		Replica:   cluster.ReplicaConfig{SyncInterval: *syncEvery},
+		NodeID:  *nodeID,
+		TopK:    *topK,
+		Index:   ix,
+		Stat:    stat,
+		Store:   store,
+		Replica: cluster.ReplicaConfig{SyncInterval: *syncEvery},
 	})
 	serveAndClose := func(ctx context.Context, addr string, ready chan<- net.Addr) error {
 		err := srv.Run(ctx, addr, ready)

@@ -5,7 +5,6 @@
 // Subcommands:
 //
 //	idnstat train -labels labels.csv -out model.idnstat [-seed N]
-//	idnstat train -seed 2018 -scale 100 -out model.idnstat   # corpus in-process
 //	idnstat eval  -model model.idnstat -labels labels.csv [-min-recall 0.95] [-max-pass 0.25]
 //	idnstat inspect -model model.idnstat
 //
@@ -14,13 +13,13 @@
 // -labels`) and writes a checksummed IDNSTAT1 blob. Identical inputs
 // produce bit-identical models.
 //
-// eval scores the held-out split under serving conditions and reports
-// precision/recall/AUC, the prefilter pass rate and per-population
-// recall as JSON; -min-recall/-max-pass turn the report into a gate
-// (exit 1 on violation) for CI.
+// eval scores the held-out split of the same CSV under serving
+// conditions and reports precision/recall/AUC, the prefilter pass rate
+// and per-population recall as JSON; -min-recall/-max-pass turn the
+// report into a gate (exit 1 on violation) for CI.
 //
 // inspect prints the model card: header fields, thresholds, weights and
-// the largest-magnitude bigrams.
+// the ten largest-magnitude bigrams.
 package main
 
 import (
@@ -53,12 +52,13 @@ func run(context.Context) error {
 	return fmt.Errorf("unknown subcommand %q (want train, eval or inspect)", args[0])
 }
 
-// loadExamples reads a labels CSV (idnzonegen -labels) into training
-// examples, or falls back to generating the corpus in-process.
-func loadExamples(labelsPath string, seed uint64, scale int) ([]feat.Example, error) {
+// topBigrams is how many bigrams inspect prints.
+const topBigrams = 10
+
+// loadExamples reads a labels CSV (idnzonegen -labels) into examples.
+func loadExamples(labelsPath string) ([]feat.Example, error) {
 	if labelsPath == "" {
-		reg := zonegen.Generate(zonegen.Config{Seed: seed, Scale: scale})
-		return feat.FromLabeled(reg.Labels()), nil
+		return nil, fmt.Errorf("-labels is required (write it with idnzonegen -labels)")
 	}
 	f, err := os.Open(labelsPath)
 	if err != nil {
@@ -75,18 +75,16 @@ func loadExamples(labelsPath string, seed uint64, scale int) ([]feat.Example, er
 func runTrain(args []string) error {
 	fs := flag.NewFlagSet("idnstat train", flag.ExitOnError)
 	var (
-		labels = fs.String("labels", "", "labeled CSV from idnzonegen -labels (default: generate corpus in-process)")
+		labels = fs.String("labels", "", "labeled CSV from idnzonegen -labels")
 		out    = fs.String("out", "model.idnstat", "output model path")
-		seed   = fs.Uint64("seed", 2018, "training seed (and corpus seed without -labels)")
-		scale  = fs.Int("scale", 100, "corpus down-scaling divisor (without -labels)")
-		epochs = fs.Int("epochs", 0, "SGD epochs (0 = default)")
+		seed   = fs.Uint64("seed", 2018, "training seed")
 	)
 	fs.Parse(args)
-	exs, err := loadExamples(*labels, *seed, *scale)
+	exs, err := loadExamples(*labels)
 	if err != nil {
 		return err
 	}
-	m, rep, err := feat.Train(exs, feat.TrainConfig{Seed: *seed, Epochs: *epochs})
+	m, rep, err := feat.Train(exs, feat.TrainConfig{Seed: *seed})
 	if err != nil {
 		return err
 	}
@@ -106,10 +104,7 @@ func runEval(args []string) error {
 	fs := flag.NewFlagSet("idnstat eval", flag.ExitOnError)
 	var (
 		model     = fs.String("model", "model.idnstat", "trained model path")
-		labels    = fs.String("labels", "", "labeled CSV (default: regenerate corpus from -seed/-scale)")
-		seed      = fs.Uint64("seed", 2018, "corpus seed (without -labels)")
-		scale     = fs.Int("scale", 100, "corpus scale (without -labels)")
-		all       = fs.Bool("all", false, "evaluate on every example instead of the held-out split")
+		labels    = fs.String("labels", "", "labeled CSV from idnzonegen -labels")
 		minRecall = fs.Float64("min-recall", 0, "fail unless held-out prefilter recall is at least this")
 		maxPass   = fs.Float64("max-pass", 0, "fail if the prefilter pass rate exceeds this")
 	)
@@ -118,14 +113,12 @@ func runEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	exs, err := loadExamples(*labels, *seed, *scale)
+	exs, err := loadExamples(*labels)
 	if err != nil {
 		return err
 	}
-	if !*all {
-		_, exs = feat.Split(exs)
-	}
-	rep := feat.Evaluate(m, exs)
+	_, held := feat.Split(exs)
+	rep := feat.Evaluate(m, held)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
@@ -142,10 +135,7 @@ func runEval(args []string) error {
 
 func runInspect(args []string) error {
 	fs := flag.NewFlagSet("idnstat inspect", flag.ExitOnError)
-	var (
-		model = fs.String("model", "model.idnstat", "trained model path")
-		topN  = fs.Int("bigrams", 10, "largest-magnitude bigrams to print")
-	)
+	model := fs.String("model", "model.idnstat", "trained model path")
 	fs.Parse(args)
 	m, err := feat.LoadFile(*model)
 	if err != nil {
@@ -163,9 +153,9 @@ func runInspect(args []string) error {
 	for i, name := range feat.FeatureNames {
 		fmt.Printf("  %-18s %+.4f\n", name, w[i])
 	}
-	if *topN > 0 && m.BigramCount() > 0 {
-		fmt.Printf("top %d bigrams by |log-odds|:\n", *topN)
-		for _, b := range m.TopBigrams(*topN) {
+	if m.BigramCount() > 0 {
+		fmt.Printf("top %d bigrams by |log-odds|:\n", topBigrams)
+		for _, b := range m.TopBigrams(topBigrams) {
 			fmt.Printf("  %-12q %+.4f\n", b.Pair, b.LogOdds)
 		}
 	}

@@ -49,7 +49,6 @@ func run(ctx context.Context) error {
 		cursor    = flag.String("cursor", "", "cursor file (default <alerts>.cursor)")
 		indexPath = flag.String("index", "", "precomputed candidate index (built by idnindex); default compiles the -brands one in-process")
 		topK      = flag.Int("brands", 1000, "brands to build the in-process index from (ignored with -index)")
-		workers   = flag.Int("workers", 0, "match fan-out width (0 = GOMAXPROCS)")
 		subsN     = flag.Int("subs", 0, "synthetic standing subscriptions to install (0 = one per brand)")
 		interval  = flag.Duration("interval", time.Second, "poll interval for new delta files")
 		once      = flag.Bool("once", false, "process pending deltas once, then exit")
@@ -104,7 +103,7 @@ func run(ctx context.Context) error {
 	}
 	snap := subs.Compile()
 
-	eng, err := watch.NewEngine(det, subs, watch.EngineConfig{Workers: *workers})
+	eng, err := watch.NewEngine(det, subs, watch.EngineConfig{})
 	if err != nil {
 		return err
 	}

@@ -9,8 +9,9 @@
 //
 // With -deltas N it additionally emits N days of deterministic
 // day-over-day zone deltas (adds/drops/NS changes in IXFR-style master
-// syntax) as delta-<serial>.zone files — the input stream the idnwatch
-// daemon tails.
+// syntax, the daily volume derived from the corpus size) as
+// delta-<serial>.zone files — the input stream the idnwatch daemon
+// tails.
 //
 // With -labels FILE it emits the labeled classifier ground truth as a
 // deterministic CSV (population, age, positive/negative class, and the
@@ -37,7 +38,6 @@ func run(context.Context) error {
 		seed        = flag.Uint64("seed", 1, "generation seed")
 		scale       = flag.Int("scale", zonegen.DefaultScale, "down-scaling divisor (1 = paper scale)")
 		deltaDays   = flag.Int("deltas", 0, "also emit this many days of zone deltas")
-		adds        = flag.Int("delta-adds", 0, "registrations per delta day (0 = derived from corpus size)")
 		attackShare = flag.Float64("delta-attack-share", 0, "fraction of delta adds that are homograph attacks (0 = default)")
 		skipZones   = flag.Bool("deltas-only", false, "skip the full zone snapshot, emit only deltas")
 		labelsPath  = flag.String("labels", "", "also write the labeled train/eval CSV for idnstat to this file")
@@ -85,7 +85,7 @@ func run(context.Context) error {
 		}
 	}
 	if *deltaDays > 0 {
-		gen := reg.DeltaStream(zonegen.DeltaConfig{AddsPerDay: *adds, AttackShare: *attackShare})
+		gen := reg.DeltaStream(zonegen.DeltaConfig{AttackShare: *attackShare})
 		var records int
 		for i := 0; i < *deltaDays; i++ {
 			d := gen.Next()

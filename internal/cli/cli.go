@@ -1,18 +1,16 @@
 // Package cli is the scaffold every command in cmd/ hangs off: the
-// error line and exit code, the signal context, the flags several tools
-// share, and the boot and drain sequence of the daemons. A command's
-// main is the flags it owns plus a call into the package it fronts.
+// error line and exit code, the signal context, the flag checks several
+// tools share, and the boot and drain sequence of the daemons. A
+// command's main is the flags it owns plus a call into the package it
+// fronts.
 package cli
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 
 	"idnlab/internal/brands"
@@ -30,13 +28,6 @@ func Main(name string, run func(ctx context.Context) error) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 		os.Exit(1)
 	}
-}
-
-// PipelineFlags registers -workers and -metrics, the two flags of every
-// tool built on internal/pipeline; fanOut names what -workers fans out.
-func PipelineFlags(fanOut string) (workers *int, metrics *bool) {
-	return flag.Int("workers", 0, fanOut+" (0 = GOMAXPROCS)"),
-		flag.Bool("metrics", false, "print pipeline metrics to stderr after the run")
 }
 
 // CheckScale rejects a -scale below 1 for the tools that generate the
@@ -57,64 +48,6 @@ func CheckBrands(k int) error {
 		return fmt.Errorf("brand count must be in 1..%d (the brand list), got %d", n, k)
 	}
 	return nil
-}
-
-// Profile is the -cpuprofile/-memprofile pair.
-type Profile struct {
-	cpuPath, memPath *string
-	cpuFile          *os.File
-}
-
-// ProfileFlags registers -cpuprofile and -memprofile.
-func ProfileFlags() *Profile {
-	return &Profile{
-		cpuPath: flag.String("cpuprofile", "", "write a CPU profile to this file"),
-		memPath: flag.String("memprofile", "", "write a heap profile to this file at exit"),
-	}
-}
-
-// Start begins the CPU profile if one was asked for. Call it after
-// flag.Parse and defer Stop.
-func (p *Profile) Start() error {
-	if *p.cpuPath == "" {
-		return nil
-	}
-	f, err := os.Create(*p.cpuPath)
-	if err != nil {
-		return fmt.Errorf("cpuprofile: %w", err)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("cpuprofile: %w", err)
-	}
-	p.cpuFile = f
-	return nil
-}
-
-// Stop flushes the CPU profile and writes the heap profile. The
-// workload has already run by now, so a failure is reported on stderr
-// and does not change the command's result.
-func (p *Profile) Stop() {
-	if p.cpuFile != nil {
-		pprof.StopCPUProfile()
-		if err := p.cpuFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-		}
-	}
-	if *p.memPath == "" {
-		return
-	}
-	f, err := os.Create(*p.memPath)
-	if err == nil {
-		runtime.GC() // materialize up-to-date allocation stats
-		err = pprof.WriteHeapProfile(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memprofile:", err)
-	}
 }
 
 // ServeUntilDrained runs a daemon's listener from boot to clean exit.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -557,6 +558,9 @@ var cfgAllowed = map[string]string{
 	"internal/cluster.GatewayConfig.Router": "test seam: carries RouterConfig.Client into a gateway under test",
 	"internal/vstore.Config.CompactBytes":   "test seam: the store tests reach compaction without writing 8 MiB",
 	"internal/vstore.Config.NoFsync":        "test seam: the store tests and fuzzers skip fsync",
+	"internal/serve.Config.Workers":         "test seam: the serve and cluster tests pin the batch width, so alloc counts and admission do not follow the machine's GOMAXPROCS",
+	"internal/serve.Config.CacheSize":       "test seam: the serve tests reach eviction with caches of 2 to 64 entries",
+	"internal/watch.EngineConfig.Workers":   "test seam: the engine tests run a 2- and 4-wide pool, so the order guarantee is exercised on a one-core machine too",
 }
 
 // TestEveryConfigFieldHasASetter holds the daemons to deployment
@@ -691,4 +695,277 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 	for _, u := range unset {
 		t.Errorf("%s: no setter in cmd/, internal/ outside its defaults, or bench/e2e: make it a constant", u)
 	}
+}
+
+// flagAllowed are the flags TestEveryFlagHasASetter lets stand without
+// a run that passes them, each with the reason. A key is "binary -flag",
+// or "binary subcommand -flag".
+var flagAllowed = map[string]string{
+	"idngateway -node":    "deployment setting: the gateway's name in its health bodies and /metrics",
+	"idnserve -advertise": "deployment setting: the address the gateway routes to when it is not the bound one (NAT, a container's published port)",
+	"idnwatch -cursor":    "deployment setting: the cursor file's path when it does not live beside the alert log",
+	"idnwatch -from":      "deployment setting: the resume cursor a replay consumer saved from its last run",
+}
+
+// flagDefiners are the flag package's functions and *FlagSet methods
+// that register a flag; the ones ending in Var take the name second.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
+// TestEveryFlagHasASetter is TestEveryConfigFieldHasASetter at the
+// binaries' door: every flag a cmd/ binary or subcommand registers —
+// itself, or through a helper under internal/ it calls — is passed to
+// that binary by a run someone makes: a smoke drill, a cmd/ test,
+// bench/e2e, bench/run.sh, the Makefile or CI. A flag no run passes is
+// a configuration no test covers: it becomes GOMAXPROCS, a constant, or
+// goes, unless flagAllowed names it as a deployment setting.
+//
+// A run is read from its literals: in a call or a []string literal, a
+// string naming a binary (or a call such as tool("idnserve") given one)
+// is followed by an optional subcommand and the "-flag" strings passed
+// to it; in a cmd/ test the binary is the package's own. In the
+// Makefile, CI and shell files the same is read from each line's words.
+func TestEveryFlagHasASetter(t *testing.T) {
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// definer returns the flag name a call registers and whether it
+	// registers on a *FlagSet rather than the command line.
+	definer := func(p *modulePkg, call *ast.CallExpr) (name string, set, ok bool) {
+		sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !isSel {
+			return "", false, false
+		}
+		fn, isFn := p.info.Uses[sel.Sel].(*types.Func)
+		if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || !flagDefiners[fn.Name()] {
+			return "", false, false
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv != nil && types.TypeString(recv.Type(), nil) != "*flag.FlagSet" {
+			return "", false, false // a flag.Value's String, say
+		}
+		arg := 0
+		if strings.HasSuffix(fn.Name(), "Var") {
+			arg = 1
+		}
+		v := p.info.Types[call.Args[arg]].Value
+		if v == nil || v.Kind() != constant.String {
+			t.Errorf("%s: flag name is not a constant", mod.fset.Position(call.Pos()))
+			return "", false, false
+		}
+		return constant.StringVal(v), recv != nil, true
+	}
+
+	// Flags the helpers under internal/ register on the command line, by
+	// function; a cmd/ binary that calls one registers them.
+	helpers := make(map[string][]string)
+	for _, p := range mod.pkgs {
+		if !strings.HasPrefix(p.path, module+"internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if name, set, ok := definer(p, call); ok && !set {
+							k := p.path + "." + fd.Name.Name
+							helpers[k] = append(helpers[k], name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	// registered maps "binary [subcommand] -flag" to where it is
+	// registered; subs is each binary's subcommands, from the names its
+	// flag.NewFlagSet calls give (the last word: "idnstat train").
+	registered := make(map[string]token.Position)
+	subs := make(map[string]map[string]bool)
+	for _, p := range mod.pkgs {
+		bin, ok := strings.CutPrefix(p.path, module+"cmd/")
+		if !ok {
+			continue
+		}
+		subs[bin] = make(map[string]bool)
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				sub := ""
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if fn, ok := p.info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "flag" && fn.Name() == "NewFlagSet" {
+						if v := p.info.Types[call.Args[0]].Value; v != nil && v.Kind() == constant.String {
+							words := strings.Fields(constant.StringVal(v))
+							sub = words[len(words)-1]
+							subs[bin][sub] = true
+						}
+					}
+					return true
+				})
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					var names []string
+					set := false
+					if name, onSet, ok := definer(p, call); ok {
+						names, set = []string{name}, onSet
+					} else if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+						if fn, ok := p.info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
+							names = helpers[fn.Pkg().Path()+"."+fn.Name()]
+						}
+					}
+					for _, name := range names {
+						k := bin + " -" + name
+						if set {
+							if sub == "" {
+								t.Errorf("%s: flag -%s registered on a FlagSet whose subcommand is not named in this function",
+									mod.fset.Position(call.Pos()), name)
+							}
+							k = bin + " " + sub + " -" + name
+						}
+						registered[k] = mod.fset.Position(call.Pos())
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	// passed records the flags one run's words pass: a binary's name
+	// (or a path ending in cmd/<name>), an optional subcommand, flags.
+	passed := make(map[string]bool)
+	binary := func(word string) string {
+		for bin := range subs {
+			if word == bin || strings.HasSuffix(word, "cmd/"+bin) {
+				return bin
+			}
+		}
+		return ""
+	}
+	run := func(bin string, words []string) {
+		sub := ""
+		for i, w := range words {
+			if b := binary(w); b != "" {
+				bin, sub = b, ""
+				if i+1 < len(words) && subs[b][words[i+1]] {
+					sub = words[i+1]
+				}
+				continue
+			}
+			if bin == "" || !strings.HasPrefix(w, "-") {
+				continue
+			}
+			name, _, _ := strings.Cut(strings.TrimLeft(w, "-"), "=")
+			if sub != "" {
+				passed[bin+" "+sub+" -"+name] = true
+			} else {
+				passed[bin+" -"+name] = true
+			}
+		}
+	}
+	literal := func(x ast.Expr) string {
+		if lit, ok := x.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			s, _ := strconv.Unquote(lit.Value)
+			return s
+		}
+		return ""
+	}
+	goRuns := func(pattern, bin string) {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fset := token.NewFileSet()
+		for _, path := range paths {
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				var args []ast.Expr
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					args = n.Args
+				case *ast.CompositeLit:
+					args = n.Elts
+				default:
+					return true
+				}
+				words := make([]string, len(args))
+				for i, a := range args {
+					words[i] = literal(a)
+					if call, ok := a.(*ast.CallExpr); ok {
+						for _, ca := range call.Args {
+							if b := binary(literal(ca)); b != "" {
+								words[i] = b
+							}
+						}
+					}
+				}
+				run(bin, words)
+				return true
+			})
+		}
+	}
+	for bin := range subs {
+		goRuns("../../cmd/"+bin+"/*_test.go", bin)
+	}
+	goRuns("../../internal/smoke/*_test.go", "")
+	goRuns("../../bench/e2e/*.go", "")
+	ci, err := filepath.Glob("../../.github/workflows/*.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(ci, "../../Makefile", "../../bench/run.sh") {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(text), "\n") {
+			run("", strings.Fields(line))
+		}
+	}
+
+	var unpassed []string
+	for k, pos := range registered {
+		switch {
+		case passed[k] && flagAllowed[k] != "":
+			t.Errorf("%s is allowed without a run but one passes it now: drop it from flagAllowed", k)
+		case !passed[k] && flagAllowed[k] == "":
+			unpassed = append(unpassed, fmt.Sprintf("%s: %s", pos, k))
+		}
+	}
+	for k := range flagAllowed {
+		if _, ok := registered[k]; !ok {
+			t.Errorf("flagAllowed names %s, which is not a registered flag", k)
+		}
+	}
+	sort.Strings(unpassed)
+	for _, u := range unpassed {
+		t.Errorf("%s: no smoke drill, cmd/ test, bench/e2e, bench/run.sh, Makefile or CI run passes it: make it GOMAXPROCS or a constant, drop it, or add a run that passes it", u)
+	}
+	t.Logf("%d flags registered", len(registered))
 }

@@ -83,6 +83,7 @@ type Verdict struct {
 	// or when no model is attached.
 	Statistical *StatMatch `json:"statistical,omitempty"`
 	// Confidence carries per-detector confidence; nil without a model.
+	// It is read-only: the ASCII verdicts share one block.
 	Confidence *EnsembleConfidence `json:"confidence,omitempty"`
 	// Suspicion is the ensemble's overall level: "high" (a structural
 	// detector matched), "medium" (statistical flag only), "low"
@@ -196,18 +197,22 @@ func (c *Classifier) Clone() *Classifier {
 func (c *Classifier) Verdict(n NormalizedDomain) Verdict {
 	v := Verdict{Domain: n.ACE, Unicode: n.Unicode, IDN: idna.IsIDN(n.ACE)}
 	stat := c.homo.stat
-	if stat == nil || n.ASCII {
-		// No model (baseline path), or an ASCII label the statistical
-		// and homograph detectors both fast-exit on.
+	if n.ASCII {
+		// Neither structural detector looks at an ASCII label and the
+		// model does not score one: under a model, its confidence block
+		// is all zeros.
+		if stat != nil {
+			v.Confidence, v.Suspicion = &asciiConfidence, SuspicionNone
+		}
+		return v
+	}
+	if stat == nil {
+		// The two-detector baseline.
 		if m, ok := c.homo.DetectNormalized(n); ok {
 			v.Homograph = kept(m)
 		}
 		if m, ok := c.sem.DetectNormalized(n); ok {
 			v.Semantic = kept(m)
-		}
-		if stat != nil {
-			v.Confidence = &EnsembleConfidence{Semantic: semConfidence(v.Semantic)}
-			v.Suspicion = suspicionLevel(&v, false)
 		}
 		return v
 	}
@@ -243,6 +248,10 @@ func (c *Classifier) Verdict(n NormalizedDomain) Verdict {
 	v.Suspicion = suspicionLevel(&v, passed)
 	return v
 }
+
+// asciiConfidence is the confidence block every ASCII verdict under a
+// model points at; nothing writes through Verdict.Confidence.
+var asciiConfidence EnsembleConfidence
 
 // flaggedStat is the one allocation behind a statistically flagged
 // verdict's Statistical and Confidence fields.

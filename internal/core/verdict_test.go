@@ -6,6 +6,8 @@ import (
 
 	"idnlab/internal/brands"
 	"idnlab/internal/candidx"
+	"idnlab/internal/feat"
+	"idnlab/internal/zonegen"
 )
 
 // TestNormalizeForms pins the shared normalization: both spellings of a
@@ -169,3 +171,26 @@ var errMismatch = &mismatchError{}
 type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "clone verdict mismatch" }
+
+// TestASCIIVerdictWithModelZeroAlloc: under a model, an ASCII name's
+// verdict carries an all-zero confidence block and suspicion "none",
+// and costs no allocation — it used to allocate the block per call.
+func TestASCIIVerdictWithModelZeroAlloc(t *testing.T) {
+	m, _, err := feat.Train(feat.FromLabeled(zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 400}).Labels()),
+		feat.TrainConfig{Seed: 2018})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := NewClassifier(DetectorConfig{TopK: 1000, Stat: m})
+	n, err := Normalize("example.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := cls.Verdict(n)
+	if v.Confidence == nil || *v.Confidence != (EnsembleConfidence{}) || v.Suspicion != SuspicionNone || v.Flagged() {
+		t.Errorf("verdict for %s = %+v, confidence %+v; want unflagged, all-zero confidence, suspicion none", n.ACE, v, v.Confidence)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { cls.Verdict(n) }); allocs != 0 {
+		t.Errorf("ASCII verdict with a model: %.0f allocs, want 0", allocs)
+	}
+}

@@ -43,8 +43,8 @@ func Split(exs []Example) (train, eval []Example) {
 	return train, eval
 }
 
-// Training constants. SGD starts at step size learnRate, decayed per
-// epoch, under ridge penalty l2. The prefilter floor is the largest raw
+// Training constants. SGD makes epochs passes, starting at step size
+// learnRate decayed per epoch, under ridge penalty l2. The prefilter floor is the largest raw
 // threshold keeping at least targetRecall on training positives under
 // serving conditions (margin over the 0.95 eval gate). The flag
 // threshold maximizes F1 only among thresholds keeping at least
@@ -54,6 +54,7 @@ func Split(exs []Example) (train, eval []Example) {
 // seen fewer than minBigramCount times in training are dropped: rare
 // bigrams are noise and bloat the table.
 const (
+	epochs         = 8
 	learnRate      = 0.5
 	l2             = 1e-4
 	targetRecall   = 0.995
@@ -61,21 +62,11 @@ const (
 	minBigramCount = 3
 )
 
-// TrainConfig parameterizes Train. The zero value selects defaults
-// that converge on the synthetic corpus at any scale.
+// TrainConfig parameterizes Train.
 type TrainConfig struct {
 	// Seed drives every stochastic choice (shuffles); identical
 	// (examples, config) inputs produce bit-identical models.
 	Seed uint64
-	// Epochs is the number of SGD passes (default 8).
-	Epochs int
-}
-
-func (c TrainConfig) withDefaults() TrainConfig {
-	if c.Epochs <= 0 {
-		c.Epochs = 8
-	}
-	return c
 }
 
 // TrainReport summarizes a training run.
@@ -102,7 +93,6 @@ type TrainReport struct {
 // The returned model went through a full encode/Load round trip, so it
 // scores through the identical zero-copy path a disk-loaded model does.
 func Train(exs []Example, cfg TrainConfig) (*Model, *TrainReport, error) {
-	cfg = cfg.withDefaults()
 	train, eval := Split(exs)
 	pos, neg := 0, 0
 	for _, e := range train {
@@ -157,7 +147,7 @@ func Train(exs []Example, cfg TrainConfig) (*Model, *TrainReport, error) {
 	var w [NumFeatures]float64
 	bias := 0.0
 	finalLoss := 0.0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		rng.Shuffle(len(insts), func(i, j int) { insts[i], insts[j] = insts[j], insts[i] })
 		lr := learnRate / (1 + float64(epoch))
 		loss, wsum := 0.0, 0.0
@@ -204,7 +194,7 @@ func Train(exs []Example, cfg TrainConfig) (*Model, *TrainReport, error) {
 		Positives:     pos,
 		Negatives:     neg,
 		Bigrams:       len(params.bigramKeys),
-		Epochs:        cfg.Epochs,
+		Epochs:        epochs,
 		FinalLoss:     finalLoss,
 		FlagRaw:       params.flagRaw,
 		PrefilterRaw:  params.prefilterRaw,

@@ -11,9 +11,11 @@ package proctest
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -42,8 +44,13 @@ const (
 // Build compiles the named commands (directories under cmd/) into dir
 // with a single `go build`, so that a test run pays for compilation
 // once. It works from any directory of a module that can import idnlab.
+// When coverage is collected (coverDir), the binaries are built with
+// coverage of the whole module.
 func Build(dir string, names ...string) error {
 	args := []string{"build", "-o", dir + string(filepath.Separator)}
+	if coverDir() != "" {
+		args = append(args, "-cover", "-coverpkg=idnlab/...")
+	}
 	for _, n := range names {
 		args = append(args, "idnlab/cmd/"+n)
 	}
@@ -51,6 +58,18 @@ func Build(dir string, names ...string) error {
 		return fmt.Errorf("go build: %w\n%s", err, out)
 	}
 	return nil
+}
+
+// coverDir is where a child built with coverage writes its counters at
+// exit: the -test.gocoverdir of the test that starts it, so that `make
+// cover` finds a test's children beside the test, else GOCOVERDIR. ""
+// means no coverage is collected. (`go test -cover` points GOCOVERDIR
+// at a directory of its own, which the flag overrides.)
+func coverDir() string {
+	if f := flag.Lookup("test.gocoverdir"); f != nil && f.Value.String() != "" {
+		return f.Value.String()
+	}
+	return os.Getenv("GOCOVERDIR")
 }
 
 // lineLog collects a child's combined output line by line.
@@ -104,6 +123,9 @@ type Proc struct {
 // child's log. name labels the child in errors.
 func Start(name, bin string, args ...string) (*Proc, error) {
 	p := &Proc{name: name, cmd: exec.Command(bin, args...), done: make(chan struct{})}
+	if dir := coverDir(); dir != "" {
+		p.cmd.Env = append(os.Environ(), "GOCOVERDIR="+dir)
+	}
 	p.cmd.Stdout = &p.log
 	p.cmd.Stderr = &p.log
 	if err := p.cmd.Start(); err != nil {

@@ -53,10 +53,12 @@ type Config struct {
 	// TopK is the brand-list depth defended (default 1000).
 	TopK int
 	// Workers is the batch fan-out width and the size of the
-	// single-request clone pool; <= 0 selects GOMAXPROCS.
+	// single-request clone pool; <= 0 selects GOMAXPROCS, the width the
+	// daemon runs at. Tests pin it.
 	Workers int
-	// CacheSize is the verdict-cache capacity in entries (default
-	// 65536).
+	// CacheSize is the verdict-cache capacity in entries; <= 0 selects
+	// 65536, the capacity the daemon runs at. Tests shrink it to reach
+	// eviction.
 	CacheSize int
 	// Index, when set, is a precomputed homograph candidate index (built
 	// offline by idnindex, loaded with candidx.LoadFile) that replaces

@@ -12,7 +12,9 @@ import (
 
 // EngineConfig parameterizes the streaming match engine.
 type EngineConfig struct {
-	// Workers is the match fan-out; <= 0 selects GOMAXPROCS.
+	// Workers is the match fan-out; <= 0 selects GOMAXPROCS, the width
+	// the daemon runs at. Tests pin a pool wider than one, so the order
+	// guarantee is exercised on a one-core machine too.
 	Workers int
 }
 
