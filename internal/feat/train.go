@@ -44,15 +44,15 @@ func Split(exs []Example) (train, eval []Example) {
 }
 
 // Training constants. SGD makes epochs passes, starting at step size
-// learnRate decayed per epoch, under ridge penalty l2. The prefilter floor is the largest raw
-// threshold keeping at least targetRecall on training positives under
-// serving conditions (margin over the 0.95 eval gate). The flag
-// threshold maximizes F1 only among thresholds keeping at least
-// flagRecall on training positives: an unconstrained F1 maximum
-// overfits, because the bigram table memorizes training attacks and
-// pushes their scores far above where held-out attacks land. Bigrams
-// seen fewer than minBigramCount times in training are dropped: rare
-// bigrams are noise and bloat the table.
+// learnRate decayed per epoch, under ridge penalty l2. The prefilter
+// floor is the largest raw threshold keeping at least targetRecall on
+// training positives under serving conditions (margin over the 0.95
+// eval gate). The flag threshold maximizes F1 only among thresholds
+// keeping at least flagRecall on training positives: an unconstrained
+// F1 maximum overfits, because the bigram table memorizes training
+// attacks and pushes their scores far above where held-out attacks
+// land. Bigrams seen fewer than minBigramCount times in training are
+// dropped: rare bigrams are noise and bloat the table.
 const (
 	epochs         = 8
 	learnRate      = 0.5
