@@ -71,8 +71,8 @@ func run(ctx context.Context) error {
 	var totalSLD, totalIDN int
 	err := eng.Stream(ctx, paths, func(st zonefile.ScanStats) error {
 		totalSLD += st.SLDCount
-		totalIDN += len(st.IDNs)
-		fmt.Printf("%-24s %8d SLDs %8d IDNs\n", st.Origin, st.SLDCount, len(st.IDNs))
+		totalIDN += st.IDNCount
+		fmt.Printf("%-24s %8d SLDs %8d IDNs\n", st.Origin, st.SLDCount, st.IDNCount)
 		return nil
 	})
 	if err != nil {

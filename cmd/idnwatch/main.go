@@ -13,6 +13,14 @@
 // are fsynced, so a SIGKILL at any byte replays the interrupted delta
 // instead of losing it.
 //
+// The cursor file (-cursor, default <alerts>.cursor) is a framelog file
+// with the magic IDNCUR01 and one 12-byte frame per processed delta,
+// u32le serial | u64le alert-log offset, appended and fsynced after the
+// alert log's Sync; the last whole frame is the cursor. A start
+// rewrites a file of several frames as its last one. A JSON cursor
+// from an older build is refused: deleting it replays every delta
+// (at-least-once).
+//
 // Usage:
 //
 //	idnzonegen -out ./deltas -deltas 7 -deltas-only
@@ -21,7 +29,8 @@
 //	idnwatch -alerts alerts.log -replay            # dump findings
 //
 // SIGINT/SIGTERM drain gracefully: the in-flight delta finishes, the
-// alert log commits, the cursor is saved, then the process exits.
+// alert log commits, its cursor frame is committed, then the process
+// exits.
 package main
 
 import (
@@ -156,12 +165,12 @@ func run(ctx context.Context) error {
 
 	if *once {
 		files, alerts, err := runner.Poll(ctx)
+		cerr := errors.Join(runner.Close(), log.Close())
 		if err != nil {
-			log.Close()
 			return err
 		}
-		if err := log.Close(); err != nil {
-			return err
+		if cerr != nil {
+			return cerr
 		}
 		matched, _, _ := eng.Counters()
 		st := log.Stats()
@@ -172,7 +181,7 @@ func run(ctx context.Context) error {
 	}
 
 	err = runner.Run(ctx, *interval)
-	cerr := log.Close()
+	cerr := errors.Join(runner.Close(), log.Close())
 	if err != nil && !errors.Is(err, context.Canceled) {
 		return err
 	}

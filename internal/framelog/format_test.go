@@ -2,8 +2,11 @@ package framelog_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -16,10 +19,10 @@ import (
 )
 
 // On-disk compatibility without binary fixtures: the expected bytes of
-// all three durable files are assembled here from the documented layout
+// all four durable files are assembled here from the documented layout
 // alone — stdlib CRC32C and little-endian puts, nothing from framelog —
-// and compared with what the alert log, the verdict store's log and its
-// snapshot writer put on disk for the same three records.
+// and compared with what the alert log, the watch cursor, the verdict
+// store's log and its snapshot writer put on disk.
 
 // frames returns header followed by one u32le len | u32le crc32c |
 // payload frame per payload.
@@ -71,6 +74,55 @@ func TestAlertLogFileFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantFile(t, path, frames([]byte("IDNALOG1"), payloads...))
+}
+
+func TestCursorFileFormat(t *testing.T) {
+	// Two one-add deltas, each an attack on a watched brand.
+	dir := t.TempDir()
+	for i, owner := range []string{"xn--pple-43d", "xn--80ak6aa92e"} {
+		serial := 2017080101 + i
+		delta := fmt.Sprintf("$ORIGIN com.\n"+
+			"@ IN SOA ns1.registry.example. hostmaster.registry.example. %[1]d 900 300 604800 86400\n"+
+			"@ IN SOA ns1.registry.example. hostmaster.registry.example. %[2]d 900 300 604800 86400\n"+
+			"@ IN SOA ns1.registry.example. hostmaster.registry.example. %[1]d 900 300 604800 86400\n"+
+			"%[3]s IN NS ns1.parking.example.\n", serial, serial-1, owner)
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("delta-%010d.zone", serial)), []byte(delta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	det := core.NewHomographDetector(1000)
+	subs := watch.NewSubTable(len(det.Index().Brands()))
+	for b := range det.Index().Brands() {
+		subs.Subscribe(uint32(b), 1)
+	}
+	subs.Compile()
+	eng, err := watch.NewEngine(det, subs, watch.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, "alerts.log")
+	l, err := watch.OpenAlertLog(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &watch.Runner{Engine: eng, Log: l, Dir: dir, CursorPath: logPath + ".cursor"}
+	if files, alerts, err := r.Poll(context.Background()); err != nil || files != 2 || alerts != 2 {
+		t.Fatalf("Poll: %d files, %d alerts, err %v; want 2 and 2", files, alerts, err)
+	}
+	if err := errors.Join(r.Close(), l.Close()); err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	if _, err := watch.ReplayAlertLog(logPath, 0, func(end int64, a watch.Alert) error {
+		// Payload: u32le serial | u64le the alert-log offset after the
+		// delta's alerts.
+		p := binary.LittleEndian.AppendUint32(nil, a.Serial)
+		payloads = append(payloads, binary.LittleEndian.AppendUint64(p, uint64(end)))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wantFile(t, logPath+".cursor", frames([]byte("IDNCUR01"), payloads...))
 }
 
 func TestVerdictStoreFileFormats(t *testing.T) {

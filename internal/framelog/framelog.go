@@ -1,13 +1,13 @@
 // Package framelog is the one durable-file discipline of the repository.
-// The watch tier's alert log and the serving tier's verdict store both
-// keep acknowledged records in files of this shape:
+// The watch tier's alert log and cursor and the serving tier's verdict
+// store keep acknowledged records in files of this shape:
 //
 //	header   MagicLen magic bytes, then whatever the caller adds
 //	frame*   u32le payloadLen | u32le crc32c(payload) | payload
 //
-// and both replace small state files (cursor, peer watermarks,
-// snapshot) through ReplaceFile. The package knows nothing about what a
-// payload means.
+// and both replace small state files (peer watermarks, snapshot)
+// through ReplaceFile. The package knows nothing about what a payload
+// means.
 //
 // Commit protocol. Append copies a frame into the pending batch and
 // returns; a single committer goroutine takes whatever has accumulated,
@@ -56,6 +56,9 @@ var (
 	ErrFrameSize = errors.New("framelog: payload empty or larger than MaxFrame")
 	// ErrClosed rejects an Append after Close.
 	ErrClosed = errors.New("framelog: log closed")
+	// ErrMagic rejects a file whose header is not the caller's: a
+	// foreign file, or one written in an older format.
+	ErrMagic = errors.New("bad magic")
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -180,7 +183,7 @@ func readErr(err error) error {
 func readHeader(f *os.File, magic []byte, size int) ([]byte, error) {
 	hdr := make([]byte, size)
 	if _, err := io.ReadFull(f, hdr); err != nil || string(hdr[:MagicLen]) != string(magic) {
-		return nil, fmt.Errorf("framelog: %s: bad magic, want %q", f.Name(), magic)
+		return nil, fmt.Errorf("framelog: %s: %w, want %q", f.Name(), ErrMagic, magic)
 	}
 	return hdr, nil
 }

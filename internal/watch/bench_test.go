@@ -219,6 +219,39 @@ func BenchmarkAlertLogAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkRunnerCommit measures what committing one delta costs on
+// top of matching it, with real fsync: one alert appended, the alert
+// log's Sync, then the cursor commit (one frame appended to the cursor
+// file and fsynced). One op = one delta.
+func BenchmarkRunnerCommit(b *testing.B) {
+	dir := b.TempDir()
+	l, err := OpenAlertLog(filepath.Join(dir, "alerts.log"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	r := &Runner{Log: l, Dir: dir, CursorPath: filepath.Join(dir, "alerts.log.cursor")}
+	if err := r.init(); err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	alert := Alert{Op: "add", Domain: "xn--pple-43d.com", Unicode: "аpple.com", Brand: "apple.com", SSIM: 0.997, Subs: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		alert.Serial = 2017080101 + uint32(i)
+		if err := l.Append(alert); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		if err := r.commit(Cursor{Serial: alert.Serial, LogOffset: l.Size()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDeltaParse measures the I/O-side cost the match stage sits
 // behind: scanning and classifying one full day delta. Reported in
 // MB/s; one op = one whole delta file.

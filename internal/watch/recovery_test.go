@@ -9,7 +9,7 @@ import (
 )
 
 // runPoll builds a Runner over dir/log/cursor, polls once, closes the
-// log, and returns the alerts now durable in the log.
+// cursor file and the log, and returns the alerts now durable in the log.
 func runPoll(t *testing.T, eng *Engine, dir, logPath, cursorPath string) []Alert {
 	t.Helper()
 	l, err := OpenAlertLog(logPath)
@@ -18,6 +18,9 @@ func runPoll(t *testing.T, eng *Engine, dir, logPath, cursorPath string) []Alert
 	}
 	r := &Runner{Engine: eng, Log: l, Dir: dir, CursorPath: cursorPath}
 	if _, _, err := r.Poll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -34,7 +37,7 @@ func TestRunnerPollCursorAdvance(t *testing.T) {
 	writeDeltaDir(t, dir, 51, attackCfg, 2)
 
 	logPath := filepath.Join(dir, "alerts.log")
-	cursorPath := filepath.Join(dir, "cursor.json")
+	cursorPath := filepath.Join(dir, "alerts.log.cursor")
 	l, err := OpenAlertLog(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -67,6 +70,7 @@ func TestRunnerPollCursorAdvance(t *testing.T) {
 	if got := r.Cursor().Serial; got != c.Serial+1 {
 		t.Fatalf("cursor serial %d, want %d", got, c.Serial+1)
 	}
+	r.Close()
 	l.Close()
 
 	// A fresh runner over the same cursor resumes with nothing to do.
@@ -78,15 +82,19 @@ func TestRunnerPollCursorAdvance(t *testing.T) {
 	if files, _, err := r2.Poll(context.Background()); err != nil || files != 0 {
 		t.Fatalf("resumed poll: files=%d err=%v", files, err)
 	}
+	r2.Close()
 	l2.Close()
 }
 
 // TestRunnerCrashRecovery is the durability acceptance test: kill the
-// daemon at an arbitrary byte mid-way through a delta's alert batch
-// (simulated by truncating the log to any prefix and rolling the cursor
-// back, exactly the state a SIGKILL between fsync and cursor-save
-// leaves), restart, and the replayed findings must equal the
-// uninterrupted run's — at least once, duplicates detectable by key.
+// daemon at an arbitrary byte while it commits a delta, restart, and the
+// replayed findings must equal the uninterrupted run's — at least once,
+// duplicates detectable by key. Two kinds of cut cover every state a
+// SIGKILL leaves: the alert log cut at any byte of the day-3 alerts with
+// the cursor file cut just after the day-2 frame (killed before the
+// alerts were durable, so the cursor frame was never appended), and the
+// whole log with the cursor file cut at every byte of the day-3 frame
+// (killed between the alert fsync and the cursor frame's).
 func TestRunnerCrashRecovery(t *testing.T) {
 	eng, _ := testFixture(t, 80, 4)
 	dir := t.TempDir()
@@ -94,7 +102,7 @@ func TestRunnerCrashRecovery(t *testing.T) {
 
 	// Reference: one uninterrupted run over all three days.
 	refLog := filepath.Join(dir, "ref.log")
-	ref := runPoll(t, eng, dir, refLog, filepath.Join(dir, "ref-cursor.json"))
+	ref := runPoll(t, eng, dir, refLog, filepath.Join(dir, "ref.log.cursor"))
 	if len(ref) < 6 {
 		t.Fatalf("reference run too thin: %d alerts", len(ref))
 	}
@@ -103,38 +111,41 @@ func TestRunnerCrashRecovery(t *testing.T) {
 		refKeys[i] = a.Key()
 	}
 
-	// Establish the pre-crash state: days 1–2 fully processed.
+	// The state a crash cuts into: days 1–3 processed one file at a time.
 	liveLog := filepath.Join(dir, "live.log")
-	liveCursor := filepath.Join(dir, "live-cursor.json")
+	liveCursor := filepath.Join(dir, "live.log.cursor")
 	{
 		l, err := OpenAlertLog(liveLog)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := &Runner{Engine: eng, Log: l, Dir: dir, CursorPath: liveCursor}
-		if _, err := r.ProcessFile(context.Background(), filepath.Join(dir, "delta-2017080101.zone")); err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"delta-2017080101.zone", "delta-2017080102.zone", "delta-2017080103.zone"} {
+			if _, err := r.ProcessFile(context.Background(), filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := r.ProcessFile(context.Background(), filepath.Join(dir, "delta-2017080102.zone")); err != nil {
-			t.Fatal(err)
-		}
-		// Day 3's alerts land in the log...
-		if _, err := r.ProcessFile(context.Background(), filepath.Join(dir, "delta-2017080103.zone")); err != nil {
-			t.Fatal(err)
-		}
+		r.Close()
 		l.Close()
-	}
-	day2, err := LoadCursor(liveCursor)
-	if err != nil {
-		t.Fatal(err)
 	}
 	fullBytes, err := os.ReadFile(liveLog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	day2 = Cursor{Serial: day2.Serial - 1, LogOffset: cursorOffsetAfterSerial(t, liveLog, day2.Serial-1)}
+	cursorBytes, err := os.ReadFile(liveCursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, ends := cursorFrames(t, liveCursor)
+	if len(cs) != 3 || int64(len(cursorBytes)) != ends[2] {
+		t.Fatalf("cursor file: %d frames in %d bytes, want 3 ending at the file's end", len(cs), len(cursorBytes))
+	}
+	day2 := cs[1]
+	if want := cursorOffsetAfterSerial(t, liveLog, day2.Serial); day2.LogOffset != want {
+		t.Fatalf("day-2 frame holds log offset %d, the log's day-2 alerts end at %d", day2.LogOffset, want)
+	}
 
-	// Crash at every interesting byte: before any day-3 frame, inside
+	// Log cuts at every interesting byte: before any day-3 frame, inside
 	// the first frame, at frame boundaries, inside the last frame.
 	cuts := []int64{day2.LogOffset, day2.LogOffset + 3}
 	var bounds []int64
@@ -149,59 +160,70 @@ func TestRunnerCrashRecovery(t *testing.T) {
 	}
 	cuts = append(cuts, bounds[0], bounds[0]+5, bounds[len(bounds)-2], int64(len(fullBytes))-1)
 
+	// restart runs a runner over the given log and cursor bytes and checks
+	// the deduped replay against the reference. Survived complete day-3
+	// alert frames are re-emitted by the replayed delta: duplicates
+	// expected exactly then.
+	restart := func(t *testing.T, logBytes, curBytes []byte) {
+		crashLog := filepath.Join(t.TempDir(), "crash.log")
+		crashCursor := crashLog + ".cursor"
+		if err := os.WriteFile(crashLog, logBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(crashCursor, curBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		// Restart: recovery truncates any torn frame in either file, the
+		// cursor says day 2, so day 3 is reprocessed in full.
+		got := runPoll(t, eng, dir, crashLog, crashCursor)
+
+		// Dedup by key, preserving first occurrence.
+		seen := make(map[string]Alert)
+		var keys []string
+		dups := 0
+		for _, a := range got {
+			k := a.Key()
+			if prev, ok := seen[k]; ok {
+				dups++
+				if prev != a {
+					t.Errorf("duplicate key %s with different payloads:\n%+v\n%+v", k, prev, a)
+				}
+				continue
+			}
+			seen[k] = a
+			keys = append(keys, k)
+		}
+		if len(keys) != len(refKeys) {
+			t.Fatalf("recovered run has %d unique alerts, reference %d", len(keys), len(refKeys))
+		}
+		for i, k := range keys {
+			if k != refKeys[i] {
+				t.Fatalf("alert %d: key %s, reference %s", i, k, refKeys[i])
+			}
+			if seen[k] != ref[i] {
+				t.Fatalf("alert %s payload differs from reference:\n%+v\n%+v", k, seen[k], ref[i])
+			}
+		}
+		survived := 0
+		for _, b := range bounds {
+			if b <= int64(len(logBytes)) {
+				survived++
+			}
+		}
+		if dups != survived {
+			t.Errorf("log of %d bytes: %d duplicates, want %d (frames below the cut)", len(logBytes), dups, survived)
+		}
+	}
+
 	for _, cut := range cuts {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			crashLog := filepath.Join(dir, fmt.Sprintf("crash-%d.log", cut))
-			crashCursor := filepath.Join(dir, fmt.Sprintf("crash-%d-cursor.json", cut))
-			if err := os.WriteFile(crashLog, fullBytes[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := SaveCursor(crashCursor, day2); err != nil {
-				t.Fatal(err)
-			}
-
-			// Restart: recovery truncates any torn frame, the cursor
-			// says day 2, so day 3 is reprocessed in full.
-			got := runPoll(t, eng, dir, crashLog, crashCursor)
-
-			// Dedup by key, preserving first occurrence.
-			seen := make(map[string]Alert)
-			var keys []string
-			dups := 0
-			for _, a := range got {
-				k := a.Key()
-				if prev, ok := seen[k]; ok {
-					dups++
-					if prev != a {
-						t.Errorf("duplicate key %s with different payloads:\n%+v\n%+v", k, prev, a)
-					}
-					continue
-				}
-				seen[k] = a
-				keys = append(keys, k)
-			}
-			if len(keys) != len(refKeys) {
-				t.Fatalf("recovered run has %d unique alerts, reference %d", len(keys), len(refKeys))
-			}
-			for i, k := range keys {
-				if k != refKeys[i] {
-					t.Fatalf("alert %d: key %s, reference %s", i, k, refKeys[i])
-				}
-				if seen[k] != ref[i] {
-					t.Fatalf("alert %s payload differs from reference:\n%+v\n%+v", k, seen[k], ref[i])
-				}
-			}
-			// Survived complete day-3 frames are re-emitted by the
-			// replayed delta: duplicates expected exactly then.
-			survived := 0
-			for _, b := range bounds {
-				if b <= cut {
-					survived++
-				}
-			}
-			if dups != survived {
-				t.Errorf("cut %d: %d duplicates, want %d (frames below cut)", cut, dups, survived)
-			}
+			restart(t, fullBytes[:cut], cursorBytes[:ends[1]])
+		})
+	}
+	for cut := ends[1]; cut < ends[2]; cut++ {
+		t.Run(fmt.Sprintf("cursor-cut=%d", cut), func(t *testing.T) {
+			restart(t, fullBytes, cursorBytes[:cut])
 		})
 	}
 }
@@ -220,35 +242,4 @@ func cursorOffsetAfterSerial(t *testing.T, path string, serial uint32) int64 {
 		t.Fatal(err)
 	}
 	return off
-}
-
-// TestSaveCursorFailedWrite: when the write itself fails — the temp
-// file is pointed at /dev/full, so the kernel answers ENOSPC like a
-// full disk would — SaveCursor reports it, leaves no *.tmp behind and
-// the previous cursor stays readable.
-func TestSaveCursorFailedWrite(t *testing.T) {
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skip("no /dev/full on this system")
-	}
-	path := filepath.Join(t.TempDir(), "cursor.json")
-	old := Cursor{Serial: 2017080102, LogOffset: 4096}
-	if err := SaveCursor(path, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveCursor(path, Cursor{Serial: 2017080103, LogOffset: 8192}); err == nil {
-		t.Fatal("SaveCursor succeeded writing to a full device")
-	}
-	if tmps, _ := filepath.Glob(path + "*.tmp"); len(tmps) != 0 {
-		t.Fatalf("failed save left %v behind", tmps)
-	}
-	if got, err := LoadCursor(path); err != nil || got != old {
-		t.Fatalf("after the failed save: cursor %+v err %v, want the old %+v", got, err, old)
-	}
-	// And the next save goes through.
-	if err := SaveCursor(path, Cursor{Serial: 2017080103, LogOffset: 8192}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"idnlab/internal/framelog"
 	"idnlab/internal/zonegen"
 )
 
@@ -28,7 +29,9 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// openRunner opens a fresh alert log and cursor under dir.
+// openRunner opens a fresh alert log and cursor file under dir. The
+// cursor file is opened up front, so a goroutine count taken after
+// openRunner already includes its committer.
 func openRunner(t *testing.T, eng *Engine, dir string) *Runner {
 	t.Helper()
 	l, err := OpenAlertLog(filepath.Join(dir, "alerts.log"))
@@ -36,7 +39,38 @@ func openRunner(t *testing.T, eng *Engine, dir string) *Runner {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	return &Runner{Engine: eng, Log: l, Dir: dir, CursorPath: filepath.Join(dir, "cursor.json")}
+	r := &Runner{Engine: eng, Log: l, Dir: dir, CursorPath: filepath.Join(dir, "alerts.log.cursor")}
+	if err := r.init(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// cursorFrames returns every cursor the cursor file at path holds, in
+// order, with the offset just past each frame.
+func cursorFrames(t *testing.T, path string) (cs []Cursor, ends []int64) {
+	t.Helper()
+	_, _, err := framelog.Replay(path, cursorMagic, len(cursorMagic), 0, -1, func(end int64, p []byte) error {
+		c, err := decodeCursor(p)
+		cs, ends = append(cs, c), append(ends, end)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs, ends
+}
+
+// savedCursor returns the cursor file's last whole frame, the cursor a
+// restart resumes from.
+func savedCursor(t *testing.T, path string) Cursor {
+	t.Helper()
+	cs, _ := cursorFrames(t, path)
+	if len(cs) == 0 {
+		return Cursor{}
+	}
+	return cs[len(cs)-1]
 }
 
 // requireCommittedThrough checks the runner stopped cleanly after the
@@ -49,8 +83,8 @@ func requireCommittedThrough(t *testing.T, r *Runner, serial uint32) {
 	if c.Serial != serial {
 		t.Fatalf("cursor serial %d, want %d", c.Serial, serial)
 	}
-	if saved, err := LoadCursor(r.CursorPath); err != nil || saved != c {
-		t.Fatalf("persisted cursor %+v (err %v), in memory %+v", saved, err, c)
+	if saved := savedCursor(t, r.CursorPath); saved != c {
+		t.Fatalf("persisted cursor %+v, in memory %+v", saved, c)
 	}
 	if c.LogOffset != r.Log.Size() {
 		t.Fatalf("log holds %d bytes past the cursor's %d", r.Log.Size(), c.LogOffset)
@@ -136,7 +170,7 @@ func TestRunnerPollMalformedMidDirectory(t *testing.T) {
 	refDir, dir := t.TempDir(), t.TempDir()
 	days := writeDeltaDir(t, refDir, 51, attackCfg, 4)
 	writeDeltaDir(t, dir, 51, attackCfg, 4)
-	ref := runPoll(t, eng, refDir, filepath.Join(refDir, "alerts.log"), filepath.Join(refDir, "cursor.json"))
+	ref := runPoll(t, eng, refDir, filepath.Join(refDir, "alerts.log"), filepath.Join(refDir, "alerts.log.cursor"))
 
 	bad := filepath.Join(dir, zonegen.DeltaFileName(days[2].Serial))
 	text, err := os.ReadFile(bad)
@@ -188,10 +222,10 @@ func TestRunnerPollCancelled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Cancel as soon as the first file's cursor is on disk.
+	// Cancel as soon as the first file's cursor frame is on disk.
 	go func() {
 		for ctx.Err() == nil {
-			if _, err := os.Stat(r.CursorPath); err == nil {
+			if st, err := os.Stat(r.CursorPath); err == nil && st.Size() > int64(len(cursorMagic)) {
 				cancel()
 				return
 			}
@@ -231,4 +265,91 @@ func TestCancelledFileStillCommits(t *testing.T) {
 		t.Fatalf("cancelled run: %d alerts, err %v; want %d and no error", got, err, want)
 	}
 	requireCommittedThrough(t, r, days[0].Serial)
+}
+
+// TestRunnerCursorAppendsInPlace: a delta commit appends one frame to
+// the cursor file and replaces nothing, so the file keeps its inode
+// across polls and holds one frame per committed delta. A restart
+// resumes from the last frame and rewrites the file as that frame.
+func TestRunnerCursorAppendsInPlace(t *testing.T) {
+	eng, _ := testFixture(t, 80, 4)
+	dir := t.TempDir()
+	days := writeDeltaDir(t, dir, 51, attackCfg, 2)
+	r := openRunner(t, eng, dir)
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(r.CursorPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	opened := stat()
+	if files, _, err := r.Poll(context.Background()); err != nil || files != 2 {
+		t.Fatalf("first poll: files=%d err=%v", files, err)
+	}
+	afterTwo := stat()
+	days = writeDeltaDir(t, dir, 51, attackCfg, 3)
+	if files, _, err := r.Poll(context.Background()); err != nil || files != 1 {
+		t.Fatalf("second poll: files=%d err=%v", files, err)
+	}
+	if !os.SameFile(opened, afterTwo) || !os.SameFile(opened, stat()) {
+		t.Fatal("the cursor file was replaced by a delta commit")
+	}
+	cs, _ := cursorFrames(t, r.CursorPath)
+	if len(cs) != 3 {
+		t.Fatalf("cursor file holds %d frames after 3 deltas, want 3", len(cs))
+	}
+	for i, c := range cs {
+		if c.Serial != days[i].Serial {
+			t.Fatalf("frame %d: serial %d, want %d", i, c.Serial, days[i].Serial)
+		}
+	}
+	requireCommittedThrough(t, r, days[2].Serial)
+	last := r.Cursor()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := &Runner{Engine: eng, Log: r.Log, Dir: dir, CursorPath: r.CursorPath}
+	if files, _, err := r2.Poll(context.Background()); err != nil || files != 0 {
+		t.Fatalf("resumed poll: files=%d err=%v", files, err)
+	}
+	defer r2.Close()
+	if r2.Cursor() != last {
+		t.Fatalf("resumed at %+v, want %+v", r2.Cursor(), last)
+	}
+	if cs, _ := cursorFrames(t, r.CursorPath); len(cs) != 1 || cs[0] != last {
+		t.Fatalf("restart left frames %+v, want the one %+v", cs, last)
+	}
+}
+
+// TestRunnerRefusesJSONCursor: a cursor in the JSON form older builds
+// wrote is refused before any delta is read, naming the file and what
+// deleting it costs, and the file is left as it was.
+func TestRunnerRefusesJSONCursor(t *testing.T) {
+	eng, _ := testFixture(t, 80, 4)
+	dir := t.TempDir()
+	writeDeltaDir(t, dir, 51, attackCfg, 1)
+	l, err := OpenAlertLog(filepath.Join(dir, "alerts.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	path := filepath.Join(dir, "alerts.log.cursor")
+	old := []byte(`{"serial":2017080101,"logOffset":4096}`)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Engine: eng, Log: l, Dir: dir, CursorPath: path}
+	files, _, err := r.Poll(context.Background())
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "at-least-once") {
+		t.Fatalf("Poll err = %v, want a refusal naming %s and the replay", err, path)
+	}
+	if files != 0 || l.Size() != int64(len(logMagic)) {
+		t.Fatalf("%d files processed, log %d bytes: the refusal came too late", files, l.Size())
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(old) {
+		t.Fatalf("refused cursor now %q (err %v), want it untouched", got, err)
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -193,9 +192,9 @@ const cancelCheckInterval = 512
 // materializing its records. Memory is O(distinct SLDs), not O(records):
 // glue, payloads and duplicate owners are folded away as the stream
 // passes. If emit is non-nil it is called once per newly discovered IDN
-// SLD in encounter order, feeding streaming pipelines; the returned
-// ScanStats equals Parse(r)'s Partition for single-$ORIGIN zones (IDNs
-// sorted).
+// SLD (ACE form) in encounter order, feeding streaming pipelines; the
+// returned counts equal Parse(r)'s Partition for single-$ORIGIN zones,
+// and the names emitted are its IDNs.
 //
 // ctx cancellation aborts the scan between records with ctx.Err().
 func ScanStream(ctx context.Context, r io.Reader, emit func(domain string) error) (ScanStats, error) {
@@ -218,7 +217,7 @@ func ScanStream(ctx context.Context, r io.Reader, emit func(domain string) error
 		}
 		seen[name] = struct{}{}
 		if itld || idna.IsIDN(name) {
-			st.IDNs = append(st.IDNs, name)
+			st.IDNCount++
 			if emit != nil {
 				return emit(name)
 			}
@@ -274,6 +273,5 @@ func ScanStream(ctx context.Context, r io.Reader, emit func(domain string) error
 		}
 	}
 	st.SLDCount = len(seen)
-	sort.Strings(st.IDNs)
 	return st, nil
 }

@@ -225,6 +225,6 @@ type ScanStats struct {
 	Origin string
 	// SLDCount is the number of distinct delegated SLDs.
 	SLDCount int
-	// IDNs holds the discovered IDN SLDs (ACE form), sorted.
-	IDNs []string
+	// IDNCount is the number of distinct IDN SLDs among them.
+	IDNCount int
 }

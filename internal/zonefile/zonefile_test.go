@@ -68,8 +68,8 @@ func TestScanFindsIDNs(t *testing.T) {
 	if st.SLDCount != 5 {
 		t.Errorf("SLDCount = %d, want 5", st.SLDCount)
 	}
-	if len(st.IDNs) != 1 || st.IDNs[0] != "xn--0wwy37b.com" {
-		t.Errorf("IDNs = %v", st.IDNs)
+	if idns, _ := z.Partition(); st.IDNCount != 1 || len(idns) != 1 || idns[0] != "xn--0wwy37b.com" {
+		t.Errorf("IDNCount = %d, IDNs = %v", st.IDNCount, idns)
 	}
 }
 
@@ -103,7 +103,7 @@ xn--55qx5d IN NS ns2.cnnic.cn.
 		t.Fatal(err)
 	}
 	st := Scan(z)
-	if st.SLDCount != 2 || len(st.IDNs) != 2 {
+	if st.SLDCount != 2 || st.IDNCount != 2 {
 		t.Errorf("iTLD scan: %+v — every SLD under an iTLD is an IDN", st)
 	}
 }
