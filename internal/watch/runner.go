@@ -56,7 +56,7 @@ func decodeCursor(p []byte) (Cursor, error) {
 // more than one frame is first rewritten as its last frame, so the file
 // stays one frame long between starts. A file that is not an IDNCUR01
 // file — such as the JSON cursor older builds wrote — is refused.
-func openCursor(path string, opt framelog.Options) (*framelog.Log, Cursor, error) {
+func openCursor(path string) (*framelog.Log, Cursor, error) {
 	var c Cursor
 	frames := 0
 	read := func(_ int64, p []byte) (err error) {
@@ -64,7 +64,7 @@ func openCursor(path string, opt framelog.Options) (*framelog.Log, Cursor, error
 		c, err = decodeCursor(p)
 		return err
 	}
-	l, err := framelog.Open(path, []byte(cursorMagic), opt, read)
+	l, err := framelog.Open(path, []byte(cursorMagic), framelog.Options{}, read)
 	switch {
 	case errors.Is(err, framelog.ErrMagic):
 		return nil, Cursor{}, fmt.Errorf("watch: cursor %s is not an %s file; deleting it restarts from the first delta file and logs every alert again (at-least-once)", path, cursorMagic)
@@ -76,12 +76,12 @@ func openCursor(path string, opt framelog.Options) (*framelog.Log, Cursor, error
 	if err := l.Close(); err != nil {
 		return nil, Cursor{}, err
 	}
-	err = framelog.ReplaceFile(path, opt, func(w io.Writer) error {
+	err = framelog.ReplaceFile(path, framelog.Options{}, func(w io.Writer) error {
 		_, err := w.Write(framelog.AppendFrame([]byte(cursorMagic), c.frame()))
 		return err
 	})
 	if err == nil {
-		l, err = framelog.Open(path, []byte(cursorMagic), opt, nil)
+		l, err = framelog.Open(path, []byte(cursorMagic), framelog.Options{}, nil)
 	}
 	if err != nil {
 		return nil, Cursor{}, fmt.Errorf("watch: cursor %s: %w", path, err)
@@ -130,7 +130,7 @@ func (r *Runner) init() error {
 		return nil
 	}
 	if r.CursorPath != "" {
-		cur, c, err := openCursor(r.CursorPath, framelog.Options{})
+		cur, c, err := openCursor(r.CursorPath)
 		if err != nil {
 			return err
 		}
