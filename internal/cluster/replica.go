@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -54,6 +55,10 @@ type Replica struct {
 	syncIngested  atomic.Uint64
 	syncSkipped   atomic.Uint64
 	syncErrors    atomic.Uint64
+
+	// savedWM is peers.json as last read or written by the anti-entropy
+	// loop, so a round that moved no watermark replaces no file.
+	savedWM []byte
 }
 
 const (
@@ -419,14 +424,17 @@ func candidateFor(ring *Ring, key, self string) bool {
 }
 
 // Watermarks persist per-peer sync cursors across restarts in the store
-// directory's peers.json, replaced atomically like the snapshot. Losing
-// the file is safe — the next round re-streams from zero and ingest
-// dedup absorbs the replay.
+// directory's peers.json, replaced atomically like the snapshot, and
+// only when a round moved one: a replace costs tens of milliseconds on
+// a volume that frees the old file's blocks. Losing the file is safe —
+// the next round re-streams from zero and ingest dedup absorbs the
+// replay.
 func (r *Replica) watermarkPath() string {
 	return filepath.Join(r.store.Stats().Dir, "peers.json")
 }
 
 func (r *Replica) loadWatermarks() map[string]uint64 {
+	r.savedWM = nil
 	wm := make(map[string]uint64)
 	buf, err := os.ReadFile(r.watermarkPath())
 	if err != nil {
@@ -437,16 +445,21 @@ func (r *Replica) loadWatermarks() map[string]uint64 {
 	if json.Unmarshal(buf, &wm) != nil || wm == nil {
 		return make(map[string]uint64)
 	}
+	r.savedWM = buf
 	return wm
 }
 
 func (r *Replica) saveWatermarks(wm map[string]uint64) error {
 	buf, err := json.Marshal(wm)
-	if err != nil {
+	if err != nil || bytes.Equal(buf, r.savedWM) {
 		return err
 	}
-	return framelog.ReplaceFile(r.watermarkPath(), framelog.Options{}, func(w io.Writer) error {
+	err = framelog.ReplaceFile(r.watermarkPath(), framelog.Options{}, func(w io.Writer) error {
 		_, err := w.Write(buf)
 		return err
 	})
+	if err == nil {
+		r.savedWM = buf
+	}
+	return err
 }

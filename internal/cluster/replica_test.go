@@ -541,3 +541,79 @@ func TestSyncAfterPeerStoreWiped(t *testing.T) {
 		t.Fatalf("after the re-stream: cursor %d, %d ingested; want 5 and 5", wm["a"], b.cache.len())
 	}
 }
+
+// TestSyncRoundSkipsUnchangedWatermarks: a round that moves no
+// watermark leaves peers.json alone — the same file, the same bytes —
+// also straight after a restart, while a round that moves one replaces
+// it, and the new cursor survives the next restart.
+func TestSyncRoundSkipsUnchangedWatermarks(t *testing.T) {
+	a := startReplicaNode(t, ReplicaConfig{}, openStore(t, t.TempDir()))
+	appendSynced := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if a.store.Append(vd(fmt.Sprintf("wm-%d.example", i))) == 0 {
+				t.Fatal("seed append failed")
+			}
+		}
+		if err := a.store.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendSynced(0, 5)
+	b := startReplicaNode(t, ReplicaConfig{}, openStore(t, t.TempDir()))
+	p := b.attach("b", 1,
+		NodeInfo{ID: "a", Addr: a.addr, State: StateAlive},
+		NodeInfo{ID: "b", Addr: b.addr, State: StateAlive})
+	path := b.r.watermarkPath()
+	file := func() (os.FileInfo, []byte) {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi, buf
+	}
+	round := func(r *Replica, wm map[string]uint64) {
+		t.Helper()
+		if !r.syncRound(context.Background(), p, wm) {
+			t.Fatalf("sync round not clean: %+v", r.Stats())
+		}
+	}
+
+	wm := b.r.loadWatermarks()
+	round(b.r, wm)
+	// Held open, the file keeps its inode: a replace cannot reuse it.
+	held, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	before, err := held.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, saved := file()
+	if string(saved) != `{"a":5}` {
+		t.Fatalf("peers.json after the first round = %s, want {\"a\":5}", saved)
+	}
+	round(b.r, wm)
+	restarted := NewReplica(ReplicaConfig{}, b.cache, b.store)
+	round(restarted, restarted.loadWatermarks())
+	after, again := file()
+	if !os.SameFile(before, after) || string(again) != string(saved) {
+		t.Fatalf("rounds with nothing new rewrote peers.json: same file %v, bytes %s -> %s", os.SameFile(before, after), saved, again)
+	}
+
+	appendSynced(5, 8)
+	round(b.r, wm)
+	if moved, buf := file(); os.SameFile(before, moved) || string(buf) != `{"a":8}` {
+		t.Fatalf("a round that moved the cursor left peers.json at %s (same file %v), want {\"a\":8}", buf, os.SameFile(before, moved))
+	}
+	if got := NewReplica(ReplicaConfig{}, b.cache, b.store).loadWatermarks(); got["a"] != 8 {
+		t.Fatalf("cursor after restart = %v, want a:8", got)
+	}
+}

@@ -76,15 +76,19 @@ func disallowed(r rune) bool {
 	return r < 0x21 || r == 0x7F || r == '.' || r == '/' || r == '\\' || r == '@' || r == ':'
 }
 
+// disallowedError is the error for a code point disallowed rejects.
+func disallowedError(r rune) error {
+	if r < 0x21 || r == 0x7F {
+		return fmt.Errorf("%w: U+%04X", ErrDisallowedRune, r)
+	}
+	return fmt.Errorf("%w: %q", ErrDisallowedRune, r)
+}
+
 // validateRunes rejects the disallowed code points.
 func validateRunes(label string) error {
 	for _, r := range label {
-		switch {
-		case !disallowed(r):
-		case r < 0x21 || r == 0x7F:
-			return fmt.Errorf("%w: U+%04X", ErrDisallowedRune, r)
-		default:
-			return fmt.Errorf("%w: %q", ErrDisallowedRune, r)
+		if disallowed(r) {
+			return disallowedError(r)
 		}
 	}
 	return nil
@@ -161,17 +165,33 @@ func ToUnicodeLabel(label string) (string, error) {
 		}
 		return label, nil
 	}
-	decoded, err := punycode.Decode(label[len(ACEPrefix):])
+	// Decoded into a stack buffer, which any label of up to 63 octets
+	// fits, so the returned string is the one allocation.
+	var buf [maxLabelLength]rune
+	decoded, err := punycode.AppendDecode(buf[:0], label[len(ACEPrefix):])
 	if err != nil {
 		return "", fmt.Errorf("idna: decode %q: %w", label, err)
 	}
-	if err := validateRunes(decoded); err != nil {
+	if err := checkDecoded(label, decoded); err != nil {
 		return "", err
 	}
-	if isASCII(decoded) {
-		return "", fmt.Errorf("%w: fake A-label %q decodes to ASCII %q", ErrBadLabel, label, decoded)
+	return string(decoded), nil
+}
+
+// checkDecoded applies the rules for the code points an A-label
+// decodes to: none disallowed, and at least one non-ASCII.
+func checkDecoded(label string, decoded []rune) error {
+	nonASCII := false
+	for _, r := range decoded {
+		if disallowed(r) {
+			return disallowedError(r)
+		}
+		nonASCII = nonASCII || r >= 0x80
 	}
-	return decoded, nil
+	if !nonASCII {
+		return fmt.Errorf("%w: fake A-label %q decodes to ASCII %q", ErrBadLabel, label, string(decoded))
+	}
+	return nil
 }
 
 func isASCII(s string) bool {
@@ -258,17 +278,7 @@ func Canonical(domain string) (ace, unicode string, ok bool) {
 			continue
 		}
 		decoded, err := punycode.AppendDecode(runes[:0], label[len(ACEPrefix):])
-		if err != nil {
-			return "", "", false
-		}
-		nonASCII := false
-		for _, r := range decoded {
-			if disallowed(r) {
-				return "", "", false
-			}
-			nonASCII = nonASCII || r >= 0x80
-		}
-		if !nonASCII {
+		if err != nil || checkDecoded(label, decoded) != nil {
 			return "", "", false
 		}
 		re, err := punycode.AppendEncode(enc[:0], decoded)

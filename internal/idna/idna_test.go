@@ -2,9 +2,12 @@ package idna
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"idnlab/internal/punycode"
 )
 
 func TestToASCIIKnownDomains(t *testing.T) {
@@ -305,6 +308,53 @@ func TestCanonical(t *testing.T) {
 	} {
 		if ace, uni, ok := Canonical(d); ok {
 			t.Errorf("Canonical(%q) = %q, %q, true; want !ok", d, ace, uni)
+		}
+	}
+}
+
+// TestToUnicodeLabelMatchesDecode holds the stack-buffer decode to the
+// string path it replaced: punycode.Decode, then the rune checks and the
+// fake-A-label rule over the decoded string, with the same error text.
+func TestToUnicodeLabelMatchesDecode(t *testing.T) {
+	reference := func(label string) (string, error) {
+		label = fold(label)
+		decoded, err := punycode.Decode(label[len(ACEPrefix):])
+		if err != nil {
+			return "", fmt.Errorf("idna: decode %q: %w", label, err)
+		}
+		if err := validateRunes(decoded); err != nil {
+			return "", err
+		}
+		if isASCII(decoded) {
+			return "", fmt.Errorf("%w: fake A-label %q decodes to ASCII %q", ErrBadLabel, label, decoded)
+		}
+		return decoded, nil
+	}
+	for _, label := range []string{
+		"xn--pple-43d", "XN--PPLE-43d", "xn--80ak6aa92e", "xn--fiqs8s", "xn--e1afmkfd",
+		"xn--apple-", "xn---", "xn--a-b-", "xn--zz!", "xn--é", "xn--99999999999",
+		"xn--a.b-l4a", "xn--a b-t6a", "xn--ab-j1t", // decode to a "." and a " " (refused) and a ZWNJ
+		"xn--" + strings.Repeat("a", 70) + "-43d", // longer than the stack buffer
+	} {
+		got, err := ToUnicodeLabel(label)
+		want, wantErr := reference(label)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("ToUnicodeLabel(%q) = %q, %v; the Decode path gives %q, %v", label, got, err, want, wantErr)
+		}
+	}
+}
+
+// TestToUnicodeLabelAllocs pins the match side's decode at one
+// allocation, the returned string: the code points are decoded into a
+// stack buffer.
+func TestToUnicodeLabelAllocs(t *testing.T) {
+	for _, label := range []string{"xn--pple-43d", "xn--80ak6aa92e", "xn--fiqs8s"} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ToUnicodeLabel(label); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Errorf("ToUnicodeLabel(%q): %.0f allocations, want 1", label, allocs)
 		}
 	}
 }

@@ -253,11 +253,13 @@ func BenchmarkRunnerCommit(b *testing.B) {
 }
 
 // BenchmarkDeltaParse measures the I/O-side cost the match stage sits
-// behind: scanning and classifying one full day delta. Reported in
-// MB/s; one op = one whole delta file.
+// behind: scanning and classifying one full day delta of the shape the
+// watch_ingest workload replays (10,000 adds a day over the scale-20
+// corpus universe, ~1.4 MB and ~15.8k events). Reported in MB/s; one
+// op = one whole delta file.
 func BenchmarkDeltaParse(b *testing.B) {
-	reg := zonegen.Generate(zonegen.Config{Seed: 1707, Scale: 400})
-	gen := reg.DeltaStream(zonegen.DeltaConfig{AddsPerDay: 3000})
+	reg := zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 20})
+	gen := reg.DeltaStream(zonegen.DeltaConfig{AddsPerDay: 10000})
 	d := gen.Next()
 	var buf bytes.Buffer
 	if _, err := d.WriteTo(&buf); err != nil {

@@ -4,8 +4,8 @@
 // per-brand subscriptions compiled through the candidate index, and
 // hands confirmed findings to a durable alert log. Parsing and matching
 // overlap (Runner.Poll parses one file ahead); on 30 day-deltas of 475k
-// events a traced pass spends ~0.16 s parsing and ~0.14 s matching on
-// 2 vCPU, and the whole idnwatch -once pass ~0.23 s. Its hot loop is a
+// events a traced pass spends ~0.08 s parsing and ~0.15 s matching on
+// 2 vCPU, and the whole idnwatch -once pass ~0.19 s. Its hot loop is a
 // handful of O(1) hash probes with zero allocations steady-state, never
 // an O(subscriptions) sweep.
 package watch
@@ -13,6 +13,7 @@ package watch
 import (
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -67,38 +68,33 @@ type Delta struct {
 	Events []Event
 }
 
-// ownerNS is one owner of one zone: its NS target in the deletion
-// section (old), in the addition section (new), or both (a change).
-type ownerNS struct {
-	owner, old, new string
-	inDel, inAdd    bool
-}
-
-// zoneSpan is a closed zone: its owners end at owners[end].
-type zoneSpan struct {
-	origin string
-	serial uint32
-	end    int
-}
-
-// deltaParser is ParseDelta's state. Owners are collected for the
-// whole file, zone after zone, behind one owner map: an index below
-// the current zone's start belongs to an earlier zone and reads as
-// absent, so no map is cleared or rebuilt per zone. Each owner becomes
-// exactly one event, so the event slice is allocated once, at its
-// final size, when the file ends.
+// deltaParser is ParseDelta's state. Every owner of every zone
+// becomes exactly one event, appended when its first NS record is read
+// and rewritten in place when the addition section re-adds it (an NS
+// change). One owner map covers the whole file: an event below the
+// current zone's start belongs to an earlier zone and reads as absent,
+// so no map is cleared or rebuilt per zone. The generator writes each
+// owner's NS records back to back, so a record repeating the owner just
+// read, in the same section, is settled without the map.
 type deltaParser struct {
-	serial uint32 // the delta's serial: the first zone header's
-	owners []ownerNS
-	index  map[string]int // owner -> position in owners
-	zones  []zoneSpan
+	serial    uint32 // the delta's serial: the first zone header's
+	serialSet bool
+	events    []Event
+	index     map[string]int // owner -> position in events
 
 	// The zone being read.
 	origin   string
 	zSerial  uint32
 	soaCount int
-	start    int // its first owner
+	start    int    // its first event
+	last     string // owner of the section's previous NS record
 }
+
+// bytesPerOwner sizes the owner map and the event list from the input
+// length. A generated owner takes two NS lines of ~45 bytes (88-120
+// bytes per event across the generator's churn mixes), so neither grows
+// on a generated delta.
+const bytesPerOwner = 80
 
 // nsTarget strips the ns1./ns2. host prefix and the trailing dot from an
 // NS record's data, leaving the provider zone ("dns-host.net"). Unknown
@@ -137,7 +133,8 @@ func soaSerial(data string) (uint32, error) {
 // a panic.
 func ParseDelta(r io.Reader) (*Delta, error) {
 	s := zonefile.NewScanner(r)
-	p := &deltaParser{index: make(map[string]int)}
+	n := inputLen(r) / bytesPerOwner
+	p := &deltaParser{index: make(map[string]int, n), events: make([]Event, 0, n)}
 	for s.Next() {
 		if err := p.record(s.Record(), s.Origin()); err != nil {
 			return nil, err
@@ -149,6 +146,20 @@ func ParseDelta(r io.Reader) (*Delta, error) {
 	return p.finish()
 }
 
+// inputLen is the number of bytes r holds when it reports one (a
+// bytes.Reader, strings.Reader or regular file), else 0.
+func inputLen(r io.Reader) int {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return r.Len()
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size())
+		}
+	}
+	return 0
+}
+
 // record applies one scanned record.
 func (p *deltaParser) record(rec zonefile.Record, origin string) error {
 	if origin == "" {
@@ -158,7 +169,7 @@ func (p *deltaParser) record(rec zonefile.Record, origin string) error {
 		if err := p.closeZone(); err != nil {
 			return err
 		}
-		p.origin, p.zSerial, p.soaCount, p.start = origin, 0, 0, len(p.owners)
+		p.origin, p.zSerial, p.soaCount, p.start = origin, 0, 0, len(p.events)
 	}
 	switch rec.Type {
 	case "SOA":
@@ -167,11 +178,12 @@ func (p *deltaParser) record(rec zonefile.Record, origin string) error {
 			return err
 		}
 		p.soaCount++
+		p.last = "" // a new section; a zone's first NS follows its SOAs
 		switch p.soaCount {
 		case 1: // header: the delta's new serial
 			p.zSerial = serial
-			if p.serial == 0 {
-				p.serial = serial
+			if !p.serialSet {
+				p.serial, p.serialSet = serial, true
 			} else if serial != p.serial {
 				return fmt.Errorf("watch: zone %s serial %d differs from delta serial %d", origin, serial, p.serial)
 			}
@@ -190,20 +202,22 @@ func (p *deltaParser) record(rec zonefile.Record, origin string) error {
 		if p.soaCount != 2 && p.soaCount != 3 {
 			return fmt.Errorf("watch: zone %s: NS record for %s outside IXFR sections", origin, rec.Owner)
 		}
+		if rec.Owner == p.last {
+			return nil // a further NS of the owner just read: its first target stands
+		}
+		p.last = rec.Owner
 		target := nsTarget(rec.Data)
 		i, seen := p.index[rec.Owner]
 		switch {
 		case !seen || i < p.start: // first record of this owner in this zone
-			p.index[rec.Owner] = len(p.owners)
-			o := ownerNS{owner: rec.Owner}
+			p.index[rec.Owner] = len(p.events)
+			ev := Event{Serial: p.zSerial, Op: OpAdd, Owner: rec.Owner, Origin: origin, NS: target}
 			if p.soaCount == 2 {
-				o.old, o.inDel = target, true
-			} else {
-				o.new, o.inAdd = target, true
+				ev.Op, ev.NS, ev.OldNS = OpDrop, "", target
 			}
-			p.owners = append(p.owners, o)
-		case p.soaCount == 3 && !p.owners[i].inAdd: // deleted, now re-added: an NS change
-			p.owners[i].new, p.owners[i].inAdd = target, true
+			p.events = append(p.events, ev)
+		case p.soaCount == 3 && p.events[i].Op == OpDrop: // deleted, now re-added: an NS change
+			p.events[i].Op, p.events[i].NS = OpNSChange, target
 		}
 		// Otherwise a further NS of an owner already in this section.
 	default:
@@ -213,23 +227,18 @@ func (p *deltaParser) record(rec zonefile.Record, origin string) error {
 }
 
 // closeZone checks the zone being read is a complete IXFR (header, old
-// and new SOA) and closes its owner span.
+// and new SOA).
 func (p *deltaParser) closeZone() error {
-	if p.origin == "" {
-		return nil
-	}
-	if p.soaCount != 3 {
+	if p.origin != "" && p.soaCount != 3 {
 		return fmt.Errorf("watch: zone %s: %d SOA records, want 3 (header, old, new)", p.origin, p.soaCount)
 	}
-	p.zones = append(p.zones, zoneSpan{origin: p.origin, serial: p.zSerial, end: len(p.owners)})
 	return nil
 }
 
-// finish classifies every owner into its event: in both sections an
-// NS change, deletion-only a drop, addition-only an add. A zone's
-// owners are in the generator's commit order already — the deletion
-// section's first, then the additions not seen there — which keeps
-// parse → replay byte-deterministic.
+// finish checks the last zone and returns the events. Each zone's are
+// in the generator's commit order already — the deletion section's
+// owners first (drops and NS changes), then the additions not seen
+// there — which keeps parse → replay byte-deterministic.
 func (p *deltaParser) finish() (*Delta, error) {
 	if err := p.closeZone(); err != nil {
 		return nil, err
@@ -237,22 +246,5 @@ func (p *deltaParser) finish() (*Delta, error) {
 	if p.origin == "" {
 		return nil, fmt.Errorf("watch: empty delta")
 	}
-	d := &Delta{Serial: p.serial, Events: make([]Event, len(p.owners))}
-	i := 0
-	for _, z := range p.zones {
-		for ; i < z.end; i++ {
-			o := &p.owners[i]
-			ev := Event{Serial: z.serial, Owner: o.owner, Origin: z.origin, NS: o.new, OldNS: o.old}
-			switch {
-			case o.inDel && o.inAdd:
-				ev.Op = OpNSChange
-			case o.inDel:
-				ev.Op = OpDrop
-			default:
-				ev.Op = OpAdd
-			}
-			d.Events[i] = ev
-		}
-	}
-	return d, nil
+	return &Delta{Serial: p.serial, Events: p.events}, nil
 }

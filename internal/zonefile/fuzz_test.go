@@ -166,6 +166,41 @@ func FuzzScannerFields(f *testing.F) {
 	})
 }
 
+// FuzzScannerRecords aims the oracle at the record rules rather than the
+// framing: each input is one record line assembled from fuzzed owner,
+// TTL, class, type and data fields and a separator, so the fuzzer spends
+// its time on case (owner, "IN", type), TTL shapes, one- and many-field
+// data, tabs, CRLF, comments and bytes >= 0x80, where the scanner's
+// fold-only-when-needed paths live. Record, Origin and the error text
+// must equal the strings.Fields / ToLower / ToUpper / EqualFold / Join
+// oracle's, whole and one byte per read.
+func FuzzScannerRecords(f *testing.F) {
+	f.Add("Example", "300", "In", "ns", "ns1.Host.NET.", " ", uint8(0))
+	f.Add("xn--pple-43d", "", "IN", "NS", "ns1.dns-host.net.", " ", uint8(0))
+	f.Add("MiXeD", "", "in", "Ns", "a b\tc", "\t", uint8(1))
+	f.Add("\u00c9cole", "60", "", "soa", "a. b. 1 2 3 4 5", "  ", uint8(2))
+	f.Add("own", "4294967296", "IN", "txt", "\u00a0x", " ", uint8(3))
+	f.Add("@", "007", "IN", "\u0130n", "x", "\v", uint8(4))
+	f.Add("K", "", "\u212an", "a", "x ; y", " ", uint8(0))
+	f.Fuzz(func(t *testing.T, owner, ttl, class, typ, data, sep string, end uint8) {
+		line := owner
+		for _, field := range []string{ttl, class, typ, data} {
+			if field != "" {
+				line += sep + field
+			}
+		}
+		line += []string{"\n", "\r\n", " ; comment\n", "", ";\u00ff\n"}[int(end)%5]
+		input := "$ORIGIN Com.\n" + line + line
+		want := oracleScan(input)
+		if got := scannerSteps(strings.NewReader(input)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Scanner diverges from the oracle on %q:\n got %+v\nwant %+v", input, got, want)
+		}
+		if got := scannerSteps(iotest.OneByteReader(strings.NewReader(input))); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Scanner diverges from the oracle one byte per read on %q:\n got %+v\nwant %+v", input, got, want)
+		}
+	})
+}
+
 // TestScannerLongLinesMatchOracle pins the one limit the fuzzer cannot
 // reach: lines around bufio's 1 MiB token cap, with and without a
 // final newline, fail (or not) exactly where the oracle does.

@@ -37,6 +37,11 @@ import (
 // A Record's strings are slices of one string per read buffer (every
 // complete line the buffer holds), so the scan allocates per block of
 // input, not per line or field; a record kept alive keeps its block.
+// Each line is read in one pass that finds its end and its comment,
+// splits its fields and notes where an upper- or lower-case letter
+// sits, so the owner is folded to lower case, and the type to upper
+// case, only when a byte needs it: a zone written in canonical case
+// makes no case-mapping call.
 type Scanner struct {
 	sc     *bufio.Scanner
 	block  string   // complete lines of the current read not yet consumed
@@ -70,20 +75,6 @@ func scanLineBlocks(data []byte, atEOF bool) (int, []byte, error) {
 	return 0, nil, nil
 }
 
-// nextLine returns the following line with bufio.ScanLines' framing:
-// split at '\n', one trailing '\r' dropped.
-func (s *Scanner) nextLine() (string, bool) {
-	if s.block == "" {
-		if !s.sc.Scan() {
-			return "", false
-		}
-		s.block = s.sc.Text()
-	}
-	line, rest, _ := strings.Cut(s.block, "\n")
-	s.block = rest
-	return strings.TrimSuffix(line, "\r"), true
-}
-
 // Next advances to the following record, interpreting $ORIGIN and $TTL
 // directives along the way. It returns false at end of input or on
 // error; Err disambiguates.
@@ -92,15 +83,14 @@ func (s *Scanner) Next() bool {
 		return false
 	}
 	for {
-		line, ok := s.nextLine()
-		if !ok {
-			break
+		if s.block == "" {
+			if !s.sc.Scan() {
+				break
+			}
+			s.block = s.sc.Text()
 		}
 		s.line++
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		s.fields = fieldsInto(s.fields, line)
+		lower, upperOwner := s.splitLine()
 		fields := s.fields
 		if len(fields) == 0 {
 			continue
@@ -126,7 +116,7 @@ func (s *Scanner) Next() bool {
 			s.ttl = uint32(ttl)
 			continue
 		}
-		rec, err := parseRecord(fields)
+		rec, err := parseRecord(fields, lower, upperOwner)
 		if err != nil {
 			s.err = fmt.Errorf("%w: line %d: %v", ErrSyntax, s.line, err)
 			return false
@@ -140,34 +130,89 @@ func (s *Scanner) Next() bool {
 	return false
 }
 
-// asciiSpace is strings.Fields' separator set below utf8.RuneSelf.
-var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+// The classes of splitLine's pass. A field is a run of bytes below
+// clsSep: clsLower and clsUpper mark the ASCII letters, 0 every other
+// field byte. clsSep is strings.Fields' ASCII separators; clsStop ends
+// the pass: the line's '\n', a ';' comment, or a byte >= 0x80.
+const (
+	clsLower = 1 << iota
+	clsUpper
+	clsSep
+	clsStop
+)
 
-// fieldsInto returns line's whitespace-separated fields, slices of
-// line held in buf's storage, split exactly as strings.Fields splits. A
-// line with any byte >= 0x80 goes to strings.Fields itself, which knows
-// the Unicode spaces (U+0085, U+00A0, U+2028, ...).
-func fieldsInto(buf []string, line string) []string {
-	dst := buf[:0]
-	start := -1
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case c >= utf8.RuneSelf:
-			return append(buf[:0], strings.Fields(line)...)
-		case asciiSpace[c]:
-			if start >= 0 {
-				dst = append(dst, line[start:i])
-				start = -1
+var byteClass = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = clsLower, clsUpper
+	}
+	for _, c := range "\t\v\f\r " {
+		t[c] = clsSep
+	}
+	t['\n'], t[';'] = clsStop, clsStop
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = clsStop
+	}
+	return t
+}()
+
+// splitLine consumes the block's next line, framed as bufio.ScanLines
+// frames it, and splits the line up to its first ';' into s.fields,
+// slices of the block, exactly as strings.Fields splits. Bit i of lower
+// is set when field i holds a lower-case ASCII letter, and upperOwner
+// when the first field holds an upper-case one. A line with a byte
+// >= 0x80 before its comment goes to strings.Fields itself, which knows
+// the Unicode spaces (U+0085, U+00A0, U+2028, ...), and reports every
+// bit set and upperOwner: its fields are case-mapped by the strings
+// package.
+func (s *Scanner) splitLine() (lower uint64, upperOwner bool) {
+	b := s.block
+	dst := s.fields[:0]
+	i := 0
+	for {
+		for i < len(b) && byteClass[b[i]] == clsSep {
+			i++
+		}
+		if i == len(b) || byteClass[b[i]] == clsStop {
+			break
+		}
+		start := i
+		var seen uint8
+		for ; i < len(b); i++ {
+			c := byteClass[b[i]]
+			if c >= clsSep {
+				break
 			}
-		case start < 0:
-			start = i
+			seen |= c
+		}
+		if seen&clsLower != 0 {
+			lower |= 1 << len(dst) // 0 past field 63, which no rule reads
+		}
+		if seen&clsUpper != 0 && len(dst) == 0 {
+			upperOwner = true
+		}
+		dst = append(dst, b[start:i])
+	}
+	eol := len(b)
+	if i < len(b) {
+		if j := strings.IndexByte(b[i:], '\n'); j >= 0 {
+			eol = i + j
+		}
+		if b[i] >= utf8.RuneSelf {
+			line := b[:eol]
+			if j := strings.IndexByte(line, ';'); j >= 0 {
+				line = line[:j]
+			}
+			dst = append(dst[:0], strings.Fields(line)...)
+			lower, upperOwner = ^uint64(0), true
 		}
 	}
-	if start >= 0 {
-		dst = append(dst, line[start:])
+	s.fields = dst
+	if eol < len(b) {
+		s.block = b[eol+1:]
+	} else {
+		s.block = ""
 	}
-	return dst
+	return lower, upperOwner
 }
 
 // Record returns the record produced by the last successful Next.

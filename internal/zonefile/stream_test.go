@@ -50,6 +50,40 @@ func TestScannerSyntaxError(t *testing.T) {
 	}
 }
 
+// TestScannerCase pins what the case bits decide: the owner is lowered
+// and the type raised whatever case the line is written in, "IN" is
+// matched in any case, data keeps its case, and a line with a byte
+// >= 0x80 is folded by the strings package (Unicode lower case).
+func TestScannerCase(t *testing.T) {
+	text := "$ORIGIN COM.\n" +
+		"Example IN NS ns1.Host.NET.\n" +
+		"EXAMPLE 300 In Ns ns2.host.net.\r\n" +
+		"mixed\tin\tns\ta b ; Comment\n" +
+		"\u00c9COLE iN nS x\u00a0y\n" +
+		"plain IN NS ns1.dns-host.net.\n"
+	want := []Record{
+		{Owner: "example", Type: "NS", Data: "ns1.Host.NET."},
+		{Owner: "example", TTL: 300, Type: "NS", Data: "ns2.host.net."},
+		{Owner: "mixed", Type: "NS", Data: "a b"},
+		{Owner: "\u00e9cole", Type: "NS", Data: "x y"},
+		{Owner: "plain", Type: "NS", Data: "ns1.dns-host.net."},
+	}
+	s := NewScanner(strings.NewReader(text))
+	var got []Record
+	for s.Next() {
+		got = append(got, s.Record())
+		if s.Origin() != "com" {
+			t.Fatalf("Origin() = %q, want com", s.Origin())
+		}
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestScanStreamEquivalence pins ScanStream == Scan(Parse) on zones that
 // exercise every owner shape: relative, absolute, glue, out-of-zone,
 // duplicates, IDNs, and records preceding $ORIGIN.

@@ -72,12 +72,18 @@ func Parse(r io.Reader) (*Zone, error) {
 
 // parseRecord interprets "owner [ttl] [IN] type data...". Only an
 // all-digit second field is tried as a TTL, so an owner-first record
-// costs no failed strconv call.
-func parseRecord(fields []string) (Record, error) {
+// costs no failed strconv call. lower and upperOwner are splitLine's
+// case notes: the owner is lowered only when it holds an upper-case
+// letter and the type raised only when it holds a lower-case one, so a
+// canonical "owner IN NS target" line makes no case-mapping call.
+func parseRecord(fields []string, lower uint64, upperOwner bool) (Record, error) {
 	if len(fields) < 3 {
 		return Record{}, errors.New("record needs owner, type and data")
 	}
-	rec := Record{Owner: strings.ToLower(fields[0])}
+	rec := Record{Owner: fields[0]}
+	if upperOwner {
+		rec.Owner = strings.ToLower(rec.Owner)
+	}
 	i := 1
 	if isDigits(fields[i]) {
 		if ttl, err := strconv.ParseUint(fields[i], 10, 32); err == nil {
@@ -91,12 +97,19 @@ func parseRecord(fields []string) (Record, error) {
 	if i >= len(fields) {
 		return Record{}, errors.New("record missing type")
 	}
-	rec.Type = strings.ToUpper(fields[i])
-	i++
-	if i >= len(fields) {
-		return Record{}, errors.New("record missing data")
+	rec.Type = fields[i]
+	if lower&(1<<i) != 0 {
+		rec.Type = strings.ToUpper(rec.Type)
 	}
-	rec.Data = strings.Join(fields[i:], " ")
+	i++
+	switch {
+	case i >= len(fields):
+		return Record{}, errors.New("record missing data")
+	case i == len(fields)-1:
+		rec.Data = fields[i]
+	default:
+		rec.Data = strings.Join(fields[i:], " ")
+	}
 	return rec, nil
 }
 
