@@ -67,15 +67,19 @@ smoke:
 # run included: under -test.gocoverdir, internal/proctest builds the
 # binaries with -cover and points their counters at the same directory.
 # Prints each package's share, the total and every function no run
-# reaches.
+# reaches, and fails when the total falls below COVER_MIN: a change that
+# deletes code may shrink the denominator, never the share.
 COVERDIR := $(CURDIR)/.cover
+COVER_MIN := 93.4
 cover:
 	rm -rf $(COVERDIR) && mkdir -p $(COVERDIR)/data
 	$(GO) test -count=1 -cover -coverpkg=idnlab/... ./... -args -test.gocoverdir=$(COVERDIR)/data
 	$(GO) test -count=1 -tags smoke -cover -coverpkg=idnlab/... ./internal/smoke/ -args -test.gocoverdir=$(COVERDIR)/data
 	$(GO) tool covdata percent -i=$(COVERDIR)/data
 	$(GO) tool covdata textfmt -i=$(COVERDIR)/data -o=$(COVERDIR)/cover.out
-	$(GO) tool cover -func=$(COVERDIR)/cover.out | awk '$$NF == "0.0%" || $$1 == "total:"'
+	$(GO) tool cover -func=$(COVERDIR)/cover.out | awk -v min=$(COVER_MIN) \
+	  '$$NF == "0.0%" || $$1 == "total:" { print } $$1 == "total:" { total = $$NF + 0 } \
+	  END { if (total < min) { printf "cover: total %.1f%% is below COVER_MIN %.1f%%\n", total, min; exit 1 } }'
 
 # The full study: every table and figure at 1/100 of the paper's corpus.
 report:

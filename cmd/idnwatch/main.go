@@ -98,9 +98,9 @@ func run(ctx context.Context) error {
 	}
 	det := core.NewHomographDetector(*topK, opts...)
 
-	// Standing subscriptions. Real deployments feed these from an API;
-	// the daemon installs a deterministic synthetic population so the
-	// pipeline is exercised end to end out of the box.
+	// Standing subscriptions: a deterministic synthetic population of
+	// -subs IDs, installed once at start-up and frozen before the first
+	// delta, so the pipeline is exercised end to end out of the box.
 	catalog := det.Index().Brands()
 	subs := watch.NewSubTable(len(catalog))
 	n := *subsN
@@ -110,7 +110,7 @@ func run(ctx context.Context) error {
 	for i := 0; i < n; i++ {
 		subs.Subscribe(uint32(i%len(catalog)), uint64(1+i))
 	}
-	snap := subs.Compile()
+	subs.Compile()
 
 	eng, err := watch.NewEngine(det, subs, watch.EngineConfig{})
 	if err != nil {
@@ -120,13 +120,16 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	runner := &watch.Runner{Engine: eng, Log: log, Dir: *deltaDir, CursorPath: *cursor}
+	runner, err := watch.NewRunner(eng, log, *deltaDir, *cursor)
+	if err != nil {
+		log.Close()
+		return err
+	}
 
 	if *listen != "" {
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
-			log.Close()
-			return err
+			return errors.Join(err, runner.Close(), log.Close())
 		}
 		mux := http.NewServeMux()
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -161,7 +164,7 @@ func run(ctx context.Context) error {
 	}
 
 	fmt.Printf("idnwatch: watching %s (brands=%d, subscriptions=%d, SIGTERM to drain)\n",
-		*deltaDir, len(catalog), snap.Total())
+		*deltaDir, len(catalog), subs.Total())
 
 	if *once {
 		files, alerts, err := runner.Poll(ctx)

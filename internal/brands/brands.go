@@ -11,7 +11,6 @@
 package brands
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 )
@@ -149,9 +148,4 @@ func Lookup(domain string) (Brand, bool) {
 	List()
 	b, ok := byDomain[strings.ToLower(domain)]
 	return b, ok
-}
-
-// String implements fmt.Stringer.
-func (b Brand) String() string {
-	return fmt.Sprintf("#%d %s", b.Rank, b.Domain)
 }

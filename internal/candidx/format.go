@@ -373,7 +373,7 @@ func LoadFile(path string) (*Index, error) {
 // temp file, fsync, rename, directory fsync), so a crash leaves either
 // the old file or the complete new one.
 func (ix *Index) WriteFile(path string) error {
-	return framelog.ReplaceFile(path, framelog.Options{}, func(w io.Writer) error {
+	return framelog.ReplaceFile(path, func(w io.Writer) error {
 		_, err := w.Write(ix.data)
 		return err
 	})

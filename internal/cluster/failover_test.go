@@ -131,7 +131,7 @@ func (tc *testCluster) addWorker(id string) *testWorker {
 	tc.t.Helper()
 	cfg := serve.Config{NodeID: id, TopK: 100, Workers: 2, Stat: tc.stat}
 	if tc.storeRoot != "" {
-		st, err := vstore.Open(vstore.Config{Dir: filepath.Join(tc.storeRoot, id), NoFsync: true})
+		st, err := vstore.Open(vstore.Config{Dir: filepath.Join(tc.storeRoot, id)})
 		if err != nil {
 			tc.t.Fatalf("open store for %s: %v", id, err)
 		}

@@ -89,3 +89,47 @@ func TestHeartbeatingWorkerThatFailsRequests(t *testing.T) {
 		t.Fatalf("the failing worker saw %d detect attempts over %d heartbeats, want 1..%d", got, heartbeats, max)
 	}
 }
+
+// TestGatewayBatchShedKeepsRetryAfter: a worker that sheds a sub-batch
+// (429 on /v1/detect/batch) fails the client's batch with 429, and the
+// gateway passes the worker's Retry-After on, or asks for 1 s when the
+// worker named none.
+func TestGatewayBatchShedKeepsRetryAfter(t *testing.T) {
+	for _, tc := range []struct{ name, workerSays, want string }{
+		{"worker Retry-After 7", "7", "7"},
+		{"worker Retry-After none", "", "1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fake := newFakeDoer()
+			g := NewGateway(GatewayConfig{Router: RouterConfig{Client: fake}})
+			shed := func(r *http.Request) (*http.Response, error) {
+				if r.URL.Path != "/v1/detect/batch" {
+					return nil, fmt.Errorf("fake worker: unexpected %s", r.URL.Path)
+				}
+				h := http.Header{}
+				if tc.workerSays != "" {
+					h.Set("Retry-After", tc.workerSays)
+				}
+				return &http.Response{StatusCode: http.StatusTooManyRequests, Header: h, Body: io.NopCloser(strings.NewReader(`{"error":"saturated"}`))}, nil
+			}
+			nodes := testNodes(2)
+			for _, nd := range nodes {
+				g.mem.Join(nd.ID, nd.Addr)
+				fake.set(nd.Addr, shed)
+			}
+			rec := httptest.NewRecorder()
+			body := `{"domains":["xn--pple-43d.com","example.com","xn--80ak6aa92e.com"]}`
+			g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/detect/batch", strings.NewReader(body)))
+			if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != tc.want {
+				t.Fatalf("batch: %d Retry-After %q (%q), want 429 Retry-After %q", rec.Code, rec.Header().Get("Retry-After"), rec.Body, tc.want)
+			}
+			calls := 0
+			for _, nd := range nodes {
+				calls += fake.callCount(nd.Addr)
+			}
+			if calls == 0 {
+				t.Fatal("no sub-batch reached a worker")
+			}
+		})
+	}
+}

@@ -557,7 +557,6 @@ var cfgAllowed = map[string]string{
 	"internal/cluster.RouterConfig.Client":  "test seam: the router and gateway tests swap in a fake transport",
 	"internal/cluster.GatewayConfig.Router": "test seam: carries RouterConfig.Client into a gateway under test",
 	"internal/vstore.Config.CompactBytes":   "test seam: the store tests reach compaction without writing 8 MiB",
-	"internal/vstore.Config.NoFsync":        "test seam: the store tests and fuzzers skip fsync",
 	"internal/serve.Config.Workers":         "test seam: the serve and cluster tests pin the batch width, so alloc counts and admission do not follow the machine's GOMAXPROCS",
 	"internal/serve.Config.CacheSize":       "test seam: the serve tests reach eviction with caches of 2 to 64 entries",
 	"internal/watch.EngineConfig.Workers":   "test seam: the engine tests run a 2- and 4-wide pool, so the order guarantee is exercised on a one-core machine too",

@@ -454,7 +454,7 @@ func (r *Replica) saveWatermarks(wm map[string]uint64) error {
 	if err != nil || bytes.Equal(buf, r.savedWM) {
 		return err
 	}
-	err = framelog.ReplaceFile(r.watermarkPath(), framelog.Options{}, func(w io.Writer) error {
+	err = framelog.ReplaceFile(r.watermarkPath(), func(w io.Writer) error {
 		_, err := w.Write(buf)
 		return err
 	})

@@ -53,7 +53,7 @@ func (c *mapCache) len() int {
 
 func openStore(t testing.TB, dir string) *vstore.Store {
 	t.Helper()
-	st, err := vstore.Open(vstore.Config{Dir: dir, NoFsync: true})
+	st, err := vstore.Open(vstore.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,7 +214,7 @@ func LoadFile(path string) (*Model, error) {
 // temp file, fsync, rename, directory fsync), so a crash leaves either
 // the old file or the complete new one.
 func (m *Model) WriteFile(path string) error {
-	err := framelog.ReplaceFile(path, framelog.Options{}, func(w io.Writer) error {
+	err := framelog.ReplaceFile(path, func(w io.Writer) error {
 		_, err := w.Write(m.data)
 		return err
 	})

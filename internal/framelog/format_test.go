@@ -105,7 +105,10 @@ func TestCursorFileFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &watch.Runner{Engine: eng, Log: l, Dir: dir, CursorPath: logPath + ".cursor"}
+	r, err := watch.NewRunner(eng, l, dir, logPath+".cursor")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if files, alerts, err := r.Poll(context.Background()); err != nil || files != 2 || alerts != 2 {
 		t.Fatalf("Poll: %d files, %d alerts, err %v; want 2 and 2", files, alerts, err)
 	}
@@ -132,7 +135,7 @@ func TestVerdictStoreFileFormats(t *testing.T) {
 		{Domain: "xn--80ak6aa92e.com", Unicode: "аррӏе.com", IDN: true},
 	}
 	dir := t.TempDir()
-	st, err := vstore.Open(vstore.Config{Dir: dir, CompactBytes: -1, NoFsync: true})
+	st, err := vstore.Open(vstore.Config{Dir: dir, CompactBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,26 +63,8 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Options are the knobs shared by every durable file.
-type Options struct {
-	// NoFsync turns every fsync into a no-op. Test-only: crash tests
-	// mutilate files directly and fuzzers churn through throwaway logs,
-	// so physical durability is irrelevant there.
-	NoFsync bool
-}
-
-func (o Options) sync(f *os.File) error {
-	if o.NoFsync {
-		return nil
-	}
-	return f.Sync()
-}
-
 // syncDir makes a create or rename in dir durable.
-func (o Options) syncDir(dir string) error {
-	if o.NoFsync {
-		return nil
-	}
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -245,7 +227,6 @@ func (s Stats) AvgBatch() float64 {
 // Log is an append-only frame file with group commit.
 type Log struct {
 	f      *os.File
-	opt    Options
 	header []byte
 
 	mu   sync.Mutex
@@ -275,12 +256,12 @@ type Log struct {
 // truncated at the first torn or corrupt frame. An error from fn — a
 // payload that checks out but means nothing to the caller — fails Open
 // and leaves the file as it was.
-func Open(path string, header []byte, opt Options, fn func(end int64, payload []byte) error) (*Log, error) {
+func Open(path string, header []byte, fn func(end int64, payload []byte) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{f: f, opt: opt, done: make(chan struct{})}
+	l := &Log{f: f, done: make(chan struct{})}
 	l.cond = sync.NewCond(&l.mu)
 	if err := l.recover(header, fn); err != nil {
 		f.Close()
@@ -300,12 +281,12 @@ func (l *Log) recover(header []byte, fn func(end int64, payload []byte) error) e
 		if _, err := l.f.Write(header); err != nil {
 			return err
 		}
-		if err := l.opt.sync(l.f); err != nil {
+		if err := l.f.Sync(); err != nil {
 			return err
 		}
 		l.header = append([]byte(nil), header...)
 		l.size = int64(len(header))
-		return l.opt.syncDir(filepath.Dir(l.f.Name()))
+		return syncDir(filepath.Dir(l.f.Name()))
 	}
 	if l.header, err = readHeader(l.f, header[:MagicLen], len(header)); err != nil {
 		return err
@@ -318,7 +299,7 @@ func (l *Log) recover(header []byte, fn func(end int64, payload []byte) error) e
 		if err := l.f.Truncate(l.size); err != nil {
 			return err
 		}
-		if err := l.opt.sync(l.f); err != nil {
+		if err := l.f.Sync(); err != nil {
 			return err
 		}
 	}
@@ -437,7 +418,7 @@ func (l *Log) commitLoop() {
 
 		_, werr := l.f.Write(buf)
 		if werr == nil {
-			werr = l.opt.sync(l.f)
+			werr = l.f.Sync()
 		}
 
 		l.mu.Lock()
@@ -461,7 +442,7 @@ func (l *Log) commitLoop() {
 // directory is fsynced so the rename itself survives a crash. On any
 // failure the temp file is removed and the old path is untouched, so a
 // reader sees the old complete file or the new complete one.
-func ReplaceFile(path string, opt Options, write func(w io.Writer) error) (err error) {
+func ReplaceFile(path string, write func(w io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -473,7 +454,7 @@ func ReplaceFile(path string, opt Options, write func(w io.Writer) error) (err e
 		}
 	}()
 	if err = write(f); err == nil {
-		err = opt.sync(f)
+		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -484,5 +465,5 @@ func ReplaceFile(path string, opt Options, write func(w io.Writer) error) (err e
 	if err = os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return opt.syncDir(filepath.Dir(path))
+	return syncDir(filepath.Dir(path))
 }

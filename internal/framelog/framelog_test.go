@@ -10,14 +10,11 @@ import (
 	"testing"
 )
 
-var (
-	testHeader = []byte("TESTLOG1")
-	noFsync    = Options{NoFsync: true}
-)
+var testHeader = []byte("TESTLOG1")
 
 func openTest(t *testing.T, path string) *Log {
 	t.Helper()
-	l, err := Open(path, testHeader, noFsync, nil)
+	l, err := Open(path, testHeader, nil)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", path, err)
 	}
@@ -147,7 +144,7 @@ func TestRotationHandOff(t *testing.T) {
 		if err := cur.Close(); err != nil {
 			return err
 		}
-		next, err := Open(newPath, testHeader, noFsync, nil)
+		next, err := Open(newPath, testHeader, nil)
 		cur = next
 		return err
 	}
@@ -226,7 +223,7 @@ func TestRotationHandOff(t *testing.T) {
 func TestReplaceFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.json")
 	write := func(s string, fail error) error {
-		return ReplaceFile(path, noFsync, func(w io.Writer) error {
+		return ReplaceFile(path, func(w io.Writer) error {
 			if _, err := io.WriteString(w, s); err != nil {
 				return err
 			}

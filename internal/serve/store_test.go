@@ -119,7 +119,7 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 	dir := t.TempDir()
 
 	// A previous incarnation committed one verdict and stopped cleanly.
-	prev, err := vstore.Open(vstore.Config{Dir: dir, NoFsync: true})
+	prev, err := vstore.Open(vstore.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := vstore.Open(vstore.Config{Dir: dir, NoFsync: true})
+	st, err := vstore.Open(vstore.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestServerStoreWarmBootAndHandlers(t *testing.T) {
 // openDurable opens a store at dir that compacts only when asked.
 func openDurable(t *testing.T, dir string) *vstore.Store {
 	t.Helper()
-	st, err := vstore.Open(vstore.Config{Dir: dir, CompactBytes: -1, NoFsync: true})
+	st, err := vstore.Open(vstore.Config{Dir: dir, CompactBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

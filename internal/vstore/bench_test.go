@@ -25,8 +25,7 @@ import (
 //	                         and `make bench-gates` holds it to >= 100k
 //	                         records/s
 //
-// NoFsync is set: these measure the encode/frame/replay paths, not the
-// disk.
+// Every commit fsyncs, as in production, so the rates include the disk.
 
 // recoveryRecords is the size of the store BenchmarkVstoreRecovery
 // replays and BenchmarkVstoreCompact merges per iteration. The gates are
@@ -52,7 +51,7 @@ func recordBytes(b *testing.B) int64 {
 }
 
 func BenchmarkVstoreAppend(b *testing.B) {
-	s, err := Open(Config{Dir: b.TempDir(), CompactBytes: -1, NoFsync: true})
+	s, err := Open(Config{Dir: b.TempDir(), CompactBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func BenchmarkVstoreAppend(b *testing.B) {
 func BenchmarkVstoreRecovery(b *testing.B) {
 	const n = recoveryRecords
 	dir := b.TempDir()
-	s, err := Open(Config{Dir: dir, CompactBytes: -1, NoFsync: true})
+	s, err := Open(Config{Dir: dir, CompactBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func BenchmarkVstoreRecovery(b *testing.B) {
 	b.SetBytes(dirBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := Open(Config{Dir: dir, CompactBytes: -1, NoFsync: true})
+		r, err := Open(Config{Dir: dir, CompactBytes: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +112,7 @@ func BenchmarkVstoreRecovery(b *testing.B) {
 // is checked by its byte count alone.
 func BenchmarkVstoreSince(b *testing.B) {
 	const n, page = 32_768, 2048
-	s, err := Open(Config{Dir: b.TempDir(), CompactBytes: -1, NoFsync: true})
+	s, err := Open(Config{Dir: b.TempDir(), CompactBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func BenchmarkVstoreSince(b *testing.B) {
 
 func BenchmarkVstoreCompact(b *testing.B) {
 	const n = recoveryRecords
-	s, err := Open(Config{Dir: b.TempDir(), CompactBytes: -1, NoFsync: true})
+	s, err := Open(Config{Dir: b.TempDir(), CompactBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func fuzzSeedFiles(f *testing.F) (wlog, snap []byte) {
 	f.Helper()
 	dir := f.TempDir()
-	s, err := Open(Config{Dir: dir, CompactBytes: -1, NoFsync: true})
+	s, err := Open(Config{Dir: dir, CompactBytes: -1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func FuzzOpen(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		cfg := Config{Dir: dir, CompactBytes: -1, NoFsync: true}
+		cfg := Config{Dir: dir, CompactBytes: -1}
 		s, err := Open(cfg)
 		if err != nil {
 			return // refusing a corrupt directory is fine; panicking is not

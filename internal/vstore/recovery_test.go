@@ -14,9 +14,8 @@ const frameHeader = framelog.FrameHeader // u32le len + u32le crc
 // Crash-recovery tests, mirroring watch/recovery_test.go's discipline:
 // build a store, cut its files at every interesting byte, reopen, and
 // assert byte-level truncation plus warm-state equivalence with an
-// uninterrupted run. NoFsync is set throughout — these tests simulate
-// the crash by mutilating files directly, so physical fsync ordering is
-// not what is under test.
+// uninterrupted run. These tests simulate the crash by mutilating files
+// directly, so physical fsync ordering is not what is under test.
 
 // frameBoundaries returns the byte offsets (from file start) at which
 // each complete frame in the log ends — offset 0 of the frame region is
@@ -276,7 +275,7 @@ func TestBadMagicRefused(t *testing.T) {
 	buf, _ := os.ReadFile(logPath)
 	copy(buf, "NOTALOG!")
 	os.WriteFile(logPath, buf, 0o644)
-	if _, err := Open(Config{Dir: dir, NoFsync: true}); err == nil {
+	if _, err := Open(Config{Dir: dir}); err == nil {
 		t.Fatal("Open accepted a log with corrupt magic")
 	}
 }
@@ -304,7 +303,7 @@ func TestTruncatedSnapshotRefused(t *testing.T) {
 	if err := os.WriteFile(snap, buf[:len(buf)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Config{Dir: dir, NoFsync: true}); err == nil {
+	if _, err := Open(Config{Dir: dir}); err == nil {
 		t.Fatal("Open accepted a truncated snapshot")
 	}
 }

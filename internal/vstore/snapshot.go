@@ -136,7 +136,7 @@ func (s *Store) rotateLocked(path string) error {
 // covered logs meets. A live seq it misses is an error, and the old
 // snapshot stays.
 func (s *Store) writeSnapshot(live []uint64, watermark uint64, covered []string) error {
-	return framelog.ReplaceFile(filepath.Join(s.cfg.Dir, snapName), s.opt, func(w io.Writer) error {
+	return framelog.ReplaceFile(filepath.Join(s.cfg.Dir, snapName), func(w io.Writer) error {
 		buf := make([]byte, snapHeaderSize, 1<<20)
 		copy(buf, snapMagic)
 		binary.LittleEndian.PutUint64(buf[8:], watermark)

@@ -18,7 +18,6 @@ import (
 // Build with Open; Append/Sync/Since/Stats are safe for concurrent use.
 type Store struct {
 	cfg Config
-	opt framelog.Options
 
 	mu sync.Mutex
 
@@ -65,7 +64,7 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{cfg: cfg, opt: framelog.Options{NoFsync: cfg.NoFsync}}
+	s := &Store{cfg: cfg}
 
 	// A crash mid-snapshot leaves only a temp file; the rename never
 	// happened, so the old snapshot (if any) is still the truth.
@@ -174,7 +173,7 @@ func (s *Store) openLog(path string, baseSeq uint64, fn func(int64, []byte) erro
 	hdr := make([]byte, logHeaderSize)
 	copy(hdr, logMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], baseSeq)
-	return framelog.Open(path, hdr, s.opt, fn)
+	return framelog.Open(path, hdr, fn)
 }
 
 // eachRecord adapts fn to a framelog payload callback. A payload that

@@ -69,7 +69,7 @@ func TestDecodeRecordRefusals(t *testing.T) {
 
 func openTest(t *testing.T, dir string, compact int64) *Store {
 	t.Helper()
-	s, err := Open(Config{Dir: dir, CompactBytes: compact, NoFsync: true})
+	s, err := Open(Config{Dir: dir, CompactBytes: compact})
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}

@@ -65,10 +65,6 @@ type Config struct {
 	// CompactBytes triggers snapshot compaction when the active log
 	// exceeds this size (default 8 MiB; < 0 disables compaction).
 	CompactBytes int64
-	// NoFsync turns every fsync into a no-op. Test-only: crash-recovery
-	// and churn tests cycle through hundreds of throwaway stores where
-	// physical durability is irrelevant. Production never sets it.
-	NoFsync bool
 }
 
 func (c Config) withDefaults() Config {

@@ -43,11 +43,7 @@ type AlertLog struct{ log *framelog.Log }
 // the committer. The returned log's Size() is the recovered durable
 // offset.
 func OpenAlertLog(path string) (*AlertLog, error) {
-	return openAlertLog(path, framelog.Options{})
-}
-
-func openAlertLog(path string, opt framelog.Options) (*AlertLog, error) {
-	log, err := framelog.Open(path, []byte(logMagic), opt, nil)
+	log, err := framelog.Open(path, []byte(logMagic), nil)
 	if err != nil {
 		return nil, fmt.Errorf("watch: alert log: %w", err)
 	}

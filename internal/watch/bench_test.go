@@ -109,9 +109,8 @@ func BenchmarkWatchMatch1M(b *testing.B) {
 	catalog := benchCatalog(nBrands)
 	events := benchEventCorpus(b, 4, 3000)
 	tab := benchSubs(nBrands, 1_000_000)
-	snap := tab.Snapshot()
-	if snap.Total() != 1_000_000 {
-		b.Fatalf("subscriptions = %d, want 1M", snap.Total())
+	if tab.Total() != 1_000_000 {
+		b.Fatalf("subscriptions = %d, want 1M", tab.Total())
 	}
 	ix, err := candidx.Build(catalog, candidx.BuildOptions{})
 	if err != nil {
@@ -130,7 +129,7 @@ func BenchmarkWatchMatch1M(b *testing.B) {
 		}
 		if match, ok := m.Match(ev.label); ok {
 			hits++
-			if snap.Count(match.BrandID) > 0 {
+			if tab.Count(match.BrandID) > 0 {
 				watched++
 			}
 		}
@@ -146,7 +145,7 @@ func BenchmarkWatchMatch1M(b *testing.B) {
 			continue
 		}
 		if match, ok := m.Match(ev.label); ok {
-			sink += uint64(len(snap.Of(match.BrandID)))
+			sink += uint64(len(tab.Of(match.BrandID)))
 		}
 	}
 	_ = sink
@@ -230,10 +229,7 @@ func BenchmarkRunnerCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	r := &Runner{Log: l, Dir: dir, CursorPath: filepath.Join(dir, "alerts.log.cursor")}
-	if err := r.init(); err != nil {
-		b.Fatal(err)
-	}
+	r := newRunner(b, nil, l, dir, filepath.Join(dir, "alerts.log.cursor"))
 	defer r.Close()
 	alert := Alert{Op: "add", Domain: "xn--pple-43d.com", Unicode: "аpple.com", Brand: "apple.com", SSIM: 0.997, Subs: 3}
 	b.ReportAllocs()
@@ -285,8 +281,8 @@ func BenchmarkDeltaParse(b *testing.B) {
 // 1,000,000 Subscribe calls over a 1,000-brand catalog (the default
 // index) with benchSubs' popularity skew, then one Compile. Reported in
 // subscriptions/s. A Subscribe that scans its brand's list for a
-// duplicate is quadratic here and runs ~1.6M/s; `make bench-gates` holds
-// the append-and-dedup-at-Compile table to 18M/s.
+// duplicate is quadratic here and runs ~1.6M/s, one behind a stripe
+// lock 17-25M/s; `make bench-gates` holds the frozen table to 20M/s.
 func BenchmarkSubscribe1M(b *testing.B) {
 	const nBrands, subs = 1000, 1_000_000
 	src := simrand.New(0x5AB5C21B)
@@ -302,7 +298,8 @@ func BenchmarkSubscribe1M(b *testing.B) {
 		for j, br := range brand {
 			tab.Subscribe(br, uint64(j))
 		}
-		if got := tab.Compile().Total(); got != subs {
+		tab.Compile()
+		if got := tab.Total(); got != subs {
 			b.Fatalf("compiled %d subscriptions, want %d", got, subs)
 		}
 	}

@@ -20,7 +20,7 @@ func failCursorWrites(t *testing.T, r *Runner) {
 	}
 	defer full.Close()
 	var want syscall.Stat_t
-	if err := syscall.Stat(r.CursorPath, &want); err != nil {
+	if err := syscall.Stat(cursorPath(r.dir), &want); err != nil {
 		t.Fatal(err)
 	}
 	for fd := 3; fd < 1024; fd++ {
@@ -64,13 +64,13 @@ func TestCursorCommitFailedWrite(t *testing.T) {
 	if r.Cursor() != durable {
 		t.Fatalf("in-memory cursor %+v passed the last durable frame %+v", r.Cursor(), durable)
 	}
-	if saved := savedCursor(t, r.CursorPath); saved != durable {
+	if saved := savedCursor(t, cursorPath(dir)); saved != durable {
 		t.Fatalf("cursor file holds %+v, want %+v", saved, durable)
 	}
 	r.Close()
 
 	// Restart over the same files: resume after day 1, replay day 2.
-	r2 := &Runner{Engine: eng, Log: r.Log, Dir: dir, CursorPath: r.CursorPath}
+	r2 := newRunner(t, eng, r.log, dir, cursorPath(dir))
 	defer r2.Close()
 	if files, _, err := r2.Poll(context.Background()); err != nil || files != 2 {
 		t.Fatalf("resumed poll: files=%d err=%v, want days 2 and 3", files, err)

@@ -139,6 +139,17 @@ func TestEngineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNewEngineRefusesUncompiledTable: an engine reads a frozen
+// table without a lock, so a table still open to Subscribe is refused.
+func TestNewEngineRefusesUncompiledTable(t *testing.T) {
+	det, list := testCatalogDetector(t, 20)
+	subs := NewSubTable(len(list))
+	subs.Subscribe(0, 1)
+	if eng, err := NewEngine(det, subs, EngineConfig{}); err == nil || eng != nil {
+		t.Fatalf("NewEngine over an uncompiled table: %v, %v; want a refusal", eng, err)
+	}
+}
+
 // TestEngineUnsubscribedBrandsSilent: matches against brands nobody
 // watches must be filtered, and the suppression counted.
 func TestEngineUnsubscribedBrandsSilent(t *testing.T) {

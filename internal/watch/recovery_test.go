@@ -16,7 +16,7 @@ func runPoll(t *testing.T, eng *Engine, dir, logPath, cursorPath string) []Alert
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Engine: eng, Log: l, Dir: dir, CursorPath: cursorPath}
+	r := newRunner(t, eng, l, dir, cursorPath)
 	if _, _, err := r.Poll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRunnerPollCursorAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Engine: eng, Log: l, Dir: dir, CursorPath: cursorPath}
+	r := newRunner(t, eng, l, dir, cursorPath)
 
 	files, alerts, err := r.Poll(context.Background())
 	if err != nil {
@@ -78,7 +78,7 @@ func TestRunnerPollCursorAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := &Runner{Engine: eng, Log: l2, Dir: dir, CursorPath: cursorPath}
+	r2 := newRunner(t, eng, l2, dir, cursorPath)
 	if files, _, err := r2.Poll(context.Background()); err != nil || files != 0 {
 		t.Fatalf("resumed poll: files=%d err=%v", files, err)
 	}
@@ -119,7 +119,7 @@ func TestRunnerCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &Runner{Engine: eng, Log: l, Dir: dir, CursorPath: liveCursor}
+		r := newRunner(t, eng, l, dir, liveCursor)
 		for _, name := range []string{"delta-2017080101.zone", "delta-2017080102.zone", "delta-2017080103.zone"} {
 			if _, err := r.ProcessFile(context.Background(), filepath.Join(dir, name)); err != nil {
 				t.Fatal(err)

@@ -64,7 +64,7 @@ func openCursor(path string) (*framelog.Log, Cursor, error) {
 		c, err = decodeCursor(p)
 		return err
 	}
-	l, err := framelog.Open(path, []byte(cursorMagic), framelog.Options{}, read)
+	l, err := framelog.Open(path, []byte(cursorMagic), read)
 	switch {
 	case errors.Is(err, framelog.ErrMagic):
 		return nil, Cursor{}, fmt.Errorf("watch: cursor %s is not an %s file; deleting it restarts from the first delta file and logs every alert again (at-least-once)", path, cursorMagic)
@@ -76,12 +76,12 @@ func openCursor(path string) (*framelog.Log, Cursor, error) {
 	if err := l.Close(); err != nil {
 		return nil, Cursor{}, err
 	}
-	err = framelog.ReplaceFile(path, framelog.Options{}, func(w io.Writer) error {
+	err = framelog.ReplaceFile(path, func(w io.Writer) error {
 		_, err := w.Write(framelog.AppendFrame([]byte(cursorMagic), c.frame()))
 		return err
 	})
 	if err == nil {
-		l, err = framelog.Open(path, []byte(cursorMagic), framelog.Options{}, nil)
+		l, err = framelog.Open(path, []byte(cursorMagic), nil)
 	}
 	if err != nil {
 		return nil, Cursor{}, fmt.Errorf("watch: cursor %s: %w", path, err)
@@ -109,49 +109,36 @@ func ParseDeltaFileName(name string) (uint32, bool) {
 
 // Runner ties the pieces into the daemon's main loop: tail a directory
 // of delta files, stream each new one through the engine, append the
-// alerts durably, advance the cursor.
+// alerts durably, advance the cursor. Build it with NewRunner.
 type Runner struct {
-	Engine     *Engine
-	Log        *AlertLog
-	Dir        string // delta directory to tail
-	CursorPath string // cursor file; empty disables persistence
-
+	engine *Engine
+	log    *AlertLog
+	dir    string        // delta directory to tail
+	cur    *framelog.Log // the open cursor file
 	cursor Cursor
-	cur    *framelog.Log // the open cursor file; nil without CursorPath
-	loaded bool
+}
+
+// NewRunner opens the cursor file at cursorPath (creating it if
+// missing) and returns a runner that tails dir, matches through engine
+// and appends to log, resuming after the cursor the file holds.
+func NewRunner(engine *Engine, log *AlertLog, dir, cursorPath string) (*Runner, error) {
+	cur, c, err := openCursor(cursorPath)
+	if err != nil {
+		return nil, err
+	}
+	return &Runner{engine: engine, log: log, dir: dir, cur: cur, cursor: c}, nil
 }
 
 // Cursor returns the runner's current in-memory cursor.
 func (r *Runner) Cursor() Cursor { return r.cursor }
 
-// init opens the cursor file on first use.
-func (r *Runner) init() error {
-	if r.loaded {
-		return nil
-	}
-	if r.CursorPath != "" {
-		cur, c, err := openCursor(r.CursorPath)
-		if err != nil {
-			return err
-		}
-		r.cur, r.cursor = cur, c
-	}
-	r.loaded = true
-	return nil
-}
-
 // Close closes the cursor file. The alert log is the caller's.
-func (r *Runner) Close() error {
-	if r.cur == nil {
-		return nil
-	}
-	return r.cur.Close()
-}
+func (r *Runner) Close() error { return r.cur.Close() }
 
 // pendingFiles lists delta files in Dir with serials above the cursor,
 // in serial order.
 func (r *Runner) pendingFiles() ([]string, error) {
-	entries, err := os.ReadDir(r.Dir)
+	entries, err := os.ReadDir(r.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +155,7 @@ func (r *Runner) pendingFiles() ([]string, error) {
 		if !ok || serial <= r.cursor.Serial {
 			continue
 		}
-		files = append(files, pf{serial, filepath.Join(r.Dir, e.Name())})
+		files = append(files, pf{serial, filepath.Join(r.dir, e.Name())})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].serial < files[j].serial })
 	out := make([]string, len(files))
@@ -206,32 +193,30 @@ func loadDelta(path string) (*Delta, error) {
 // Cancellation is honoured between files (Poll).
 func (r *Runner) processDelta(ctx context.Context, d *Delta) (int, error) {
 	alerts := 0
-	err := r.Engine.ProcessDelta(context.WithoutCancel(ctx), d, func(a Alert) error {
+	err := r.engine.ProcessDelta(context.WithoutCancel(ctx), d, func(a Alert) error {
 		alerts++
-		return r.Log.Append(a)
+		return r.log.Append(a)
 	})
 	if err != nil {
 		return alerts, err
 	}
 	// Durability barrier before the cursor moves: this ordering is the
 	// at-least-once guarantee.
-	if err := r.Log.Sync(); err != nil {
+	if err := r.log.Sync(); err != nil {
 		return alerts, err
 	}
-	return alerts, r.commit(Cursor{Serial: d.Serial, LogOffset: r.Log.Size()})
+	return alerts, r.commit(Cursor{Serial: d.Serial, LogOffset: r.log.Size()})
 }
 
 // commit appends c as one frame to the cursor file and Syncs it; only
 // then does the in-memory cursor move, so it never passes the last
 // durable frame.
 func (r *Runner) commit(c Cursor) error {
-	if r.cur != nil {
-		if _, err := r.cur.Append(c.frame()); err != nil {
-			return err
-		}
-		if err := r.cur.Sync(); err != nil {
-			return err
-		}
+	if _, err := r.cur.Append(c.frame()); err != nil {
+		return err
+	}
+	if err := r.cur.Sync(); err != nil {
+		return err
 	}
 	r.cursor = c
 	return nil
@@ -254,9 +239,6 @@ type parsed struct {
 // between files: a file whose processing has started is matched, Synced
 // and gets its cursor committed before Poll returns ctx.Err().
 func (r *Runner) Poll(ctx context.Context) (files, alerts int, err error) {
-	if err := r.init(); err != nil {
-		return 0, 0, err
-	}
 	paths, err := r.pendingFiles()
 	if err != nil || len(paths) == 0 {
 		return 0, 0, err

@@ -29,9 +29,19 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// openRunner opens a fresh alert log and cursor file under dir. The
-// cursor file is opened up front, so a goroutine count taken after
-// openRunner already includes its committer.
+// newRunner is NewRunner for a test that cannot go on without one.
+func newRunner(t testing.TB, eng *Engine, l *AlertLog, dir, cursorPath string) *Runner {
+	t.Helper()
+	r, err := NewRunner(eng, l, dir, cursorPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// openRunner opens a fresh alert log and cursor file under dir (see
+// cursorPath). A goroutine count taken after openRunner already
+// includes both committers.
 func openRunner(t *testing.T, eng *Engine, dir string) *Runner {
 	t.Helper()
 	l, err := OpenAlertLog(filepath.Join(dir, "alerts.log"))
@@ -39,13 +49,13 @@ func openRunner(t *testing.T, eng *Engine, dir string) *Runner {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	r := &Runner{Engine: eng, Log: l, Dir: dir, CursorPath: filepath.Join(dir, "alerts.log.cursor")}
-	if err := r.init(); err != nil {
-		t.Fatal(err)
-	}
+	r := newRunner(t, eng, l, dir, cursorPath(dir))
 	t.Cleanup(func() { r.Close() })
 	return r
 }
+
+// cursorPath is where openRunner keeps the cursor file for dir.
+func cursorPath(dir string) string { return filepath.Join(dir, "alerts.log.cursor") }
 
 // cursorFrames returns every cursor the cursor file at path holds, in
 // order, with the offset just past each frame.
@@ -83,13 +93,13 @@ func requireCommittedThrough(t *testing.T, r *Runner, serial uint32) {
 	if c.Serial != serial {
 		t.Fatalf("cursor serial %d, want %d", c.Serial, serial)
 	}
-	if saved := savedCursor(t, r.CursorPath); saved != c {
+	if saved := savedCursor(t, cursorPath(r.dir)); saved != c {
 		t.Fatalf("persisted cursor %+v, in memory %+v", saved, c)
 	}
-	if c.LogOffset != r.Log.Size() {
-		t.Fatalf("log holds %d bytes past the cursor's %d", r.Log.Size(), c.LogOffset)
+	if c.LogOffset != r.log.Size() {
+		t.Fatalf("log holds %d bytes past the cursor's %d", r.log.Size(), c.LogOffset)
 	}
-	for _, a := range replayAll(t, filepath.Join(r.Dir, "alerts.log"), 0) {
+	for _, a := range replayAll(t, filepath.Join(r.dir, "alerts.log"), 0) {
 		if a.Serial > serial {
 			t.Fatalf("alert of serial %d logged past the cursor %d", a.Serial, serial)
 		}
@@ -138,11 +148,11 @@ func TestRunnerRejectsSerialMismatch(t *testing.T) {
 			requireCommittedThrough(t, r, serials[0])
 
 			// ProcessFile names the same problem and appends nothing.
-			size := r.Log.Size()
+			size := r.log.Size()
 			if _, err := r.ProcessFile(context.Background(), path); err == nil || err.Error() != want {
 				t.Fatalf("ProcessFile err = %v, want %q", err, want)
 			}
-			if r.Log.Size() != size {
+			if r.log.Size() != size {
 				t.Fatal("ProcessFile appended alerts of a mismatched file")
 			}
 		})
@@ -192,7 +202,7 @@ func TestRunnerPollMalformedMidDirectory(t *testing.T) {
 		t.Fatalf("%d files committed, want 2", files)
 	}
 	requireCommittedThrough(t, r, days[1].Serial)
-	got := replayAll(t, filepath.Join(r.Dir, "alerts.log"), 0)
+	got := replayAll(t, filepath.Join(dir, "alerts.log"), 0)
 	var want []Alert
 	for _, a := range ref {
 		if a.Serial <= days[1].Serial {
@@ -225,7 +235,7 @@ func TestRunnerPollCancelled(t *testing.T) {
 	// Cancel as soon as the first file's cursor frame is on disk.
 	go func() {
 		for ctx.Err() == nil {
-			if st, err := os.Stat(r.CursorPath); err == nil && st.Size() > int64(len(cursorMagic)) {
+			if st, err := os.Stat(cursorPath(dir)); err == nil && st.Size() > int64(len(cursorMagic)) {
 				cancel()
 				return
 			}
@@ -278,7 +288,7 @@ func TestRunnerCursorAppendsInPlace(t *testing.T) {
 	r := openRunner(t, eng, dir)
 	stat := func() os.FileInfo {
 		t.Helper()
-		fi, err := os.Stat(r.CursorPath)
+		fi, err := os.Stat(cursorPath(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +306,7 @@ func TestRunnerCursorAppendsInPlace(t *testing.T) {
 	if !os.SameFile(opened, afterTwo) || !os.SameFile(opened, stat()) {
 		t.Fatal("the cursor file was replaced by a delta commit")
 	}
-	cs, _ := cursorFrames(t, r.CursorPath)
+	cs, _ := cursorFrames(t, cursorPath(dir))
 	if len(cs) != 3 {
 		t.Fatalf("cursor file holds %d frames after 3 deltas, want 3", len(cs))
 	}
@@ -311,22 +321,23 @@ func TestRunnerCursorAppendsInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2 := &Runner{Engine: eng, Log: r.Log, Dir: dir, CursorPath: r.CursorPath}
+	r2 := newRunner(t, eng, r.log, dir, cursorPath(dir))
+	defer r2.Close()
 	if files, _, err := r2.Poll(context.Background()); err != nil || files != 0 {
 		t.Fatalf("resumed poll: files=%d err=%v", files, err)
 	}
-	defer r2.Close()
 	if r2.Cursor() != last {
 		t.Fatalf("resumed at %+v, want %+v", r2.Cursor(), last)
 	}
-	if cs, _ := cursorFrames(t, r.CursorPath); len(cs) != 1 || cs[0] != last {
+	if cs, _ := cursorFrames(t, cursorPath(dir)); len(cs) != 1 || cs[0] != last {
 		t.Fatalf("restart left frames %+v, want the one %+v", cs, last)
 	}
 }
 
 // TestRunnerRefusesJSONCursor: a cursor in the JSON form older builds
-// wrote is refused before any delta is read, naming the file and what
-// deleting it costs, and the file is left as it was.
+// wrote is refused when the runner is built, before any delta is read,
+// naming the file and what deleting it costs, and the file is left as
+// it was.
 func TestRunnerRefusesJSONCursor(t *testing.T) {
 	eng, _ := testFixture(t, 80, 4)
 	dir := t.TempDir()
@@ -341,13 +352,12 @@ func TestRunnerRefusesJSONCursor(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Engine: eng, Log: l, Dir: dir, CursorPath: path}
-	files, _, err := r.Poll(context.Background())
+	r, err := NewRunner(eng, l, dir, path)
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "at-least-once") {
-		t.Fatalf("Poll err = %v, want a refusal naming %s and the replay", err, path)
+		t.Fatalf("NewRunner err = %v, want a refusal naming %s and the replay", err, path)
 	}
-	if files != 0 || l.Size() != int64(len(logMagic)) {
-		t.Fatalf("%d files processed, log %d bytes: the refusal came too late", files, l.Size())
+	if r != nil || l.Size() != int64(len(logMagic)) {
+		t.Fatalf("runner %v, log %d bytes: the refusal came too late", r, l.Size())
 	}
 	if got, err := os.ReadFile(path); err != nil || string(got) != string(old) {
 		t.Fatalf("refused cursor now %q (err %v), want it untouched", got, err)

@@ -2,6 +2,7 @@ package watch
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync/atomic"
 
@@ -35,8 +36,12 @@ type Engine struct {
 }
 
 // NewEngine builds the engine around an index-backed detector (see
-// NewMatcher) and a subscription table.
+// NewMatcher) and a compiled subscription table; an uncompiled one is
+// refused.
 func NewEngine(det *core.HomographDetector, subs *SubTable, cfg EngineConfig) (*Engine, error) {
+	if subs.lists != nil {
+		return nil, errors.New("watch: NewEngine needs a compiled SubTable")
+	}
 	proto, err := NewMatcher(det)
 	if err != nil {
 		return nil, err
@@ -57,8 +62,7 @@ func NewEngine(det *core.HomographDetector, subs *SubTable, cfg EngineConfig) (*
 // name threatens nobody); ASCII owners are skipped without probing (an
 // ASCII label cannot be a homograph — same fast-path rule as
 // DetectNormalized); IDN owners are decoded and matched. A match only
-// becomes an alert if the brand has subscribers in the current
-// snapshot.
+// becomes an alert if the brand has subscribers.
 func (e *Engine) process(m *Matcher, ev Event) (Alert, bool, error) {
 	if ev.Op == OpDrop || !strings.HasPrefix(ev.Owner, "xn--") {
 		return Alert{}, false, nil
@@ -84,7 +88,7 @@ func (e *Engine) process(m *Matcher, ev Event) (Alert, bool, error) {
 		return Alert{}, false, nil
 	}
 	e.matched.Add(1)
-	subs := e.subs.Snapshot().Count(match.BrandID)
+	subs := e.subs.Count(match.BrandID)
 	if subs == 0 {
 		e.unwatched.Add(1)
 		return Alert{}, false, nil

@@ -71,19 +71,6 @@ const (
 	DeltaNSChange
 )
 
-// String returns the mnemonic used in logs and tests.
-func (op DeltaOp) String() string {
-	switch op {
-	case DeltaAdd:
-		return "add"
-	case DeltaDrop:
-		return "drop"
-	case DeltaNSChange:
-		return "nschange"
-	}
-	return "unknown"
-}
-
 // DeltaRecord is one domain-level change inside a day's delta.
 type DeltaRecord struct {
 	// Op is the change kind.
