@@ -53,9 +53,6 @@ func run(context.Context) error {
 	}
 
 	reg := zonegen.Generate(zonegen.Config{Seed: *seed, Scale: *scale})
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		return err
-	}
 	if *labelsPath != "" {
 		labels := reg.Labels()
 		f, err := os.Create(*labelsPath)
@@ -83,6 +80,9 @@ func run(context.Context) error {
 		if *labelsOnly {
 			return nil
 		}
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return err
 	}
 	if *deltaDays > 0 {
 		gen := reg.DeltaStream(zonegen.DeltaConfig{AttackShare: *attackShare})

@@ -51,3 +51,24 @@ func TestBadFlagsFailBeforeGenerating(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelsOnlyCreatesNoOut: -labels-only writes the labels CSV and
+// nothing else, so it leaves no empty -out directory behind.
+func TestLabelsOnlyCreatesNoOut(t *testing.T) {
+	dir := t.TempDir()
+	if err := proctest.Build(dir, "idnzonegen"); err != nil {
+		t.Fatal(err)
+	}
+	out, labels := filepath.Join(dir, "zones"), filepath.Join(dir, "labels.csv")
+	log, err := proctest.Run("idnzonegen", dir+"/idnzonegen",
+		"-labels-only", "-labels", labels, "-scale", "2000", "-out", out)
+	if err != nil {
+		t.Fatalf("idnzonegen -labels-only: %v\n%s", err, log)
+	}
+	if fi, err := os.Stat(labels); err != nil || fi.Size() == 0 {
+		t.Errorf("labels CSV not written: %v", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("idnzonegen -labels-only created -out %s (stat: %v)", out, err)
+	}
+}

@@ -195,13 +195,31 @@ func (a *Authority) Issue(name string, opts ...IssueOption) (*x509.Certificate, 
 // Classify verifies cert as served by domain at time now against roots and
 // returns its Table VI category. Verification is real: expiry against the
 // validity window, chain building against the trust pool, and hostname
-// matching against the leaf's SANs.
+// matching against the leaf's SANs. It is CheckChain followed by
+// CheckHost.
 func Classify(cert *x509.Certificate, domain string, now time.Time, roots *x509.CertPool) Problem {
+	return CheckHost(CheckChain(cert, now, roots), cert, domain)
+}
+
+// CheckChain is the part of Classify that depends on the certificate
+// alone: expiry, then chain building against roots. It returns
+// ProblemNone when both pass. A census over many domains serving one
+// shared certificate can run it once per certificate.
+func CheckChain(cert *x509.Certificate, now time.Time, roots *x509.CertPool) Problem {
 	if now.Before(cert.NotBefore) || now.After(cert.NotAfter) {
 		return ProblemExpired
 	}
 	if _, err := cert.Verify(x509.VerifyOptions{Roots: roots, CurrentTime: now}); err != nil {
 		return ProblemInvalidAuthority
+	}
+	return ProblemNone
+}
+
+// CheckHost finishes a classification for one serving domain: a chain
+// problem stands, otherwise the leaf must be valid for domain.
+func CheckHost(chain Problem, cert *x509.Certificate, domain string) Problem {
+	if chain != ProblemNone {
+		return chain
 	}
 	if err := cert.VerifyHostname(domain); err != nil {
 		return ProblemInvalidCommonName
@@ -214,9 +232,10 @@ type Store struct {
 	byDomain map[string]*x509.Certificate
 }
 
-// NewStore returns an empty deployment store.
-func NewStore() *Store {
-	return &Store{byDomain: make(map[string]*x509.Certificate)}
+// NewStore returns an empty deployment store with room for size
+// domains, so a builder that knows its count never grows the map.
+func NewStore(size int) *Store {
+	return &Store{byDomain: make(map[string]*x509.Certificate, size)}
 }
 
 // Deploy records that domain serves cert.

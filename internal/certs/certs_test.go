@@ -1,6 +1,7 @@
 package certs
 
 import (
+	"crypto/x509"
 	"testing"
 	"time"
 )
@@ -112,7 +113,7 @@ func TestDeterministicIssuance(t *testing.T) {
 
 func TestStoreGetFoldsCase(t *testing.T) {
 	a := newTestAuthority(t)
-	s := NewStore()
+	s := NewStore(0)
 	cert, err := a.Issue("x.com")
 	if err != nil {
 		t.Fatal(err)
@@ -157,5 +158,51 @@ func BenchmarkClassify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Classify(cert, "bench.com", testNow, a.Roots())
+	}
+}
+
+// TestChainThenHost: Classify is CheckChain then CheckHost. The chain
+// step ignores the serving name; the host step keeps a chain problem and
+// otherwise checks the name.
+func TestChainThenHost(t *testing.T) {
+	a := newTestAuthority(t)
+	shared, err := a.Issue("sedoparking.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired, err := a.Issue("old.com", Expired())
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, err := a.Issue("selfie.net", SelfSigned())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		cert       *x509.Certificate
+		chain      Problem
+		own, other Problem
+		ownName    string
+	}{
+		{"shared", shared, ProblemNone, ProblemNone, ProblemInvalidCommonName, "sedoparking.com"},
+		{"expired", expired, ProblemExpired, ProblemExpired, ProblemExpired, "old.com"},
+		{"self-signed", self, ProblemInvalidAuthority, ProblemInvalidAuthority, ProblemInvalidAuthority, "selfie.net"},
+	} {
+		chain := CheckChain(tc.cert, testNow, a.Roots())
+		if chain != tc.chain {
+			t.Errorf("%s: CheckChain = %v, want %v", tc.name, chain, tc.chain)
+		}
+		for _, c := range []struct {
+			domain string
+			want   Problem
+		}{{tc.ownName, tc.own}, {"xn--parked.com", tc.other}} {
+			if got := CheckHost(chain, tc.cert, c.domain); got != c.want {
+				t.Errorf("%s: CheckHost(%s) = %v, want %v", tc.name, c.domain, got, c.want)
+			}
+			if got := Classify(tc.cert, c.domain, testNow, a.Roots()); got != c.want {
+				t.Errorf("%s: Classify(%s) = %v, want %v", tc.name, c.domain, got, c.want)
+			}
+		}
 	}
 }

@@ -149,6 +149,7 @@ var declAllowed = map[string]string{
 	"internal/whois.Render":         "WHOIS codec: the study reading WHOIS text gives it a caller, or it goes (ROADMAP)",
 	"internal/zonefile.Parse":       "zone-file reader: the study reading zone files gives it a caller, or it goes (ROADMAP)",
 	"internal/vstore.Store.Compact": "test hook: framelog/format_test.go compacts a store to pin the snapshot layout",
+	"internal/certs.Classify":       "one certificate's whole Table VI check (CheckChain then CheckHost): the per-domain reference core's memoized census is tested against",
 }
 
 // modulePkg is one package of the module, or bench/e2e, type-checked

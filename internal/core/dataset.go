@@ -111,63 +111,29 @@ func Assemble(reg *zonegen.Registry) (*Dataset, error) {
 		return nil, err
 	}
 
-	// Table I accounting.
-	for _, tld := range gtlds {
+	// Table I accounting, one walk: each IDN's TLD picks its row (a gTLD
+	// row, or the iTLD row for an internationalized TLD).
+	for _, d := range ds.IDNs {
+		tld := idna.TLD(d)
 		row := perTLD[tld]
-		row.WHOIS = countCovered(ds.WHOIS, ds.IDNs, tld)
-		row.Blacklisted = countFlagged(ds.Blacklists, ds.IDNs, tld)
-		ds.PerTLD = append(ds.PerTLD, *row)
+		if row == nil {
+			if !idna.IsACELabel(tld) {
+				continue
+			}
+			row = &itldRow
+		}
+		if _, ok := ds.WHOIS.Get(d); ok {
+			row.WHOIS++
+		}
+		if ds.Blacklists.IsMalicious(d) {
+			row.Blacklisted++
+		}
 	}
-	itldRow.WHOIS = countCoveredITLD(ds.WHOIS, ds.IDNs)
-	itldRow.Blacklisted = countFlaggedITLD(ds.Blacklists, ds.IDNs)
+	for _, tld := range gtlds {
+		ds.PerTLD = append(ds.PerTLD, *perTLD[tld])
+	}
 	ds.PerTLD = append(ds.PerTLD, itldRow)
 	return ds, nil
-}
-
-func countCovered(s *whois.Store, domains []string, tld string) int {
-	n := 0
-	for _, d := range domains {
-		if idna.TLD(d) != tld {
-			continue
-		}
-		if _, ok := s.Get(d); ok {
-			n++
-		}
-	}
-	return n
-}
-
-func countCoveredITLD(s *whois.Store, domains []string) int {
-	n := 0
-	for _, d := range domains {
-		if !idna.IsACELabel(idna.TLD(d)) {
-			continue
-		}
-		if _, ok := s.Get(d); ok {
-			n++
-		}
-	}
-	return n
-}
-
-func countFlagged(agg *blacklist.Aggregate, domains []string, tld string) int {
-	n := 0
-	for _, d := range domains {
-		if idna.TLD(d) == tld && agg.IsMalicious(d) {
-			n++
-		}
-	}
-	return n
-}
-
-func countFlaggedITLD(agg *blacklist.Aggregate, domains []string) int {
-	n := 0
-	for _, d := range domains {
-		if idna.IsACELabel(idna.TLD(d)) && agg.IsMalicious(d) {
-			n++
-		}
-	}
-	return n
 }
 
 // Probe crawls one domain of the dataset and returns what the crawler

@@ -2,21 +2,24 @@ package core
 
 import (
 	"context"
+	"crypto/x509"
 	"sort"
 	"sync"
 
+	"idnlab/internal/certs"
 	"idnlab/internal/idna"
 	"idnlab/internal/langid"
 	"idnlab/internal/pipeline"
 	"idnlab/internal/stats"
 	"idnlab/internal/webprobe"
 	"idnlab/internal/whois"
+	"idnlab/internal/zonegen"
 )
 
 // DomainInfo is the per-IDN derived state the corpus index materializes in
-// its one pass: the decoded forms, TLD classification, language and
-// auxiliary-store membership every report section would otherwise recompute
-// for itself.
+// its one pass: the decoded forms, TLD classification, language,
+// auxiliary-store membership and the passive-DNS aggregate every report
+// section would otherwise recompute or look up for itself.
 type DomainInfo struct {
 	// Domain is the ACE name, identical to the Dataset.IDNs entry.
 	Domain string
@@ -41,6 +44,12 @@ type DomainInfo struct {
 	// HasWHOIS and HasPDNS report auxiliary-store coverage.
 	HasWHOIS bool
 	HasPDNS  bool
+	// ActiveDays, Queries and IPs are the passive-DNS entry's active
+	// time, query count and resolved addresses (zero when HasPDNS is
+	// false). IPs aliases the store's slice; read-only.
+	ActiveDays float64
+	Queries    int64
+	IPs        []string
 }
 
 // Index is the shared, immutable corpus substrate: one pass over the IDN
@@ -80,8 +89,9 @@ type Index struct {
 	usageMu sync.Mutex
 	usage   map[Population]webprobe.Census
 
-	certMu sync.Mutex
-	certs  map[Population]CertReport
+	certMu    sync.Mutex
+	certs     map[Population]CertReport
+	certChain func(*x509.Certificate) certs.Problem
 
 	availOnce sync.Once
 	availReg  map[string]uint8
@@ -118,7 +128,10 @@ func buildIndex(ds *Dataset, cls *langid.Classifier, workers int) (*Index, pipel
 			info.ITLD = idna.IsACELabel(info.TLD)
 			info.Malicious = ds.Blacklists.IsMalicious(domain)
 			_, info.HasWHOIS = ds.WHOIS.Get(domain)
-			_, info.HasPDNS = ds.PDNS.Get(domain)
+			if e, ok := ds.PDNS.Get(domain); ok {
+				info.HasPDNS = true
+				info.ActiveDays, info.Queries, info.IPs = e.ActiveDays(), e.Queries, e.IPs
+			}
 			if uni, err := idna.ToUnicode(domain); err == nil {
 				info.DecodeOK = true
 				info.Unicode = uni
@@ -140,7 +153,13 @@ func buildIndex(ds *Dataset, cls *langid.Classifier, workers int) (*Index, pipel
 // before the index each of them rebuilt the store from scratch.
 func (ix *Index) IDNWHOIS() *whois.Store {
 	ix.whoisOnce.Do(func() {
-		sub := whois.NewStore()
+		n := 0
+		for i := range ix.infos {
+			if ix.infos[i].HasWHOIS {
+				n++
+			}
+		}
+		sub := whois.NewStore(n)
 		for i := range ix.infos {
 			if !ix.infos[i].HasWHOIS {
 				continue
@@ -170,20 +189,26 @@ func (ix *Index) cut(p Population, tld string) []string {
 	}
 	var out []string
 	for i := range ix.infos {
-		info := &ix.infos[i]
-		if p == PopulationMalicious && !info.Malicious {
-			continue
-		}
-		if tld == "" || info.TLD == tld || (tld == "itld" && info.ITLD) {
-			out = append(out, info.Domain)
+		if inCut(&ix.infos[i], p, tld) {
+			out = append(out, ix.infos[i].Domain)
 		}
 	}
 	return out
 }
 
+// inCut reports whether an IDN belongs to the IDN or malicious cut p
+// restricted to tld ("" for all, "itld" for every internationalized TLD).
+func inCut(info *DomainInfo, p Population, tld string) bool {
+	if p == PopulationMalicious && !info.Malicious {
+		return false
+	}
+	return tld == "" || info.TLD == tld || (tld == "itld" && info.ITLD)
+}
+
 // Series returns the pDNS activity series (active days when active is
 // true, query volumes otherwise) for a population/TLD cut, computed once.
-// Read-only.
+// The IDN and malicious cuts read the values the index pass carried; only
+// the non-IDN cut looks its domains up in the store. Read-only.
 func (ix *Index) Series(active bool, p Population, tld string) []float64 {
 	key := seriesKey{active: active, pop: p, tld: tld}
 	ix.seriesMu.Lock()
@@ -196,12 +221,25 @@ func (ix *Index) Series(active bool, p Population, tld string) []float64 {
 	}
 	ix.seriesMu.Unlock()
 
-	domains := ix.cut(p, tld)
 	var vals []float64
-	if active {
-		vals = ix.ds.PDNS.ActiveDaysOf(domains)
-	} else {
-		vals = ix.ds.PDNS.QueriesOf(domains)
+	switch {
+	case p == PopulationNonIDN && active:
+		vals = ix.ds.PDNS.ActiveDaysOf(ix.cut(p, tld))
+	case p == PopulationNonIDN:
+		vals = ix.ds.PDNS.QueriesOf(ix.cut(p, tld))
+	default:
+		vals = []float64{}
+		for i := range ix.infos {
+			info := &ix.infos[i]
+			if !info.HasPDNS || !inCut(info, p, tld) {
+				continue
+			}
+			if active {
+				vals = append(vals, info.ActiveDays)
+			} else {
+				vals = append(vals, float64(info.Queries))
+			}
+		}
 	}
 
 	ix.seriesMu.Lock()
@@ -293,7 +331,7 @@ func (ix *Index) Timeline() (all, malicious stats.Histogram) {
 // Concentration returns the Figure 4 statistics, computed once. Read-only.
 func (ix *Index) Concentration() IPConcentration {
 	ix.concOnce.Do(func() {
-		ix.conc = ix.ds.ipConcentration(ix.infos)
+		ix.conc = ipConcentration(ix.infos)
 	})
 	return ix.conc
 }
@@ -340,17 +378,23 @@ func (ix *Index) AvailabilityReg() map[string]uint8 {
 }
 
 // Certs classifies the certificates a population serves — the Table VI
-// census, computed once per population.
+// census, computed once per population. The chain step runs once per
+// distinct certificate across every population's census; the hostname
+// check runs per domain.
 func (ix *Index) Certs(p Population) CertReport {
 	ix.certMu.Lock()
 	defer ix.certMu.Unlock()
 	if ix.certs == nil {
 		ix.certs = make(map[Population]CertReport)
+		roots := ix.ds.Authority.Roots()
+		ix.certChain = memoChain(func(c *x509.Certificate) certs.Problem {
+			return certs.CheckChain(c, zonegen.Snapshot, roots)
+		})
 	}
 	if cached, ok := ix.certs[p]; ok {
 		return cached
 	}
-	rep := ix.ds.certCensus(ix.cut(p, ""))
+	rep := ix.ds.certCensus(ix.cut(p, ""), ix.certChain)
 	ix.certs[p] = rep
 	return rep
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"crypto/x509"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"idnlab/internal/certs"
@@ -10,7 +13,6 @@ import (
 	"idnlab/internal/pdns"
 	"idnlab/internal/stats"
 	"idnlab/internal/webprobe"
-	"idnlab/internal/zonegen"
 )
 
 // LanguageRow is one row of the Table II reproduction.
@@ -55,37 +57,59 @@ type IPConcentration struct {
 	Cumulative []float64
 }
 
-// ipConcentration is the Figure 4 aggregation body, fed by the index's
-// per-domain records so pDNS misses are skipped without a store probe.
-func (ds *Dataset) ipConcentration(infos []DomainInfo) IPConcentration {
-	ipsPerSeg := make(map[string]map[string]struct{})
-	domainsPerSeg := make(map[string]map[string]struct{})
-	allIPs := make(map[string]struct{})
+// ipConcentration is the Figure 4 aggregation over the passive-DNS
+// addresses the index pass carried for each domain. Canonical dotted
+// quads are counted as integers: the sorted, distinct addresses give the
+// total and each /24's address count, the sorted, distinct (ip>>8, domain
+// index) pairs give each /24's domain count, and a segment's name is
+// formatted once. Any other string (a leading zero, a malformed address)
+// keeps pdns.Slash24's meaning through oddSegments, merged by segment
+// name. infos must name distinct domains, as Dataset.IDNs does.
+func ipConcentration(infos []DomainInfo) IPConcentration {
+	var ips []uint32
+	var pairs []uint64
+	var odd oddSegments
 	for i := range infos {
-		if !infos[i].HasPDNS {
-			continue
-		}
-		d := infos[i].Domain
-		e, ok := ds.PDNS.Get(d)
-		if !ok {
-			continue
-		}
-		for _, ip := range e.IPs {
-			seg := pdns.Slash24(ip)
-			if ipsPerSeg[seg] == nil {
-				ipsPerSeg[seg] = make(map[string]struct{})
-				domainsPerSeg[seg] = make(map[string]struct{})
+		for _, s := range infos[i].IPs {
+			ip, ok := parseQuad(s)
+			if !ok {
+				odd.add(s, i)
+				continue
 			}
-			ipsPerSeg[seg][ip] = struct{}{}
-			domainsPerSeg[seg][d] = struct{}{}
-			allIPs[ip] = struct{}{}
+			ips = append(ips, ip)
+			pairs = append(pairs, uint64(ip>>8)<<32|uint64(i))
 		}
 	}
-	out := IPConcentration{TotalIPs: len(allIPs)}
-	for seg, ds2 := range domainsPerSeg {
-		out.Segments = append(out.Segments, pdns.SegmentStat{
-			Segment: seg, Domains: len(ds2), IPs: len(ipsPerSeg[seg]),
-		})
+	slices.Sort(ips)
+	ips = slices.Compact(ips)
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+
+	out := IPConcentration{TotalIPs: len(ips)}
+	buf := make([]byte, 0, len("255.255.255.0/24"))
+	for len(pairs) > 0 {
+		prefix := uint32(pairs[0] >> 32)
+		nDomains := 1
+		for nDomains < len(pairs) && uint32(pairs[nDomains]>>32) == prefix {
+			nDomains++
+		}
+		nIPs := 1
+		for nIPs < len(ips) && ips[nIPs]>>8 == prefix {
+			nIPs++
+		}
+		stat := pdns.SegmentStat{Segment: string(appendSlash24(buf[:0], prefix)), Domains: nDomains, IPs: nIPs}
+		if o := odd[stat.Segment]; o != nil {
+			out.TotalIPs += len(o.ips)
+			stat.IPs += len(o.ips)
+			stat.Domains += len(o.domains) - sharedDomains(pairs[:nDomains], o.domains)
+			delete(odd, stat.Segment)
+		}
+		out.Segments = append(out.Segments, stat)
+		pairs, ips = pairs[nDomains:], ips[nIPs:]
+	}
+	for seg, o := range odd {
+		out.TotalIPs += len(o.ips)
+		out.Segments = append(out.Segments, pdns.SegmentStat{Segment: seg, Domains: len(o.domains), IPs: len(o.ips)})
 	}
 	sort.Slice(out.Segments, func(i, j int) bool {
 		if out.Segments[i].Domains != out.Segments[j].Domains {
@@ -99,6 +123,86 @@ func (ds *Dataset) ipConcentration(infos []DomainInfo) IPConcentration {
 	}
 	out.Cumulative = stats.CumulativeShare(counts)
 	return out
+}
+
+// parseQuad parses a canonical dotted quad: four decimal octets of at
+// most 255, without a sign or a leading zero. Exactly these strings are
+// their own canonical form, so distinct addresses are distinct integers
+// and a segment's name is its prefix's formatting.
+func parseQuad(s string) (uint32, bool) {
+	var ip uint32
+	for octet := 0; octet < 4; octet++ {
+		if octet > 0 {
+			if s == "" || s[0] != '.' {
+				return 0, false
+			}
+			s = s[1:]
+		}
+		n, v := 0, 0
+		for n < len(s) && n < 3 && '0' <= s[n] && s[n] <= '9' {
+			v = v*10 + int(s[n]-'0')
+			n++
+		}
+		if n == 0 || v > 255 || (n > 1 && s[0] == '0') {
+			return 0, false
+		}
+		ip = ip<<8 | uint32(v)
+		s = s[n:]
+	}
+	return ip, s == ""
+}
+
+// appendSlash24 appends the pdns.Slash24 name of a 24-bit prefix.
+func appendSlash24(b []byte, prefix uint32) []byte {
+	b = strconv.AppendUint(b, uint64(prefix>>16), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(prefix>>8&0xff), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(prefix&0xff), 10)
+	return append(b, ".0/24"...)
+}
+
+// oddSegments aggregates the addresses that are not canonical dotted
+// quads by their pdns.Slash24 segment name, which may also name a
+// canonical segment ("1.2.3.x" falls in 1.2.3.0/24). A non-canonical
+// string never equals a canonical one, so its addresses only add.
+type oddSegments map[string]*oddSegment
+
+type oddSegment struct {
+	ips     map[string]struct{}
+	domains []int // ascending, distinct
+}
+
+func (m *oddSegments) add(ip string, domain int) {
+	if *m == nil {
+		*m = make(oddSegments)
+	}
+	seg := pdns.Slash24(ip)
+	o := (*m)[seg]
+	if o == nil {
+		o = &oddSegment{ips: make(map[string]struct{})}
+		(*m)[seg] = o
+	}
+	o.ips[ip] = struct{}{}
+	if n := len(o.domains); n == 0 || o.domains[n-1] != domain {
+		o.domains = append(o.domains, domain)
+	}
+}
+
+// sharedDomains counts the domain indexes in both one segment's sorted
+// (prefix, domain) pairs and an ascending index list.
+func sharedDomains(pairs []uint64, domains []int) int {
+	n, j := 0, 0
+	for _, p := range pairs {
+		d := int(uint32(p))
+		for j < len(domains) && domains[j] < d {
+			j++
+		}
+		if j < len(domains) && domains[j] == d {
+			n++
+		}
+	}
+	return n
 }
 
 // Table V's sample: usageSampleSize names of a population, every
@@ -126,20 +230,20 @@ func (ds *Dataset) usageSample(domains []string) webprobe.Census {
 	return census
 }
 
-// certCensus is the Table VI classification loop over a domain list.
-// Domains without a certificate are skipped (the paper's denominators are
+// certCensus is the Table VI classification loop over a domain list:
+// chain is certs.CheckChain at the snapshot (memoized per certificate by
+// the index), and each domain adds its own certs.CheckHost. Domains
+// without a certificate are skipped (the paper's denominators are
 // downloaded certificates).
-func (ds *Dataset) certCensus(domains []string) CertReport {
+func (ds *Dataset) certCensus(domains []string, chain func(*x509.Certificate) certs.Problem) CertReport {
 	var rep CertReport
-	now := zonegen.Snapshot
-	roots := ds.Authority.Roots()
 	for _, d := range domains {
 		cert, ok := ds.Certs.Get(d)
 		if !ok {
 			continue
 		}
 		rep.Total++
-		switch certs.Classify(cert, d, now, roots) {
+		switch certs.CheckHost(chain(cert), cert, d) {
 		case certs.ProblemNone:
 			rep.Valid++
 		case certs.ProblemExpired:
@@ -151,6 +255,21 @@ func (ds *Dataset) certCensus(domains []string) CertReport {
 		}
 	}
 	return rep
+}
+
+// memoChain returns check memoized per certificate, so a census runs one
+// chain verification per distinct certificate however many domains serve
+// it. Not safe for concurrent use.
+func memoChain(check func(*x509.Certificate) certs.Problem) func(*x509.Certificate) certs.Problem {
+	seen := make(map[*x509.Certificate]certs.Problem)
+	return func(c *x509.Certificate) certs.Problem {
+		p, ok := seen[c]
+		if !ok {
+			p = check(c)
+			seen[c] = p
+		}
+		return p
+	}
 }
 
 // CertReport is the Table VI row set for one population.

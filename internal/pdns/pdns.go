@@ -42,9 +42,10 @@ type Store struct {
 	entries map[string]Entry
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{entries: make(map[string]Entry)}
+// NewStore returns an empty store with room for size domains, so a
+// builder that knows its count never grows the map.
+func NewStore(size int) *Store {
+	return &Store{entries: make(map[string]Entry, size)}
 }
 
 // Merge folds an observation into the store: first/last seen widen, query

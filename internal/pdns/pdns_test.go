@@ -22,7 +22,7 @@ func TestEntryActiveDays(t *testing.T) {
 }
 
 func TestMergeWidensAndSums(t *testing.T) {
-	s := NewStore()
+	s := NewStore(0)
 	s.Merge(Entry{Domain: "X.com", FirstSeen: day(2016, 5, 1), LastSeen: day(2016, 6, 1), Queries: 10, IPs: []string{"192.0.2.1"}})
 	s.Merge(Entry{Domain: "x.COM", FirstSeen: day(2016, 1, 1), LastSeen: day(2016, 5, 15), Queries: 7, IPs: []string{"192.0.2.2", "192.0.2.1"}})
 	e, ok := s.Get("x.com")
@@ -49,7 +49,7 @@ func TestMergeCommutative(t *testing.T) {
 	perms := [][]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {2, 0, 1}}
 	var want Entry
 	for i, p := range perms {
-		s := NewStore()
+		s := NewStore(0)
 		for _, idx := range p {
 			s.Merge(entries[idx])
 		}
@@ -66,7 +66,7 @@ func TestMergeCommutative(t *testing.T) {
 
 func TestMergeQuickInvariants(t *testing.T) {
 	f := func(q1, q2 uint16, d1, d2 uint8) bool {
-		s := NewStore()
+		s := NewStore(0)
 		s.Merge(Entry{Domain: "q.com", FirstSeen: day(2015, 1, 1+int(d1%20)), LastSeen: day(2016, 1, 1+int(d1%20)), Queries: int64(q1)})
 		s.Merge(Entry{Domain: "q.com", FirstSeen: day(2015, 1, 1+int(d2%20)), LastSeen: day(2016, 1, 1+int(d2%20)), Queries: int64(q2)})
 		e, ok := s.Get("q.com")
@@ -78,7 +78,7 @@ func TestMergeQuickInvariants(t *testing.T) {
 }
 
 func TestActiveAndQuerySeries(t *testing.T) {
-	s := NewStore()
+	s := NewStore(0)
 	s.Merge(Entry{Domain: "a.com", FirstSeen: day(2017, 1, 1), LastSeen: day(2017, 1, 11), Queries: 100})
 	s.Merge(Entry{Domain: "b.com", FirstSeen: day(2017, 1, 1), LastSeen: day(2017, 1, 2), Queries: 5})
 	domains := []string{"a.com", "b.com", "unseen.com"}
@@ -106,7 +106,7 @@ func TestSlash24(t *testing.T) {
 }
 
 func BenchmarkMerge(b *testing.B) {
-	s := NewStore()
+	s := NewStore(0)
 	e := Entry{Domain: "bench.com", FirstSeen: day(2016, 1, 1), LastSeen: day(2017, 1, 1), Queries: 1, IPs: []string{"192.0.2.9"}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -220,9 +220,9 @@ func (e *Engine[T, R, W]) run(ctx context.Context, state W, chunk []T, fail func
 }
 
 // Collect runs the scan and gathers all results, in input order, into a
-// slice.
+// slice sized once for every item (a filtering Func only shortens it).
 func (e *Engine[T, R, W]) Collect(ctx context.Context, items []T) ([]R, error) {
-	var out []R
+	out := make([]R, 0, len(items))
 	if err := e.Stream(ctx, items, func(r R) error {
 		out = append(out, r)
 		return nil

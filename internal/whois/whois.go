@@ -135,9 +135,10 @@ type Store struct {
 	records map[string]Record
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{records: make(map[string]Record)}
+// NewStore returns an empty store with room for size records, so a
+// builder that knows its count never grows the map.
+func NewStore(size int) *Store {
+	return &Store{records: make(map[string]Record, size)}
 }
 
 // Put inserts or replaces a record.

@@ -105,7 +105,7 @@ func TestRoundTripQuick(t *testing.T) {
 }
 
 func TestStoreBasics(t *testing.T) {
-	s := NewStore()
+	s := NewStore(0)
 	if s.Len() != 0 {
 		t.Fatal("new store not empty")
 	}
@@ -126,7 +126,7 @@ func TestStoreBasics(t *testing.T) {
 }
 
 func buildTestStore() *Store {
-	s := NewStore()
+	s := NewStore(0)
 	add := func(domain, registrar, email string, year int) {
 		s.Put(Record{
 			Domain:          domain,

@@ -59,7 +59,13 @@ func (r *Registry) BuildZones() map[string]*zonefile.Zone {
 // BuildWHOIS materializes the WHOIS database with the paper's coverage
 // gaps: only domains the crawl reached are present.
 func (r *Registry) BuildWHOIS() *whois.Store {
-	s := whois.NewStore()
+	n := 0
+	for i := range r.Domains {
+		if r.Domains[i].HasWHOIS {
+			n++
+		}
+	}
+	s := whois.NewStore(n)
 	for i := range r.Domains {
 		d := &r.Domains[i]
 		if !d.HasWHOIS {
@@ -100,7 +106,9 @@ func (r *Registry) BuildBlacklists() *blacklist.Aggregate {
 // *unregistered* homographic candidate space (Figure 6's observation that
 // queries to unregistered IDNs exist but are very rare).
 func (r *Registry) BuildPDNS() *pdns.Store {
-	s := pdns.NewStore()
+	// Sized for the registry; the stray-traffic noise below adds a few
+	// hundred names at most.
+	s := pdns.NewStore(len(r.Domains))
 	for i := range r.Domains {
 		d := &r.Domains[i]
 		s.Merge(pdns.Entry{
@@ -142,7 +150,13 @@ func (r *Registry) BuildPDNS() *pdns.Store {
 // certificates are minted once per common name and deployed across all
 // their domains, reproducing the Table VII concentration.
 func (r *Registry) BuildCerts(authority *certs.Authority) (*certs.Store, error) {
-	s := certs.NewStore()
+	n := 0
+	for i := range r.Domains {
+		if r.Domains[i].Cert != CertNone {
+			n++
+		}
+	}
+	s := certs.NewStore(n)
 	sharedCache := make(map[string]*x509.Certificate)
 	for i := range r.Domains {
 		d := &r.Domains[i]
