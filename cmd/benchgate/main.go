@@ -21,13 +21,16 @@ import (
 	"idnlab/internal/cli"
 )
 
-// gates is the one table of floors. unit "ops/s" is 1e9 / ns-per-op;
-// any other unit is a custom metric the benchmark reports itself.
-var gates = []struct {
+// gate is one throughput floor. unit "ops/s" is 1e9 / ns-per-op; any
+// other unit is a custom metric the benchmark reports itself.
+type gate struct {
 	pkg, bench, unit string
 	floor            float64
 	why              string
-}{
+}
+
+// gates is the one table of floors.
+var gates = []gate{
 	{"./internal/candidx", "BenchmarkIndexLookup", "ops/s", 100_000, "index lookups/s at 10k brands"},
 	{"./internal/candidx", "BenchmarkIndexBuild", "ops/s", 10, "top-1000 index builds/s, the start-up cost of every detector given no index file (runs 13-22)"},
 	{"./internal/core", "BenchmarkRescoreUniverse", "rescores/s", 350_000, "bounded rescores/s over the default index's candidates for the scale-100 universe's IDNs (runs 383-499k; the whole-image kernel made 217-332k)"},
@@ -72,24 +75,31 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("go test: %w", err)
 	}
 
-	failed := false
-	for _, g := range gates {
-		got, ok := measured[g.bench][g.unit]
-		switch {
-		case !ok:
-			fmt.Printf("benchgate: FAIL %s: no %s in this run\n", g.bench, g.unit)
-			failed = true
-		case got < g.floor:
-			fmt.Printf("benchgate: FAIL %s: %.0f %s, floor %.0f (%s)\n", g.bench, got, g.unit, g.floor, g.why)
-			failed = true
-		default:
-			fmt.Printf("benchgate: ok   %s: %.0f %s, floor %.0f (%s)\n", g.bench, got, g.unit, g.floor, g.why)
-		}
-	}
-	if failed {
+	if !check(os.Stdout, measured, gates) {
 		return errors.New("a floor was missed")
 	}
 	return nil
+}
+
+// check prints one line per gate against the measured benchmark → unit →
+// value map and reports whether every floor was met. A value exactly at
+// its floor meets it.
+func check(w io.Writer, measured map[string]map[string]float64, gates []gate) bool {
+	ok := true
+	for _, g := range gates {
+		got, found := measured[g.bench][g.unit]
+		switch {
+		case !found:
+			fmt.Fprintf(w, "benchgate: FAIL %s: no %s in this run\n", g.bench, g.unit)
+			ok = false
+		case got < g.floor:
+			fmt.Fprintf(w, "benchgate: FAIL %s: %.0f %s, floor %.0f (%s)\n", g.bench, got, g.unit, g.floor, g.why)
+			ok = false
+		default:
+			fmt.Fprintf(w, "benchgate: ok   %s: %.0f %s, floor %.0f (%s)\n", g.bench, got, g.unit, g.floor, g.why)
+		}
+	}
+	return ok
 }
 
 // parse reads `go test -bench` output into benchmark → unit → value,

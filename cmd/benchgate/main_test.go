@@ -30,3 +30,41 @@ ok  	idnlab/internal/candidx	1.234s
 		t.Errorf("parse = %v, want %v", got, want)
 	}
 }
+
+// TestCheck compares measured values with their floors: a unit missing
+// from the run and a value below its floor fail, a value exactly at its
+// floor passes, and every line names its benchmark.
+func TestCheck(t *testing.T) {
+	table := []gate{
+		{"./a", "BenchmarkA", "ops/s", 100, "a"},
+		{"./b", "BenchmarkB", "MB/s", 200, "b"},
+	}
+	for _, c := range []struct {
+		name     string
+		measured map[string]map[string]float64
+		ok       bool
+		out      string
+	}{
+		{"missing unit", map[string]map[string]float64{
+			"BenchmarkA": {"ops/s": 150}, "BenchmarkB": {"ns/op": 5},
+		}, false, "benchgate: ok   BenchmarkA: 150 ops/s, floor 100 (a)\n" +
+			"benchgate: FAIL BenchmarkB: no MB/s in this run\n"},
+		{"below floor", map[string]map[string]float64{
+			"BenchmarkA": {"ops/s": 99}, "BenchmarkB": {"MB/s": 250},
+		}, false, "benchgate: FAIL BenchmarkA: 99 ops/s, floor 100 (a)\n" +
+			"benchgate: ok   BenchmarkB: 250 MB/s, floor 200 (b)\n"},
+		{"at floor", map[string]map[string]float64{
+			"BenchmarkA": {"ops/s": 100}, "BenchmarkB": {"MB/s": 200},
+		}, true, "benchgate: ok   BenchmarkA: 100 ops/s, floor 100 (a)\n" +
+			"benchgate: ok   BenchmarkB: 200 MB/s, floor 200 (b)\n"},
+		{"all pass", map[string]map[string]float64{
+			"BenchmarkA": {"ops/s": 1e6}, "BenchmarkB": {"MB/s": 1e3},
+		}, true, "benchgate: ok   BenchmarkA: 1000000 ops/s, floor 100 (a)\n" +
+			"benchgate: ok   BenchmarkB: 1000 MB/s, floor 200 (b)\n"},
+	} {
+		var b strings.Builder
+		if ok := check(&b, c.measured, table); ok != c.ok || b.String() != c.out {
+			t.Errorf("%s: check = %v, printed\n%s\nwant %v,\n%s", c.name, ok, b.String(), c.ok, c.out)
+		}
+	}
+}

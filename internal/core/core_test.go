@@ -12,6 +12,7 @@ import (
 	"idnlab/internal/langid"
 	"idnlab/internal/stats"
 	"idnlab/internal/webprobe"
+	"idnlab/internal/whois"
 	"idnlab/internal/zonegen"
 )
 
@@ -148,7 +149,7 @@ func TestFigure1Timeline(t *testing.T) {
 }
 
 func TestTableIIIRegistrants(t *testing.T) {
-	top := testIndex().IDNWHOIS().TopRegistrantEmails(5)
+	top := whois.TopRegistrantEmails(testIndex().WHOISRecords(), 5)
 	if len(top) != 5 {
 		t.Fatalf("top registrants = %d", len(top))
 	}
@@ -170,8 +171,8 @@ func TestTableIIIRegistrants(t *testing.T) {
 }
 
 func TestTableIVRegistrars(t *testing.T) {
-	who := testIndex().IDNWHOIS()
-	top, covered := who.TopRegistrars(10), who.Len()
+	recs := testIndex().WHOISRecords()
+	top, covered := whois.TopRegistrars(recs, 10), len(recs)
 	if len(top) != 10 || covered == 0 {
 		t.Fatalf("top = %d covered = %d", len(top), covered)
 	}
@@ -191,7 +192,7 @@ func TestTableIVRegistrars(t *testing.T) {
 	if top10 < 0.45 || top10 > 0.70 {
 		t.Errorf("top-10 share = %.3f, want ≈0.55", top10)
 	}
-	if got := who.RegistrarCount(); got < 150 {
+	if got := whois.RegistrarCount(recs); got < 150 {
 		t.Errorf("registrar count = %d, want a long tail", got)
 	}
 }
@@ -305,7 +306,7 @@ func TestTableVICertificates(t *testing.T) {
 }
 
 func TestTableVIISharedCNs(t *testing.T) {
-	top := testDS.SharedCertificates(10)
+	top := testIndex().SharedCertificates(10)
 	if len(top) == 0 {
 		t.Fatal("no shared certificates")
 	}
@@ -538,14 +539,7 @@ func TestIdnaToUnicodeAgreesWithRegistry(t *testing.T) {
 
 func TestRegistrantBreakdown(t *testing.T) {
 	det := NewHomographDetector(1000)
-	matches := det.Detect(testDS.IDNs)
-	domains := make([]string, len(matches))
-	brandOf := make([]string, len(matches))
-	for i, m := range matches {
-		domains[i] = m.Domain
-		brandOf[i] = m.Brand
-	}
-	bd := BreakdownRegistrants(testDS, domains, brandOf)
+	bd := testIndex().registrants(det.Detect(testDS.IDNs))
 	if bd.WithWHOIS == 0 {
 		t.Fatal("no WHOIS coverage among homographs")
 	}
@@ -575,21 +569,27 @@ func TestClassifyRegistrantCategories(t *testing.T) {
 			personal = d.ACE
 		}
 	}
-	if protective != "" {
-		gt, _ := reg.Lookup(protective)
-		got, ok := testDS.ClassifyRegistrant(protective, gt.TargetBrand)
-		if !ok || got != RegistrantProtective {
-			t.Errorf("protective domain classified %v (ok=%v)", got, ok)
+	for _, c := range []struct {
+		domain string
+		want   RegistrantBreakdown
+	}{
+		{protective, RegistrantBreakdown{WithWHOIS: 1, Protective: 1}},
+		{personal, RegistrantBreakdown{WithWHOIS: 1, Personal: 1}},
+		{"not-covered.example", RegistrantBreakdown{}},
+	} {
+		if c.domain == "" {
+			continue
 		}
-	}
-	if personal != "" {
-		gt, _ := reg.Lookup(personal)
-		got, ok := testDS.ClassifyRegistrant(personal, gt.TargetBrand)
-		if !ok || got != RegistrantPersonal {
-			t.Errorf("personal domain classified %v (ok=%v)", got, ok)
+		brand := "x.com"
+		if gt, ok := reg.Lookup(c.domain); ok {
+			brand = gt.TargetBrand
 		}
-	}
-	if _, ok := testDS.ClassifyRegistrant("not-covered.example", "x.com"); ok {
-		t.Error("uncovered domain should report ok=false")
+		matches := []HomographMatch{{Domain: c.domain, Brand: brand}}
+		if got := testIndex().registrants(matches); got != c.want {
+			t.Errorf("%s classified %+v, want %+v", c.domain, got, c.want)
+		}
+		if got := refRegistrants(testDS, matches); got != c.want {
+			t.Errorf("%s: store-backed reference classified %+v, want %+v", c.domain, got, c.want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"idnlab/internal/stats"
 	"idnlab/internal/webprobe"
+	"idnlab/internal/whois"
 )
 
 // Findings computes the paper's nine numbered findings from the assembled
@@ -72,16 +73,16 @@ func (st *Study) findingSteps(f *Findings) []func() {
 		},
 		// Findings 3 and 4.
 		func() {
-			who := ix.IDNWHOIS()
-			for _, gc := range who.TopRegistrantEmails(5) {
+			recs := ix.WHOISRecords()
+			for _, gc := range whois.TopRegistrantEmails(recs, 5) {
 				f.OpportunisticCount += gc.Count
 			}
-			f.Registrars = who.RegistrarCount()
+			f.Registrars = whois.RegistrarCount(recs)
 			sum := 0
-			for _, gc := range who.TopRegistrars(10) {
+			for _, gc := range whois.TopRegistrars(recs, 10) {
 				sum += gc.Count
 			}
-			if covered := who.Len(); covered > 0 {
+			if covered := len(recs); covered > 0 {
 				f.Top10RegShare = float64(sum) / float64(covered)
 			}
 		},

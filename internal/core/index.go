@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"crypto/x509"
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,62 +17,75 @@ import (
 	"idnlab/internal/zonegen"
 )
 
-// DomainInfo is the per-IDN derived state the corpus index materializes in
-// its one pass: the decoded forms, TLD classification, language,
-// auxiliary-store membership and the passive-DNS aggregate every report
-// section would otherwise recompute or look up for itself.
+// DomainInfo is the per-name derived state the corpus index materializes
+// in its one pass over both populations: TLD classification, language,
+// auxiliary-store membership, the passive-DNS aggregate and the deployed
+// certificate every report section would otherwise recompute or look up
+// for itself. The pass is the study's one reader of the WHOIS, passive-DNS,
+// certificate and blacklist stores for a corpus name. The flags sit last,
+// so a row packs into 120 bytes.
 type DomainInfo struct {
-	// Domain is the ACE name, identical to the Dataset.IDNs entry.
+	// Domain is the ACE name, identical to the Dataset.IDNs or
+	// Dataset.NonIDNs entry.
 	Domain string
-	// Unicode is the decoded display form; empty when DecodeOK is false.
-	Unicode string
-	// SLD is the second-level label of the Unicode form.
+	// SLD is the second-level label of the decoded Unicode form.
 	SLD string
 	// TLD is the top-level label of the ACE name.
 	TLD string
-	// ITLD reports whether the TLD is itself an ACE label (an
-	// internationalized TLD).
-	ITLD bool
-	// DecodeOK reports whether the ACE form decoded cleanly; sections that
-	// need the Unicode form skip domains where it is false, exactly as the
-	// per-section decode loops did.
-	DecodeOK bool
 	// Lang is the classified language of the SLD label (valid only when
 	// DecodeOK is true), assigned by the process-wide langid classifier.
 	Lang langid.Language
-	// Malicious reports blacklist membership.
-	Malicious bool
-	// HasWHOIS and HasPDNS report auxiliary-store coverage.
-	HasWHOIS bool
-	HasPDNS  bool
+	// WHOIS is the domain's registration record, nil without WHOIS
+	// coverage. It points into the store; read-only.
+	WHOIS *whois.Record
+	// Cert is the certificate the domain serves, nil when none is
+	// deployed.
+	Cert *x509.Certificate
 	// ActiveDays, Queries and IPs are the passive-DNS entry's active
 	// time, query count and resolved addresses (zero when HasPDNS is
 	// false). IPs aliases the store's slice; read-only.
 	ActiveDays float64
 	Queries    int64
 	IPs        []string
+	// ITLD reports whether the TLD is itself an ACE label (an
+	// internationalized TLD).
+	ITLD bool
+	// DecodeOK reports whether the name is an IDN whose ACE form decoded
+	// cleanly; sections that need the Unicode form skip rows where it is
+	// false, exactly as the per-section decode loops did. Non-IDN rows
+	// never decode.
+	DecodeOK bool
+	// Malicious reports blacklist membership.
+	Malicious bool
+	// HasPDNS reports passive-DNS coverage.
+	HasPDNS bool
+	// CertHostOK reports that Cert is valid for Domain: certs.CheckHost
+	// finds no problem behind a sound chain.
+	CertHostOK bool
 }
 
 // Index is the shared, immutable corpus substrate: one pass over the IDN
-// population materializes per-domain derived state into a dense slice, and
-// every cross-section aggregate (the IDN WHOIS sub-store, the pDNS series
-// of each population cut, the language breakdown, the creation timeline,
-// the hosting concentration, usage samples, certificate censuses) is
-// computed at most once and memoized behind the index. A Study owns its
-// index (Study.index). All accessors are safe for concurrent use — the
-// parallel report scheduler hits them from many sections at once — and
-// every memoized value is treated as read-only by its consumers.
+// and non-IDN populations materializes per-domain derived state into dense
+// slices, and every cross-section aggregate (the IDN WHOIS records, the
+// pDNS series of each population cut, the language breakdown, the
+// creation timeline, the hosting concentration, usage samples, certificate
+// censuses) is computed at most once from those rows and memoized behind
+// the index. A Study owns its index (Study.index). All accessors are safe
+// for concurrent use — the parallel report scheduler hits them from many
+// sections at once — and every memoized value is treated as read-only by
+// its consumers.
 //
 // The design follows the lesson the ZDNS system documents for
 // scan-pipeline software: build one indexed, immutable view of the corpus
 // and let every concurrent consumer share it, instead of letting each
 // analysis re-derive its own view per query.
 type Index struct {
-	ds    *Dataset
-	infos []DomainInfo
+	ds *Dataset
+	// idns and nonIDNs are aligned with Dataset.IDNs and Dataset.NonIDNs.
+	idns, nonIDNs []DomainInfo
 
 	whoisOnce sync.Once
-	whoisSub  *whois.Store
+	whoisRecs []*whois.Record
 
 	seriesMu sync.Mutex
 	series   map[seriesKey][]float64
@@ -107,8 +121,8 @@ type seriesKey struct {
 // one bounded-parallel pass through internal/pipeline, ScanWorkers wide,
 // and recording that pass as the study's stage=index metrics in the same
 // step — whichever section or step asks first. The order-preserving
-// fan-in keeps infos aligned with Dataset.IDNs, so the index is the same
-// at any width.
+// fan-in keeps the rows aligned with Dataset.IDNs and Dataset.NonIDNs, so
+// the index is the same at any width.
 func (st *Study) index() *Index {
 	st.idxOnce.Do(func() {
 		var m pipeline.Metrics
@@ -118,85 +132,106 @@ func (st *Study) index() *Index {
 	return st.idx
 }
 
-// buildIndex runs the one-pass derivation over the IDN corpus.
+// buildIndex runs the one-pass derivation over the IDNs, then the
+// non-IDNs, as one stage=index pass. Each item is a row's position, and
+// the worker that takes it fills that row in place, so no row is built
+// twice on its way through the engine's fan-in.
 func buildIndex(ds *Dataset, cls *langid.Classifier, workers int) (*Index, pipeline.Metrics) {
+	n := len(ds.IDNs)
+	rows := make([]DomainInfo, n+len(ds.NonIDNs))
+	positions := make([]int32, len(rows))
+	for i := range positions {
+		positions[i] = int32(i)
+	}
 	eng := pipeline.New(
 		pipeline.Config{Stage: "index", Workers: workers},
 		func() struct{} { return struct{}{} },
-		func(_ struct{}, domain string) (DomainInfo, bool, error) {
-			info := DomainInfo{Domain: domain, TLD: idna.TLD(domain)}
-			info.ITLD = idna.IsACELabel(info.TLD)
-			info.Malicious = ds.Blacklists.IsMalicious(domain)
-			_, info.HasWHOIS = ds.WHOIS.Get(domain)
-			if e, ok := ds.PDNS.Get(domain); ok {
-				info.HasPDNS = true
-				info.ActiveDays, info.Queries, info.IPs = e.ActiveDays(), e.Queries, e.IPs
+		func(_ struct{}, i int32) (struct{}, bool, error) {
+			names, j := ds.IDNs, int(i)
+			if j >= n {
+				names, j = ds.NonIDNs, j-n
 			}
-			if uni, err := idna.ToUnicode(domain); err == nil {
-				info.DecodeOK = true
-				info.Unicode = uni
-				info.SLD = idna.SLDLabel(uni)
-				info.Lang = cls.Classify(info.SLD)
-			}
-			return info, true, nil
+			rows[i] = ds.derive(names[j], cls)
+			return struct{}{}, true, nil
 		})
-	infos, err := eng.Collect(context.Background(), ds.IDNs)
-	if err != nil {
+	if _, err := eng.Collect(context.Background(), positions); err != nil {
 		// Unreachable: background context, Func never errors.
 		panic("core: index build: " + err.Error())
 	}
-	return &Index{ds: ds, infos: infos}, eng.Metrics()
+	return &Index{
+		ds: ds, idns: rows[:n:n], nonIDNs: rows[n:],
+		series: make(map[seriesKey][]float64),
+		usage:  make(map[Population]webprobe.Census),
+		certs:  make(map[Population]CertReport),
+		certChain: memoChain(func(c *x509.Certificate) certs.Problem {
+			return certs.CheckChain(c, zonegen.Snapshot, ds.Authority.Roots())
+		}),
+	}, eng.Metrics()
 }
 
-// IDNWHOIS returns the WHOIS sub-store restricted to the IDN corpus,
-// built once. Tables III and IV and three findings all rank against it;
-// before the index each of them rebuilt the store from scratch.
-func (ix *Index) IDNWHOIS() *whois.Store {
+// derive builds one corpus name's DomainInfo, probing each store once.
+// The decode, SLD and language work runs only for an IDN (idna.IsIDN, the
+// zone scanner's predicate).
+func (ds *Dataset) derive(domain string, cls *langid.Classifier) DomainInfo {
+	info := DomainInfo{Domain: domain, TLD: idna.TLD(domain)}
+	info.ITLD = idna.IsACELabel(info.TLD)
+	info.Malicious = ds.Blacklists.IsMalicious(domain)
+	info.WHOIS, _ = ds.WHOIS.Get(domain)
+	if e, ok := ds.PDNS.Get(domain); ok {
+		info.HasPDNS = true
+		info.ActiveDays, info.Queries, info.IPs = e.ActiveDays(), e.Queries, e.IPs
+	}
+	if cert, ok := ds.Certs.Get(domain); ok {
+		info.Cert = cert
+		info.CertHostOK = certs.CheckHost(certs.ProblemNone, cert, domain) == certs.ProblemNone
+	}
+	if !idna.IsIDN(domain) {
+		return info
+	}
+	if uni, err := idna.ToUnicode(domain); err == nil {
+		info.DecodeOK = true
+		info.SLD = idna.SLDLabel(uni)
+		info.Lang = cls.Classify(info.SLD)
+	}
+	return info
+}
+
+// row returns the index row of a corpus IDN, found by binary search over
+// the sorted Dataset.IDNs the rows are aligned with; ok is false for a
+// name outside the IDN corpus.
+func (ix *Index) row(domain string) (*DomainInfo, bool) {
+	i, ok := slices.BinarySearch(ix.ds.IDNs, domain)
+	if !ok {
+		return nil, false
+	}
+	return &ix.idns[i], true
+}
+
+// rows returns the rows population p is cut from: the non-IDN rows for
+// PopulationNonIDN, the IDN rows otherwise.
+func (ix *Index) rows(p Population) []DomainInfo {
+	if p == PopulationNonIDN {
+		return ix.nonIDNs
+	}
+	return ix.idns
+}
+
+// WHOISRecords returns the WHOIS records of the covered IDNs in corpus
+// order, collected once from the rows. Tables III and IV and three
+// findings rank them. Read-only.
+func (ix *Index) WHOISRecords() []*whois.Record {
 	ix.whoisOnce.Do(func() {
-		n := 0
-		for i := range ix.infos {
-			if ix.infos[i].HasWHOIS {
-				n++
+		ix.whoisRecs = []*whois.Record{}
+		for i := range ix.idns {
+			if rec := ix.idns[i].WHOIS; rec != nil {
+				ix.whoisRecs = append(ix.whoisRecs, rec)
 			}
 		}
-		sub := whois.NewStore(n)
-		for i := range ix.infos {
-			if !ix.infos[i].HasWHOIS {
-				continue
-			}
-			if rec, ok := ix.ds.WHOIS.Get(ix.infos[i].Domain); ok {
-				sub.Put(rec)
-			}
-		}
-		ix.whoisSub = sub
 	})
-	return ix.whoisSub
+	return ix.whoisRecs
 }
 
-// cut returns a population optionally restricted to one TLD ("" for
-// all), in corpus order. The IDN and malicious cuts read the index's
-// precomputed TLD and blacklist fields instead of re-deriving them per
-// domain. Not memoized: Series, its reader, memoizes per cut. The result
-// may alias Dataset.IDNs or Dataset.NonIDNs; read-only.
-func (ix *Index) cut(p Population, tld string) []string {
-	switch p {
-	case PopulationNonIDN:
-		return filterTLD(ix.ds.NonIDNs, tld)
-	case PopulationIDN:
-		if tld == "" {
-			return ix.ds.IDNs
-		}
-	}
-	var out []string
-	for i := range ix.infos {
-		if inCut(&ix.infos[i], p, tld) {
-			out = append(out, ix.infos[i].Domain)
-		}
-	}
-	return out
-}
-
-// inCut reports whether an IDN belongs to the IDN or malicious cut p
+// inCut reports whether a row of ix.rows(p) belongs to the cut p
 // restricted to tld ("" for all, "itld" for every internationalized TLD).
 func inCut(info *DomainInfo, p Population, tld string) bool {
 	if p == PopulationMalicious && !info.Malicious {
@@ -206,46 +241,45 @@ func inCut(info *DomainInfo, p Population, tld string) bool {
 }
 
 // Series returns the pDNS activity series (active days when active is
-// true, query volumes otherwise) for a population/TLD cut, computed once.
-// The IDN and malicious cuts read the values the index pass carried; only
-// the non-IDN cut looks its domains up in the store. Read-only.
+// true, query volumes otherwise) for a population/TLD cut in corpus
+// order, computed once from the values the index pass carried.
+// Read-only.
 func (ix *Index) Series(active bool, p Population, tld string) []float64 {
 	key := seriesKey{active: active, pop: p, tld: tld}
 	ix.seriesMu.Lock()
-	if ix.series == nil {
-		ix.series = make(map[seriesKey][]float64)
-	}
+	defer ix.seriesMu.Unlock()
 	if cached, ok := ix.series[key]; ok {
-		ix.seriesMu.Unlock()
 		return cached
 	}
-	ix.seriesMu.Unlock()
-
-	var vals []float64
-	switch {
-	case p == PopulationNonIDN && active:
-		vals = ix.ds.PDNS.ActiveDaysOf(ix.cut(p, tld))
-	case p == PopulationNonIDN:
-		vals = ix.ds.PDNS.QueriesOf(ix.cut(p, tld))
-	default:
-		vals = []float64{}
-		for i := range ix.infos {
-			info := &ix.infos[i]
-			if !info.HasPDNS || !inCut(info, p, tld) {
-				continue
-			}
-			if active {
-				vals = append(vals, info.ActiveDays)
-			} else {
-				vals = append(vals, float64(info.Queries))
-			}
+	vals := []float64{}
+	rows := ix.rows(p)
+	for i := range rows {
+		info := &rows[i]
+		if !info.HasPDNS || !inCut(info, p, tld) {
+			continue
+		}
+		if active {
+			vals = append(vals, info.ActiveDays)
+		} else {
+			vals = append(vals, float64(info.Queries))
 		}
 	}
-
-	ix.seriesMu.Lock()
 	ix.series[key] = vals
-	ix.seriesMu.Unlock()
 	return vals
+}
+
+// activity returns the active-day and query series of matched corpus
+// IDNs in match order, skipping names without passive-DNS coverage — the
+// series of Figures 5 and 8.
+func (ix *Index) activity(domains []string) (active, queries []float64) {
+	active, queries = make([]float64, 0, len(domains)), make([]float64, 0, len(domains))
+	for _, d := range domains {
+		if info, ok := ix.row(d); ok && info.HasPDNS {
+			active = append(active, info.ActiveDays)
+			queries = append(queries, float64(info.Queries))
+		}
+	}
+	return active, queries
 }
 
 // LanguageRows returns the Table II rows: every IDN's second-level label,
@@ -254,7 +288,7 @@ func (ix *Index) Series(active bool, p Population, tld string) []float64 {
 // aggregated once. Read-only.
 func (ix *Index) LanguageRows() []LanguageRow {
 	ix.langOnce.Do(func() {
-		ix.langRows = languageRowsFromInfos(ix.infos)
+		ix.langRows = languageRowsFromInfos(ix.idns)
 	})
 	return ix.langRows
 }
@@ -309,16 +343,12 @@ func (ix *Index) Timeline() (all, malicious stats.Histogram) {
 	ix.timelineOnce.Do(func() {
 		ix.timelineAll = make(stats.Histogram)
 		ix.timelineMal = make(stats.Histogram)
-		for i := range ix.infos {
-			info := &ix.infos[i]
-			if !info.HasWHOIS {
+		for i := range ix.idns {
+			info := &ix.idns[i]
+			if info.WHOIS == nil || info.WHOIS.Created.IsZero() {
 				continue
 			}
-			rec, ok := ix.ds.WHOIS.Get(info.Domain)
-			if !ok || rec.Created.IsZero() {
-				continue
-			}
-			y := rec.Created.Year()
+			y := info.WHOIS.Created.Year()
 			ix.timelineAll[y]++
 			if info.Malicious {
 				ix.timelineMal[y]++
@@ -331,24 +361,27 @@ func (ix *Index) Timeline() (all, malicious stats.Histogram) {
 // Concentration returns the Figure 4 statistics, computed once. Read-only.
 func (ix *Index) Concentration() IPConcentration {
 	ix.concOnce.Do(func() {
-		ix.conc = ipConcentration(ix.infos)
+		ix.conc = ipConcentration(ix.idns)
 	})
 	return ix.conc
 }
 
-// Usage crawls a deterministic sample of a population and classifies the
-// responses — the Table V methodology (stratified sampling + manual
-// classification, here automated). Probed once per population. Read-only.
+// Usage crawls a deterministic sample of a Table V population — the
+// non-IDN sample for PopulationNonIDN, the IDN corpus otherwise — and
+// classifies the responses: the Table V methodology (stratified sampling
+// + manual classification, here automated). Probed once per population.
+// The crawl reads the registry, not a store. Read-only.
 func (ix *Index) Usage(p Population) webprobe.Census {
 	ix.usageMu.Lock()
 	defer ix.usageMu.Unlock()
-	if ix.usage == nil {
-		ix.usage = make(map[Population]webprobe.Census)
-	}
 	if cached, ok := ix.usage[p]; ok {
 		return cached
 	}
-	census := ix.ds.usageSample(ix.cut(p, ""))
+	domains := ix.ds.IDNs
+	if p == PopulationNonIDN {
+		domains = ix.ds.NonIDNs
+	}
+	census := ix.ds.usageSample(domains)
 	ix.usage[p] = census
 	return census
 }
@@ -362,8 +395,8 @@ func (ix *Index) Usage(p Population) webprobe.Census {
 func (ix *Index) AvailabilityReg() map[string]uint8 {
 	ix.availOnce.Do(func() {
 		ix.availReg = make(map[string]uint8)
-		for i := range ix.infos {
-			info := &ix.infos[i]
+		for i := range ix.idns {
+			info := &ix.idns[i]
 			if !info.DecodeOK {
 				continue
 			}
@@ -378,23 +411,16 @@ func (ix *Index) AvailabilityReg() map[string]uint8 {
 }
 
 // Certs classifies the certificates a population serves — the Table VI
-// census, computed once per population. The chain step runs once per
-// distinct certificate across every population's census; the hostname
-// check runs per domain.
+// census, computed once per population from the rows. The chain step runs
+// once per distinct certificate across every population's census; the
+// hostname outcome is the one the index pass recorded per domain.
 func (ix *Index) Certs(p Population) CertReport {
 	ix.certMu.Lock()
 	defer ix.certMu.Unlock()
-	if ix.certs == nil {
-		ix.certs = make(map[Population]CertReport)
-		roots := ix.ds.Authority.Roots()
-		ix.certChain = memoChain(func(c *x509.Certificate) certs.Problem {
-			return certs.CheckChain(c, zonegen.Snapshot, roots)
-		})
-	}
 	if cached, ok := ix.certs[p]; ok {
 		return cached
 	}
-	rep := ix.ds.certCensus(ix.cut(p, ""), ix.certChain)
+	rep := certCensus(ix.rows(p), p, ix.certChain)
 	ix.certs[p] = rep
 	return rep
 }

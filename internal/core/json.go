@@ -8,6 +8,7 @@ import (
 	"idnlab/internal/browser"
 	"idnlab/internal/pipeline"
 	"idnlab/internal/stats"
+	"idnlab/internal/whois"
 )
 
 // Results is the machine-readable form of the full study, for downstream
@@ -62,13 +63,14 @@ type SemanticResults struct {
 // one count Table XIII and Results both read.
 func (st *Study) homographResults() HomographResults {
 	homo := st.matches().homograph
+	ix := st.index()
 	out := HomographResults{Total: len(homo), Matches: homo,
 		ByBrand: RankBrands(homo, func(m HomographMatch) string { return m.Brand })}
 	for _, m := range homo {
 		if m.SSIM >= 1.0-1e-9 {
 			out.Identical++
 		}
-		if st.DS.Blacklists.IsMalicious(m.Domain) {
+		if info, ok := ix.row(m.Domain); ok && info.Malicious {
 			out.Blacklisted++
 		}
 	}
@@ -114,11 +116,11 @@ func (st *Study) Results() Results {
 	ix := st.index()
 	out.Languages = ix.LanguageRows()
 
-	who := ix.IDNWHOIS()
-	for _, gc := range who.TopRegistrars(10) {
+	recs := ix.WHOISRecords()
+	for _, gc := range whois.TopRegistrars(recs, 10) {
 		out.TopRegistrars = append(out.TopRegistrars, GroupCountJSON{Key: gc.Key, Count: gc.Count})
 	}
-	for _, gc := range who.TopRegistrantEmails(5) {
+	for _, gc := range whois.TopRegistrantEmails(recs, 5) {
 		out.TopRegistrants = append(out.TopRegistrants, GroupCountJSON{Key: gc.Key, Count: gc.Count})
 	}
 

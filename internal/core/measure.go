@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"idnlab/internal/certs"
-	"idnlab/internal/idna"
 	"idnlab/internal/langid"
 	"idnlab/internal/pdns"
 	"idnlab/internal/stats"
@@ -33,20 +32,6 @@ const (
 	PopulationNonIDN
 	PopulationMalicious
 )
-
-func filterTLD(domains []string, tld string) []string {
-	if tld == "" {
-		return domains
-	}
-	var out []string
-	for _, d := range domains {
-		got := idna.TLD(d)
-		if got == tld || (tld == "itld" && idna.IsACELabel(got)) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
 
 // IPConcentration aggregates the IDN corpus's resolved addresses into /24
 // segments and returns the Figure 4 statistics: segment sizes sorted
@@ -230,20 +215,24 @@ func (ds *Dataset) usageSample(domains []string) webprobe.Census {
 	return census
 }
 
-// certCensus is the Table VI classification loop over a domain list:
-// chain is certs.CheckChain at the snapshot (memoized per certificate by
-// the index), and each domain adds its own certs.CheckHost. Domains
-// without a certificate are skipped (the paper's denominators are
-// downloaded certificates).
-func (ds *Dataset) certCensus(domains []string, chain func(*x509.Certificate) certs.Problem) CertReport {
+// certCensus is the Table VI classification loop over the rows of
+// population p: chain is certs.CheckChain at the snapshot (memoized per
+// certificate by the index), and a sound chain takes each domain's own
+// hostname outcome from its row. Domains without a certificate are
+// skipped (the paper's denominators are downloaded certificates).
+func certCensus(rows []DomainInfo, p Population, chain func(*x509.Certificate) certs.Problem) CertReport {
 	var rep CertReport
-	for _, d := range domains {
-		cert, ok := ds.Certs.Get(d)
-		if !ok {
+	for i := range rows {
+		info := &rows[i]
+		if info.Cert == nil || !inCut(info, p, "") {
 			continue
 		}
 		rep.Total++
-		switch certs.CheckHost(chain(cert), cert, d) {
+		problem := chain(info.Cert)
+		if problem == certs.ProblemNone && !info.CertHostOK {
+			problem = certs.ProblemInvalidCommonName
+		}
+		switch problem {
 		case certs.ProblemNone:
 			rep.Valid++
 		case certs.ProblemExpired:
@@ -291,16 +280,13 @@ func (r CertReport) ProblemRate() float64 {
 }
 
 // SharedCertificates ranks the common names of certificates shared across
-// the IDN population — Table VII.
-func (ds *Dataset) SharedCertificates(k int) []SharedCN {
+// the IDN population — Table VII: the certificates an IDN row serves
+// although they are not valid for its name.
+func (ix *Index) SharedCertificates(k int) []SharedCN {
 	counts := make(map[string]int)
-	for _, d := range ds.IDNs {
-		cert, ok := ds.Certs.Get(d)
-		if !ok {
-			continue
-		}
-		if cert.VerifyHostname(d) != nil {
-			counts[cert.Subject.CommonName]++
+	for i := range ix.idns {
+		if info := &ix.idns[i]; info.Cert != nil && !info.CertHostOK {
+			counts[info.Cert.Subject.CommonName]++
 		}
 	}
 	out := make([]SharedCN, 0, len(counts))
@@ -325,39 +311,11 @@ type SharedCN struct {
 	Count      int
 }
 
-// RegistrantProfile classifies the WHOIS registrant of a detected abuse
-// domain, per the paper's §VI-C analysis: 73 of 1,111 homographs with
-// WHOIS were registered by brand owners (protective), 171 under personal
-// email addresses, and the rest behind WHOIS privacy.
-type RegistrantProfile int
-
-// Registrant categories.
-const (
-	RegistrantUnknown RegistrantProfile = iota
-	RegistrantProtective
-	RegistrantPersonal
-	RegistrantPrivacy
-)
-
-// ClassifyRegistrant inspects the WHOIS record of a detected abuse domain
-// against its impersonated brand. ok is false when WHOIS has no coverage.
-func (ds *Dataset) ClassifyRegistrant(domain, brand string) (RegistrantProfile, bool) {
-	rec, covered := ds.WHOIS.Get(domain)
-	if !covered {
-		return RegistrantUnknown, false
-	}
-	switch {
-	case rec.Privacy || rec.RegistrantEmail == "":
-		return RegistrantPrivacy, true
-	case strings.HasSuffix(rec.RegistrantEmail, "@"+brand):
-		return RegistrantProtective, true
-	default:
-		return RegistrantPersonal, true
-	}
-}
-
-// RegistrantBreakdown aggregates registrant profiles over detected abuse
-// domains, given each domain's impersonated brand.
+// RegistrantBreakdown classifies the WHOIS registrants of detected abuse
+// domains against each domain's impersonated brand, per the paper's §VI-C
+// analysis: 73 of 1,111 homographs with WHOIS were registered by brand
+// owners (protective), 171 under personal email addresses, and the rest
+// behind WHOIS privacy.
 type RegistrantBreakdown struct {
 	WithWHOIS  int
 	Protective int
@@ -365,22 +323,23 @@ type RegistrantBreakdown struct {
 	Privacy    int
 }
 
-// BreakdownRegistrants runs ClassifyRegistrant over a match set.
-func BreakdownRegistrants(ds *Dataset, domains, brandOf []string) RegistrantBreakdown {
+// registrants breaks down the registrants of the homograph matches with
+// WHOIS coverage, reading each match's record from its index row.
+func (ix *Index) registrants(matches []HomographMatch) RegistrantBreakdown {
 	var out RegistrantBreakdown
-	for i, d := range domains {
-		profile, ok := ds.ClassifyRegistrant(d, brandOf[i])
-		if !ok {
+	for _, m := range matches {
+		info, ok := ix.row(m.Domain)
+		if !ok || info.WHOIS == nil {
 			continue
 		}
 		out.WithWHOIS++
-		switch profile {
-		case RegistrantProtective:
-			out.Protective++
-		case RegistrantPersonal:
-			out.Personal++
-		case RegistrantPrivacy:
+		switch rec := info.WHOIS; {
+		case rec.Privacy || rec.RegistrantEmail == "":
 			out.Privacy++
+		case strings.HasSuffix(rec.RegistrantEmail, "@"+m.Brand):
+			out.Protective++
+		default:
+			out.Personal++
 		}
 	}
 	return out

@@ -21,14 +21,16 @@ import (
 	"idnlab/internal/pipeline"
 	"idnlab/internal/stats"
 	"idnlab/internal/webprobe"
+	"idnlab/internal/whois"
 	"idnlab/internal/zonegen"
 )
 
 // Study runs the complete measurement over a dataset and renders every
-// table and figure of the paper. The characterization (Tables II–VI,
+// table and figure of the paper. The characterization (Tables II–VII,
 // Figures 1–4, the findings) reads the Study's corpus index (index); the
 // corpus tables (IX, X, XIII, XIV; Figures 5, 8; the taxonomy) read one
-// classify pass. Each runs once per Study, ScanWorkers wide through the
+// classify pass, and a match's WHOIS, pDNS and blacklist state from its
+// index row. Each runs once per Study, ScanWorkers wide through the
 // internal/pipeline engine, no matter how many sections consume it. Report
 // sections themselves render concurrently (RunContext) into private
 // buffers that an order-preserving fan-in writes out in the fixed
@@ -307,7 +309,7 @@ func (st *Study) ReportTable3(w io.Writer) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "TABLE III: Top 5 IDN registrants")
 	fmt.Fprintln(tw, "Email\t# IDN")
-	for _, gc := range st.index().IDNWHOIS().TopRegistrantEmails(5) {
+	for _, gc := range whois.TopRegistrantEmails(st.index().WHOISRecords(), 5) {
 		fmt.Fprintf(tw, "%s\t%d\n", gc.Key, gc.Count)
 	}
 	return tw.Flush()
@@ -315,10 +317,10 @@ func (st *Study) ReportTable3(w io.Writer) error {
 
 // ReportTable4 renders the top registrars (Table IV).
 func (st *Study) ReportTable4(w io.Writer) error {
-	who := st.index().IDNWHOIS()
-	top, covered := who.TopRegistrars(10), who.Len()
+	recs := st.index().WHOISRecords()
+	top, covered := whois.TopRegistrars(recs, 10), len(recs)
 	tw := newTab(w)
-	fmt.Fprintf(tw, "TABLE IV: Top 10 registrars (%d distinct total)\n", who.RegistrarCount())
+	fmt.Fprintf(tw, "TABLE IV: Top 10 registrars (%d distinct total)\n", whois.RegistrarCount(recs))
 	fmt.Fprintln(tw, "Registrar\t# IDN\tRate")
 	for _, gc := range top {
 		fmt.Fprintf(tw, "%s\t%d\t%s\n", gc.Key, gc.Count, stats.Percent(float64(gc.Count)/float64(covered)))
@@ -422,7 +424,7 @@ func (st *Study) ReportTable7(w io.Writer) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "TABLE VII: Top shared certificates among IDNs")
 	fmt.Fprintln(tw, "Common Name\tVolume")
-	for _, cn := range st.DS.SharedCertificates(10) {
+	for _, cn := range st.index().SharedCertificates(10) {
 		fmt.Fprintf(tw, "%s\t%d\n", cn.CommonName, cn.Count)
 	}
 	return tw.Flush()
@@ -497,13 +499,7 @@ func (st *Study) ReportTable12(w io.Writer) error {
 // ReportTable13 renders the homograph brand ranking (Table XIII).
 func (st *Study) ReportTable13(w io.Writer) error {
 	res := st.homographResults()
-	domains := make([]string, res.Total)
-	brandOf := make([]string, res.Total)
-	for i, m := range res.Matches {
-		domains[i] = m.Domain
-		brandOf[i] = m.Brand
-	}
-	reg := BreakdownRegistrants(st.DS, domains, brandOf)
+	reg := st.index().registrants(res.Matches)
 	tw := newTab(w)
 	fmt.Fprintf(tw, "TABLE XIII: Registered homographic IDNs (total %d, identical %d, blacklisted %d)\n",
 		res.Total, res.Identical, res.Blacklisted)
@@ -527,9 +523,10 @@ func (st *Study) ReportFigure5(w io.Writer) error {
 	for i, m := range matches {
 		domains[i] = m.Domain
 	}
+	activeDays, queryCounts := st.index().activity(domains)
 	series := []stats.Series{
-		{Name: "active-days", Values: st.DS.PDNS.ActiveDaysOf(domains)},
-		{Name: "queries", Values: st.DS.PDNS.QueriesOf(domains)},
+		{Name: "active-days", Values: activeDays},
+		{Name: "queries", Values: queryCounts},
 	}
 	active := stats.NewECDF(series[0].Values)
 	queries := stats.NewECDF(series[1].Values)
@@ -599,8 +596,8 @@ func (st *Study) ReportFigure8(w io.Writer) error {
 	for i, m := range matches {
 		domains[i] = m.Domain
 	}
-	active := stats.NewECDF(st.DS.PDNS.ActiveDaysOf(domains))
-	queries := stats.NewECDF(st.DS.PDNS.QueriesOf(domains))
+	activeDays, queryCounts := st.index().activity(domains)
+	active, queries := stats.NewECDF(activeDays), stats.NewECDF(queryCounts)
 	fmt.Fprintf(w, "FIGURE 8: Type-1 IDN activity — mean active %.0f days, mean queries %.0f\n",
 		active.Mean(), queries.Mean())
 	return nil
@@ -613,12 +610,11 @@ func (st *Study) ReportFigure8(w io.Writer) error {
 // variant strings only get allocated for the ACE encoding of candidates
 // not already seen. Iteration order matches Table.Variants (positions in
 // order, homoglyphs in code-point order), so the output is identical to
-// the materialized loop.
+// the materialized loop. A registered candidate's traffic is its corpus
+// index row's; only an unregistered one, a name outside the corpus, is
+// looked up in the passive-DNS store.
 func (st *Study) UnregisteredTraffic(topK int) (registered, unregistered []float64) {
-	regSet := make(map[string]struct{}, len(st.DS.IDNs))
-	for _, d := range st.DS.IDNs {
-		regSet[d] = struct{}{}
-	}
+	ix := st.index()
 	seen := make(map[string]struct{})
 	keyBuf := make([]byte, 0, 64)
 	tab := confusables.Default()
@@ -641,13 +637,11 @@ func (st *Study) UnregisteredTraffic(topK int) (registered, unregistered []float
 					continue
 				}
 				name := ace + ".com"
-				e, ok := st.DS.PDNS.Get(name)
-				if !ok {
-					continue
-				}
-				if _, isReg := regSet[name]; isReg {
-					registered = append(registered, float64(e.Queries))
-				} else {
+				if info, isReg := ix.row(name); isReg {
+					if info.HasPDNS {
+						registered = append(registered, float64(info.Queries))
+					}
+				} else if e, ok := st.DS.PDNS.Get(name); ok {
 					unregistered = append(unregistered, float64(e.Queries))
 				}
 			}

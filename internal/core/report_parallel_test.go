@@ -132,10 +132,10 @@ func TestRunContextCancelled(t *testing.T) {
 // TestIndexMemoization pins the memoization the corpus index introduces:
 // repeated calls to the aggregate accessors must return the same cached
 // backing data instead of recomputing, the index build must align with
-// Dataset.IDNs, and the cuts must agree with the pre-index filters.
+// Dataset.IDNs, and the cuts must agree with the name-parsing filter.
 func TestIndexMemoization(t *testing.T) {
 	ix := testIndex()
-	infos := ix.infos
+	infos := ix.idns
 	if len(infos) != len(testDS.IDNs) {
 		t.Fatalf("index has %d infos for %d IDNs", len(infos), len(testDS.IDNs))
 	}
@@ -144,27 +144,24 @@ func TestIndexMemoization(t *testing.T) {
 			t.Fatalf("info %d misaligned: %q vs %q", i, infos[i].Domain, testDS.IDNs[i])
 		}
 	}
-	if ix.IDNWHOIS() != ix.IDNWHOIS() {
-		t.Error("IDNWHOIS not memoized")
-	}
-	var malicious []string
-	for _, d := range testDS.IDNs {
-		if testDS.Blacklists.IsMalicious(d) {
-			malicious = append(malicious, d)
-		}
+	if r1, r2 := ix.WHOISRecords(), ix.WHOISRecords(); len(r1) == 0 || &r1[0] != &r2[0] {
+		t.Error("WHOISRecords not memoized")
 	}
 	for _, c := range []struct {
-		pop  Population
-		tld  string
-		want []string
+		pop Population
+		tld string
 	}{
-		{PopulationIDN, "com", filterTLD(testDS.IDNs, "com")},
-		{PopulationIDN, "itld", filterTLD(testDS.IDNs, "itld")},
-		{PopulationMalicious, "", malicious},
-		{PopulationMalicious, "net", filterTLD(malicious, "net")},
+		{PopulationIDN, "com"}, {PopulationIDN, "itld"},
+		{PopulationMalicious, ""}, {PopulationMalicious, "net"},
 	} {
-		if got := ix.cut(c.pop, c.tld); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("cut(%v, %q) = %d domains, the filter gives %d", c.pop, c.tld, len(got), len(c.want))
+		var got []string
+		for _, info := range ix.rows(c.pop) {
+			if inCut(&info, c.pop, c.tld) {
+				got = append(got, info.Domain)
+			}
+		}
+		if want := refCut(testDS, c.pop, c.tld); !reflect.DeepEqual(got, want) {
+			t.Errorf("cut(%v, %q) = %d domains, the filter gives %d", c.pop, c.tld, len(got), len(want))
 		}
 	}
 	s1 := ix.Series(true, PopulationIDN, "com")
@@ -198,8 +195,8 @@ func TestSectionRecordsIndexPass(t *testing.T) {
 	if len(ms) != 1 || ms[0].Stage != "index" || ms[0].Workers != 1 {
 		t.Fatalf("recorded passes %v, want one stage=index pass one worker wide", ms)
 	}
-	if ms[0].In != uint64(len(testDS.IDNs)) {
-		t.Errorf("index pass read %d domains, want %d", ms[0].In, len(testDS.IDNs))
+	if want := uint64(len(testDS.IDNs) + len(testDS.NonIDNs)); ms[0].In != want {
+		t.Errorf("index pass read %d domains, want %d (both populations)", ms[0].In, want)
 	}
 }
 

@@ -91,30 +91,6 @@ func (s *Store) Get(domain string) (Entry, bool) {
 	return e, ok
 }
 
-// ActiveDaysOf collects the active-time metric for the given domains,
-// skipping unobserved ones — the per-population series of Figures 2/5/8.
-func (s *Store) ActiveDaysOf(domains []string) []float64 {
-	out := make([]float64, 0, len(domains))
-	for _, d := range domains {
-		if e, ok := s.Get(d); ok {
-			out = append(out, e.ActiveDays())
-		}
-	}
-	return out
-}
-
-// QueriesOf collects the query-volume metric for the given domains,
-// skipping unobserved ones — the series of Figures 3/5/8.
-func (s *Store) QueriesOf(domains []string) []float64 {
-	out := make([]float64, 0, len(domains))
-	for _, d := range domains {
-		if e, ok := s.Get(d); ok {
-			out = append(out, float64(e.Queries))
-		}
-	}
-	return out
-}
-
 // Slash24 maps a dotted-quad IPv4 address to its /24 network segment
 // ("a.b.c.0/24"). Malformed addresses map to themselves.
 func Slash24(ip string) string {

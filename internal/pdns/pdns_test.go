@@ -77,21 +77,6 @@ func TestMergeQuickInvariants(t *testing.T) {
 	}
 }
 
-func TestActiveAndQuerySeries(t *testing.T) {
-	s := NewStore(0)
-	s.Merge(Entry{Domain: "a.com", FirstSeen: day(2017, 1, 1), LastSeen: day(2017, 1, 11), Queries: 100})
-	s.Merge(Entry{Domain: "b.com", FirstSeen: day(2017, 1, 1), LastSeen: day(2017, 1, 2), Queries: 5})
-	domains := []string{"a.com", "b.com", "unseen.com"}
-	ad := s.ActiveDaysOf(domains)
-	if !reflect.DeepEqual(ad, []float64{10, 1}) {
-		t.Errorf("ActiveDaysOf = %v", ad)
-	}
-	qs := s.QueriesOf(domains)
-	if !reflect.DeepEqual(qs, []float64{100, 5}) {
-		t.Errorf("QueriesOf = %v", qs)
-	}
-}
-
 func TestSlash24(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"192.0.2.55", "192.0.2.0/24"},

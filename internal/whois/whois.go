@@ -129,27 +129,42 @@ func Parse(r io.Reader) (Record, error) {
 }
 
 // Store is an in-memory WHOIS database keyed by domain. Coverage gaps are
-// represented by absence. Store is not safe for concurrent mutation; the
+// represented by absence. The records sit in one slice with a name →
+// position map beside it, so a lookup hands out a pointer into the store
+// rather than a copy. Store is not safe for concurrent mutation; the
 // pipeline builds it once, then reads concurrently.
 type Store struct {
-	records map[string]Record
+	records []Record
+	pos     map[string]int
 }
 
 // NewStore returns an empty store with room for size records, so a
-// builder that knows its count never grows the map.
+// builder that knows its count never grows the slice or the map.
 func NewStore(size int) *Store {
-	return &Store{records: make(map[string]Record, size)}
+	return &Store{records: make([]Record, 0, size), pos: make(map[string]int, size)}
 }
 
-// Put inserts or replaces a record.
+// Put inserts or replaces a record; a replacement keeps the record's
+// position.
 func (s *Store) Put(rec Record) {
-	s.records[strings.ToLower(rec.Domain)] = rec
+	key := strings.ToLower(rec.Domain)
+	if i, ok := s.pos[key]; ok {
+		s.records[i] = rec
+		return
+	}
+	s.pos[key] = len(s.records)
+	s.records = append(s.records, rec)
 }
 
-// Get looks up the record for a domain.
-func (s *Store) Get(domain string) (Record, bool) {
-	rec, ok := s.records[strings.ToLower(domain)]
-	return rec, ok
+// Get looks up the record for a domain. The pointer addresses the stored
+// record, read-only; a later Put of a new domain may move the records and
+// leave it on the old copy, so take pointers from a built store.
+func (s *Store) Get(domain string) (*Record, bool) {
+	i, ok := s.pos[strings.ToLower(domain)]
+	if !ok {
+		return nil, false
+	}
+	return &s.records[i], true
 }
 
 // Len returns the number of records (the WHOIS coverage numerator of
@@ -163,16 +178,16 @@ type GroupCount struct {
 	Count int
 }
 
-// TopRegistrars ranks registrars by number of records, descending, ties by
-// name. Records with empty registrar are skipped.
-func (s *Store) TopRegistrars(k int) []GroupCount {
-	return s.topBy(k, func(r Record) string { return r.Registrar })
+// TopRegistrars ranks the registrars of records by number of records,
+// descending, ties by name. Records with empty registrar are skipped.
+func TopRegistrars(records []*Record, k int) []GroupCount {
+	return topBy(records, k, func(r *Record) string { return r.Registrar })
 }
 
-// TopRegistrantEmails ranks registrant emails by number of records,
-// descending. Privacy-protected and empty emails are skipped.
-func (s *Store) TopRegistrantEmails(k int) []GroupCount {
-	return s.topBy(k, func(r Record) string {
+// TopRegistrantEmails ranks the registrant emails of records by number of
+// records, descending. Privacy-protected and empty emails are skipped.
+func TopRegistrantEmails(records []*Record, k int) []GroupCount {
+	return topBy(records, k, func(r *Record) string {
 		if r.Privacy {
 			return ""
 		}
@@ -180,9 +195,9 @@ func (s *Store) TopRegistrantEmails(k int) []GroupCount {
 	})
 }
 
-func (s *Store) topBy(k int, key func(Record) string) []GroupCount {
+func topBy(records []*Record, k int, key func(*Record) string) []GroupCount {
 	counts := make(map[string]int)
-	for _, rec := range s.records {
+	for _, rec := range records {
 		if kv := key(rec); kv != "" {
 			counts[kv]++
 		}
@@ -203,11 +218,11 @@ func (s *Store) topBy(k int, key func(Record) string) []GroupCount {
 	return out
 }
 
-// RegistrarCount returns the number of distinct registrars (the paper
-// found over 700 for IDNs, over 1,500 for the non-IDN sample).
-func (s *Store) RegistrarCount() int {
+// RegistrarCount returns the number of distinct registrars among records
+// (the paper found over 700 for IDNs, over 1,500 for the non-IDN sample).
+func RegistrarCount(records []*Record) int {
 	set := make(map[string]struct{})
-	for _, rec := range s.records {
+	for _, rec := range records {
 		if rec.Registrar != "" {
 			set[rec.Registrar] = struct{}{}
 		}

@@ -119,9 +119,15 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := s.Get("missing.com"); ok {
 		t.Error("unexpected hit")
 	}
-	s.Put(sampleRecord()) // idempotent replace
+	held, _ := s.Get("xn--0wwy37b.com")
+	replaced := sampleRecord()
+	replaced.Registrar = "Name.com, Inc."
+	s.Put(replaced) // replace in place
 	if s.Len() != 1 {
 		t.Error("duplicate Put should replace")
+	}
+	if got, _ := s.Get("xn--0wwy37b.com"); got != held || got.Registrar != "Name.com, Inc." {
+		t.Errorf("after a replacing Put, Get = %p %q; want the held record %p, replaced", got, got.Registrar, held)
 	}
 }
 
@@ -147,9 +153,18 @@ func buildTestStore() *Store {
 	return s
 }
 
+// storeRecords lists a store's records in insertion order, as rankings
+// take them.
+func storeRecords(s *Store) []*Record {
+	out := make([]*Record, len(s.records))
+	for i := range s.records {
+		out[i] = &s.records[i]
+	}
+	return out
+}
+
 func TestTopRegistrars(t *testing.T) {
-	s := buildTestStore()
-	top := s.TopRegistrars(2)
+	top := TopRegistrars(storeRecords(buildTestStore()), 2)
 	if len(top) != 2 {
 		t.Fatalf("len = %d", len(top))
 	}
@@ -162,8 +177,7 @@ func TestTopRegistrars(t *testing.T) {
 }
 
 func TestTopRegistrantEmailsSkipsPrivacyAndEmpty(t *testing.T) {
-	s := buildTestStore()
-	top := s.TopRegistrantEmails(-1)
+	top := TopRegistrantEmails(storeRecords(buildTestStore()), -1)
 	if len(top) != 2 {
 		t.Fatalf("emails = %+v", top)
 	}
@@ -173,7 +187,7 @@ func TestTopRegistrantEmailsSkipsPrivacyAndEmpty(t *testing.T) {
 }
 
 func TestRegistrarCount(t *testing.T) {
-	if got := buildTestStore().RegistrarCount(); got != 3 {
+	if got := RegistrarCount(storeRecords(buildTestStore())); got != 3 {
 		t.Errorf("RegistrarCount = %d, want 3", got)
 	}
 }
