@@ -14,9 +14,10 @@
 //
 // Classification fans across a worker pipeline GOMAXPROCS wide, with
 // one classifier clone per worker (the homograph renderer is not safe
-// for concurrent use); the order-preserving fan-in keeps output in
-// input order, so results are byte-identical to a sequential run. -q
-// prints only the flagged domains. Ctrl-C cancels cleanly.
+// for concurrent use); each domain's line is written at its input index
+// and printed once the pass is done, so output is byte-identical to a
+// sequential run. -q prints only the flagged domains. Ctrl-C cancels
+// cleanly.
 //
 // Usage:
 //
@@ -72,23 +73,23 @@ func run(ctx context.Context) error {
 	}
 
 	cls, type2 := core.NewClassifier(core.DetectorConfig{TopK: 1000}), core.NewType2Detector(nil)
-	eng := pipeline.New(
-		pipeline.Config{Stage: "detect"},
-		func() detectors { return detectors{cls: cls.Clone(), type2: type2} },
-		func(d detectors, domain string) (verdict, bool, error) {
-			return classify(d, domain, *quiet)
-		})
-
+	eng := pipeline.New(pipeline.Config{Stage: "detect"},
+		func() detectors { return detectors{cls: cls.Clone(), type2: type2} })
+	verdicts := make([]verdict, len(domains))
+	if err := eng.Run(ctx, len(domains), func(d detectors, i int) error {
+		verdicts[i] = classify(d, domains[i])
+		return nil
+	}); err != nil {
+		return err
+	}
 	flagged := 0
-	err := eng.Stream(ctx, domains, func(v verdict) error {
+	for _, v := range verdicts {
 		if v.flagged {
 			flagged++
 		}
-		fmt.Println(v.line)
-		return nil
-	})
-	if err != nil {
-		return err
+		if v.flagged || !*quiet {
+			fmt.Println(v.line)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "%d of %d domains flagged\n", flagged, len(domains))
 	return nil
@@ -96,22 +97,20 @@ func run(ctx context.Context) error {
 
 // classify normalizes one domain, classifies the normalized form and
 // formats the first of its homograph, semantic and Type-2 matches.
-// ok=false drops the domain from the output (clean and invalid domains
-// under -q).
-func classify(d detectors, domain string, quiet bool) (verdict, bool, error) {
+func classify(d detectors, domain string) verdict {
 	n, err := core.Normalize(domain)
 	if err != nil {
-		return verdict{line: fmt.Sprintf("INVALID   %s (%v)", domain, err)}, !quiet, nil
+		return verdict{line: fmt.Sprintf("INVALID   %s (%v)", domain, err)}
 	}
 	v := d.cls.Verdict(n)
 	if m := v.Homograph; m != nil {
-		return verdict{line: fmt.Sprintf("HOMOGRAPH %s", m), flagged: true}, true, nil
+		return verdict{line: fmt.Sprintf("HOMOGRAPH %s", m), flagged: true}
 	}
 	if m := v.Semantic; m != nil {
-		return verdict{line: fmt.Sprintf("SEMANTIC  %s", m), flagged: true}, true, nil
+		return verdict{line: fmt.Sprintf("SEMANTIC  %s", m), flagged: true}
 	}
 	if m, ok := d.type2.DetectNormalized(n); ok {
-		return verdict{line: fmt.Sprintf("TYPE2     %s", m), flagged: true}, true, nil
+		return verdict{line: fmt.Sprintf("TYPE2     %s", m), flagged: true}
 	}
-	return verdict{line: fmt.Sprintf("clean     %s (%s)", domain, n.Unicode)}, !quiet, nil
+	return verdict{line: fmt.Sprintf("clean     %s (%s)", domain, n.Unicode)}
 }

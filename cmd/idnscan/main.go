@@ -47,36 +47,33 @@ func run(ctx context.Context) error {
 	sort.Strings(paths)
 
 	// One work item per zone file; each worker streams its file through
-	// zonefile.ScanStream. The engine delivers in input order, so the
-	// output stays in sorted-path order no matter which zone finishes
+	// zonefile.ScanStream and writes its counts at the file's index, so
+	// the output stays in sorted-path order no matter which zone finishes
 	// first. Batch is 1 because each item is a whole zone file: a worker
 	// claims one zone at a time, which keeps all workers busy on corpora
 	// with a few large zones.
-	eng := pipeline.New(
-		pipeline.Config{Stage: "zonescan", Batch: 1},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, path string) (zonefile.ScanStats, bool, error) {
-			f, err := os.Open(path)
-			if err != nil {
-				return zonefile.ScanStats{}, false, err
-			}
-			defer f.Close()
-			st, err := zonefile.ScanStream(ctx, f, nil)
-			if err != nil {
-				return zonefile.ScanStats{}, false, fmt.Errorf("%s: %w", path, err)
-			}
-			return st, true, nil
-		})
-
-	var totalSLD, totalIDN int
-	err := eng.Stream(ctx, paths, func(st zonefile.ScanStats) error {
-		totalSLD += st.SLDCount
-		totalIDN += st.IDNCount
-		fmt.Printf("%-24s %8d SLDs %8d IDNs\n", st.Origin, st.SLDCount, st.IDNCount)
+	stats := make([]zonefile.ScanStats, len(paths))
+	eng := pipeline.New(pipeline.Config{Stage: "zonescan", Batch: 1},
+		func() struct{} { return struct{}{} })
+	err := eng.Run(ctx, len(paths), func(_ struct{}, i int) error {
+		f, err := os.Open(paths[i])
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if stats[i], err = zonefile.ScanStream(ctx, f, nil); err != nil {
+			return fmt.Errorf("%s: %w", paths[i], err)
+		}
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	var totalSLD, totalIDN int
+	for _, st := range stats {
+		totalSLD += st.SLDCount
+		totalIDN += st.IDNCount
+		fmt.Printf("%-24s %8d SLDs %8d IDNs\n", st.Origin, st.SLDCount, st.IDNCount)
 	}
 	fmt.Printf("%-24s %8d SLDs %8d IDNs\n", "TOTAL", totalSLD, totalIDN)
 	return nil

@@ -76,15 +76,11 @@ type subBatch struct {
 	key     string
 	indices []int
 	domains []string
-	// ctx carries the originating request's deadline into the engine
-	// Func (which has no ctx parameter of its own).
-	ctx context.Context
 }
 
 // subResult is one sub-batch's reply, split but not decoded: items[j]
-// is the worker's answer to request index indices[j], byte for byte.
+// is the worker's answer to the sub-batch's domain j, byte for byte.
 type subResult struct {
-	indices []int
 	flagged int
 	items   []json.RawMessage
 }
@@ -103,7 +99,7 @@ type Gateway struct {
 	cfg      GatewayConfig
 	mem      *Membership
 	router   *Router
-	scatter  *pipeline.Engine[subBatch, subResult, struct{}]
+	scatter  *pipeline.Engine[struct{}]
 	metrics  *gwMetrics
 	draining atomic.Bool
 }
@@ -120,17 +116,12 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	}
 	mem.OnRejoin(func(string) { g.metrics.rejoins.Add(1) })
 	// Sub-batch fan-out reuses the scan engine: Batch=1 because each
-	// item is itself a network round-trip, in-order delivery for free
-	// (one goroutine per sub-batch, at most scatterWorkers), per-stage
-	// metrics surfaced at /metrics.
+	// item is itself a network round-trip (one goroutine per sub-batch,
+	// at most scatterWorkers), each reply written at its sub-batch's
+	// index, per-stage metrics surfaced at /metrics.
 	g.scatter = pipeline.New(
 		pipeline.Config{Stage: "gateway.scatter", Workers: scatterWorkers, Batch: 1},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, sb subBatch) (subResult, bool, error) {
-			g.metrics.subBatches.Add(1)
-			res, err := g.forwardSubBatch(sb)
-			return res, err == nil, err
-		})
+		func() struct{} { return struct{}{} })
 	return g
 }
 
@@ -144,9 +135,9 @@ func (g *Gateway) Draining() bool { return g.draining.Load() }
 // batch — through the router and splits the worker's reply into its
 // items. Infrastructure failures and sheds surface as errors that fail
 // the whole sub-batch with one taxonomy-mapped status.
-func (g *Gateway) forwardSubBatch(sb subBatch) (subResult, error) {
+func (g *Gateway) forwardSubBatch(ctx context.Context, sb subBatch) (subResult, error) {
 	body := api.AppendBatchRequest(nil, &api.BatchRequest{Domains: sb.domains})
-	rep, err := g.router.Do(sb.ctx, sb.key, http.MethodPost, "/v1/detect/batch", body)
+	rep, err := g.router.Do(ctx, sb.key, http.MethodPost, "/v1/detect/batch", body)
 	if err != nil {
 		return subResult{}, err
 	}
@@ -164,7 +155,7 @@ func (g *Gateway) forwardSubBatch(sb subBatch) (subResult, error) {
 	if err != nil {
 		return subResult{}, fmt.Errorf("node %s: bad batch reply: %v", rep.NodeID, err)
 	}
-	return subResult{indices: sb.indices, flagged: flagged, items: items}, nil
+	return subResult{flagged: flagged, items: items}, nil
 }
 
 // splitBatchReply cuts a worker's batch reply into its items' bytes
@@ -318,7 +309,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if !seen {
 			at = len(subs)
 			groups[owner.ID] = at
-			subs = append(subs, subBatch{key: n.ACE, ctx: r.Context()})
+			subs = append(subs, subBatch{key: n.ACE})
 		}
 		sb := &subs[at]
 		sb.indices = append(sb.indices, i)
@@ -326,16 +317,22 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	flagged := 0
 	if len(subs) > 0 {
-		err = g.scatter.Stream(r.Context(), subs, func(res subResult) error {
-			flagged += res.flagged
-			for j, idx := range res.indices {
-				items[idx] = res.items[j]
-			}
-			return nil
+		results := make([]subResult, len(subs))
+		err = g.scatter.Run(r.Context(), len(subs), func(_ struct{}, j int) error {
+			g.metrics.subBatches.Add(1)
+			var err error
+			results[j], err = g.forwardSubBatch(r.Context(), subs[j])
+			return err
 		})
 		if err != nil {
 			writeError(w, err)
 			return
+		}
+		for j, res := range results {
+			flagged += res.flagged
+			for k, idx := range subs[j].indices {
+				items[idx] = res.items[k]
+			}
 		}
 	}
 	g.metrics.labels.Add(uint64(len(req.Domains)))

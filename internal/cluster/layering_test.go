@@ -560,7 +560,7 @@ var cfgAllowed = map[string]string{
 	"internal/vstore.Config.CompactBytes":   "test seam: the store tests reach compaction without writing 8 MiB",
 	"internal/serve.Config.Workers":         "test seam: the serve and cluster tests pin the batch width, so alloc counts and admission do not follow the machine's GOMAXPROCS",
 	"internal/serve.Config.CacheSize":       "test seam: the serve tests reach eviction with caches of 2 to 64 entries",
-	"internal/watch.EngineConfig.Workers":   "test seam: the engine tests run a 2- and 4-wide pool, so the order guarantee is exercised on a one-core machine too",
+	"internal/watch.EngineConfig.Workers":   "test seam: the engine tests run a 2- and 4-wide pool, so alerts in event order are exercised on a one-core machine too",
 }
 
 // TestEveryConfigFieldHasASetter holds the daemons to deployment

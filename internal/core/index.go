@@ -120,9 +120,9 @@ type seriesKey struct {
 // index returns the study's corpus index, building it on first use in
 // one bounded-parallel pass through internal/pipeline, ScanWorkers wide,
 // and recording that pass as the study's stage=index metrics in the same
-// step — whichever section or step asks first. The order-preserving
-// fan-in keeps the rows aligned with Dataset.IDNs and Dataset.NonIDNs, so
-// the index is the same at any width.
+// step — whichever section or step asks first. Each row is written at
+// its own position, aligned with Dataset.IDNs and Dataset.NonIDNs, so the
+// index is the same at any width.
 func (st *Study) index() *Index {
 	st.idxOnce.Do(func() {
 		var m pipeline.Metrics
@@ -133,29 +133,22 @@ func (st *Study) index() *Index {
 }
 
 // buildIndex runs the one-pass derivation over the IDNs, then the
-// non-IDNs, as one stage=index pass. Each item is a row's position, and
-// the worker that takes it fills that row in place, so no row is built
-// twice on its way through the engine's fan-in.
+// non-IDNs, as one stage=index pass: the worker that takes index i fills
+// rows[i] in place.
 func buildIndex(ds *Dataset, cls *langid.Classifier, workers int) (*Index, pipeline.Metrics) {
 	n := len(ds.IDNs)
 	rows := make([]DomainInfo, n+len(ds.NonIDNs))
-	positions := make([]int32, len(rows))
-	for i := range positions {
-		positions[i] = int32(i)
-	}
-	eng := pipeline.New(
-		pipeline.Config{Stage: "index", Workers: workers},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int32) (struct{}, bool, error) {
-			names, j := ds.IDNs, int(i)
-			if j >= n {
-				names, j = ds.NonIDNs, j-n
-			}
-			rows[i] = ds.derive(names[j], cls)
-			return struct{}{}, true, nil
-		})
-	if _, err := eng.Collect(context.Background(), positions); err != nil {
-		// Unreachable: background context, Func never errors.
+	eng := pipeline.New(pipeline.Config{Stage: "index", Workers: workers},
+		func() struct{} { return struct{}{} })
+	if err := eng.Run(context.Background(), len(rows), func(_ struct{}, i int) error {
+		names, j := ds.IDNs, i
+		if j >= n {
+			names, j = ds.NonIDNs, j-n
+		}
+		rows[i] = ds.derive(names[j], cls)
+		return nil
+	}); err != nil {
+		// Unreachable: background context, fn never errors.
 		panic("core: index build: " + err.Error())
 	}
 	return &Index{

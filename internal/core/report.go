@@ -33,9 +33,8 @@ import (
 // index row. Each runs once per Study, ScanWorkers wide through the
 // internal/pipeline engine, no matter how many sections consume it. Report
 // sections themselves render concurrently (RunContext) into private
-// buffers that an order-preserving fan-in writes out in the fixed
-// section order, so the report is byte-identical to the sequential
-// renderer at any worker count.
+// buffers that are written out in the fixed section order, so the report
+// is byte-identical to the sequential renderer at any worker count.
 type Study struct {
 	DS *Dataset
 
@@ -198,43 +197,45 @@ func (st *Study) Section(key string) (func(io.Writer) error, error) {
 // RunContext executes every experiment with bounded-parallel section
 // rendering and writes the full report to w. The three shared substrates
 // are primed first under the caller's context (prime); the ~25 sections
-// then render concurrently (runSteps) into
-// private buffers that the pipeline's order-preserving fan-in writes to w
-// in the fixed section order. Output is byte-identical to the sequential
-// renderer at any ScanWorkers value. On cancellation RunContext returns
-// ctx.Err() after all section goroutines have drained.
+// then render concurrently (runAll), section i into its own buffer
+// bodies[i], and the buffers are written to w in the fixed section order.
+// Output is byte-identical to the sequential renderer at any ScanWorkers
+// value. On cancellation RunContext returns ctx.Err() after all section
+// goroutines have drained.
 func (st *Study) RunContext(ctx context.Context, w io.Writer) error {
 	if err := st.prime(ctx); err != nil {
 		return err
 	}
 
-	// rendered is one section's output and how long it took.
-	type rendered struct {
-		body   []byte
-		timing SectionTiming
-	}
-	var timings []SectionTiming
-	m, err := runSteps(ctx, "report", st.ScanWorkers, st.sections(),
-		func(sec reportSection) (rendered, error) {
+	secs := st.sections()
+	bodies := make([][]byte, len(secs))
+	timings := make([]SectionTiming, len(secs))
+	steps := make([]func() error, len(secs))
+	for i, sec := range secs {
+		steps[i] = func() error {
 			var buf bytes.Buffer
 			t0 := time.Now()
 			if err := sec.Fn(&buf); err != nil {
-				return rendered{}, fmt.Errorf("section %s: %w", sec.Name, err)
+				return fmt.Errorf("section %s: %w", sec.Name, err)
 			}
 			// The sequential renderer emitted one blank line after each
 			// section; keep it inside the section's buffer so assembly
 			// is a plain ordered concatenation.
 			buf.WriteByte('\n')
-			return rendered{buf.Bytes(), SectionTiming{Name: sec.Name, Duration: time.Since(t0)}}, nil
-		},
-		func(r rendered) error {
-			timings = append(timings, r.timing)
-			_, werr := w.Write(r.body)
-			return werr
-		})
+			bodies[i] = buf.Bytes()
+			timings[i] = SectionTiming{Name: sec.Name, Duration: time.Since(t0)}
+			return nil
+		}
+	}
+	m, err := runAll(ctx, "report", st.ScanWorkers, steps)
 	st.recordScan(m)
 	if err != nil {
 		return err
+	}
+	for _, body := range bodies {
+		if _, err := w.Write(body); err != nil {
+			return err
+		}
 	}
 	st.mu.Lock()
 	st.timings = timings

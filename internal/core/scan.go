@@ -11,11 +11,11 @@ import (
 // 102 hours on a single machine (§VI-B); the study instead classifies
 // the corpus once through internal/pipeline's scan engine: one
 // Classifier clone per worker (the homograph renderer's scratch is not
-// safe for concurrent use), in-order delivery, per-stage metrics, and
-// clean cancellation. Each name is normalized once and gets the verdict
-// idnserve would serve for it, plus the Type-2 dictionary lookup on the
-// same NormalizedDomain, so every corpus table reads the one door the
-// service answers from.
+// safe for concurrent use), each name's matches written at its own
+// index, per-stage metrics, and clean cancellation. Each name is
+// normalized once and gets the verdict idnserve would serve for it, plus
+// the Type-2 dictionary lookup on the same NormalizedDomain, so every
+// corpus table reads the one door the service answers from.
 //
 // Workers claim batches of 32 consecutive names from a shared cursor
 // and claim the next when they finish, so a corpus of at least 32 names
@@ -32,10 +32,12 @@ type corpusMatches struct {
 	type2     []Type2Match
 }
 
-// classified is one name of the pass that some detector matched.
+// classified is what the pass keeps of one name: each detector's match,
+// nil when it matched nothing.
 type classified struct {
-	verdict Verdict
-	type2   *Type2Match
+	homograph *HomographMatch
+	semantic  *SemanticMatch
+	type2     *Type2Match
 }
 
 // classifyCorpus runs the pass over domains, workers wide (<= 0 selects
@@ -44,33 +46,37 @@ type classified struct {
 // it drains and returns ctx.Err().
 func classifyCorpus(ctx context.Context, cls *Classifier, type2 *Type2Detector,
 	domains []string, workers int) (*corpusMatches, pipeline.Metrics, error) {
-	eng := pipeline.New(pipeline.Config{Stage: "classify", Workers: workers}, cls.Clone,
-		func(c *Classifier, domain string) (classified, bool, error) {
-			n, err := Normalize(domain)
-			if err != nil {
-				return classified{}, false, nil
-			}
-			out := classified{verdict: c.Verdict(n)}
-			if m, ok := type2.DetectNormalized(n); ok {
-				out.type2 = &m
-			}
-			return out, out.type2 != nil || out.verdict.Flagged(), nil
-		})
-	out := &corpusMatches{}
-	err := eng.Stream(ctx, domains, func(c classified) error {
-		if m := c.verdict.Homograph; m != nil {
-			out.homograph = append(out.homograph, *m)
+	hits := make([]classified, len(domains))
+	eng := pipeline.New(pipeline.Config{Stage: "classify", Workers: workers}, cls.Clone)
+	err := eng.Run(ctx, len(domains), func(c *Classifier, i int) error {
+		n, err := Normalize(domains[i])
+		if err != nil {
+			return nil
 		}
-		if m := c.verdict.Semantic; m != nil {
-			out.semantic = append(out.semantic, *m)
-		}
-		if m := c.type2; m != nil {
-			out.type2 = append(out.type2, *m)
+		v := c.Verdict(n)
+		hits[i] = classified{homograph: v.Homograph, semantic: v.Semantic}
+		if m, ok := type2.DetectNormalized(n); ok {
+			// Copied into its own allocation: taking &m would move m
+			// to the heap on every name, matched or not.
+			hits[i].type2 = new(Type2Match)
+			*hits[i].type2 = m
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, eng.Metrics(), err
+	}
+	out := &corpusMatches{}
+	for _, h := range hits {
+		if h.homograph != nil {
+			out.homograph = append(out.homograph, *h.homograph)
+		}
+		if h.semantic != nil {
+			out.semantic = append(out.semantic, *h.semantic)
+		}
+		if h.type2 != nil {
+			out.type2 = append(out.type2, *h.type2)
+		}
 	}
 	out.sort()
 	return out, eng.Metrics(), nil

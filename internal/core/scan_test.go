@@ -183,9 +183,9 @@ func TestScanFullCorpus(t *testing.T) {
 		if !reflect.DeepEqual(*got, want) {
 			t.Fatalf("workers=%d: full-corpus pass diverges", workers)
 		}
-		if m.In != uint64(len(testDS.IDNs)) || m.Out < uint64(len(want.homograph)) || m.Out == 0 {
-			t.Errorf("workers=%d: metrics in=%d out=%d, want %d in and at least %d out",
-				workers, m.In, m.Out, len(testDS.IDNs), len(want.homograph))
+		if m.In != uint64(len(testDS.IDNs)) || m.Out != m.In {
+			t.Errorf("workers=%d: metrics in=%d out=%d, want %d in and out",
+				workers, m.In, m.Out, len(testDS.IDNs))
 		}
 	}
 }
@@ -356,11 +356,8 @@ func TestStudyScanMetrics(t *testing.T) {
 		t.Fatalf("recorded passes %v, want one classify pass, then the index pass", ms)
 	}
 	m := ms[0]
-	if m.In != uint64(len(testDS.IDNs)) {
-		t.Errorf("in = %d, want %d", m.In, len(testDS.IDNs))
-	}
-	if matches := st.matches(); m.Out < uint64(max(len(matches.homograph), len(matches.semantic), len(matches.type2))) {
-		t.Errorf("out = %d, fewer than one detector's matches", m.Out)
+	if m.In != uint64(len(testDS.IDNs)) || m.Out != m.In {
+		t.Errorf("in = %d, out = %d, want %d each", m.In, m.Out, len(testDS.IDNs))
 	}
 	if m.Workers != 2 {
 		t.Errorf("workers = %d, want 2", m.Workers)

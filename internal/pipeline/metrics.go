@@ -16,24 +16,24 @@ type Metrics struct {
 	Workers int
 	// In counts the items of every run, added when the run starts.
 	In uint64
-	// Out counts results delivered to the sink (post-filter).
+	// Out counts the indices whose fn returned nil.
 	Out uint64
-	// Errors counts Func invocations that returned an error.
+	// Errors counts fn calls that returned an error.
 	Errors uint64
-	// Consumed counts items workers have finished with (processed,
-	// abandoned on abort, or skipped after cancellation). In − Consumed
+	// Consumed counts items workers have finished with (processed, or
+	// skipped after an error or a cancellation). In − Consumed
 	// is the live backlog: items of running scans not yet through a
 	// worker.
 	Consumed uint64
-	// Elapsed is the total wall time spent inside Stream/Collect.
+	// Elapsed is the total wall time spent inside Run.
 	Elapsed time.Duration
-	// Busy is the per-worker time spent inside Func calls.
+	// Busy is the per-worker time spent inside fn calls.
 	Busy []time.Duration
 }
 
 // Backlog reports the work left at snapshot time: items of running
 // scans that no worker has finished with yet (unclaimed batches plus
-// items inside in-flight Func calls). A persistently high backlog on a
+// items of batches in flight). A persistently high backlog on a
 // stage means its workers are the bottleneck — the signal the watch
 // tier uses for backpressure visibility.
 func (m Metrics) Backlog() uint64 {
@@ -53,7 +53,7 @@ func (m Metrics) Throughput() float64 {
 
 // Utilization reports the mean fraction of wall time the workers spent
 // processing items — 1.0 means every worker was busy the whole scan,
-// low values point at too few batches for the workers or a slow sink.
+// low values point at too few batches for the workers.
 func (m Metrics) Utilization() float64 {
 	if m.Elapsed <= 0 || m.Workers == 0 {
 		return 0

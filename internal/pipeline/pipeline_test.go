@@ -11,94 +11,89 @@ import (
 	"time"
 )
 
-// double is the trivial fn used by most tests: no worker state, item*2.
-func double() *Engine[int, int, struct{}] {
-	return New(Config{Stage: "double", Workers: 4},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, n int) (int, bool, error) { return 2 * n, true, nil })
-}
+func none() struct{} { return struct{}{} }
 
-func ints(n int) []int {
+// runMatchesLoop runs n items at the given width and checks that each
+// index is visited exactly once and that the caller's slice equals the
+// sequential loop. delay(i) is slept in item i.
+func runMatchesLoop(t *testing.T, workers, n int, delay func(int) time.Duration) {
+	t.Helper()
+	eng := New(Config{Workers: workers}, none)
 	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+	var calls atomic.Int64
+	err := eng.Run(context.Background(), n, func(_ struct{}, i int) error {
+		calls.Add(1)
+		time.Sleep(delay(i))
+		out[i] = 3*i + 1
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("workers=%d n=%d: %v", workers, n, err)
 	}
-	return out
+	if c := calls.Load(); c != int64(n) {
+		t.Fatalf("workers=%d n=%d: %d calls", workers, n, c)
+	}
+	for i, v := range out {
+		if v != 3*i+1 {
+			t.Fatalf("workers=%d n=%d: out[%d] = %d", workers, n, i, v)
+		}
+	}
+	if m := eng.Metrics(); m.In != uint64(n) || m.Out != uint64(n) || m.Backlog() != 0 {
+		t.Fatalf("workers=%d n=%d: metrics %+v", workers, n, m)
+	}
 }
 
+// TestCollectPreservesOrder: random per-item delays make out-of-order
+// completion certain; at every width each result still lands at its
+// own index, as the sequential loop would put it.
 func TestCollectPreservesOrder(t *testing.T) {
-	// Random per-item delays make out-of-order completion certain; the
-	// fan-in must still deliver input order.
 	rng := rand.New(rand.NewSource(1))
-	delays := make([]time.Duration, 200)
+	delays := make([]time.Duration, 1000)
 	for i := range delays {
-		delays[i] = time.Duration(rng.Intn(300)) * time.Microsecond
+		delays[i] = time.Duration(rng.Intn(20)) * time.Microsecond
 	}
-	eng := New(Config{Workers: 8},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, n int) (int, bool, error) {
-			time.Sleep(delays[n])
-			return n, true, nil
-		})
-	out, err := eng.Collect(context.Background(), ints(len(delays)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(delays) {
-		t.Fatalf("len = %d, want %d", len(out), len(delays))
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("out[%d] = %d: order not preserved", i, v)
-		}
+	for _, workers := range []int{1, 2, 8} {
+		runMatchesLoop(t, workers, len(delays), func(i int) time.Duration { return delays[i] })
 	}
 }
 
+// TestCollectEdgeSizes: the sizes that break chunked sharding — empty,
+// one item, fewer items than workers, one short of a batch, exactly
+// one, one over — each match the sequential loop at every width.
 func TestCollectEdgeSizes(t *testing.T) {
-	// Sizes 0, 1 and len < workers — the shapes that break chunked
-	// sharding.
-	for _, n := range []int{0, 1, 2, 3} {
-		out, err := double().Collect(context.Background(), ints(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(out) != n {
-			t.Fatalf("n=%d: got %d results", n, len(out))
-		}
-		for i, v := range out {
-			if v != 2*i {
-				t.Fatalf("n=%d: out[%d] = %d", n, i, v)
-			}
+	for _, workers := range []int{1, 2, 8} {
+		for _, n := range []int{0, 1, 2, 3, DefaultBatch - 1, DefaultBatch, DefaultBatch + 1} {
+			runMatchesLoop(t, workers, n, func(int) time.Duration { return 0 })
 		}
 	}
 }
 
-func TestFilterDropsButKeepsOrder(t *testing.T) {
-	eng := New(Config{Workers: 4},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, n int) (int, bool, error) { return n, n%3 == 0, nil })
-	out, err := eng.Collect(context.Background(), ints(100))
-	if err != nil {
-		t.Fatal(err)
+// TestRunAllocsIndependentOfN: the engine holds no results, so a run
+// allocates the same whatever its length — one worker, 32 batches or
+// 512.
+func TestRunAllocsIndependentOfN(t *testing.T) {
+	eng := New(Config{Workers: 1, Batch: 8}, none)
+	out := make([]int, 4096)
+	run := func(n int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if err := eng.Run(context.Background(), n, func(_ struct{}, i int) error {
+				out[i] = i
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	for i, v := range out {
-		if v != 3*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, 3*i)
-		}
-	}
-	m := eng.Metrics()
-	if m.In != 100 || m.Out != 34 {
-		t.Fatalf("metrics in=%d out=%d, want 100/34", m.In, m.Out)
+	if small, large := run(256), run(4096); small != large {
+		t.Fatalf("allocs per run: %.1f at n=256, %.1f at n=4096", small, large)
 	}
 }
 
 func TestLazyWorkerConstruction(t *testing.T) {
 	// 16 workers, 2 items: at most 2 worker states may be built.
 	var built atomic.Int32
-	eng := New(Config{Workers: 16},
-		func() int { built.Add(1); return 0 },
-		func(_ int, n int) (int, bool, error) { return n, true, nil })
-	if _, err := eng.Collect(context.Background(), ints(2)); err != nil {
+	eng := New(Config{Workers: 16}, func() int { built.Add(1); return 0 })
+	if err := eng.Run(context.Background(), 2, func(int, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if b := built.Load(); b > 2 {
@@ -112,25 +107,24 @@ func TestLazyWorkerConstruction(t *testing.T) {
 func TestWorkersNeverOutnumberBatches(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	var peak atomic.Int64
-	eng := New(Config{Workers: 16, Batch: 1},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, n int) (int, bool, error) {
-			// Sampled on entry and again once every started goroutine
-			// has had time to show.
-			sample := func() {
-				for now := int64(runtime.NumGoroutine()); ; {
-					old := peak.Load()
-					if now <= old || peak.CompareAndSwap(old, now) {
-						return
-					}
+	eng := New(Config{Workers: 16, Batch: 1}, none)
+	err := eng.Run(context.Background(), 2, func(struct{}, int) error {
+		// Sampled on entry and again once every started goroutine has
+		// had time to show.
+		sample := func() {
+			for now := int64(runtime.NumGoroutine()); ; {
+				old := peak.Load()
+				if now <= old || peak.CompareAndSwap(old, now) {
+					return
 				}
 			}
-			sample()
-			time.Sleep(10 * time.Millisecond)
-			sample()
-			return n, true, nil
-		})
-	if _, err := eng.Collect(context.Background(), ints(2)); err != nil {
+		}
+		sample()
+		time.Sleep(10 * time.Millisecond)
+		sample()
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if extra := peak.Load() - int64(baseline); extra > 2 {
@@ -138,63 +132,64 @@ func TestWorkersNeverOutnumberBatches(t *testing.T) {
 	}
 }
 
+// TestFuncErrorAborts: the first fn error comes back, and no batch
+// starts after it. One worker makes "after" exact: the failing batch
+// stops at the failing index and every later batch is skipped.
 func TestFuncErrorAborts(t *testing.T) {
 	boom := errors.New("boom")
-	eng := New(Config{Workers: 4},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, n int) (int, bool, error) {
-			if n == 17 {
-				return 0, false, boom
+	for _, workers := range []int{1, 4} {
+		eng := New(Config{Workers: workers, Batch: 8}, none)
+		var calls atomic.Int64
+		err := eng.Run(context.Background(), 1000, func(_ struct{}, i int) error {
+			calls.Add(1)
+			if i == 17 {
+				return boom
 			}
-			return n, true, nil
+			return nil
 		})
-	_, err := eng.Collect(context.Background(), ints(1000))
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if m := eng.Metrics(); m.Errors != 1 {
-		t.Fatalf("errors = %d, want 1", m.Errors)
-	}
-}
-
-func TestSinkErrorAborts(t *testing.T) {
-	stop := errors.New("stop")
-	err := double().Stream(context.Background(), ints(1000), func(n int) error {
-		if n >= 20 {
-			return stop
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, stop) {
-		t.Fatalf("err = %v, want stop", err)
+		m := eng.Metrics()
+		if m.Errors != 1 || m.Consumed != 1000 || m.Out != uint64(calls.Load()-1) {
+			t.Fatalf("workers=%d: %d calls, metrics %+v", workers, calls.Load(), m)
+		}
+		if workers == 1 && calls.Load() != 18 {
+			t.Fatalf("one worker: %d calls, want 18", calls.Load())
+		}
 	}
 }
 
 func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := double().Collect(ctx, ints(100))
+	var calls atomic.Int64
+	err := New(Config{Workers: 4}, none).Run(ctx, 100, func(struct{}, int) error {
+		calls.Add(1)
+		return nil
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	if c := calls.Load(); c != 0 {
+		t.Fatalf("%d calls under a cancelled context", c)
+	}
 }
 
-// TestCancellationMidScanDrains cancels deterministically from inside a
-// Func call and asserts ctx.Err() comes back and every goroutine drains.
+// TestCancellationMidScanDrains cancels deterministically from inside an
+// fn call and asserts ctx.Err() comes back and every goroutine drains.
 func TestCancellationMidScanDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var processed atomic.Int64
-	eng := New(Config{Workers: 6},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, n int) (int, bool, error) {
-			if processed.Add(1) == 10 {
-				cancel() // cancel mid-corpus, deterministically
-			}
-			return n, true, nil
-		})
-	_, err := eng.Collect(ctx, ints(100000))
+	eng := New(Config{Workers: 6}, none)
+	err := eng.Run(ctx, 100000, func(struct{}, int) error {
+		if processed.Add(1) == 10 {
+			cancel() // cancel mid-corpus, deterministically
+		}
+		return nil
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -205,13 +200,12 @@ func TestCancellationMidScanDrains(t *testing.T) {
 }
 
 func TestMetricsCounters(t *testing.T) {
-	eng := New(Config{Stage: "m", Workers: 3},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, n int) (int, bool, error) {
-			time.Sleep(50 * time.Microsecond)
-			return n, true, nil
-		})
-	if _, err := eng.Collect(context.Background(), ints(30)); err != nil {
+	eng := New(Config{Stage: "m", Workers: 3}, none)
+	sleep := func(struct{}, int) error {
+		time.Sleep(50 * time.Microsecond)
+		return nil
+	}
+	if err := eng.Run(context.Background(), 30, sleep); err != nil {
 		t.Fatal(err)
 	}
 	m := eng.Metrics()
@@ -242,7 +236,7 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	// Second run accumulates.
 	prev := m
-	if _, err := eng.Collect(context.Background(), ints(10)); err != nil {
+	if err := eng.Run(context.Background(), 10, sleep); err != nil {
 		t.Fatal(err)
 	}
 	if m := eng.Metrics(); m.In != prev.In+10 || m.Out != prev.Out+10 {
@@ -251,11 +245,9 @@ func TestMetricsCounters(t *testing.T) {
 }
 
 func TestDefaultsResolve(t *testing.T) {
-	eng := New(Config{},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, n int) (int, bool, error) { return n, true, nil })
-	if eng.workers != runtime.GOMAXPROCS(0) {
-		t.Fatalf("workers = %d, want GOMAXPROCS", eng.workers)
+	eng := New(Config{}, none)
+	if eng.workers != runtime.GOMAXPROCS(0) || eng.batch != DefaultBatch {
+		t.Fatalf("workers = %d, batch = %d; want GOMAXPROCS, DefaultBatch", eng.workers, eng.batch)
 	}
 	if m := eng.Metrics(); m.Stage != "scan" {
 		t.Fatalf("stage = %q, want default", m.Stage)
@@ -284,22 +276,19 @@ func assertNoLeakedGoroutines(t *testing.T, before int) {
 func TestBacklogGauge(t *testing.T) {
 	gate := make(chan struct{})
 	var entered atomic.Int32
-	eng := New(Config{Stage: "gated", Workers: 2, Batch: 1},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, n int) (int, bool, error) {
-			entered.Add(1)
-			<-gate
-			return n, true, nil
-		})
+	eng := New(Config{Stage: "gated", Workers: 2, Batch: 1}, none)
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := eng.Collect(context.Background(), ints(32))
-		done <- err
+		done <- eng.Run(context.Background(), 32, func(struct{}, int) error {
+			entered.Add(1)
+			<-gate
+			return nil
+		})
 	}()
 
-	// Wait until both workers are parked inside Func and the buffered
-	// queue behind them has filled.
+	// Wait until both workers are parked inside fn with unclaimed
+	// batches behind them.
 	deadline := time.Now().Add(5 * time.Second)
 	for entered.Load() < 2 || eng.Metrics().Backlog() < 3 {
 		if time.Now().After(deadline) {
@@ -317,7 +306,7 @@ func TestBacklogGauge(t *testing.T) {
 
 	close(gate)
 	if err := <-done; err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	m = eng.Metrics()
 	if m.Backlog() != 0 {
@@ -329,19 +318,17 @@ func TestBacklogGauge(t *testing.T) {
 }
 
 // TestBacklogDrainsOnCancel: cancellation mid-scan must still account
-// every accepted item as consumed via the drain path, so the gauge does
+// every accepted item as consumed via the skip path, so the gauge does
 // not stick at a nonzero value after an aborted run.
 func TestBacklogDrainsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	eng := New(Config{Stage: "cancelled", Workers: 2, Batch: 1},
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, n int) (int, bool, error) {
-			if n == 3 {
-				cancel()
-			}
-			return n, true, nil
-		})
-	_, err := eng.Collect(ctx, ints(1000))
+	eng := New(Config{Stage: "cancelled", Workers: 2, Batch: 1}, none)
+	err := eng.Run(ctx, 1000, func(_ struct{}, i int) error {
+		if i == 3 {
+			cancel()
+		}
+		return nil
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -350,19 +337,12 @@ func TestBacklogDrainsOnCancel(t *testing.T) {
 	}
 }
 
-// BenchmarkStream measures the engine's own cost on the three shapes
-// its callers run: a serve batch (256 domains, Batch 8, 2 workers), a
-// watch delta (15.8k 72-byte events, Batch 32, 2 workers, 1 in 30
-// kept) and a gateway scatter (2 sub-batches, Batch 1, 16 workers). The
-// Func is an FNV hash of one string, so the engine, not the work,
-// dominates.
-func BenchmarkStream(b *testing.B) {
-	type event struct {
-		owner, origin string
-		serial        uint64
-		op            int
-		rdata         [4]uint64
-	}
+// BenchmarkRun measures the engine's own cost on the three shapes its
+// callers run: a serve batch (256 domains, Batch 8, 2 workers), a watch
+// delta (15.8k events, Batch 32, 2 workers) and a gateway scatter (2
+// sub-batches, Batch 1, 16 workers). Each fn hashes one string into the
+// caller's slot, so the engine, not the work, dominates.
+func BenchmarkRun(b *testing.B) {
 	hash := func(s string) uint64 {
 		h := uint64(14695981039346656037)
 		for i := 0; i < len(s); i++ {
@@ -370,35 +350,24 @@ func BenchmarkStream(b *testing.B) {
 		}
 		return h
 	}
-	domains := make([]string, 256)
-	for i := range domains {
-		domains[i] = fmt.Sprintf("xn--domain-%04d.example", i)
+	owners := make([]string, 15800)
+	for i := range owners {
+		owners[i] = fmt.Sprintf("xn--domain-%04d.example", i%256)
 	}
-	events := make([]event, 15800)
-	for i := range events {
-		events[i] = event{owner: domains[i%len(domains)], origin: "com.", serial: uint64(i)}
-	}
-	run := func(b *testing.B, eng *Engine[event, uint64, struct{}], items []event) {
+	out := make([]uint64, len(owners))
+	run := func(b *testing.B, cfg Config, n int) {
+		eng := New(cfg, none)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := eng.Stream(context.Background(), items, func(uint64) error { return nil }); err != nil {
+			if err := eng.Run(context.Background(), n, func(_ struct{}, j int) error {
+				out[j] = hash(owners[j])
+				return nil
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	none := func() struct{} { return struct{}{} }
-	b.Run("serve_batch", func(b *testing.B) {
-		items := events[:256]
-		run(b, New(Config{Workers: 2, Batch: 8}, none,
-			func(_ struct{}, ev event) (uint64, bool, error) { return hash(ev.owner), true, nil }), items)
-	})
-	b.Run("watch_delta", func(b *testing.B) {
-		run(b, New(Config{Workers: 2, Batch: 32}, none,
-			func(_ struct{}, ev event) (uint64, bool, error) { return hash(ev.owner), ev.serial%30 == 0, nil }), events)
-	})
-	b.Run("gateway_scatter", func(b *testing.B) {
-		items := events[:2]
-		run(b, New(Config{Workers: 16, Batch: 1}, none,
-			func(_ struct{}, ev event) (uint64, bool, error) { return hash(ev.owner), true, nil }), items)
-	})
+	b.Run("serve_batch", func(b *testing.B) { run(b, Config{Workers: 2, Batch: 8}, 256) })
+	b.Run("watch_delta", func(b *testing.B) { run(b, Config{Workers: 2, Batch: 32}, len(owners)) })
+	b.Run("gateway_scatter", func(b *testing.B) { run(b, Config{Workers: 16, Batch: 1}, 2) })
 }

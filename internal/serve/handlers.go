@@ -112,17 +112,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	resp := api.BatchResponse{Count: len(req.Domains), Results: make([]api.DetectResponse, 0, len(req.Domains))}
-	err = s.batchEng.Stream(r.Context(), req.Domains, func(e batchEntry) error {
-		if e.resp.Flagged {
-			resp.Flagged++
-		}
-		resp.Results = append(resp.Results, e.resp)
+	resp := api.BatchResponse{Count: len(req.Domains), Results: make([]api.DetectResponse, len(req.Domains))}
+	err = s.batchEng.Run(r.Context(), len(req.Domains), func(c *core.Classifier, i int) error {
+		resp.Results[i] = s.classifyRaw(c, req.Domains[i])
 		return nil
 	})
 	if err != nil {
 		s.writeError(w, err)
 		return
+	}
+	for i := range resp.Results {
+		if resp.Results[i].Flagged {
+			resp.Flagged++
+		}
 	}
 	api.WriteBatch(w, http.StatusOK, &resp)
 }

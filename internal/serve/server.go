@@ -16,8 +16,8 @@
 //     early with 429 + Retry-After; the queue cannot collapse.
 //  4. Detection on a per-worker pool of detector clones — cheap because
 //     Clone() shares all immutable state; batches fan out through the
-//     internal/pipeline engine, which delivers in input order, so batch
-//     responses align with request order.
+//     internal/pipeline engine, and each domain's verdict is written at
+//     its request index, so batch responses align with request order.
 //
 // Shutdown: Run drains on context cancellation — /healthz flips to 503
 // (load balancers stop sending), in-flight requests finish within the
@@ -130,7 +130,7 @@ type Server struct {
 	metrics  *serverMetrics
 	proto    *core.Classifier
 	pool     chan *core.Classifier
-	batchEng *pipeline.Engine[string, batchEntry, *core.Classifier]
+	batchEng *pipeline.Engine[*core.Classifier]
 	peer     atomic.Pointer[cluster.Peer]
 	warmed   chan struct{} // closed when detector warm-up completes
 	draining atomic.Bool
@@ -139,12 +139,6 @@ type Server struct {
 	// running memory-only; the replica is then cache-only.
 	store   *vstore.Store
 	replica *cluster.Replica
-}
-
-// batchEntry is one batch item's response, produced inside the engine.
-type batchEntry struct {
-	resp api.DetectResponse
-	ok   bool
 }
 
 // NewServer builds the service: one prototype classifier (brand index,
@@ -165,14 +159,11 @@ func NewServer(cfg Config) *Server {
 	}
 	s.attachStore()
 	// Batch fan-out reuses the scan engine: per-worker clones of the
-	// shared prototype, in-order delivery so responses align with
-	// request order, per-stage metrics surfaced at /metrics.
+	// shared prototype, each verdict written at its request index,
+	// per-stage metrics surfaced at /metrics.
 	s.batchEng = pipeline.New(
 		pipeline.Config{Stage: "serve.batch", Workers: cfg.Workers, Batch: 8},
-		func() *core.Classifier { return s.proto.Clone() },
-		func(c *core.Classifier, raw string) (batchEntry, bool, error) {
-			return batchEntry{resp: s.classifyRaw(c, raw), ok: true}, true, nil
-		})
+		func() *core.Classifier { return s.proto.Clone() })
 	go s.warmup()
 	return s
 }

@@ -236,7 +236,7 @@ func TestColdBatchAllocsPerDomain(t *testing.T) {
 	}
 	perDomain := allocs / batch
 	t.Logf("%.2f allocations per cold domain", perDomain)
-	if perDomain > 3.5 {
-		t.Fatalf("%.2f allocations per cold domain, want <= 3.5", perDomain)
+	if perDomain > 3.3 {
+		t.Fatalf("%.2f allocations per cold domain, want <= 3.3", perDomain)
 	}
 }

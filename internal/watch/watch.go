@@ -14,19 +14,19 @@ import (
 // EngineConfig parameterizes the streaming match engine.
 type EngineConfig struct {
 	// Workers is the match fan-out; <= 0 selects GOMAXPROCS, the width
-	// the daemon runs at. Tests pin a pool wider than one, so the order
-	// guarantee is exercised on a one-core machine too.
+	// the daemon runs at. Tests pin a pool wider than one, so the event
+	// order of alerts is exercised on a one-core machine too.
 	Workers int
 }
 
-// Engine streams delta events through a pipeline of matcher workers and
-// filters the results down to alerts: events whose label imitates a
-// brand that at least one subscriber is watching. Verdict order is
-// input order (the pipeline's ordering guarantee), which makes a run's
-// alert sequence deterministic — the property the crash-recovery tests
-// lean on.
+// Engine runs delta events through a pipeline of matcher workers and
+// keeps the alerts: events whose label imitates a brand that at least
+// one subscriber is watching. Each event's alert is written at the
+// event's index and emitted in event order, which makes a run's alert
+// sequence deterministic — the property the crash-recovery tests lean
+// on.
 type Engine struct {
-	pipe *pipeline.Engine[Event, Alert, *Matcher]
+	pipe *pipeline.Engine[*Matcher]
 	subs *SubTable
 	det  *core.HomographDetector
 
@@ -50,27 +50,26 @@ func NewEngine(det *core.HomographDetector, subs *SubTable, cfg EngineConfig) (*
 	e.pipe = pipeline.New(
 		// Dispatch is the pipeline default (batches of 32): delta events
 		// are µs-scale work items, and claiming 32 at a time keeps the
-		// engine's per-batch claim and hand-back off the hot path.
+		// engine's per-batch claim and cancellation check off the hot path.
 		pipeline.Config{Stage: "watch", Workers: cfg.Workers},
 		proto.Clone,
-		e.process,
 	)
 	return e, nil
 }
 
-// process is the per-event pipeline Func. Drops are ignored (a deleted
-// name threatens nobody); ASCII owners are skipped without probing (an
-// ASCII label cannot be a homograph — same fast-path rule as
-// DetectNormalized); IDN owners are decoded and matched. A match only
-// becomes an alert if the brand has subscribers.
-func (e *Engine) process(m *Matcher, ev Event) (Alert, bool, error) {
+// process matches one event and returns its alert, nil for none. Drops
+// are ignored (a deleted name threatens nobody); ASCII owners are skipped
+// without probing (an ASCII label cannot be a homograph — same fast-path
+// rule as DetectNormalized); IDN owners are decoded and matched. A match
+// only becomes an alert if the brand has subscribers.
+func (e *Engine) process(m *Matcher, ev *Event) *Alert {
 	if ev.Op == OpDrop || !strings.HasPrefix(ev.Owner, "xn--") {
-		return Alert{}, false, nil
+		return nil
 	}
 	label, err := idna.ToUnicodeLabel(ev.Owner)
 	if err != nil {
 		e.decodeErrs.Add(1)
-		return Alert{}, false, nil
+		return nil
 	}
 	// Learned prefilter: with a statistical model attached to the
 	// detector, score the label once (the owner IS the ACE label; the
@@ -80,20 +79,20 @@ func (e *Engine) process(m *Matcher, ev Event) (Alert, bool, error) {
 	if sm := m.det.StatModel(); sm != nil {
 		raw := sm.ScoreLabel(label, ev.Owner, strings.TrimSuffix(ev.Origin, "."))
 		if !m.det.AdmitStat(raw) {
-			return Alert{}, false, nil
+			return nil
 		}
 	}
 	match, ok := m.Match(label)
 	if !ok {
-		return Alert{}, false, nil
+		return nil
 	}
 	e.matched.Add(1)
 	subs := e.subs.Count(match.BrandID)
 	if subs == 0 {
 		e.unwatched.Add(1)
-		return Alert{}, false, nil
+		return nil
 	}
-	return Alert{
+	return &Alert{
 		Serial:  ev.Serial,
 		Op:      ev.Op.String(),
 		Domain:  ev.Domain(),
@@ -101,13 +100,32 @@ func (e *Engine) process(m *Matcher, ev Event) (Alert, bool, error) {
 		Brand:   match.Brand,
 		SSIM:    match.SSIM,
 		Subs:    subs,
-	}, true, nil
+	}
 }
 
 // ProcessDelta runs one parsed delta's events through the match
-// pipeline, calling emit for every alert in event order.
+// pipeline, then calls emit for every alert in event order. A
+// cancellation during the emits stops them with ctx.Err().
 func (e *Engine) ProcessDelta(ctx context.Context, d *Delta, emit func(Alert) error) error {
-	return e.pipe.Stream(ctx, d.Events, emit)
+	alerts := make([]*Alert, len(d.Events))
+	if err := e.pipe.Run(ctx, len(d.Events), func(m *Matcher, i int) error {
+		alerts[i] = e.process(m, &d.Events[i])
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, a := range alerts {
+		if a == nil {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := emit(*a); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Metrics snapshots the underlying pipeline stage (in/out/backlog/
