@@ -70,7 +70,7 @@ smoke:
 # reaches, and fails when the total falls below COVER_MIN: a change that
 # deletes code may shrink the denominator, never the share.
 COVERDIR := $(CURDIR)/.cover
-COVER_MIN := 93.4
+COVER_MIN := 93.6
 cover:
 	rm -rf $(COVERDIR) && mkdir -p $(COVERDIR)/data
 	$(GO) test -count=1 -cover -coverpkg=idnlab/... ./... -args -test.gocoverdir=$(COVERDIR)/data

@@ -115,30 +115,6 @@ func Default() *Table {
 	return defaultTable
 }
 
-var (
-	multiMu    sync.Mutex
-	multiCache map[float64]*Table
-)
-
-// Multi returns the process-wide loose table for a threshold, built once
-// per distinct threshold (BuildMulti rasterizes and cross-correlates the
-// whole repertoire — hundreds of microseconds a caller in a scan loop
-// should not pay twice). Tables are immutable after construction and safe
-// for concurrent use.
-func Multi(threshold float64) *Table {
-	multiMu.Lock()
-	defer multiMu.Unlock()
-	if t, ok := multiCache[threshold]; ok {
-		return t
-	}
-	if multiCache == nil {
-		multiCache = make(map[float64]*Table)
-	}
-	t := BuildMulti(threshold)
-	multiCache[threshold] = t
-	return t
-}
-
 // Homoglyphs returns the confusable code points for an ASCII base
 // character, best-overlap first order not guaranteed (sorted by code
 // point). The returned slice must not be modified.

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -477,6 +478,61 @@ func TestCertCensusVerifiesEachChainOnce(t *testing.T) {
 	}
 	if len(verified) != len(distinct) {
 		t.Errorf("verified %d certificates, the cuts serve %d distinct ones", len(verified), len(distinct))
+	}
+	for c, n := range verified {
+		if n != 1 {
+			t.Errorf("certificate %q verified %d times, want once", c.Subject.CommonName, n)
+		}
+	}
+}
+
+// TestConcurrentCensusesShareOneChainMemo: censuses of both populations
+// run from many goroutines at once over one index share its chain memo.
+// Every report equals the sequential one, and each distinct certificate's
+// chain is verified once. The check writes an unguarded map, so under
+// -race a memo that let two checks run at once fails too.
+func TestConcurrentCensusesShareOneChainMemo(t *testing.T) {
+	base := testIndex()
+	roots := testDS.Authority.Roots()
+	verified := make(map[*x509.Certificate]int)
+	ix := &Index{ds: testDS, idns: base.idns, nonIDNs: base.nonIDNs,
+		certChain: memoChain(func(c *x509.Certificate) certs.Problem {
+			verified[c]++
+			return certs.CheckChain(c, zonegen.Snapshot, roots)
+		})}
+	pops := []Population{PopulationIDN, PopulationNonIDN}
+	want := make(map[Population]CertReport)
+	distinct := make(map[*x509.Certificate]struct{})
+	for _, p := range pops {
+		want[p] = base.Certs(p)
+		for _, info := range ix.rows(p) {
+			if info.Cert != nil {
+				distinct[info.Cert] = struct{}{}
+			}
+		}
+	}
+	const goroutines, rounds = 6, 3
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines*rounds*len(pops))
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				p := pops[(g+r)%len(pops)]
+				if got := ix.Certs(p); got != want[p] {
+					errs <- fmt.Sprintf("population %d: concurrent census %+v, sequential %+v", p, got, want[p])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if len(verified) != len(distinct) {
+		t.Errorf("verified %d certificates, the populations serve %d distinct ones", len(verified), len(distinct))
 	}
 	for c, n := range verified {
 		if n != 1 {

@@ -549,7 +549,8 @@ func availabilityTLDBit(tld string) uint8 {
 // ACE forms). Scores and counts are identical to the render-and-Score loop
 // — pinned by TestAvailabilityStudyEquivalence.
 func (d *HomographDetector) AvailabilityStudyReg(topK int, regUni map[string]uint8) []AvailabilityResult {
-	genTable := confusables.Multi(GenerationOverlapThreshold)
+	// A few milliseconds to build, once per sweep: the report runs one.
+	genTable := confusables.BuildMulti(GenerationOverlapThreshold)
 	var out []AvailabilityResult
 	keyBuf := make([]byte, 0, 64)
 	// Candidate geometry is a pure function of the (base, homoglyph) glyph

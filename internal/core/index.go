@@ -66,14 +66,17 @@ type DomainInfo struct {
 
 // Index is the shared, immutable corpus substrate: one pass over the IDN
 // and non-IDN populations materializes per-domain derived state into dense
-// slices, and every cross-section aggregate (the IDN WHOIS records, the
-// pDNS series of each population cut, the language breakdown, the
-// creation timeline, the hosting concentration, usage samples, certificate
-// censuses) is computed at most once from those rows and memoized behind
-// the index. A Study owns its index (Study.index). All accessors are safe
-// for concurrent use — the parallel report scheduler hits them from many
-// sections at once — and every memoized value is treated as read-only by
-// its consumers.
+// slices, and those rows are the state every report section shares. The
+// cross-section aggregates (the IDN WHOIS records, the pDNS series of a
+// population cut, the language breakdown, the creation timeline, usage
+// samples, certificate censuses, the availability registration map) are
+// walks over the rows, run where they are read: at scale 20 the walks a
+// report repeats cost about 10 ms of CPU in all. Two results are kept:
+// the hosting concentration, tens of milliseconds and read twice per
+// report, and the chain verdict of each distinct certificate. A Study
+// owns its index (Study.index). All accessors are safe for concurrent
+// use — the parallel report scheduler hits them from many sections at
+// once.
 //
 // The design follows the lesson the ZDNS system documents for
 // scan-pipeline software: build one indexed, immutable view of the corpus
@@ -84,37 +87,12 @@ type Index struct {
 	// idns and nonIDNs are aligned with Dataset.IDNs and Dataset.NonIDNs.
 	idns, nonIDNs []DomainInfo
 
-	whoisOnce sync.Once
-	whoisRecs []*whois.Record
-
-	seriesMu sync.Mutex
-	series   map[seriesKey][]float64
-
-	langOnce sync.Once
-	langRows []LanguageRow
-
-	timelineOnce sync.Once
-	timelineAll  stats.Histogram
-	timelineMal  stats.Histogram
-
 	concOnce sync.Once
 	conc     IPConcentration
 
-	usageMu sync.Mutex
-	usage   map[Population]webprobe.Census
-
-	certMu    sync.Mutex
-	certs     map[Population]CertReport
+	// certChain is certs.CheckChain at the snapshot, memoized per
+	// certificate.
 	certChain func(*x509.Certificate) certs.Problem
-
-	availOnce sync.Once
-	availReg  map[string]uint8
-}
-
-type seriesKey struct {
-	active bool
-	pop    Population
-	tld    string
 }
 
 // index returns the study's corpus index, building it on first use in
@@ -153,9 +131,6 @@ func buildIndex(ds *Dataset, cls *langid.Classifier, workers int) (*Index, pipel
 	}
 	return &Index{
 		ds: ds, idns: rows[:n:n], nonIDNs: rows[n:],
-		series: make(map[seriesKey][]float64),
-		usage:  make(map[Population]webprobe.Census),
-		certs:  make(map[Population]CertReport),
 		certChain: memoChain(func(c *x509.Certificate) certs.Problem {
 			return certs.CheckChain(c, zonegen.Snapshot, ds.Authority.Roots())
 		}),
@@ -210,18 +185,16 @@ func (ix *Index) rows(p Population) []DomainInfo {
 }
 
 // WHOISRecords returns the WHOIS records of the covered IDNs in corpus
-// order, collected once from the rows. Tables III and IV and three
-// findings rank them. Read-only.
+// order, collected from the rows. Tables III and IV and three findings
+// rank them. The records are read-only.
 func (ix *Index) WHOISRecords() []*whois.Record {
-	ix.whoisOnce.Do(func() {
-		ix.whoisRecs = []*whois.Record{}
-		for i := range ix.idns {
-			if rec := ix.idns[i].WHOIS; rec != nil {
-				ix.whoisRecs = append(ix.whoisRecs, rec)
-			}
+	recs := []*whois.Record{}
+	for i := range ix.idns {
+		if rec := ix.idns[i].WHOIS; rec != nil {
+			recs = append(recs, rec)
 		}
-	})
-	return ix.whoisRecs
+	}
+	return recs
 }
 
 // inCut reports whether a row of ix.rows(p) belongs to the cut p
@@ -235,15 +208,8 @@ func inCut(info *DomainInfo, p Population, tld string) bool {
 
 // Series returns the pDNS activity series (active days when active is
 // true, query volumes otherwise) for a population/TLD cut in corpus
-// order, computed once from the values the index pass carried.
-// Read-only.
+// order, from the values the index pass carried.
 func (ix *Index) Series(active bool, p Population, tld string) []float64 {
-	key := seriesKey{active: active, pop: p, tld: tld}
-	ix.seriesMu.Lock()
-	defer ix.seriesMu.Unlock()
-	if cached, ok := ix.series[key]; ok {
-		return cached
-	}
 	vals := []float64{}
 	rows := ix.rows(p)
 	for i := range rows {
@@ -257,7 +223,6 @@ func (ix *Index) Series(active bool, p Population, tld string) []float64 {
 			vals = append(vals, float64(info.Queries))
 		}
 	}
-	ix.series[key] = vals
 	return vals
 }
 
@@ -278,23 +243,13 @@ func (ix *Index) activity(domains []string) (active, queries []float64) {
 // LanguageRows returns the Table II rows: every IDN's second-level label,
 // classified during the index pass by the process-wide langid.Default()
 // model, English and unclassified labels grouped into langid.Other,
-// aggregated once. Read-only.
+// sorted by volume descending, ties by language.
 func (ix *Index) LanguageRows() []LanguageRow {
-	ix.langOnce.Do(func() {
-		ix.langRows = languageRowsFromInfos(ix.idns)
-	})
-	return ix.langRows
-}
-
-// languageRowsFromInfos aggregates the precomputed per-domain languages
-// into the Table II rows: English folded into Other, sorted by volume
-// descending, ties by language.
-func languageRowsFromInfos(infos []DomainInfo) []LanguageRow {
 	counts := make(map[langid.Language]int)
 	blackCounts := make(map[langid.Language]int)
 	total, blackTotal := 0, 0
-	for i := range infos {
-		info := &infos[i]
+	for i := range ix.idns {
+		info := &ix.idns[i]
 		if !info.DecodeOK {
 			continue
 		}
@@ -330,28 +285,26 @@ func languageRowsFromInfos(infos []DomainInfo) []LanguageRow {
 }
 
 // Timeline returns the Figure 1 histograms: IDN registrations per
-// creation year, overall and blacklisted, from WHOIS records. Computed
-// once; both maps are read-only.
+// creation year, overall and blacklisted, from WHOIS records.
 func (ix *Index) Timeline() (all, malicious stats.Histogram) {
-	ix.timelineOnce.Do(func() {
-		ix.timelineAll = make(stats.Histogram)
-		ix.timelineMal = make(stats.Histogram)
-		for i := range ix.idns {
-			info := &ix.idns[i]
-			if info.WHOIS == nil || info.WHOIS.Created.IsZero() {
-				continue
-			}
-			y := info.WHOIS.Created.Year()
-			ix.timelineAll[y]++
-			if info.Malicious {
-				ix.timelineMal[y]++
-			}
+	all, malicious = make(stats.Histogram), make(stats.Histogram)
+	for i := range ix.idns {
+		info := &ix.idns[i]
+		if info.WHOIS == nil || info.WHOIS.Created.IsZero() {
+			continue
 		}
-	})
-	return ix.timelineAll, ix.timelineMal
+		y := info.WHOIS.Created.Year()
+		all[y]++
+		if info.Malicious {
+			malicious[y]++
+		}
+	}
+	return all, malicious
 }
 
-// Concentration returns the Figure 4 statistics, computed once. Read-only.
+// Concentration returns the Figure 4 statistics, computed once: the one
+// aggregate that costs tens of milliseconds, and the report reads it
+// twice. Read-only.
 func (ix *Index) Concentration() IPConcentration {
 	ix.concOnce.Do(func() {
 		ix.conc = ipConcentration(ix.idns)
@@ -362,21 +315,13 @@ func (ix *Index) Concentration() IPConcentration {
 // Usage crawls a deterministic sample of a Table V population — the
 // non-IDN sample for PopulationNonIDN, the IDN corpus otherwise — and
 // classifies the responses: the Table V methodology (stratified sampling
-// + manual classification, here automated). Probed once per population.
-// The crawl reads the registry, not a store. Read-only.
+// + manual classification, here automated). The crawl reads the
+// registry, not a store.
 func (ix *Index) Usage(p Population) webprobe.Census {
-	ix.usageMu.Lock()
-	defer ix.usageMu.Unlock()
-	if cached, ok := ix.usage[p]; ok {
-		return cached
-	}
-	domains := ix.ds.IDNs
 	if p == PopulationNonIDN {
-		domains = ix.ds.NonIDNs
+		return ix.ds.usageSample(ix.ds.NonIDNs)
 	}
-	census := ix.ds.usageSample(domains)
-	ix.usage[p] = census
-	return census
+	return ix.ds.usageSample(ix.ds.IDNs)
 }
 
 // AvailabilityReg returns the availability study's registration lookup:
@@ -384,36 +329,25 @@ func (ix *Index) Usage(p Population) webprobe.Census {
 // registered under, derived from the Unicode forms the index pass already
 // decoded. The availability sweep checks its surviving homograph variants
 // against this map directly — one lookup per variant instead of a
-// punycode encode plus three set probes. Built once; read-only.
+// punycode encode plus three set probes.
 func (ix *Index) AvailabilityReg() map[string]uint8 {
-	ix.availOnce.Do(func() {
-		ix.availReg = make(map[string]uint8)
-		for i := range ix.idns {
-			info := &ix.idns[i]
-			if !info.DecodeOK {
-				continue
-			}
-			bit := availabilityTLDBit(info.TLD)
-			if bit == 0 {
-				continue
-			}
-			ix.availReg[info.SLD] |= bit
+	reg := make(map[string]uint8)
+	for i := range ix.idns {
+		info := &ix.idns[i]
+		if !info.DecodeOK {
+			continue
 		}
-	})
-	return ix.availReg
+		if bit := availabilityTLDBit(info.TLD); bit != 0 {
+			reg[info.SLD] |= bit
+		}
+	}
+	return reg
 }
 
 // Certs classifies the certificates a population serves — the Table VI
-// census, computed once per population from the rows. The chain step runs
-// once per distinct certificate across every population's census; the
-// hostname outcome is the one the index pass recorded per domain.
+// census, a walk over the rows. The chain step runs once per distinct
+// certificate across every census of the index; the hostname outcome is
+// the one the index pass recorded per domain.
 func (ix *Index) Certs(p Population) CertReport {
-	ix.certMu.Lock()
-	defer ix.certMu.Unlock()
-	if cached, ok := ix.certs[p]; ok {
-		return cached
-	}
-	rep := certCensus(ix.rows(p), p, ix.certChain)
-	ix.certs[p] = rep
-	return rep
+	return certCensus(ix.rows(p), p, ix.certChain)
 }

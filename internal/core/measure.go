@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"idnlab/internal/certs"
 	"idnlab/internal/langid"
@@ -246,12 +247,16 @@ func certCensus(rows []DomainInfo, p Population, chain func(*x509.Certificate) c
 	return rep
 }
 
-// memoChain returns check memoized per certificate, so a census runs one
-// chain verification per distinct certificate however many domains serve
-// it. Not safe for concurrent use.
+// memoChain returns check memoized per certificate, so the censuses run
+// one chain verification per distinct certificate however many domains
+// serve it. Safe for concurrent use: the lock is held across check, so
+// two censuses never verify the same certificate twice.
 func memoChain(check func(*x509.Certificate) certs.Problem) func(*x509.Certificate) certs.Problem {
+	var mu sync.Mutex
 	seen := make(map[*x509.Certificate]certs.Problem)
 	return func(c *x509.Certificate) certs.Problem {
+		mu.Lock()
+		defer mu.Unlock()
 		p, ok := seen[c]
 		if !ok {
 			p = check(c)

@@ -129,11 +129,10 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-// TestIndexMemoization pins the memoization the corpus index introduces:
-// repeated calls to the aggregate accessors must return the same cached
-// backing data instead of recomputing, the index build must align with
-// Dataset.IDNs, and the cuts must agree with the name-parsing filter.
-func TestIndexMemoization(t *testing.T) {
+// TestIndexRowsAlignWithDataset: the index build aligns its rows with
+// Dataset.IDNs, the cuts agree with the name-parsing filter, and the
+// usage sample is the same from one call to the next.
+func TestIndexRowsAlignWithDataset(t *testing.T) {
 	ix := testIndex()
 	infos := ix.idns
 	if len(infos) != len(testDS.IDNs) {
@@ -143,9 +142,6 @@ func TestIndexMemoization(t *testing.T) {
 		if infos[i].Domain != testDS.IDNs[i] {
 			t.Fatalf("info %d misaligned: %q vs %q", i, infos[i].Domain, testDS.IDNs[i])
 		}
-	}
-	if r1, r2 := ix.WHOISRecords(), ix.WHOISRecords(); len(r1) == 0 || &r1[0] != &r2[0] {
-		t.Error("WHOISRecords not memoized")
 	}
 	for _, c := range []struct {
 		pop Population
@@ -164,15 +160,10 @@ func TestIndexMemoization(t *testing.T) {
 			t.Errorf("cut(%v, %q) = %d domains, the filter gives %d", c.pop, c.tld, len(got), len(want))
 		}
 	}
-	s1 := ix.Series(true, PopulationIDN, "com")
-	s2 := ix.Series(true, PopulationIDN, "com")
-	if len(s1) > 0 && &s1[0] != &s2[0] {
-		t.Error("Series not memoized")
-	}
 	u1 := ix.Usage(PopulationIDN)
 	u2 := ix.Usage(PopulationIDN)
 	if u1.Total() != u2.Total() {
-		t.Error("Usage not deterministic across memoized calls")
+		t.Error("Usage not deterministic across calls")
 	}
 }
 

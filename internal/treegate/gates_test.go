@@ -1,4 +1,8 @@
-package cluster
+// Package treegate holds the tree-wide gates: tests that read the whole
+// module from source (parsed and type-checked once, by loadModule) and
+// hold every package to the same rules. It has no non-test files, so no
+// binary links it.
+package treegate
 
 import (
 	"fmt"
@@ -9,7 +13,6 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -21,11 +24,15 @@ import (
 )
 
 // TestOneNodeToNodeModule keeps outbound HTTP in one place: outside
-// this package no product file builds an http.Client or a request, in
-// it exactly one call site does (call), and it never imports the worker
-// package — so the next peer call is written as a caller of call, and a
+// internal/cluster no product file builds an http.Client or a request,
+// in it exactly one call site does (call), and it never imports the
+// worker package — so the next peer call is written as a caller of call, and a
 // transport change stays a change to one function.
 func TestOneNodeToNodeModule(t *testing.T) {
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Outbound HTTP that is not node-to-node traffic.
 	allowed := map[string]string{
 		"internal/proctest/proctest.go": "test launcher scraping /metrics of the processes it started",
@@ -34,19 +41,19 @@ func TestOneNodeToNodeModule(t *testing.T) {
 		"Client": true, "NewRequest": true, "NewRequestWithContext": true,
 		"Get": true, "Post": true, "PostForm": true, "Head": true,
 	}
-	fset := token.NewFileSet()
 	requestsHere := 0
-	for _, root := range []string{"../../internal", "../../cmd"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
+	for _, pkg := range mod.pkgs {
+		dir := strings.TrimPrefix(pkg.path, module)
+		if !strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "cmd/") {
+			continue
+		}
+		here := dir == "internal/cluster"
+		for _, file := range pkg.files {
+			path := mod.fset.Position(file.Pos()).Filename
+			if strings.HasSuffix(path, "_test.go") {
+				continue
 			}
-			rel := strings.TrimPrefix(filepath.ToSlash(path), "../../")
-			file, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
-			}
-			here := strings.HasPrefix(rel, "internal/cluster/")
+			rel := dir + "/" + filepath.Base(path)
 			httpName := ""
 			for _, imp := range file.Imports {
 				switch p, _ := strconv.Unquote(imp.Path.Value); {
@@ -60,7 +67,7 @@ func TestOneNodeToNodeModule(t *testing.T) {
 				}
 			}
 			if httpName == "" || allowed[rel] != "" {
-				return nil
+				continue
 			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
@@ -72,16 +79,12 @@ func TestOneNodeToNodeModule(t *testing.T) {
 				}
 				switch {
 				case !here:
-					t.Errorf("%s: %s.%s outside internal/cluster", fset.Position(sel.Pos()), httpName, sel.Sel.Name)
+					t.Errorf("%s: %s.%s outside internal/cluster", mod.fset.Position(sel.Pos()), httpName, sel.Sel.Name)
 				case strings.HasPrefix(sel.Sel.Name, "NewRequest"):
 					requestsHere++
 				}
 				return true
 			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 	if requestsHere != 1 {
@@ -95,48 +98,38 @@ func TestOneNodeToNodeModule(t *testing.T) {
 // drills (internal/smoke, whose files are the one place test imports
 // count). A package only its own tests import is unused code.
 func TestEveryPackageAnswersToAGate(t *testing.T) {
-	const prefix = "idnlab/internal/"
-	fset := token.NewFileSet()
-	reached := map[string]bool{"smoke": true}
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = module + "internal/"
+	// treegate is this package: tests only, so no binary can reach it.
+	reached := map[string]bool{"smoke": true, "treegate": true}
+	imports := make(map[string][]*ast.File)
 	var queue []string
-	// visit records the internal packages the matching files import.
-	visit := func(glob string, withTests bool) {
-		files, err := filepath.Glob(glob)
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range mod.pkgs {
+		imports[p.path] = p.files
+		if strings.HasPrefix(p.path, module+"cmd/") || p.path == module+"bench/e2e" || p.path == prefix+"smoke" {
+			queue = append(queue, p.path)
 		}
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") && !withTests {
-				continue
-			}
-			file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-			if err != nil {
-				t.Fatal(err)
-			}
+	}
+	// The smoke drills are the one place test imports count: loadModule
+	// adds their test files to internal/smoke, and no other test file.
+	for len(queue) > 0 {
+		path := queue[0]
+		queue = queue[1:]
+		for _, file := range imports[path] {
 			for _, imp := range file.Imports {
 				p, _ := strconv.Unquote(imp.Path.Value)
 				if pkg, ok := strings.CutPrefix(p, prefix); ok && !reached[pkg] {
 					reached[pkg] = true
-					queue = append(queue, pkg)
+					queue = append(queue, p)
 				}
 			}
 		}
 	}
-	visit("../../cmd/*/*.go", false)
-	visit("../../bench/e2e/*.go", false)
-	visit("../../internal/smoke/*.go", true)
-	for len(queue) > 0 {
-		pkg := queue[0]
-		queue = queue[1:]
-		visit("../../internal/"+pkg+"/*.go", false)
-	}
-	sources, err := filepath.Glob("../../internal/*/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range sources {
-		if pkg := filepath.Base(filepath.Dir(path)); !reached[pkg] {
-			reached[pkg] = true // report once
+	for _, p := range mod.pkgs {
+		if pkg, ok := strings.CutPrefix(p.path, prefix); ok && !reached[pkg] {
 			t.Errorf("internal/%s: no cmd/ binary, bench/e2e or smoke drill reaches it", pkg)
 		}
 	}
