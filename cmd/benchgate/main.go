@@ -35,7 +35,7 @@ var gates = []gate{
 	{"./internal/candidx", "BenchmarkIndexBuild", "ops/s", 10, "top-1000 index builds/s, the start-up cost of every detector given no index file (runs 13-22)"},
 	{"./internal/core", "BenchmarkRescoreUniverse", "rescores/s", 350_000, "bounded rescores/s over the default index's candidates for the scale-100 universe's IDNs (runs 383-499k; the whole-image kernel made 217-332k)"},
 	{"./internal/watch", "BenchmarkWatchMatch1M", "ops/s", 500_000, "deltas/s through the match stage at 1M subscriptions"},
-	{"./internal/watch", "BenchmarkDeltaParse", "MB/s", 200, "parse throughput over a watch_ingest-shaped delta (runs 392-596; case folding per field and an owner-map probe per NS line made 178-250)"},
+	{"./internal/watch", "BenchmarkDeltaParse", "MB/s", 240, "parse throughput over a watch_ingest-shaped delta (runs 243-349 on 2 vCPU; a field split per line and a string-map probe per owner made 129-185 in the same sitting)"},
 	{"./internal/watch", "BenchmarkSubscribe1M", "subscriptions/s", 20_000_000, "start-up subscriptions/s at 1M over 1k brands, Subscribe an unlocked append (runs 43-70M; a stripe lock per Subscribe made 17-25M, a duplicate scan 1.6M)"},
 	{"./internal/feat", "BenchmarkStatClassify", "ops/s", 1_000_000, "classifications/s"},
 	{"./internal/vstore", "BenchmarkVstoreRecovery", "entries/s", 100_000, "warm-boot entries/s (a 1M-verdict partition boots in <= 10 s)"},

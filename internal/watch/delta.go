@@ -4,14 +4,17 @@
 // per-brand subscriptions compiled through the candidate index, and
 // hands confirmed findings to a durable alert log. Parsing and matching
 // overlap (Runner.Poll parses one file ahead); on 30 day-deltas of 475k
-// events a traced pass spends ~0.08 s parsing and ~0.15 s matching on
-// 2 vCPU, and the whole idnwatch -once pass ~0.19 s. Its hot loop is a
-// handful of O(1) hash probes with zero allocations steady-state, never
-// an O(subscriptions) sweep.
+// events a traced pass spends ~0.14 s parsing and ~0.51 s matching on
+// 2 vCPU, and the whole idnwatch -once pass 0.36-0.46 s. The parser
+// takes each canonical record line as the scanner's substrings and
+// finds owners in a flat table keyed by a hash of the owner. The match
+// loop is a handful of O(1) hash probes with zero allocations
+// steady-state, never an O(subscriptions) sweep.
 package watch
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
 	"os"
 	"strconv"
@@ -71,16 +74,21 @@ type Delta struct {
 // deltaParser is ParseDelta's state. Every owner of every zone
 // becomes exactly one event, appended when its first NS record is read
 // and rewritten in place when the addition section re-adds it (an NS
-// change). One owner map covers the whole file: an event below the
+// change). One owner table covers the whole file: an event below the
 // current zone's start belongs to an earlier zone and reads as absent,
-// so no map is cleared or rebuilt per zone. The generator writes each
+// so no table is cleared or rebuilt per zone. The generator writes each
 // owner's NS records back to back, so a record repeating the owner just
-// read, in the same section, is settled without the map.
+// read, in the same section, is settled before any hashing.
 type deltaParser struct {
 	serial    uint32 // the delta's serial: the first zone header's
 	serialSet bool
 	events    []Event
-	index     map[string]int // owner -> position in events
+	// The owner table, open addressing on a hash of the owner: a slot
+	// holds an event's position plus one (0 is empty), and a hit is
+	// confirmed against that event's Owner. An owner has one slot,
+	// which its event in a later zone takes over.
+	slots []int32
+	used  int // slots not empty
 
 	// The zone being read.
 	origin   string
@@ -90,11 +98,14 @@ type deltaParser struct {
 	last     string // owner of the section's previous NS record
 }
 
-// bytesPerOwner sizes the owner map and the event list from the input
-// length. A generated owner takes two NS lines of ~45 bytes (88-120
-// bytes per event across the generator's churn mixes), so neither grows
-// on a generated delta.
+// bytesPerOwner sizes the owner table and the event list from the
+// input length. A generated owner takes two NS lines of ~45 bytes
+// (88-120 bytes per event across the generator's churn mixes), so
+// neither grows on a generated delta.
 const bytesPerOwner = 80
+
+// ownerSeed keys the owner table's hash.
+var ownerSeed = maphash.MakeSeed()
 
 // nsTarget strips the ns1./ns2. host prefix and the trailing dot from an
 // NS record's data, leaving the provider zone ("dns-host.net"). Unknown
@@ -134,7 +145,7 @@ func soaSerial(data string) (uint32, error) {
 func ParseDelta(r io.Reader) (*Delta, error) {
 	s := zonefile.NewScanner(r)
 	n := inputLen(r) / bytesPerOwner
-	p := &deltaParser{index: make(map[string]int, n), events: make([]Event, 0, n)}
+	p := &deltaParser{events: make([]Event, 0, n), slots: make([]int32, tableSize(n))}
 	for s.Next() {
 		if err := p.record(s.Record(), s.Origin()); err != nil {
 			return nil, err
@@ -207,10 +218,14 @@ func (p *deltaParser) record(rec zonefile.Record, origin string) error {
 		}
 		p.last = rec.Owner
 		target := nsTarget(rec.Data)
-		i, seen := p.index[rec.Owner]
+		slot := p.find(rec.Owner)
+		i := int(p.slots[slot]) - 1
 		switch {
-		case !seen || i < p.start: // first record of this owner in this zone
-			p.index[rec.Owner] = len(p.events)
+		case i < p.start: // first record of this owner in this zone (-1: none before)
+			if i < 0 {
+				p.used++
+			}
+			p.slots[slot] = int32(len(p.events) + 1)
 			ev := Event{Serial: p.zSerial, Op: OpAdd, Owner: rec.Owner, Origin: origin, NS: target}
 			if p.soaCount == 2 {
 				ev.Op, ev.NS, ev.OldNS = OpDrop, "", target
@@ -224,6 +239,43 @@ func (p *deltaParser) record(rec zonefile.Record, origin string) error {
 		return fmt.Errorf("watch: zone %s: unexpected %s record in delta", origin, rec.Type)
 	}
 	return nil
+}
+
+// tableSize is the owner table's length for n owners: a power of two
+// that holds them at most 3/4 full.
+func tableSize(n int) int {
+	size := 16
+	for 3*size < 4*n {
+		size *= 2
+	}
+	return size
+}
+
+// find is the slot of owner: the one holding its event, else the empty
+// slot where it goes. It first grows the table when one more owner
+// would fill it past 3/4, so an input with more owners than its length
+// suggests still ends every probe at an empty slot.
+func (p *deltaParser) find(owner string) int {
+	if 4*(p.used+1) > 3*len(p.slots) {
+		p.grow()
+	}
+	mask := len(p.slots) - 1
+	for i := int(maphash.String(ownerSeed, owner)) & mask; ; i = (i + 1) & mask {
+		if v := p.slots[i]; v == 0 || p.events[v-1].Owner == owner {
+			return i
+		}
+	}
+}
+
+// grow doubles the owner table and moves every slot into it.
+func (p *deltaParser) grow() {
+	old := p.slots
+	p.slots = make([]int32, 2*len(old))
+	for _, v := range old {
+		if v != 0 {
+			p.slots[p.find(p.events[v-1].Owner)] = v
+		}
+	}
 }
 
 // closeZone checks the zone being read is a complete IXFR (header, old

@@ -1,9 +1,13 @@
 package watch
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -166,16 +170,176 @@ func TestParseDeltaZeroSerialIsSet(t *testing.T) {
 	}
 }
 
-// FuzzDeltaParse: ParseDelta must never panic, and any delta it does
-// accept must be structurally sound.
+// parseDeltaRef is ParseDelta as it read deltas before the scanner's
+// canonical-record path and the flat owner table, kept as the
+// differential's reference: lines framed by bufio.ScanLines within the
+// scanner's 1 MiB limit, cut at ';' and split by strings.Fields;
+// $ORIGIN and $TTL read positionally; the owner lowered, an all-digit
+// second field tried as a TTL, "IN" matched in any case and the type
+// raised; and a map from owner to event position.
+func parseDeltaRef(input string) (*Delta, error) {
+	sc := bufio.NewScanner(strings.NewReader(input))
+	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	d := &Delta{Events: []Event{}}
+	serialSet := false
+	index := map[string]int{}
+	origin, zone, last := "", "", ""
+	var zSerial uint32
+	soaCount, start := 0, 0
+	closeZone := func() error {
+		if zone != "" && soaCount != 3 {
+			return fmt.Errorf("zone %s: %d SOA records", zone, soaCount)
+		}
+		return nil
+	}
+	for sc.Scan() {
+		line := sc.Text()
+		if i := strings.IndexByte(line, ';'); i >= 0 {
+			line = line[:i]
+		}
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		switch f[0] {
+		case "$ORIGIN":
+			if len(f) != 2 {
+				return nil, errors.New("$ORIGIN wants one argument")
+			}
+			origin = strings.TrimSuffix(strings.ToLower(f[1]), ".")
+			continue
+		case "$TTL":
+			if len(f) != 2 {
+				return nil, errors.New("$TTL wants one argument")
+			}
+			if _, err := strconv.ParseUint(f[1], 10, 32); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if len(f) < 3 {
+			return nil, errors.New("record needs owner, type and data")
+		}
+		owner, i := strings.ToLower(f[0]), 1
+		if _, err := strconv.ParseUint(f[1], 10, 32); err == nil {
+			i++
+		}
+		if i < len(f) && strings.EqualFold(f[i], "IN") {
+			i++
+		}
+		if i+1 >= len(f) {
+			return nil, errors.New("record missing type or data")
+		}
+		typ, data := strings.ToUpper(f[i]), strings.Join(f[i+1:], " ")
+		if origin == "" {
+			return nil, errors.New("record before $ORIGIN")
+		}
+		if origin != zone {
+			if err := closeZone(); err != nil {
+				return nil, err
+			}
+			zone, zSerial, soaCount, start = origin, 0, 0, len(d.Events)
+		}
+		switch typ {
+		case "SOA":
+			serial, err := soaSerial(data)
+			if err != nil {
+				return nil, err
+			}
+			soaCount++
+			last = ""
+			switch {
+			case soaCount == 1 && !serialSet:
+				zSerial, d.Serial, serialSet = serial, serial, true
+			case soaCount == 1 && serial == d.Serial:
+				zSerial = serial
+			case soaCount == 2 && serial == zSerial-1, soaCount == 3 && serial == zSerial:
+			default:
+				return nil, fmt.Errorf("zone %s: SOA %d serial %d", zone, soaCount, serial)
+			}
+		case "NS":
+			if soaCount != 2 && soaCount != 3 {
+				return nil, errors.New("NS record outside IXFR sections")
+			}
+			if owner == last {
+				continue
+			}
+			last = owner
+			target := nsTarget(data)
+			j, seen := index[owner]
+			switch {
+			case !seen || j < start:
+				index[owner] = len(d.Events)
+				ev := Event{Serial: zSerial, Op: OpAdd, Owner: owner, Origin: zone, NS: target}
+				if soaCount == 2 {
+					ev.Op, ev.NS, ev.OldNS = OpDrop, "", target
+				}
+				d.Events = append(d.Events, ev)
+			case soaCount == 3 && d.Events[j].Op == OpDrop:
+				d.Events[j].Op, d.Events[j].NS = OpNSChange, target
+			}
+		default:
+			return nil, fmt.Errorf("unexpected %s record", typ)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := closeZone(); err != nil {
+		return nil, err
+	}
+	if zone == "" {
+		return nil, errors.New("empty delta")
+	}
+	return d, nil
+}
+
+// checkAgainstRef: ParseDelta, over a reader that reports the input's
+// length and one that does not (the owner table then starts at its
+// smallest), returns the reference's Delta, or an error where the
+// reference does.
+func checkAgainstRef(t *testing.T, input string) *Delta {
+	t.Helper()
+	want, wantErr := parseDeltaRef(input)
+	for _, r := range []io.Reader{strings.NewReader(input), struct{ io.Reader }{strings.NewReader(input)}} {
+		got, err := ParseDelta(r)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("ParseDelta error %v, reference error %v, on %q", err, wantErr, input)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseDelta diverges from the reference on %q:\n got %+v\nwant %+v", input, got, want)
+		}
+	}
+	return want
+}
+
+// zoneText is one zone section of a delta at serial: the header SOA,
+// the deletion section, then the addition section.
+func zoneText(origin string, serial uint32, drops, adds string) string {
+	return "$ORIGIN " + origin + ".\n" + soa(serial) + soa(serial-1) + drops + soa(serial) + adds
+}
+
+// FuzzDeltaParse is the differential for ParseDelta: on every input it
+// returns what parseDeltaRef returns, or an error where it does, and a
+// delta it accepts is structurally sound.
 func FuzzDeltaParse(f *testing.F) {
 	_, data := genDelta(f, 99, zonegen.DeltaConfig{AddsPerDay: 6, DropsPerDay: 2, NSChangesPerDay: 2}, 1)
 	f.Add(string(data))
 	f.Add("$ORIGIN com.\n@ IN SOA a. b. 5 900 300 604800 86400\n")
 	f.Add("")
+	f.Add(zoneText("com", 9, "a\tIN\tNS\tns1.x.net.\n", "b\tIN NS\tns1.y.net.\n"))
+	f.Add(strings.ReplaceAll(zoneText("com", 9, "a IN NS ns1.x.net.\n", "b IN NS ns1.y.net.\n"), "\n", "\r\n"))
+	f.Add(zoneText("com", 9, "a IN NS ns1.x.net. ; gone\n", "b IN NS ns1.y.net.;new\n"))
+	f.Add(zoneText("com", 9, "a 300 IN NS ns1.x.net.\n", "$TTL 60\nb 60 NS ns1.y.net.\n"))
+	f.Add(zoneText("com", 9, "a in ns ns1.x.net.\n", "b In nS ns1.y.net.\n"))
+	f.Add(zoneText("COM", 9, "OLD IN NS ns1.x.net.\n", "New IN NS ns1.y.net.\nNEW IN NS ns2.y.net.\n"))
+	f.Add(zoneText("com", 9, "a\x7fb IN NS ns1.x\x7f.net.\n", "\u00c9cole IN NS ns1.\u00e9.net.\n\xff IN NS \xfe.\n"))
+	f.Add(zoneText("com", 9, "a IN NS ns1.x.net.\nb IN NS ns1.y.net.\na IN NS ns2.z.net.\n", "c IN NS ns1.w.net.\nb IN NS ns1.v.net.\nc IN NS ns2.u.net.\n"))
+	f.Add(zoneText("com", 9, "a IN NS ns1.x.net.\n", "") + zoneText("net", 9, "", "a IN NS ns1.y.net.\n"))
+	f.Add(zoneText("com", 9, "a IN NS ns1.x.net.\na IN NS ns2.x.net.\n", "a IN NS ns1.y.net.\n"))
 	f.Fuzz(func(t *testing.T, input string) {
-		d, err := ParseDelta(strings.NewReader(input))
-		if err != nil {
+		d := checkAgainstRef(t, input)
+		if d == nil {
 			return
 		}
 		for _, ev := range d.Events {
@@ -199,11 +363,50 @@ func FuzzDeltaParse(f *testing.F) {
 	})
 }
 
+// TestParseDeltaOwnerTable pins the owner table's cases against the
+// reference: a delta of one-letter owners, far more than its length
+// sizes the table for, so the table grows; an owner repeated within a
+// section but not on consecutive lines; one owner in two zones, whose
+// second event takes over the first's slot; and 1,000 owners dropped
+// and re-added, each one NS change.
+func TestParseDeltaOwnerTable(t *testing.T) {
+	var letters, drops, adds strings.Builder
+	for _, c := range "abcdefghijklmnopqrstuvwxyz0123456789" {
+		fmt.Fprintf(&letters, "%c IN NS b.\n", c)
+	}
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&drops, "d%d IN NS ns1.old.net.\n", i)
+		fmt.Fprintf(&adds, "d%d IN NS ns1.new.net.\n", i)
+	}
+	oneLetter := zoneText("com", 9, "", letters.String())
+	if n := len(oneLetter) / bytesPerOwner; 4*36 <= 3*tableSize(n) {
+		t.Fatalf("the %d-byte one-letter delta sizes a table that holds its 36 owners: it no longer makes the table grow", len(oneLetter))
+	}
+	cases := []struct {
+		name, text string
+		events     int
+	}{
+		{"one-letter owners", oneLetter, 36},
+		{"non-consecutive repeat", zoneText("com", 9,
+			"a IN NS ns1.x.net.\nb IN NS ns1.y.net.\na IN NS ns2.z.net.\n",
+			"c IN NS ns1.w.net.\nb IN NS ns1.v.net.\nc IN NS ns2.u.net.\n"), 3},
+		{"one owner in two zones", zoneText("com", 9, "a IN NS ns1.x.net.\n", "") +
+			zoneText("net", 9, "", "a IN NS ns1.y.net.\n"), 2},
+		{"1,000 drop-then-re-add pairs", zoneText("com", 9, drops.String(), adds.String()), 1000},
+	}
+	for _, c := range cases {
+		d := checkAgainstRef(t, c.text)
+		if d == nil || len(d.Events) != c.events {
+			t.Fatalf("%s: reference delta %+v, want %d events", c.name, d, c.events)
+		}
+	}
+}
+
 // TestParseDeltaAllocs pins the parser's allocation diet: the scanner
-// takes one string per read block, the owner map and the event list
+// takes one string per read block, the owner table and the event list
 // are sized once from the input length, and what is left is the ~55
-// zone SOAs' data, joined and split once each. A day of 4,750 events
-// costs 365 allocations, 0.077 per event; the bound of 0.1 leaves ~30 %
+// zone SOAs' data, split once each. A day of 4,750 events costs 180
+// allocations, 0.038 per event; the bound of 0.05 leaves ~30 %
 // headroom, and any allocation per line or per event fails it.
 func TestParseDeltaAllocs(t *testing.T) {
 	_, data := genDelta(t, 1707, zonegen.DeltaConfig{AddsPerDay: 3000}, 1)
@@ -216,7 +419,7 @@ func TestParseDeltaAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if per := allocs / float64(len(d.Events)); per > 0.1 {
-		t.Fatalf("ParseDelta: %.0f allocs for %d events = %.3f per event, want <= 0.1", allocs, len(d.Events), per)
+	if per := allocs / float64(len(d.Events)); per > 0.05 {
+		t.Fatalf("ParseDelta: %.0f allocs for %d events = %.3f per event, want <= 0.05", allocs, len(d.Events), per)
 	}
 }

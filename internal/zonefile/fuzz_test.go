@@ -155,6 +155,15 @@ func FuzzScannerFields(f *testing.F) {
 	f.Add("$ORIGIN\n")
 	f.Add("$ORIGIN a.\nb IN NS c.\r\r\nlast IN NS d.")
 	f.Add("\xff\xfe IN NS x.\n$ORIGIN \xc3\xa9.\n")
+	// The edges of the canonical-record path.
+	f.Add("$ORIGIN com.\na IN NS b.\nc  IN NS d.\n")
+	f.Add("$ORIGIN com.\na IN NS  b.\n")
+	f.Add("$ORIGIN com.\n a IN NS b.\n")
+	f.Add("$ORIGIN com.\na IN NS b.\n$ORIGIN net.\nc IN NS d.\n$TTL 60\n")
+	f.Add("$ORIGIN com.\na IN NS \nb IN NS c.\n")
+	f.Add("$ORIGIN com.\na IN NS\n")
+	f.Add("$ORIGIN com.\na\n")
+	f.Add("$ORIGIN com.\nA IN NS b.\nc IN ns d.\ne in NS f.\ng IN NS h. i\nj IN NS k;l\nm IN NS n.\x7f\no 300 IN NS p.")
 	f.Fuzz(func(t *testing.T, input string) {
 		want := oracleScan(input)
 		if got := scannerSteps(strings.NewReader(input)); !reflect.DeepEqual(got, want) {
@@ -182,6 +191,16 @@ func FuzzScannerRecords(f *testing.F) {
 	f.Add("own", "4294967296", "IN", "txt", "\u00a0x", " ", uint8(3))
 	f.Add("@", "007", "IN", "\u0130n", "x", "\v", uint8(4))
 	f.Add("K", "", "\u212an", "a", "x ; y", " ", uint8(0))
+	// The edges of the canonical-record path.
+	f.Add("a", "", "IN", "NS", "b.", "  ", uint8(0))
+	f.Add("a", "", "IN", "NS", " b.", " ", uint8(0))
+	f.Add(" lead", "", "IN", "NS", "b.", " ", uint8(0))
+	f.Add("$ORIGIN", "", "IN", "NS", "b.", " ", uint8(0))
+	f.Add("$ORIGIN", "", "", "", "net.", " ", uint8(0))
+	f.Add("a", "", "IN", "NS", "", " ", uint8(0))
+	f.Add("a", "", "IN", "NS", " ", " ", uint8(3))
+	f.Add("a", "", "", "", "", " ", uint8(0))
+	f.Add("UPPER", "", "IN", "SOA", "a. b. 1 2 3 4 5", " ", uint8(3))
 	f.Fuzz(func(t *testing.T, owner, ttl, class, typ, data, sep string, end uint8) {
 		line := owner
 		for _, field := range []string{ttl, class, typ, data} {
