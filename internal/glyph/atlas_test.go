@@ -122,18 +122,18 @@ func TestRenderWidthIntoZeroAlloc(t *testing.T) {
 func TestAtlasCoversDesignedRepertoire(t *testing.T) {
 	m := atlas()
 	for r := range baseFont {
-		if _, ok := m[r]; !ok {
+		if _, ok := m.cell(r); !ok {
 			t.Errorf("atlas missing base glyph %q", r)
 		}
 	}
 	for r := range composed {
-		if _, ok := m[r]; !ok {
+		if _, ok := m.cell(r); !ok {
 			t.Errorf("atlas missing composed glyph %q", r)
 		}
 	}
 	// Atlas cells must equal direct rasterization.
 	for _, r := range []rune{'a', 'z', '0', '-', 'á', 'ạ', 'ö', 'ѕ'} {
-		if m[r] != rasterize(r) {
+		if c, _ := m.cell(r); c != rasterize(r) {
 			t.Errorf("atlas cell for %q differs from rasterize", r)
 		}
 	}
@@ -167,4 +167,50 @@ func TestRenderWidthIntoIsCellBits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// supplementarySample is a spread of code points past the BMP, where
+// the slot table does not reach and every rune is a hash glyph: the
+// first and last, CJK Extension B, an emoji, and a stride through the
+// planes.
+func supplementarySample() []rune {
+	out := []rune{0x10000, 0x10FFFF, 0x20000, 0x2A6DF, 0x1F600, -1}
+	for r := rune(0x10000); r <= 0x10FFFF; r += 0x1003 {
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestCellOfMatchesRasterize: the slot table answers every BMP code
+// point exactly as rasterizing it does (designed cell or hash glyph),
+// and so does every sampled rune past the BMP.
+func TestCellOfMatchesRasterize(t *testing.T) {
+	re := NewRenderer()
+	for r := rune(0); r < 1<<16; r++ {
+		if got, want := re.cellOf(r), rasterize(r); got != want {
+			t.Fatalf("cellOf(%U) = %v, rasterize = %v", r, got, want)
+		}
+	}
+	for _, r := range supplementarySample() {
+		if got, want := re.cellOf(r), hashGlyph(r); got != want {
+			t.Fatalf("cellOf(%U) = %v, hashGlyph = %v", r, got, want)
+		}
+	}
+	if n := len(atlas().cells); n != len(baseFont)+len(composed) {
+		t.Fatalf("atlas holds %d cells, the repertoire %d runes", n, len(baseFont)+len(composed))
+	}
+}
+
+// FuzzRuneTables checks the slot table against rasterize at any code
+// point, negative and past U+10FFFF included.
+func FuzzRuneTables(f *testing.F) {
+	for _, r := range []rune{0, 'a', 'A', 'á', 'ѕ', 0xFF5A, 0xFFFF, 0x10000, 0x2A6DF, -1} {
+		f.Add(int32(r))
+	}
+	re := NewRenderer()
+	f.Fuzz(func(t *testing.T, r int32) {
+		if got, want := re.cellOf(r), rasterize(r); got != want {
+			t.Fatalf("cellOf(%U) = %v, rasterize = %v", r, got, want)
+		}
+	})
 }

@@ -46,30 +46,56 @@ const (
 // number of goroutines — one Renderer can back a whole worker pool. The
 // zero value is ready to use.
 type Renderer struct {
-	atlas map[rune][CellHeight]uint8
+	atlas *atlasTable
 }
 
-// The shared atlas: every designed glyph (base font plus composed
-// diacritics) rasterized once, then never written again. Runes outside
-// the atlas are hash glyphs, which are pure functions of the code point
-// and need no cache at all.
+// atlasTable is the shared atlas: every designed glyph (base font plus
+// composed diacritics) rasterized once into cells, then never written
+// again. slot is indexed by code point and holds a designed rune's
+// position in cells plus one, 0 for every other rune. Every designed
+// rune is in the BMP and there are fewer than 256 of them, so one byte
+// per BMP code point (64 KB) answers cellOf with a load and no hash.
+// Runes outside the atlas are hash glyphs, which are pure functions of
+// the code point and need no cache at all.
+type atlasTable struct {
+	slot  [1 << 16]uint8
+	cells [][CellHeight]uint8
+}
+
 var (
 	atlasOnce   sync.Once
-	sharedAtlas map[rune][CellHeight]uint8
+	sharedAtlas atlasTable
 )
 
-func atlas() map[rune][CellHeight]uint8 {
+func atlas() *atlasTable {
 	atlasOnce.Do(func() {
-		m := make(map[rune][CellHeight]uint8, len(baseFont)+len(composed))
+		a := &sharedAtlas
+		add := func(r rune) {
+			if uint32(r) >= uint32(len(a.slot)) || len(a.cells) == 255 {
+				panic("glyph: the designed repertoire outgrew the BMP slot table")
+			}
+			a.cells = append(a.cells, rasterize(r))
+			a.slot[r] = uint8(len(a.cells))
+		}
 		for r := range baseFont {
-			m[r] = rasterize(r)
+			add(r)
 		}
 		for r := range composed {
-			m[r] = rasterize(r)
+			add(r)
 		}
-		sharedAtlas = m
 	})
-	return sharedAtlas
+	return &sharedAtlas
+}
+
+// cell returns r's designed cell, and false for a rune outside the
+// designed repertoire.
+func (a *atlasTable) cell(r rune) ([CellHeight]uint8, bool) {
+	if uint32(r) < uint32(len(a.slot)) {
+		if s := a.slot[r]; s != 0 {
+			return a.cells[s-1], true
+		}
+	}
+	return [CellHeight]uint8{}, false
 }
 
 // NewRenderer returns a Renderer backed by the shared precomputed glyph
@@ -81,15 +107,16 @@ func NewRenderer() *Renderer {
 
 // cellOf returns the rasterized cell for r as CellHeight rows of column
 // bits (bit i set = column i inked; only the low baseWidth bits are used).
+// It equals rasterize(r) at every code point.
 func (re *Renderer) cellOf(r rune) [CellHeight]uint8 {
 	if r >= 'A' && r <= 'Z' {
 		r += 'a' - 'A'
 	}
-	m := re.atlas
-	if m == nil {
-		m = atlas()
+	a := re.atlas
+	if a == nil {
+		a = atlas()
 	}
-	if c, ok := m[r]; ok {
+	if c, ok := a.cell(r); ok {
 		return c
 	}
 	return hashGlyph(r)

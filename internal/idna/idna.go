@@ -156,26 +156,62 @@ func ToASCIILabel(label string) (string, error) {
 // decode to a label with a non-ASCII code point (RFC 5891 §5.4).
 func ToUnicodeLabel(label string) (string, error) {
 	label = fold(label)
-	if label == "" {
-		return "", ErrEmptyLabel
-	}
 	if !IsACELabel(label) {
-		if err := validateRunes(label); err != nil {
+		if err := checkPlain(label); err != nil {
 			return "", err
 		}
 		return label, nil
 	}
-	// Decoded into a stack buffer, which any label of up to 63 octets
+	// Encoded into a stack buffer, which any label of up to 63 octets
 	// fits, so the returned string is the one allocation.
+	var enc [utf8.UTFMax * maxLabelLength]byte
+	out, err := appendDecoded(enc[:0], label)
+	if err != nil {
+		return "", err
+	}
+	return string(out), nil
+}
+
+// AppendUnicodeLabel appends the Unicode form ToUnicodeLabel returns
+// for label to dst, as UTF-8, and returns the extended slice; on error
+// dst comes back unchanged. With room in dst it allocates nothing, so a
+// caller that decodes many labels can keep their bytes where it likes.
+func AppendUnicodeLabel(dst []byte, label string) ([]byte, error) {
+	label = fold(label)
+	if !IsACELabel(label) {
+		if err := checkPlain(label); err != nil {
+			return dst, err
+		}
+		return append(dst, label...), nil
+	}
+	return appendDecoded(dst, label)
+}
+
+// checkPlain applies the rules for a folded label without the ACE
+// prefix: not empty, no disallowed code point.
+func checkPlain(label string) error {
+	if label == "" {
+		return ErrEmptyLabel
+	}
+	return validateRunes(label)
+}
+
+// appendDecoded decodes a folded A-label and appends its UTF-8 to dst:
+// the code points are decoded into a stack buffer, which any label of
+// up to 63 octets fits, and encoded in one pass.
+func appendDecoded(dst []byte, label string) ([]byte, error) {
 	var buf [maxLabelLength]rune
 	decoded, err := punycode.AppendDecode(buf[:0], label[len(ACEPrefix):])
 	if err != nil {
-		return "", fmt.Errorf("idna: decode %q: %w", label, err)
+		return dst, fmt.Errorf("idna: decode %q: %w", label, err)
 	}
 	if err := checkDecoded(label, decoded); err != nil {
-		return "", err
+		return dst, err
 	}
-	return string(decoded), nil
+	for _, r := range decoded {
+		dst = utf8.AppendRune(dst, r)
+	}
+	return dst, nil
 }
 
 // checkDecoded applies the rules for the code points an A-label

@@ -341,12 +341,18 @@ func TestToUnicodeLabelMatchesDecode(t *testing.T) {
 		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Errorf("ToUnicodeLabel(%q) = %q, %v; the Decode path gives %q, %v", label, got, err, want, wantErr)
 		}
+		// AppendUnicodeLabel appends the same bytes after what dst holds,
+		// and leaves dst as it was on an error.
+		out, err := AppendUnicodeLabel([]byte("prefix:"), label)
+		if string(out) != "prefix:"+want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("AppendUnicodeLabel(prefix, %q) = %q, %v; want %q, %v", label, out, err, "prefix:"+want, wantErr)
+		}
 	}
 }
 
 // TestToUnicodeLabelAllocs pins the match side's decode at one
 // allocation, the returned string: the code points are decoded into a
-// stack buffer.
+// stack buffer. AppendUnicodeLabel into a buffer with room makes none.
 func TestToUnicodeLabelAllocs(t *testing.T) {
 	for _, label := range []string{"xn--pple-43d", "xn--80ak6aa92e", "xn--fiqs8s"} {
 		if allocs := testing.AllocsPerRun(100, func() {
@@ -355,6 +361,26 @@ func TestToUnicodeLabelAllocs(t *testing.T) {
 			}
 		}); allocs != 1 {
 			t.Errorf("ToUnicodeLabel(%q): %.0f allocations, want 1", label, allocs)
+		}
+		buf := make([]byte, 0, 64)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := AppendUnicodeLabel(buf, label); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("AppendUnicodeLabel(%q) into room: %.0f allocations, want 0", label, allocs)
+		}
+	}
+}
+
+// BenchmarkToUnicodeLabel is the watch tier's per-owner decode: one op
+// decodes one A-label of a Cyrillic, a Han and a mixed Latin owner.
+func BenchmarkToUnicodeLabel(b *testing.B) {
+	labels := []string{"xn--80ak6aa92e", "xn--fiqs8s", "xn--pple-43d", "xn--gogle-jta7c"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ToUnicodeLabel(labels[i%len(labels)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -31,6 +31,10 @@ const (
 // maxRune is the highest valid Unicode code point (U+10FFFF).
 const maxRune = '\U0010FFFF'
 
+// maxInt bounds the decoder's variable-length integers, which RFC 3492
+// computes in 32 bits.
+const maxInt = 1<<31 - 1
+
 // Errors returned by Encode and Decode.
 var (
 	// ErrInvalidRune reports an input code point outside the Unicode range
@@ -217,7 +221,9 @@ func AppendDecode(dst []rune, encoded string) ([]rune, error) {
 			if !ok {
 				return dst, fmt.Errorf("%w: invalid digit %q", ErrBadInput, encoded[pos-1])
 			}
-			if d > (int(^uint32(0)>>1)-i)/w {
+			// i, w <= maxInt and d < base: the int64 product cannot
+			// wrap, so the bound needs no division.
+			if int64(i)+int64(d)*int64(w) > maxInt {
 				return dst, ErrOverflow
 			}
 			i += d * w
@@ -230,7 +236,7 @@ func AppendDecode(dst []rune, encoded string) ([]rune, error) {
 			if d < t {
 				break
 			}
-			if w > int(^uint32(0)>>1)/(base-t) {
+			if int64(w)*int64(base-t) > maxInt {
 				return dst, ErrOverflow
 			}
 			w *= base - t

@@ -376,3 +376,63 @@ func BenchmarkDecodeLongMixed(b *testing.B) {
 		}
 	}
 }
+
+// varint encodes q as RFC 3492's generalized variable-length integer
+// at the given bias, as the encoder writes each delta.
+func varint(q, bias int) string {
+	var out []byte
+	for k := base; ; k += base {
+		t := min(max(k-bias, tmin), tmax)
+		if q < t {
+			return string(append(out, encodeDigit(q)))
+		}
+		out = append(out, encodeDigit(t+(q-t)%(base-t)))
+		q = (q - t) / (base - t)
+	}
+}
+
+// TestOverflowChecksWithoutDivision holds AppendDecode's overflow
+// checks, products in int64 where RFC 3492's pseudocode divides, to the
+// exact 32-bit bound. A first delta of maxInt after 63 basic code
+// points decodes past the digit check and fails as a code point out of
+// range; one of maxInt+1 is an overflow. The quotient form and the
+// product form of both checks agree over the domain the decoder reaches
+// (0 <= i <= maxInt, 1 <= w <= maxInt, 0 <= d < base, tmin <= t <= tmax).
+func TestOverflowChecksWithoutDivision(t *testing.T) {
+	basic := strings.Repeat("a", 63) + "-"
+	if _, err := Decode(basic + varint(maxInt, initialBias)); !errors.Is(err, ErrBadInput) {
+		t.Errorf("a first delta of maxInt: err %v, want ErrBadInput (out of range)", err)
+	}
+	if _, err := Decode(basic + varint(maxInt+1, initialBias)); !errors.Is(err, ErrOverflow) {
+		t.Errorf("a first delta of maxInt+1: err %v, want ErrOverflow", err)
+	}
+
+	edges := []int{0, 1, 2, 35, 36, 1 << 16, maxInt / 36, maxInt / 35, maxInt/35 + 1, maxInt / 2, maxInt - 1, maxInt}
+	check := func(i, w, d, tt int) bool {
+		digit := (d > (maxInt-i)/w) == (int64(i)+int64(d)*int64(w) > maxInt)
+		weight := (w > maxInt/(base-tt)) == (int64(w)*int64(base-tt) > maxInt)
+		return digit && weight
+	}
+	for _, i := range edges {
+		for _, w := range edges[1:] {
+			for d := 0; d < base; d++ {
+				for tt := tmin; tt <= tmax; tt++ {
+					if !check(i, w, d, tt) {
+						t.Fatalf("i=%d w=%d d=%d t=%d: the checks disagree", i, w, d, tt)
+					}
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3492))
+	for n := 0; n < 200000; n++ {
+		i, w := rng.Intn(maxInt+1), 1+rng.Intn(maxInt)
+		if n%2 == 0 { // small weights, where the digit check is tight
+			w = 1 + rng.Intn(1<<12)
+			i = maxInt - rng.Intn(36*w)
+		}
+		if d, tt := rng.Intn(base), tmin+rng.Intn(tmax-tmin+1); !check(i, w, d, tt) {
+			t.Fatalf("i=%d w=%d d=%d t=%d: the checks disagree", i, w, d, tt)
+		}
+	}
+}

@@ -70,6 +70,11 @@ type Table struct {
 	bitmapBase map[[glyph.CellHeight]uint8]byte
 	// similar holds the per-base scored lists, best-first.
 	similar map[byte][]Sim
+	// bmpFold answers Fold for every BMP code point with one load: the
+	// base byte r folds to, 0 where it does not fold (no base is 0).
+	// Derive fills it from foldRef, the map-and-bitmap path, which still
+	// answers the runes past the BMP.
+	bmpFold [1 << 16]byte
 	// re renders bitmaps for runes outside the derivation repertoire.
 	re *glyph.Renderer
 	// fingerprint commits to the whole derivation.
@@ -117,6 +122,14 @@ func Derive() *Table {
 		}
 	}
 
+	// The BMP fold table's bitmap probes need only bitmapBase, complete
+	// now: they run beside the scoring below, which only reads it.
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		t.probeBMPFold()
+	}()
+
 	// Deterministic repertoire order: sorted composed list. ASCII bases
 	// fold to themselves by definition and are not listed as similars.
 	rep := glyph.Composed()
@@ -158,8 +171,45 @@ func Derive() *Table {
 			return list[i].Rune < list[j].Rune
 		})
 	}
+	<-probed
+	for r := rune(0); r < 0x80; r++ {
+		t.bmpFold[r], _ = t.foldRef(r)
+	}
+	for r, b := range t.foldByte {
+		if uint32(r) < uint32(len(t.bmpFold)) {
+			t.bmpFold[r] = b
+		}
+	}
 	t.fingerprint = t.computeFingerprint(re, rep)
 	return t
+}
+
+// probeBMPFold sets bmpFold[r], for every non-ASCII BMP rune, to the
+// base whose bitmap r's cell is, if any. With the ASCII rule and then
+// foldByte written over it, which is foldRef's order of precedence
+// turned around, the table is foldRef at every BMP rune. Most BMP runes
+// are hash glyphs that fold nowhere. A cell row uses only the low 5
+// bits, so a 32-bit set per row holds every value the base cells have
+// in that row, and a cell with a row value outside its row's set cannot
+// be a base's bitmap: the sets, tested without a branch per row, spare
+// all but a few hundred runes the bitmapBase probe.
+func (t *Table) probeBMPFold() {
+	var rows [glyph.CellHeight]uint32
+	for cell := range t.bitmapBase {
+		for y, v := range cell {
+			rows[y] |= 1 << (v & 31)
+		}
+	}
+	for r := rune(0x80); r < rune(len(t.bmpFold)); r++ {
+		cell := t.re.CellBits(r)
+		in := uint32(1)
+		for y, v := range cell {
+			in &= rows[y] >> (v & 31)
+		}
+		if in != 0 {
+			t.bmpFold[r] = t.bitmapBase[cell]
+		}
+	}
 }
 
 // computeFingerprint hashes the full derivation: every repertoire bitmap,
@@ -190,7 +240,19 @@ func (t *Table) Fingerprint() uint64 { return t.fingerprint }
 // whether it folds at all. ASCII LDH characters fold to themselves;
 // repertoire runes fold per the derivation; unknown runes fold only if
 // their (hash-)glyph bitmap coincides pixel-for-pixel with a base glyph.
+// A BMP rune is answered from the table Derive filled, any other rune by
+// foldRef.
 func (t *Table) Fold(r rune) (byte, bool) {
+	if uint32(r) < uint32(len(t.bmpFold)) {
+		b := t.bmpFold[r]
+		return b, b != 0
+	}
+	return t.foldRef(r)
+}
+
+// foldRef is Fold from the derivation's maps: the ASCII rule, then
+// foldByte, then a probe of bitmapBase with the rune's cell.
+func (t *Table) foldRef(r rune) (byte, bool) {
 	if r < 0x80 {
 		if r >= 'A' && r <= 'Z' {
 			return byte(r + 'a' - 'A'), true

@@ -113,3 +113,59 @@ func TestHomoglyphsOrdered(t *testing.T) {
 		t.Fatal("no near-identical homoglyphs for 'a'")
 	}
 }
+
+// supplementarySample is a spread of code points past the BMP, which
+// Fold answers by foldRef: the first and last, CJK Extension B, an
+// emoji, a stride through the planes, and a negative rune.
+func supplementarySample() []rune {
+	out := []rune{0x10000, 0x10FFFF, 0x20000, 0x2A6DF, 0x1F600, -1}
+	for r := rune(0x10000); r <= 0x10FFFF; r += 0x1003 {
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestFoldMatchesRef: the BMP table Derive fills answers every BMP code
+// point exactly as the map-and-bitmap path does, and Fold keeps that
+// path past the BMP. Every non-ASCII BMP rune that folds is in foldByte:
+// none folds through a hash glyph's bitmap.
+func TestFoldMatchesRef(t *testing.T) {
+	tab := Default()
+	folded := 0
+	for r := rune(0); r < 1<<16; r++ {
+		b, ok := tab.Fold(r)
+		if wb, wok := tab.foldRef(r); b != wb || ok != wok {
+			t.Fatalf("Fold(%U) = %q, %v; foldRef = %q, %v", r, b, ok, wb, wok)
+		}
+		if ok && r >= 0x80 {
+			folded++
+			if _, designed := tab.foldByte[r]; !designed {
+				t.Errorf("%U folds to %q through a hash glyph", r, b)
+			}
+		}
+	}
+	if folded != len(tab.foldByte) {
+		t.Errorf("%d non-ASCII BMP runes fold, foldByte holds %d", folded, len(tab.foldByte))
+	}
+	for _, r := range supplementarySample() {
+		b, ok := tab.Fold(r)
+		if wb, wok := tab.foldRef(r); b != wb || ok != wok {
+			t.Fatalf("Fold(%U) = %q, %v; foldRef = %q, %v", r, b, ok, wb, wok)
+		}
+	}
+}
+
+// FuzzRuneTables checks Fold against foldRef at any code point,
+// negative and past U+10FFFF included.
+func FuzzRuneTables(f *testing.F) {
+	for _, r := range []rune{0, 'a', 'A', '-', '.', 'á', 'ѕ', 0xFF5A, 0xFFFF, 0x10000, 0x2A6DF, -1} {
+		f.Add(int32(r))
+	}
+	tab := Default()
+	f.Fuzz(func(t *testing.T, r int32) {
+		b, ok := tab.Fold(r)
+		if wb, wok := tab.foldRef(r); b != wb || ok != wok {
+			t.Fatalf("Fold(%U) = %q, %v; foldRef = %q, %v", r, b, ok, wb, wok)
+		}
+	})
+}

@@ -78,11 +78,12 @@ type scriptRange struct {
 	script Script
 }
 
-// ranges is sorted by lo (enforced by sortRanges) and non-overlapping; Of
-// does a binary search over it. The table is a curated subset of Unicode 10
-// Scripts.txt (the Unicode version contemporary with the paper's 2017
-// snapshots) covering the Basic Multilingual Plane ranges relevant to
-// domain names, plus the CJK supplementary ideographs.
+// ranges is sorted by lo (enforced by sortRanges) and non-overlapping;
+// Of reads its BMP part from bmpScripts and binary-searches the rest.
+// The table is a curated subset of Unicode 10 Scripts.txt (the Unicode
+// version contemporary with the paper's 2017 snapshots) covering the
+// Basic Multilingual Plane ranges relevant to domain names, plus the
+// CJK supplementary ideographs.
 var ranges = sortRanges([]scriptRange{
 	{0x0030, 0x0039, Common}, // digits
 	{0x002D, 0x002E, Common}, // hyphen, full stop
@@ -171,10 +172,35 @@ func sortRanges(rs []scriptRange) []scriptRange {
 	return rs
 }
 
+// bmpScripts is Of's answer for every BMP code point, filled from
+// ranges at package init: Common below U+0080, Unknown above, then each
+// range's script over its BMP part.
+var bmpScripts [1 << 16]uint8
+
+func init() {
+	for r := 0; r < 0x80; r++ {
+		bmpScripts[r] = uint8(Common)
+	}
+	for _, sr := range ranges {
+		for r := sr.lo; r <= sr.hi && r < rune(len(bmpScripts)); r++ {
+			bmpScripts[r] = uint8(sr.script)
+		}
+	}
+}
+
 // Of returns the script of code point r. Code points absent from the table
 // but below U+0080 are Common (ASCII punctuation and controls); all other
-// absent code points are Unknown.
+// absent code points are Unknown. A BMP code point is one load from
+// bmpScripts; any other is found by ofRange.
 func Of(r rune) Script {
+	if uint32(r) < uint32(len(bmpScripts)) {
+		return Script(bmpScripts[r])
+	}
+	return ofRange(r)
+}
+
+// ofRange is Of by binary search over ranges.
+func ofRange(r rune) Script {
 	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].hi >= r })
 	if i < len(ranges) && ranges[i].lo <= r && r <= ranges[i].hi {
 		return ranges[i].script

@@ -225,3 +225,45 @@ func BenchmarkAnalyze(b *testing.B) {
 		_ = Analyze("fаcebook-секретныйdomain中文")
 	}
 }
+
+// supplementarySample is a spread of code points past the BMP, which Of
+// answers by ofRange: the first and last, both CJK supplementary
+// ranges and their edges, an emoji, a stride through the planes, and a
+// negative rune.
+func supplementarySample() []rune {
+	out := []rune{0x10000, 0x10FFFF, 0x1FFFF, 0x20000, 0x2A6DF, 0x2A6E0, 0x2A700, 0x2EBEF, 0x2EBF0, 0x1F600, -1}
+	for r := rune(0x10000); r <= 0x10FFFF; r += 0x1003 {
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestOfMatchesRanges: the BMP table answers every BMP code point
+// exactly as the binary search over ranges does (ASCII punctuation
+// included: it is Common, not the table's zero value), and Of keeps the
+// search past the BMP.
+func TestOfMatchesRanges(t *testing.T) {
+	for r := rune(0); r < 1<<16; r++ {
+		if got, want := Of(r), ofRange(r); got != want {
+			t.Fatalf("Of(%U) = %v, ofRange = %v", r, got, want)
+		}
+	}
+	for _, r := range supplementarySample() {
+		if got, want := Of(r), ofRange(r); got != want {
+			t.Fatalf("Of(%U) = %v, ofRange = %v", r, got, want)
+		}
+	}
+}
+
+// FuzzRuneTables checks Of against ofRange at any code point, negative
+// and past U+10FFFF included.
+func FuzzRuneTables(f *testing.F) {
+	for _, r := range []rune{0, '!', '-', 'a', 0x7F, 0x80, 'я', 0xFFDC, 0xFFFF, 0x10000, 0x20000, -1} {
+		f.Add(int32(r))
+	}
+	f.Fuzz(func(t *testing.T, r int32) {
+		if got, want := Of(r), ofRange(r); got != want {
+			t.Fatalf("Of(%U) = %v, ofRange = %v", r, got, want)
+		}
+	})
+}

@@ -2,7 +2,9 @@ package watch
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -246,6 +248,78 @@ func BenchmarkRunnerCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunnerPoll is an idnwatch -once pass in process: one op is
+// a Poll over 6 delta files of the watch_ingest shape (10,000 adds a
+// day over the scale-20 corpus universe, ~15.8k events a file), with
+// real fsync, a fresh alert log and cursor, the default top-1000 index
+// and 1,000,000 subscriptions, as idnwatch installs them. Reported in
+// events/s. Unlike the workload's pass it starts no process and runs
+// no statistical prefilter.
+func BenchmarkRunnerPoll(b *testing.B) {
+	const files, subsN = 6, 1_000_000
+	reg := zonegen.Generate(zonegen.Config{Seed: 2018, Scale: 20})
+	gen := reg.DeltaStream(zonegen.DeltaConfig{AddsPerDay: 10000})
+	dir := b.TempDir()
+	deltas := filepath.Join(dir, "deltas")
+	if err := os.Mkdir(deltas, 0o755); err != nil {
+		b.Fatal(err)
+	}
+	events := 0
+	for i := 0; i < files; i++ {
+		d := gen.Next()
+		var buf bytes.Buffer
+		if _, err := d.WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+		parsed, err := ParseDelta(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += len(parsed.Events)
+		if err := os.WriteFile(filepath.Join(deltas, zonegen.DeltaFileName(d.Serial)), buf.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	det := core.NewHomographDetector(1000)
+	nBrands := len(det.Index().Brands())
+	subs := NewSubTable(nBrands)
+	for i := 0; i < subsN; i++ {
+		subs.Subscribe(uint32(i%nBrands), uint64(1+i))
+	}
+	subs.Compile()
+	eng, err := NewEngine(det, subs, EngineConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	logPath := filepath.Join(dir, "alerts.log")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		os.Remove(logPath)
+		os.Remove(logPath + ".cursor")
+		l, err := OpenAlertLog(logPath)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := newRunner(b, eng, l, deltas, logPath+".cursor")
+		b.StartTimer()
+		n, _, err := r.Poll(context.Background())
+		b.StopTimer()
+		if err != nil || n != files {
+			b.Fatalf("Poll: %d files, err %v; want %d", n, err, files)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkDeltaParse measures the I/O-side cost the match stage sits

@@ -4,8 +4,11 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
+
+	"idnlab/internal/zonegen"
 )
 
 // failCursorWrites points the runner's open cursor file descriptor at
@@ -90,6 +93,53 @@ func TestCursorCommitFailedWrite(t *testing.T) {
 	for i := range ref {
 		if got[i] != ref[i] {
 			t.Fatalf("alert %d: %+v, want %+v", i, got[i], ref[i])
+		}
+	}
+}
+
+// TestCursorFailsWhileNextFileMatched: the cursor write of file 2
+// fails while file 3 is already matched. The commit stage stops, so
+// file 3 is never handed to it: none of its alerts reaches the log, Poll
+// counts no file, and the in-memory cursor stays on the last durable
+// frame.
+func TestCursorFailsWhileNextFileMatched(t *testing.T) {
+	eng, _ := testFixture(t, 80, 4)
+	dir := t.TempDir()
+	days := writeDeltaDir(t, dir, 51, attackCfg, 3)
+
+	r := openRunner(t, eng, dir)
+	if _, err := r.ProcessFile(context.Background(), filepath.Join(dir, zonegen.DeltaFileName(days[0].Serial))); err != nil {
+		t.Fatal(err)
+	}
+	durable := r.Cursor()
+	failCursorWrites(t, r)
+	matched3 := make(chan struct{})
+	r.hook = func(stage string, serial uint32) {
+		switch {
+		case stage == stageMatched && serial == days[2].Serial:
+			close(matched3)
+		case stage == stageCommit && serial == days[1].Serial:
+			awaitStage(t, matched3, "file 3's match")
+		}
+	}
+	before := runtime.NumGoroutine()
+	files, _, err := r.Poll(context.Background())
+	if err == nil {
+		t.Fatal("Poll succeeded with the cursor file on a full device")
+	}
+	waitGoroutines(t, before)
+	if files != 0 {
+		t.Fatalf("Poll counted %d files committed past a failed cursor write", files)
+	}
+	if r.Cursor() != durable {
+		t.Fatalf("in-memory cursor %+v passed the last durable frame %+v", r.Cursor(), durable)
+	}
+	if saved := savedCursor(t, cursorPath(dir)); saved != durable {
+		t.Fatalf("cursor file holds %+v, want %+v", saved, durable)
+	}
+	for _, a := range replayAll(t, filepath.Join(dir, "alerts.log"), 0) {
+		if a.Serial == days[2].Serial {
+			t.Fatalf("alert %+v of file 3 logged after file 2's cursor write failed", a)
 		}
 	}
 }

@@ -10,7 +10,11 @@ func (r *Runner) ProcessFile(ctx context.Context, path string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return r.processDelta(ctx, d)
+	alerts, err := r.engine.match(context.WithoutCancel(ctx), d)
+	if err != nil {
+		return 0, err
+	}
+	return r.commitDelta(d.Serial, alerts)
 }
 
 // Of returns brand's subscribers, none before Compile. The slice aliases

@@ -1,11 +1,13 @@
 package watch
 
 import (
+	"fmt"
 	"testing"
 
 	"idnlab/internal/brands"
 	"idnlab/internal/candidx"
 	"idnlab/internal/core"
+	"idnlab/internal/idna"
 	"idnlab/internal/zonegen"
 )
 
@@ -120,5 +122,42 @@ func TestMatchZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Match allocates %v/op steady-state, want 0", allocs)
+	}
+}
+
+// TestMatcherDecode: decode returns what idna.ToUnicodeLabel returns,
+// errors included; a label it handed out keeps its bytes while later
+// labels fill its chunk and the chunks after it; and a decode allocates
+// only when it starts a chunk.
+func TestMatcherDecode(t *testing.T) {
+	m := &Matcher{}
+	owners := []string{"xn--zz!", "xn--apple-", "XN--PPLE-43D", "plain"}
+	for i := 0; i < 5000; i++ {
+		ace, err := idna.ToASCII(fmt.Sprintf("пример%dдомен", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners = append(owners, ace)
+	}
+	var got []string
+	for _, o := range owners {
+		label, err := m.decode(o)
+		want, wantErr := idna.ToUnicodeLabel(o)
+		if label != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("decode(%q) = %q, %v; ToUnicodeLabel gives %q, %v", o, label, err, want, wantErr)
+		}
+		got = append(got, label)
+	}
+	for i, o := range owners {
+		if want, _ := idna.ToUnicodeLabel(o); got[i] != want {
+			t.Fatalf("label %d of %q reads %q after later decodes, want %q", i, o, got[i], want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := m.decode("xn--80ak6aa92e"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("decode: %.0f allocations per label, want 0 (one per %d-byte chunk)", allocs, labelChunk)
 	}
 }

@@ -116,6 +116,12 @@ type Runner struct {
 	dir    string        // delta directory to tail
 	cur    *framelog.Log // the open cursor file
 	cursor Cursor
+
+	// hook, when set, is called with a file's serial on Poll's stages:
+	// stageMatched after the file's match, before its hand-off, and
+	// stageCommit before its alerts are appended. Tests use it to hold
+	// one stage while another runs; nil otherwise.
+	hook func(stage string, serial uint32)
 }
 
 // NewRunner opens the cursor file at cursorPath (creating it if
@@ -186,26 +192,26 @@ func loadDelta(path string) (*Delta, error) {
 	return d, nil
 }
 
-// processDelta matches a parsed delta, appends its alerts, Syncs the
-// log, then commits the cursor. A started file always
-// finishes: the match runs without ctx's cancellation, because a cancel
-// inside it would leave that file's alerts in the log past the cursor.
-// Cancellation is honoured between files (Poll).
-func (r *Runner) processDelta(ctx context.Context, d *Delta) (int, error) {
-	alerts := 0
-	err := r.engine.ProcessDelta(context.WithoutCancel(ctx), d, func(a Alert) error {
-		alerts++
-		return r.log.Append(a)
-	})
-	if err != nil {
-		return alerts, err
+// commitDelta appends a matched delta's alerts in event order, Syncs
+// the log, then commits the cursor at the log's end. It returns the
+// number of alerts appended.
+func (r *Runner) commitDelta(serial uint32, alerts []*Alert) (int, error) {
+	n := 0
+	for _, a := range alerts {
+		if a == nil {
+			continue
+		}
+		if err := r.log.Append(*a); err != nil {
+			return n, err
+		}
+		n++
 	}
 	// Durability barrier before the cursor moves: this ordering is the
 	// at-least-once guarantee.
 	if err := r.log.Sync(); err != nil {
-		return alerts, err
+		return n, err
 	}
-	return alerts, r.commit(Cursor{Serial: d.Serial, LogOffset: r.log.Size()})
+	return n, r.commit(Cursor{Serial: serial, LogOffset: r.log.Size()})
 }
 
 // commit appends c as one frame to the cursor file and Syncs it; only
@@ -228,16 +234,37 @@ type parsed struct {
 	err error
 }
 
+// The stages Runner.hook names.
+const (
+	stageMatched = "matched"
+	stageCommit  = "commit"
+)
+
+// matched is a file past the match stage: its serial and its alerts in
+// event order (see Engine.match).
+type matched struct {
+	serial uint32
+	alerts []*Alert
+}
+
 // Poll processes every pending delta file once, in serial order.
-// Returns the number of files processed and the number of alerts.
+// Returns the number of files committed and the number of alerts they
+// logged.
 //
-// One lookahead goroutine parses file n+1 while file n is matched and
-// committed; the unbuffered hand-off bounds it to one parsed delta
-// ahead. Commits stay strictly in serial order, and a parse error is
-// returned only after every earlier file is committed. Poll returns
-// only after the lookahead has exited. Cancellation has one point,
-// between files: a file whose processing has started is matched, Synced
-// and gets its cursor committed before Poll returns ctx.Err().
+// A file passes three stages, each on its own goroutine: parse (a
+// lookahead), match (Poll's own goroutine) and commit, which appends
+// the file's alerts, Syncs the log and commits its cursor frame. While
+// file n commits, file n+1 is matched and file n+2 parsed. Both
+// hand-offs are unbuffered, so the match stage holds at most one file
+// matched ahead of the commit, and the commit stage takes a file only
+// once the previous one's cursor frame is durable: commits stay in
+// serial order, and a cursor's LogOffset ends exactly at its serial's
+// alerts. A commit error stops the commit stage, so no later file is
+// handed to it; a parse error is returned only after every earlier
+// file is committed. Cancellation has one point, before a file's match:
+// a file whose match has started is matched, Synced and gets its cursor
+// committed before Poll returns ctx.Err(). Poll returns only after all
+// three stages have exited.
 func (r *Runner) Poll(ctx context.Context) (files, alerts int, err error) {
 	paths, err := r.pendingFiles()
 	if err != nil || len(paths) == 0 {
@@ -245,13 +272,13 @@ func (r *Runner) Poll(ctx context.Context) (files, alerts int, err error) {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	ahead := make(chan parsed)
-	done := make(chan struct{})
+	parseDone := make(chan struct{})
 	defer func() {
 		cancel()
-		<-done
+		<-parseDone
 	}()
 	go func() {
-		defer close(done)
+		defer close(parseDone)
 		defer close(ahead)
 		for _, p := range paths {
 			d, err := loadDelta(p)
@@ -265,27 +292,76 @@ func (r *Runner) Poll(ctx context.Context) (files, alerts int, err error) {
 			}
 		}
 	}()
+
+	// The commit stage owns files, alerts and commitErr until it exits.
+	toCommit := make(chan matched)
+	commitDone := make(chan struct{})
+	var commitErr error
+	go func() {
+		defer close(commitDone)
+		for m := range toCommit {
+			if r.hook != nil {
+				r.hook(stageCommit, m.serial)
+			}
+			n, err := r.commitDelta(m.serial, m.alerts)
+			alerts += n
+			if err != nil {
+				commitErr = err
+				return
+			}
+			files++
+		}
+	}()
+
+	var stageErr error // a parse or match error
 	for next := range ahead {
 		if ctx.Err() != nil {
 			break
 		}
 		if next.err != nil {
-			return files, alerts, next.err
+			stageErr = next.err
+			break
 		}
-		n, err := r.processDelta(ctx, next.d)
-		alerts += n
+		// A started file always finishes: the match runs without ctx's
+		// cancellation, and its hand-off waits for the commit stage.
+		found, err := r.engine.match(context.WithoutCancel(ctx), next.d)
 		if err != nil {
-			return files, alerts, err
+			stageErr = err
+			break
 		}
-		files++
+		if r.hook != nil {
+			r.hook(stageMatched, next.d.Serial)
+		}
+		if !handOff(toCommit, commitDone, matched{next.d.Serial, found}) {
+			break
+		}
+	}
+	close(toCommit)
+	<-commitDone
+	switch {
+	case commitErr != nil:
+		return files, alerts, commitErr
+	case stageErr != nil:
+		return files, alerts, stageErr
 	}
 	return files, alerts, ctx.Err()
 }
 
+// handOff passes m to the commit stage, or reports false once that
+// stage has stopped on an error.
+func handOff(toCommit chan<- matched, commitDone <-chan struct{}, m matched) bool {
+	select {
+	case toCommit <- m:
+		return true
+	case <-commitDone:
+		return false
+	}
+}
+
 // Run polls until the context is cancelled, sleeping interval between
-// empty polls. A cancel takes effect between files: the current file is
-// matched, Synced and its cursor committed before Run returns ctx.Err(), so
-// the log never holds alerts past the cursor.
+// empty polls. A cancel takes effect between files: every file whose
+// match has started is matched, Synced and its cursor committed before
+// Run returns ctx.Err(), so the log never holds alerts past the cursor.
 func (r *Runner) Run(ctx context.Context, interval time.Duration) error {
 	if interval <= 0 {
 		interval = time.Second

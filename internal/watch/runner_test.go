@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,5 +362,146 @@ func TestRunnerRefusesJSONCursor(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || string(got) != string(old) {
 		t.Fatalf("refused cursor now %q (err %v), want it untouched", got, err)
+	}
+}
+
+// eventCounts returns the number of events in each day's delta file.
+func eventCounts(t *testing.T, dir string, days []*zonegen.DayDelta) []uint64 {
+	t.Helper()
+	out := make([]uint64, len(days))
+	for i, d := range days {
+		parsed, err := loadDelta(filepath.Join(dir, zonegen.DeltaFileName(d.Serial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = uint64(len(parsed.Events))
+	}
+	return out
+}
+
+// awaitStage waits for another stage's hook to close ch. It runs in a
+// hook, on one of Poll's goroutines, so it reports a timeout with
+// Error, not Fatal.
+func awaitStage(t *testing.T, ch <-chan struct{}, what string) bool {
+	select {
+	case <-ch:
+		return true
+	case <-time.After(10 * time.Second):
+		t.Errorf("timed out waiting for %s", what)
+		return false
+	}
+}
+
+// requireCursorsAtSerialEnds checks every frame of the cursor file: its
+// LogOffset ends exactly at the last alert of its serial, so no alert of
+// a later file precedes it in the log.
+func requireCursorsAtSerialEnds(t *testing.T, dir string) {
+	t.Helper()
+	cs, _ := cursorFrames(t, cursorPath(dir))
+	for _, c := range cs {
+		if want := cursorOffsetAfterSerial(t, filepath.Join(dir, "alerts.log"), c.Serial); c.LogOffset != want {
+			t.Fatalf("cursor %+v: the alerts of serials up to %d end at %d", c, c.Serial, want)
+		}
+	}
+}
+
+// TestMatchStageOneFileAhead: while file 1's commit is held, the match
+// stage finishes file 2 and then waits: file 3 is not matched until
+// file 1 is committed. Released, the poll logs what the uninterrupted
+// run logs, and every cursor frame ends at its serial's alerts.
+func TestMatchStageOneFileAhead(t *testing.T) {
+	eng, _ := testFixture(t, 80, 4)
+	refDir, dir := t.TempDir(), t.TempDir()
+	writeDeltaDir(t, refDir, 51, attackCfg, 4)
+	days := writeDeltaDir(t, dir, 51, attackCfg, 4)
+	ref := runPoll(t, eng, refDir, filepath.Join(refDir, "alerts.log"), filepath.Join(refDir, "alerts.log.cursor"))
+
+	r := openRunner(t, eng, dir)
+	matched2 := make(chan struct{})
+	var matched3 atomic.Bool
+	r.hook = func(stage string, serial uint32) {
+		switch {
+		case stage == stageMatched && serial == days[1].Serial:
+			close(matched2)
+		case stage == stageMatched && serial == days[2].Serial:
+			matched3.Store(true)
+		case stage == stageCommit && serial == days[0].Serial:
+			if awaitStage(t, matched2, "file 2's match") {
+				time.Sleep(50 * time.Millisecond)
+				if matched3.Load() {
+					t.Error("file 3 was matched while file 1 commits and file 2 waits")
+				}
+			}
+		}
+	}
+	files, alerts, err := r.Poll(context.Background())
+	if err != nil || files != len(days) {
+		t.Fatalf("Poll: %d files, err %v; want %d", files, err, len(days))
+	}
+	requireCommittedThrough(t, r, days[len(days)-1].Serial)
+	requireCursorsAtSerialEnds(t, dir)
+	got := replayAll(t, filepath.Join(dir, "alerts.log"), 0)
+	if alerts != len(ref) || len(got) != len(ref) {
+		t.Fatalf("%d alerts reported, %d logged; the uninterrupted run logs %d", alerts, len(got), len(ref))
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("alert %d: %+v, want %+v", i, got[i], ref[i])
+		}
+	}
+}
+
+// TestPollCancelWithFileInEachStage cancels with file 1 held in its
+// commit, file 2 matched but not yet handed off, and file 3 parsed or
+// being parsed: files 1 and 2 are committed whole (the match of 2 had
+// started), file 3 is not started, and Poll returns only after the
+// parse, match and commit goroutines have all exited.
+func TestPollCancelWithFileInEachStage(t *testing.T) {
+	eng, _ := testFixture(t, 80, 4)
+	refDir, dir := t.TempDir(), t.TempDir()
+	writeDeltaDir(t, refDir, 51, attackCfg, 5)
+	days := writeDeltaDir(t, dir, 51, attackCfg, 5)
+	ref := runPoll(t, eng, refDir, filepath.Join(refDir, "alerts.log"), filepath.Join(refDir, "alerts.log.cursor"))
+
+	events := eventCounts(t, dir, days)
+	r := openRunner(t, eng, dir)
+	base := eng.Metrics().In
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	matched2 := make(chan struct{})
+	r.hook = func(stage string, serial uint32) {
+		switch {
+		case stage == stageMatched && serial == days[1].Serial:
+			cancel()
+			close(matched2)
+		case stage == stageCommit && serial == days[0].Serial:
+			awaitStage(t, matched2, "file 2's match")
+		}
+	}
+	before := runtime.NumGoroutine()
+	files, alerts, err := r.Poll(ctx)
+	if !errors.Is(err, context.Canceled) || files != 2 {
+		t.Fatalf("Poll: %d files, err %v; want 2 and context.Canceled", files, err)
+	}
+	waitGoroutines(t, before)
+	if got := eng.Metrics().In - base; got != events[0]+events[1] {
+		t.Fatalf("%d events went to the match stage, files 1 and 2 hold %d: a file was started after the cancel", got, events[0]+events[1])
+	}
+	requireCommittedThrough(t, r, days[1].Serial)
+	requireCursorsAtSerialEnds(t, dir)
+	var want []Alert
+	for _, a := range ref {
+		if a.Serial <= days[1].Serial {
+			want = append(want, a)
+		}
+	}
+	got := replayAll(t, filepath.Join(dir, "alerts.log"), 0)
+	if alerts != len(want) || len(got) != len(want) {
+		t.Fatalf("%d alerts reported, %d logged; the uninterrupted run logs %d for files 1 and 2", alerts, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("alert %d: %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

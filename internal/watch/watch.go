@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"idnlab/internal/core"
-	"idnlab/internal/idna"
 	"idnlab/internal/pipeline"
 )
 
@@ -66,7 +65,7 @@ func (e *Engine) process(m *Matcher, ev *Event) *Alert {
 	if ev.Op == OpDrop || !strings.HasPrefix(ev.Owner, "xn--") {
 		return nil
 	}
-	label, err := idna.ToUnicodeLabel(ev.Owner)
+	label, err := m.decode(ev.Owner)
 	if err != nil {
 		e.decodeErrs.Add(1)
 		return nil
@@ -103,15 +102,24 @@ func (e *Engine) process(m *Matcher, ev *Event) *Alert {
 	}
 }
 
+// match runs one parsed delta's events through the match pipeline and
+// returns each event's alert at the event's index, nil where it raised
+// none.
+func (e *Engine) match(ctx context.Context, d *Delta) ([]*Alert, error) {
+	alerts := make([]*Alert, len(d.Events))
+	err := e.pipe.Run(ctx, len(d.Events), func(m *Matcher, i int) error {
+		alerts[i] = e.process(m, &d.Events[i])
+		return nil
+	})
+	return alerts, err
+}
+
 // ProcessDelta runs one parsed delta's events through the match
 // pipeline, then calls emit for every alert in event order. A
 // cancellation during the emits stops them with ctx.Err().
 func (e *Engine) ProcessDelta(ctx context.Context, d *Delta, emit func(Alert) error) error {
-	alerts := make([]*Alert, len(d.Events))
-	if err := e.pipe.Run(ctx, len(d.Events), func(m *Matcher, i int) error {
-		alerts[i] = e.process(m, &d.Events[i])
-		return nil
-	}); err != nil {
+	alerts, err := e.match(ctx, d)
+	if err != nil {
 		return err
 	}
 	for _, a := range alerts {

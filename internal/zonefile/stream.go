@@ -366,6 +366,10 @@ func (s *Scanner) Err() error { return s.err }
 // context polls.
 const cancelCheckInterval = 512
 
+// labelChunk is the size of the chunks ScanStream copies distinct
+// labels into.
+const labelChunk = 64 << 10
+
 // ScanStream runs the discovery scan (distinct SLDs, IDN subset — the
 // paper's "searched substring xn-- in TLDs" step) over a zone without
 // materializing its records. Memory is O(distinct SLDs), not O(records):
@@ -378,27 +382,39 @@ const cancelCheckInterval = 512
 // ctx cancellation aborts the scan between records with ctx.Err().
 func ScanStream(ctx context.Context, r io.Reader, emit func(domain string) error) (ScanStats, error) {
 	s := NewScanner(r)
+	// The distinct SLDs, keyed by label: a scan has one origin, so the
+	// label is the name. A new label is copied into a chunk of labels,
+	// so the set keeps no scanner block alive and allocates per chunk,
+	// not per name; the name itself is built only for an IDN emitted.
 	seen := make(map[string]struct{})
+	var chunk strings.Builder
 	// Owners read before the $ORIGIN directive cannot be resolved to
 	// SLD names yet; hold the owners (only) until the origin appears.
 	var preOrigin []string
 	var st ScanStats
-	itld := false
+	idnOrigin := false // every name of an IDN origin is an IDN
 
 	flush := func(owner string) error {
 		label, ok := sldLabel(st.Origin, owner)
 		if !ok {
 			return nil
 		}
-		name := label + "." + st.Origin
-		if _, dup := seen[name]; dup {
+		if _, dup := seen[label]; dup {
 			return nil
 		}
-		seen[name] = struct{}{}
-		if itld || idna.IsIDN(name) {
+		if chunk.Len()+len(label) > chunk.Cap() {
+			chunk = strings.Builder{}
+			chunk.Grow(max(labelChunk, len(label)))
+		}
+		start := chunk.Len()
+		chunk.WriteString(label)
+		seen[chunk.String()[start:]] = struct{}{}
+		// A label has no dot, so label.origin is an IDN exactly when
+		// one of the two is.
+		if idnOrigin || idna.IsIDN(label) {
 			st.IDNCount++
 			if emit != nil {
-				return emit(name)
+				return emit(label + "." + st.Origin)
 			}
 		}
 		return nil
@@ -419,7 +435,7 @@ func ScanStream(ctx context.Context, r io.Reader, emit func(domain string) error
 		}
 		if st.Origin == "" {
 			st.Origin = s.Origin()
-			itld = idna.IsACELabel(st.Origin)
+			idnOrigin = idna.IsIDN(st.Origin)
 			for _, o := range preOrigin {
 				if err := flush(o); err != nil {
 					return ScanStats{}, err
@@ -444,7 +460,7 @@ func ScanStream(ctx context.Context, r io.Reader, emit func(domain string) error
 		// The $ORIGIN directive arrived after the last record (or the
 		// zone has no records): resolve any held owners against it.
 		st.Origin = s.Origin()
-		itld = idna.IsACELabel(st.Origin)
+		idnOrigin = idna.IsIDN(st.Origin)
 		for _, o := range preOrigin {
 			if err := flush(o); err != nil {
 				return ScanStats{}, err
